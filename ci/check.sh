@@ -11,9 +11,13 @@
 #              signals, typed protocol-error handling
 #   go build   everything compiles, including cmd/ and examples/
 #   go test    tier-1 correctness
+#   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
+#              count: seconds when the path is O(1), minutes if the ring
+#              ever copies itself per append again
 #   smoke      kvserve + loadgen + kvtop end to end: boot the server binary,
 #              drive it over TCP, poll the live topology with the aggregator,
-#              verify clean SIGINT shutdown
+#              verify clean SIGINT shutdown; plus a durable boot that preloads
+#              past the ship ring's capacity under a deadline
 #   go test -race   the concurrent engine path: k sim processes and
 #                   host-parallel detached clients through the sharded pager,
 #                   plus an explicit pass over the crash/recovery suite
@@ -51,6 +55,12 @@ go run ./cmd/iolint ./...
 go build ./...
 go test ./...
 
+# Commit-path smoke: a shipped ApplyBatch with the ring below and at capacity,
+# and wal.Append with and without the commit hook. At 2000 iterations this is
+# well under a second; a ring that reallocates per append (the pre-PR-13
+# cliff: 4.5 ms per record at capacity) turns it into minutes.
+go test -run '^$' -bench 'ShipAppend|WALAppend' -benchtime 2000x ./internal/engine ./internal/wal
+
 # Server smoke test: boot kvserve on the in-memory PDAM device, wait for
 # the listening line, fire a loadgen burst at it, and verify a clean
 # SIGINT shutdown (exit 0). This exercises the real binaries end to end —
@@ -61,11 +71,12 @@ trap 'rm -rf "$smoke"; kill $kvpid $clpids 2>/dev/null || true' EXIT
 kvpid=""
 clpids=""
 
-# waitaddr LOGFILE: echo the address a kvserve instance reported, or fail.
+# waitaddr LOGFILE [TENTHS]: echo the address a kvserve instance reported
+# within TENTHS x 0.1 s (default 100), or fail.
 waitaddr() {
 	wa_addr=""
 	wa_i=0
-	while [ $wa_i -lt 100 ]; do
+	while [ $wa_i -lt "${2:-100}" ]; do
 		wa_addr=$(sed -n 's/^kvserve: listening on //p' "$1" 2>/dev/null | head -n 1)
 		[ -n "$wa_addr" ] && break
 		sleep 0.1
@@ -109,6 +120,21 @@ kill -INT "$kvpid"
 wait "$kvpid" || {
 	echo "kvserve did not shut down cleanly:" >&2
 	cat "$smoke/kvserve.log" >&2
+	exit 1
+}
+kvpid=""
+
+# Durable boot past the ship ring's capacity (70,000 preloaded records >
+# DefaultShipCap 65,536): about a second when the at-capacity append is
+# O(1); the slice-copy ring spent ~20 s on the last 4,464 appends alone, so
+# the 20 s deadline fails if that cost ever returns.
+"$smoke/kvserve" -addr 127.0.0.1:0 -items 70000 -durable >"$smoke/kvserve-boot.log" 2>&1 &
+kvpid=$!
+waitaddr "$smoke/kvserve-boot.log" 200 >/dev/null
+kill -INT "$kvpid"
+wait "$kvpid" || {
+	echo "kvserve (durable boot) did not shut down cleanly:" >&2
+	cat "$smoke/kvserve-boot.log" >&2
 	exit 1
 }
 kvpid=""
@@ -214,11 +240,11 @@ grep -q "^  mq " "$smoke/iotrace-mq.log" || {
 #   go test ./internal/kv  -run '^$' -fuzz=FuzzDec    -fuzztime=30s
 #   go test ./internal/wal -run '^$' -fuzz=FuzzReplay -fuzztime=30s
 
-# The crash-consistency and MVCC snapshot suites under the race detector,
-# named explicitly so a future -short or skip in the full pass cannot
-# silently drop them (the snapshot tests race concurrent pinned readers
-# against the mutation bracket).
-go test -race -run 'Crash|Fault|Replay|Durab|Recover|Torn|LogFull|NoSteal|Stats|Snapshot|MVCC' \
+# The crash-consistency, MVCC snapshot and log-shipping suites (the ship
+# ring's oracle test among them) under the race detector, named explicitly
+# so a future -short or skip in the full pass cannot silently drop them (the
+# snapshot tests race concurrent pinned readers against the mutation bracket).
+go test -race -run 'Crash|Fault|Replay|Durab|Recover|Torn|LogFull|NoSteal|Stats|Snapshot|MVCC|Ship' \
 	./internal/wal ./internal/storage ./internal/engine
 
 # The server package entire under the race detector: real TCP handlers, the

@@ -46,15 +46,20 @@ type ShipRecord struct {
 	CommitWallNs int64
 }
 
-// shipBuffer is the ring of durable records awaiting shipment.
+// shipBuffer is the ring of durable records awaiting shipment. recs grows
+// geometrically while the ring fills; once it holds cap records it is never
+// reallocated again — a new record overwrites the oldest in place and head
+// advances. The ring therefore holds at most cap ShipRecords plus the
+// payload slabs those records point into (see wal.Log.SetOnCommit: payload
+// bytes are immutable and owned by the receiver, so the ring keeps them by
+// reference and a slab is collectable once every record in it is trimmed).
 type shipBuffer struct {
 	mu        sync.Mutex
 	cap       int
-	recs      []ShipRecord // durable, seq-ascending
+	recs      []ShipRecord // seq-ascending from head, wrapping at len(recs)
+	head      int          // index of the oldest record; 0 until the ring is full
 	floor     uint64       // records with Seq > floor are available
 	committed uint64       // highest durable (shippable) LSN seen
-	shipped   int64        // records handed out by ShipSince
-	pulls     int64        // ShipSince calls
 }
 
 // EnableShipping attaches the ship ring to a durable engine. capRecords
@@ -88,6 +93,9 @@ func (e *Engine) EnableShipping(capRecords int) error {
 		s.append(r, now)
 		return true
 	})
+	// The hook's contract (wal.Log.SetOnCommit): recs is the log's own tail,
+	// valid only during the call — append copies each Record out of it — while
+	// the payload bytes are the ring's to keep by reference.
 	d.log.SetOnCommit(func(recs []wal.Record) {
 		now := time.Now().UnixNano()
 		s.mu.Lock()
@@ -100,19 +108,38 @@ func (e *Engine) EnableShipping(capRecords int) error {
 	return nil
 }
 
-// append adds one durable record stamped with its commit wall time,
-// trimming the ring past cap. Callers hold s.mu except during
+// append adds one durable record stamped with its commit wall time: O(1),
+// and allocation-free once the ring is full — the oldest record is
+// overwritten and its Seq becomes the floor. Callers hold s.mu except during
 // EnableShipping's backfill, which runs before the buffer is published.
 func (s *shipBuffer) append(r wal.Record, wallNs int64) {
-	s.recs = append(s.recs, ShipRecord{Record: r, CommitWallNs: wallNs})
 	if r.Seq > s.committed {
 		s.committed = r.Seq
 	}
-	if len(s.recs) > s.cap {
-		drop := len(s.recs) - s.cap
-		s.floor = s.recs[drop-1].Seq
-		s.recs = append([]ShipRecord(nil), s.recs[drop:]...)
+	rec := ShipRecord{Record: r, CommitWallNs: wallNs}
+	if len(s.recs) == s.cap {
+		s.floor = s.recs[s.head].Seq
+		s.recs[s.head] = rec
+		if s.head++; s.head == s.cap {
+			s.head = 0
+		}
+		return
 	}
+	if len(s.recs) == cap(s.recs) {
+		// Grow by doubling, but never past cap: the bound is the contract.
+		grown := make([]ShipRecord, len(s.recs), min(max(2*len(s.recs), 64), s.cap))
+		copy(grown, s.recs)
+		s.recs = grown
+	}
+	s.recs = append(s.recs, rec)
+}
+
+// index returns where in recs the i-th oldest record lives.
+func (s *shipBuffer) index(i int) int {
+	if i += s.head; i >= len(s.recs) {
+		i -= len(s.recs)
+	}
+	return i
 }
 
 // ShipSince returns up to max durable records with Seq > after, in append
@@ -131,12 +158,11 @@ func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStatus, err
 	if after < s.floor {
 		return nil, st, ErrShipGap
 	}
-	s.pulls++
-	// Binary search for the first record past `after` (seqs ascend).
+	// Binary search, in age order, for the first record past `after`.
 	lo, hi := 0, len(s.recs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.recs[mid].Seq <= after {
+		if s.recs[s.index(mid)].Seq <= after {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -149,9 +175,11 @@ func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStatus, err
 	if n == 0 {
 		return nil, st, nil
 	}
+	// The run may straddle the wrap: copy up to the end of the array, then
+	// the rest from its start.
 	out := make([]ShipRecord, n)
-	copy(out, s.recs[lo:lo+n])
-	s.shipped += int64(n)
+	copied := copy(out, s.recs[s.index(lo):])
+	copy(out[copied:], s.recs)
 	return out, st, nil
 }
 
@@ -168,9 +196,7 @@ type ShipStats struct {
 	Enabled      bool
 	CommittedLSN uint64
 	FloorLSN     uint64
-	Buffered     int   // records currently in the ring
-	Shipped      int64 // records handed to subscribers
-	Pulls        int64 // ShipSince calls served
+	Buffered     int // records currently in the ring
 }
 
 // ShipStats returns a snapshot (zero value when shipping is off).
@@ -186,7 +212,5 @@ func (e *Engine) ShipStats() ShipStats {
 		CommittedLSN: s.committed,
 		FloorLSN:     s.floor,
 		Buffered:     len(s.recs),
-		Shipped:      s.shipped,
-		Pulls:        s.pulls,
 	}
 }

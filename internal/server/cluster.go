@@ -207,8 +207,8 @@ func (s *Server) ApplyShipped(recs []wal.Record) error {
 		return errors.New("server: ApplyShipped on a non-replica")
 	}
 	batch := make([]writeReq, len(recs))
+	done := make(chan writeResult, len(recs)) // one reply per record
 	for i, r := range recs {
-		done := make(chan writeResult, 1)
 		// A stamped record's trace identity continues the primary's trace on
 		// this node: the replica's commit span links back to the primary-side
 		// span that logged the record.
@@ -227,8 +227,8 @@ func (s *Server) ApplyShipped(recs []wal.Record) error {
 	}
 	s.applyWrites(batch)
 	var firstErr error
-	for i := range batch {
-		if res := <-batch[i].done; res.err != nil && firstErr == nil {
+	for range batch {
+		if res := <-done; res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
 	}

@@ -186,6 +186,9 @@ type Server struct {
 	writeCh      chan writeReq
 	writerDone   chan struct{}
 	writeScratch []writeReq // writer-goroutine-local batch buffer
+	// applyWrites' per-batch scratch, reused across batches.
+	mutScratch    []engine.Mutation
+	resultScratch []writeResult
 
 	// stateMu orders tree reads against tree mutations: sessions take the
 	// read side per operation, the writer takes the write side per batch.
@@ -366,6 +369,10 @@ type connState struct {
 	// finished with (nil when sampled out or untraced); the slow-op log
 	// reads its per-layer events after the fact.
 	lastSpan *obs.Span
+	// writeDone carries the writer's reply to this connection's one
+	// outstanding write (made by the first write; empty again by the time
+	// serveWrite returns).
+	writeDone chan writeResult
 }
 
 // releaseAll retires every snapshot the connection still holds (the
@@ -775,8 +782,11 @@ func (s *Server) serveWrite(cs *connState, req request) []byte {
 	if sp != nil {
 		tc = sp.Context()
 	}
+	if cs.writeDone == nil {
+		cs.writeDone = make(chan writeResult, 1)
+	}
 	wr := writeReq{op: req.op, key: req.key, value: req.value, delta: req.delta,
-		tc: tc, done: make(chan writeResult, 1)}
+		tc: tc, done: cs.writeDone}
 	select {
 	case s.writeCh <- wr:
 	default:
@@ -785,7 +795,7 @@ func (s *Server) serveWrite(cs *connState, req request) []byte {
 		s.metrics.busy.Add(1)
 		return encodeStatus(StatusBusy, "write queue full")
 	}
-	res := <-wr.done
+	res := <-cs.writeDone
 	cs.client.FinishSpan(sp)
 	cs.lastSpan = sp
 	if res.err != nil {

@@ -40,8 +40,10 @@ type writeReq struct {
 	// span that enqueued the mutation, or the client's carried context when
 	// no tracer is attached. It links the group-commit span and stamps the
 	// mutation's WAL record for the ship stream.
-	tc   obs.TraceContext
-	done chan writeResult
+	tc obs.TraceContext
+	// done receives the one reply. It must never block the writer: a
+	// connection owns one with room for its single outstanding write.
+	done chan<- writeResult
 }
 
 // writerLoop drains the write queue: each iteration takes everything
@@ -107,12 +109,15 @@ func (s *Server) applyWrites(batch []writeReq) {
 	} else {
 		sp = owner.StartSpan("commit")
 	}
-	results := make([]writeResult, len(batch))
+	// The scratch slices need no lock: applyWrites has one caller at a time
+	// (the writer goroutine, or on a replica the shipper — ApplyShipped).
+	results := s.resultScratch[:0]
 	if d, ok := s.backend.Writer.(*engine.Durable); ok {
-		muts := make([]engine.Mutation, len(batch))
-		for i, req := range batch {
-			muts[i] = toMutation(d, req)
+		muts := s.mutScratch[:0]
+		for _, req := range batch {
+			muts = append(muts, toMutation(d, req))
 		}
+		s.mutScratch = muts
 		s.stateMu.Lock()
 		//lint:allowblock structural applies run under the write exclusion by design; the expensive part — the group-commit flush — already runs after stateMu is dropped (CommitPending below)
 		err := s.backend.Eng.ApplyBatchNoSync(muts)
@@ -146,16 +151,17 @@ func (s *Server) applyWrites(batch []writeReq) {
 				err = errSyncShipTimeout
 			}
 		}
-		for i := range results {
-			results[i] = writeResult{accepted: muts[i].Accepted, err: err}
+		for i := range muts {
+			results = append(results, writeResult{accepted: muts[i].Accepted, err: err})
 		}
 	} else {
 		s.stateMu.Lock()
-		for i, req := range batch {
-			results[i] = s.applyPlain(req)
+		for _, req := range batch {
+			results = append(results, s.applyPlain(req))
 		}
 		s.stateMu.Unlock()
 	}
+	s.resultScratch = results
 	owner.FinishSpan(sp)
 	s.metrics.writeBatches.Add(1)
 	s.metrics.writeOps.Add(int64(len(batch)))

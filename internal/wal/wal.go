@@ -99,11 +99,15 @@ type Log struct {
 	buf      []byte // pending (uncommitted) frame payload
 	bufCount uint32 // records in buf
 	bufFirst uint64 // seq of the first record in buf
+	frame    []byte // Commit's frame image (header + payload), reused
 
-	// ship holds deep copies of appended-but-not-yet-durable records while a
-	// commit hook is attached (SetOnCommit): the log-shipping tail. Records
-	// move from ship to the hook the moment they become durable — a group
-	// commit, or a checkpoint that covers them via the journal instead.
+	// ship is the log-shipping tail: the appended-but-not-yet-durable records
+	// while a commit hook is attached (SetOnCommit). Until a record is
+	// durable its Key/Value alias its encoding in buf — append-only until the
+	// group is sealed or dropped, so the bytes hold still even when buf
+	// regrows. Records move from ship to the hook the moment they become
+	// durable — a group commit, or a checkpoint that covers them via the
+	// journal instead — and only then are their payloads copied out of buf.
 	ship     []Record
 	onCommit func([]Record)
 
@@ -304,13 +308,19 @@ func (l *Log) LastSeq() uint64 { return l.nextSeq - 1 }
 // caller's own serialization (the Log is single-threaded by contract), with
 // every record exactly once at the moment it becomes durable — sealed into a
 // committed frame, or covered by a checkpoint's journal (CheckpointCovering).
-// Records appended while a hook is attached are deep-copied into the ship
-// tail, so callers may reuse key/value buffers. nil detaches (and drops any
-// untailed records).
+// Append's callers may reuse their key/value buffers at once: the log never
+// hands the hook caller memory. nil detaches (and drops any untailed
+// records).
+//
+// Ownership: the []Record is the log's own tail and is valid only during the
+// call — copy out the Records to keep them. The bytes their Key/Value point
+// to are the receiver's: one freshly allocated slab per call, which the log
+// never writes or reads again, so the Records may be retained by reference.
+// (The slab lives as long as any one slice into it does.)
 func (l *Log) SetOnCommit(fn func([]Record)) {
 	l.onCommit = fn
 	if fn == nil {
-		l.ship = nil
+		l.ship = l.ship[:0]
 	}
 }
 
@@ -350,25 +360,22 @@ func (l *Log) Append(r Record) (uint64, error) {
 	}
 	seq := l.nextSeq
 	l.nextSeq++
-	var e kv.Enc
+	e := kv.Enc{Buf: l.buf}
 	e.U8(uint8(r.Kind))
 	e.U8(r.Dict)
 	e.U64(seq)
 	e.Bytes(r.Key)
+	keyEnd := len(e.Buf)
 	e.Bytes(r.Value)
-	l.buf = append(l.buf, e.Buf...)
+	l.buf = e.Buf
 	l.bufCount++
 	l.Records++
 	if l.onCommit != nil {
-		l.ship = append(l.ship, Record{
-			Seq:     seq,
-			Kind:    r.Kind,
-			Dict:    r.Dict,
-			Key:     append([]byte(nil), r.Key...),
-			Value:   append([]byte(nil), r.Value...),
-			TraceID: r.TraceID,
-			SpanID:  r.SpanID,
-		})
+		// A length-prefixed byte string ends with the bytes themselves.
+		r.Seq = seq
+		r.Key = l.buf[keyEnd-len(r.Key) : keyEnd]
+		r.Value = l.buf[len(l.buf)-len(r.Value):]
+		l.ship = append(l.ship, r)
 	}
 	if len(l.buf) >= l.cfg.GroupBytes {
 		if err := l.Commit(); err != nil {
@@ -390,7 +397,7 @@ func (l *Log) Commit() error {
 		return fmt.Errorf("%w: need %d bytes at head %d of %d",
 			ErrLogFull, frameLen, l.head, l.usable())
 	}
-	var e kv.Enc
+	e := kv.Enc{Buf: l.frame[:0]}
 	e.U32(frameMagic)
 	e.U64(l.epoch)
 	e.U64(l.bufFirst)
@@ -398,33 +405,45 @@ func (l *Log) Commit() error {
 	e.U32(uint32(len(l.buf)))
 	e.U32(crc32.ChecksumIEEE(l.buf))
 	e.U32(crc32.ChecksumIEEE(e.Buf))
-	e.Buf = append(e.Buf, l.buf...)
-	l.dev.WriteAt(e.Buf, l.frameStart()+l.head)
-	l.BytesWritten += int64(len(e.Buf))
+	l.frame = append(e.Buf, l.buf...)
+	l.dev.WriteAt(l.frame, l.frameStart()+l.head)
+	l.BytesWritten += frameLen
 	l.head += frameLen
-	l.buf = l.buf[:0]
-	l.bufCount = 0
 	l.Commits++
 	l.shipThrough(l.LastSeq())
+	l.buf = l.buf[:0]
+	l.bufCount = 0
 	return nil
 }
 
 // shipThrough hands every tailed record with Seq <= lsn to the commit hook
-// and drops it from the ship tail. No-op without a hook.
+// and empties the ship tail, which keeps its backing array: a commit makes
+// the whole tail durable, and the records a checkpoint does not cover leave
+// with the pending group. The records' payloads move out of buf into one slab
+// the hook's receiver owns (see SetOnCommit); callers reset buf only
+// afterwards. No-op without a hook (the tail is empty).
 func (l *Log) shipThrough(lsn uint64) {
-	if l.onCommit == nil || len(l.ship) == 0 {
-		return
-	}
-	n := 0
+	n, size := 0, 0
 	for n < len(l.ship) && l.ship[n].Seq <= lsn {
+		size += len(l.ship[n].Key) + len(l.ship[n].Value)
 		n++
 	}
-	if n == 0 {
-		return
+	if n > 0 {
+		slab := make([]byte, 0, size)
+		own := func(b []byte) []byte {
+			if len(b) == 0 {
+				return nil
+			}
+			slab = append(slab, b...)
+			return slab[len(slab)-len(b) : len(slab) : len(slab)]
+		}
+		for i := range l.ship[:n] {
+			r := &l.ship[i]
+			r.Key, r.Value = own(r.Key), own(r.Value)
+		}
+		l.onCommit(l.ship[:n])
 	}
-	durable := l.ship[:n:n]
-	l.ship = append([]Record(nil), l.ship[n:]...)
-	l.onCommit(durable)
+	l.ship = l.ship[:0]
 }
 
 // Checkpoint declares all logged state durably applied and truncates the
@@ -446,7 +465,6 @@ func (l *Log) Checkpoint() {
 // the caller re-appends them, and the re-append re-tails them.
 func (l *Log) CheckpointCovering(lastLSN uint64) {
 	l.shipThrough(lastLSN)
-	l.ship = nil
 	l.buf = l.buf[:0]
 	l.bufCount = 0
 	l.epoch++
