@@ -11,13 +11,18 @@
 #              signals, typed protocol-error handling
 #   go build   everything compiles, including cmd/ and examples/
 #   go test    tier-1 correctness
+#   one-of     grep gate: the duplicates internal/node and storage.Topology
+#              removed (hand-written boots, anonymous device-hint assertions)
+#              stay removed
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
 #   smoke      kvserve + loadgen + kvtop end to end: boot the server binary,
 #              drive it over TCP, poll the live topology with the aggregator,
-#              verify clean SIGINT shutdown; plus a durable boot that preloads
-#              past the ship ring's capacity under a deadline
+#              verify clean SIGINT shutdown; the other arms internal/node
+#              boots (the mq device, a durable Bε-tree) under a short burst;
+#              plus a durable boot that preloads past the ship ring's
+#              capacity under a deadline
 #   go test -race   the concurrent engine path: k sim processes and
 #                   host-parallel detached clients through the sharded pager,
 #                   plus an explicit pass over the crash/recovery suite
@@ -54,6 +59,22 @@ go run ./cmd/iolint ./...
 
 go build ./...
 go test ./...
+
+# One of each: internal/node is the only place a server is assembled, and
+# storage.Topology the only way a device states its shape. A new boot path or
+# a new anonymous hint assertion is a second copy growing back; fail on it.
+dups=$(grep -rn --include='*.go' -e 'interface{ ParallelismHint' -e 'interface{ QueueHint' . | grep -v '^./vendor/' || true)
+if [ -n "$dups" ]; then
+	echo "anonymous device-hint assertion (declare it in storage.Topology instead):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' 'server\.New(' . | grep -v -e '^./vendor/' -e '_test\.go:' -e '^./internal/node/' || true)
+if [ -n "$dups" ]; then
+	echo "server.New outside internal/node (boot through node.Start instead):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
 
 # Commit-path smoke: a shipped ApplyBatch with the ring below and at capacity,
 # and wal.Append with and without the commit hook. At 2000 iterations this is
@@ -123,6 +144,30 @@ wait "$kvpid" || {
 	exit 1
 }
 kvpid=""
+
+# The other arms internal/node boots, which the pdam B-tree smoke above does
+# not reach: the multi-queue device (per-queue read lanes from its topology)
+# and a durable Bε-tree (the Durable wrapper, preload sync and group commit
+# over a message-buffered tree). Each takes a short loadgen burst and must
+# exit 0 on SIGINT.
+for arm in "-device mq" "-tree betree -node 65536 -durable"; do
+	# shellcheck disable=SC2086 # $arm is a flag list
+	"$smoke/kvserve" -addr 127.0.0.1:0 -items 2000 $arm >"$smoke/kvserve-arm.log" 2>&1 &
+	kvpid=$!
+	addr=$(waitaddr "$smoke/kvserve-arm.log")
+	"$smoke/loadgen" -addr "$addr" -clients 4 -ops 50 -ycsb b -keys 2000 >"$smoke/loadgen-arm.log" 2>&1 || {
+		echo "loadgen against kvserve $arm failed:" >&2
+		cat "$smoke/loadgen-arm.log" "$smoke/kvserve-arm.log" >&2
+		exit 1
+	}
+	kill -INT "$kvpid"
+	wait "$kvpid" || {
+		echo "kvserve $arm did not shut down cleanly:" >&2
+		cat "$smoke/kvserve-arm.log" >&2
+		exit 1
+	}
+	kvpid=""
+done
 
 # Durable boot past the ship ring's capacity (70,000 preloaded records >
 # DefaultShipCap 65,536): about a second when the at-capacity append is

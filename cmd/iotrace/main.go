@@ -39,29 +39,25 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"time"
 
-	"iomodels/internal/betree"
-	"iomodels/internal/btree"
 	"iomodels/internal/engine"
 	"iomodels/internal/hdd"
-	"iomodels/internal/lsm"
 	"iomodels/internal/mqssd"
+	"iomodels/internal/node"
 	"iomodels/internal/obs"
-	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
-	"iomodels/internal/ssd"
 	"iomodels/internal/stats"
 	"iomodels/internal/storage"
 	"iomodels/internal/workload"
 )
 
 func main() {
-	tree := flag.String("tree", "be", "structure: b, be, or lsm")
+	treeKind := flag.String("tree", "be", "structure: b, be, or lsm")
 	device := flag.String("device", "hdd", "device model: hdd, ssd, pdam, or mq")
 	items := flag.Int64("items", 100_000, "pairs to load")
-	node := flag.Int("node", 256<<10, "node size (trees)")
+	nodeBytes := flag.Int("node", 256<<10, "node size (trees)")
 	cache := flag.Int64("cache", 4<<20, "engine cache bytes")
 	ops := flag.Int("ops", 200, "measured queries after the load")
 	clients := flag.Int("clients", 1, "concurrent query clients (sim processes)")
@@ -80,59 +76,31 @@ func main() {
 	}
 
 	var dev storage.Device
-	switch *device {
-	case "hdd":
+	if *device == "hdd" {
 		// Deterministic rotation: the calibrated models predict expected
 		// cost, so the measured side uses the mean-rotation disk.
 		dev = hdd.NewDeterministic(hdd.DefaultProfile())
-	case "ssd":
-		dev = ssd.New(ssd.DefaultProfile())
-	case "pdam":
-		dev = pdamdev.New(16, 4<<10, sim.Time(time.Millisecond)).Storage(4 << 30)
-	case "mq":
-		dev = mqssd.New(mqssd.DefaultConfig()).Storage(4 << 30)
-	default:
-		fatalf("unknown device %q (want hdd, ssd, pdam, or mq)", *device)
+	} else {
+		// The serving devices: pdam at kvserve's defaults, mq at the E23
+		// profile.
+		var err error
+		if dev, err = node.NewDevice(*device, 16, mqssd.DefaultConfig(), 4<<30); err != nil {
+			fatalf("unknown device %q (want hdd, ssd, pdam, or mq)", *device)
+		}
 	}
 
 	eng := engine.New(engine.Config{CacheBytes: *cache}, dev, sim.New())
 	spec := workload.DefaultSpec()
-
-	var (
-		d       engine.Dictionary
-		session func(*engine.Client) engine.Dictionary
-		flush   func()
-	)
-	switch *tree {
-	case "b":
-		t, err := btree.New(btree.Config{
-			NodeBytes: *node, MaxKeyBytes: spec.KeyBytes, MaxValueBytes: spec.ValueBytes,
-		}, eng)
-		must(err)
-		d, flush = t, t.Flush
-		session = func(c *engine.Client) engine.Dictionary { return t.Session(c) }
-	case "be":
-		t, err := betree.New(betree.Config{
-			NodeBytes: *node, MaxFanout: 16, MaxKeyBytes: spec.KeyBytes,
-			MaxValueBytes: spec.ValueBytes,
-		}.Optimized(), eng)
-		must(err)
-		d, flush = t, t.Flush
-		session = func(c *engine.Client) engine.Dictionary { return t.Session(c) }
-	case "lsm":
-		t, err := lsm.New(lsm.DefaultConfig(), eng)
-		must(err)
-		d, flush = t, t.Flush
-		session = func(c *engine.Client) engine.Dictionary { return t.Session(c) }
-	default:
-		fatalf("unknown -tree %q (want b, be, or lsm)", *tree)
+	tree, err := node.NewTree(*treeKind, *nodeBytes, spec, eng)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	// Load phase: raw device trace, as before.
 	tr := &storage.Trace{}
 	eng.SetTrace(tr)
-	workload.Load(d, spec, *items)
-	flush()
+	workload.Load(tree, spec, *items)
+	tree.Flush()
 	fmt.Printf("=== load phase: %d pairs on %s ===\n", *items, eng.Device().Name())
 	report(tr)
 	eng.SetTrace(nil)
@@ -144,7 +112,7 @@ func main() {
 	// short seeks never pay.
 	cfg := obs.Config{SampleEvery: *sample}
 	models, ok := obs.ModelsFor(dev, obs.CalibrationConfig{
-		BlockBytes:  int64(*node),
+		BlockBytes:  int64(*nodeBytes),
 		RegionBytes: eng.HighWater(),
 	})
 	if ok {
@@ -161,7 +129,7 @@ func main() {
 		i := i
 		eng.Clock().Go(func(pr *sim.Proc) {
 			c := eng.Process(pr)
-			sess := session(c)
+			sess := tree.Session(c)
 			for j := 0; j < perClient; j++ {
 				id := uint64((i*perClient+j)*2654435761) % uint64(*items)
 				sp := c.StartSpan("get")
@@ -301,9 +269,14 @@ func report(tr *storage.Trace) {
 				sizes[r.Size]++
 			}
 		}
+		bySize := make([]int64, 0, len(sizes))
+		for sz := range sizes {
+			bySize = append(bySize, sz)
+		}
+		slices.Sort(bySize)
 		fmt.Printf("         IO sizes:")
-		for sz, n := range sizes {
-			fmt.Printf("  %dx%s", n, human(sz))
+		for _, sz := range bySize {
+			fmt.Printf("  %dx%s", sizes[sz], human(sz))
 		}
 		fmt.Println()
 	}

@@ -2,6 +2,11 @@
 // device behind the binary TCP protocol, with the batch read scheduler,
 // group-commit writer, and live metrics of internal/server.
 //
+// It is flag parsing around internal/node: the flags become a node.Spec,
+// node.Start boots it (device, engine, durability, tree, preload, server,
+// shipper, in that order), and the rest of main prints the startup lines,
+// serves the optional metrics listener and waits for a signal.
+//
 // Usage:
 //
 //	kvserve [-addr HOST:PORT] [-metrics HOST:PORT] [-device pdam|ssd|mq]
@@ -27,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -35,19 +41,14 @@ import (
 	"syscall"
 	"time"
 
-	"iomodels/internal/betree"
-	"iomodels/internal/btree"
 	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
-	"iomodels/internal/lsm"
 	"iomodels/internal/mqssd"
+	"iomodels/internal/node"
 	"iomodels/internal/obs"
-	"iomodels/internal/pdamdev"
 	"iomodels/internal/server"
 	"iomodels/internal/sim"
-	"iomodels/internal/ssd"
 	"iomodels/internal/storage"
-	"iomodels/internal/workload"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func main() {
 	beta := flag.Float64("beta", 0.125, "mq device: cross-queue interference β")
 	writeQueue := flag.Bool("wq", true, "mq device: dedicate a write queue pair")
 	treeKind := flag.String("tree", "btree", "dictionary: btree, betree, or lsm")
-	node := flag.Int("node", 4<<10, "tree node bytes (btree/betree)")
+	nodeBytes := flag.Int("node", 4<<10, "tree node bytes (btree/betree)")
 	cache := flag.Int64("cache", 64<<20, "engine cache bytes")
 	items := flag.Int64("items", 0, "preload this many keys before serving")
 	durable := flag.Bool("durable", false, "enable the WAL: group commit and crash recovery")
@@ -104,98 +105,49 @@ func main() {
 		role = server.RolePrimary
 	}
 
-	var dev storage.Device
-	switch *device {
-	case "pdam":
-		dev = pdamdev.New(*p, *block, sim.Time(*step)).Storage(*capacity)
-	case "ssd":
-		dev = ssd.New(ssd.DefaultProfile())
-	case "mq":
-		mcfg := mqssd.DefaultConfig()
-		mcfg.Queues = *queues
-		mcfg.PerQueueP = *qslots
-		mcfg.QueueDepth = *qdepth
-		mcfg.Interference = *beta
-		mcfg.WriteQueue = *writeQueue
-		mcfg.BlockBytes = *block
-		mcfg.StepTime = sim.Time(*step)
-		dev = mqssd.New(mcfg).Storage(*capacity)
-	default:
-		fatalf("unknown device %q (want pdam, ssd, or mq)", *device)
+	mcfg := mqssd.Config{
+		Queues: *queues, PerQueueP: *qslots, QueueDepth: *qdepth, Interference: *beta,
+		WriteQueue: *writeQueue, BlockBytes: *block, StepTime: sim.Time(*step),
+	}
+	dev, err := node.NewDevice(*device, *p, mcfg, *capacity)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
-	eng := engine.New(engine.Config{CacheBytes: *cache}, dev, sim.New())
-	if *durable {
-		if err := eng.EnableDurability(engine.DurabilityConfig{}); err != nil {
-			fatalf("durability: %v", err)
-		}
-		// Every durable node publishes its commit stream: a solo node can gain
-		// a replica later, and a promoted replica immediately serves pulls.
-		if err := eng.EnableShipping(*shipBuffer); err != nil {
-			fatalf("shipping: %v", err)
-		}
-	}
-
-	spec := workload.DefaultSpec()
-	var (
-		session func(*engine.Client) engine.Dictionary
-		writer  engine.Dictionary
-		settle  func()
-	)
-	switch *treeKind {
-	case "btree":
-		tree, err := btree.New(btree.Config{
-			NodeBytes: *node, MaxKeyBytes: spec.KeyBytes, MaxValueBytes: spec.ValueBytes,
-		}, eng)
-		if err != nil {
-			fatalf("btree: %v", err)
-		}
-		session = func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-		writer, settle = tree, tree.Flush
-	case "betree":
-		tree, err := betree.New(betree.Config{
-			NodeBytes: *node, MaxFanout: betree.DefaultFanout,
-			MaxKeyBytes: spec.KeyBytes, MaxValueBytes: spec.ValueBytes,
-		}.Optimized(), eng)
-		if err != nil {
-			fatalf("betree: %v", err)
-		}
-		session = func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-		writer, settle = tree, tree.Flush
-	case "lsm":
-		tree, err := lsm.New(lsm.DefaultConfig(), eng)
-		if err != nil {
-			fatalf("lsm: %v", err)
-		}
-		session = func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-		writer, settle = tree, tree.Flush
-	default:
-		fatalf("unknown tree %q (want btree, betree, or lsm)", *treeKind)
+	spec := node.Spec{
+		Device:     dev,
+		CacheBytes: *cache,
+		Tree:       *treeKind,
+		NodeBytes:  *nodeBytes,
+		ShipCap:    *shipBuffer,
+		Items:      *items,
+		Server: server.Config{
+			Addr:            *addr,
+			BatchIOs:        *batch,
+			ReadLanes:       *lanes,
+			BatchGrace:      *grace,
+			ReadQueue:       *readq,
+			WriteQueue:      *writeq,
+			WriteBatch:      *writeBatch,
+			ShardID:         *shard,
+			Shards:          *shards,
+			Role:            role,
+			SyncShip:        *syncShip,
+			SlowOpThreshold: *slowOps,
+		},
+		Shipper: cluster.ShipperConfig{
+			Primary: *replicaOf,
+			Logf: func(format string, args ...interface{}) {
+				fmt.Printf("kvserve: "+format+"\n", args...)
+			},
+		},
 	}
 	if *durable {
-		d, err := eng.Durable(*treeKind, writer)
-		if err != nil {
-			fatalf("durable %s: %v", *treeKind, err)
-		}
-		writer = d
+		spec.Durability = &engine.DurabilityConfig{}
 	}
-
-	if *items > 0 {
-		workload.Load(writer, spec, *items)
-		settle()
-		if *durable {
-			if err := eng.Sync(); err != nil {
-				fatalf("preload sync: %v", err)
-			}
-		}
-		fmt.Printf("kvserve: preloaded %d items (%s of virtual IO)\n", *items, eng.Clock().Now())
-	}
-
-	var trace *storage.Trace
 	if *traceCap > 0 {
-		trace = storage.NewBoundedTrace(*traceCap)
+		spec.Server.Trace = storage.NewBoundedTrace(*traceCap)
 	}
-
 	var tracer *obs.Tracer
 	if *obsOn || *chromeOut != "" || *spansOut != "" {
 		// Wall stamps and a per-process wire tag make the spans mergeable
@@ -203,77 +155,40 @@ func main() {
 		// client, a primary, and a replica share, and the tag keeps their
 		// wire span ids from colliding. The pid term covers nodes launched
 		// with identical -addr/-shard flags (e.g. :0 picking free ports).
-		tcfg := obs.Config{
+		// The node calibrates the cost models once the preload has run.
+		tracer = obs.NewTracer(obs.Config{
 			SampleEvery: *obsSample,
 			WallNow:     func() int64 { return time.Now().UnixNano() },
 			WireTag:     wireTag(*addr, *shard),
-		}
-		// Calibrate at the workload's locality: the preloaded region when
-		// there is one (seek cost on the hdd model grows with distance), the
-		// whole device otherwise.
-		ccfg := obs.CalibrationConfig{BlockBytes: int64(*node), RegionBytes: eng.HighWater()}
-		if models, ok := obs.ModelsFor(dev, ccfg); ok {
-			tcfg.Models = &models
+		})
+		spec.Server.Tracer = tracer
+	}
+
+	n, err := node.Start(spec)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	srv := n.Srv
+	if *items > 0 {
+		fmt.Printf("kvserve: preloaded %d items (%s of virtual IO)\n", *items, n.Eng.Clock().Now())
+	}
+	if tracer != nil {
+		if models := tracer.Models(); models != nil {
 			fmt.Printf("kvserve: calibrated %s: affine s=%.3gs t=%.3gs/B, pdam P=%d step=%.3gs\n",
 				models.Device, models.Affine.Setup, models.Affine.PerByte,
 				models.PDAM.P, models.PDAM.StepSeconds)
 		} else {
 			fmt.Printf("kvserve: device %s has no calibration; tracing without cost models\n", dev.Name())
 		}
-		tracer = obs.NewTracer(tcfg)
-	}
-
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	// The shipper is built after the server (it feeds the server's replica
-	// apply path), so OnPromote closes over this late-bound pointer.
-	var shipper *cluster.Shipper
-	srv, err := server.New(server.Config{
-		Addr:            *addr,
-		BatchIOs:        *batch,
-		ReadLanes:       *lanes,
-		BatchGrace:      *grace,
-		ReadQueue:       *readq,
-		WriteQueue:      *writeq,
-		WriteBatch:      *writeBatch,
-		Trace:           trace,
-		Tracer:          tracer,
-		ShardID:         *shard,
-		Shards:          *shards,
-		Role:            role,
-		SyncShip:        *syncShip,
-		SlowOpThreshold: *slowOps,
-		OnPromote: func() (uint64, error) {
-			if shipper == nil {
-				return 0, fmt.Errorf("no shipper to seal (node is not a replica)")
-			}
-			return shipper.Promote(eng)
-		},
-	}, server.Backend{Eng: eng, Clock: clock, NewSession: session, Writer: writer})
-	if err != nil {
-		fatalf("server: %v", err)
-	}
-	bound, err := srv.ListenAndServe()
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	if isReplica {
-		shipper = cluster.NewShipper(srv, cluster.ShipperConfig{
-			Primary: *replicaOf,
-			Logf: func(format string, args ...interface{}) {
-				fmt.Printf("kvserve: "+format+"\n", args...)
-			},
-		})
-		shipper.Start()
 	}
 	cfg := srv.Config()
 	fmt.Printf("kvserve: %s on %s, lanes=%d batch=%d grace=%v durable=%v\n",
-		*treeKind, eng.Device().Name(), cfg.ReadLanes, cfg.BatchIOs, cfg.BatchGrace, *durable)
+		*treeKind, dev.Name(), cfg.ReadLanes, cfg.BatchIOs, cfg.BatchGrace, *durable)
 	if role != server.RoleSolo {
 		fmt.Printf("kvserve: shard %d/%d role=%s replica-of=%q sync-ship=%v\n",
 			*shard, *shards, role, *replicaOf, *syncShip)
 	}
-	fmt.Printf("kvserve: listening on %s\n", bound)
+	fmt.Printf("kvserve: listening on %s\n", n.Addr)
 
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)
@@ -302,10 +217,7 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	<-sigs
 	fmt.Println("kvserve: shutting down")
-	if shipper != nil {
-		shipper.Stop() // no shipped apply may race the server teardown
-	}
-	if err := srv.Close(); err != nil {
+	if err := n.Close(); err != nil {
 		fatalf("close: %v", err)
 	}
 	snap := srv.Snapshot()
@@ -320,30 +232,25 @@ func main() {
 		}
 	}
 	if *chromeOut != "" {
-		f, err := os.Create(*chromeOut)
-		if err != nil {
-			fatalf("chrome trace: %v", err)
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			fatalf("chrome trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("chrome trace: %v", err)
-		}
+		writeFile("chrome trace", *chromeOut, tracer.WriteChromeTrace)
 		fmt.Printf("kvserve: wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", *chromeOut)
 	}
 	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			fatalf("spans: %v", err)
-		}
-		if err := tracer.WriteSpansJSON(f); err != nil {
-			fatalf("spans: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("spans: %v", err)
-		}
+		writeFile("spans", *spansOut, tracer.WriteSpansJSON)
 		fmt.Printf("kvserve: wrote span dump to %s (merge with iotrace -merge)\n", *spansOut)
+	}
+}
+
+// writeFile creates path and fills it with write, or exits naming what.
+func writeFile(what, path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		if err = write(f); err == nil {
+			err = f.Close()
+		}
+	}
+	if err != nil {
+		fatalf("%s: %v", what, err)
 	}
 }
 

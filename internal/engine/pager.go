@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 
 	"iomodels/internal/obs"
@@ -498,42 +499,61 @@ func (p *Pager) Drop(c *Client, id PageID) {
 // touched a dirty frame.
 func (p *Pager) Flush(c *Client) {
 	for _, sh := range p.shards {
+		// One sorted pass per round: snapshot the dirty ids, write them back
+		// lowest first — write-back order and the recency a flush leaves
+		// behind must not depend on map order, or every pager-backed
+		// experiment's virtual time varies per run — and go round again
+		// until a pass finds nothing (a Store can dirty another page).
 		for {
 			sh.mu.Lock()
-			var victim *item
-			for _, it := range sh.items {
+			var ids []PageID
+			for id, it := range sh.items {
 				if it.dirty && !it.busy && !it.writing {
-					victim = it
-					break
+					ids = append(ids, id)
 				}
 			}
-			if victim == nil {
-				sh.mu.Unlock()
+			sh.mu.Unlock()
+			if len(ids) == 0 {
 				break
 			}
-			victim.writing = true
-			if victim.elem != nil {
-				sh.lru.Remove(victim.elem)
-				victim.elem = nil
+			slices.Sort(ids)
+			for _, id := range ids {
+				p.flushOne(c, sh, id)
 			}
-			sh.stats.Writebacks++
-			sh.mu.Unlock()
-
-			prev := c.pushLayer(obs.LayerPager)
-			victim.loader.Store(c, victim.id, victim.obj)
-			c.popLayer(prev)
-
-			sh.mu.Lock()
-			sh.dirtyBytes -= victim.enc
-			victim.dirty = false
-			victim.enc = 0
-			victim.writing = false
-			if victim.pins == 0 {
-				victim.elem = sh.lru.PushFront(victim)
-			}
-			sh.mu.Unlock()
 		}
 	}
+}
+
+// flushOne writes back sh's page id if it is still resident, dirty and not
+// already in the middle of an eviction or another write-back.
+func (p *Pager) flushOne(c *Client, sh *shard, id PageID) {
+	sh.mu.Lock()
+	victim := sh.items[id]
+	if victim == nil || !victim.dirty || victim.busy || victim.writing {
+		sh.mu.Unlock()
+		return
+	}
+	victim.writing = true
+	if victim.elem != nil {
+		sh.lru.Remove(victim.elem)
+		victim.elem = nil
+	}
+	sh.stats.Writebacks++
+	sh.mu.Unlock()
+
+	prev := c.pushLayer(obs.LayerPager)
+	victim.loader.Store(c, victim.id, victim.obj)
+	c.popLayer(prev)
+
+	sh.mu.Lock()
+	sh.dirtyBytes -= victim.enc
+	victim.dirty = false
+	victim.enc = 0
+	victim.writing = false
+	if victim.pins == 0 {
+		victim.elem = sh.lru.PushFront(victim)
+	}
+	sh.mu.Unlock()
 }
 
 // EvictAll writes back and drops every unpinned object (used by experiments

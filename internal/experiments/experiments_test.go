@@ -533,43 +533,69 @@ func TestE15DeviceFamilies(t *testing.T) {
 }
 
 // TestDeterminism is the repository's reproducibility contract: running a
-// harness twice produces bit-identical results.
+// single-client harness twice in one process renders byte-identical output.
+// The pager-backed rows (E9-dynamic, E16, E19) are the ones a map-ordered
+// Pager.Flush used to break: write-back order decided head position and
+// cache recency, hence virtual time, per run.
 func TestDeterminism(t *testing.T) {
-	cfg := DefaultAffineConfig()
-	cfg.Rounds = 16
-	a, err := Table2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Table2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RenderTable2(a) != RenderTable2(b) {
-		t.Fatal("Table 2 not deterministic")
-	}
-
-	pc := smallPDAM()
-	pc.PerThreadIOs = 100
-	s1 := Figure1(pc)
-	s2 := Figure1(pc)
-	for i := range s1 {
-		for j := range s1[i].Points {
-			if s1[i].Points[j] != s2[i].Points[j] {
-				t.Fatalf("Figure 1 not deterministic at %d/%d", i, j)
+	for _, h := range []struct {
+		name   string
+		render func(t *testing.T) string
+		heavy  bool // a full tree workload: skipped under the race detector
+	}{
+		{"Table 2", func(t *testing.T) string {
+			cfg := DefaultAffineConfig()
+			cfg.Rounds = 16
+			rows, err := Table2(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-
-	lc := DefaultLemma13Config()
-	lc.Items = 1 << 14
-	lc.QueriesPerClient = 20
-	r1 := Lemma13(lc)
-	r2 := Lemma13(lc)
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("Lemma 13 not deterministic at %d", i)
-		}
+			return RenderTable2(rows)
+		}, false},
+		{"Figure 1", func(*testing.T) string {
+			cfg := smallPDAM()
+			cfg.PerThreadIOs = 100
+			return RenderFigure1CSV(Figure1(cfg))
+		}, false},
+		{"E9 Lemma 13", func(*testing.T) string {
+			cfg := DefaultLemma13Config()
+			cfg.Items = 1 << 14
+			cfg.QueriesPerClient = 20
+			return RenderLemma13(Lemma13(cfg))
+		}, false},
+		{"E9-dynamic", func(*testing.T) string {
+			cfg := DefaultLemma13DynamicConfig()
+			cfg.Items = 10_000
+			cfg.QueriesPerClient = 20
+			return RenderLemma13Dynamic(Lemma13Dynamic(cfg))
+		}, true},
+		{"E16 aging", func(*testing.T) string {
+			cfg := DefaultAgingConfig()
+			cfg.Items = 20_000
+			cfg.ChurnOps = 10_000
+			cfg.ScanOps = 5
+			cfg.ScanLen = 500
+			cfg.CacheBytes = 1 << 20
+			return RenderAging(Aging(cfg))
+		}, true},
+		{"E19 durability", func(*testing.T) string {
+			cfg := DefaultCrashConfig()
+			cfg.Items = 4_000
+			cfg.CacheBytes = 1 << 20
+			cfg.NodeBytes = 32 << 10
+			cfg.Durability.JournalBytes = 16 << 20
+			cfg.Durability.CheckpointEveryBytes = 512 << 10
+			return RenderCrash(Crash(cfg))
+		}, true},
+	} {
+		t.Run(h.name, func(t *testing.T) {
+			if h.heavy {
+				skipUnderRace(t)
+			}
+			if a, b := h.render(t), h.render(t); a != b {
+				t.Fatalf("not deterministic:\n%s\nvs\n%s", a, b)
+			}
+		})
 	}
 }
 

@@ -19,19 +19,20 @@
 //
 //  3. Scheduler comparison + write isolation: gets/step under the DAM
 //     (batch 1), PDAM-global (one raw-P batch), and queue-aware (per-queue
-//     lanes via mqssd.QueueHint) schedulers; then reads against concurrent
-//     group-committing writers with and without the dedicated write queue.
+//     lanes via the device's storage.Topology) schedulers; then reads
+//     against concurrent group-committing writers with and without the
+//     dedicated write queue.
 
 package experiments
 
 import (
 	"math"
+	"slices"
 	"time"
 
-	"iomodels/internal/btree"
 	"iomodels/internal/core"
-	"iomodels/internal/engine"
 	"iomodels/internal/mqssd"
+	"iomodels/internal/node"
 	"iomodels/internal/obs"
 	"iomodels/internal/server"
 	"iomodels/internal/sim"
@@ -177,74 +178,28 @@ func mqThreadRound(dcfg mqssd.Config, p, ios int, seed uint64) float64 {
 }
 
 // startMQServing boots a B-tree server on a fresh multi-queue device.
-// lanes/batch 0 selects the queue-aware defaults (mqssd.QueueHint); lanes 1
-// with an explicit batch forces the classic global scheduler.
-func startMQServing(cfg MQServingConfig, dcfg mqssd.Config, lanes, batch int, durable bool, tracer *obs.Tracer) (*servingBackend, error) {
-	dev := mqssd.New(dcfg).Storage(1 << 31)
-	eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, dev, sim.New())
-	if durable {
-		if err := eng.EnableDurability(engine.DurabilityConfig{
-			LogBytes:     16 << 20,
-			GroupBytes:   1 << 20,
-			JournalBytes: 8 << 20,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	tree, err := btree.New(btree.Config{
-		NodeBytes:     cfg.NodeBlocks * int(dcfg.BlockBytes),
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
-	}, eng)
-	if err != nil {
-		return nil, err
-	}
-	var writer engine.Dictionary = tree
-	if durable {
-		d, err := eng.Durable("bt", tree)
-		if err != nil {
-			return nil, err
-		}
-		writer = d
-	}
-	workload.Load(writer, cfg.Spec, cfg.Items)
-	tree.Flush()
-	if durable {
-		if err := eng.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	maxK := cfg.Writers + len(cfg.Clients)
-	for _, k := range cfg.Clients {
-		if k > maxK {
-			maxK = k
-		}
-	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	srv, err := server.New(server.Config{
-		Addr:       "127.0.0.1:0",
-		ReadLanes:  lanes,
-		BatchIOs:   batch,
-		BatchGrace: cfg.BatchGrace,
-		ReadQueue:  4 * maxK,
-		Tracer:     tracer,
-	}, server.Backend{
-		Eng:   eng,
-		Clock: clock,
-		NewSession: func(c *engine.Client) engine.Dictionary {
-			return tree.Session(c)
+// lanes/batch 0 selects the queue-aware defaults (the device's
+// storage.Topology); lanes 1 with an explicit batch forces the classic
+// global scheduler. A tracer without models is calibrated by the node from
+// the device's exact parameters.
+func startMQServing(cfg MQServingConfig, lanes, batch int, tracer *obs.Tracer) (*node.Node, error) {
+	maxK := slices.Max(append([]int{cfg.Writers + len(cfg.Clients)}, cfg.Clients...))
+	return node.Start(node.Spec{
+		Device:     mqssd.New(cfg.Device).Storage(1 << 31),
+		CacheBytes: cfg.CacheBytes,
+		Tree:       "btree",
+		NodeBytes:  cfg.NodeBlocks * int(cfg.Device.BlockBytes),
+		Keys:       cfg.Spec,
+		Items:      cfg.Items,
+		Server: server.Config{
+			Addr:       "127.0.0.1:0",
+			ReadLanes:  lanes,
+			BatchIOs:   batch,
+			BatchGrace: cfg.BatchGrace,
+			ReadQueue:  4 * maxK,
+			Tracer:     tracer,
 		},
-		Writer: writer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		return nil, err
-	}
-	return &servingBackend{srv: srv, addr: addr.String(), clock: clock, eng: eng}, nil
 }
 
 // MQServing runs the scheduler comparison: closed-loop TCP gets per device
@@ -258,21 +213,21 @@ func MQServing(cfg MQServingConfig) ([]ServingRow, error) {
 	}{
 		{"dam", 1, 1},      // one IO at a time: the DAM's implicit discipline
 		{"pdam", 1, raw},   // one global batch of the raw slot count
-		{"mq-lanes", 0, 0}, // per-queue lanes sized by QueueHint
+		{"mq-lanes", 0, 0}, // per-queue lanes sized by the device topology
 	} {
-		sb, err := startMQServing(cfg, cfg.Device, mode.lanes, mode.batch, false, nil)
+		sb, err := startMQServing(cfg, mode.lanes, mode.batch, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range cfg.Clients {
 			row, err := servingReadRound(sb, cfg.legacy(), mode.name, k)
 			if err != nil {
-				sb.srv.Close()
+				sb.Close()
 				return nil, err
 			}
 			rows = append(rows, row)
 		}
-		sb.srv.Close()
+		sb.Close()
 	}
 	return rows, nil
 }
@@ -283,15 +238,14 @@ func MQServing(cfg MQServingConfig) ([]ServingRow, error) {
 // Returns the tracer summary whose read-residual table E23 asserts on.
 func MQResiduals(cfg MQServingConfig) (obs.Summary, error) {
 	raw := cfg.Device.Model().RawP()
-	// ExactMQ reads exact device parameters (no fitting), so a twin of the
-	// serving device calibrates the four models up front.
-	models := obs.ExactMQ(mqssd.New(cfg.Device).Storage(1 << 31))
-	tracer := obs.NewTracer(obs.Config{SampleEvery: 1, Models: &models})
-	sb, err := startMQServing(cfg, cfg.Device, 1, raw, false, tracer)
+	// The node calibrates the tracer's four models from the device's exact
+	// parameters (obs.ExactMQ: no fitting).
+	tracer := obs.NewTracer(obs.Config{SampleEvery: 1})
+	sb, err := startMQServing(cfg, 1, raw, tracer)
 	if err != nil {
 		return obs.Summary{}, err
 	}
-	defer sb.srv.Close()
+	defer sb.Close()
 	// Twice the batch size in closed-loop clients, so a full batch is always
 	// queued behind the running one and every launch is raw-P wide.
 	k := 2 * raw

@@ -136,14 +136,14 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	if err != nil {
 		return MVCCServeRow{}, err
 	}
-	defer sb.srv.Close()
+	defer sb.Close()
 
 	// Dial the readers and, in snap modes, pin every snapshot BEFORE the
 	// hot set is rewritten: the pinned view must predate the overwrite.
 	readers := make([]*server.Client, cfg.Readers)
 	snaps := make([]uint64, cfg.Readers)
 	for i := range readers {
-		cl, err := server.Dial(sb.addr)
+		cl, err := server.Dial(sb.Addr)
 		if err != nil {
 			return MVCCServeRow{}, err
 		}
@@ -162,7 +162,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	// a version chain per hot key, so every pinned read below is a chain
 	// hit; without (plain round) it just warms the same pages the readers
 	// will touch, keeping cache state comparable across rounds.
-	setup, err := server.Dial(sb.addr)
+	setup, err := server.Dial(sb.Addr)
 	if err != nil {
 		return MVCCServeRow{}, err
 	}
@@ -178,38 +178,28 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	// would blow past MaxVersionsPerKey and expire the pinned snapshots —
 	// that failure mode has its own test; E22 measures latency.)
 	done := make(chan struct{})
-	var writerWG sync.WaitGroup
-	writerErrs := make([]error, cfg.Writers)
+	writers := make(chan error, 1)
 	if loaded {
-		for w := 0; w < cfg.Writers; w++ {
-			writerWG.Add(1)
-			rng := stats.NewRNG(cfg.Seed ^ 0xE22).Split(uint64(w))
-			go func(w int) {
-				defer writerWG.Done()
-				cl, err := server.Dial(sb.addr)
-				if err != nil {
-					writerErrs[w] = err
-					return
-				}
-				defer cl.Close()
+		go func() {
+			writers <- eachClient(sb.Addr, cfg.Writers, func(w int, cl *server.Client) error {
+				rng := stats.NewRNG(cfg.Seed ^ 0xE22).Split(uint64(w))
 				tail := cfg.Items - int64(cfg.HotKeys)
 				for {
 					select {
 					case <-done:
-						return
+						return nil
 					default:
 					}
 					id := uint64(cfg.HotKeys) + uint64(rng.Int63n(tail))
 					if err := cl.Put(cfg.Spec.Key(id), cfg.Spec.Value(id^1)); err != nil {
-						writerErrs[w] = err
-						return
+						return err
 					}
 				}
-			}(w)
-		}
+			})
+		}()
 	}
 
-	before := sb.eng.MVCCStats()
+	before := sb.Eng.MVCCStats()
 	hist := stats.NewLatencyHist()
 	var reads atomic.Int64
 	root := stats.NewRNG(cfg.Seed)
@@ -263,21 +253,20 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	}
 	readWG.Wait()
 	close(readErrs)
-	after := sb.eng.MVCCStats()
+	after := sb.Eng.MVCCStats()
 
+	var writerErr error
 	if loaded {
 		close(done)
-		writerWG.Wait()
+		writerErr = <-writers
 	}
 	for err := range readErrs {
 		if err != nil {
 			return MVCCServeRow{}, err
 		}
 	}
-	for _, err := range writerErrs {
-		if err != nil {
-			return MVCCServeRow{}, fmt.Errorf("background writer: %w", err)
-		}
+	if writerErr != nil {
+		return MVCCServeRow{}, fmt.Errorf("background writer: %w", writerErr)
 	}
 	if snapMode {
 		for i, cl := range readers {

@@ -15,11 +15,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
-	"iomodels/internal/btree"
 	"iomodels/internal/engine"
+	"iomodels/internal/node"
 	"iomodels/internal/pdamdev"
 	"iomodels/internal/server"
 	"iomodels/internal/sim"
@@ -88,81 +88,57 @@ type ServingCommitRow struct {
 	PerFlush float64 // records / commits; 1.0 means no commit sharing
 }
 
-// servingBackend is one live kvserve instance for the experiment.
-type servingBackend struct {
-	srv   *server.Server
-	addr  string
-	clock *engine.SharedClock
-	eng   *engine.Engine
-}
-
 // startServing boots a B-tree server on a fresh PDAM device with the given
 // read-batch size. The read queue is sized for the largest client count so
 // admission control never sheds experiment load.
-func startServing(cfg ServingConfig, batch int, durable bool) (*servingBackend, error) {
-	dev := pdamdev.New(cfg.P, cfg.BlockBytes, cfg.StepTime)
-	eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, dev.Storage(1<<31), sim.New())
+func startServing(cfg ServingConfig, batch int, durable bool) (*node.Node, error) {
+	maxK := slices.Max(append([]int{cfg.Writers}, cfg.Clients...))
+	spec := node.Spec{
+		Device:     pdamdev.New(cfg.P, cfg.BlockBytes, cfg.StepTime).Storage(1 << 31),
+		CacheBytes: cfg.CacheBytes,
+		Tree:       "btree",
+		NodeBytes:  cfg.NodeBlocks * int(cfg.BlockBytes),
+		Keys:       cfg.Spec,
+		Items:      cfg.Items,
+		Server: server.Config{
+			Addr:       "127.0.0.1:0",
+			BatchIOs:   batch,
+			BatchGrace: cfg.BatchGrace,
+			ReadQueue:  4 * maxK,
+		},
+	}
 	if durable {
-		if err := eng.EnableDurability(engine.DurabilityConfig{
+		spec.Durability = &engine.DurabilityConfig{
 			LogBytes:     16 << 20,
 			GroupBytes:   1 << 20, // flush sharing must come from group commit, not size
 			JournalBytes: 8 << 20,
-		}); err != nil {
-			return nil, err
 		}
 	}
-	tree, err := btree.New(btree.Config{
-		NodeBytes:     cfg.NodeBlocks * int(cfg.BlockBytes),
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
-	}, eng)
-	if err != nil {
-		return nil, err
+	return node.Start(spec)
+}
+
+// eachClient runs body on k concurrent closed-loop connections to addr —
+// client i gets its own connection — and returns the first error.
+func eachClient(addr string, k int, body func(i int, cl *server.Client) error) error {
+	errs := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func(i int) {
+			cl, err := server.Dial(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cl.Close()
+			errs <- body(i, cl)
+		}(i)
 	}
-	var writer engine.Dictionary = tree
-	if durable {
-		d, err := eng.Durable("bt", tree)
-		if err != nil {
-			return nil, err
-		}
-		writer = d
-	}
-	workload.Load(writer, cfg.Spec, cfg.Items)
-	tree.Flush()
-	if durable {
-		if err := eng.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	maxK := cfg.Writers
-	for _, k := range cfg.Clients {
-		if k > maxK {
-			maxK = k
+	var first error
+	for i := 0; i < k; i++ {
+		if err := <-errs; err != nil && first == nil {
+			first = err
 		}
 	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	srv, err := server.New(server.Config{
-		Addr:       "127.0.0.1:0",
-		BatchIOs:   batch,
-		BatchGrace: cfg.BatchGrace,
-		ReadQueue:  4 * maxK,
-	}, server.Backend{
-		Eng:   eng,
-		Clock: clock,
-		NewSession: func(c *engine.Client) engine.Dictionary {
-			return tree.Session(c)
-		},
-		Writer: writer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		return nil, err
-	}
-	return &servingBackend{srv: srv, addr: addr.String(), clock: clock, eng: eng}, nil
+	return first
 }
 
 // Serving runs E20 and returns read-phase rows (dam mode first, then pdam)
@@ -180,12 +156,12 @@ func Serving(cfg ServingConfig) ([]ServingRow, []ServingCommitRow, error) {
 		for _, k := range cfg.Clients {
 			row, err := servingReadRound(sb, cfg, mode.name, k)
 			if err != nil {
-				sb.srv.Close()
+				sb.Close()
 				return nil, nil, err
 			}
 			rows = append(rows, row)
 		}
-		sb.srv.Close()
+		sb.Close()
 	}
 
 	var commits []ServingCommitRow
@@ -202,59 +178,41 @@ func Serving(cfg ServingConfig) ([]ServingRow, []ServingCommitRow, error) {
 
 // servingReadRound cold-starts the cache and measures k closed-loop TCP
 // clients doing random gets, in device steps and wall-clock latency.
-func servingReadRound(sb *servingBackend, cfg ServingConfig, mode string, k int) (ServingRow, error) {
-	sb.eng.Pager().EvictAll(sb.eng.Owner())
-	sb.eng.Pager().ResetStats()
+func servingReadRound(sb *node.Node, cfg ServingConfig, mode string, k int) (ServingRow, error) {
+	sb.Eng.Pager().EvictAll(sb.Eng.Owner())
+	sb.Eng.Pager().ResetStats()
 	root := stats.NewRNG(cfg.Seed + uint64(k))
-	start := sb.clock.Now()
+	start := sb.Clock.Now()
 	hist := stats.NewLatencyHist()
-	errs := make(chan error, k)
-	var wg sync.WaitGroup
-	for c := 0; c < k; c++ {
-		wg.Add(1)
+	err := eachClient(sb.Addr, k, func(c int, cl *server.Client) error {
 		rng := root.Split(uint64(c))
-		go func() {
-			defer wg.Done()
-			cl, err := server.Dial(sb.addr)
+		local := stats.NewLatencyHist()
+		for q := 0; q < cfg.OpsPerClient; q++ {
+			key := cfg.Spec.Key(uint64(rng.Int63n(cfg.Items)))
+			t0 := time.Now()
+			_, ok, err := cl.Get(key)
 			if err != nil {
-				errs <- err
-				return
+				return fmt.Errorf("serving get: %w", err)
 			}
-			defer cl.Close()
-			local := stats.NewLatencyHist()
-			for q := 0; q < cfg.OpsPerClient; q++ {
-				key := cfg.Spec.Key(uint64(rng.Int63n(cfg.Items)))
-				t0 := time.Now()
-				_, ok, err := cl.Get(key)
-				if err != nil {
-					errs <- fmt.Errorf("serving get: %w", err)
-					return
-				}
-				if !ok {
-					errs <- fmt.Errorf("serving: lost key %q", key)
-					return
-				}
-				local.Observe(int64(time.Since(t0)))
+			if !ok {
+				return fmt.Errorf("serving: lost key %q", key)
 			}
-			hist.Merge(local)
-			errs <- nil
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return ServingRow{}, err
+			local.Observe(int64(time.Since(t0)))
 		}
+		hist.Merge(local)
+		return nil
+	})
+	if err != nil {
+		return ServingRow{}, err
 	}
-	steps := float64(sb.clock.Now()-start) / float64(cfg.StepTime)
+	steps := float64(sb.Clock.Now()-start) / float64(cfg.StepTime)
 	snap := hist.Snapshot()
 	return ServingRow{
 		Mode:       mode,
 		Clients:    k,
 		Steps:      steps,
 		Throughput: float64(k*cfg.OpsPerClient) / steps,
-		HitRatio:   sb.eng.Pager().Stats().HitRatio(),
+		HitRatio:   sb.Eng.Pager().Stats().HitRatio(),
 		P50Us:      float64(snap.P50) / 1e3,
 		P99Us:      float64(snap.P99) / 1e3,
 	}, nil
@@ -267,39 +225,22 @@ func servingWriteRound(cfg ServingConfig, writers, total int) (ServingCommitRow,
 	if err != nil {
 		return ServingCommitRow{}, err
 	}
-	defer sb.srv.Close()
-	before := sb.eng.DurabilityStats()
+	defer sb.Close()
+	before := sb.Eng.DurabilityStats()
 	per := total / writers
-	errs := make(chan error, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := server.Dial(sb.addr)
-			if err != nil {
-				errs <- err
-				return
+	err = eachClient(sb.Addr, writers, func(w int, cl *server.Client) error {
+		for i := 0; i < per; i++ {
+			id := uint64(cfg.Items) + uint64(w*per+i)
+			if err := cl.Put(cfg.Spec.Key(id), cfg.Spec.Value(id)); err != nil {
+				return fmt.Errorf("serving put: %w", err)
 			}
-			defer cl.Close()
-			for i := 0; i < per; i++ {
-				id := uint64(cfg.Items) + uint64(w*per+i)
-				if err := cl.Put(cfg.Spec.Key(id), cfg.Spec.Value(id)); err != nil {
-					errs <- fmt.Errorf("serving put: %w", err)
-					return
-				}
-			}
-			errs <- nil
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return ServingCommitRow{}, err
 		}
+		return nil
+	})
+	if err != nil {
+		return ServingCommitRow{}, err
 	}
-	after := sb.eng.DurabilityStats()
+	after := sb.Eng.DurabilityStats()
 	row := ServingCommitRow{
 		Writers: writers,
 		Records: after.LogRecords - before.LogRecords,

@@ -1,11 +1,15 @@
 // Package mqssd implements the multi-queue refinement of the PDAM device:
-// instead of one pool of P IO slots per time step (internal/pdamdev), the
-// device exposes N submission/completion queue pairs, each serving up to
-// PerQueueP IOs per step, capped by the queue's depth and diluted by
-// cross-queue interference when several queues are active in the same step
-// (the multi-queue SSD modeling direction of arXiv 2507.06349; the slot
-// arithmetic is core.MQ, so the device and the accountant's predictions
-// share one formula — like pdamdev, this device IS the model).
+// instead of one pool of P IO slots per time step, the device exposes N
+// submission/completion queue pairs, each serving up to PerQueueP IOs per
+// step, capped by the queue's depth and diluted by cross-queue interference
+// when several queues are active in the same step (the multi-queue SSD
+// modeling direction of arXiv 2507.06349; the slot arithmetic is core.MQ,
+// so the device and the accountant's predictions share one formula — this
+// device IS the model).
+//
+// It is the repo's one step-packing device: the paper's Definition 1 PDAM
+// (internal/pdamdev) is its one-queue, full-depth, β = 0 case and is built
+// as exactly that.
 //
 // Reads are striped across the read queues by block address (an FTL-style
 // static mapping), so independent reads spread out and a key-range-affine
@@ -77,22 +81,25 @@ func (c Config) Model() core.MQ {
 	}
 }
 
-// queueState is one queue pair's step-packing bookkeeping.
-type queueState struct {
-	usage      map[int64]int // step index -> slots consumed by this queue
-	pruneBelow int64
-}
+// pruneWindow is how many steps of bookkeeping the device keeps behind the
+// newest submission (and how often it sweeps): devices run for millions of
+// steps, the maps must not.
+const pruneWindow = 4096
 
-// Device is the multi-queue device. Like pdamdev.Device it is driven at
-// virtual-time granularity with service on step boundaries, and the engine
-// serializes callers.
+// Device is the multi-queue device. It is driven at virtual-time
+// granularity with service on step boundaries, and the engine serializes
+// callers.
 type Device struct {
 	cfg   Config
 	model core.MQ
 
-	queues   []queueState  // read queues; +1 trailing write queue if enabled
-	active   map[int64]int // step index -> queues with ≥1 IO in that step
-	TotalIOs int64
+	// usage[q] maps step index -> slots consumed by queue q (read queues,
+	// +1 trailing write queue if enabled); active maps step index -> queues
+	// with ≥1 IO in that step. Both are trimmed together by prune.
+	usage      []map[int64]int
+	active     map[int64]int
+	pruneBelow int64
+	TotalIOs   int64
 }
 
 // New creates a multi-queue device from cfg (zero fields defaulted).
@@ -106,11 +113,18 @@ func New(cfg Config) *Device {
 	if cfg.WriteQueue {
 		n++
 	}
-	d := &Device{cfg: cfg, model: cfg.Model(), queues: make([]queueState, n), active: make(map[int64]int)}
-	for i := range d.queues {
-		d.queues[i].usage = make(map[int64]int)
-	}
+	d := &Device{cfg: cfg, model: cfg.Model(), usage: make([]map[int64]int, n)}
+	d.reset()
 	return d
+}
+
+// reset forgets all step bookkeeping (construction and Reboot).
+func (d *Device) reset() {
+	for i := range d.usage {
+		d.usage[i] = make(map[int64]int)
+	}
+	d.active = make(map[int64]int)
+	d.pruneBelow = 0
 }
 
 // Config returns the device's (defaulted) configuration.
@@ -150,7 +164,7 @@ func (d *Device) QueueFor(op storage.Op, off int64) int {
 // per step — the all-active closed form — instead of rewarding whichever
 // queue packs a fresh step first with an uncontended slot count.
 func (d *Device) freeAt(q int, s int64) int {
-	used := d.queues[q].usage[s]
+	used := d.usage[q][s]
 	a := d.active[s]
 	if used == 0 {
 		a++ // q joining s would add one active queue
@@ -167,10 +181,10 @@ func (d *Device) freeAt(q int, s int64) int {
 
 // Submit schedules n block IOs on queue q at time now and returns the
 // completion time of the last one: greedy packing into the earliest steps
-// where the queue has free capacity, exactly pdamdev.Submit generalized to
-// per-queue slots. Submitting zero blocks returns now.
+// where the queue has free capacity, starting with the step containing now.
+// Submitting zero blocks returns now.
 func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
-	if q < 0 || q >= len(d.queues) {
+	if q < 0 || q >= len(d.usage) {
 		panic(fmt.Sprintf("mqssd: queue %d out of range", q))
 	}
 	if n < 0 {
@@ -180,21 +194,21 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 		return now
 	}
 	d.TotalIOs += int64(n)
-	qs := &d.queues[q]
+	usage := d.usage[q]
 	step := d.StepOf(now)
-	d.prune(q, step)
+	d.prune(step)
 	var done sim.Time
 	for n > 0 {
 		free := d.freeAt(q, step)
 		if free > 0 {
-			if qs.usage[step] == 0 {
+			if usage[step] == 0 {
 				d.active[step]++
 			}
 			take := free
 			if take > n {
 				take = n
 			}
-			qs.usage[step] += take
+			usage[step] += take
 			n -= take
 			done = d.EndOfStep(step)
 		}
@@ -207,24 +221,24 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 // containing t.
 func (d *Device) SlotsFreeAt(q int, t sim.Time) int { return d.freeAt(q, d.StepOf(t)) }
 
-// prune drops bookkeeping for steps far behind the current one (same
-// policy as pdamdev: devices run for millions of steps, the maps must not).
-func (d *Device) prune(q int, current int64) {
-	qs := &d.queues[q]
-	if current-qs.pruneBelow < 4096 || len(qs.usage) < 4096 {
+// prune drops bookkeeping more than pruneWindow steps behind current, the
+// step of the submission being scheduled. It sweeps every queue and the
+// shared active map at once, whichever queue is submitting, so the maps hold
+// at most the two windows between sweeps plus the queued backlog however the
+// traffic is spread — an idle queue cannot pin the others' history. Keeping
+// one window back (rather than trimming up to current) leaves freeAt's look
+// at step s−1, and any client whose cursor trails the newest by less than
+// the window, exact.
+func (d *Device) prune(current int64) {
+	if current-d.pruneBelow < pruneWindow {
 		return
 	}
-	for s := range qs.usage {
-		if s < current {
-			delete(qs.usage, s)
-		}
-	}
-	qs.pruneBelow = current
-	// The active map is shared; trim it against the laggiest queue.
-	floor := current
-	for i := range d.queues {
-		if d.queues[i].pruneBelow < floor {
-			floor = d.queues[i].pruneBelow
+	floor := current - pruneWindow
+	for _, usage := range d.usage {
+		for s := range usage {
+			if s < floor {
+				delete(usage, s)
+			}
 		}
 	}
 	for s := range d.active {
@@ -232,11 +246,12 @@ func (d *Device) prune(q int, current int64) {
 			delete(d.active, s)
 		}
 	}
+	d.pruneBelow = current
 }
 
 // Storage adapts the device to the storage.Device interface: an IO of any
 // size costs ceil(size/B) block IOs on the queue its address (or op) routes
-// to. It drops in anywhere pdamdev/ssd do — engine, FaultStore, server.
+// to. It drops in anywhere ssd/hdd do — engine, FaultStore, server.
 type Storage struct {
 	dev      *Device
 	capacity int64
@@ -269,23 +284,21 @@ func (s *Storage) Name() string {
 	return name + ")"
 }
 
-// ParallelismHint reports the device's realizable IOs per step with every
-// read queue active — the honest batch size for a Lemma 13-style scheduler
-// (the raw Queues·PerQueueP would overcommit it).
-func (s *Storage) ParallelismHint() int { return s.dev.model.EffectiveParallelism() }
-
-// QueueHint reports the read-queue topology for a queue-aware scheduler:
-// the number of read queues and the per-queue outstanding target — the
-// queue depth (capped by the slot count), not the interference-diluted
-// per-step service. A scheduler keeps min(D, Pq) IOs in flight per queue to
-// cover its service each step; ParallelismHint ≤ queues × perQueue ≤ the
-// raw slot count.
-func (s *Storage) QueueHint() (queues, perQueue int) {
-	per := s.dev.cfg.QueueDepth
-	if s.dev.cfg.PerQueueP < per {
-		per = s.dev.cfg.PerQueueP
+// Topology implements storage.Shaped. Queues × PerQueue is the read-queue
+// layout for a lane scheduler: PerQueue is the per-queue outstanding target
+// — the queue depth (capped by the slot count), not the
+// interference-diluted per-step service; a scheduler keeps min(D, Pq) IOs in
+// flight per queue to cover its service each step. Parallelism is the
+// realizable IOs per step with every read queue active — the honest size
+// for one global batch (the raw Queues·PerQueueP would overcommit it);
+// Parallelism ≤ Queues × PerQueue ≤ the raw slot count.
+func (s *Storage) Topology() storage.Topology {
+	c := s.dev.cfg
+	per := c.QueueDepth
+	if c.PerQueueP < per {
+		per = c.PerQueueP
 	}
-	return s.dev.cfg.Queues, per
+	return storage.Topology{Queues: c.Queues, PerQueue: per, Parallelism: s.dev.model.EffectiveParallelism()}
 }
 
 // Params exposes the exact device configuration; the observability layer's
@@ -298,10 +311,4 @@ func (s *Storage) Device() *Device { return s.dev }
 
 // Reboot implements storage.Rebooter: a power cycle forgets all in-flight
 // queue state (the FaultStore's crash path calls this).
-func (s *Storage) Reboot() {
-	for i := range s.dev.queues {
-		s.dev.queues[i].usage = make(map[int64]int)
-		s.dev.queues[i].pruneBelow = 0
-	}
-	s.dev.active = make(map[int64]int)
-}
+func (s *Storage) Reboot() { s.dev.reset() }

@@ -2,55 +2,17 @@ package mqssd
 
 import (
 	"testing"
+	"time"
 
 	"iomodels/internal/core"
-	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
 	"iomodels/internal/stats"
 	"iomodels/internal/storage"
 )
 
-// TestSingleQueueDegeneratesToPDAM is the contract test: with one queue,
-// depth ≥ P, and no write queue, the multi-queue device must produce
-// exactly the PDAM's completion times for any access sequence — the MQ is
-// a refinement, not a different model.
-func TestSingleQueueDegeneratesToPDAM(t *testing.T) {
-	const p, block = 8, int64(4 << 10)
-	step := sim.Millisecond
-	mq := New(Config{
-		Queues: 1, PerQueueP: p, QueueDepth: p, Interference: 0.5, // β must be irrelevant at Q=1
-		BlockBytes: block, StepTime: step,
-	}).Storage(1 << 30)
-	pd := pdamdev.New(p, block, step).Storage(1 << 30)
-
-	rng := stats.NewRNG(42)
-	var now sim.Time
-	for i := 0; i < 2000; i++ {
-		op := storage.Read
-		if rng.Int63n(4) == 0 {
-			op = storage.Write
-		}
-		off := rng.Int63n(1<<20) * block
-		size := (1 + rng.Int63n(6)) * block
-		a := mq.Access(now, op, off, size)
-		b := pd.Access(now, op, off, size)
-		if a != b {
-			t.Fatalf("op %d: mq done %v != pdam done %v (now %v, size %d)", i, a, b, now, size)
-		}
-		// Drive time forward irregularly, sometimes within the same step.
-		if rng.Int63n(3) == 0 {
-			now = a
-		} else {
-			now += sim.Time(rng.Int63n(int64(step)))
-		}
-	}
-	if ph := mq.ParallelismHint(); ph != p {
-		t.Fatalf("ParallelismHint = %d, want %d", ph, p)
-	}
-}
-
-// TestModelDegeneracy: the analytic side of the same contract — core.MQ
-// with one queue predicts exactly what core.PDAM predicts.
+// TestModelDegeneracy: the analytic side of the degeneracy contract (the
+// device side lives in internal/pdamdev, which is built on this stepper) —
+// core.MQ with one queue predicts exactly what core.PDAM predicts.
 func TestModelDegeneracy(t *testing.T) {
 	pd := core.PDAM{P: 16, BlockBytes: 4096, StepSeconds: 1e-3}
 	mq := core.MQFromPDAM(pd)
@@ -134,26 +96,25 @@ func TestReadStriping(t *testing.T) {
 	}
 }
 
-// TestHints: ParallelismHint is the effective (depth- and
-// interference-capped) parallelism; QueueHint's per-queue outstanding
-// target is the depth (capped by the slot count), bracketed between the
-// effective and raw parallelism.
-func TestHints(t *testing.T) {
+// TestTopology: Parallelism is the effective (depth- and
+// interference-capped) parallelism; the per-queue outstanding target is the
+// depth (capped by the slot count), bracketed between the effective and raw
+// parallelism.
+func TestTopology(t *testing.T) {
 	s := New(DefaultConfig()).Storage(1 << 30)
-	q, per := s.QueueHint()
-	cfgd := s.Params()
-	if wantPer := cfgd.QueueDepth; per != wantPer || q != cfgd.Queues {
-		t.Fatalf("QueueHint = (%d, %d), want (%d, %d)", q, per, cfgd.Queues, wantPer)
-	}
-	if q*per < s.ParallelismHint() {
-		t.Fatalf("QueueHint in-flight %d×%d below ParallelismHint %d", q, per, s.ParallelismHint())
-	}
+	topo := storage.TopologyOf(s)
 	cfg := s.Params()
-	if raw := cfg.Queues * cfg.PerQueueP; s.ParallelismHint() >= raw {
-		t.Fatalf("effective parallelism %d not below raw slot count %d — profile has no headroom to model", s.ParallelismHint(), raw)
+	if topo.Queues != cfg.Queues || topo.PerQueue != cfg.QueueDepth {
+		t.Fatalf("Topology = %+v, want %d queues of %d", topo, cfg.Queues, cfg.QueueDepth)
 	}
-	if got := cfg.Model().EffectiveParallelism(); got != s.ParallelismHint() {
-		t.Fatalf("model EffectiveParallelism %d != ParallelismHint %d", got, s.ParallelismHint())
+	if topo.Queues*topo.PerQueue < topo.Parallelism {
+		t.Fatalf("in-flight %d×%d below Parallelism %d", topo.Queues, topo.PerQueue, topo.Parallelism)
+	}
+	if raw := cfg.Queues * cfg.PerQueueP; topo.Parallelism >= raw {
+		t.Fatalf("effective parallelism %d not below raw slot count %d — profile has no headroom to model", topo.Parallelism, raw)
+	}
+	if got := cfg.Model().EffectiveParallelism(); got != topo.Parallelism {
+		t.Fatalf("model EffectiveParallelism %d != Parallelism %d", got, topo.Parallelism)
 	}
 }
 
@@ -164,5 +125,66 @@ func TestReboot(t *testing.T) {
 	s.Reboot()
 	if done := s.Access(0, storage.Read, 0, 4096); done != sim.Millisecond {
 		t.Fatalf("read after reboot done at %v, want 1 step", done)
+	}
+}
+
+// bookkeeping counts every step entry the device holds.
+func (d *Device) bookkeeping() int {
+	n := len(d.active)
+	for _, usage := range d.usage {
+		n += len(usage)
+	}
+	return n
+}
+
+// TestBookkeepingBoundedWithIdleQueues is the regression test for the
+// active-map leak: on the default profile (dedicated write queue) a
+// read-only run never submits on the write queue, and the old prune trimmed
+// the shared active map against the laggiest queue's horizon — 0 for a queue
+// that never submits — so the map grew by an entry per step forever and each
+// prune rescanned all of it. Bookkeeping must stay within the prune window
+// whatever subset of queues is busy, and the host cost per IO must not grow
+// with run length. The mirror case (writes only, read queues idle) likewise.
+func TestBookkeepingBoundedWithIdleQueues(t *testing.T) {
+	const ios = 200_000
+	// run drives ios serial IOs of one kind through a fresh default device,
+	// checks the bookkeeping bound after each, and returns the host ns/IO
+	// over the first and the last tenth of the run: the median of ten
+	// slices each, which shrugs off a GC pause or a descheduling.
+	run := func(op storage.Op) (first, last float64) {
+		s := New(DefaultConfig()).Storage(1 << 30)
+		block := s.Params().BlockBytes
+		bound := 2 * pruneWindow * len(s.dev.usage)
+		rng := stats.NewRNG(7)
+		var now sim.Time
+		var slices []float64
+		mark := time.Now()
+		for i := 0; i < ios; i++ {
+			now = s.Access(now, op, rng.Int63n(1<<18)*block, block) // serial: one IO per step
+			if n := s.dev.bookkeeping(); n > bound {
+				t.Fatalf("%v-only: %d bookkeeping entries after %d IOs, want ≤ %d", op, n, i+1, bound)
+			}
+			if (i+1)%(ios/100) == 0 {
+				slices = append(slices, float64(time.Since(mark))/(ios/100))
+				mark = time.Now()
+			}
+		}
+		return stats.Summarize(slices[:10]).Median, stats.Summarize(slices[90:]).Median
+	}
+	for _, op := range []storage.Op{storage.Read, storage.Write} {
+		// The leak made the last tenth ~3× the first at this length (and
+		// growing); bounded bookkeeping keeps them level. A burst of host
+		// load over one tenth is transient and a leak is not, so a run that
+		// looks bad gets two more chances.
+		var first, last float64
+		for attempt := 0; attempt < 3; attempt++ {
+			if first, last = run(op); last <= 2*first {
+				break
+			}
+		}
+		if last > 2*first {
+			t.Errorf("%v-only: ns/IO over the last 10%% of the run is %.0f, over the first 10%% %.0f — cost grows with run length",
+				op, last, first)
+		}
 	}
 }

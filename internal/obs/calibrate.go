@@ -65,7 +65,11 @@ func ModelsFor(dev storage.Device, cfg CalibrationConfig) (Models, bool) {
 		m, err := CalibrateSSD(d.Profile(), cfg)
 		return m, err == nil
 	case *pdamdev.Storage:
-		return ExactPDAM(d), true
+		// Definition 1 is the one-queue MQ: P = PerQueueP, affine s = step
+		// and t = step/(P·B) exactly. Only the name is the PDAM's own.
+		m := ExactMQ(d.Storage)
+		m.Device = d.Name()
+		return m, true
 	case *mqssd.Storage:
 		return ExactMQ(d), true
 	}
@@ -85,19 +89,14 @@ func CalibrateHDD(prof hdd.Profile, cfg CalibrationConfig) (Models, error) {
 		return Models{}, fmt.Errorf("obs: hdd size sweep: %w", err)
 	}
 	dam := core.DAMFromAffine(affine)
+	pd := core.PDAM{P: 1, BlockBytes: dam.BlockBytes, StepSeconds: dam.UnitCost}
 	return Models{
-		Device:   prof.Name,
-		Affine:   affine,
-		AffineR2: r2,
-		DAM:      dam,
-		PDAM: core.PDAM{
-			P:           1,
-			BlockBytes:  dam.BlockBytes,
-			StepSeconds: dam.UnitCost,
-		},
-		MQ: core.MQFromPDAM(core.PDAM{
-			P: 1, BlockBytes: dam.BlockBytes, StepSeconds: dam.UnitCost,
-		}),
+		Device:         prof.Name,
+		Affine:         affine,
+		AffineR2:       r2,
+		DAM:            dam,
+		PDAM:           pd,
+		MQ:             core.MQFromPDAM(pd),
 		PDAMR2:         r2,
 		SatBytesPerSec: dam.BlockBytes / dam.UnitCost, // half bandwidth: 1/(2t)
 		Serial:         true,
@@ -141,46 +140,22 @@ func CalibrateSSD(prof ssd.Profile, cfg CalibrationConfig) (Models, error) {
 	pMax := xs[len(xs)-1]
 	volume := float64(ssdPerThreadIOs) * float64(cfg.BlockBytes)
 	sat := pMax * volume / seg.Eval(pMax)
+	pd := core.PDAM{P: p, BlockBytes: float64(cfg.BlockBytes), StepSeconds: step}
 	return Models{
-		Device:   prof.Name,
-		Affine:   affine,
-		AffineR2: affR2,
-		DAM:      core.DAM{BlockBytes: float64(cfg.BlockBytes), UnitCost: step},
-		PDAM: core.PDAM{
-			P:           p,
-			BlockBytes:  float64(cfg.BlockBytes),
-			StepSeconds: step,
-		},
-		MQ: core.MQFromPDAM(core.PDAM{
-			P: p, BlockBytes: float64(cfg.BlockBytes), StepSeconds: step,
-		}),
+		Device:         prof.Name,
+		Affine:         affine,
+		AffineR2:       affR2,
+		DAM:            core.DAM{BlockBytes: float64(cfg.BlockBytes), UnitCost: step},
+		PDAM:           pd,
+		MQ:             core.MQFromPDAM(pd),
 		PDAMR2:         seg.R2,
 		SatBytesPerSec: sat,
 	}, nil
 }
 
-// ExactPDAM reads the abstract device's exact parameters — it IS the model
-// (Definition 1), so nothing needs fitting: an IO of x bytes costs
-// ceil(x/B) block slots packed P per step, giving affine s ≈ step and
-// t = step/(P·B) exactly.
-func ExactPDAM(dev *pdamdev.Storage) Models {
-	p, block, step := dev.Params()
-	secs := step.Seconds()
-	pd := core.PDAM{P: p, BlockBytes: float64(block), StepSeconds: secs}
-	return Models{
-		Device:         dev.Name(),
-		Affine:         core.Affine{Setup: secs, PerByte: secs / (float64(p) * float64(block))},
-		AffineR2:       1,
-		DAM:            core.DAM{BlockBytes: float64(block), UnitCost: secs},
-		PDAM:           pd,
-		MQ:             core.MQFromPDAM(pd),
-		PDAMR2:         1,
-		SatBytesPerSec: float64(p) * float64(block) / secs,
-	}
-}
-
-// ExactMQ reads the multi-queue device's exact parameters — like the PDAM
-// device, it IS its model, so nothing needs fitting. The coarser models get
+// ExactMQ reads the multi-queue device's exact parameters — it IS its
+// model, so nothing needs fitting: an IO of x bytes costs ceil(x/B) block
+// slots packed per step. The coarser models get
 // the natural reading of the same geometry at their own fidelity, mirroring
 // how CalibrateSSD hands the DAM the §4.1 one-block-per-step reading: the
 // DAM sees one block per step; the PDAM sees the raw slot count

@@ -385,6 +385,12 @@ func NewTracer(cfg Config) *Tracer {
 	return t
 }
 
+// SetModels attaches the model-cost accountant after construction, for a
+// tracer built before its device could be calibrated (a node calibrates at
+// the preloaded region, known only once the preload has run). Call it before
+// the tracer sees its first span.
+func (t *Tracer) SetModels(m Models) { t.acct = newAccountant(m) }
+
 // Models returns the accountant's model parameters (nil without one).
 func (t *Tracer) Models() *Models {
 	if t == nil || t.acct == nil {

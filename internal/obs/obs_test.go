@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iomodels/internal/core"
+	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
 	"iomodels/internal/storage"
 )
@@ -176,5 +177,35 @@ func TestPredictions(t *testing.T) {
 	// ...past the knee it queues by conc/P (8/4 = 2x).
 	if got := m.Predict(ModelPDAM, 1<<20, 8); !approx(got, 0.04) {
 		t.Fatalf("pdam(1MiB, conc 8) = %g, want two steps", got)
+	}
+}
+
+// TestPDAMModelsAreTheOneQueueMQ: the PDAM device is the one-queue stepper,
+// so its models come from ExactMQ — and they are field for field what the
+// Definition 1 closed form says (what the deleted ExactPDAM computed):
+// affine s = step and t = step/(P·B), one block per DAM step, an MQ reading
+// that is MQFromPDAM of the PDAM reading, and the PDAM's own name.
+func TestPDAMModelsAreTheOneQueueMQ(t *testing.T) {
+	const p, block = 6, int64(8 << 10)
+	step := 2 * sim.Millisecond
+	dev := pdamdev.New(p, block, step).Storage(1 << 30)
+	got, ok := ModelsFor(dev, CalibrationConfig{})
+	if !ok {
+		t.Fatal("ModelsFor(pdam) not ok")
+	}
+	secs := step.Seconds()
+	pd := core.PDAM{P: p, BlockBytes: float64(block), StepSeconds: secs}
+	want := Models{
+		Device:         "pdam(P=6,B=8192)",
+		Affine:         core.Affine{Setup: secs, PerByte: secs / (float64(p) * float64(block))},
+		AffineR2:       1,
+		DAM:            core.DAM{BlockBytes: float64(block), UnitCost: secs},
+		PDAM:           pd,
+		MQ:             core.MQFromPDAM(pd),
+		PDAMR2:         1,
+		SatBytesPerSec: float64(p) * float64(block) / secs,
+	}
+	if got != want {
+		t.Fatalf("ModelsFor(pdam) =\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -1,8 +1,12 @@
-// Package pdamdev implements the abstract PDAM device of the paper's
-// Definition 1: in each time step the device serves up to P IOs, each of
-// size B; unused slots in a step are wasted; performance is measured in time
-// steps. The §8 experiment (Lemma 13) runs concurrent query clients against
-// this device.
+// Package pdamdev is the abstract PDAM device of the paper's Definition 1:
+// in each time step the device serves up to P IOs, each of size B; unused
+// slots in a step are wasted; performance is measured in time steps. The §8
+// experiment (Lemma 13) runs concurrent query clients against this device.
+//
+// Definition 1 is the one-queue, full-depth, interference-free case of the
+// multi-queue stepper (internal/mqssd), so this package is a constructor
+// over that stepper plus the PDAM's own names — it holds no step
+// bookkeeping of its own.
 //
 // Unlike internal/ssd — a mechanistic simulator used to *validate* the PDAM —
 // this device *is* the model, used to explore algorithm design within it.
@@ -11,8 +15,8 @@ package pdamdev
 import (
 	"fmt"
 
+	"iomodels/internal/mqssd"
 	"iomodels/internal/sim"
-	"iomodels/internal/storage"
 )
 
 // Device is a PDAM storage device. It is driven at virtual time granularity
@@ -23,9 +27,7 @@ type Device struct {
 	BlockBytes int64    // B, the IO size
 	StepTime   sim.Time // wall-clock length of one time step
 
-	usage      map[int64]int // step index -> slots consumed
-	TotalIOs   int64
-	pruneBelow int64
+	mq *mqssd.Device // one queue of P slots, depth P
 }
 
 // New creates a PDAM device serving p IOs of blockBytes per step of
@@ -34,64 +36,35 @@ func New(p int, blockBytes int64, stepTime sim.Time) *Device {
 	if p <= 0 || blockBytes <= 0 || stepTime <= 0 {
 		panic("pdamdev: invalid parameters")
 	}
-	return &Device{P: p, BlockBytes: blockBytes, StepTime: stepTime, usage: make(map[int64]int)}
+	return &Device{P: p, BlockBytes: blockBytes, StepTime: stepTime, mq: mqssd.New(mqssd.Config{
+		Queues: 1, PerQueueP: p, QueueDepth: p, BlockBytes: blockBytes, StepTime: stepTime,
+	})}
 }
 
 // StepOf returns the index of the step containing virtual time t.
-func (d *Device) StepOf(t sim.Time) int64 { return int64(t) / int64(d.StepTime) }
+func (d *Device) StepOf(t sim.Time) int64 { return d.mq.StepOf(t) }
 
 // EndOfStep returns the completion instant of step s (IOs served in step s
 // are available at its end).
-func (d *Device) EndOfStep(s int64) sim.Time { return sim.Time(s+1) * d.StepTime }
+func (d *Device) EndOfStep(s int64) sim.Time { return d.mq.EndOfStep(s) }
 
 // Submit schedules n block IOs issued at time now and returns the completion
 // time of the last one. IOs are packed greedily into the earliest steps with
 // free slots, starting with the step containing now. Submitting zero blocks
 // returns now.
-func (d *Device) Submit(now sim.Time, n int) sim.Time {
-	if n < 0 {
-		panic("pdamdev: negative IO count")
-	}
-	if n == 0 {
-		return now
-	}
-	d.TotalIOs += int64(n)
-	step := d.StepOf(now)
-	d.prune(step)
-	var done sim.Time
-	for n > 0 {
-		free := d.P - d.usage[step]
-		if free > 0 {
-			take := free
-			if take > n {
-				take = n
-			}
-			d.usage[step] += take
-			n -= take
-			done = d.EndOfStep(step)
-		}
-		step++
-	}
-	return done
-}
+func (d *Device) Submit(now sim.Time, n int) sim.Time { return d.mq.Submit(0, now, n) }
 
 // SlotsFreeAt reports how many IO slots remain in the step containing t.
-func (d *Device) SlotsFreeAt(t sim.Time) int {
-	free := d.P - d.usage[d.StepOf(t)]
-	if free < 0 {
-		panic(fmt.Sprintf("pdamdev: overcommitted step %d", d.StepOf(t)))
-	}
-	return free
-}
+func (d *Device) SlotsFreeAt(t sim.Time) int { return d.mq.SlotsFreeAt(0, t) }
 
 // Storage adapts the PDAM device to the storage.Device interface so the
 // real dictionaries (B-tree, Bε-tree, ...) can run on the abstract model
 // through the engine layer: an IO of any size costs ceil(size/B) block
 // IOs, packed into the earliest time steps with free slots. Reads and
-// writes are symmetric, as in Definition 1.
+// writes are symmetric, as in Definition 1. Everything but the name is the
+// stepper's own adapter: Access, Capacity, Topology (1 × P), Params, Reboot.
 type Storage struct {
-	dev      *Device
-	capacity int64
+	*mqssd.Storage
 }
 
 // Storage wraps the device as a storage.Device with the given byte
@@ -100,44 +73,11 @@ func (d *Device) Storage(capacity int64) *Storage {
 	if capacity <= 0 {
 		panic("pdamdev: invalid capacity")
 	}
-	return &Storage{dev: d, capacity: capacity}
+	return &Storage{d.mq.Storage(capacity)}
 }
-
-// Access implements storage.Device.
-func (s *Storage) Access(now sim.Time, _ storage.Op, _ int64, size int64) sim.Time {
-	n := int((size + s.dev.BlockBytes - 1) / s.dev.BlockBytes)
-	return s.dev.Submit(now, n)
-}
-
-// Capacity implements storage.Device.
-func (s *Storage) Capacity() int64 { return s.capacity }
 
 // Name implements storage.Device.
 func (s *Storage) Name() string {
-	return fmt.Sprintf("pdam(P=%d,B=%d)", s.dev.P, s.dev.BlockBytes)
-}
-
-// ParallelismHint reports the device's IOs-per-step P — the natural batch
-// size for a Lemma 13-style scheduler (the server sizes its read batches
-// from this).
-func (s *Storage) ParallelismHint() int { return s.dev.P }
-
-// Params exposes the exact model parameters (P, B, step). The observability
-// layer's cost accountant reads them directly instead of fitting — this
-// device IS the PDAM of Definition 1.
-func (s *Storage) Params() (p int, blockBytes int64, step sim.Time) {
-	return s.dev.P, s.dev.BlockBytes, s.dev.StepTime
-}
-
-// prune drops bookkeeping for steps that can never be used again.
-func (d *Device) prune(current int64) {
-	if current-d.pruneBelow < 4096 || len(d.usage) < 4096 {
-		return
-	}
-	for s := range d.usage {
-		if s < current {
-			delete(d.usage, s)
-		}
-	}
-	d.pruneBelow = current
+	c := s.Params()
+	return fmt.Sprintf("pdam(P=%d,B=%d)", c.PerQueueP, c.BlockBytes)
 }

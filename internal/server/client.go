@@ -174,7 +174,8 @@ func (c *Client) TraceNext() kv.TraceContext {
 }
 
 // roundTrip sends req and returns the reply payload positioned after the
-// status byte, having mapped Busy/Err statuses to errors.
+// status byte, having mapped every failure status to its error
+// (statusSentinels).
 func (c *Client) roundTrip(req request) (Status, *kv.Dec, error) {
 	if c.poisoned != nil {
 		return 0, nil, c.poisoned
@@ -201,43 +202,24 @@ func (c *Client) roundTrip(req request) (Status, *kv.Dec, error) {
 	}
 	d := &kv.Dec{Buf: buf}
 	status := Status(d.U8())
-	switch status {
-	case StatusOK, StatusNotFound:
+	if status == StatusOK || status == StatusNotFound {
 		return status, d, nil
-	case StatusBusy:
-		c.Busy++
-		msg := d.Bytes()
-		if d.Err != nil {
-			return status, nil, fmt.Errorf("server: malformed busy reply: %w", d.Err)
-		}
-		return status, nil, fmt.Errorf("%w: %s", ErrBusy, msg)
-	case StatusErr:
-		msg := d.Bytes()
-		if d.Err != nil {
-			return status, nil, fmt.Errorf("server: malformed error reply: %w", d.Err)
-		}
-		return status, nil, fmt.Errorf("server: %s", msg)
-	case StatusSnapExpired:
-		msg := d.Bytes()
-		if d.Err != nil {
-			return status, nil, fmt.Errorf("server: malformed snap-expired reply: %w", d.Err)
-		}
-		return status, nil, fmt.Errorf("%w: %s", ErrSnapExpired, msg)
-	case StatusNotPrimary:
-		msg := d.Bytes()
-		if d.Err != nil {
-			return status, nil, fmt.Errorf("server: malformed not-primary reply: %w", d.Err)
-		}
-		return status, nil, fmt.Errorf("%w: %s", ErrNotPrimary, msg)
-	case StatusShipGap:
-		msg := d.Bytes()
-		if d.Err != nil {
-			return status, nil, fmt.Errorf("server: malformed ship-gap reply: %w", d.Err)
-		}
-		return status, nil, fmt.Errorf("%w: %s", ErrShipGap, msg)
-	default:
+	}
+	sentinel, known := statusSentinels[status]
+	if !known {
 		return status, nil, fmt.Errorf("server: unknown reply status %d", uint8(status))
 	}
+	if status == StatusBusy {
+		c.Busy++
+	}
+	msg := d.Bytes()
+	if d.Err != nil {
+		return status, nil, fmt.Errorf("server: malformed %v reply: %w", status, d.Err)
+	}
+	if sentinel == nil {
+		return status, nil, fmt.Errorf("server: %s", msg)
+	}
+	return status, nil, fmt.Errorf("%w: %s", sentinel, msg)
 }
 
 // Ping round-trips an empty request.

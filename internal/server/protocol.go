@@ -151,6 +151,17 @@ func (s Status) String() string {
 	}
 }
 
+// statusSentinels is the one status → error mapping: every failure status
+// carries a message, and the client wraps it in the status's typed sentinel
+// so callers dispatch with errors.Is (StatusErr has none: a plain error).
+var statusSentinels = map[Status]error{
+	StatusBusy:        ErrBusy,
+	StatusErr:         nil,
+	StatusSnapExpired: ErrSnapExpired,
+	StatusNotPrimary:  ErrNotPrimary,
+	StatusShipGap:     ErrShipGap,
+}
+
 // DefaultMaxFrame bounds a frame payload: large enough for any node-sized
 // value or a full scan page, small enough that a hostile length prefix
 // cannot balloon memory.
@@ -330,13 +341,12 @@ func encodeRequest(req request) []byte {
 	return e.Buf
 }
 
-// encodeStatus builds the common single-status reply, optionally with a
-// message (Busy/Err).
+// encodeStatus builds the common single-status reply, with its message for
+// the failure statuses.
 func encodeStatus(s Status, msg string) []byte {
 	var e kv.Enc
 	e.U8(uint8(s))
-	if s == StatusBusy || s == StatusErr || s == StatusSnapExpired ||
-		s == StatusNotPrimary || s == StatusShipGap {
+	if _, failure := statusSentinels[s]; failure {
 		e.Bytes([]byte(msg))
 	}
 	return e.Buf

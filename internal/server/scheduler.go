@@ -3,9 +3,9 @@
 // are in flight per step; a scheduler admitting one request at a time (the
 // DAM's implicit discipline) leaves P-1 slots idle.
 //
-// The scheduler groups incoming reads into batches of up to `size` (the
-// device's ParallelismHint), and launches each batch at one common virtual
-// instant. Every member aligns its engine client to the batch's start time
+// The scheduler groups incoming reads into batches of up to `size` (from
+// the device's storage.Topology), and launches each batch at one common
+// virtual instant. Every member aligns its engine client to the batch's start time
 // before running, so the batch's IOs pack into the same device time steps —
 // the virtual-time picture is the Lemma 13 experiment's, regardless of how
 // the host kernel interleaves the handler goroutines. A short real-time
@@ -14,8 +14,8 @@
 //
 // Queue awareness (the multi-queue refinement): on a device with several
 // submission queues the scheduler runs one independent batch LANE per
-// queue, each sized to the queue's per-step service (mqssd.QueueHint), and
-// requests are assigned lanes by key hash. Lanes launch and complete
+// queue, each sized to the topology's per-queue target, and requests are
+// assigned lanes by key hash. Lanes launch and complete
 // independently, so a slow batch on one queue never convoys the others —
 // and the per-lane batch size matches what its queue can actually serve,
 // instead of one global P-sized batch overcommitting the device. With one

@@ -41,18 +41,17 @@ type Config struct {
 	// picks a free port).
 	Addr string
 	// BatchIOs is the read scheduler's batch size per lane. 0 asks the
-	// device for its ParallelismHint (the PDAM's P) — or, on a multi-queue
-	// device, its per-queue service rate (QueueHint); devices without
-	// either get 16. 1 gives the DAM-style one-at-a-time scheduler (the
-	// E20 baseline).
+	// device's storage.Topology: the per-queue target when the lanes also
+	// come from the topology, else its realizable Parallelism (the PDAM's
+	// P). 1 gives the DAM-style one-at-a-time scheduler (the E20 baseline).
 	BatchIOs int
 	// ReadLanes is the number of independent read-batch lanes, each with
 	// its own BatchIOs-sized batches; requests are assigned lanes by key
-	// hash. 0 asks the device for its queue topology (QueueHint) and falls
-	// back to 1 — the classic global scheduler — on devices without queue
-	// structure. On a multi-queue device, per-queue lanes keep each batch
-	// sized to what one queue can serve instead of one global batch
-	// overcommitting the device.
+	// hash. 0 asks the device's storage.Topology for its queue count — 1,
+	// the classic global scheduler, on devices without queue structure. On
+	// a multi-queue device, per-queue lanes keep each batch sized to what
+	// one queue can serve instead of one global batch overcommitting the
+	// device.
 	ReadLanes int
 	// BatchGrace is how long (real time) a partial read batch waits for
 	// stragglers before launching. Default 200µs.
@@ -107,26 +106,18 @@ type Config struct {
 }
 
 func (c Config) withDefaults(dev storage.Device) Config {
+	topo := storage.TopologyOf(dev)
 	if c.ReadLanes == 0 {
-		if h, ok := dev.(interface{ QueueHint() (int, int) }); ok {
-			queues, perQueue := h.QueueHint()
-			c.ReadLanes = queues
-			if c.BatchIOs == 0 {
-				c.BatchIOs = perQueue
-			}
-		} else {
-			c.ReadLanes = 1
+		c.ReadLanes = topo.Queues
+		if c.BatchIOs == 0 {
+			c.BatchIOs = topo.PerQueue
 		}
 	}
 	if c.ReadLanes < 1 {
 		c.ReadLanes = 1
 	}
 	if c.BatchIOs == 0 {
-		if h, ok := dev.(interface{ ParallelismHint() int }); ok {
-			c.BatchIOs = h.ParallelismHint()
-		} else {
-			c.BatchIOs = 16
-		}
+		c.BatchIOs = topo.Parallelism
 	}
 	if c.BatchIOs < 1 {
 		c.BatchIOs = 1

@@ -134,11 +134,15 @@ func (d *Disk) Name() string { return d.prof.Name }
 // Capacity implements storage.Device.
 func (d *Disk) Capacity() int64 { return d.prof.Capacity() }
 
-// ParallelismHint reports the total die count — the geometry's upper bound
-// on concurrently serviceable pieces, the ssd analogue of the PDAM's P.
-// Schedulers batching against this device should treat it as an upper bound
-// (channel contention can soften it, as Table 1's regressions show).
-func (d *Disk) ParallelismHint() int { return d.prof.Dies() }
+// Topology implements storage.Shaped: one pool of as many slots as there
+// are dies — the geometry's upper bound on concurrently serviceable pieces,
+// the ssd analogue of the PDAM's P. Schedulers batching against this device
+// should treat it as an upper bound (channel contention can soften it, as
+// Table 1's regressions show).
+func (d *Disk) Topology() storage.Topology {
+	dies := d.prof.Dies()
+	return storage.Topology{Queues: 1, PerQueue: dies, Parallelism: dies}
+}
 
 // Reboot implements storage.Rebooter: a power cycle discards the volatile
 // die and channel busy horizons (the flash keeps its bytes).

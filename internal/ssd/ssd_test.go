@@ -182,18 +182,20 @@ func TestInvalidProfilePanics(t *testing.T) {
 	New(Profile{})
 }
 
-// TestParallelismHintMatchesGeometry: the hint the read scheduler sizes its
-// batches from is the die count — the geometry's parallelism upper bound —
-// for every built-in profile, and tracks a custom geometry exactly.
-func TestParallelismHintMatchesGeometry(t *testing.T) {
+// TestTopologyMatchesGeometry: the topology the read scheduler sizes its
+// batches from is one pool of die-count slots — the geometry's parallelism
+// upper bound — for every built-in profile, and tracks a custom geometry
+// exactly.
+func TestTopologyMatchesGeometry(t *testing.T) {
 	for _, prof := range Profiles() {
-		if hint, dies := New(prof).ParallelismHint(), prof.Channels*prof.DiesPerChannel; hint != dies {
-			t.Errorf("%s: ParallelismHint = %d, want %d dies", prof.Name, hint, dies)
+		dies := prof.Channels * prof.DiesPerChannel
+		if got, want := storage.TopologyOf(New(prof)), (storage.Topology{Queues: 1, PerQueue: dies, Parallelism: dies}); got != want {
+			t.Errorf("%s: Topology = %+v, want %+v", prof.Name, got, want)
 		}
 	}
 	prof := DefaultProfile()
 	prof.Channels, prof.DiesPerChannel = 3, 5
-	if hint := New(prof).ParallelismHint(); hint != 15 {
-		t.Errorf("custom geometry: ParallelismHint = %d, want 15", hint)
+	if p := New(prof).Topology().Parallelism; p != 15 {
+		t.Errorf("custom geometry: Parallelism = %d, want 15", p)
 	}
 }

@@ -61,6 +61,38 @@ type Rebooter interface {
 	Reboot()
 }
 
+// Topology is a device's shape as an IO scheduler sees it — the one
+// vocabulary for "how many IOs, arranged how, keep this device busy".
+type Topology struct {
+	// Queues is the number of independent read queues (1 for a device with
+	// one pool of slots) and PerQueue the IOs worth keeping in flight on
+	// each: a lane scheduler runs Queues lanes of PerQueue-sized batches.
+	Queues   int
+	PerQueue int
+	// Parallelism is the realizable IOs per step with every queue busy —
+	// the batch size for one global batch. On a multi-queue device it can
+	// be below Queues×PerQueue (cross-queue interference).
+	Parallelism int
+}
+
+// Shaped is an optional Device extension: a device that knows its Topology
+// declares it (the stepper behind pdamdev and mqssd, the ssd's die count).
+type Shaped interface {
+	Topology() Topology
+}
+
+// TopologyOf returns dev's declared Topology, or the fallback for devices
+// that declare none (hdd, flat test devices): one queue of 16, what such
+// devices have always been served with. It is the only fallback; answering
+// 1×1 for them instead would turn their servers into batch-of-1 schedulers,
+// which is a policy change, not a description of the device.
+func TopologyOf(dev Device) Topology {
+	if s, ok := dev.(Shaped); ok {
+		return s.Topology()
+	}
+	return Topology{Queues: 1, PerQueue: 16, Parallelism: 16}
+}
+
 // Counters accumulates IO statistics. The distinction between logical bytes
 // the caller asked for and physical IOs issued is what write amplification
 // measures.
