@@ -11,9 +11,11 @@
 #              signals, typed protocol-error handling
 #   go build   everything compiles, including cmd/ and examples/
 #   go test    tier-1 correctness
-#   one-of     grep gate: the duplicates internal/node and storage.Topology
-#              removed (hand-written boots, anonymous device-hint assertions)
-#              stay removed
+#   one-of     grep gate: the duplicates internal/node, storage.Topology,
+#              the reply codec, cluster.ParseTopology and engine.Session
+#              removed (hand-written boots, anonymous device-hint assertions,
+#              hand-built replies, per-tool -cluster splitters, per-tree
+#              Session types) stay removed
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -72,6 +74,27 @@ fi
 dups=$(grep -rn --include='*.go' 'server\.New(' . | grep -v -e '^./vendor/' -e '_test\.go:' -e '^./internal/node/' || true)
 if [ -n "$dups" ]; then
 	echo "server.New outside internal/node (boot through node.Start instead):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+# Likewise the wire reply format lives in internal/server/protocol.go alone,
+# the -cluster syntax in cluster.ParseTopology, and the per-client read
+# session in engine.Session.
+dups=$(grep -rn --include='*.go' -e 'encodeStatus(' -e 'uint8(Status' . | grep -v -e '^./vendor/' -e '_test\.go:' -e '^./internal/server/protocol\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "reply bytes built outside internal/server/protocol.go (return a reply; encodeReply encodes it):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' -e 'func parseCluster' -e 'Split([^)]*";")' ./cmd | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a second -cluster parser under cmd/ (use cluster.ParseTopology):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' 'func (s \*Session)' ./internal/btree ./internal/betree ./internal/lsm ./internal/cobtree || true)
+if [ -n "$dups" ]; then
+	echo "a tree grew its own Session methods (engine.Session is the one; implement engine.SessionReader):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -36,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"iomodels/internal/cluster"
 	"iomodels/internal/obs"
 	"iomodels/internal/server"
 )
@@ -132,21 +133,15 @@ func topology(clusterFlag, addr string) ([]node, error) {
 	if addr != "" {
 		return []node{{Addr: addr, Shard: 0, Expect: "primary"}}, nil
 	}
+	specs, err := cluster.ParseTopology(clusterFlag)
+	if err != nil {
+		return nil, err
+	}
 	var nodes []node
-	for si, shard := range strings.Split(clusterFlag, ";") {
-		eps := strings.Split(strings.TrimSpace(shard), "/")
-		for i := range eps {
-			eps[i] = strings.TrimSpace(eps[i])
-		}
-		if len(eps) == 0 || eps[0] == "" {
-			return nil, fmt.Errorf("kvtop: -cluster shard %d has no primary endpoint", si)
-		}
-		for i, ep := range eps {
-			expect := "primary"
-			if i > 0 {
-				expect = "replica"
-			}
-			nodes = append(nodes, node{Addr: ep, Shard: si, Expect: expect})
+	for si, sp := range specs {
+		nodes = append(nodes, node{Addr: sp.Primary, Shard: si, Expect: "primary"})
+		for _, ep := range sp.Replicas {
+			nodes = append(nodes, node{Addr: ep, Shard: si, Expect: "replica"})
 		}
 	}
 	return nodes, nil

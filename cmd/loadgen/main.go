@@ -115,42 +115,20 @@ func (sl *spanLog) write(path string) error {
 	return f.Close()
 }
 
-// opLatency is one latency summary in the -bench-json document (µs).
-type opLatency struct {
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P95Us  float64 `json:"p95_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-func latencyOf(h *stats.LatencyHist) opLatency {
-	s := h.Snapshot()
-	return opLatency{
-		Count:  s.Count,
-		MeanUs: s.Mean / 1e3,
-		P50Us:  float64(s.P50) / 1e3,
-		P95Us:  float64(s.P95) / 1e3,
-		P99Us:  float64(s.P99) / 1e3,
-		MaxUs:  float64(s.Max) / 1e3,
-	}
-}
-
 // benchSummary is the -bench-json document.
 type benchSummary struct {
-	Clients        int                  `json:"clients"`
-	OpsPerClient   int                  `json:"ops_per_client"`
-	ElapsedSeconds float64              `json:"elapsed_seconds"`
-	Throughput     float64              `json:"throughput_ops_per_sec"`
-	Latency        opLatency            `json:"latency"`
-	Classes        map[string]opLatency `json:"classes"`
-	BusyShed       int64                `json:"busy_shed"`
-	NotFound       int64                `json:"not_found"`
-	TracedOps      int64                `json:"traced_ops,omitempty"`
-	ScanLatency    *opLatency           `json:"scan_latency,omitempty"`
-	Router         *cluster.RouterStats `json:"router,omitempty"`
-	Verify         *verifySummary       `json:"verify,omitempty"`
+	Clients        int                            `json:"clients"`
+	OpsPerClient   int                            `json:"ops_per_client"`
+	ElapsedSeconds float64                        `json:"elapsed_seconds"`
+	Throughput     float64                        `json:"throughput_ops_per_sec"`
+	Latency        stats.LatencyMicros            `json:"latency"`
+	Classes        map[string]stats.LatencyMicros `json:"classes"`
+	BusyShed       int64                          `json:"busy_shed"`
+	NotFound       int64                          `json:"not_found"`
+	TracedOps      int64                          `json:"traced_ops,omitempty"`
+	ScanLatency    *stats.LatencyMicros           `json:"scan_latency,omitempty"`
+	Router         *cluster.RouterStats           `json:"router,omitempty"`
+	Verify         *verifySummary                 `json:"verify,omitempty"`
 }
 
 func writeBenchJSON(path string, sum benchSummary) error {
@@ -232,7 +210,7 @@ func main() {
 		if *traceEvery > 0 {
 			fatalf("-trace-every stamps a single node's connection; not supported with -cluster")
 		}
-		specs, err := parseCluster(*clusterFlag)
+		specs, err := cluster.ParseTopology(*clusterFlag)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -358,16 +336,15 @@ func main() {
 	elapsed := time.Since(start)
 
 	total := int64(*clients) * int64(*ops)
-	snap := hist.Snapshot()
+	lat := hist.Snapshot().Micros()
 	fmt.Printf("loadgen: %d clients x %d ops in %.2fs = %.0f ops/s\n",
 		*clients, *ops, elapsed.Seconds(), float64(total)/elapsed.Seconds())
 	fmt.Printf("latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
-		snap.Mean/1e3, float64(snap.P50)/1e3, float64(snap.P95)/1e3,
-		float64(snap.P99)/1e3, float64(snap.Max)/1e3)
-	classes := make(map[string]opLatency)
+		lat.MeanUs, lat.P50Us, lat.P95Us, lat.P99Us, lat.MaxUs)
+	classes := make(map[string]stats.LatencyMicros)
 	var parts []string
 	for k, h := range classHists {
-		if l := latencyOf(h); l.Count > 0 {
+		if l := h.Snapshot().Micros(); l.Count > 0 {
 			classes[workload.OpKind(k).String()] = l
 			parts = append(parts, fmt.Sprintf("%s=%d", workload.OpKind(k), l.Count))
 		}
@@ -376,14 +353,12 @@ func main() {
 	if *traceEvery > 0 {
 		fmt.Printf("traced: %d ops carried a trace context (every %d)\n", traced.Load(), *traceEvery)
 	}
-	var scanLat *opLatency
+	var scanLat *stats.LatencyMicros
 	if *scanners > 0 {
-		ss := scanHist.Snapshot()
+		l := scanHist.Snapshot().Micros()
 		fmt.Printf("snapshot scans: %d scanners, %d scans (%d entries)\n", *scanners, scans, scanned)
 		fmt.Printf("scan latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
-			ss.Mean/1e3, float64(ss.P50)/1e3, float64(ss.P95)/1e3,
-			float64(ss.P99)/1e3, float64(ss.Max)/1e3)
-		l := latencyOf(scanHist)
+			l.MeanUs, l.P50Us, l.P95Us, l.P99Us, l.MaxUs)
 		scanLat = &l
 	}
 	rs := routerStats()
@@ -396,7 +371,7 @@ func main() {
 			OpsPerClient:   *ops,
 			ElapsedSeconds: elapsed.Seconds(),
 			Throughput:     float64(total) / elapsed.Seconds(),
-			Latency:        latencyOf(hist),
+			Latency:        lat,
 			Classes:        classes,
 			BusyShed:       shed.Load(),
 			NotFound:       misses.Load(),
@@ -796,23 +771,6 @@ func runVerify(dial dialFn, clients, ops int) (verifySummary, error) {
 		return sum, fmt.Errorf("%d acknowledged writes lost", lost)
 	}
 	return sum, nil
-}
-
-// parseCluster parses the -cluster topology: shards separated by ';', each
-// shard's endpoints separated by '/', the primary first.
-func parseCluster(s string) ([]cluster.ShardSpec, error) {
-	var specs []cluster.ShardSpec
-	for _, shard := range strings.Split(s, ";") {
-		eps := strings.Split(strings.TrimSpace(shard), "/")
-		for i := range eps {
-			eps[i] = strings.TrimSpace(eps[i])
-		}
-		if len(eps) == 0 || eps[0] == "" {
-			return nil, fmt.Errorf("loadgen: -cluster shard %d has no primary endpoint", len(specs))
-		}
-		specs = append(specs, cluster.ShardSpec{Primary: eps[0], Replicas: eps[1:]})
-	}
-	return specs, nil
 }
 
 func fatalf(format string, args ...interface{}) {

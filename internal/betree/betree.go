@@ -250,9 +250,10 @@ func minInt(a, b int) int {
 
 // Get returns the value for key, logically applying every buffered message
 // on the root-to-leaf path (newer messages live nearer the root).
-func (t *Tree) Get(key []byte) ([]byte, bool) { return t.getKey(t.owner, key) }
+func (t *Tree) Get(key []byte) ([]byte, bool) { return t.GetAs(t.owner, key) }
 
-func (t *Tree) getKey(c *engine.Client, key []byte) ([]byte, bool) {
+// GetAs is Get charged to c.
+func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 	t.checkKey(key)
 	root := t.rootN
 	if root.leaf {

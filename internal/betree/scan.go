@@ -20,7 +20,7 @@ import (
 // Scan calls fn for each live entry with lo <= key < hi in key order (hi
 // nil means unbounded). fn returning false stops the scan early.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
-	t.scanNode(t.owner, t.root, t.rootN, lo, hi, nil, fn)
+	t.ScanAs(t.owner, lo, hi, fn)
 }
 
 // ScanN collects up to n entries starting at lo.

@@ -2,13 +2,9 @@ package betree
 
 import "iomodels/internal/engine"
 
-// Tree and Session both implement the engine's common dictionary
-// interface.
-var (
-	_ engine.Dictionary     = (*Tree)(nil)
-	_ engine.Dictionary     = (*Session)(nil)
-	_ engine.SnapshotReader = (*Session)(nil)
-)
+// Tree implements the engine's dictionary interface and lends its read
+// paths to per-client sessions.
+var _ engine.SessionReader = (*Tree)(nil)
 
 // Stats implements engine.Dictionary. Items is approximate until Settle
 // (buffered updates are not counted).
@@ -16,48 +12,11 @@ func (t *Tree) Stats() engine.Stats {
 	return engine.Stats{Items: t.items, IO: t.eng.Counters(), Pager: t.pager().Stats()}
 }
 
-// Session is one client's handle onto a shared tree: reads (Get/Scan) run
-// in the client's own virtual timeline through the shared pager, so k
-// sessions on k sim processes overlap their IOs on the device. Mutations
-// are delegated to the tree's single-writer owner client and must not run
-// concurrently with other operations.
-type Session struct {
-	t *Tree
-	c *engine.Client
+// Session creates a client-bound view of the tree: reads run in c's own
+// virtual timeline (see engine.Session).
+func (t *Tree) Session(c *engine.Client) *engine.Session { return engine.NewSession(t, c) }
+
+// ScanAs is Scan charged to c.
+func (t *Tree) ScanAs(c *engine.Client, lo, hi []byte, fn func(key, value []byte) bool) {
+	t.scanNode(c, t.root, t.rootN, lo, hi, nil, fn)
 }
-
-// Session creates a client-bound view of the tree.
-func (t *Tree) Session(c *engine.Client) *Session { return &Session{t: t, c: c} }
-
-// Client returns the session's engine client.
-func (s *Session) Client() *engine.Client { return s.c }
-
-// Get returns the value for key, charging IO to the session's client.
-func (s *Session) Get(key []byte) ([]byte, bool) { return s.t.getKey(s.c, key) }
-
-// Scan visits [lo, hi) in order, charging IO to the session's client.
-func (s *Session) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
-	s.t.scanNode(s.c, s.t.root, s.t.rootN, lo, hi, nil, fn)
-}
-
-// GetAt reads key as of sn's pinned LSN: versions recorded in the engine's
-// chains resolve in memory, unchanged keys fall through to the session's
-// ordinary read path (whose current answer is the snapshot answer).
-func (s *Session) GetAt(sn *engine.Snap, key []byte) ([]byte, bool, error) {
-	return sn.Get(s, key)
-}
-
-// ScanAt visits [lo, hi) in order as of sn's pinned LSN: the session's scan
-// stream merged with the snapshot's version overlay (see engine.Snap.Scan).
-func (s *Session) ScanAt(sn *engine.Snap, lo, hi []byte, fn func(key, value []byte) bool) error {
-	return sn.Scan(s, lo, hi, fn)
-}
-
-// Put delegates to the tree's single-writer path.
-func (s *Session) Put(key, value []byte) { s.t.Put(key, value) }
-
-// Delete delegates to the tree's single-writer path.
-func (s *Session) Delete(key []byte) bool { return s.t.Delete(key) }
-
-// Stats reports the shared tree's stats.
-func (s *Session) Stats() engine.Stats { return s.t.Stats() }

@@ -164,9 +164,10 @@ func (t *Tree) checkKV(key, value []byte) {
 }
 
 // Get returns the value for key.
-func (t *Tree) Get(key []byte) ([]byte, bool) { return t.getKey(t.owner, key) }
+func (t *Tree) Get(key []byte) ([]byte, bool) { return t.GetAs(t.owner, key) }
 
-func (t *Tree) getKey(c *engine.Client, key []byte) ([]byte, bool) {
+// GetAs is Get charged to c.
+func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 	off := t.root
 	n := t.getc(c, off)
 	for !n.leaf {
@@ -497,7 +498,7 @@ func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
 // Scan calls fn for each entry with lo <= key < hi in key order (hi nil
 // means unbounded). fn returning false stops the scan early.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
-	t.scan(t.owner, t.root, lo, hi, fn)
+	t.ScanAs(t.owner, lo, hi, fn)
 }
 
 func (t *Tree) scan(c *engine.Client, off int64, lo, hi []byte, fn func(key, value []byte) bool) bool {

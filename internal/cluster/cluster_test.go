@@ -101,7 +101,7 @@ func ckey(i int) []byte { return []byte(fmt.Sprintf("ckey-%06d", i)) }
 func cval(i int) []byte { return []byte(fmt.Sprintf("cval-%08d", i)) }
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a, b := cluster.NewRing(4, 0), cluster.NewRing(4, 0)
+	a, b := cluster.NewRing(4), cluster.NewRing(4)
 	counts := make([]int, 4)
 	for i := 0; i < 10000; i++ {
 		k := ckey(i)

@@ -14,9 +14,9 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per shard: enough points that the
-// key space splits near-evenly even for 2–3 shards.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per shard: enough points that the key
+// space splits near-evenly even for 2–3 shards.
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring over shard indices.
 type Ring struct {
@@ -29,15 +29,12 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring of `shards` shards with vnodes virtual points each
-// (0 selects DefaultVNodes). Deterministic: every router in the cluster
-// derives the identical ring from the shard count alone.
-func NewRing(shards, vnodes int) *Ring {
+// NewRing builds a ring of `shards` shards with vnodes virtual points each.
+// Deterministic: every router in the cluster derives the identical ring from
+// the shard count alone.
+func NewRing(shards int) *Ring {
 	if shards < 1 {
 		shards = 1
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"iomodels/internal/kv"
@@ -31,20 +32,32 @@ func (sp ShardSpec) endpoints() []string {
 	return append([]string{sp.Primary}, sp.Replicas...)
 }
 
+// ParseTopology parses the -cluster flag's syntax (loadgen, kvtop): shards
+// separated by ';', each shard's endpoints separated by '/', the primary
+// first.
+func ParseTopology(s string) ([]ShardSpec, error) {
+	var specs []ShardSpec
+	for _, shard := range strings.Split(s, ";") {
+		eps := strings.Split(strings.TrimSpace(shard), "/")
+		for i := range eps {
+			eps[i] = strings.TrimSpace(eps[i])
+		}
+		if eps[0] == "" {
+			return nil, fmt.Errorf("cluster: shard %d has no primary endpoint", len(specs))
+		}
+		specs = append(specs, ShardSpec{Primary: eps[0], Replicas: eps[1:]})
+	}
+	return specs, nil
+}
+
 // RouterConfig tunes a Router.
 type RouterConfig struct {
 	// Shards lists each shard's endpoints; len(Shards) fixes the ring size.
 	Shards []ShardSpec
-	// VNodes is the ring's virtual-node count per shard (DefaultVNodes if 0).
-	VNodes int
 	// Opts are the per-connection client options. The default 5s request
 	// timeout bounds how long a dead primary can stall an op before
 	// failover kicks in; lower it for faster failover.
 	Opts server.Options
-	// NoPromote disables automatic replica promotion: failover then only
-	// re-points at a node that is already primary (an external operator owns
-	// promotion). Default off — the router promotes.
-	NoPromote bool
 }
 
 // Router routes dictionary operations across the cluster. Safe for
@@ -63,7 +76,6 @@ type shardConn struct {
 	index     int
 	spec      ShardSpec
 	opts      server.Options
-	noPromote bool
 	active    string // endpoint currently treated as primary
 	c         *server.Client
 	failovers int // completed re-points
@@ -78,13 +90,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards")
 	}
-	r := &Router{ring: NewRing(len(cfg.Shards), cfg.VNodes)}
+	r := &Router{ring: NewRing(len(cfg.Shards))}
 	for i, sp := range cfg.Shards {
 		if sp.Primary == "" {
 			return nil, fmt.Errorf("cluster: shard %d has no primary endpoint", i)
 		}
 		r.shards = append(r.shards, &shardConn{
-			index: i, spec: sp, opts: cfg.Opts, noPromote: cfg.NoPromote, active: sp.Primary,
+			index: i, spec: sp, opts: cfg.Opts, active: sp.Primary,
 		})
 	}
 	return r, nil
@@ -298,11 +310,6 @@ func (sc *shardConn) failoverLocked() error {
 		}
 		switch info.Role {
 		case server.RoleReplica:
-			if sc.noPromote {
-				c.Close()
-				probeErrs = append(probeErrs, fmt.Errorf("%s: replica (promotion disabled)", ep))
-				continue
-			}
 			if _, err := c.Promote(); err != nil {
 				c.Close()
 				probeErrs = append(probeErrs, fmt.Errorf("%s: promote: %w", ep, err))

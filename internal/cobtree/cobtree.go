@@ -267,9 +267,10 @@ func (t *Tree) findInSeg(s int, key []byte) (int, int, bool) {
 }
 
 // Get returns the value stored at key.
-func (t *Tree) Get(key []byte) ([]byte, bool) { return t.getKey(t.owner, key) }
+func (t *Tree) Get(key []byte) ([]byte, bool) { return t.GetAs(t.owner, key) }
 
-func (t *Tree) getKey(c *engine.Client, key []byte) ([]byte, bool) {
+// GetAs is Get charged to c.
+func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 	t.checkKey(key, nil)
 	s := t.findSeg(c, key)
 	t.touchSeg(c, s, false)
@@ -459,10 +460,11 @@ func (t *Tree) Delete(key []byte) bool {
 // Scan calls fn for each entry with lo <= key < hi in key order (hi nil =
 // unbounded), charging sequential cell reads.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
-	t.scan(t.owner, lo, hi, fn)
+	t.ScanAs(t.owner, lo, hi, fn)
 }
 
-func (t *Tree) scan(c *engine.Client, lo, hi []byte, fn func(key, value []byte) bool) {
+// ScanAs is Scan charged to c.
+func (t *Tree) ScanAs(c *engine.Client, lo, hi []byte, fn func(key, value []byte) bool) {
 	start := 0
 	if lo != nil {
 		s := t.findSeg(c, lo)

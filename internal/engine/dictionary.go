@@ -26,16 +26,51 @@ type Dictionary interface {
 	Stats() Stats
 }
 
-// SnapshotReader is the snapshot-pinned read extension of Dictionary:
-// every tree session implements it by delegating to Snap's resolve-then-
-// fall-through logic, so callers holding a Snap can read any structure as
-// of the pinned LSN through one interface.
-type SnapshotReader interface {
-	// GetAt reads key as of sn's pinned LSN.
-	GetAt(sn *Snap, key []byte) ([]byte, bool, error)
-	// ScanAt visits [lo, hi) in order as of sn's pinned LSN.
-	ScanAt(sn *Snap, lo, hi []byte, fn func(key, value []byte) bool) error
+// SessionReader is what a tree lends its sessions: its read paths with the
+// paying client as a parameter (Tree.Get and Tree.Scan are these on the
+// tree's owner client).
+type SessionReader interface {
+	Dictionary
+	// GetAs is Get charged to c.
+	GetAs(c *Client, key []byte) ([]byte, bool)
+	// ScanAs is Scan charged to c.
+	ScanAs(c *Client, lo, hi []byte, fn func(key, value []byte) bool)
 }
+
+// Session is one client's handle onto a shared tree: reads (Get/Scan) run
+// in the client's own virtual timeline through the shared pager, so k
+// sessions on k sim processes overlap their IOs on the device. Mutations
+// are delegated to the tree's single-writer owner client and must not run
+// concurrently with other operations. Snapshot reads take a Session as the
+// fall-through dictionary (Snap.Get, Snap.Scan).
+type Session struct {
+	t SessionReader
+	c *Client
+}
+
+// NewSession creates a client-bound view of the tree (each tree's
+// Session(c) method is this).
+func NewSession(t SessionReader, c *Client) *Session { return &Session{t: t, c: c} }
+
+// Client returns the session's engine client.
+func (s *Session) Client() *Client { return s.c }
+
+// Get returns the value for key, charging IO to the session's client.
+func (s *Session) Get(key []byte) ([]byte, bool) { return s.t.GetAs(s.c, key) }
+
+// Scan visits [lo, hi) in order, charging IO to the session's client.
+func (s *Session) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
+	s.t.ScanAs(s.c, lo, hi, fn)
+}
+
+// Put delegates to the tree's single-writer path.
+func (s *Session) Put(key, value []byte) { s.t.Put(key, value) }
+
+// Delete delegates to the tree's single-writer path.
+func (s *Session) Delete(key []byte) bool { return s.t.Delete(key) }
+
+// Stats reports the shared tree's stats.
+func (s *Session) Stats() Stats { return s.t.Stats() }
 
 // Stats is a Dictionary's self-report, uniform across structures.
 type Stats struct {

@@ -336,36 +336,15 @@ func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte) {
 }
 
 // Sync forces the WAL's pending group to disk: a durability barrier, after
-// which every applied mutation survives a crash.
+// which every applied mutation survives a crash. It is CommitPending plus
+// the log-full fallback: when the group no longer fits the log, a checkpoint
+// makes everything durable through the journal and drops the group.
 func (e *Engine) Sync() error {
-	if e.dur == nil {
-		return errNotEnabled
+	err := e.CommitPending()
+	if errors.Is(err, wal.ErrLogFull) {
+		return e.Checkpoint()
 	}
-	d := e.dur
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
-	}
-	start := e.owner.ctx.Now()
-	prev := e.owner.pushLayer(obs.LayerWAL)
-	//lint:allowblock Sync is the durability barrier: the commit must complete inside d.mu so no mutation can interleave between flush and the caller's durable-point observation
-	err := d.log.Commit()
-	e.owner.popLayer(prev)
-	if sp := e.owner.span; sp != nil {
-		sp.WALCommit(start, e.owner.ctx.Now()-start)
-	}
-	if err != nil {
-		if errors.Is(err, wal.ErrLogFull) {
-			if cerr := e.checkpointLocked(); cerr != nil {
-				return cerr
-			}
-			return nil // checkpoint made everything durable and dropped the group
-		}
-		d.err = err
-		return err
-	}
-	return nil
+	return err
 }
 
 // Checkpoint makes the engine's entire state durable and truncates the WAL:

@@ -161,9 +161,10 @@ func (t *Tree) Delete(key []byte) bool {
 
 // Get returns the value for key: memtable, then L0 runs newest-first, then
 // one candidate table per deeper level.
-func (t *Tree) Get(key []byte) ([]byte, bool) { return t.getKey(t.owner, key) }
+func (t *Tree) Get(key []byte) ([]byte, bool) { return t.GetAs(t.owner, key) }
 
-func (t *Tree) getKey(c *engine.Client, key []byte) ([]byte, bool) {
+// GetAs is Get charged to c.
+func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 	if i, ok := t.memFind(key); ok {
 		e := t.mem[i]
 		if e.tombstone {
@@ -452,10 +453,11 @@ func dropTombstones(entries []entry) []entry {
 // Scan calls fn for each live entry with lo <= key < hi in key order (hi
 // nil = unbounded), merging the memtable and every level.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
-	t.scan(t.owner, lo, hi, fn)
+	t.ScanAs(t.owner, lo, hi, fn)
 }
 
-func (t *Tree) scan(c *engine.Client, lo, hi []byte, fn func(key, value []byte) bool) {
+// ScanAs is Scan charged to c.
+func (t *Tree) ScanAs(c *engine.Client, lo, hi []byte, fn func(key, value []byte) bool) {
 	// Collect all runs, newest first.
 	var runs [][]entry
 	if len(t.mem) > 0 {

@@ -13,7 +13,7 @@ import (
 	"iomodels/internal/stats"
 )
 
-// Model indexes the four cost models.
+// Model indexes the cost models (a row of the models table).
 type Model int
 
 // The cost models, in increasing order of refinement for parallel devices:
@@ -23,22 +23,28 @@ const (
 	ModelAffine
 	ModelPDAM
 	ModelMQ
-	numModels
 )
+
+// models is the model table: a model is its name and the cost it predicts
+// for one IO of size bytes at average offered concurrency conc, from one
+// device's calibration. The accountant keeps a residual histogram per row,
+// so another model is another row (and its index above).
+var models = [...]struct {
+	name    string
+	predict func(m Models, size int64, conc float64) float64
+}{
+	ModelDAM:    {"dam", predictDAM},
+	ModelAffine: {"affine", predictAffine},
+	ModelPDAM:   {"pdam", predictPDAM},
+	ModelMQ:     {"mq", predictMQ},
+}
 
 // String names the model.
 func (m Model) String() string {
-	switch m {
-	case ModelDAM:
-		return "dam"
-	case ModelAffine:
-		return "affine"
-	case ModelPDAM:
-		return "pdam"
-	case ModelMQ:
-		return "mq"
+	if m < 0 || int(m) >= len(models) {
+		return "unknown"
 	}
-	return "unknown"
+	return models[m].name
 }
 
 // Models carries one device's fitted cost-model parameters, produced by
@@ -81,32 +87,38 @@ type Models struct {
 	Serial bool `json:"serial"`
 }
 
-// PredictAffine returns the affine cost of one IO of size bytes
+// Predict returns model's predicted cost (seconds) of one IO of size bytes
+// issued while conc IOs compete for the device on average.
+func (m Models) Predict(model Model, size int64, conc float64) float64 {
+	return models[model].predict(m, size, conc)
+}
+
+// predictAffine returns the affine cost of one IO of size bytes
 // (Definition 2: s + t·x; concurrency-blind, as in E8).
-func (m Models) PredictAffine(size int64) float64 {
+func predictAffine(m Models, size int64, _ float64) float64 {
 	return m.Affine.Cost(float64(size))
 }
 
-// PredictDAM returns the DAM cost of one IO of size bytes issued while
+// predictDAM returns the DAM cost of one IO of size bytes issued while
 // conc IOs compete for the device on average: the DAM serves one block at
 // a time, so the IO's ceil(size/B) blocks wait behind the competing load —
 // cost = UnitCost · blocks · conc (E7's t1·p line; on a serial device with
 // conc = 1 this is exactly E8's Lemma 1 estimate).
-func (m Models) PredictDAM(size int64, conc float64) float64 {
+func predictDAM(m Models, size int64, conc float64) float64 {
 	if conc < 1 {
 		conc = 1
 	}
 	return m.DAM.Cost(ceilDiv(size, m.DAM.BlockBytes) * conc)
 }
 
-// PredictPDAM returns the PDAM cost of one IO of size bytes at average
+// predictPDAM returns the PDAM cost of one IO of size bytes at average
 // offered concurrency conc. Below the knee the device serves every
 // outstanding block each step, so the IO is latency-bound at one step per
 // block; past the knee (conc > P) it queues by conc/P — this is
 // core.PDAM.PDAMReadSeconds with fractional p. The prediction is floored
 // by the bandwidth bound blocks·conc·B/∝PB, the Table 1 saturation line
 // (E7 predicts max(t1, p·volume/∝PB) the same way).
-func (m Models) PredictPDAM(size int64, conc float64) float64 {
+func predictPDAM(m Models, size int64, conc float64) float64 {
 	if conc < 1 {
 		conc = 1
 	}
@@ -123,15 +135,15 @@ func (m Models) PredictPDAM(size int64, conc float64) float64 {
 	return lat
 }
 
-// PredictMQ returns the multi-queue cost of one IO of size bytes at average
+// predictMQ returns the multi-queue cost of one IO of size bytes at average
 // offered concurrency conc. The conc competing IOs spread over at most
 // Queues queues, so the effective service rate is a·QueueSlots(a) for
 // a = min(ceil(conc), Queues) — the depth- and interference-capped
 // parallelism, not the raw slot count the PDAM reading uses. Below that
 // rate the IO is latency-bound at one step per block; above it, it queues
 // by conc over the rate, floored by the effective bandwidth bound. With one
-// queue this is exactly PredictPDAM.
-func (m Models) PredictMQ(size int64, conc float64) float64 {
+// queue this is exactly predictPDAM.
+func predictMQ(m Models, size int64, conc float64) float64 {
 	if conc < 1 {
 		conc = 1
 	}
@@ -154,21 +166,6 @@ func (m Models) PredictMQ(size int64, conc float64) float64 {
 		}
 	}
 	return lat
-}
-
-// Predict dispatches on the model.
-func (m Models) Predict(model Model, size int64, conc float64) float64 {
-	switch model {
-	case ModelDAM:
-		return m.PredictDAM(size, conc)
-	case ModelAffine:
-		return m.PredictAffine(size)
-	case ModelPDAM:
-		return m.PredictPDAM(size, conc)
-	case ModelMQ:
-		return m.PredictMQ(size, conc)
-	}
-	return 0
 }
 
 func ceilDiv(size int64, block float64) float64 {
@@ -210,7 +207,7 @@ func (c spanClass) String() string {
 // summary() can run against concurrent Finishes.
 type accountant struct {
 	models Models
-	resid  [numModels][numClasses]*stats.LatencyHist
+	resid  [len(models)][numClasses]*stats.LatencyHist
 }
 
 func newAccountant(m Models) *accountant {
@@ -235,16 +232,16 @@ func (a *accountant) observe(sp *Span, conc float64) {
 	if sp.hasWrite() {
 		class = classWrite
 	}
-	var pred [numModels]float64
+	var pred [len(models)]float64
 	for _, ev := range sp.Events {
 		if ev.Kind != EvIO {
 			continue
 		}
-		for m := Model(0); m < numModels; m++ {
-			pred[m] += a.models.Predict(m, ev.Size, conc)
+		for m, row := range models {
+			pred[m] += row.predict(a.models, ev.Size, conc)
 		}
 	}
-	for m := Model(0); m < numModels; m++ {
+	for m := range models {
 		rel := math.Abs(pred[m]-measured) / measured
 		a.resid[m][class].Observe(int64(rel * residualScale))
 	}
@@ -264,7 +261,7 @@ type ResidualSummary struct {
 
 func (a *accountant) summary() []ResidualSummary {
 	var out []ResidualSummary
-	for m := Model(0); m < numModels; m++ {
+	for m, row := range models {
 		for c := spanClass(0); c < numClasses; c++ {
 			h := a.resid[m][c]
 			n := h.Count()
@@ -273,7 +270,7 @@ func (a *accountant) summary() []ResidualSummary {
 			}
 			snap := h.Snapshot()
 			out = append(out, ResidualSummary{
-				Model: m.String(),
+				Model: row.name,
 				Class: c.String(),
 				Count: n,
 				P50:   float64(h.Quantile(0.50)) / residualScale,

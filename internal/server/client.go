@@ -59,8 +59,6 @@ type Options struct {
 	// request frame, the read deadline the reply frame. Default 5s;
 	// negative disables deadlines entirely (tests that deliberately block).
 	RequestTimeout time.Duration
-	// MaxFrame bounds reply frames (default DefaultMaxFrame).
-	MaxFrame int
 }
 
 // DefaultConnectTimeout and DefaultRequestTimeout are the Dial defaults.
@@ -79,9 +77,6 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
 	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
 	return o
 }
 
@@ -91,7 +86,6 @@ type Client struct {
 	conn     net.Conn
 	r        *bufio.Reader
 	w        *bufio.Writer
-	maxFrame int
 	timeout  time.Duration // per-request deadline (0 = none)
 	poisoned error         // sticky transport/framing failure
 	// Busy counts ErrBusy replies seen, a convenience for load generators.
@@ -117,7 +111,6 @@ func DialOpts(addr string, o Options) (*Client, error) {
 	}
 	c := NewClient(conn)
 	c.timeout = o.RequestTimeout
-	c.maxFrame = o.MaxFrame
 	return c, nil
 }
 
@@ -125,10 +118,9 @@ func DialOpts(addr string, o Options) (*Client, error) {
 // DialOpts for the timeout-guarded client).
 func NewClient(conn net.Conn) *Client {
 	return &Client{
-		conn:     conn,
-		r:        bufio.NewReaderSize(conn, 64<<10),
-		w:        bufio.NewWriterSize(conn, 64<<10),
-		maxFrame: DefaultMaxFrame,
+		conn: conn,
+		r:    bufio.NewReaderSize(conn, 64<<10),
+		w:    bufio.NewWriterSize(conn, 64<<10),
 	}
 }
 
@@ -173,12 +165,12 @@ func (c *Client) TraceNext() kv.TraceContext {
 	return c.nextTC
 }
 
-// roundTrip sends req and returns the reply payload positioned after the
-// status byte, having mapped every failure status to its error
-// (statusSentinels).
-func (c *Client) roundTrip(req request) (Status, *kv.Dec, error) {
+// roundTrip sends req and returns the decoded reply, having mapped every
+// failure status to its error (statusSentinels); with an error the reply is
+// the zero value.
+func (c *Client) roundTrip(req request) (reply, error) {
 	if c.poisoned != nil {
-		return 0, nil, c.poisoned
+		return reply{}, c.poisoned
 	}
 	if c.nextTC.Valid() {
 		req.tc = c.nextTC
@@ -187,106 +179,70 @@ func (c *Client) roundTrip(req request) (Status, *kv.Dec, error) {
 	}
 	if c.timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			return 0, nil, c.fail(err)
+			return reply{}, c.fail(err)
 		}
 	}
 	if err := writeFrame(c.w, encodeRequest(req)); err != nil {
-		return 0, nil, c.fail(err)
+		return reply{}, c.fail(err)
 	}
 	if err := c.w.Flush(); err != nil {
-		return 0, nil, c.fail(err)
+		return reply{}, c.fail(err)
 	}
-	buf, err := readFrame(c.r, c.maxFrame)
+	buf, err := readFrame(c.r, DefaultMaxFrame)
 	if err != nil {
-		return 0, nil, c.fail(err)
+		return reply{}, c.fail(err)
 	}
-	d := &kv.Dec{Buf: buf}
-	status := Status(d.U8())
-	if status == StatusOK || status == StatusNotFound {
-		return status, d, nil
+	rep, err := decodeReply(req, buf)
+	if err != nil {
+		return reply{}, err
 	}
-	sentinel, known := statusSentinels[status]
-	if !known {
-		return status, nil, fmt.Errorf("server: unknown reply status %d", uint8(status))
+	if rep.status == StatusOK || rep.status == StatusNotFound {
+		return rep, nil
 	}
-	if status == StatusBusy {
+	sentinel := statusSentinels[rep.status] // decodeReply vouched for the status
+	if rep.status == StatusBusy {
 		c.Busy++
 	}
-	msg := d.Bytes()
-	if d.Err != nil {
-		return status, nil, fmt.Errorf("server: malformed %v reply: %w", status, d.Err)
-	}
 	if sentinel == nil {
-		return status, nil, fmt.Errorf("server: %s", msg)
+		return reply{}, fmt.Errorf("server: %s", rep.msg)
 	}
-	return status, nil, fmt.Errorf("%w: %s", sentinel, msg)
+	return reply{}, fmt.Errorf("%w: %s", sentinel, rep.msg)
 }
 
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
-	_, _, err := c.roundTrip(request{op: OpPing})
+	_, err := c.roundTrip(request{op: OpPing})
 	return err
 }
 
 // Get fetches key; ok is false if absent.
 func (c *Client) Get(key []byte) (value []byte, ok bool, err error) {
-	status, d, err := c.roundTrip(request{op: OpGet, key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	if status == StatusNotFound {
-		return nil, false, nil
-	}
-	v := d.Bytes()
-	if d.Err != nil {
-		return nil, false, fmt.Errorf("server: malformed get reply: %w", d.Err)
-	}
-	return v, true, nil
+	rep, err := c.roundTrip(request{op: OpGet, key: key})
+	return rep.value, rep.status == StatusOK, err
 }
 
 // Put inserts or replaces key.
 func (c *Client) Put(key, value []byte) error {
-	_, _, err := c.roundTrip(request{op: OpPut, key: key, value: value})
+	_, err := c.roundTrip(request{op: OpPut, key: key, value: value})
 	return err
 }
 
 // Delete removes key, reporting whether the server accepted the delete.
 func (c *Client) Delete(key []byte) (accepted bool, err error) {
-	_, d, err := c.roundTrip(request{op: OpDelete, key: key})
-	if err != nil {
-		return false, err
-	}
-	a := d.U8()
-	if d.Err != nil {
-		return false, fmt.Errorf("server: malformed delete reply: %w", d.Err)
-	}
-	return a != 0, nil
+	rep, err := c.roundTrip(request{op: OpDelete, key: key})
+	return rep.accepted, err
 }
 
 // Upsert applies a blind delta to a counter key.
 func (c *Client) Upsert(key []byte, delta int64) error {
-	_, _, err := c.roundTrip(request{op: OpUpsert, key: key, delta: delta})
+	_, err := c.roundTrip(request{op: OpUpsert, key: key, delta: delta})
 	return err
 }
 
 // Scan returns up to limit entries in [lo, hi); empty bounds are unbounded.
 func (c *Client) Scan(lo, hi []byte, limit int) ([]kv.Entry, error) {
-	_, d, err := c.roundTrip(request{op: OpScan, lo: lo, hi: hi, limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	n := int(d.U32())
-	if d.Err != nil || n < 0 || n > limit {
-		return nil, fmt.Errorf("server: malformed scan reply (n=%d)", n)
-	}
-	out := make([]kv.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.Entry())
-	}
-	if d.Err != nil {
-		return nil, fmt.Errorf("server: malformed scan reply: %w", d.Err)
-	}
-	return out, nil
+	rep, err := c.roundTrip(request{op: OpScan, lo: lo, hi: hi, limit: limit})
+	return rep.entries, err
 }
 
 // SnapOpen pins a server-side snapshot at the current applied LSN and
@@ -294,84 +250,43 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]kv.Entry, error) {
 // to this connection and bounded per connection; release them with
 // SnapRelease when done (closing the connection releases all).
 func (c *Client) SnapOpen() (id, lsn uint64, err error) {
-	return c.snapOpen(request{op: OpSnapOpen})
+	rep, err := c.roundTrip(request{op: OpSnapOpen})
+	return rep.snapID, rep.lsn, err
 }
 
 // SnapOpenAt pins a snapshot at a specific LSN (time travel). The LSN must
 // be within the engine's retained window; otherwise ErrSnapExpired.
 func (c *Client) SnapOpenAt(lsn uint64) (id, pinned uint64, err error) {
-	return c.snapOpen(request{op: OpSnapOpen, atLSN: true, lsn: lsn})
-}
-
-func (c *Client) snapOpen(req request) (id, lsn uint64, err error) {
-	_, d, err := c.roundTrip(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	id, lsn = d.U64(), d.U64()
-	if d.Err != nil {
-		return 0, 0, fmt.Errorf("server: malformed snap-open reply: %w", d.Err)
-	}
-	return id, lsn, nil
+	rep, err := c.roundTrip(request{op: OpSnapOpen, atLSN: true, lsn: lsn})
+	return rep.snapID, rep.lsn, err
 }
 
 // SnapGet reads key as of the snapshot id's pinned LSN.
 func (c *Client) SnapGet(id uint64, key []byte) (value []byte, ok bool, err error) {
-	status, d, err := c.roundTrip(request{op: OpSnapGet, snapID: id, key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	if status == StatusNotFound {
-		return nil, false, nil
-	}
-	v := d.Bytes()
-	if d.Err != nil {
-		return nil, false, fmt.Errorf("server: malformed snap-get reply: %w", d.Err)
-	}
-	return v, true, nil
+	rep, err := c.roundTrip(request{op: OpSnapGet, snapID: id, key: key})
+	return rep.value, rep.status == StatusOK, err
 }
 
 // SnapScan returns up to limit entries in [lo, hi) as of the snapshot id's
 // pinned LSN; empty bounds are unbounded.
 func (c *Client) SnapScan(id uint64, lo, hi []byte, limit int) ([]kv.Entry, error) {
-	_, d, err := c.roundTrip(request{op: OpSnapScan, snapID: id, lo: lo, hi: hi, limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	n := int(d.U32())
-	if d.Err != nil || n < 0 || n > limit {
-		return nil, fmt.Errorf("server: malformed snap-scan reply (n=%d)", n)
-	}
-	out := make([]kv.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.Entry())
-	}
-	if d.Err != nil {
-		return nil, fmt.Errorf("server: malformed snap-scan reply: %w", d.Err)
-	}
-	return out, nil
+	rep, err := c.roundTrip(request{op: OpSnapScan, snapID: id, lo: lo, hi: hi, limit: limit})
+	return rep.entries, err
 }
 
 // SnapRelease releases a snapshot id, letting the engine reclaim versions
 // once no snapshot pins them. Releasing an unknown id is an error
 // (ErrSnapExpired) so leaks are visible.
 func (c *Client) SnapRelease(id uint64) error {
-	_, _, err := c.roundTrip(request{op: OpSnapRelease, snapID: id})
+	_, err := c.roundTrip(request{op: OpSnapRelease, snapID: id})
 	return err
 }
 
 // Stats fetches the server's JSON stats snapshot (the same document the
 // HTTP /stats endpoint serves).
 func (c *Client) Stats() ([]byte, error) {
-	_, d, err := c.roundTrip(request{op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	js := d.Bytes()
-	if d.Err != nil {
-		return nil, fmt.Errorf("server: malformed stats reply: %w", d.Err)
-	}
-	return js, nil
+	rep, err := c.roundTrip(request{op: OpStats})
+	return rep.value, err
 }
 
 // NodeInfo is the shard-hello document: who this node is in the cluster and
@@ -392,20 +307,8 @@ type NodeInfo struct {
 // positions. The router validates topology with it at connect time, and the
 // health probe uses it as a liveness+role check.
 func (c *Client) Hello() (NodeInfo, error) {
-	_, d, err := c.roundTrip(request{op: OpHello})
-	if err != nil {
-		return NodeInfo{}, err
-	}
-	var info NodeInfo
-	info.ShardID = int(d.U32())
-	info.Shards = int(d.U32())
-	info.Role = Role(d.U8())
-	info.CommittedLSN = d.U64()
-	info.AppliedLSN = d.U64()
-	if d.Err != nil {
-		return NodeInfo{}, fmt.Errorf("server: malformed hello reply: %w", d.Err)
-	}
-	return info, nil
+	rep, err := c.roundTrip(request{op: OpHello})
+	return rep.info, err
 }
 
 // ShipPull tails the node's WAL ship stream: up to max durable records with
@@ -413,29 +316,12 @@ func (c *Client) Hello() (NodeInfo, error) {
 // after = my applied LSN both fetches the next batch and acknowledges
 // everything applied so far (the primary's sync-ship gate releases on it).
 func (c *Client) ShipPull(after uint64, max int) (recs []wal.Record, committed, floor uint64, err error) {
-	_, d, err := c.roundTrip(request{op: OpShipPull, lsn: after, limit: max})
-	if err != nil {
-		return nil, 0, 0, err
+	rep, err := c.roundTrip(request{op: OpShipPull, lsn: after, limit: max})
+	recs = make([]wal.Record, 0, len(rep.recs))
+	for _, r := range rep.recs {
+		recs = append(recs, r.Record)
 	}
-	committed = d.U64()
-	floor = d.U64()
-	n := int(d.U32())
-	if d.Err != nil || n < 0 || n > max {
-		return nil, 0, 0, fmt.Errorf("server: malformed ship reply (n=%d)", n)
-	}
-	recs = make([]wal.Record, 0, n)
-	for i := 0; i < n; i++ {
-		var r wal.Record
-		r.Kind = kv.Kind(d.U8())
-		r.Seq = d.U64()
-		r.Key = d.Bytes()
-		r.Value = d.Bytes()
-		recs = append(recs, r)
-	}
-	if d.Err != nil {
-		return nil, 0, 0, fmt.Errorf("server: malformed ship reply: %w", d.Err)
-	}
-	return recs, committed, floor, nil
+	return recs, rep.committed, rep.floor, err
 }
 
 // ShipPullStamped is ShipPull with the stamped-ship extension: each record
@@ -446,32 +332,8 @@ func (c *Client) ShipPull(after uint64, max int) (recs []wal.Record, committed, 
 // extended frame with a protocol error; same-version deployments (the
 // cluster shipper) use this, mixed ones fall back to plain ShipPull.
 func (c *Client) ShipPullStamped(after uint64, max int) (recs []engine.ShipRecord, committed, floor uint64, err error) {
-	_, d, err := c.roundTrip(request{op: OpShipPull, lsn: after, limit: max, stamps: true})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	committed = d.U64()
-	floor = d.U64()
-	n := int(d.U32())
-	if d.Err != nil || n < 0 || n > max {
-		return nil, 0, 0, fmt.Errorf("server: malformed ship reply (n=%d)", n)
-	}
-	recs = make([]engine.ShipRecord, 0, n)
-	for i := 0; i < n; i++ {
-		var r engine.ShipRecord
-		r.Kind = kv.Kind(d.U8())
-		r.Seq = d.U64()
-		r.Key = d.Bytes()
-		r.Value = d.Bytes()
-		r.CommitWallNs = int64(d.U64())
-		r.TraceID = d.U64()
-		r.SpanID = d.U64()
-		recs = append(recs, r)
-	}
-	if d.Err != nil {
-		return nil, 0, 0, fmt.Errorf("server: malformed ship reply: %w", d.Err)
-	}
-	return recs, committed, floor, nil
+	rep, err := c.roundTrip(request{op: OpShipPull, lsn: after, limit: max, stamps: true})
+	return rep.recs, rep.committed, rep.floor, err
 }
 
 // Promote asks a replica to become the shard's primary: it stops applying
@@ -479,13 +341,6 @@ func (c *Client) ShipPullStamped(after uint64, max int) (recs []engine.ShipRecor
 // the LSN the promoted node serves from. Idempotent on an already-promoted
 // node.
 func (c *Client) Promote() (lsn uint64, err error) {
-	_, d, err := c.roundTrip(request{op: OpPromote})
-	if err != nil {
-		return 0, err
-	}
-	lsn = d.U64()
-	if d.Err != nil {
-		return 0, fmt.Errorf("server: malformed promote reply: %w", d.Err)
-	}
-	return lsn, nil
+	rep, err := c.roundTrip(request{op: OpPromote})
+	return rep.lsn, err
 }

@@ -34,18 +34,10 @@ const (
 	RoleReplica
 )
 
-func (r Role) String() string {
-	switch r {
-	case RoleSolo:
-		return "solo"
-	case RolePrimary:
-		return "primary"
-	case RoleReplica:
-		return "replica"
-	default:
-		return fmt.Sprintf("role(%d)", uint8(r))
-	}
-}
+// roleNames names the roles (also /metrics' one-hot kvserve_role labels).
+var roleNames = [...]string{RoleSolo: "solo", RolePrimary: "primary", RoleReplica: "replica"}
+
+func (r Role) String() string { return nameOf(roleNames[:], "role", uint8(r)) }
 
 // Role returns the node's current role.
 func (s *Server) Role() Role { return Role(s.role.Load()) }
@@ -93,65 +85,37 @@ func (s *Server) waitShipAck(lsn uint64, timeout time.Duration) bool {
 // serveHello answers the shard-identity probe: who this node is and where
 // its replication stream stands. The router validates topology with it; the
 // failover path uses it as the liveness + role check.
-func (s *Server) serveHello() []byte {
+func (s *Server) serveHello() reply {
 	committed := s.backend.Eng.LogSeq()
 	if ss := s.backend.Eng.ShipStats(); ss.Enabled {
 		committed = ss.CommittedLSN
 	}
-	var e kv.Enc
-	e.U8(uint8(StatusOK))
-	e.U32(uint32(s.cfg.ShardID))
-	e.U32(uint32(s.cfg.Shards))
-	e.U8(uint8(s.Role()))
-	e.U64(committed)
-	e.U64(s.shipAppliedLSN.Load())
-	return e.Buf
+	return reply{status: StatusOK, info: NodeInfo{
+		ShardID: s.cfg.ShardID, Shards: s.cfg.Shards, Role: s.Role(),
+		CommittedLSN: committed, AppliedLSN: s.shipAppliedLSN.Load(),
+	}}
 }
 
 // serveShipPull serves one ship-stream pull: records past req.lsn, capped by
-// req.limit and by frame size (the replica resumes where the batch ends).
-// The pull position acknowledges everything before it. A pull carrying the
-// stamped-ship extension gets each record suffixed with its commit wall
-// time and trace identity — the replica's lag and trace-continuation
-// inputs; a legacy pull gets the original encoding byte for byte.
-func (s *Server) serveShipPull(req request) []byte {
+// req.limit and by the frame budget (shipFit; the replica resumes where the
+// batch ends). The pull position acknowledges everything before it. A pull
+// carrying the stamped-ship extension gets each record suffixed with its
+// commit wall time and trace identity — the replica's lag and
+// trace-continuation inputs; a legacy pull gets the original encoding byte
+// for byte.
+func (s *Server) serveShipPull(req request) reply {
 	recs, st, err := s.backend.Eng.ShipSince(req.lsn, req.limit)
 	switch {
 	case errors.Is(err, engine.ErrShipGap):
-		return encodeStatus(StatusShipGap, err.Error())
+		return failure(StatusShipGap, err.Error())
 	case err != nil:
-		return encodeStatus(StatusErr, err.Error())
+		return failure(StatusErr, err.Error())
 	}
 	s.ackShip(req.lsn)
 	s.metrics.shipPulls.Add(1)
-	// Encode the record body first so the batch can be cut at the frame
-	// budget: a half-size budget leaves room for the reply envelope and keeps
-	// any client-side MaxFrame honored.
-	var body kv.Enc
-	n := 0
-	for _, r := range recs {
-		body.U8(uint8(r.Kind))
-		body.U64(r.Seq)
-		body.Bytes(r.Key)
-		body.Bytes(r.Value)
-		if req.stamps {
-			body.U64(uint64(r.CommitWallNs))
-			body.U64(r.TraceID)
-			body.U64(r.SpanID)
-		}
-		n++
-		if len(body.Buf) >= s.cfg.MaxFrameBytes/2 {
-			break
-		}
-	}
-	s.metrics.shipRecords.Add(int64(n))
-	var e kv.Enc
-	e.U8(uint8(StatusOK))
-	e.U64(st.CommittedLSN)
-	e.U64(st.FloorLSN)
-	e.U32(uint32(n))
-	e.Buf = append(e.Buf, body.Buf...)
-	return e.Buf
+	recs = recs[:shipFit(recs, req.stamps)]
+	s.metrics.shipRecords.Add(int64(len(recs)))
+	return reply{status: StatusOK, committed: st.CommittedLSN, floor: st.FloorLSN, recs: recs}
 }
 
 // servePromote flips a replica to primary. The OnPromote hook runs first —
@@ -159,17 +123,14 @@ func (s *Server) serveShipPull(req request) []byte {
 // LSN the node will serve from — and only then does the role flip, so no
 // shipped apply can race a client write. Idempotent on a primary; refused on
 // a solo node.
-func (s *Server) servePromote() []byte {
+func (s *Server) servePromote() reply {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
 	switch s.Role() {
 	case RolePrimary:
-		var e kv.Enc
-		e.U8(uint8(StatusOK))
-		e.U64(s.backend.Eng.LogSeq())
-		return e.Buf
+		return reply{status: StatusOK, lsn: s.backend.Eng.LogSeq()}
 	case RoleSolo:
-		return encodeStatus(StatusErr, "promote: node is not a cluster member")
+		return failure(StatusErr, "promote: node is not a cluster member")
 	}
 	lsn := s.shipAppliedLSN.Load()
 	if s.cfg.OnPromote != nil {
@@ -177,15 +138,12 @@ func (s *Server) servePromote() []byte {
 		//lint:allowblock promoteMu must be held across the hook: it stops the shipper and seals the log tail, and a second concurrent promote (or a role read racing the flip) would break the no-shipped-apply-after-flip guarantee
 		lsn, err = s.cfg.OnPromote()
 		if err != nil {
-			return encodeStatus(StatusErr, fmt.Sprintf("promote: %v", err))
+			return failure(StatusErr, fmt.Sprintf("promote: %v", err))
 		}
 	}
 	s.setRole(RolePrimary)
 	s.metrics.promotions.Add(1)
-	var e kv.Enc
-	e.U8(uint8(StatusOK))
-	e.U64(lsn)
-	return e.Buf
+	return reply{status: StatusOK, lsn: lsn}
 }
 
 // ApplyShipped applies one pulled batch of primary records through the

@@ -27,17 +27,18 @@ type metrics struct {
 	connsTotal atomic.Int64
 	inFlight   atomic.Int64 // requests being served (gauge)
 	protoErrs  atomic.Int64
-	busy       atomic.Int64 // requests shed by admission control
-	notFound   atomic.Int64
+
+	// replies counts replies by status, bumped once per request where the
+	// reply is encoded (serveRequest): /stats' busy, not_found, snap_expired
+	// and not_primary_total are entries of it.
+	replies [len(statusNames)]atomic.Int64
 
 	writeBatches atomic.Int64 // group-commit batches applied
 	writeOps     atomic.Int64 // mutations across those batches
 	writeSteps   atomic.Int64 // virtual time spent applying them
 
 	snapChainHits atomic.Int64 // snapshot gets resolved from the version chain (no IO)
-	snapExpired   atomic.Int64 // snapshot ops refused: unknown id or horizon passed
 
-	notPrimary      atomic.Int64 // writes refused on a replica
 	shipPulls       atomic.Int64 // ShipPull requests served
 	shipRecords     atomic.Int64 // records shipped to subscribers
 	shipAckTimeouts atomic.Int64 // sync-ship batches that waited out the ack window
@@ -47,41 +48,17 @@ type metrics struct {
 	// sync-ship ack gate (ns) — the replication latency tax per batch.
 	gateWait *stats.LatencyHist
 
-	ops map[Op]*opMetrics // fixed at construction; values are atomic inside
-}
-
-// opMetrics is one operation's counter + latency histogram (wall-clock ns).
-type opMetrics struct {
-	count atomic.Int64
-	lat   *stats.LatencyHist
+	// ops is each operation's wall-clock latency histogram (ns), indexed by
+	// Op; its count is the op's completed total. Fixed at construction.
+	ops [len(opNames)]*stats.LatencyHist
 }
 
 func newMetrics() *metrics {
-	m := &metrics{started: time.Now(), ops: make(map[Op]*opMetrics),
-		gateWait: stats.NewLatencyHist()}
-	for _, op := range []Op{OpPing, OpGet, OpPut, OpDelete, OpScan, OpUpsert, OpStats,
-		OpSnapOpen, OpSnapGet, OpSnapScan, OpSnapRelease, OpHello, OpShipPull, OpPromote} {
-		m.ops[op] = &opMetrics{lat: stats.NewLatencyHist()}
+	m := &metrics{started: time.Now(), gateWait: stats.NewLatencyHist()}
+	for op := OpPing; int(op) < len(m.ops); op++ {
+		m.ops[op] = stats.NewLatencyHist()
 	}
 	return m
-}
-
-// observe records one completed operation.
-func (m *metrics) observe(op Op, wall time.Duration) {
-	if om := m.ops[op]; om != nil {
-		om.count.Add(1)
-		om.lat.Observe(int64(wall))
-	}
-}
-
-// OpSnapshot is one operation's stats in the JSON document.
-type OpSnapshot struct {
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P95Us  float64 `json:"p95_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
 }
 
 // StatsSnapshot is the full /stats document. Field names are part of the
@@ -105,7 +82,7 @@ type StatsSnapshot struct {
 	Busy       int64 `json:"busy"`
 	NotFound   int64 `json:"not_found"`
 
-	Ops map[string]OpSnapshot `json:"ops"`
+	Ops map[string]stats.LatencyMicros `json:"ops"`
 
 	ReadBatches  int64   `json:"read_batches"`
 	WriteBatches int64   `json:"write_batches"`
@@ -184,8 +161,8 @@ type StatsSnapshot struct {
 	// Replication-lag accounting (PR-10). ShipLag is always present (zero
 	// until the cluster shipper feeds NoteShipLag on a replica); GateWait is
 	// the sync-ship ack gate's wall-wait histogram summary on a primary.
-	ShipLag  obs.LagSnapshot `json:"ship_lag"`
-	GateWait OpSnapshot      `json:"sync_gate_wait"`
+	ShipLag  obs.LagSnapshot     `json:"ship_lag"`
+	GateWait stats.LatencyMicros `json:"sync_gate_wait"`
 
 	// Obs is the span tracer's summary (per-layer IO attribution and live
 	// model residuals); present only when a tracer is attached.
@@ -208,25 +185,17 @@ func (s *Server) Snapshot() StatsSnapshot {
 		InFlight:      m.inFlight.Load(),
 		ReadQueued:    int64(queued),
 		ProtoErrs:     m.protoErrs.Load(),
-		Busy:          m.busy.Load(),
-		NotFound:      m.notFound.Load(),
-		Ops:           make(map[string]OpSnapshot, len(m.ops)),
+		Busy:          m.replies[StatusBusy].Load(),
+		NotFound:      m.replies[StatusNotFound].Load(),
+		Ops:           make(map[string]stats.LatencyMicros, len(m.ops)),
 		ReadBatches:   readBatches,
 		WriteBatches:  m.writeBatches.Load(),
 		WriteOps:      m.writeOps.Load(),
 		WriteSteps:    m.writeSteps.Load(),
 		VClock:        int64(s.backend.Clock.Now()),
 	}
-	for op, om := range m.ops {
-		snap := om.lat.Snapshot()
-		out.Ops[op.String()] = OpSnapshot{
-			Count:  om.count.Load(),
-			MeanUs: snap.Mean / 1e3,
-			P50Us:  float64(snap.P50) / 1e3,
-			P95Us:  float64(snap.P95) / 1e3,
-			P99Us:  float64(snap.P99) / 1e3,
-			MaxUs:  float64(snap.Max) / 1e3,
-		}
+	for op := OpPing; int(op) < len(m.ops); op++ {
+		out.Ops[op.String()] = m.ops[op].Snapshot().Micros()
 	}
 	ps := s.backend.Eng.Pager().Stats()
 	out.PagerHits, out.PagerMisses, out.PagerHit = ps.Hits, ps.Misses, ps.HitRatio()
@@ -264,7 +233,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 		out.MVCCChainLens = ms.ChainLenCounts
 	}
 	out.SnapChainHits = m.snapChainHits.Load()
-	out.SnapExpired = m.snapExpired.Load()
+	out.SnapExpired = m.replies[StatusSnapExpired].Load()
 	out.Role = s.Role().String()
 	out.ShardID, out.Shards = s.cfg.ShardID, s.cfg.Shards
 	if ss := s.backend.Eng.ShipStats(); ss.Enabled {
@@ -278,18 +247,10 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.ShipAckedLSN = int64(s.shipAckedLSN())
 	out.ShipAppliedLSN = int64(s.shipAppliedLSN.Load())
 	out.ShipAckTimeouts = m.shipAckTimeouts.Load()
-	out.NotPrimary = m.notPrimary.Load()
+	out.NotPrimary = m.replies[StatusNotPrimary].Load()
 	out.Promotions = m.promotions.Load()
 	out.ShipLag = s.lag.Snapshot()
-	gw := m.gateWait.Snapshot()
-	out.GateWait = OpSnapshot{
-		Count:  gw.Count,
-		MeanUs: gw.Mean / 1e3,
-		P50Us:  float64(gw.P50) / 1e3,
-		P95Us:  float64(gw.P95) / 1e3,
-		P99Us:  float64(gw.P99) / 1e3,
-		MaxUs:  float64(gw.Max) / 1e3,
-	}
+	out.GateWait = m.gateWait.Snapshot().Micros()
 	if t := s.cfg.Trace; t != nil {
 		out.TraceLen, out.TraceCap, out.TraceDropped = t.Len(), t.Cap(), t.Dropped()
 	}
@@ -298,11 +259,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		out.Obs = &sum
 	}
 	return out
-}
-
-// statsJSON marshals the snapshot (the wire Stats op's payload).
-func statsJSON(s *Server) ([]byte, error) {
-	return json.Marshal(s.Snapshot())
 }
 
 // MetricsHandler serves GET /stats (JSON) and GET /metrics
@@ -349,10 +305,27 @@ func promFamily(w io.Writer, name, typ, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
+// promHistogram writes one series of a latency histogram family — the
+// cumulative buckets on latencyBoundsNs, +Inf, _sum and _count, in seconds —
+// straight from the lock-free stats.LatencyHist. labels is the series' label
+// list without braces (`op="get"`), or "" for an unlabelled family.
+func promHistogram(w io.Writer, name, labels string, h *stats.LatencyHist) {
+	counts, total, sum := h.Cumulative(latencyBoundsNs)
+	inner, outer := "", ""
+	if labels != "" {
+		inner, outer = labels+",", "{"+labels+"}"
+	}
+	for i, b := range latencyBoundsNs {
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, inner, float64(b)/1e9, counts[i])
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, inner, total)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, outer, float64(sum)/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, outer, total)
+}
+
 // writeProm renders the server's state in Prometheus exposition format:
-// every family carries # HELP / # TYPE, and op latencies are exported as a
-// real cumulative histogram (_bucket/_sum/_count) straight from the
-// lock-free stats.LatencyHist.
+// every family carries # HELP / # TYPE, every scalar goes through one helper
+// at one line per family, and every latency histogram through promHistogram.
 func (s *Server) writeProm(w io.Writer) {
 	snap := s.Snapshot()
 	scalar := func(name, typ, help string, v interface{}) {
@@ -390,7 +363,7 @@ func (s *Server) writeProm(w io.Writer) {
 	scalar("checkpoints_total", "counter", "Durability checkpoints sealed.", snap.Checkpoints)
 
 	promFamily(w, "kvserve_role", "gauge", "Node role as a one-hot label (solo/primary/replica).")
-	for _, role := range []string{"solo", "primary", "replica"} {
+	for _, role := range roleNames {
 		v := 0
 		if role == snap.Role {
 			v = 1
@@ -426,13 +399,7 @@ func (s *Server) writeProm(w io.Writer) {
 
 	promFamily(w, "kvserve_sync_gate_wait_seconds", "histogram",
 		"Wall-clock wait at the sync-ship ack gate per group commit.")
-	gwCounts, gwTotal, gwSum := s.metrics.gateWait.Cumulative(latencyBoundsNs)
-	for i, b := range latencyBoundsNs {
-		fmt.Fprintf(w, "kvserve_sync_gate_wait_seconds_bucket{le=\"%g\"} %d\n", float64(b)/1e9, gwCounts[i])
-	}
-	fmt.Fprintf(w, "kvserve_sync_gate_wait_seconds_bucket{le=\"+Inf\"} %d\n", gwTotal)
-	fmt.Fprintf(w, "kvserve_sync_gate_wait_seconds_sum %g\n", float64(gwSum)/1e9)
-	fmt.Fprintf(w, "kvserve_sync_gate_wait_seconds_count %d\n", gwTotal)
+	promHistogram(w, "kvserve_sync_gate_wait_seconds", "", s.metrics.gateWait)
 
 	promFamily(w, "kvserve_node_info", "gauge",
 		"Node identity as labels (listen address, Go toolchain); value is always 1.")
@@ -466,49 +433,31 @@ func (s *Server) writeProm(w io.Writer) {
 		fmt.Fprintf(w, "kvserve_mvcc_chain_len_count %d\n", cum)
 	}
 
+	ops := make([]Op, 0, len(opNames))
+	for op := OpPing; int(op) < len(opNames); op++ {
+		ops = append(ops, op)
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].String() < ops[j].String() })
 	promFamily(w, "kvserve_op_total", "counter", "Completed operations by op.")
-	names := make([]string, 0, len(s.metrics.ops))
-	for op := range s.metrics.ops {
-		names = append(names, op.String())
+	for _, op := range ops {
+		fmt.Fprintf(w, "kvserve_op_total{op=%q} %d\n", op, s.metrics.ops[op].Count())
 	}
-	sort.Strings(names)
-	byName := make(map[string]*opMetrics, len(s.metrics.ops))
-	for op, om := range s.metrics.ops {
-		byName[op.String()] = om
-	}
-	for _, name := range names {
-		fmt.Fprintf(w, "kvserve_op_total{op=%q} %d\n", name, byName[name].count.Load())
-	}
-
 	promFamily(w, "kvserve_op_latency_seconds", "histogram", "Wall-clock operation latency.")
-	for _, name := range names {
-		om := byName[name]
-		counts, total, sum := om.lat.Cumulative(latencyBoundsNs)
-		for i, b := range latencyBoundsNs {
-			fmt.Fprintf(w, "kvserve_op_latency_seconds_bucket{op=%q,le=\"%g\"} %d\n",
-				name, float64(b)/1e9, counts[i])
-		}
-		fmt.Fprintf(w, "kvserve_op_latency_seconds_bucket{op=%q,le=\"+Inf\"} %d\n", name, total)
-		fmt.Fprintf(w, "kvserve_op_latency_seconds_sum{op=%q} %g\n", name, float64(sum)/1e9)
-		fmt.Fprintf(w, "kvserve_op_latency_seconds_count{op=%q} %d\n", name, total)
+	for _, op := range ops {
+		promHistogram(w, "kvserve_op_latency_seconds", fmt.Sprintf("op=%q", op), s.metrics.ops[op])
 	}
 
-	if snap.Obs != nil {
-		s.writePromObs(w, snap.Obs)
+	if o := snap.Obs; o != nil {
+		scalar("obs_spans_total", "counter", "Finished sampled spans.", o.Spans)
+		scalar("obs_ops_total", "counter", "Operations offered to the tracer (incl. sampled out).", o.Ops)
+		scalar("obs_avg_concurrency", "gauge", "Estimated device concurrency (Little's law over recent IOs).", o.AvgConcurrency)
+		writePromObs(w, o)
 	}
 }
 
-// writePromObs renders the span tracer's families: per-layer device-time
-// attribution and the live model-residual quantiles.
-func (s *Server) writePromObs(w io.Writer, o *obs.Summary) {
-	scalar := func(name, typ, help string, v interface{}) {
-		full := "kvserve_obs_" + name
-		promFamily(w, full, typ, help)
-		fmt.Fprintf(w, "%s %v\n", full, v)
-	}
-	scalar("spans_total", "counter", "Finished sampled spans.", o.Spans)
-	scalar("ops_total", "counter", "Operations offered to the tracer (incl. sampled out).", o.Ops)
-	scalar("avg_concurrency", "gauge", "Estimated device concurrency (Little's law over recent IOs).", o.AvgConcurrency)
+// writePromObs renders the span tracer's labelled families: per-layer
+// device-time attribution and the live model-residual quantiles.
+func writePromObs(w io.Writer, o *obs.Summary) {
 
 	promFamily(w, "kvserve_obs_layer_io_seconds", "counter", "Virtual device time attributed to each stack layer.")
 	for _, l := range o.Layers {

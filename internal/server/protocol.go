@@ -48,8 +48,15 @@
 //	NotPrimary message    (mutation sent to a replica; re-route to the primary)
 //	ShipGap message       (ship position trimmed; re-bootstrap the replica)
 //
-// The payload is decoded with kv.Dec and must be consumed exactly: trailing
-// bytes are a protocol error, as is any truncation (Dec's sticky Err).
+// A request payload is decoded with kv.Dec and must be consumed exactly:
+// trailing bytes are a protocol error, as is any truncation (Dec's sticky
+// Err).
+//
+// This comment is the one prose specification of the format, and this file
+// the only code that builds or parses payloads: request/encodeRequest/
+// decodeRequest for one direction, reply/encodeReply/decodeReply for the
+// other. The server's serve* functions return a reply value, the client's
+// methods read one.
 package server
 
 import (
@@ -57,7 +64,9 @@ import (
 	"fmt"
 	"io"
 
+	"iomodels/internal/engine"
 	"iomodels/internal/kv"
+	"iomodels/internal/wal"
 )
 
 // Op codes.
@@ -81,40 +90,24 @@ const (
 	OpPromote
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpPing:
-		return "ping"
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	case OpUpsert:
-		return "upsert"
-	case OpStats:
-		return "stats"
-	case OpSnapOpen:
-		return "snap-open"
-	case OpSnapGet:
-		return "snap-get"
-	case OpSnapScan:
-		return "snap-scan"
-	case OpSnapRelease:
-		return "snap-release"
-	case OpHello:
-		return "hello"
-	case OpShipPull:
-		return "ship-pull"
-	case OpPromote:
-		return "promote"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
-	}
+// opNames is the one op name table: Op.String, the metrics layer's per-op
+// histograms and the /stats and /metrics labels all read it.
+var opNames = [...]string{
+	OpPing: "ping", OpGet: "get", OpPut: "put", OpDelete: "delete", OpScan: "scan",
+	OpUpsert: "upsert", OpStats: "stats", OpSnapOpen: "snap-open", OpSnapGet: "snap-get",
+	OpSnapScan: "snap-scan", OpSnapRelease: "snap-release", OpHello: "hello",
+	OpShipPull: "ship-pull", OpPromote: "promote",
 }
+
+// nameOf looks code up in a name table; codes outside it render as kind(code).
+func nameOf(names []string, kind string, code uint8) string {
+	if int(code) < len(names) && names[code] != "" {
+		return names[code]
+	}
+	return fmt.Sprintf("%s(%d)", kind, code)
+}
+
+func (o Op) String() string { return nameOf(opNames[:], "op", uint8(o)) }
 
 // Status codes.
 type Status uint8
@@ -130,26 +123,14 @@ const (
 	StatusShipGap
 )
 
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusNotFound:
-		return "not-found"
-	case StatusBusy:
-		return "busy"
-	case StatusErr:
-		return "error"
-	case StatusSnapExpired:
-		return "snap-expired"
-	case StatusNotPrimary:
-		return "not-primary"
-	case StatusShipGap:
-		return "ship-gap"
-	default:
-		return fmt.Sprintf("status(%d)", uint8(s))
-	}
+// statusNames names the statuses; its length also sizes the server's
+// per-status reply counters.
+var statusNames = [...]string{
+	StatusOK: "ok", StatusNotFound: "not-found", StatusBusy: "busy", StatusErr: "error",
+	StatusSnapExpired: "snap-expired", StatusNotPrimary: "not-primary", StatusShipGap: "ship-gap",
 }
+
+func (s Status) String() string { return nameOf(statusNames[:], "status", uint8(s)) }
 
 // statusSentinels is the one status → error mapping: every failure status
 // carries a message, and the client wraps it in the status's typed sentinel
@@ -341,13 +322,165 @@ func encodeRequest(req request) []byte {
 	return e.Buf
 }
 
-// encodeStatus builds the common single-status reply, with its message for
-// the failure statuses.
-func encodeStatus(s Status, msg string) []byte {
-	var e kv.Enc
-	e.U8(uint8(s))
-	if _, failure := statusSentinels[s]; failure {
-		e.Bytes([]byte(msg))
+// reply is a server reply before encoding / after decoding: the mirror of
+// request. Which fields an OK reply carries depends on the request's op (see
+// the table in the file header); a failure status carries only msg.
+type reply struct {
+	status Status
+	msg    string // every status in statusSentinels
+
+	value    []byte     // get, snap-get: the value; stats: the JSON document
+	entries  []kv.Entry // scan, snap-scan
+	accepted bool       // delete
+	snapID   uint64     // snap-open: the connection-local id
+	lsn      uint64     // snap-open: the pinned LSN; promote: the serving position
+	info     NodeInfo   // hello
+
+	committed, floor uint64              // ship-pull: the stream's positions
+	recs             []engine.ShipRecord // ship-pull; stamps travel only when the request asked
+}
+
+// failure builds a failure-status reply.
+func failure(s Status, msg string) reply { return reply{status: s, msg: msg} }
+
+// shipFrameBudget bounds the record body of one ShipPull reply: half a frame
+// leaves room for the reply envelope and keeps any client's frame limit
+// honored. The replica resumes where the batch ends.
+const shipFrameBudget = DefaultMaxFrame / 2
+
+// shipFit returns how many leading records of recs one ShipPull reply
+// carries: all of them, or as many as it takes to reach shipFrameBudget
+// encoded bytes (the record that crosses the budget still rides).
+func shipFit(recs []engine.ShipRecord, stamps bool) int {
+	size := 0
+	for i, r := range recs {
+		size += kv.EncodedMessageSize(r.Key, r.Value)
+		if stamps {
+			size += 3 * 8
+		}
+		if size >= shipFrameBudget {
+			return i + 1
+		}
+	}
+	return len(recs)
+}
+
+// encodeReply builds the reply payload for req (the server side of
+// decodeReply). A request that failed to decode has op 0; its reply is a
+// failure status, which needs no op.
+func encodeReply(req request, rep reply) []byte {
+	e := kv.Enc{Buf: make([]byte, 0, 1+4+len(rep.value)+len(rep.msg))}
+	e.U8(uint8(rep.status))
+	if rep.status != StatusOK {
+		if _, failed := statusSentinels[rep.status]; failed {
+			e.Bytes([]byte(rep.msg))
+		}
+		return e.Buf // NotFound carries nothing
+	}
+	switch req.op {
+	case OpGet, OpSnapGet, OpStats:
+		e.Bytes(rep.value)
+	case OpScan, OpSnapScan:
+		e.U32(uint32(len(rep.entries)))
+		for _, ent := range rep.entries {
+			e.Entry(ent)
+		}
+	case OpDelete:
+		if rep.accepted {
+			e.U8(1)
+		} else {
+			e.U8(0)
+		}
+	case OpSnapOpen:
+		e.U64(rep.snapID)
+		e.U64(rep.lsn)
+	case OpHello:
+		e.U32(uint32(rep.info.ShardID))
+		e.U32(uint32(rep.info.Shards))
+		e.U8(uint8(rep.info.Role))
+		e.U64(rep.info.CommittedLSN)
+		e.U64(rep.info.AppliedLSN)
+	case OpShipPull:
+		e.U64(rep.committed)
+		e.U64(rep.floor)
+		e.U32(uint32(len(rep.recs)))
+		for _, r := range rep.recs {
+			e.Message(kv.Message{Kind: r.Kind, Seq: r.Seq, Key: r.Key, Value: r.Value})
+			if req.stamps {
+				e.U64(uint64(r.CommitWallNs))
+				e.U64(r.TraceID)
+				e.U64(r.SpanID)
+			}
+		}
+	case OpPromote:
+		e.U64(rep.lsn)
 	}
 	return e.Buf
+}
+
+// decodeReply parses the reply payload to req (the client side of
+// encodeReply). A failure status decodes to its status and message; mapping
+// it to an error is the caller's (statusSentinels).
+func decodeReply(req request, buf []byte) (reply, error) {
+	d := &kv.Dec{Buf: buf}
+	rep := reply{status: Status(d.U8())}
+	switch rep.status {
+	case StatusOK:
+	case StatusNotFound:
+		return rep, nil
+	default:
+		if _, failed := statusSentinels[rep.status]; !failed {
+			return rep, fmt.Errorf("server: unknown reply status %d", uint8(rep.status))
+		}
+		rep.msg = string(d.Bytes())
+		if d.Err != nil {
+			return rep, fmt.Errorf("server: malformed %v reply: %w", rep.status, d.Err)
+		}
+		return rep, nil
+	}
+	n := 0
+	switch req.op {
+	case OpGet, OpSnapGet, OpStats:
+		rep.value = d.Bytes()
+	case OpScan, OpSnapScan:
+		if n = int(d.U32()); d.Err == nil && n <= req.limit {
+			rep.entries = make([]kv.Entry, 0, n)
+			for i := 0; i < n; i++ {
+				rep.entries = append(rep.entries, d.Entry())
+			}
+		}
+	case OpDelete:
+		rep.accepted = d.U8() != 0
+	case OpSnapOpen:
+		rep.snapID, rep.lsn = d.U64(), d.U64()
+	case OpHello:
+		rep.info.ShardID = int(d.U32())
+		rep.info.Shards = int(d.U32())
+		rep.info.Role = Role(d.U8())
+		rep.info.CommittedLSN = d.U64()
+		rep.info.AppliedLSN = d.U64()
+	case OpShipPull:
+		rep.committed, rep.floor = d.U64(), d.U64()
+		if n = int(d.U32()); d.Err == nil && n <= req.limit {
+			rep.recs = make([]engine.ShipRecord, 0, n)
+			for i := 0; i < n; i++ {
+				m := d.Message()
+				r := engine.ShipRecord{Record: wal.Record{Kind: m.Kind, Seq: m.Seq, Key: m.Key, Value: m.Value}}
+				if req.stamps {
+					r.CommitWallNs = int64(d.U64())
+					r.TraceID, r.SpanID = d.U64(), d.U64()
+				}
+				rep.recs = append(rep.recs, r)
+			}
+		}
+	case OpPromote:
+		rep.lsn = d.U64()
+	}
+	if d.Err != nil {
+		return rep, fmt.Errorf("server: malformed %v reply: %w", req.op, d.Err)
+	}
+	if n > req.limit {
+		return rep, fmt.Errorf("server: malformed %v reply (n=%d)", req.op, n)
+	}
+	return rep, nil
 }

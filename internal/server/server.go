@@ -63,10 +63,6 @@ type Config struct {
 	// bounds mutations per group commit (default 64).
 	WriteQueue int
 	WriteBatch int
-	// MaxFrameBytes bounds request/reply frames (default DefaultMaxFrame).
-	MaxFrameBytes int
-	// MaxScanLimit bounds one scan's entry count (default 10000).
-	MaxScanLimit int
 	// Trace, if set, is attached to the engine's store. Unbounded traces
 	// are capped to DefaultTraceCap first.
 	Trace *storage.Trace
@@ -133,12 +129,6 @@ func (c Config) withDefaults(dev storage.Device) Config {
 	}
 	if c.WriteBatch == 0 {
 		c.WriteBatch = 64
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = DefaultMaxFrame
-	}
-	if c.MaxScanLimit == 0 {
-		c.MaxScanLimit = 10000
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -349,6 +339,9 @@ func (s *Server) Close() error {
 // not grow it without bound.
 const maxSnapsPerConn = 64
 
+// maxScanLimit bounds one scan's entry count.
+const maxScanLimit = 10000
+
 // connState is one connection's serving state: its engine client, its read
 // session, and the snapshots it holds open (ids are connection-local).
 type connState struct {
@@ -392,22 +385,14 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	c := NewClient(conn) // reuse the framing helpers on the server side
 	for {
-		buf, err := readFrame(c.r, s.cfg.MaxFrameBytes)
+		buf, err := readFrame(c.r, DefaultMaxFrame)
 		if err != nil {
 			if errors.Is(err, errFrameTooLarge) {
 				s.metrics.protoErrs.Add(1)
 			}
 			return // disconnect (EOF, reset, oversized frame)
 		}
-		req, err := decodeRequest(buf, s.cfg.MaxScanLimit)
-		var reply []byte
-		if err != nil {
-			s.metrics.protoErrs.Add(1)
-			reply = encodeStatus(StatusErr, err.Error())
-		} else {
-			reply = s.serveRequest(cs, req)
-		}
-		if err := writeFrame(c.w, reply); err != nil {
+		if err := writeFrame(c.w, s.serveRequest(cs, buf)); err != nil {
 			return
 		}
 		if err := c.w.Flush(); err != nil {
@@ -416,43 +401,61 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// serveRequest executes one decoded request and returns the reply payload.
-func (s *Server) serveRequest(cs *connState, req request) []byte {
-	s.metrics.inFlight.Add(1)
-	start := time.Now()
-	var reply []byte
+// serveRequest is the one request path: decode the payload, execute it,
+// count the reply's status, encode it. A payload that does not decode is a
+// protocol error, answered with StatusErr on a connection that stays open.
+func (s *Server) serveRequest(cs *connState, buf []byte) []byte {
+	req, err := decodeRequest(buf, maxScanLimit)
+	var rep reply
+	if err != nil {
+		s.metrics.protoErrs.Add(1)
+		rep = failure(StatusErr, err.Error())
+	} else {
+		s.metrics.inFlight.Add(1)
+		start := time.Now()
+		rep = s.serve(cs, req)
+		wall := time.Since(start)
+		s.metrics.ops[req.op].Observe(int64(wall))
+		s.metrics.inFlight.Add(-1)
+		if thr := s.cfg.SlowOpThreshold; thr > 0 && wall >= thr {
+			s.logSlowOp(cs, req, wall)
+		}
+		cs.lastSpan = nil
+	}
+	s.metrics.replies[rep.status].Add(1)
+	return encodeReply(req, rep)
+}
+
+// serve executes one decoded request.
+func (s *Server) serve(cs *connState, req request) reply {
 	switch req.op {
 	case OpPing:
-		reply = encodeStatus(StatusOK, "")
+		return reply{status: StatusOK}
 	case OpStats:
-		reply = s.serveStats()
+		js, err := json.Marshal(s.Snapshot())
+		if err != nil {
+			return failure(StatusErr, err.Error())
+		}
+		return reply{status: StatusOK, value: js}
 	case OpGet, OpScan:
-		reply = s.serveRead(cs, req)
+		return s.scheduledRead(cs, req, nil)
 	case OpPut, OpDelete, OpUpsert:
-		reply = s.serveWrite(cs, req)
+		return s.serveWrite(cs, req)
 	case OpSnapOpen:
-		reply = s.serveSnapOpen(cs, req)
+		return s.serveSnapOpen(cs, req)
 	case OpSnapGet, OpSnapScan:
-		reply = s.serveSnapRead(cs, req)
+		return s.serveSnapRead(cs, req)
 	case OpSnapRelease:
-		reply = s.serveSnapRelease(cs, req)
+		return s.serveSnapRelease(cs, req)
 	case OpHello:
-		reply = s.serveHello()
+		return s.serveHello()
 	case OpShipPull:
-		reply = s.serveShipPull(req)
+		return s.serveShipPull(req)
 	case OpPromote:
-		reply = s.servePromote()
+		return s.servePromote()
 	default:
-		reply = encodeStatus(StatusErr, fmt.Sprintf("unhandled op %v", req.op))
+		return failure(StatusErr, fmt.Sprintf("unhandled op %v", req.op))
 	}
-	wall := time.Since(start)
-	s.metrics.observe(req.op, wall)
-	s.metrics.inFlight.Add(-1)
-	if thr := s.cfg.SlowOpThreshold; thr > 0 && wall >= thr {
-		s.logSlowOp(cs, req, wall)
-	}
-	cs.lastSpan = nil
-	return reply
 }
 
 // obsTC converts a wire trace context into the tracer's mirror form.
@@ -542,10 +545,9 @@ func (s *Server) logSlowOp(cs *connState, req request, wall time.Duration) {
 
 // serveSnapOpen pins a snapshot at the current applied LSN (or a named one
 // — time travel) and hands the connection an id for it.
-func (s *Server) serveSnapOpen(cs *connState, req request) []byte {
+func (s *Server) serveSnapOpen(cs *connState, req request) reply {
 	if len(cs.snaps) >= maxSnapsPerConn {
-		s.metrics.busy.Add(1)
-		return encodeStatus(StatusBusy, "too many open snapshots on this connection")
+		return failure(StatusBusy, "too many open snapshots on this connection")
 	}
 	var sn *engine.Snap
 	var err error
@@ -556,37 +558,32 @@ func (s *Server) serveSnapOpen(cs *connState, req request) []byte {
 	}
 	if err != nil {
 		if errors.Is(err, engine.ErrSnapshotOutOfRange) {
-			s.metrics.snapExpired.Add(1)
-			return encodeStatus(StatusSnapExpired, err.Error())
+			return failure(StatusSnapExpired, err.Error())
 		}
-		return encodeStatus(StatusErr, err.Error())
+		return failure(StatusErr, err.Error())
 	}
 	cs.nextSnap++
 	cs.snaps[cs.nextSnap] = sn
-	var e kv.Enc
-	e.U8(uint8(StatusOK))
-	e.U64(cs.nextSnap)
-	e.U64(sn.LSN())
-	return e.Buf
+	return reply{status: StatusOK, snapID: cs.nextSnap, lsn: sn.LSN()}
 }
 
 // serveSnapRead runs a snapshot Get/Scan. The fast path never consults the
 // write queue, the state lock, or the batch scheduler: a point read whose
 // key has a recorded version resolves from the in-memory chain alone. Only
 // chain misses — keys untouched since the snapshot opened, whose current
-// tree value IS the snapshot value — take the ordinary scheduled read path,
-// since they may do device IO.
-func (s *Server) serveSnapRead(cs *connState, req request) []byte {
+// tree value IS the snapshot value — and scans, whose tree merge reads the
+// structure, take the scheduled read path, since they may do device IO. They
+// never wait on the write queue: the snapshot's visibility does not depend
+// on in-flight commits.
+func (s *Server) serveSnapRead(cs *connState, req request) reply {
 	sn, ok := cs.snaps[req.snapID]
 	if !ok {
-		s.metrics.snapExpired.Add(1)
-		return encodeStatus(StatusSnapExpired, fmt.Sprintf("unknown snapshot id %d", req.snapID))
+		return failure(StatusSnapExpired, fmt.Sprintf("unknown snapshot id %d", req.snapID))
 	}
 	if req.op == OpSnapGet {
 		value, present, hit, err := sn.TryGet(req.key)
 		if err != nil {
-			s.metrics.snapExpired.Add(1)
-			return encodeStatus(StatusSnapExpired, err.Error())
+			return failure(StatusSnapExpired, err.Error())
 		}
 		if hit {
 			s.metrics.snapChainHits.Add(1)
@@ -594,114 +591,38 @@ func (s *Server) serveSnapRead(cs *connState, req request) []byte {
 			sp.MVCCResolve(true, cs.client.Now())
 			cs.client.FinishSpan(sp)
 			if !present {
-				s.metrics.notFound.Add(1)
-				return encodeStatus(StatusNotFound, "")
+				return reply{status: StatusNotFound}
 			}
-			var e kv.Enc
-			e.U8(uint8(StatusOK))
-			e.Bytes(value)
-			return e.Buf
+			return reply{status: StatusOK, value: value}
 		}
 	}
-	// Chain miss (or a scan, whose tree merge reads the structure): the read
-	// may touch the device, so it joins a batch like any other read — but
-	// never the write queue; the snapshot's visibility does not depend on
-	// in-flight commits.
-	affinity := req.key
-	if req.op == OpSnapScan {
-		affinity = req.lo
-	}
-	b, ok := s.readSched.admit(s.readSched.laneOf(affinity))
-	if !ok {
-		s.metrics.busy.Add(1)
-		return encodeStatus(StatusBusy, "read queue full")
-	}
-	<-b.launched
-	cs.client.AlignTo(b.start)
-	sp := cs.client.StartSpanLinked(req.op.String(), obsTC(req.tc))
-	sp.MVCCResolve(false, cs.client.Now())
-
-	s.stateMu.RLock()
-	var reply []byte
-	switch req.op {
-	case OpSnapGet:
-		v, found, err := sn.Get(cs.session, req.key)
-		switch {
-		case err != nil:
-			s.metrics.snapExpired.Add(1)
-			reply = encodeStatus(StatusSnapExpired, err.Error())
-		case found:
-			var e kv.Enc
-			e.U8(uint8(StatusOK))
-			e.Bytes(v)
-			reply = e.Buf
-		default:
-			s.metrics.notFound.Add(1)
-			reply = encodeStatus(StatusNotFound, "")
-		}
-	case OpSnapScan:
-		// Empty bounds decode as non-nil empty slices; the trees read a
-		// non-nil hi as a real bound, so normalize like the plain scan path.
-		var lo, hi []byte
-		if len(req.lo) > 0 {
-			lo = req.lo
-		}
-		if len(req.hi) > 0 {
-			hi = req.hi
-		}
-		var entries []kv.Entry
-		err := sn.Scan(cs.session, lo, hi, func(k, v []byte) bool {
-			entries = append(entries, kv.Entry{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-			return len(entries) < req.limit
-		})
-		if err != nil {
-			s.metrics.snapExpired.Add(1)
-			reply = encodeStatus(StatusSnapExpired, err.Error())
-		} else {
-			var e kv.Enc
-			e.U8(uint8(StatusOK))
-			e.U32(uint32(len(entries)))
-			for _, ent := range entries {
-				e.Entry(ent)
-			}
-			reply = e.Buf
-		}
-	}
-	s.stateMu.RUnlock()
-	cs.client.FinishSpan(sp)
-	cs.lastSpan = sp
-	s.readSched.done(b, cs.client.Now())
-	return reply
+	return s.scheduledRead(cs, req, sn)
 }
 
 // serveSnapRelease retires one snapshot (idempotent per id).
-func (s *Server) serveSnapRelease(cs *connState, req request) []byte {
+func (s *Server) serveSnapRelease(cs *connState, req request) reply {
 	sn, ok := cs.snaps[req.snapID]
 	if !ok {
-		s.metrics.snapExpired.Add(1)
-		return encodeStatus(StatusSnapExpired, fmt.Sprintf("unknown snapshot id %d", req.snapID))
+		return failure(StatusSnapExpired, fmt.Sprintf("unknown snapshot id %d", req.snapID))
 	}
 	sn.Release()
 	delete(cs.snaps, req.snapID)
-	return encodeStatus(StatusOK, "")
+	return reply{status: StatusOK}
 }
 
-// serveRead runs a Get/Scan through the batch scheduler: join a batch on
-// the key's lane (or be shed), start at the batch's common virtual instant,
-// read under the state read-lock, report completion.
-func (s *Server) serveRead(cs *connState, req request) []byte {
-	client, session := cs.client, cs.session
+// scheduledRead runs a Get/Scan — as of sn's pinned LSN when sn is non-nil —
+// through the batch scheduler: join a batch on the key's lane (or be shed),
+// start at the batch's common virtual instant, read under the state
+// read-lock, report completion.
+func (s *Server) scheduledRead(cs *connState, req request, sn *engine.Snap) reply {
+	client := cs.client
 	affinity := req.key
-	if req.op == OpScan {
+	if req.op == OpScan || req.op == OpSnapScan {
 		affinity = req.lo
 	}
 	b, ok := s.readSched.admit(s.readSched.laneOf(affinity))
 	if !ok {
-		s.metrics.busy.Add(1)
-		return encodeStatus(StatusBusy, "read queue full")
+		return failure(StatusBusy, "read queue full")
 	}
 	<-b.launched
 	client.AlignTo(b.start)
@@ -711,58 +632,78 @@ func (s *Server) serveRead(cs *connState, req request) []byte {
 	// carried trace context links the span under the client's trace and
 	// bypasses sampling; a zero context is the ordinary sampled StartSpan.
 	sp := client.StartSpanLinked(req.op.String(), obsTC(req.tc))
-
-	s.stateMu.RLock()
-	var reply []byte
-	switch req.op {
-	case OpGet:
-		v, found := session.Get(req.key)
-		if found {
-			var e kv.Enc
-			e.U8(uint8(StatusOK))
-			e.Bytes(v)
-			reply = e.Buf
-		} else {
-			s.metrics.notFound.Add(1)
-			reply = encodeStatus(StatusNotFound, "")
-		}
-	case OpScan:
-		var lo, hi []byte
-		if len(req.lo) > 0 {
-			lo = req.lo
-		}
-		if len(req.hi) > 0 {
-			hi = req.hi
-		}
-		var entries []kv.Entry
-		session.Scan(lo, hi, func(k, v []byte) bool {
-			entries = append(entries, kv.Entry{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-			return len(entries) < req.limit
-		})
-		var e kv.Enc
-		e.U8(uint8(StatusOK))
-		e.U32(uint32(len(entries)))
-		for _, ent := range entries {
-			e.Entry(ent)
-		}
-		reply = e.Buf
+	if sn != nil {
+		sp.MVCCResolve(false, client.Now())
 	}
+	s.stateMu.RLock()
+	rep := readThrough(cs.session, sn, req)
 	s.stateMu.RUnlock()
 	client.FinishSpan(sp)
 	cs.lastSpan = sp
 	s.readSched.done(b, client.Now())
-	return reply
+	return rep
+}
+
+// readThrough answers a Get or Scan from the session, as of sn's pinned LSN
+// when sn is non-nil (a snapshot read fails only by expiring).
+func readThrough(session engine.Dictionary, sn *engine.Snap, req request) reply {
+	rep := reply{status: StatusOK}
+	var err error
+	switch req.op {
+	case OpGet, OpSnapGet:
+		var found bool
+		if sn != nil {
+			rep.value, found, err = sn.Get(session, req.key)
+		} else {
+			rep.value, found = session.Get(req.key)
+		}
+		if !found {
+			rep.status = StatusNotFound
+		}
+	case OpScan, OpSnapScan:
+		rep.entries, err = collectScan(session, sn, req)
+	}
+	if err != nil {
+		return failure(StatusSnapExpired, err.Error())
+	}
+	return rep
+}
+
+// collectScan is the one scan collector: up to req.limit entries of
+// [req.lo, req.hi), copied out of the scan callback (which must not retain
+// what it is handed).
+func collectScan(session engine.Dictionary, sn *engine.Snap, req request) ([]kv.Entry, error) {
+	// Empty bounds decode as non-nil empty slices; the trees read a non-nil
+	// hi as a real bound, so normalize them to nil.
+	var lo, hi []byte
+	if len(req.lo) > 0 {
+		lo = req.lo
+	}
+	if len(req.hi) > 0 {
+		hi = req.hi
+	}
+	var entries []kv.Entry
+	collect := func(k, v []byte) bool {
+		entries = append(entries, kv.Entry{
+			Key:   append([]byte(nil), k...),
+			Value: append([]byte(nil), v...),
+		})
+		return len(entries) < req.limit
+	}
+	var err error
+	if sn != nil {
+		err = sn.Scan(session, lo, hi, collect)
+	} else {
+		session.Scan(lo, hi, collect)
+	}
+	return entries, err
 }
 
 // serveWrite enqueues the mutation for the writer's next group commit and
 // waits for the batch's WAL flush before acknowledging.
-func (s *Server) serveWrite(cs *connState, req request) []byte {
+func (s *Server) serveWrite(cs *connState, req request) reply {
 	if s.Role() == RoleReplica {
-		s.metrics.notPrimary.Add(1)
-		return encodeStatus(StatusNotPrimary, "replica: writes go to the shard primary")
+		return failure(StatusNotPrimary, "replica: writes go to the shard primary")
 	}
 	// The server-side span for this write: linked under the client's carried
 	// trace when one arrived. Its own context rides the writeReq so the
@@ -783,8 +724,7 @@ func (s *Server) serveWrite(cs *connState, req request) []byte {
 	default:
 		cs.client.FinishSpan(sp)
 		cs.lastSpan = sp
-		s.metrics.busy.Add(1)
-		return encodeStatus(StatusBusy, "write queue full")
+		return failure(StatusBusy, "write queue full")
 	}
 	res := <-cs.writeDone
 	cs.client.FinishSpan(sp)
@@ -792,29 +732,7 @@ func (s *Server) serveWrite(cs *connState, req request) []byte {
 	if res.err != nil {
 		// Durability degraded (sticky WAL error): the mutation applied but
 		// is not durable — surface that instead of a silent OK.
-		return encodeStatus(StatusErr, fmt.Sprintf("durability: %v", res.err))
+		return failure(StatusErr, fmt.Sprintf("durability: %v", res.err))
 	}
-	if req.op == OpDelete {
-		var e kv.Enc
-		e.U8(uint8(StatusOK))
-		if res.accepted {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
-		return e.Buf
-	}
-	return encodeStatus(StatusOK, "")
-}
-
-// serveStats renders the JSON snapshot into an OK reply.
-func (s *Server) serveStats() []byte {
-	js, err := statsJSON(s)
-	if err != nil {
-		return encodeStatus(StatusErr, err.Error())
-	}
-	var e kv.Enc
-	e.U8(uint8(StatusOK))
-	e.Bytes(js)
-	return e.Buf
+	return reply{status: StatusOK, accepted: res.accepted}
 }

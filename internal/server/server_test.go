@@ -270,7 +270,7 @@ func TestServerGroupCommit(t *testing.T) {
 			defer done.Done()
 			release.Wait()
 			cs := &connState{client: s.backend.Eng.SharedClient(s.backend.Clock)}
-			reply := s.serveWrite(cs, request{op: OpPut, key: tkey(i), value: tval(i)})
+			reply := s.serveRequest(cs, encodeRequest(request{op: OpPut, key: tkey(i), value: tval(i)}))
 			if st := Status(reply[0]); st != StatusOK {
 				t.Errorf("writer %d: status %v", i, st)
 			}
@@ -314,7 +314,7 @@ func TestServerBusyWrite(t *testing.T) {
 		go func(i int) {
 			cs := &connState{client: s.backend.Eng.SharedClient(s.backend.Clock)}
 			for {
-				reply := s.serveWrite(cs, request{op: OpPut, key: tkey(i), value: tval(i)})
+				reply := s.serveRequest(cs, encodeRequest(request{op: OpPut, key: tkey(i), value: tval(i)}))
 				if st := Status(reply[0]); st != StatusBusy {
 					replies <- st
 					return
@@ -342,7 +342,7 @@ func TestServerBusyWrite(t *testing.T) {
 		}
 	}
 	extraCS := &connState{client: s.backend.Eng.SharedClient(s.backend.Clock)}
-	reply := s.serveWrite(extraCS, request{op: OpPut, key: []byte("extra"), value: []byte("x")})
+	reply := s.serveRequest(extraCS, encodeRequest(request{op: OpPut, key: []byte("extra"), value: []byte("x")}))
 	if st := Status(reply[0]); st != StatusBusy {
 		s.stateMu.Unlock()
 		t.Fatalf("over-capacity write got %v, want busy", st)
@@ -353,8 +353,8 @@ func TestServerBusyWrite(t *testing.T) {
 			t.Fatalf("wedged write %d finished %v", i, st)
 		}
 	}
-	if want := retries.Load() + 1; s.metrics.busy.Load() != want {
-		t.Fatalf("busy counter = %d, want %d", s.metrics.busy.Load(), want)
+	if got, want := s.metrics.replies[StatusBusy].Load(), retries.Load()+1; got != want {
+		t.Fatalf("busy counter = %d, want %d", got, want)
 	}
 }
 

@@ -188,3 +188,27 @@ func (h *LatencyHist) Snapshot() LatencySnapshot {
 		Max:   atomic.LoadInt64(&h.max),
 	}
 }
+
+// LatencyMicros is a LatencySnapshot of nanosecond samples rendered in
+// microseconds: the one JSON shape of a latency summary (/stats' per-op and
+// gate-wait entries, loadgen's -bench-json).
+type LatencyMicros struct {
+	Count  int64   `json:"count"`
+	MeanUs float64 `json:"mean_us"`
+	P50Us  float64 `json:"p50_us"`
+	P95Us  float64 `json:"p95_us"`
+	P99Us  float64 `json:"p99_us"`
+	MaxUs  float64 `json:"max_us"`
+}
+
+// Micros converts a snapshot of nanosecond samples to microseconds.
+func (s LatencySnapshot) Micros() LatencyMicros {
+	return LatencyMicros{
+		Count:  s.Count,
+		MeanUs: s.Mean / 1e3,
+		P50Us:  float64(s.P50) / 1e3,
+		P95Us:  float64(s.P95) / 1e3,
+		P99Us:  float64(s.P99) / 1e3,
+		MaxUs:  float64(s.Max) / 1e3,
+	}
+}
