@@ -10,12 +10,19 @@
 #              order, no blocking under an exclusive lock, goroutine exit
 #              signals, typed protocol-error handling
 #   go build   everything compiles, including cmd/ and examples/
-#   go test    tier-1 correctness
+#   go test    tier-1 correctness, then the two packages whose tests drive
+#              real goroutines over TCP onto the virtual timeline — the
+#              server, and the serving experiments E20-E24 — three times at
+#              GOMAXPROCS 1 and 2: their virtual columns must not depend on
+#              how the host schedules them
 #   one-of     grep gate: the duplicates internal/node, storage.Topology,
-#              the reply codec, cluster.ParseTopology and engine.Session
-#              removed (hand-written boots, anonymous device-hint assertions,
-#              hand-built replies, per-tool -cluster splitters, per-tree
-#              Session types) stay removed
+#              the reply codec, cluster.ParseTopology, engine.Session, the
+#              pager's latch wait, the experiments' serving harness and
+#              lintutil.FuncPattern removed (hand-written boots, anonymous
+#              device-hint assertions, hand-built replies, per-tool -cluster
+#              splitters, per-tree Session types, per-method busy-retry
+#              loops and a fourth ioCtx type, per-experiment client loops,
+#              per-analyzer pattern parsers) stay removed
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -62,6 +69,13 @@ go run ./cmd/iolint ./...
 go build ./...
 go test ./...
 
+# Host-scheduling independence: a server connection is a real goroutine on a
+# virtual timeline, so the tests that count device steps through one run
+# repeatedly, on one core and on two. (A latch wait that charged virtual time
+# per runtime.Gosched pass made one run in ten of these red; see DESIGN.md §5.)
+go test -count=3 -cpu=1,2 ./internal/server
+go test -count=3 -cpu=1,2 -run 'TestE2[0-4]' ./internal/experiments
+
 # One of each: internal/node is the only place a server is assembled, and
 # storage.Topology the only way a device states its shape. A new boot path or
 # a new anonymous hint assertion is a second copy growing back; fail on it.
@@ -95,6 +109,34 @@ fi
 dups=$(grep -rn --include='*.go' 'func (s \*Session)' ./internal/btree ./internal/betree ./internal/lsm ./internal/cobtree || true)
 if [ -n "$dups" ]; then
 	echo "a tree grew its own Session methods (engine.Session is the one; implement engine.SessionReader):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# The pager waits for a latch in one place (shard.lockUnlatched), where the
+# rule "a host-scheduled waiter charges no virtual time" lives once; a client
+# keeps time in one of two ways (cooperative sim, host-scheduled), with no
+# private third; the serving experiments dial from one driver; and the
+# analyzers' entry-point patterns parse in lintutil.
+n=$(grep -c 'c\.wait()' internal/engine/pager.go || true)
+if [ "$n" -ne 1 ]; then
+	echo "internal/engine/pager.go calls c.wait() $n times (wait for a latch through shard.lockUnlatched)" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' 'detachedCtx' . | grep -v '^./vendor/' || true)
+if [ -n "$dups" ]; then
+	echo "detachedCtx is back (Engine.Detached is a shared-clock client on a private clock):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+n=$(grep -l 'server\.Dial(' internal/experiments/*.go | grep -vc '_test\.go$' || true)
+if [ "$n" -ne 1 ]; then
+	echo "server.Dial( in $n non-test files of internal/experiments (drive clients through conns.run in harness.go)" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' 'type watched' ./internal/analysis | grep -v -e '/lintutil/' -e '/testdata/' || true)
+if [ -n "$dups" ]; then
+	echo "an analyzer declares its own pattern type (use lintutil.FuncPattern):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

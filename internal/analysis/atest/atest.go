@@ -65,17 +65,6 @@ func RunExpectClean(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...
 	}
 }
 
-// TestData returns the absolute path of the calling test's testdata
-// directory.
-func TestData(t *testing.T) string {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(wd, "testdata")
-}
-
 func runOne(t *testing.T, l *loader, a *analysis.Analyzer, path string) {
 	t.Helper()
 	pi, err := l.load(path)

@@ -94,58 +94,6 @@ func init() {
 		"comma-separated pkg.Type.Method or pkg.Func blocking IO entry points")
 }
 
-// watched mirrors walerr's entry-point patterns.
-type watched struct {
-	pkg  string
-	recv string
-	name string
-}
-
-func parseFuncs(s string) []watched {
-	var ws []watched
-	for _, ent := range strings.Split(s, ",") {
-		ent = strings.TrimSpace(ent)
-		if ent == "" {
-			continue
-		}
-		slash := strings.LastIndexByte(ent, '/')
-		head, tail := "", ent
-		if slash >= 0 {
-			head, tail = ent[:slash+1], ent[slash+1:]
-		}
-		parts := strings.Split(tail, ".")
-		switch len(parts) {
-		case 2:
-			ws = append(ws, watched{pkg: head + parts[0], name: parts[1]})
-		case 3:
-			ws = append(ws, watched{pkg: head + parts[0], recv: parts[1], name: parts[2]})
-		}
-	}
-	return ws
-}
-
-func (w watched) matches(fn *types.Func) bool {
-	if fn.Name() != w.name || fn.Pkg() == nil || !lintutil.PkgMatch(w.pkg, fn.Pkg().Path()) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if w.recv == "" {
-		return sig.Recv() == nil
-	}
-	if sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	return ok && named.Obj().Name() == w.recv
-}
-
 // stdlib blocking entry points, by package: method names (on any receiver
 // in the package) and package-level function names.
 var stdBlocking = map[string]struct{ methods, funcs string }{
@@ -175,14 +123,8 @@ func stdBlockingCall(fn *types.Func) bool {
 
 // shortName renders a callee for diagnostics: Type.Method or pkg.Func.
 func shortName(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		rt := sig.Recv().Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok {
-			return named.Obj().Name() + "." + fn.Name()
-		}
+	if named := lintutil.RecvNamed(fn); named != nil {
+		return named.Obj().Name() + "." + fn.Name()
 	}
 	if fn.Pkg() != nil {
 		return fn.Pkg().Name() + "." + fn.Name()
@@ -234,7 +176,7 @@ func collectSelects(info *types.Info, body ast.Node) selectMaps {
 
 type checker struct {
 	pass *analysis.Pass
-	ws   []watched
+	ws   []lintutil.FuncPattern
 	// blocksOf resolves a callee's summary, local or imported.
 	blocksOf func(*types.Func) (string, bool)
 }
@@ -268,7 +210,7 @@ func (c *checker) classify(n ast.Node, sel selectMaps) (string, bool) {
 			return "", false // nested locking is lockorder's domain
 		}
 		for _, w := range c.ws {
-			if w.matches(fn) {
+			if w.Matches(fn) {
 				return "call to " + shortName(fn) + " (device/durable IO)", true
 			}
 		}
@@ -286,7 +228,7 @@ func (c *checker) classify(n ast.Node, sel selectMaps) (string, bool) {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	c := &checker{pass: pass, ws: parseFuncs(funcsFlag)}
+	c := &checker{pass: pass, ws: lintutil.ParseFuncPatterns(funcsFlag)}
 
 	summaries := c.summarize(ins)
 	c.blocksOf = func(fn *types.Func) (string, bool) {

@@ -227,16 +227,8 @@ func externalRef(pass *analysis.Pass, expr ast.Node, body *ast.BlockStmt) bool {
 }
 
 func recvIsWaitGroup(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
+	named := lintutil.RecvNamed(fn)
+	return named != nil && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
 }
 

@@ -1,6 +1,7 @@
 // Package lintutil holds the small amount of machinery shared by the iolint
-// analyzers: import-path scope matching, `//lint:` directive comments, and
-// callee resolution. Every analyzer in internal/analysis is configured with
+// analyzers: import-path scope matching, `//lint:` directive comments,
+// callee and receiver resolution, and the entry-point patterns their flags
+// are written in. Every analyzer in internal/analysis is configured with
 // comma-separated scope lists so the invariants stay data, not code; the
 // defaults encode this repo's layering and the flags let analyzer tests (and
 // future packages) rescope without edits.
@@ -78,9 +79,6 @@ func (sc Scope) ContainsPkg(pkgPath string) bool {
 	return false
 }
 
-// Empty reports whether the scope has no entries.
-func (sc Scope) Empty() bool { return len(sc.entries) == 0 }
-
 // FileBase returns the base name of the file containing pos.
 func FileBase(fset *token.FileSet, pos token.Pos) string {
 	name := fset.Position(pos).Filename
@@ -149,6 +147,67 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
+}
+
+// Named returns the named type behind t, looking through one pointer, or
+// nil when there is none.
+func Named(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// RecvNamed returns the named type of fn's receiver, behind an optional
+// pointer; nil for a package-level function.
+func RecvNamed(fn *types.Func) *types.Named {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		return Named(recv.Type())
+	}
+	return nil
+}
+
+// FuncPattern is one entry of an analyzer's configured entry points:
+// pkg.Func or pkg.Type.Method. Pkg is a package pattern (see PkgMatch) and
+// may itself contain '/'. An analyzer that watches whole types writes
+// pkg.Type, which parses as a Func pattern whose Name is the type.
+type FuncPattern struct {
+	Pkg  string
+	Recv string // receiver type name; empty for package-level funcs
+	Name string
+}
+
+// ParseFuncPatterns parses a comma-separated pattern list. The receiver and
+// name are the last one or two dot-separated fields after the final slash;
+// entries of any other shape are dropped.
+func ParseFuncPatterns(s string) []FuncPattern {
+	var ps []FuncPattern
+	for _, ent := range strings.Split(s, ",") {
+		ent = strings.TrimSpace(ent)
+		slash := strings.LastIndexByte(ent, '/') + 1
+		parts := strings.Split(ent[slash:], ".")
+		pkg := ent[:slash] + parts[0]
+		switch len(parts) {
+		case 2:
+			ps = append(ps, FuncPattern{Pkg: pkg, Name: parts[1]})
+		case 3:
+			ps = append(ps, FuncPattern{Pkg: pkg, Recv: parts[1], Name: parts[2]})
+		}
+	}
+	return ps
+}
+
+// Matches reports whether fn is the function or method p names.
+func (p FuncPattern) Matches(fn *types.Func) bool {
+	if fn.Name() != p.Name || fn.Pkg() == nil || !PkgMatch(p.Pkg, fn.Pkg().Path()) {
+		return false
+	}
+	if p.Recv == "" {
+		return fn.Type().(*types.Signature).Recv() == nil
+	}
+	named := RecvNamed(fn)
+	return named != nil && named.Obj().Name() == p.Recv
 }
 
 // IsBuiltin reports whether call invokes the named builtin (e.g. "panic").

@@ -57,16 +57,8 @@ func MutexOp(info *types.Info, call *ast.CallExpr) (*types.Var, MutexOpKind, boo
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return nil, 0, false
 	}
-	sig, okSig := fn.Type().(*types.Signature)
-	if !okSig || sig.Recv() == nil {
-		return nil, 0, false
-	}
-	rt := sig.Recv().Type()
-	if p, okPtr := rt.(*types.Pointer); okPtr {
-		rt = p.Elem()
-	}
-	named, okNamed := rt.(*types.Named)
-	if !okNamed {
+	named := RecvNamed(fn)
+	if named == nil {
 		return nil, 0, false
 	}
 	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {

@@ -204,11 +204,8 @@ func directiveIn(name string, groups ...*ast.CommentGroup) (string, bool) {
 }
 
 func isMutex(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+	named := lintutil.Named(t)
+	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return false
 	}
 	n := named.Obj().Name()

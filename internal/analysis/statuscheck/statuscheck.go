@@ -25,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -58,34 +57,8 @@ func init() {
 		"comma-separated pkg.Type wire-client types whose method errors carry the protocol contract")
 }
 
-type watchedType struct {
-	pkg  string
-	name string
-}
-
-func parseTypes(s string) []watchedType {
-	var ws []watchedType
-	for _, ent := range strings.Split(s, ",") {
-		ent = strings.TrimSpace(ent)
-		if ent == "" {
-			continue
-		}
-		slash := strings.LastIndexByte(ent, '/')
-		head, tail := "", ent
-		if slash >= 0 {
-			head, tail = ent[:slash+1], ent[slash+1:]
-		}
-		dot := strings.LastIndexByte(tail, '.')
-		if dot < 0 {
-			continue
-		}
-		ws = append(ws, watchedType{pkg: head + tail[:dot], name: tail[dot+1:]})
-	}
-	return ws
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	ws := parseTypes(typesFlag)
+	ws := lintutil.ParseFuncPatterns(typesFlag) // pkg.Type entries: Name is the type
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	info := pass.TypesInfo
 
@@ -118,16 +91,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !types.Identical(last, types.Universe.Lookup("error").Type()) {
 			return nil
 		}
-		rt := sig.Recv().Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		named, ok := rt.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil {
+		named := lintutil.RecvNamed(fn)
+		if named == nil || named.Obj().Pkg() == nil {
 			return nil
 		}
 		for _, w := range ws {
-			if named.Obj().Name() == w.name && lintutil.PkgMatch(w.pkg, named.Obj().Pkg().Path()) {
+			if named.Obj().Name() == w.Name && lintutil.PkgMatch(w.Pkg, named.Obj().Pkg().Path()) {
 				return fn
 			}
 		}
@@ -227,12 +196,7 @@ func isErrorError(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func recvName(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	if named, ok := rt.(*types.Named); ok {
+	if named := lintutil.RecvNamed(fn); named != nil {
 		return named.Obj().Name()
 	}
 	return "client"

@@ -13,7 +13,6 @@ package walerr
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -54,63 +53,8 @@ func init() {
 		"comma-separated pkg.Type.Method or pkg.Func durability entry points")
 }
 
-// watched describes one configured entry point.
-type watched struct {
-	pkg  string // package pattern (suffix at / boundary)
-	recv string // receiver type name; empty for package-level funcs
-	name string
-}
-
-func parseFuncs(s string) []watched {
-	var ws []watched
-	for _, ent := range strings.Split(s, ",") {
-		ent = strings.TrimSpace(ent)
-		if ent == "" {
-			continue
-		}
-		// The package pattern may itself contain '/'; the receiver and
-		// method are the last one or two dot-separated fields after the
-		// final slash.
-		slash := strings.LastIndexByte(ent, '/')
-		head, tail := "", ent
-		if slash >= 0 {
-			head, tail = ent[:slash+1], ent[slash+1:]
-		}
-		parts := strings.Split(tail, ".")
-		switch len(parts) {
-		case 2: // pkg.Func
-			ws = append(ws, watched{pkg: head + parts[0], name: parts[1]})
-		case 3: // pkg.Type.Method
-			ws = append(ws, watched{pkg: head + parts[0], recv: parts[1], name: parts[2]})
-		}
-	}
-	return ws
-}
-
-func (w watched) matches(fn *types.Func) bool {
-	if fn.Name() != w.name || fn.Pkg() == nil || !lintutil.PkgMatch(w.pkg, fn.Pkg().Path()) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if w.recv == "" {
-		return sig.Recv() == nil
-	}
-	if sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	return ok && named.Obj().Name() == w.recv
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	ws := parseFuncs(funcsFlag)
+	ws := lintutil.ParseFuncPatterns(funcsFlag)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	match := func(call *ast.CallExpr) *types.Func {
@@ -119,7 +63,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return nil
 		}
 		for _, w := range ws {
-			if w.matches(fn) {
+			if w.Matches(fn) {
 				return fn
 			}
 		}

@@ -123,13 +123,12 @@ func (e *Engine) Process(pr *sim.Proc) *Client {
 	return &Client{eng: e, ctx: procCtx{pr}, id: e.clientIDs.Add(1)}
 }
 
-// Detached returns a client with a private time cursor that never touches
-// the sim engine. It exists for host-parallel stress tests (many real
-// goroutines hammering the pager under -race); virtual times measured
-// through it are per-client, not globally ordered.
-func (e *Engine) Detached() *Client {
-	return &Client{eng: e, ctx: &detachedCtx{}, id: e.clientIDs.Add(1)}
-}
+// Detached returns a shared-clock client on a clock of its own, so its time
+// cursor never touches the sim engine or anyone else's mark. It exists for
+// host-parallel stress tests (many real goroutines hammering the pager under
+// -race); virtual times measured through it are per-client, not globally
+// ordered.
+func (e *Engine) Detached() *Client { return e.SharedClient(NewSharedClock()) }
 
 // Alloc reserves an extent of the given size (safe for concurrent use).
 func (e *Engine) Alloc(size int64) int64 {
@@ -177,7 +176,12 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer.Store(t) }
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer.Load() }
 
 // ioCtx is a client's notion of time: where IOs are issued from and how the
-// client waits for their completion.
+// client waits for their completion. There are two kinds. The cooperative
+// contexts (clockCtx, procCtx) run on the sim engine, which alone decides who
+// runs next, so everything they do is a function of virtual time. A
+// sharedCtx (serve.go) belongs to a real goroutine the host kernel
+// schedules; its cursor must move only by device work, never by how often
+// or how late the host ran it.
 type ioCtx interface {
 	Now() sim.Time
 	WaitUntil(t sim.Time)
@@ -194,18 +198,6 @@ type procCtx struct{ pr *sim.Proc }
 
 func (c procCtx) Now() sim.Time        { return c.pr.Now() }
 func (c procCtx) WaitUntil(t sim.Time) { c.pr.SleepUntil(t) }
-
-// detachedCtx keeps a goroutine-local cursor; WaitUntil yields the OS
-// thread so host-parallel tests interleave.
-type detachedCtx struct{ now sim.Time }
-
-func (c *detachedCtx) Now() sim.Time { return c.now }
-func (c *detachedCtx) WaitUntil(t sim.Time) {
-	if t > c.now {
-		c.now = t
-	}
-	runtime.Gosched()
-}
 
 // Client is one simulated actor's handle onto the engine: it issues IOs at
 // its own current instant, waits out their completion in its own timeline,
@@ -360,13 +352,30 @@ func (c *Client) Counters() storage.Counters { return c.counters }
 // ResetCounters zeroes this client's IO statistics.
 func (c *Client) ResetCounters() { c.counters = storage.Counters{} }
 
-// latchPoll is how long a client waits between checks of a page another
-// client is loading or writing back. In a cooperative simulation a client
-// cannot block on a Go synchronization primitive (the engine would deadlock
-// waiting for it to yield), so latch waits are short virtual-time sleeps.
+// latchPoll is how long a cooperative client waits between checks of a page
+// another client is loading or writing back. In a cooperative simulation a
+// client cannot block on a Go synchronization primitive (the engine would
+// deadlock waiting for it to yield), so latch waits are short virtual-time
+// sleeps.
 const latchPoll = 20 * sim.Microsecond
 
-// wait sleeps the client one latch-poll quantum in its own timeline.
+// hostScheduled reports whether the host kernel, not the sim engine, decides
+// when this client runs: true exactly for shared-clock clients.
+func (c *Client) hostScheduled() bool {
+	_, ok := c.ctx.(*sharedCtx)
+	return ok
+}
+
+// wait is one pass of a latch wait (see shard.lockUnlatched). A cooperative
+// client sleeps one latchPoll quantum in its own timeline: the sim engine
+// runs the latch holder meanwhile, so the number of passes is a function of
+// virtual time. A host-scheduled client only yields the OS thread: how many
+// passes it makes before the holder gets CPU is the host's decision, and a
+// loop whose trip count the host decides must not charge virtual time.
 func (c *Client) wait() {
+	if c.hostScheduled() {
+		runtime.Gosched()
+		return
+	}
 	c.ctx.WaitUntil(c.ctx.Now() + latchPoll)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"iomodels/internal/obs"
+	"iomodels/internal/sim"
 )
 
 // PageID identifies a cached object. Trees use the object's disk offset,
@@ -78,8 +79,8 @@ func (s PagerStats) String() string {
 
 // item is one cached object. busy latches it during a load or an eviction:
 // while busy, only the latching client touches obj, and every other client
-// polls in virtual time. writing is the weaker write-back latch Flush uses:
-// the object is resident and immutable while its image streams out, so
+// waits in shard.lockUnlatched. writing is the weaker write-back latch Flush
+// uses: the object is resident and immutable while its image streams out, so
 // readers may still hit and pin it — snapshot and point reads are never
 // serialized behind the no-steal checkpoint's write-back (they effectively
 // read the pre-image frame the flusher is copying from). Neither latched
@@ -93,6 +94,7 @@ type item struct {
 	pins    int
 	busy    bool
 	writing bool
+	freeAt  sim.Time // the latch holder's virtual instant when busy/writing last cleared
 	loader  Loader
 	elem    *list.Element // position in LRU list; nil while pinned or latched
 }
@@ -231,6 +233,37 @@ func (p *Pager) Contains(id PageID) bool {
 	return ok
 }
 
+// lockUnlatched locks sh and returns id's item (nil when not resident) once
+// no other client holds its busy latch — nor, with writingToo, its write-back
+// latch. The caller unlocks. This is the pager's one latch wait, and the rule
+// it keeps differs by kind of client (see Client.wait): a cooperative client
+// polls in virtual time; a host-scheduled one yields without charging any and
+// then resumes at the instant the holder released the latch — where a waiter
+// woken by the holder would be — so its cursor does not depend on how long
+// the host kept the holder off-CPU.
+func (sh *shard) lockUnlatched(c *Client, id PageID, writingToo bool) *item {
+	var waited *item
+	for {
+		sh.mu.Lock()
+		it := sh.items[id]
+		if it != nil && (it.busy || writingToo && it.writing) {
+			waited = it
+			sh.mu.Unlock()
+			c.wait()
+			continue
+		}
+		if waited == nil || !c.hostScheduled() {
+			return it
+		}
+		// WaitUntil may yield: never with the shard lock held (a sim context
+		// would deadlock the engine), so drop it and look again.
+		at := waited.freeAt
+		waited = nil
+		sh.mu.Unlock()
+		c.ctx.WaitUntil(at)
+	}
+}
+
 // pin takes an item out of the LRU and holds it. Caller holds sh.mu and
 // has checked !it.busy.
 func (sh *shard) pin(it *item) {
@@ -247,44 +280,42 @@ func (sh *shard) pin(it *item) {
 // on id, Get waits (in the client's virtual timeline) for the latch.
 func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
 	sh := p.shard(id)
-	for {
-		sh.mu.Lock()
-		if it, ok := sh.items[id]; ok {
-			if it.busy {
-				sh.mu.Unlock()
-				c.wait()
-				continue
-			}
-			sh.stats.Hits++
-			sh.pin(it)
-			sh.mu.Unlock()
-			if c.span != nil {
-				c.span.CacheHit(c.ctx.Now())
-			}
-			p.evictToBudget(c, sh)
-			return it.obj
-		}
-		// Miss: latch a placeholder so concurrent getters wait rather than
-		// issuing a duplicate load, then do the IO outside the lock.
-		sh.stats.Misses++
-		it := &item{id: id, pins: 1, busy: true, loader: loader}
-		sh.items[id] = it
-		sh.mu.Unlock()
-
-		if c.span != nil {
-			c.span.CacheMiss(c.ctx.Now())
-		}
-		prev := c.pushLayer(obs.LayerPager)
-		obj, size := loader.Load(c, id)
-		c.popLayer(prev)
-
-		sh.mu.Lock()
-		it.obj, it.size = obj, size
-		it.busy = false
-		sh.used += size
-		sh.mu.Unlock()
+	if it := sh.lockUnlatched(c, id, false); it != nil {
+		sh.hit(c, it)
 		p.evictToBudget(c, sh)
-		return obj
+		return it.obj
+	}
+	// Miss: latch a placeholder so concurrent getters wait rather than
+	// issuing a duplicate load, then do the IO outside the lock.
+	sh.stats.Misses++
+	it := &item{id: id, pins: 1, busy: true, loader: loader}
+	sh.items[id] = it
+	sh.mu.Unlock()
+
+	if c.span != nil {
+		c.span.CacheMiss(c.ctx.Now())
+	}
+	prev := c.pushLayer(obs.LayerPager)
+	obj, size := loader.Load(c, id)
+	c.popLayer(prev)
+
+	sh.mu.Lock()
+	it.obj, it.size = obj, size
+	it.busy, it.freeAt = false, c.ctx.Now()
+	sh.used += size
+	sh.mu.Unlock()
+	p.evictToBudget(c, sh)
+	return obj
+}
+
+// hit counts and pins a resident, unlatched item for c and releases sh.mu,
+// which the caller holds.
+func (sh *shard) hit(c *Client, it *item) {
+	sh.stats.Hits++
+	sh.pin(it)
+	sh.mu.Unlock()
+	if c.span != nil {
+		c.span.CacheHit(c.ctx.Now())
 	}
 }
 
@@ -320,34 +351,20 @@ func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size i
 // produces exactly one Hits or Misses increment.
 func (p *Pager) PutClean(c *Client, loader Loader, id PageID, obj interface{}, size int64) interface{} {
 	sh := p.shard(id)
-	for {
-		sh.mu.Lock()
-		if it, ok := sh.items[id]; ok {
-			if it.busy {
-				sh.mu.Unlock()
-				c.wait()
-				continue
-			}
-			sh.stats.Hits++
-			sh.pin(it)
-			sh.mu.Unlock()
-			if c.span != nil {
-				c.span.CacheHit(c.ctx.Now())
-			}
-			p.evictToBudget(c, sh)
-			return it.obj
-		}
-		sh.stats.Misses++
-		it := &item{id: id, obj: obj, size: size, pins: 1, loader: loader}
-		sh.items[id] = it
-		sh.used += size
-		sh.mu.Unlock()
-		if c.span != nil {
-			c.span.CacheMiss(c.ctx.Now())
-		}
+	if it := sh.lockUnlatched(c, id, false); it != nil {
+		sh.hit(c, it)
 		p.evictToBudget(c, sh)
-		return obj
+		return it.obj
 	}
+	sh.stats.Misses++
+	sh.items[id] = &item{id: id, obj: obj, size: size, pins: 1, loader: loader}
+	sh.used += size
+	sh.mu.Unlock()
+	if c.span != nil {
+		c.span.CacheMiss(c.ctx.Now())
+	}
+	p.evictToBudget(c, sh)
+	return obj
 }
 
 // TryGet returns and pins the object for id if it is resident, without
@@ -361,26 +378,13 @@ func (p *Pager) PutClean(c *Client, loader Loader, id PageID, obj interface{}, s
 // ratio the experiments report).
 func (p *Pager) TryGet(c *Client, id PageID) (interface{}, bool) {
 	sh := p.shard(id)
-	for {
-		sh.mu.Lock()
-		it, ok := sh.items[id]
-		if !ok {
-			sh.mu.Unlock()
-			return nil, false
-		}
-		if it.busy {
-			sh.mu.Unlock()
-			c.wait()
-			continue
-		}
-		sh.stats.Hits++
-		sh.pin(it)
+	it := sh.lockUnlatched(c, id, false)
+	if it == nil {
 		sh.mu.Unlock()
-		if c.span != nil {
-			c.span.CacheHit(c.ctx.Now())
-		}
-		return it.obj, true
+		return nil, false
 	}
+	sh.hit(c, it)
+	return it.obj, true
 }
 
 // Pin increments id's pin count; the object must be resident.
@@ -468,26 +472,15 @@ func (p *Pager) Resize(c *Client, id PageID, newSize int64) {
 // Drop waits the latch out — the page is gone either way.
 func (p *Pager) Drop(c *Client, id PageID) {
 	sh := p.shard(id)
-	for {
-		sh.mu.Lock()
-		it, ok := sh.items[id]
-		if !ok {
-			sh.mu.Unlock()
-			return
-		}
-		if it.busy || it.writing {
-			sh.mu.Unlock()
-			c.wait()
-			continue
-		}
-		if it.pins > 0 {
-			sh.mu.Unlock()
-			panic(fmt.Sprintf("engine: Drop of pinned page %d", id))
-		}
-		sh.remove(it)
-		sh.mu.Unlock()
+	it := sh.lockUnlatched(c, id, true)
+	defer sh.mu.Unlock()
+	if it == nil {
 		return
 	}
+	if it.pins > 0 {
+		panic(fmt.Sprintf("engine: Drop of pinned page %d", id))
+	}
+	sh.remove(it)
 }
 
 // Flush writes back every dirty object (pinned or not) without evicting,
@@ -549,7 +542,7 @@ func (p *Pager) flushOne(c *Client, sh *shard, id PageID) {
 	sh.dirtyBytes -= victim.enc
 	victim.dirty = false
 	victim.enc = 0
-	victim.writing = false
+	victim.writing, victim.freeAt = false, c.ctx.Now()
 	if victim.pins == 0 {
 		victim.elem = sh.lru.PushFront(victim)
 	}
@@ -620,6 +613,7 @@ func (p *Pager) evictOne(c *Client, sh *shard) bool {
 	}
 
 	sh.mu.Lock()
+	it.freeAt = c.ctx.Now() // removal is what releases an eviction's latch
 	sh.remove(it)
 	sh.mu.Unlock()
 	return true

@@ -6,9 +6,9 @@
 // the whole simulation to be driven from one goroutine — a TCP server's
 // connection handlers are real goroutines woken by the network poller, so
 // they cannot be sim processes. A SharedClock bridges the gap: every serving
-// client keeps its own virtual cursor (like Detached) but all cursors
-// observe a common monotone high-water mark, and a scheduler can re-align a
-// client onto that mark (AlignTo) when it admits the client's next request.
+// client keeps its own virtual cursor but all cursors observe a common
+// monotone high-water mark, and a scheduler can re-align a client onto that
+// mark (AlignTo) when it admits the client's next request.
 // Virtual time measured through the shared clock is therefore globally
 // meaningful — "how many device time steps did this load consume" — even
 // though the goroutines themselves are scheduled by the host kernel.
@@ -52,9 +52,9 @@ func (sc *SharedClock) Observe(t sim.Time) {
 }
 
 // sharedCtx is a per-client virtual cursor that reports its completions to a
-// SharedClock. Like detachedCtx it yields the OS thread on waits so
-// host-parallel clients interleave; unlike it, the cursor can be re-aligned
-// onto the shared mark between requests (see Client.AlignTo).
+// SharedClock. It yields the OS thread on waits so host-parallel clients
+// interleave, and the cursor can be re-aligned onto the shared mark between
+// requests (see Client.AlignTo).
 type sharedCtx struct {
 	clock *SharedClock
 	now   sim.Time

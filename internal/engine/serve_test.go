@@ -8,6 +8,7 @@ package engine_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"iomodels/internal/btree"
 	"iomodels/internal/engine"
@@ -93,6 +94,76 @@ func TestAlignToPanicsOnOwner(t *testing.T) {
 		}
 	}()
 	e.Owner().AlignTo(sim.Millisecond)
+}
+
+// gateLoader loads a page with one real (virtual-time) block read and then
+// keeps holding the page's busy latch until the test closes release.
+type gateLoader struct {
+	loading chan struct{} // closed once Load holds the latch, its IO done
+	release chan struct{}
+}
+
+func (l *gateLoader) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
+	buf := make([]byte, 4<<10)
+	c.ReadAt(buf, int64(id))
+	close(l.loading)
+	<-l.release
+	return buf, int64(len(buf))
+}
+
+func (l *gateLoader) Store(*engine.Client, engine.PageID, interface{}) {}
+
+// TestSharedLatchWaitChargesNoVirtualTime: how long the host keeps a page's
+// loader off-CPU must not reach the timeline. A shared-clock client that
+// finds the page latched resumes at max(its own cursor, the instant the
+// loader released the latch), whether the loader held it for 1 ms or for
+// 50 ms of wall time. (A waiter that charged virtual time per poll — 20 µs
+// per runtime.Gosched pass — ended up hundreds of steps past the loader, by
+// an amount the host decided: the tier-1 flake of E20/E23.)
+func TestSharedLatchWaitChargesNoVirtualTime(t *testing.T) {
+	const step = 100 * sim.Microsecond
+	run := func(hold time.Duration, waiterAt sim.Time) (waiter, released sim.Time) {
+		dev := pdamdev.New(2, 4<<10, step)
+		e := engine.New(engine.Config{CacheBytes: 1 << 20}, dev.Storage(64<<20), sim.New())
+		sc := engine.NewSharedClock()
+		holder, w := e.SharedClient(sc), e.SharedClient(sc)
+		w.AlignTo(waiterAt)
+		l := &gateLoader{loading: make(chan struct{}), release: make(chan struct{})}
+		loaded, got := make(chan sim.Time, 1), make(chan sim.Time, 1)
+		go func() {
+			e.Pager().Get(holder, l, 0)
+			loaded <- holder.Now()
+		}()
+		<-l.loading
+		entered := make(chan struct{})
+		go func() {
+			close(entered)
+			e.Pager().Get(w, l, 0)
+			got <- w.Now()
+		}()
+		<-entered
+		time.Sleep(hold) // the waiter spins on the latch for this long
+		close(l.release)
+		return <-got, <-loaded
+	}
+	for _, waiterAt := range []sim.Time{0, 10 * step} { // behind and ahead of the loader
+		var cursors []sim.Time
+		for _, hold := range []time.Duration{time.Millisecond, 50 * time.Millisecond} {
+			waiter, released := run(hold, waiterAt)
+			if released != step {
+				t.Fatalf("loader released at %v, want one device step (%v)", released, step)
+			}
+			if want := max(waiterAt, released); waiter != want {
+				t.Errorf("waiter at %v, latch held %v: resumed at %v, want max(own cursor, release instant) = %v",
+					waiterAt, hold, waiter, want)
+			}
+			cursors = append(cursors, waiter)
+		}
+		if cursors[0] != cursors[1] {
+			t.Errorf("waiter at %v: cursor depends on how long the host held the latch: %v (1 ms) vs %v (50 ms)",
+				waiterAt, cursors[0], cursors[1])
+		}
+	}
 }
 
 // TestAdoptSharedClock: after adoption the owner (and so the trees and WAL

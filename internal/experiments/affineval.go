@@ -94,33 +94,27 @@ func Table2(cfg AffineConfig) ([]Table2Row, error) {
 
 // RenderTable2 formats Table 2 as in the paper.
 func RenderTable2(rows []Table2Row) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%s (%d)", r.Device, r.Year),
-			f3(r.S), f6(r.TPer4K), f4(r.Alpha), f4(r.R2),
-			f3(r.TrueS), f6(r.TrueT4K),
-		})
-	}
-	return RenderTable("Table 2: derived affine parameters (cf. paper: s 0.012-0.018, t 2.1e-5..4.1e-5, R² ≥ 0.9972)",
-		[]string{"Disk", "s (s)", "t (s/4K)", "α", "R²", "true s", "true t"}, cells)
+	return renderRows("Table 2: derived affine parameters (cf. paper: s 0.012-0.018, t 2.1e-5..4.1e-5, R² ≥ 0.9972)", rows, []column[Table2Row]{
+		{"Disk", Table2Row.label},
+		{"s (s)", func(r Table2Row) string { return f3(r.S) }},
+		{"t (s/4K)", func(r Table2Row) string { return f6(r.TPer4K) }},
+		{"α", func(r Table2Row) string { return f4(r.Alpha) }},
+		{"R²", func(r Table2Row) string { return f4(r.R2) }},
+		{"true s", func(r Table2Row) string { return f3(r.TrueS) }},
+		{"true t", func(r Table2Row) string { return f6(r.TrueT4K) }},
+	})
 }
+
+// label names a drive the way Table 2 does.
+func (r Table2Row) label() string { return fmt.Sprintf("%s (%d)", r.Device, r.Year) }
 
 // RenderTable2CSV emits the per-size series underlying Table 2.
 func RenderTable2CSV(rows []Table2Row) string {
-	headers := []string{"blocks_4k"}
+	cols := []column[int]{{"blocks_4k", func(i int) string { return fmt0(rows[0].sizes[i]) }}}
 	for _, r := range rows {
-		headers = append(headers, fmt.Sprintf("%s (%d)", r.Device, r.Year))
+		cols = append(cols, column[int]{r.label(), func(i int) string { return f6(r.means[i]) }})
 	}
-	var cells [][]string
-	for i := range rows[0].sizes {
-		row := []string{fmt.Sprintf("%.0f", rows[0].sizes[i])}
-		for _, r := range rows {
-			row = append(row, f6(r.means[i]))
-		}
-		cells = append(cells, row)
-	}
-	return RenderCSV(headers, cells)
+	return RenderCSV(grid(indices(len(rows[0].sizes)), cols))
 }
 
 // AffinePredictionRow quantifies E8 for one drive: the affine fit's maximum
@@ -162,10 +156,9 @@ func AffinePrediction(rows []Table2Row) []AffinePredictionRow {
 
 // RenderAffinePrediction formats E8.
 func RenderAffinePrediction(rows []AffinePredictionRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{r.Device, f2(r.AffineMaxErr * 100), f2(r.DAMMaxRatio)})
-	}
-	return RenderTable("E8: prediction error on the IO-size sweep (paper: affine ≤25%; DAM off by up to 2x)",
-		[]string{"Disk", "affine max err (%)", "DAM max ratio (x)"}, cells)
+	return renderRows("E8: prediction error on the IO-size sweep (paper: affine ≤25%; DAM off by up to 2x)", rows, []column[AffinePredictionRow]{
+		{"Disk", func(r AffinePredictionRow) string { return r.Device }},
+		{"affine max err (%)", func(r AffinePredictionRow) string { return f2(r.AffineMaxErr * 100) }},
+		{"DAM max ratio (x)", func(r AffinePredictionRow) string { return f2(r.DAMMaxRatio) }},
+	})
 }

@@ -144,10 +144,10 @@ func agingScan(clk *sim.Engine, cfg AgingConfig, d agingDict) float64 {
 
 // RenderAging formats E16.
 func RenderAging(rows []AgingRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{r.Structure, f2(r.FreshUsItem), f2(r.AgedUsItem), f2(r.AgingPenalty)})
-	}
-	return RenderTable("E16 (§5 aging): sequential-load scan cost vs after random churn (penalty = aged/fresh)",
-		[]string{"Structure", "fresh µs/item", "aged µs/item", "penalty"}, cells)
+	return renderRows("E16 (§5 aging): sequential-load scan cost vs after random churn (penalty = aged/fresh)", rows, []column[AgingRow]{
+		{"Structure", func(r AgingRow) string { return r.Structure }},
+		{"fresh µs/item", func(r AgingRow) string { return f2(r.FreshUsItem) }},
+		{"aged µs/item", func(r AgingRow) string { return f2(r.AgedUsItem) }},
+		{"penalty", func(r AgingRow) string { return f2(r.AgingPenalty) }},
+	})
 }

@@ -9,9 +9,7 @@
 package experiments
 
 import (
-	"iomodels/internal/sim"
 	"iomodels/internal/ssd"
-	"iomodels/internal/stats"
 	"iomodels/internal/storage"
 )
 
@@ -34,7 +32,7 @@ func Asymmetry(cfg PDAMConfig) ([]AsymmetryRow, error) {
 	}
 	var out []AsymmetryRow
 	for i, prof := range ssd.Profiles() {
-		ws := writeSeries(prof, cfg)
+		ws := threadSeries(prof, cfg, storage.Write, 7777777)
 		wrow, err := Table1([]Figure1Series{ws}, cfg)
 		if err != nil {
 			return nil, err
@@ -51,41 +49,14 @@ func Asymmetry(cfg PDAMConfig) ([]AsymmetryRow, error) {
 	return out, nil
 }
 
-// writeSeries mirrors runThreadRound with write IOs.
-func writeSeries(prof ssd.Profile, cfg PDAMConfig) Figure1Series {
-	s := Figure1Series{Device: prof.Name}
-	for _, p := range cfg.Threads {
-		eng := sim.New()
-		st := storage.NewStore(ssd.New(prof))
-		root := stats.NewRNG(cfg.Seed + uint64(p)*7777777)
-		var last sim.Time
-		for i := 0; i < p; i++ {
-			rng := root.Split(uint64(i))
-			eng.Go(func(pr *sim.Proc) {
-				for j := 0; j < cfg.PerThreadIOs; j++ {
-					off := rng.Int63n((prof.Capacity()-cfg.IOBytes)/cfg.IOBytes) * cfg.IOBytes
-					done := st.Meter(pr.Now(), storage.Write, off, cfg.IOBytes)
-					pr.SleepUntil(done)
-				}
-				if pr.Now() > last {
-					last = pr.Now()
-				}
-			})
-		}
-		eng.Run()
-		s.Points = append(s.Points, Figure1Point{Threads: p, Seconds: last.Seconds()})
-	}
-	return s
-}
-
 // RenderAsymmetry formats E17.
 func RenderAsymmetry(rows []AsymmetryRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Device, fmt0(r.ReadSatMBps), fmt0(r.WriteSatMBps), f2(r.Ratio), f2(r.ReadP), f2(r.WriteP),
-		})
-	}
-	return RenderTable("E17 (§3 asymmetry): flash programs are slower than reads; PB_write ≪ PB_read",
-		[]string{"Device", "read ∝PB (MB/s)", "write ∝PB (MB/s)", "ratio", "read P", "write P"}, cells)
+	return renderRows("E17 (§3 asymmetry): flash programs are slower than reads; PB_write ≪ PB_read", rows, []column[AsymmetryRow]{
+		{"Device", func(r AsymmetryRow) string { return r.Device }},
+		{"read ∝PB (MB/s)", func(r AsymmetryRow) string { return fmt0(r.ReadSatMBps) }},
+		{"write ∝PB (MB/s)", func(r AsymmetryRow) string { return fmt0(r.WriteSatMBps) }},
+		{"ratio", func(r AsymmetryRow) string { return f2(r.Ratio) }},
+		{"read P", func(r AsymmetryRow) string { return f2(r.ReadP) }},
+		{"write P", func(r AsymmetryRow) string { return f2(r.WriteP) }},
+	})
 }

@@ -285,19 +285,14 @@ func (cfg CrashConfig) durableRun(mk func(*engine.Engine) (crashTree, error), cr
 
 // RenderCrash formats E19.
 func RenderCrash(rows []CrashRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Structure,
-			f2(r.BaseWA),
-			f2(r.DurableWA),
-			f2(r.LogWA),
-			f2(r.CkptWA),
-			fmt.Sprintf("%d", r.Checkpoints),
-			fmt.Sprintf("%d", r.Replayed),
-			fmt.Sprintf("%.1fms", float64(r.RecoveryTime)/float64(sim.Millisecond)),
-		})
-	}
-	return RenderTable("E19: the durability tax (§3) — write amplification with WAL + checkpoints on, and a crash-at-90% recovery drill",
-		[]string{"Structure", "WA off", "WA on", "log", "ckpt", "ckpts", "replayed", "recovery"}, cells)
+	return renderRows("E19: the durability tax (§3) — write amplification with WAL + checkpoints on, and a crash-at-90% recovery drill", rows, []column[CrashRow]{
+		{"Structure", func(r CrashRow) string { return r.Structure }},
+		{"WA off", func(r CrashRow) string { return f2(r.BaseWA) }},
+		{"WA on", func(r CrashRow) string { return f2(r.DurableWA) }},
+		{"log", func(r CrashRow) string { return f2(r.LogWA) }},
+		{"ckpt", func(r CrashRow) string { return f2(r.CkptWA) }},
+		{"ckpts", func(r CrashRow) string { return fmt.Sprint(r.Checkpoints) }},
+		{"replayed", func(r CrashRow) string { return fmt.Sprint(r.Replayed) }},
+		{"recovery", func(r CrashRow) string { return fmt.Sprintf("%.1fms", r.RecoveryTime.Milliseconds()) }},
+	})
 }

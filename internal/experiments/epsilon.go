@@ -96,12 +96,11 @@ func EpsilonSweep(cfg EpsilonConfig) []EpsilonRow {
 
 // RenderEpsilon formats E18.
 func RenderEpsilon(rows []EpsilonRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			intStr(r.Fanout), f2(r.Epsilon), f3(r.InsertMs), f3(r.QueryMs), intStr(r.Height),
-		})
-	}
-	return RenderTable("E18 (Theorem 4): the ε spectrum — fanout trades insert cost against query cost",
-		[]string{"F", "ε", "insert ms/op", "query ms/op", "height"}, cells)
+	return renderRows("E18 (Theorem 4): the ε spectrum — fanout trades insert cost against query cost", rows, []column[EpsilonRow]{
+		{"F", func(r EpsilonRow) string { return intStr(r.Fanout) }},
+		{"ε", func(r EpsilonRow) string { return f2(r.Epsilon) }},
+		{"insert ms/op", func(r EpsilonRow) string { return f3(r.InsertMs) }},
+		{"query ms/op", func(r EpsilonRow) string { return f3(r.QueryMs) }},
+		{"height", func(r EpsilonRow) string { return intStr(r.Height) }},
+	})
 }

@@ -6,7 +6,9 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"iomodels/internal/betree"
@@ -24,6 +26,7 @@ func smallPDAM() PDAMConfig {
 }
 
 func TestE1E2PDAMValidation(t *testing.T) {
+	t.Parallel()
 	series := Figure1(smallPDAM())
 	if len(series) != 4 {
 		t.Fatalf("%d devices", len(series))
@@ -76,6 +79,7 @@ func TestE1E2PDAMValidation(t *testing.T) {
 }
 
 func TestE7PDAMPredictionErrors(t *testing.T) {
+	t.Parallel()
 	cfg := smallPDAM()
 	series := Figure1(cfg)
 	rows, err := Table1(series, cfg)
@@ -169,6 +173,37 @@ func smallFig2() NodeSizeConfig {
 	return cfg
 }
 
+// fig2Small is the one B-tree sweep of the package's tests: smallFig2 on the
+// hard drive, computed by whichever of E5 (E10), E6, E13 and E15 asks first —
+// E5 in a whole-package run — and shared by all four. Each used to run its
+// own copy or near-copy, and the sweep's 1 MiB point alone is 20 s of host
+// time.
+//
+// Figure2 gives every node size a fresh device, engine and tree, so the sweep
+// is assembled from one single-size call per point, run concurrently: the
+// 1 MiB point's 20 s then overlap the other four sizes' 5 s on the second
+// core, which is otherwise idle while the serial tests run.
+var fig2Small = sync.OnceValue(func() NodeSizeResult {
+	cfg := smallFig2()
+	points := make([]NodeSizeResult, len(cfg.NodeSizes))
+	var wg sync.WaitGroup
+	for i, nb := range cfg.NodeSizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			one := cfg
+			one.NodeSizes = []int{nb}
+			points[i] = Figure2(one)
+		}()
+	}
+	wg.Wait()
+	res := points[0]
+	for _, p := range points[1:] {
+		res.Points = append(res.Points, p.Points...)
+	}
+	return res
+})
+
 // skipUnderRace skips the full-scale single-client harnesses when built
 // with the race detector: they exercise no goroutine concurrency, and
 // their 10-20x race slowdown pushes the package past the test timeout.
@@ -183,8 +218,12 @@ func skipUnderRace(t *testing.T) {
 
 func TestE5Figure2BTreeNodeSize(t *testing.T) {
 	skipUnderRace(t)
+	// Not parallel, on purpose: this test computes the shared sweep, and a
+	// parallel test that waits for it holds one of the GOMAXPROCS test slots
+	// idle while it does. Computed here, in the serial phase, the sweep is
+	// ready before any parallel test resumes.
 	cfg := smallFig2()
-	res := Figure2(cfg)
+	res := fig2Small()
 	if len(res.Points) != len(cfg.NodeSizes) {
 		t.Fatalf("%d points", len(res.Points))
 	}
@@ -240,8 +279,9 @@ func smallFig3() NodeSizeConfig {
 
 func TestE6Figure3BeTreeNodeSize(t *testing.T) {
 	skipUnderRace(t)
+	t.Parallel()
 	fig3 := Figure3(smallFig3())
-	fig2 := Figure2(smallFig2())
+	fig2 := fig2Small()
 
 	// Core claim: the Bε-tree is much less sensitive to node size than the
 	// B-tree. Compare cost growth from 64 KiB to the top of each sweep.
@@ -269,6 +309,7 @@ func TestE6Figure3BeTreeNodeSize(t *testing.T) {
 }
 
 func TestE11Theorem9Ablation(t *testing.T) {
+	t.Parallel()
 	cfg := smallFig3()
 	rows := Theorem9Ablation(cfg, 512<<10)
 	if len(rows) != 3 {
@@ -291,6 +332,7 @@ func TestE11Theorem9Ablation(t *testing.T) {
 
 func TestE12WriteAmp(t *testing.T) {
 	skipUnderRace(t)
+	t.Parallel()
 	cfg := DefaultWriteAmpConfig()
 	cfg.Items = 25_000
 	cfg.CacheBytes = 1 << 20
@@ -321,6 +363,7 @@ func TestE12WriteAmp(t *testing.T) {
 }
 
 func TestE9Lemma13(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultLemma13Config()
 	cfg.Items = 1 << 17
 	cfg.QueriesPerClient = 60
@@ -365,6 +408,7 @@ func TestE9Lemma13(t *testing.T) {
 }
 
 func TestE9DynamicLemma13(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultLemma13DynamicConfig()
 	cfg.Items = 40_000
 	cfg.QueriesPerClient = 60
@@ -435,11 +479,8 @@ var _ = workload.DefaultSpec
 // small ones.
 func TestE13ScanDichotomy(t *testing.T) {
 	skipUnderRace(t)
-	cfg := smallFig2()
-	cfg.NodeSizes = []int{4 << 10, 64 << 10, 1 << 20}
-	cfg.ScanOps = 10
-	cfg.ScanLen = 600
-	res := Figure2(cfg)
+	t.Parallel()
+	res := fig2Small()
 	first := res.Points[0]                // 4 KiB
 	last := res.Points[len(res.Points)-1] // 1 MiB
 	if last.ScanUsItem >= first.ScanUsItem {
@@ -459,6 +500,7 @@ func TestE13ScanDichotomy(t *testing.T) {
 // TestE14FlushPolicy asserts the paper's flush-the-fullest-child rule beats
 // round-robin, especially under skew.
 func TestE14FlushPolicy(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultFlushPolicyConfig()
 	cfg.Items = 40_000
 	cfg.Ops = 15_000
@@ -496,14 +538,21 @@ func TestE14FlushPolicy(t *testing.T) {
 // cost — hence its half-bandwidth point — is much smaller).
 func TestE15DeviceFamilies(t *testing.T) {
 	skipUnderRace(t)
+	t.Parallel()
+	// The hard-drive half is the shared sweep at the sizes the SSD half runs
+	// (its 1 MiB point would cost the SSD run 20 s of host time for nothing
+	// the claim needs).
 	hddCfg := smallFig2()
-	hddCfg.NodeSizes = []int{4 << 10, 64 << 10, 512 << 10}
-	hddCfg.ScanOps = 0
 	ssdCfg := hddCfg
+	ssdCfg.NodeSizes = []int{4 << 10, 64 << 10, 256 << 10}
+	ssdCfg.ScanOps = 0
 	prof := ssd.Profiles()[0]
 	ssdCfg.SSD = &prof
 
-	hddRes := Figure2(hddCfg)
+	hddRes := fig2Small()
+	hddRes.Points = slices.DeleteFunc(slices.Clone(hddRes.Points), func(p NodeSizePoint) bool {
+		return !slices.Contains(ssdCfg.NodeSizes, p.NodeBytes)
+	})
 	ssdRes := Figure2(ssdCfg)
 
 	best := func(res NodeSizeResult) (int, float64) {
@@ -533,11 +582,13 @@ func TestE15DeviceFamilies(t *testing.T) {
 }
 
 // TestDeterminism is the repository's reproducibility contract: running a
-// single-client harness twice in one process renders byte-identical output.
-// The pager-backed rows (E9-dynamic, E16, E19) are the ones a map-ordered
-// Pager.Flush used to break: write-back order decided head position and
-// cache recency, hence virtual time, per run.
+// sim-only harness twice in one process renders byte-identical output. The
+// pager-backed rows (E9-dynamic, E12, E14, E16, E18, E19) are the ones a
+// map-ordered Pager.Flush used to break: write-back order decided head
+// position and cache recency, hence virtual time, per run. The node-size
+// sweeps (E5, E6, E11, E13, E15) cost 20 s a render and stay out.
 func TestDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, h := range []struct {
 		name   string
 		render func(t *testing.T) string
@@ -587,6 +638,45 @@ func TestDeterminism(t *testing.T) {
 			cfg.Durability.CheckpointEveryBytes = 512 << 10
 			return RenderCrash(Crash(cfg))
 		}, true},
+		{"E12 write amp", func(*testing.T) string {
+			cfg := DefaultWriteAmpConfig()
+			cfg.Items = 8_000
+			cfg.CacheBytes = 512 << 10
+			cfg.NodeSizes = []int{64 << 10}
+			return RenderWriteAmp(WriteAmp(cfg))
+		}, true},
+		{"E14 flush policy", func(*testing.T) string {
+			cfg := DefaultFlushPolicyConfig()
+			cfg.Items = 10_000
+			cfg.Ops = 4_000
+			cfg.KeySpace = 10_000
+			return RenderFlushPolicy(FlushPolicyAblation(cfg))
+		}, true},
+		{"E17 asymmetry", func(t *testing.T) string {
+			cfg := smallPDAM()
+			cfg.PerThreadIOs = 100
+			rows, err := Asymmetry(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return RenderAsymmetry(rows)
+		}, false},
+		{"E18 epsilon", func(*testing.T) string {
+			cfg := DefaultEpsilonConfig()
+			cfg.Items = 20_000
+			cfg.QueryOps = 40
+			cfg.InsertOps = 1_000
+			cfg.NodeBytes = 128 << 10
+			cfg.Fanouts = []int{2, 8}
+			cfg.CacheBytes = 1 << 20
+			return RenderEpsilon(EpsilonSweep(cfg))
+		}, true},
+		{"E23 calibration", func(*testing.T) string {
+			return RenderMQCalibration(MQCalibration(DefaultMQServingConfig()))
+		}, false},
+		{"E23 write isolation", func(*testing.T) string {
+			return RenderMQIsolation(MQWriteIsolation(DefaultMQServingConfig()))
+		}, false},
 	} {
 		t.Run(h.name, func(t *testing.T) {
 			if h.heavy {
@@ -603,12 +693,16 @@ func TestDeterminism(t *testing.T) {
 // B-tree's range scans sharply, while the Bε-tree's big nodes resist.
 func TestE16Aging(t *testing.T) {
 	skipUnderRace(t)
+	t.Parallel()
 	cfg := DefaultAgingConfig()
 	cfg.Items = 60_000
 	cfg.ChurnOps = 40_000
 	cfg.ScanOps = 10
 	cfg.ScanLen = 1000
-	cfg.CacheBytes = 1 << 20
+	// 2 MiB: at 1 MiB the B-tree's penalty is 1.54x against the 1.5x asserted
+	// below; here it is 2.37x (and >= 2.14x at every seed 31..38), with the
+	// Bε-tree's at 0.95x.
+	cfg.CacheBytes = 2 << 20
 	rows := Aging(cfg)
 	var bt, be AgingRow
 	for _, r := range rows {
@@ -632,6 +726,7 @@ func TestE16Aging(t *testing.T) {
 // TestE17Asymmetry asserts the §3 read/write asymmetry: write saturation
 // bandwidth sits well below read saturation on every flash profile.
 func TestE17Asymmetry(t *testing.T) {
+	t.Parallel()
 	cfg := smallPDAM()
 	cfg.PerThreadIOs = 150
 	rows, err := Asymmetry(cfg)
@@ -679,6 +774,7 @@ func TestE17Asymmetry(t *testing.T) {
 // queries cheaper and inserts dearer.
 func TestE18EpsilonSpectrum(t *testing.T) {
 	skipUnderRace(t)
+	t.Parallel()
 	cfg := DefaultEpsilonConfig()
 	cfg.Items = 60_000
 	cfg.QueryOps = 80
@@ -716,6 +812,7 @@ func TestE18EpsilonSpectrum(t *testing.T) {
 // cost (LSM cheapest).
 func TestE19Durability(t *testing.T) {
 	skipUnderRace(t)
+	t.Parallel()
 	cfg := DefaultCrashConfig()
 	cfg.Items = 12_000
 	cfg.CacheBytes = 1 << 20

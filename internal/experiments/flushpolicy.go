@@ -110,14 +110,10 @@ func FlushPolicyAblation(cfg FlushPolicyConfig) []FlushPolicyRow {
 
 // RenderFlushPolicy formats E14.
 func RenderFlushPolicy(rows []FlushPolicyRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		dist := "uniform"
-		if r.Skewed {
-			dist = "zipf"
-		}
-		cells = append(cells, []string{r.Policy.String(), dist, f3(r.InsertMs), f2(r.Flushes)})
-	}
-	return RenderTable("E14 (flush-policy ablation): fullest-child flushing moves more bytes per rewrite",
-		[]string{"Policy", "keys", "upsert ms/op", "flushes/kop"}, cells)
+	return renderRows("E14 (flush-policy ablation): fullest-child flushing moves more bytes per rewrite", rows, []column[FlushPolicyRow]{
+		{"Policy", func(r FlushPolicyRow) string { return r.Policy.String() }},
+		{"keys", func(r FlushPolicyRow) string { return map[bool]string{false: "uniform", true: "zipf"}[r.Skewed] }},
+		{"upsert ms/op", func(r FlushPolicyRow) string { return f3(r.InsertMs) }},
+		{"flushes/kop", func(r FlushPolicyRow) string { return f2(r.Flushes) }},
+	})
 }

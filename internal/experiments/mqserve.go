@@ -28,7 +28,6 @@ package experiments
 import (
 	"math"
 	"slices"
-	"time"
 
 	"iomodels/internal/core"
 	"iomodels/internal/mqssd"
@@ -43,14 +42,11 @@ import (
 
 // MQServingConfig parameterizes E23.
 type MQServingConfig struct {
-	Items      int64
-	Device     mqssd.Config // the serving device profile
-	NodeBlocks int          // B-tree node size in device blocks
-	CacheBytes int64        // engine budget (keep << data so gets hit disk)
+	ServeBase
+	Device mqssd.Config // the serving device profile
 
 	OpsPerClient int
-	Clients      []int         // k values for the scheduler comparison
-	BatchGrace   time.Duration // real-time wait for partial batches
+	Clients      []int // k values for the scheduler comparison
 
 	SweepQueues []int // calibration sweep: queue counts
 	SweepDepths []int // calibration sweep: per-queue depths
@@ -58,9 +54,6 @@ type MQServingConfig struct {
 
 	Writers         int // concurrent writer connections (isolation phase)
 	WritesPerWriter int
-
-	Spec workload.KeySpec
-	Seed uint64
 }
 
 // DefaultMQServingConfig is laptop-scale but IO-bound. The device profile
@@ -72,31 +65,21 @@ func DefaultMQServingConfig() MQServingConfig {
 	device := mqssd.DefaultConfig()
 	device.PerQueueP = 16
 	return MQServingConfig{
-		Items:           60_000,
+		ServeBase: ServeBase{
+			Items:      60_000,
+			NodeBlocks: 1,
+			CacheBytes: 512 << 10,
+			Spec:       workload.DefaultSpec(),
+			Seed:       23,
+		},
 		Device:          device,
-		NodeBlocks:      1,
-		CacheBytes:      512 << 10,
 		OpsPerClient:    60,
 		Clients:         []int{1, 8, 32},
-		BatchGrace:      time.Millisecond,
 		SweepQueues:     []int{1, 2, 4, 8},
 		SweepDepths:     []int{2, 4, 8},
 		SweepIOs:        128,
 		Writers:         8,
 		WritesPerWriter: 40,
-		Spec:            workload.DefaultSpec(),
-		Seed:            23,
-	}
-}
-
-// legacy synthesizes the E20 config the shared read-round helper consumes.
-func (cfg MQServingConfig) legacy() ServingConfig {
-	return ServingConfig{
-		Items:        cfg.Items,
-		StepTime:     cfg.Device.StepTime,
-		OpsPerClient: cfg.OpsPerClient,
-		Spec:         cfg.Spec,
-		Seed:         cfg.Seed,
 	}
 }
 
@@ -153,28 +136,10 @@ func relErr(pred, meas float64) float64 {
 // processes each issuing ios dependent random block reads; returns the
 // completion time of the slowest in seconds.
 func mqThreadRound(dcfg mqssd.Config, p, ios int, seed uint64) float64 {
-	eng := sim.New()
 	dev := mqssd.New(dcfg)
-	st := storage.NewStore(dev.Storage(1 << 31))
 	block := dev.Config().BlockBytes
-	span := int64(1<<31) / block
-	root := stats.NewRNG(seed + uint64(p)*1000003)
-	var last sim.Time
-	for i := 0; i < p; i++ {
-		rng := root.Split(uint64(i))
-		eng.Go(func(pr *sim.Proc) {
-			for j := 0; j < ios; j++ {
-				off := rng.Int63n(span) * block
-				done := st.Meter(pr.Now(), storage.Read, off, block)
-				pr.SleepUntil(done)
-			}
-			if pr.Now() > last {
-				last = pr.Now()
-			}
-		})
-	}
-	eng.Run()
-	return last.Seconds()
+	return ioRound(storage.NewStore(dev.Storage(1<<31)), storage.Read, p, ios, block, (1<<31)/block,
+		stats.NewRNG(seed+uint64(p)*1000003))
 }
 
 // startMQServing boots a B-tree server on a fresh multi-queue device.
@@ -184,52 +149,20 @@ func mqThreadRound(dcfg mqssd.Config, p, ios int, seed uint64) float64 {
 // the device's exact parameters.
 func startMQServing(cfg MQServingConfig, lanes, batch int, tracer *obs.Tracer) (*node.Node, error) {
 	maxK := slices.Max(append([]int{cfg.Writers + len(cfg.Clients)}, cfg.Clients...))
-	return node.Start(node.Spec{
-		Device:     mqssd.New(cfg.Device).Storage(1 << 31),
-		CacheBytes: cfg.CacheBytes,
-		Tree:       "btree",
-		NodeBytes:  cfg.NodeBlocks * int(cfg.Device.BlockBytes),
-		Keys:       cfg.Spec,
-		Items:      cfg.Items,
-		Server: server.Config{
-			Addr:       "127.0.0.1:0",
-			ReadLanes:  lanes,
-			BatchIOs:   batch,
-			BatchGrace: cfg.BatchGrace,
-			ReadQueue:  4 * maxK,
-			Tracer:     tracer,
-		},
+	return cfg.start(cfg.Device.BlockBytes, false, node.Spec{
+		Device: mqssd.New(cfg.Device).Storage(1 << 31),
+		Server: server.Config{ReadLanes: lanes, BatchIOs: batch, ReadQueue: 4 * maxK, Tracer: tracer},
 	})
 }
 
 // MQServing runs the scheduler comparison: closed-loop TCP gets per device
 // step under the DAM, PDAM-global, and queue-aware schedulers.
 func MQServing(cfg MQServingConfig) ([]ServingRow, error) {
-	raw := cfg.Device.Model().RawP()
-	var rows []ServingRow
-	for _, mode := range []struct {
-		name         string
-		lanes, batch int
-	}{
-		{"dam", 1, 1},      // one IO at a time: the DAM's implicit discipline
-		{"pdam", 1, raw},   // one global batch of the raw slot count
-		{"mq-lanes", 0, 0}, // per-queue lanes sized by the device topology
-	} {
-		sb, err := startMQServing(cfg, mode.lanes, mode.batch, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range cfg.Clients {
-			row, err := servingReadRound(sb, cfg.legacy(), mode.name, k)
-			if err != nil {
-				sb.Close()
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-		sb.Close()
-	}
-	return rows, nil
+	return cfg.schedulerRows(cfg.Device.StepTime, cfg.Clients, cfg.OpsPerClient,
+		func(lanes, batch int) (*node.Node, error) { return startMQServing(cfg, lanes, batch, nil) },
+		schedulerMode{"dam", 1, 1},                          // one IO at a time: the DAM's implicit discipline
+		schedulerMode{"pdam", 1, cfg.Device.Model().RawP()}, // one global batch of the raw slot count
+		schedulerMode{"mq-lanes", 0, 0})                     // per-queue lanes sized by the device topology
 }
 
 // MQResiduals runs the accountant phase: the PDAM-global scheduler (the
@@ -249,7 +182,7 @@ func MQResiduals(cfg MQServingConfig) (obs.Summary, error) {
 	// Twice the batch size in closed-loop clients, so a full batch is always
 	// queued behind the running one and every launch is raw-P wide.
 	k := 2 * raw
-	if _, err := servingReadRound(sb, cfg.legacy(), "residuals", k); err != nil {
+	if _, err := cfg.readRound(sb, cfg.Device.StepTime, "residuals", k, cfg.OpsPerClient); err != nil {
 		return obs.Summary{}, err
 	}
 	return tracer.Summary(), nil
@@ -290,22 +223,7 @@ func mqIsolationRound(dcfg mqssd.Config, readers, ios int, seed uint64) MQIsolat
 	dev := mqssd.New(dcfg)
 	st := storage.NewStore(dev.Storage(1 << 31))
 	block := dev.Config().BlockBytes
-	span := int64(1<<30) / block
-	root := stats.NewRNG(seed + 99991)
-	var lastReader sim.Time
-	for i := 0; i < readers; i++ {
-		rng := root.Split(uint64(i))
-		eng.Go(func(pr *sim.Proc) {
-			for j := 0; j < ios; j++ {
-				off := rng.Int63n(span) * block
-				done := st.Meter(pr.Now(), storage.Read, off, block)
-				pr.SleepUntil(done)
-			}
-			if pr.Now() > lastReader {
-				lastReader = pr.Now()
-			}
-		})
-	}
+	lastReader := ioThreads(eng, st, storage.Read, readers, ios, block, (1<<30)/block, stats.NewRNG(seed+99991))
 	// The write stream: dependent 16-block sequential bursts, with enough
 	// volume to outlast the readers. Sequential addresses rotate across the
 	// read queues when no write queue isolates them.
@@ -315,7 +233,7 @@ func mqIsolationRound(dcfg mqssd.Config, readers, ios int, seed uint64) MQIsolat
 	eng.Go(func(pr *sim.Proc) {
 		off := int64(1 << 30) // write region above the readers'
 		for b := 0; b < totalBursts; b++ {
-			if lastReader == 0 || pr.Now() <= lastReader {
+			if *lastReader == 0 || pr.Now() <= *lastReader {
 				writeBlocks += burstBlocks
 			}
 			done := st.Meter(pr.Now(), storage.Write, off, burstBlocks*block)
@@ -324,7 +242,7 @@ func mqIsolationRound(dcfg mqssd.Config, readers, ios int, seed uint64) MQIsolat
 		}
 	})
 	eng.Run()
-	steps := float64(lastReader) / float64(dcfg.StepTime)
+	steps := float64(*lastReader) / float64(dcfg.StepTime)
 	row := MQIsolationRow{
 		WriteQueue: dcfg.WriteQueue, Readers: readers,
 		Steps: steps, WriteBlocks: writeBlocks,
@@ -337,45 +255,30 @@ func mqIsolationRound(dcfg mqssd.Config, readers, ios int, seed uint64) MQIsolat
 
 // RenderMQCalibration formats the sweep table.
 func RenderMQCalibration(rows []MQCalibRow) string {
-	headers := []string{"queues", "depth", "raw P", "eff P", "steps", "mq err%", "pdam err%", "dam err%"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			intStr(r.Queues), intStr(r.Depth), intStr(r.RawP), intStr(r.EffP),
-			fmt0(r.MeasuredSteps), f2(100 * r.MQErr), f2(100 * r.PDAMErr), f2(100 * r.DAMErr),
-		})
-	}
-	return RenderTable("E23 (calibration): raw-P dependent-read threads per queue geometry — closed-form prediction error",
-		headers, cells)
+	return renderRows("E23 (calibration): raw-P dependent-read threads per queue geometry — closed-form prediction error", rows, []column[MQCalibRow]{
+		{"queues", func(r MQCalibRow) string { return intStr(r.Queues) }},
+		{"depth", func(r MQCalibRow) string { return intStr(r.Depth) }},
+		{"raw P", func(r MQCalibRow) string { return intStr(r.RawP) }},
+		{"eff P", func(r MQCalibRow) string { return intStr(r.EffP) }},
+		{"steps", func(r MQCalibRow) string { return fmt0(r.MeasuredSteps) }},
+		{"mq err%", func(r MQCalibRow) string { return f2(100 * r.MQErr) }},
+		{"pdam err%", func(r MQCalibRow) string { return f2(100 * r.PDAMErr) }},
+		{"dam err%", func(r MQCalibRow) string { return f2(100 * r.DAMErr) }},
+	})
 }
 
 // RenderMQServing formats the scheduler comparison.
 func RenderMQServing(rows []ServingRow) string {
-	headers := []string{"scheduler", "clients k", "steps", "gets/step", "hit%", "p50 µs", "p99 µs"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Mode, intStr(r.Clients), fmt0(r.Steps), f3(r.Throughput),
-			f2(r.HitRatio * 100), fmt0(r.P50Us), fmt0(r.P99Us),
-		})
-	}
-	return RenderTable("E23 (serving): gets per device step — DAM vs PDAM-global vs queue-aware lanes on the multi-queue device",
-		headers, cells)
+	return renderSchedulerRows("E23 (serving): gets per device step — DAM vs PDAM-global vs queue-aware lanes on the multi-queue device", rows)
 }
 
 // RenderMQIsolation formats the write-isolation phase.
 func RenderMQIsolation(rows []MQIsolationRow) string {
-	headers := []string{"write queue", "readers", "steps", "reads/step", "write blocks"}
-	var cells [][]string
-	for _, r := range rows {
-		wq := "off"
-		if r.WriteQueue {
-			wq = "on"
-		}
-		cells = append(cells, []string{
-			wq, intStr(r.Readers), fmt0(r.Steps), f3(r.ReadsPerStep), intStr(int(r.WriteBlocks)),
-		})
-	}
-	return RenderTable("E23 (write isolation): dependent-read throughput under a sequential write stream — dedicated write queue on/off",
-		headers, cells)
+	return renderRows("E23 (write isolation): dependent-read throughput under a sequential write stream — dedicated write queue on/off", rows, []column[MQIsolationRow]{
+		{"write queue", func(r MQIsolationRow) string { return map[bool]string{true: "on", false: "off"}[r.WriteQueue] }},
+		{"readers", func(r MQIsolationRow) string { return intStr(r.Readers) }},
+		{"steps", func(r MQIsolationRow) string { return fmt0(r.Steps) }},
+		{"reads/step", func(r MQIsolationRow) string { return f3(r.ReadsPerStep) }},
+		{"write blocks", func(r MQIsolationRow) string { return intStr(int(r.WriteBlocks)) }},
+	})
 }

@@ -27,52 +27,38 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"iomodels/internal/server"
 	"iomodels/internal/sim"
-	"iomodels/internal/stats"
 	"iomodels/internal/workload"
 )
 
 // MVCCServeConfig parameterizes E22.
 type MVCCServeConfig struct {
-	Items      int64
-	P          int
-	BlockBytes int64
-	StepTime   sim.Time
-	NodeBlocks int
-	CacheBytes int64
+	ServeBase
+	PDAMDevice
 
 	Readers      int // concurrent snapshot-reader connections
 	OpsPerReader int // point reads each performs in the window
 	Writers      int // background writer connections in loaded rounds
 	HotKeys      int // pinned read working set, ids [0, HotKeys)
-
-	BatchGrace time.Duration
-	Spec       workload.KeySpec
-	Seed       uint64
 }
 
 // DefaultMVCCServeConfig is laptop-scale but keeps the write path saturated
 // for the whole read window.
 func DefaultMVCCServeConfig() MVCCServeConfig {
 	return MVCCServeConfig{
-		Items:        20_000,
-		P:            16,
-		BlockBytes:   4 << 10,
-		StepTime:     sim.Millisecond,
-		NodeBlocks:   1,
-		CacheBytes:   256 << 10,
+		ServeBase: ServeBase{
+			Items:      20_000,
+			NodeBlocks: 1,
+			CacheBytes: 256 << 10,
+			Spec:       workload.DefaultSpec(),
+			Seed:       22,
+		},
+		PDAMDevice:   PDAMDevice{P: 16, BlockBytes: 4 << 10, StepTime: sim.Millisecond},
 		Readers:      4,
 		OpsPerReader: 150,
 		Writers:      8,
 		HotKeys:      256,
-		BatchGrace:   time.Millisecond,
-		Spec:         workload.DefaultSpec(),
-		Seed:         22,
 	}
 }
 
@@ -87,23 +73,6 @@ type MVCCServeRow struct {
 	P50Us       float64
 	P99Us       float64
 	ChainHitPct float64
-}
-
-// servingConfigFor adapts an E22 config to E20's server bootstrap.
-func servingConfigFor(cfg MVCCServeConfig) ServingConfig {
-	return ServingConfig{
-		Items:      cfg.Items,
-		P:          cfg.P,
-		BlockBytes: cfg.BlockBytes,
-		StepTime:   cfg.StepTime,
-		NodeBlocks: cfg.NodeBlocks,
-		CacheBytes: cfg.CacheBytes,
-		Clients:    []int{cfg.Readers},
-		Writers:    cfg.Writers,
-		BatchGrace: cfg.BatchGrace,
-		Spec:       cfg.Spec,
-		Seed:       cfg.Seed,
-	}
 }
 
 // MVCCServe runs E22: snap-idle, snap-loaded, plain-loaded.
@@ -121,8 +90,8 @@ func MVCCServe(cfg MVCCServeConfig) ([]MVCCServeRow, error) {
 
 // rewriteVal is the value the hot-set overwrite installs; pinned snapshots
 // must keep reading the original load-time value underneath it.
-func rewriteVal(spec workload.KeySpec, cfg MVCCServeConfig, id uint64) []byte {
-	return spec.Value(uint64(cfg.Items) + id)
+func rewriteVal(cfg MVCCServeConfig, id uint64) []byte {
+	return cfg.Spec.Value(uint64(cfg.Items) + id)
 }
 
 // mvccServeRound boots a fresh durable server, pins reader snapshots (snap
@@ -130,31 +99,30 @@ func rewriteVal(spec workload.KeySpec, cfg MVCCServeConfig, id uint64) []byte {
 // and measures the readers' point-read latency.
 func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	snapMode := mode != "plain-loaded"
-	loaded := mode != "snap-idle"
+	row := MVCCServeRow{Mode: mode, Readers: cfg.Readers}
+	if mode != "snap-idle" {
+		row.Writers = cfg.Writers
+	}
 
-	sb, err := startServing(servingConfigFor(cfg), cfg.P, true)
+	sb, err := cfg.startPDAM(cfg.PDAMDevice, cfg.P, max(cfg.Readers, cfg.Writers), true)
 	if err != nil {
-		return MVCCServeRow{}, err
+		return row, err
 	}
 	defer sb.Close()
 
 	// Dial the readers and, in snap modes, pin every snapshot BEFORE the
 	// hot set is rewritten: the pinned view must predate the overwrite.
-	readers := make([]*server.Client, cfg.Readers)
+	readers, err := dialConns(sb.Addr, cfg.Readers, cfg.Seed)
+	if err != nil {
+		return row, err
+	}
+	defer readers.close()
 	snaps := make([]uint64, cfg.Readers)
-	for i := range readers {
-		cl, err := server.Dial(sb.Addr)
-		if err != nil {
-			return MVCCServeRow{}, err
-		}
-		defer cl.Close()
-		readers[i] = cl
-		if snapMode {
-			id, _, err := cl.SnapOpen()
-			if err != nil {
-				return MVCCServeRow{}, fmt.Errorf("snap open: %w", err)
+	if snapMode {
+		for i, c := range readers {
+			if snaps[i], _, err = c.SnapOpen(); err != nil {
+				return row, fmt.Errorf("snap open: %w", err)
 			}
-			snaps[i] = id
 		}
 	}
 
@@ -162,131 +130,73 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	// a version chain per hot key, so every pinned read below is a chain
 	// hit; without (plain round) it just warms the same pages the readers
 	// will touch, keeping cache state comparable across rounds.
-	setup, err := server.Dial(sb.Addr)
+	_, err = closedLoop(sb.Addr, 1, cfg.HotKeys, 0, nil, func(c *conn, j int) error {
+		return c.Put(cfg.Spec.Key(uint64(j)), rewriteVal(cfg, uint64(j)))
+	})
 	if err != nil {
-		return MVCCServeRow{}, err
-	}
-	defer setup.Close()
-	for id := uint64(0); id < uint64(cfg.HotKeys); id++ {
-		if err := setup.Put(cfg.Spec.Key(id), rewriteVal(cfg.Spec, cfg, id)); err != nil {
-			return MVCCServeRow{}, fmt.Errorf("hot-set rewrite: %w", err)
-		}
+		return row, fmt.Errorf("hot-set rewrite: %w", err)
 	}
 
 	// Background write pressure: closed-loop writers hammering the non-hot
-	// tail of the key space. (Not the hot set: unbounded rewrites there
-	// would blow past MaxVersionsPerKey and expire the pinned snapshots —
-	// that failure mode has its own test; E22 measures latency.)
-	done := make(chan struct{})
+	// tail of the key space until the readers are done. (Not the hot set:
+	// unbounded rewrites there would blow past MaxVersionsPerKey and expire
+	// the pinned snapshots — that failure mode has its own test; E22
+	// measures latency.)
+	stop := make(chan struct{})
 	writers := make(chan error, 1)
-	if loaded {
-		go func() {
-			writers <- eachClient(sb.Addr, cfg.Writers, func(w int, cl *server.Client) error {
-				rng := stats.NewRNG(cfg.Seed ^ 0xE22).Split(uint64(w))
-				tail := cfg.Items - int64(cfg.HotKeys)
-				for {
-					select {
-					case <-done:
-						return nil
-					default:
-					}
-					id := uint64(cfg.HotKeys) + uint64(rng.Int63n(tail))
-					if err := cl.Put(cfg.Spec.Key(id), cfg.Spec.Value(id^1)); err != nil {
-						return err
-					}
-				}
-			})
-		}()
-	}
+	go func() {
+		_, err := closedLoop(sb.Addr, row.Writers, -1, cfg.Seed^0xE22, stop, func(c *conn, _ int) error {
+			id := uint64(cfg.HotKeys) + uint64(c.rng.Int63n(cfg.Items-int64(cfg.HotKeys)))
+			return c.Put(cfg.Spec.Key(id), cfg.Spec.Value(id^1))
+		})
+		writers <- err
+	}()
 
 	before := sb.Eng.MVCCStats()
-	hist := stats.NewLatencyHist()
-	var reads atomic.Int64
-	root := stats.NewRNG(cfg.Seed)
-	readErrs := make(chan error, cfg.Readers)
-	var readWG sync.WaitGroup
-	for i := range readers {
-		readWG.Add(1)
-		rng := root.Split(uint64(i))
-		go func(i int) {
-			defer readWG.Done()
-			cl := readers[i]
-			local := stats.NewLatencyHist()
-			for q := 0; q < cfg.OpsPerReader; q++ {
-				id := uint64(rng.Int63n(int64(cfg.HotKeys)))
-				key := cfg.Spec.Key(id)
-				t0 := time.Now()
-				var (
-					val []byte
-					ok  bool
-					err error
-				)
-				if snapMode {
-					val, ok, err = cl.SnapGet(snaps[i], key)
-				} else {
-					val, ok, err = cl.Get(key)
-				}
-				if err != nil {
-					readErrs <- fmt.Errorf("read id %d: %w", id, err)
-					return
-				}
-				if !ok {
-					readErrs <- fmt.Errorf("read id %d: lost key", id)
-					return
-				}
-				local.Observe(int64(time.Since(t0)))
-				// The pinned view predates the rewrite; the live view is
-				// the rewrite. Either answer being wrong voids the round.
-				want := rewriteVal(cfg.Spec, cfg, id)
-				if snapMode {
-					want = cfg.Spec.Value(id)
-				}
-				if !bytes.Equal(val, want) {
-					readErrs <- fmt.Errorf("read id %d: stale/live mix-up: got %q want %q", id, val, want)
-					return
-				}
-			}
-			reads.Add(int64(cfg.OpsPerReader))
-			hist.Merge(local)
-			readErrs <- nil
-		}(i)
-	}
-	readWG.Wait()
-	close(readErrs)
-	after := sb.Eng.MVCCStats()
-
-	var writerErr error
-	if loaded {
-		close(done)
-		writerErr = <-writers
-	}
-	for err := range readErrs {
-		if err != nil {
-			return MVCCServeRow{}, err
+	lat, readErr := readers.run(cfg.OpsPerReader, nil, func(c *conn, _ int) error {
+		id := uint64(c.rng.Int63n(int64(cfg.HotKeys)))
+		key := cfg.Spec.Key(id)
+		// The pinned view predates the rewrite; the live view is the
+		// rewrite. Either answer being wrong voids the round.
+		var (
+			val []byte
+			ok  bool
+			err error
+		)
+		want := rewriteVal(cfg, id)
+		if snapMode {
+			val, ok, err = c.SnapGet(snaps[c.i], key)
+			want = cfg.Spec.Value(id)
+		} else {
+			val, ok, err = c.Get(key)
 		}
+		switch {
+		case err != nil:
+			return fmt.Errorf("read id %d: %w", id, err)
+		case !ok:
+			return fmt.Errorf("read id %d: lost key", id)
+		case !bytes.Equal(val, want):
+			return fmt.Errorf("read id %d: stale/live mix-up: got %q want %q", id, val, want)
+		}
+		return nil
+	})
+	after := sb.Eng.MVCCStats()
+	close(stop)
+	if err := <-writers; readErr == nil && err != nil {
+		readErr = fmt.Errorf("background writer: %w", err)
 	}
-	if writerErr != nil {
-		return MVCCServeRow{}, fmt.Errorf("background writer: %w", writerErr)
+	if readErr != nil {
+		return row, readErr
 	}
 	if snapMode {
-		for i, cl := range readers {
-			if err := cl.SnapRelease(snaps[i]); err != nil {
-				return MVCCServeRow{}, fmt.Errorf("snap release: %w", err)
+		for i, c := range readers {
+			if err := c.SnapRelease(snaps[i]); err != nil {
+				return row, fmt.Errorf("snap release: %w", err)
 			}
 		}
 	}
 
-	row := MVCCServeRow{
-		Mode:    mode,
-		Readers: cfg.Readers,
-		Reads:   reads.Load(),
-	}
-	if loaded {
-		row.Writers = cfg.Writers
-	}
-	snap := hist.Snapshot()
-	row.P50Us = float64(snap.P50) / 1e3
-	row.P99Us = float64(snap.P99) / 1e3
+	row.Reads, row.P50Us, row.P99Us = lat.Count, lat.P50Us, lat.P99Us
 	dHits := after.ChainHits - before.ChainHits
 	dMiss := after.ChainMisses - before.ChainMisses
 	if dHits+dMiss > 0 {
@@ -297,14 +207,13 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 
 // RenderMVCCServe formats E22, one row per round.
 func RenderMVCCServe(rows []MVCCServeRow) string {
-	headers := []string{"round", "readers", "writers", "reads", "p50 µs", "p99 µs", "chain hit%"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Mode, intStr(r.Readers), intStr(r.Writers), intStr(int(r.Reads)),
-			fmt0(r.P50Us), fmt0(r.P99Us), f2(r.ChainHitPct),
-		})
-	}
-	return RenderTable("E22 (MVCC serving): snapshot point-read latency under write pressure vs the shared-world-view path",
-		headers, cells)
+	return renderRows("E22 (MVCC serving): snapshot point-read latency under write pressure vs the shared-world-view path", rows, []column[MVCCServeRow]{
+		{"round", func(r MVCCServeRow) string { return r.Mode }},
+		{"readers", func(r MVCCServeRow) string { return intStr(r.Readers) }},
+		{"writers", func(r MVCCServeRow) string { return intStr(r.Writers) }},
+		{"reads", func(r MVCCServeRow) string { return intStr(int(r.Reads)) }},
+		{"p50 µs", func(r MVCCServeRow) string { return fmt0(r.P50Us) }},
+		{"p99 µs", func(r MVCCServeRow) string { return fmt0(r.P99Us) }},
+		{"chain hit%", func(r MVCCServeRow) string { return f2(r.ChainHitPct) }},
+	})
 }

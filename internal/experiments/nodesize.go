@@ -295,31 +295,29 @@ func measurePhase(clk *sim.Engine, ops int, run func(i int), closing func()) flo
 
 // RenderNodeSize formats a Figure 2/3 sweep.
 func RenderNodeSize(res NodeSizeResult, title string) string {
-	var cells [][]string
-	for _, p := range res.Points {
-		cells = append(cells, []string{
-			humanBytes(p.NodeBytes),
-			f3(p.QueryMs), f3(p.ModelQueryMs),
-			f3(p.InsertMs), f3(p.ModelInsertMs),
-			f2(p.ScanUsItem), f2(p.ModelScanUsIt),
-			f2(p.Pager.HitRatio() * 100),
-		})
-	}
-	return RenderTable(title,
-		[]string{"Node size", "query ms/op", "model", "insert ms/op", "model", "scan µs/item", "model", "hit%"}, cells)
+	return renderRows(title, res.Points, []column[NodeSizePoint]{
+		{"Node size", func(p NodeSizePoint) string { return humanBytes(p.NodeBytes) }},
+		{"query ms/op", func(p NodeSizePoint) string { return f3(p.QueryMs) }},
+		{"model", func(p NodeSizePoint) string { return f3(p.ModelQueryMs) }},
+		{"insert ms/op", func(p NodeSizePoint) string { return f3(p.InsertMs) }},
+		{"model", func(p NodeSizePoint) string { return f3(p.ModelInsertMs) }},
+		{"scan µs/item", func(p NodeSizePoint) string { return f2(p.ScanUsItem) }},
+		{"model", func(p NodeSizePoint) string { return f2(p.ModelScanUsIt) }},
+		{"hit%", func(p NodeSizePoint) string { return f2(p.Pager.HitRatio() * 100) }},
+	})
 }
 
 // RenderNodeSizeCSV emits the sweep as CSV.
 func RenderNodeSizeCSV(res NodeSizeResult) string {
-	headers := []string{"node_bytes", "query_ms", "model_query_ms", "insert_ms", "model_insert_ms", "scan_us_item", "model_scan_us_item"}
-	var cells [][]string
-	for _, p := range res.Points {
-		cells = append(cells, []string{
-			intStr(p.NodeBytes), f4(p.QueryMs), f4(p.ModelQueryMs), f4(p.InsertMs), f4(p.ModelInsertMs),
-			f4(p.ScanUsItem), f4(p.ModelScanUsIt),
-		})
-	}
-	return RenderCSV(headers, cells)
+	return RenderCSV(grid(res.Points, []column[NodeSizePoint]{
+		{"node_bytes", func(p NodeSizePoint) string { return intStr(p.NodeBytes) }},
+		{"query_ms", func(p NodeSizePoint) string { return f4(p.QueryMs) }},
+		{"model_query_ms", func(p NodeSizePoint) string { return f4(p.ModelQueryMs) }},
+		{"insert_ms", func(p NodeSizePoint) string { return f4(p.InsertMs) }},
+		{"model_insert_ms", func(p NodeSizePoint) string { return f4(p.ModelInsertMs) }},
+		{"scan_us_item", func(p NodeSizePoint) string { return f4(p.ScanUsItem) }},
+		{"model_scan_us_item", func(p NodeSizePoint) string { return f4(p.ModelScanUsIt) }},
+	}))
 }
 
 // OptimaRow is E10: where the measured B-tree optimum falls versus the
@@ -353,14 +351,12 @@ func Corollary7Check(res NodeSizeResult, cfg NodeSizeConfig) OptimaRow {
 
 // RenderOptima formats E10.
 func RenderOptima(r OptimaRow) string {
-	cells := [][]string{{
-		humanBytes(r.MeasuredBestQuery),
-		humanBytes(r.MeasuredBestInsert),
-		humanBytes(int(r.ModelOptimal)),
-		humanBytes(int(r.HalfBandwidth)),
-	}}
-	return RenderTable("E10 (Corollary 7): optimal B-tree node size sits below the half-bandwidth point",
-		[]string{"best query node", "best insert node", "model optimum", "half-bandwidth"}, cells)
+	return renderRows("E10 (Corollary 7): optimal B-tree node size sits below the half-bandwidth point", []OptimaRow{r}, []column[OptimaRow]{
+		{"best query node", func(r OptimaRow) string { return humanBytes(r.MeasuredBestQuery) }},
+		{"best insert node", func(r OptimaRow) string { return humanBytes(r.MeasuredBestInsert) }},
+		{"model optimum", func(r OptimaRow) string { return humanBytes(int(r.ModelOptimal)) }},
+		{"half-bandwidth", func(r OptimaRow) string { return humanBytes(int(r.HalfBandwidth)) }},
+	})
 }
 
 // AblationRow is E11: one Bε-tree node organization at a fixed geometry.
@@ -416,11 +412,10 @@ func Theorem9Ablation(cfg NodeSizeConfig, nodeBytes int) []AblationRow {
 
 // RenderAblation formats E11.
 func RenderAblation(rows []AblationRow, nodeBytes int) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{r.Mode, f3(r.QueryMs), f3(r.InsertMs)})
-	}
-	return RenderTable(
-		fmt.Sprintf("E11 (Theorem 9 ablation) at B=%s: each optimization cuts query cost, inserts unchanged", humanBytes(nodeBytes)),
-		[]string{"Organization", "query ms/op", "insert ms/op"}, cells)
+	title := fmt.Sprintf("E11 (Theorem 9 ablation) at B=%s: each optimization cuts query cost, inserts unchanged", humanBytes(nodeBytes))
+	return renderRows(title, rows, []column[AblationRow]{
+		{"Organization", func(r AblationRow) string { return r.Mode }},
+		{"query ms/op", func(r AblationRow) string { return f3(r.QueryMs) }},
+		{"insert ms/op", func(r AblationRow) string { return f3(r.InsertMs) }},
+	})
 }

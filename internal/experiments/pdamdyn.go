@@ -15,7 +15,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"iomodels/internal/betree"
 	"iomodels/internal/btree"
@@ -165,35 +164,19 @@ func runDynamicRound(clk *sim.Engine, eng *engine.Engine,
 // RenderLemma13Dynamic formats the extended E9 as a throughput table, one
 // row per client count, one column group per structure.
 func RenderLemma13Dynamic(rows []Lemma13DynamicRow) string {
-	byTree := map[string]map[int]Lemma13DynamicRow{}
-	var trees []string
-	clientsSet := map[int]bool{}
+	at := map[string]map[int]Lemma13DynamicRow{}
+	cols := []column[int]{{"clients k", intStr}}
 	for _, r := range rows {
-		if byTree[r.Tree] == nil {
-			byTree[r.Tree] = map[int]Lemma13DynamicRow{}
-			trees = append(trees, r.Tree)
+		tr := r.Tree
+		if at[tr] == nil {
+			at[tr] = map[int]Lemma13DynamicRow{}
+			cols = append(cols,
+				column[int]{tr + " q/step", func(k int) string { return f3(at[tr][k].Throughput) }},
+				column[int]{tr + " steps/q", func(k int) string { return f2(at[tr][k].StepsPerQuery) }},
+				column[int]{tr + " hit%", func(k int) string { return f2(at[tr][k].HitRatio * 100) }})
 		}
-		byTree[r.Tree][r.Clients] = r
-		clientsSet[r.Clients] = true
+		at[tr][r.Clients] = r
 	}
-	var clients []int
-	for c := range clientsSet {
-		clients = append(clients, c)
-	}
-	sort.Ints(clients)
-	headers := []string{"clients k"}
-	for _, tr := range trees {
-		headers = append(headers, tr+" q/step", tr+" steps/q", tr+" hit%")
-	}
-	var cells [][]string
-	for _, c := range clients {
-		row := []string{intStr(c)}
-		for _, tr := range trees {
-			r := byTree[tr][c]
-			row = append(row, f3(r.Throughput), f2(r.StepsPerQuery), f2(r.HitRatio*100))
-		}
-		cells = append(cells, row)
-	}
-	return RenderTable("E9-dynamic (Lemma 13 on real dictionaries): query throughput vs concurrency — saturation ∝ PB",
-		headers, cells)
+	return renderRows("E9-dynamic (Lemma 13 on real dictionaries): query throughput vs concurrency — saturation ∝ PB",
+		clientCounts(rows, func(r Lemma13DynamicRow) int { return r.Clients }), cols)
 }

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"slices"
 	"sort"
 
 	"iomodels/internal/pdamdev"
@@ -121,36 +122,34 @@ func runLemma13Round(tree *veb.Tree, keys []uint64, cfg Lemma13Config, k int) fl
 // RenderLemma13 formats E9 as a throughput table, one row per client count,
 // one column pair per design.
 func RenderLemma13(rows []Lemma13Row) string {
-	byDesign := map[veb.Design]map[int]Lemma13Row{}
-	clientsSet := map[int]bool{}
+	at := map[veb.Design]map[int]Lemma13Row{}
 	for _, r := range rows {
-		if byDesign[r.Design] == nil {
-			byDesign[r.Design] = map[int]Lemma13Row{}
+		if at[r.Design] == nil {
+			at[r.Design] = map[int]Lemma13Row{}
 		}
-		byDesign[r.Design][r.Clients] = r
-		clientsSet[r.Clients] = true
+		at[r.Design][r.Clients] = r
 	}
-	var clients []int
-	for c := range clientsSet {
-		clients = append(clients, c)
+	cols := []column[int]{{"clients k", intStr}}
+	for _, d := range []veb.Design{veb.BlockNodes, veb.WholeNodeFetch, veb.VEBNodes} {
+		cols = append(cols,
+			column[int]{d.String() + " q/step", func(k int) string { return f3(at[d][k].Throughput) }},
+			column[int]{d.String() + " steps/q", func(k int) string { return f2(at[d][k].StepsPerQuery) }})
 	}
-	sort.Ints(clients)
-	designs := []veb.Design{veb.BlockNodes, veb.WholeNodeFetch, veb.VEBNodes}
-	headers := []string{"clients k"}
-	for _, d := range designs {
-		headers = append(headers, d.String()+" q/step", d.String()+" steps/q")
-	}
-	var cells [][]string
-	for _, c := range clients {
-		row := []string{intStr(c)}
-		for _, d := range designs {
-			r := byDesign[d][c]
-			row = append(row, f3(r.Throughput), f2(r.StepsPerQuery))
+	return renderRows("E9 (Lemma 13): query throughput vs concurrency — vEB PB-nodes track the best design at every k",
+		clientCounts(rows, func(r Lemma13Row) int { return r.Clients }), cols)
+}
+
+// clientCounts returns the distinct client counts of rows in ascending
+// order: the row keys of a throughput-vs-concurrency table.
+func clientCounts[R any](rows []R, clients func(R) int) []int {
+	var ks []int
+	for _, r := range rows {
+		if k := clients(r); !slices.Contains(ks, k) {
+			ks = append(ks, k)
 		}
-		cells = append(cells, row)
 	}
-	return RenderTable("E9 (Lemma 13): query throughput vs concurrency — vEB PB-nodes track the best design at every k",
-		headers, cells)
+	slices.Sort(ks)
+	return ks
 }
 
 func randomKeys(n int, seed uint64) []uint64 {

@@ -54,37 +54,52 @@ type Figure1Series struct {
 func Figure1(cfg PDAMConfig) []Figure1Series {
 	var out []Figure1Series
 	for _, prof := range ssd.Profiles() {
-		s := Figure1Series{Device: prof.Name}
-		for _, p := range cfg.Threads {
-			secs := runThreadRound(prof, p, cfg)
-			s.Points = append(s.Points, Figure1Point{Threads: p, Seconds: secs})
-		}
-		out = append(out, s)
+		out = append(out, threadSeries(prof, cfg, storage.Read, 1000003))
 	}
 	return out
 }
 
-// runThreadRound simulates one round: p threads, each issuing
-// cfg.PerThreadIOs dependent random reads; returns the completion time of
-// the slowest thread in virtual seconds.
-func runThreadRound(prof ssd.Profile, p int, cfg PDAMConfig) float64 {
-	eng := sim.New()
-	st := storage.NewStore(ssd.New(prof))
-	root := stats.NewRNG(cfg.Seed + uint64(p)*1000003)
-	var last sim.Time
+// threadSeries is one device's Figure 1 curve, for reads or (E17) writes: at
+// each thread count p a fresh device serves p threads of cfg.PerThreadIOs
+// dependent random IOs, and the point is the slowest thread's completion
+// time. seedStride keeps the two directions' offset streams apart.
+func threadSeries(prof ssd.Profile, cfg PDAMConfig, op storage.Op, seedStride uint64) Figure1Series {
+	s := Figure1Series{Device: prof.Name}
+	slots := (prof.Capacity() - cfg.IOBytes) / cfg.IOBytes
+	for _, p := range cfg.Threads {
+		secs := ioRound(storage.NewStore(ssd.New(prof)), op, p, cfg.PerThreadIOs, cfg.IOBytes, slots,
+			stats.NewRNG(cfg.Seed+uint64(p)*seedStride))
+		s.Points = append(s.Points, Figure1Point{Threads: p, Seconds: secs})
+	}
+	return s
+}
+
+// ioThreads starts p sim processes on eng, thread i issuing n dependent
+// random IOs of size bytes on st, at size-aligned offsets below slots·size
+// drawn from root.Split(i). It returns where the latest finish so far is
+// kept: once eng.Run returns, the completion time of the slowest thread.
+func ioThreads(eng *sim.Engine, st *storage.Store, op storage.Op, p, n int, size, slots int64, root *stats.RNG) *sim.Time {
+	last := new(sim.Time)
 	for i := 0; i < p; i++ {
 		rng := root.Split(uint64(i))
 		eng.Go(func(pr *sim.Proc) {
-			for j := 0; j < cfg.PerThreadIOs; j++ {
-				off := rng.Int63n((prof.Capacity()-cfg.IOBytes)/cfg.IOBytes) * cfg.IOBytes
-				done := st.Meter(pr.Now(), storage.Read, off, cfg.IOBytes)
+			for j := 0; j < n; j++ {
+				done := st.Meter(pr.Now(), op, rng.Int63n(slots)*size, size)
 				pr.SleepUntil(done)
 			}
-			if pr.Now() > last {
-				last = pr.Now()
+			if pr.Now() > *last {
+				*last = pr.Now()
 			}
 		})
 	}
+	return last
+}
+
+// ioRound runs ioThreads alone on a clock of its own and returns the
+// completion time of the slowest thread in virtual seconds.
+func ioRound(st *storage.Store, op storage.Op, p, n int, size, slots int64, root *stats.RNG) float64 {
+	eng := sim.New()
+	last := ioThreads(eng, st, op, p, n, size, slots, root)
 	eng.Run()
 	return last.Seconds()
 }
@@ -128,29 +143,21 @@ func Table1(series []Figure1Series, cfg PDAMConfig) ([]Table1Row, error) {
 
 // RenderTable1 formats Table 1 as in the paper.
 func RenderTable1(rows []Table1Row) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{r.Device, f2(r.P), fmt0(r.SatMBps), f4(r.R2)})
-	}
-	return RenderTable("Table 1: derived PDAM parameters (cf. paper: P 2.9-5.5, ∝PB 260-2500 MB/s, R² ≥ 0.986)",
-		[]string{"Device", "P", "∝PB (MB/s)", "R²"}, cells)
+	return renderRows("Table 1: derived PDAM parameters (cf. paper: P 2.9-5.5, ∝PB 260-2500 MB/s, R² ≥ 0.986)", rows, []column[Table1Row]{
+		{"Device", func(r Table1Row) string { return r.Device }},
+		{"P", func(r Table1Row) string { return f2(r.P) }},
+		{"∝PB (MB/s)", func(r Table1Row) string { return fmt0(r.SatMBps) }},
+		{"R²", func(r Table1Row) string { return f4(r.R2) }},
+	})
 }
 
 // RenderFigure1CSV emits the Figure 1 series (one column per device).
 func RenderFigure1CSV(series []Figure1Series) string {
-	headers := []string{"threads"}
+	cols := []column[int]{{"threads", func(i int) string { return intStr(series[0].Points[i].Threads) }}}
 	for _, s := range series {
-		headers = append(headers, s.Device)
+		cols = append(cols, column[int]{s.Device, func(i int) string { return f3(s.Points[i].Seconds) }})
 	}
-	var rows [][]string
-	for i := range series[0].Points {
-		row := []string{intStr(series[0].Points[i].Threads)}
-		for _, s := range series {
-			row = append(row, f3(s.Points[i].Seconds))
-		}
-		rows = append(rows, row)
-	}
-	return RenderCSV(headers, rows)
+	return RenderCSV(grid(indices(len(series[0].Points)), cols))
 }
 
 // PredictionRow quantifies E7: how well the PDAM (knee model) and the DAM
@@ -203,12 +210,10 @@ func PDAMPrediction(series []Figure1Series, table1 []Table1Row, cfg PDAMConfig) 
 
 // RenderPrediction formats E7.
 func RenderPrediction(rows []PredictionRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Device, f2(r.PDAMMaxRelErr * 100), f2(r.DAMMaxOverEst), f2(r.DerivedP),
-		})
-	}
-	return RenderTable("E7: prediction error on Figure 1 (paper: PDAM ≤14%; DAM overestimates by ≈P)",
-		[]string{"Device", "PDAM max err (%)", "DAM max overestimate (x)", "derived P"}, cells)
+	return renderRows("E7: prediction error on Figure 1 (paper: PDAM ≤14%; DAM overestimates by ≈P)", rows, []column[PredictionRow]{
+		{"Device", func(r PredictionRow) string { return r.Device }},
+		{"PDAM max err (%)", func(r PredictionRow) string { return f2(r.PDAMMaxRelErr * 100) }},
+		{"DAM max overestimate (x)", func(r PredictionRow) string { return f2(r.DAMMaxOverEst) }},
+		{"derived P", func(r PredictionRow) string { return f2(r.DerivedP) }},
+	})
 }

@@ -49,6 +49,44 @@ func RenderTable(title string, headers []string, rows [][]string) string {
 	return b.String()
 }
 
+// column is one column of a table of Rs: its header and how a row fills it.
+type column[R any] struct {
+	head string
+	cell func(R) string
+}
+
+// grid lays rows out through cols: the header line and one line of cells
+// per row, for RenderTable or RenderCSV.
+func grid[R any](rows []R, cols []column[R]) (headers []string, cells [][]string) {
+	for _, c := range cols {
+		headers = append(headers, c.head)
+	}
+	for _, r := range rows {
+		line := make([]string, len(cols))
+		for i, c := range cols {
+			line[i] = c.cell(r)
+		}
+		cells = append(cells, line)
+	}
+	return headers, cells
+}
+
+// indices returns 0, 1, … n-1: the rows of a table whose columns are series.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// renderRows formats one aligned table line per row through a column list:
+// every Render* table in the package is a title, rows and columns.
+func renderRows[R any](title string, rows []R, cols []column[R]) string {
+	headers, cells := grid(rows, cols)
+	return RenderTable(title, headers, cells)
+}
+
 // RenderCSV formats rows as CSV (no quoting needed: cells are numbers and
 // simple names).
 func RenderCSV(headers []string, rows [][]string) string {

@@ -48,18 +48,11 @@ func Table3Sweep(cfg SensitivityConfig) []SensitivityPoint {
 // RenderTable3 formats the symbolic rows at one representative size plus the
 // sensitivity sweep.
 func RenderTable3(points []SensitivityPoint) string {
-	headers := []string{"B (4K blocks)"}
-	for _, r := range points[0].Rows {
-		headers = append(headers, r.Design+" ins", r.Design+" qry")
+	cols := []column[SensitivityPoint]{{"B (4K blocks)", func(p SensitivityPoint) string { return fmt0(p.Blocks) }}}
+	for i, r := range points[0].Rows {
+		cols = append(cols,
+			column[SensitivityPoint]{r.Design + " ins", func(p SensitivityPoint) string { return f3(p.Rows[i].Insert) }},
+			column[SensitivityPoint]{r.Design + " qry", func(p SensitivityPoint) string { return f3(p.Rows[i].Query) }})
 	}
-	var cells [][]string
-	for _, p := range points {
-		row := []string{fmt0(p.Blocks)}
-		for _, r := range p.Rows {
-			row = append(row, f3(r.Insert), f3(r.Query))
-		}
-		cells = append(cells, row)
-	}
-	return RenderTable("Table 3: normalized op costs vs node size (B-tree grows ~linearly in B; Bε-tree ~√B)",
-		headers, cells)
+	return renderRows("Table 3: normalized op costs vs node size (B-tree grows ~linearly in B; Bε-tree ~√B)", points, cols)
 }

@@ -27,11 +27,9 @@ import (
 	"time"
 
 	"iomodels/internal/cluster"
-	"iomodels/internal/engine"
 	"iomodels/internal/node"
 	"iomodels/internal/server"
 	"iomodels/internal/sim"
-	"iomodels/internal/stats"
 	"iomodels/internal/storage"
 	"iomodels/internal/workload"
 )
@@ -99,19 +97,10 @@ func (d shipFlatDev) Name() string    { return "flat" }
 // startShipNode boots a durable, shipping-enabled B-tree server in the given
 // role. A replica gets its shipper started against primaryAddr.
 func startShipNode(cfg ShipLagConfig, role server.Role, syncShip bool, primaryAddr string) (*node.Node, error) {
-	return node.Start(node.Spec{
-		Store:      storage.NewFaultStore(shipFlatDev{capacity: 256 << 20, ioTime: cfg.IOTime}),
-		CacheBytes: cfg.CacheBytes,
-		Tree:       "btree",
-		NodeBytes:  4 << 10,
-		Keys:       cfg.Spec,
-		Durability: &engine.DurabilityConfig{
-			LogBytes:     8 << 20,
-			GroupBytes:   1 << 20,
-			JournalBytes: 4 << 20,
-		},
+	base := ServeBase{NodeBlocks: 1, CacheBytes: cfg.CacheBytes, Spec: cfg.Spec}
+	return base.start(4<<10, true, node.Spec{
+		Store: storage.NewFaultStore(shipFlatDev{capacity: 256 << 20, ioTime: cfg.IOTime}),
 		Server: server.Config{
-			Addr:            "127.0.0.1:0",
 			Shards:          1,
 			Role:            role,
 			SyncShip:        syncShip,
@@ -155,22 +144,13 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 	}
 	defer replica.Close()
 
-	hist := stats.NewLatencyHist()
-	root := stats.NewRNG(cfg.Seed)
-	err = eachClient(primary.Addr, cfg.Writers, func(w int, cl *server.Client) error {
-		rng := root.Split(uint64(w))
-		local := stats.NewLatencyHist()
-		for i := 0; i < cfg.WritesPerWriter; i++ {
-			// Disjoint key ranges per writer, shuffled within the range so
-			// tree paths differ between consecutive puts.
-			id := uint64(w*cfg.WritesPerWriter) + uint64(rng.Int63n(int64(cfg.WritesPerWriter)))
-			t0 := time.Now()
-			if err := cl.Put(cfg.Spec.Key(id), cfg.Spec.Value(id)); err != nil {
-				return fmt.Errorf("writer %d: %w", w, err)
-			}
-			local.Observe(int64(time.Since(t0)))
+	// Disjoint key ranges per writer, shuffled within the range so tree
+	// paths differ between consecutive puts.
+	lat, err := closedLoop(primary.Addr, cfg.Writers, cfg.WritesPerWriter, cfg.Seed, nil, func(c *conn, _ int) error {
+		id := uint64(c.i*cfg.WritesPerWriter) + uint64(c.rng.Int63n(int64(cfg.WritesPerWriter)))
+		if err := c.Put(cfg.Spec.Key(id), cfg.Spec.Value(id)); err != nil {
+			return fmt.Errorf("writer %d: %w", c.i, err)
 		}
-		hist.Merge(local)
 		return nil
 	})
 	if err != nil {
@@ -195,13 +175,12 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 
 	psnap := primary.Srv.Snapshot()
 	rsnap := replica.Srv.Snapshot()
-	snap := hist.Snapshot()
 	return ShipLagRow{
 		Mode:       mode,
 		Writers:    cfg.Writers,
 		Writes:     int64(cfg.Writers * cfg.WritesPerWriter),
-		P50Us:      float64(snap.P50) / 1e3,
-		P99Us:      float64(snap.P99) / 1e3,
+		P50Us:      lat.P50Us,
+		P99Us:      lat.P99Us,
 		GateWaits:  psnap.GateWait.Count,
 		GateP99Us:  psnap.GateWait.P99Us,
 		LagSamples: rsnap.ShipLag.Samples,
@@ -214,17 +193,16 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 
 // RenderShipLag formats E24, one row per round.
 func RenderShipLag(rows []ShipLagRow) string {
-	headers := []string{"mode", "writers", "writes", "p50 µs", "p99 µs",
-		"gate waits", "gate p99 µs", "lag samples", "lag max ms", "lag max lsns"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Mode, intStr(r.Writers), intStr(int(r.Writes)),
-			fmt0(r.P50Us), fmt0(r.P99Us),
-			intStr(int(r.GateWaits)), fmt0(r.GateP99Us),
-			intStr(int(r.LagSamples)), f3(r.LagMaxMs), intStr(int(r.LagMaxLSNs)),
-		})
-	}
-	return RenderTable("E24 (ship lag): sync-ship write-latency cost vs replication-lag guarantee",
-		headers, cells)
+	return renderRows("E24 (ship lag): sync-ship write-latency cost vs replication-lag guarantee", rows, []column[ShipLagRow]{
+		{"mode", func(r ShipLagRow) string { return r.Mode }},
+		{"writers", func(r ShipLagRow) string { return intStr(r.Writers) }},
+		{"writes", func(r ShipLagRow) string { return intStr(int(r.Writes)) }},
+		{"p50 µs", func(r ShipLagRow) string { return fmt0(r.P50Us) }},
+		{"p99 µs", func(r ShipLagRow) string { return fmt0(r.P99Us) }},
+		{"gate waits", func(r ShipLagRow) string { return intStr(int(r.GateWaits)) }},
+		{"gate p99 µs", func(r ShipLagRow) string { return fmt0(r.GateP99Us) }},
+		{"lag samples", func(r ShipLagRow) string { return intStr(int(r.LagSamples)) }},
+		{"lag max ms", func(r ShipLagRow) string { return f3(r.LagMaxMs) }},
+		{"lag max lsns", func(r ShipLagRow) string { return intStr(int(r.LagMaxLSNs)) }},
+	})
 }

@@ -135,12 +135,10 @@ func WriteAmp(cfg WriteAmpConfig) []WriteAmpRow {
 
 // RenderWriteAmp formats E12.
 func RenderWriteAmp(rows []WriteAmpRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Structure, humanBytes(r.NodeBytes), f2(r.WriteAmp), f2(r.ModelAmp),
-		})
-	}
-	return RenderTable("E12: write amplification under random inserts (B-tree ~Θ(B/entry); Bε-tree ~F·height; LSM ~growth·levels)",
-		[]string{"Structure", "Node/SSTable", "measured WA", "Θ-bound shape"}, cells)
+	return renderRows("E12: write amplification under random inserts (B-tree ~Θ(B/entry); Bε-tree ~F·height; LSM ~growth·levels)", rows, []column[WriteAmpRow]{
+		{"Structure", func(r WriteAmpRow) string { return r.Structure }},
+		{"Node/SSTable", func(r WriteAmpRow) string { return humanBytes(r.NodeBytes) }},
+		{"measured WA", func(r WriteAmpRow) string { return f2(r.WriteAmp) }},
+		{"Θ-bound shape", func(r WriteAmpRow) string { return f2(r.ModelAmp) }},
+	})
 }

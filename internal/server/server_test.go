@@ -361,7 +361,8 @@ func TestServerBusyWrite(t *testing.T) {
 // TestServerSchedulerBeatsDAM is the Lemma 13 effect end-to-end: the same
 // closed-loop read load, served by a batch-of-P scheduler vs a batch-of-1
 // (DAM-style) one, must consume at least 2× fewer device time steps with
-// batching. Virtual time makes this robust to host scheduling noise.
+// batching — and no more than P× fewer. Virtual time makes this robust to
+// host scheduling noise.
 func TestServerSchedulerBeatsDAM(t *testing.T) {
 	const (
 		p     = 8
@@ -413,6 +414,15 @@ func TestServerSchedulerBeatsDAM(t *testing.T) {
 	if ratio < 2 {
 		t.Fatalf("batch scheduler only %.2fx better than DAM-style (dam=%.0f pdam=%.0f steps), want >= 2x",
 			ratio, damSteps, pdamSteps)
+	}
+	// Batch-of-1 is the fully serial schedule of the same work, and the
+	// device has p slots per step: a closed loop of conns <= p clients can
+	// take neither more steps than the serial run nor fewer than a p-th of
+	// them. Outside that range the timeline moved without device work behind
+	// it (see engine.Client.wait for the one time it did).
+	if pdamSteps > damSteps || pdamSteps < damSteps/p {
+		t.Fatalf("batched run took %.0f steps, outside [serial/P, serial] = [%.0f, %.0f]",
+			pdamSteps, damSteps/p, damSteps)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides small statistical helpers shared by the device
 // simulators, the regression package, and the experiment harnesses:
-// deterministic random number generation, summary statistics, and fixed-width
-// histograms.
+// deterministic random number generation, summary statistics, and (latency.go)
+// mergeable latency histograms.
 //
 // Everything in this package is deterministic given its inputs; the
 // experiment harnesses rely on that to produce byte-identical tables across
@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -221,53 +220,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi). Values outside the
-// range are clamped into the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Count   int
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-	h.Count++
-}
-
-// String renders a compact textual sparkline of the histogram.
-func (h *Histogram) String() string {
-	max := 0
-	for _, c := range h.Buckets {
-		if c > max {
-			max = c
-		}
-	}
-	levels := []rune(" ▁▂▃▄▅▆▇█")
-	out := make([]rune, len(h.Buckets))
-	for i, c := range h.Buckets {
-		if max == 0 {
-			out[i] = levels[0]
-			continue
-		}
-		out[i] = levels[c*(len(levels)-1)/max]
-	}
-	return fmt.Sprintf("[%g,%g) n=%d |%s|", h.Lo, h.Hi, h.Count, string(out))
 }

@@ -162,24 +162,6 @@ func sortFloats(xs []float64) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first bucket
-	h.Add(99) // clamps to last bucket
-	if h.Count != 12 {
-		t.Fatalf("count = %d", h.Count)
-	}
-	if h.Buckets[0] != 2 || h.Buckets[9] != 2 {
-		t.Fatalf("clamping failed: %v", h.Buckets)
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")

@@ -64,9 +64,6 @@ func NewFaultStore(dev Device) *FaultStore {
 	return &FaultStore{inner: NewStore(dev)}
 }
 
-// FaultStoreOn wraps an existing Store (sharing its bytes and counters).
-func FaultStoreOn(s *Store) *FaultStore { return &FaultStore{inner: s} }
-
 // Inner returns the wrapped Store — the durable medium that survives a
 // crash.
 func (f *FaultStore) Inner() *Store { return f.inner }

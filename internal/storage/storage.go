@@ -431,12 +431,6 @@ func NewDisk(dev Device, clk *sim.Engine) *Disk {
 	return &Disk{store: NewStore(dev), clk: clk}
 }
 
-// DiskOn wraps an existing Store on clock clk (sharing bytes and counters
-// with every other client of the store).
-func DiskOn(store *Store, clk *sim.Engine) *Disk {
-	return &Disk{store: store, clk: clk}
-}
-
 // SetTrace attaches an IO trace (nil detaches).
 func (d *Disk) SetTrace(t *Trace) { d.store.SetTrace(t) }
 

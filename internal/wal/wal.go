@@ -294,9 +294,6 @@ func decodeRecords(payload []byte, firstSeq uint64, n uint32) ([]Record, bool) {
 // DurableBytes reports the committed frame bytes of the current epoch.
 func (l *Log) DurableBytes() int64 { return l.head }
 
-// PendingBytes reports the size of the uncommitted group.
-func (l *Log) PendingBytes() int { return len(l.buf) }
-
 // Epoch returns the current checkpoint epoch.
 func (l *Log) Epoch() uint64 { return l.epoch }
 
