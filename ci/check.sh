@@ -17,12 +17,13 @@
 #              how the host schedules them
 #   one-of     grep gate: the duplicates internal/node, storage.Topology,
 #              the reply codec, cluster.ParseTopology, engine.Session, the
-#              pager's latch wait, the experiments' serving harness and
-#              lintutil.FuncPattern removed (hand-written boots, anonymous
-#              device-hint assertions, hand-built replies, per-tool -cluster
-#              splitters, per-tree Session types, per-method busy-retry
-#              loops and a fourth ioCtx type, per-experiment client loops,
-#              per-analyzer pattern parsers) stay removed
+#              pager's latch wait, the experiments' serving harness,
+#              lintutil.FuncPattern and the store's chunk table removed
+#              (hand-written boots, anonymous device-hint assertions,
+#              hand-built replies, per-tool -cluster splitters, per-tree
+#              Session types, per-method busy-retry loops and a fourth ioCtx
+#              type, per-experiment client loops, per-analyzer pattern
+#              parsers, a flat store image grown by copying it) stay removed
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -31,7 +32,9 @@
 #              verify clean SIGINT shutdown; the other arms internal/node
 #              boots (the mq device, a durable Bε-tree) under a short burst;
 #              plus a durable boot that preloads past the ship ring's
-#              capacity under a deadline
+#              capacity under a deadline and a peak-memory bound (the node
+#              holds what it wrote, not its 330 MiB of log and journal
+#              address space)
 #   go test -race   the concurrent engine path: k sim processes and
 #                   host-parallel detached clients through the sharded pager,
 #                   plus an explicit pass over the crash/recovery suite
@@ -141,6 +144,15 @@ if [ -n "$dups" ]; then
 	exit 1
 fi
 
+# The store image is a table of chunks allocated on first write: no growth
+# policy, nothing that copies the image to extend it.
+dups=$(grep -n -e 'func (s \*Store) ensure' -e 'copy(grown' internal/storage/storage.go || true)
+if [ -n "$dups" ]; then
+	echo "internal/storage/storage.go grows the image by copying it again (write into the chunk table):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
 # Commit-path smoke: a shipped ApplyBatch with the ring below and at capacity,
 # and wal.Append with and without the commit hook. At 2000 iterations this is
 # well under a second; a ring that reallocates per append (the pre-PR-13
@@ -235,12 +247,22 @@ for arm in "-device mq" "-tree betree -node 65536 -durable"; do
 done
 
 # Durable boot past the ship ring's capacity (70,000 preloaded records >
-# DefaultShipCap 65,536): about a second when the at-capacity append is
-# O(1); the slice-copy ring spent ~20 s on the last 4,464 appends alone, so
-# the 20 s deadline fails if that cost ever returns.
+# DefaultShipCap 65,536): a fifth of a second when the at-capacity append is
+# O(1) and the store image is allocated chunk by chunk as it is written. The
+# slice-copy ring spent ~20 s on the last 4,464 appends alone, and a flat image
+# grown by allocate-and-copy took 0.7-2.4 s and peaked at ~720 MiB to hold
+# ~25 MiB of pages (the two journals and the log put the first tree page at
+# byte 328 MiB); the 5 s deadline and the 256 MiB peak-RSS bound fail if either
+# cost returns.
 "$smoke/kvserve" -addr 127.0.0.1:0 -items 70000 -durable >"$smoke/kvserve-boot.log" 2>&1 &
 kvpid=$!
-waitaddr "$smoke/kvserve-boot.log" 200 >/dev/null
+waitaddr "$smoke/kvserve-boot.log" 50 >/dev/null
+hwm=$(awk '/^VmHWM:/ {print $2}' "/proc/$kvpid/status")
+if [ -z "$hwm" ] || [ "$hwm" -gt $((256 * 1024)) ]; then
+	echo "kvserve (durable boot) peak RSS at listen is ${hwm:-unknown} kB, bound 262144:" >&2
+	cat "$smoke/kvserve-boot.log" >&2
+	exit 1
+fi
 kill -INT "$kvpid"
 wait "$kvpid" || {
 	echo "kvserve (durable boot) did not shut down cleanly:" >&2

@@ -327,9 +327,9 @@ func (n *node) encodePacked(cfg Config) []byte {
 	if len(e.Buf) > cfg.NodeBytes {
 		panic(fmt.Sprintf("betree: packed node overflows extent: %d > %d", len(e.Buf), cfg.NodeBytes))
 	}
-	buf := make([]byte, cfg.NodeBytes)
-	copy(buf, e.Buf)
-	return buf
+	// The node fit, so e.Buf still has the capacity it was made with and is
+	// zero beyond its length: the extent is that buffer at full length.
+	return e.Buf[:cfg.NodeBytes]
 }
 
 func (n *node) encodeSlotted(cfg Config) []byte {

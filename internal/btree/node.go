@@ -132,17 +132,12 @@ func (n *node) encode(nodeBytes int) []byte {
 	if len(e.Buf)+footerBytes > nodeBytes {
 		panic(fmt.Sprintf("btree: node overflows extent: %d+%d > %d", len(e.Buf), footerBytes, nodeBytes))
 	}
-	crc := crc32.ChecksumIEEE(e.Buf)
-	payload := len(e.Buf)
-	buf := make([]byte, nodeBytes)
-	copy(buf, e.Buf)
 	// CRC goes at the end of the payload; the decoder re-derives the payload
-	// length from the structure, so store the crc immediately after it.
-	buf[payload] = byte(crc >> 24)
-	buf[payload+1] = byte(crc >> 16)
-	buf[payload+2] = byte(crc >> 8)
-	buf[payload+3] = byte(crc)
-	return buf
+	// length from the structure, so store the crc immediately after it. The
+	// node fit, so e.Buf still has the capacity it was made with and is zero
+	// beyond its length: the extent is that buffer at full length.
+	e.U32(crc32.ChecksumIEEE(e.Buf))
+	return e.Buf[:nodeBytes]
 }
 
 // decodeNode parses an extent produced by encode, verifying the checksum.

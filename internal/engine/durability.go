@@ -412,8 +412,20 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 	snap := e.alloc.Snapshot()
 	e.allocMu.Unlock()
 
-	// 4. Compose and seal the journal with one sequential write.
-	var p kv.Enc
+	// 4. Compose and seal the journal with one sequential write. Every length
+	// is known once the capture is done, so the frame is one buffer of exactly
+	// its size — the one allocation proportional to the dirty set that the
+	// seal makes under the writer's lock. The header's bytes are reserved, the
+	// payload is encoded behind them, and the header, which carries the
+	// payload's length and crc, is written into the reserved bytes last.
+	size := journalHdrBytes + 8 + allocatorEncodedSize(snap) + 1 + 4
+	for i, dd := range d.dicts {
+		size += 4 + len(dd.name) + 4 + len(manifests[i])
+	}
+	for _, pw := range pages {
+		size += 8 + 4 + len(pw.data)
+	}
+	p := kv.Enc{Buf: make([]byte, journalHdrBytes, size)}
 	p.U64(lastLSN)
 	encodeAllocator(&p, snap)
 	p.U8(uint8(len(d.dicts)))
@@ -426,14 +438,14 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 		p.U64(uint64(pw.off))
 		p.Bytes(pw.data)
 	}
+	frame := p.Buf
 	epoch := d.epoch + 1
-	var h kv.Enc
+	h := kv.Enc{Buf: frame[:0]}
 	h.U32(journalMagic)
 	h.U64(epoch)
-	h.U64(uint64(len(p.Buf)))
-	h.U32(crc32.ChecksumIEEE(p.Buf))
+	h.U64(uint64(len(frame) - journalHdrBytes))
+	h.U32(crc32.ChecksumIEEE(frame[journalHdrBytes:]))
 	h.U32(crc32.ChecksumIEEE(h.Buf))
-	frame := append(h.Buf, p.Buf...)
 	if int64(len(frame)) > d.cfg.JournalBytes {
 		// Too big to seal. The pages MUST still be installed: Flush already
 		// marked them clean, so if their bytes never reached the device a
@@ -468,6 +480,15 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 	d.nextSlot ^= 1
 	d.checkpoints++
 	return nil
+}
+
+// allocatorEncodedSize is the number of bytes encodeAllocator appends for s.
+func allocatorEncodedSize(s storage.AllocatorState) int {
+	n := 8 + 8 + 4
+	for _, offs := range s.Free {
+		n += 8 + 4 + 8*len(offs)
+	}
+	return n
 }
 
 // encodeAllocator serializes an allocator snapshot deterministically.

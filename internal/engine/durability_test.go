@@ -410,9 +410,18 @@ func runCrashCase(t *testing.T, c crashCase) bool {
 		fs.ClearFaults() // reboot: byte image survives, volatile state gone
 	}
 
-	e2, r, err := engine.Recover(engCfg(), dcfg, fs, sim.New())
+	recoverAndCheckPrefix(t, fs, engCfg(), dcfg, ops, crashed, fmt.Sprintf("crash at write %d (tear %d)", crashN, c.Tear))
+	return true
+}
+
+// recoverAndCheckPrefix reopens fs's image and requires the recovered B-tree
+// "bt" to equal the model folded over exactly the first CommittedSeq ops — all
+// of them if the run did not crash.
+func recoverAndCheckPrefix(t *testing.T, fs *storage.FaultStore, ecfg engine.Config, dcfg engine.DurabilityConfig, ops []crashOp, crashed bool, what string) {
+	t.Helper()
+	e2, r, err := engine.Recover(ecfg, dcfg, fs, sim.New())
 	if err != nil {
-		t.Fatalf("recover (crash at %d, tear %d): %v", crashN, c.Tear, err)
+		t.Fatalf("recover (%s): %v", what, err)
 	}
 	// A crash before the first post-registration checkpoint recovers to the
 	// initial (empty) checkpoint, which has no manifest: the tree restarts
@@ -442,7 +451,8 @@ func runCrashCase(t *testing.T, c crashCase) bool {
 		t.Fatalf("clean run committed %d of %d ops", committed, len(ops))
 	}
 
-	// Model: fold exactly the committed prefix.
+	// Model: fold exactly the committed prefix; every key any op touched must
+	// read back as the model has it, present or absent.
 	model := make(map[string][]byte)
 	for _, op := range ops[:committed] {
 		if op.del {
@@ -451,19 +461,94 @@ func runCrashCase(t *testing.T, c crashCase) bool {
 			model[string(op.key)] = op.val
 		}
 	}
-	for k := 0; k < keyspace; k++ {
-		kb := key(k)
-		want, wantOK := model[string(kb)]
-		got, gotOK := d2.Get(kb)
+	checked := make(map[string]bool)
+	for _, op := range ops {
+		if checked[string(op.key)] {
+			continue
+		}
+		checked[string(op.key)] = true
+		want, wantOK := model[string(op.key)]
+		got, gotOK := d2.Get(op.key)
 		if wantOK != gotOK || !bytes.Equal(got, want) {
-			t.Fatalf("crash at write %d (tear %d), committed %d/%d: key %q got %q,%v want %q,%v",
-				crashN, c.Tear, committed, len(ops), kb, got, gotOK, want, wantOK)
+			t.Fatalf("%s, committed %d/%d: key %q got %q,%v want %q,%v",
+				what, committed, len(ops), op.key, got, gotOK, want, wantOK)
 		}
 	}
 	if err := bt2.Check(); err != nil {
 		t.Fatalf("recovered tree invariants: %v", err)
 	}
-	return true
+}
+
+// TestCrashTornSealAcrossChunks aims the same property at the store image's
+// chunk table: the fatal write is a checkpoint seal of several MiB — one
+// WriteAt that straddles every chunk boundary under it — torn a few bytes
+// past the 1 MiB mark and a page past the 2 MiB mark (boundaries of any
+// power-of-two chunk size up to 1 MiB), over a slot that held an older
+// sealed journal. Recovery must reject the torn
+// frame, fall back to the other slot's checkpoint and replay the WAL to
+// exactly the committed prefix.
+func TestCrashTornSealAcrossChunks(t *testing.T) {
+	ecfg := engine.Config{CacheBytes: 16 << 20}
+	dcfg := engine.DurabilityConfig{
+		LogBytes: 16 << 20, GroupBytes: 4 << 10, JournalBytes: 16 << 20, CheckpointEveryBytes: -1,
+	}
+	rng := rand.New(rand.NewSource(18))
+	const keyspace = 40000
+	ops := make([]crashOp, 0, 2*keyspace+500)
+	for i := 0; i < 2*keyspace; i++ {
+		ops = append(ops, crashOp{key: []byte(fmt.Sprintf("key-%06d", i%keyspace)), val: val(i)})
+	}
+	synced := len(ops)
+	for i := 0; i < 500; i++ { // the unsynced tail: group commit decides its fate
+		k := []byte(fmt.Sprintf("key-%06d", rng.Intn(keyspace)))
+		if i%3 == 0 {
+			ops = append(ops, crashOp{del: true, key: k})
+		} else {
+			ops = append(ops, crashOp{key: k, val: val(rng.Intn(1 << 20))})
+		}
+	}
+	for _, tear := range []int{1<<20 + 7, 2<<20 + 4099} {
+		fs := storage.NewFaultStore(flatDev{testCapacity})
+		e := engine.FromStore(ecfg, fs, sim.New())
+		if err := e.EnableDurability(dcfg); err != nil { // seals the empty checkpoint in slot 0
+			t.Fatal(err)
+		}
+		bt, err := btree.New(btreeCfg(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := e.Durable("bt", bt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply := func(ops []crashOp) {
+			for _, op := range ops {
+				if op.del {
+					d.Delete(op.key)
+				} else {
+					d.Put(op.key, op.val)
+				}
+			}
+		}
+		apply(ops[:keyspace])
+		if err := e.Checkpoint(); err != nil { // slot 1: the checkpoint recovery will fall back to
+			t.Fatal(err)
+		}
+		apply(ops[keyspace:synced]) // dirties every leaf again
+		if err := e.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		apply(ops[synced:])
+		if dirty := e.Pager().DirtyBytes(); dirty <= int64(tear) {
+			t.Fatalf("dirty set %d bytes: the seal would not reach the tear point %d", dirty, tear)
+		}
+		fs.CrashAtWrite(1, tear) // the checkpoint's first write is the seal, into slot 0
+		if !runUntilCrash(func() { _ = e.Checkpoint() }) {
+			t.Fatalf("tear %d: the armed crash did not fire", tear)
+		}
+		fs.ClearFaults()
+		recoverAndCheckPrefix(t, fs, ecfg, dcfg, ops, true, fmt.Sprintf("seal torn at byte %d", tear))
+	}
 }
 
 // runUntilCrash runs fn, absorbing the FaultStore's crash panic; it reports

@@ -208,9 +208,11 @@ type Client struct {
 	ctx      ioCtx
 	id       int64
 	counters storage.Counters
-	// capture, when non-nil, diverts WriteAt into a buffer instead of the
+	// capture, when non-nil, diverts WriteAt into a list instead of the
 	// device. The checkpoint uses it to collect the pager's dirty pages
-	// into the journal without issuing in-place IO.
+	// into the journal without issuing in-place IO. The list keeps each
+	// written slice itself, not a copy: a write-back hands over the extent it
+	// has just encoded (Loader.Store) and does not touch it again.
 	capture *[]pageWrite
 	// span is the client's open tracing span (nil while tracing is off or
 	// the op was sampled out); layer attributes its IOs to the stack layer
@@ -252,7 +254,7 @@ func (c *Client) WriteAt(p []byte, off int64) {
 		return
 	}
 	if c.capture != nil {
-		*c.capture = append(*c.capture, pageWrite{off: off, data: append([]byte(nil), p...)})
+		*c.capture = append(*c.capture, pageWrite{off: off, data: p})
 		return
 	}
 	now := c.ctx.Now()

@@ -20,7 +20,9 @@ type PageID int64
 type Loader interface {
 	// Load reads and decodes the object; size is its charged byte footprint.
 	Load(c *Client, id PageID) (obj interface{}, size int64)
-	// Store serializes and writes back a dirty object.
+	// Store serializes and writes back a dirty object. The bytes it hands to
+	// c.WriteAt are a fresh encoding it does not modify afterwards: during a
+	// checkpoint the client keeps them until the journal is sealed.
 	Store(c *Client, id PageID, obj interface{})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -192,6 +193,41 @@ func TestPrimaryReplicaPair(t *testing.T) {
 		if v, ok, err := rc.Get(keys.Key(i)); err != nil || !ok || !bytes.Equal(v, keys.Value(i)) {
 			t.Fatalf("shipped key %d on the promoted replica: %q, %v, %v", i, v, ok, err)
 		}
+	}
+}
+
+// TestDurableBootAllocatesWhatItWrites boots the benchmark's mixed-durable-c16
+// node — kvserve -durable -items 65540 at its defaults: serving-size journal
+// and log regions, so the first tree page sits 328 MiB into the image — and
+// bounds what the boot allocates in total. The image alone is ~95 MiB of
+// written chunks; a store that grows a flat image by copying it allocates
+// over a GiB to get there.
+func TestDurableBootAllocatesWhatItWrites(t *testing.T) {
+	d, err := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 4<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := node.Start(node.Spec{
+		Device: d, CacheBytes: 64 << 20, Tree: "btree", NodeBytes: 4 << 10,
+		Durability: &engine.DurabilityConfig{}, Items: 65540,
+		Server: server.Config{Addr: "127.0.0.1:0"},
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const mib = 1 << 20
+	alloc, resident := (after.TotalAlloc-before.TotalAlloc)/mib, n.Eng.Store().Resident()/mib
+	t.Logf("boot allocated %d MiB in total; store image resident %d MiB of a %d MiB address range",
+		alloc, resident, n.Eng.HighWater()/mib)
+	if alloc > 200 {
+		t.Errorf("boot allocated %d MiB in total, want <= 200", alloc)
+	}
+	if resident > 128 {
+		t.Errorf("store image holds %d MiB resident, want <= 128", resident)
 	}
 }
 

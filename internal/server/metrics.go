@@ -96,6 +96,9 @@ type StatsSnapshot struct {
 	DevWrites    int64   `json:"dev_writes"`
 	DevReadMB    float64 `json:"dev_read_mb"`
 	DevWriteMB   float64 `json:"dev_write_mb"`
+	// StoreResidentMB is the host memory the store image holds: the chunks a
+	// write has touched, not the address range the node's regions span.
+	StoreResidentMB float64 `json:"store_resident_mb"`
 
 	WALRecords     int64  `json:"wal_records"`
 	WALCommits     int64  `json:"wal_commits"`
@@ -209,6 +212,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.DevReads, out.DevWrites = io.Reads, io.Writes
 	out.DevReadMB = float64(io.BytesRead) / (1 << 20)
 	out.DevWriteMB = float64(io.BytesWritten) / (1 << 20)
+	out.StoreResidentMB = float64(s.backend.Eng.Store().Resident()) / (1 << 20)
 	if ds := s.backend.Eng.DurabilityStats(); ds.Enabled {
 		out.DurableEnabled = true
 		out.WALRecords, out.WALCommits, out.WALBytes = ds.LogRecords, ds.LogCommits, ds.LogBytes
@@ -357,6 +361,7 @@ func (s *Server) writeProm(w io.Writer) {
 	scalar("pager_dirty_bytes", "gauge", "Encoded size of the dirty page set.", int64(snap.PagerDirtyMB*(1<<20)))
 	scalar("device_reads_total", "counter", "Device read IOs.", snap.DevReads)
 	scalar("device_writes_total", "counter", "Device write IOs.", snap.DevWrites)
+	scalar("store_resident_bytes", "gauge", "Host memory held by the store image (chunks written).", int64(snap.StoreResidentMB*(1<<20)))
 	scalar("wal_records_total", "counter", "WAL records appended.", snap.WALRecords)
 	scalar("wal_commits_total", "counter", "WAL group commits.", snap.WALCommits)
 	scalar("wal_bytes_total", "counter", "WAL bytes written (frames and headers).", snap.WALBytes)

@@ -135,6 +135,9 @@ func (f *FaultStore) Counters() Counters { return f.inner.Counters() }
 // ResetCounters zeroes the inner store's aggregate IO statistics.
 func (f *FaultStore) ResetCounters() { f.inner.ResetCounters() }
 
+// Resident returns the inner store's resident image bytes.
+func (f *FaultStore) Resident() int64 { return f.inner.Resident() }
+
 // checkDown panics (after releasing mu) if the machine has crashed; it
 // returns with mu still held otherwise. Caller has just taken mu.
 func (f *FaultStore) checkDown() {

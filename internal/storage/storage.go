@@ -296,7 +296,15 @@ type ByteStore interface {
 	ReadAt(now sim.Time, p []byte, off int64) sim.Time
 	WriteAt(now sim.Time, p []byte, off int64) sim.Time
 	Meter(now sim.Time, op Op, off, size int64) sim.Time
+	// Resident reports the bytes of host memory the store's image holds.
+	Resident() int64
 }
+
+// chunkBytes is the granule of a Store's image. A chunk costs host memory
+// from the first write that touches it, so a small store pays one chunk and a
+// durable node's image — tree pages 328 MiB past its journal and log regions
+// — pays for what it wrote, not for the address space in between.
+const chunkBytes = 1 << 20
 
 // Store couples a timing Device with an in-memory byte store. It is safe
 // for concurrent use: each call issues one IO at the caller-supplied
@@ -304,11 +312,17 @@ type ByteStore interface {
 // without touching any clock. Concurrent clients that wait out their own
 // completion times therefore genuinely overlap on the device — the die and
 // channel queues of internal/ssd, say, see the interleaved arrival order.
+//
+// The image is a table of chunkBytes-sized chunks indexed by off/chunkBytes,
+// each allocated by the first write into it and never moved: space nothing
+// wrote reads as zeros and costs nothing, and no IO pays for the size of the
+// image or the device.
 type Store struct {
 	dev Device
 
 	mu       sync.Mutex
-	data     []byte // grows on demand up to dev.Capacity()
+	chunks   [][]byte // nil entry, or index past the end: never written
+	resident int64    // bytes of allocated chunks
 	trace    *Trace
 	counters Counters
 }
@@ -343,26 +357,24 @@ func (s *Store) ResetCounters() {
 	s.mu.Unlock()
 }
 
-// ensure grows the byte store to cover [0, end). Caller holds mu. Growth is
-// geometric (25% headroom, clamped to capacity) so extending the store block
-// by block — e.g. tree writes landing just past a large durability region —
-// costs amortized O(1) copies instead of one full copy per block.
-func (s *Store) ensure(end int64) {
-	if end > s.dev.Capacity() {
+// Resident reports the host memory the image holds: the bytes of every chunk
+// a write has touched.
+func (s *Store) Resident() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.resident
+}
+
+// access is the part every IO shares: refuse one that ends past the device,
+// charge the device, count and trace it. Caller holds mu.
+func (s *Store) access(now sim.Time, op Op, off, size int64) sim.Time {
+	if end := off + size; end > s.dev.Capacity() {
 		panic(fmt.Sprintf("storage: access beyond device capacity: %d > %d", end, s.dev.Capacity()))
 	}
-	if int64(len(s.data)) < end {
-		target := int64(len(s.data)) + int64(len(s.data))/4
-		if target < end {
-			target = end
-		}
-		if cap := s.dev.Capacity(); target > cap {
-			target = cap
-		}
-		grown := make([]byte, target)
-		copy(grown, s.data)
-		s.data = grown
-	}
+	done := s.dev.Access(now, op, off, size)
+	s.counters.record(op, size, done-now)
+	s.trace.add(TraceRecord{At: now, Op: op, Off: off, Size: size, Latency: done - now})
+	return done
 }
 
 // ReadAt issues a read of len(p) bytes at off at time now, copies the bytes
@@ -374,11 +386,17 @@ func (s *Store) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensure(off + int64(len(p)))
-	done := s.dev.Access(now, Read, off, int64(len(p)))
-	copy(p, s.data[off:off+int64(len(p))])
-	s.counters.record(Read, int64(len(p)), done-now)
-	s.trace.add(TraceRecord{At: now, Op: Read, Off: off, Size: int64(len(p)), Latency: done - now})
+	done := s.access(now, Read, off, int64(len(p)))
+	for len(p) > 0 {
+		i, at := off/chunkBytes, off%chunkBytes
+		n := min(int64(len(p)), chunkBytes-at)
+		if i < int64(len(s.chunks)) && s.chunks[i] != nil {
+			copy(p[:n], s.chunks[i][at:])
+		} else {
+			clear(p[:n])
+		}
+		p, off = p[n:], off+n
+	}
 	return done
 }
 
@@ -390,11 +408,20 @@ func (s *Store) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensure(off + int64(len(p)))
-	done := s.dev.Access(now, Write, off, int64(len(p)))
-	copy(s.data[off:off+int64(len(p))], p)
-	s.counters.record(Write, int64(len(p)), done-now)
-	s.trace.add(TraceRecord{At: now, Op: Write, Off: off, Size: int64(len(p)), Latency: done - now})
+	done := s.access(now, Write, off, int64(len(p)))
+	for len(p) > 0 {
+		i, at := off/chunkBytes, off%chunkBytes
+		for int64(len(s.chunks)) <= i {
+			s.chunks = append(s.chunks, nil)
+		}
+		if s.chunks[i] == nil {
+			// The device's last chunk stops at its capacity.
+			s.chunks[i] = make([]byte, min(chunkBytes, s.dev.Capacity()-i*chunkBytes))
+			s.resident += int64(len(s.chunks[i]))
+		}
+		n := copy(s.chunks[i][at:], p)
+		p, off = p[n:], off+int64(n)
+	}
 	return done
 }
 
@@ -407,13 +434,7 @@ func (s *Store) Meter(now sim.Time, op Op, off, size int64) sim.Time {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off+size > s.dev.Capacity() {
-		panic(fmt.Sprintf("storage: access beyond device capacity: %d > %d", off+size, s.dev.Capacity()))
-	}
-	done := s.dev.Access(now, op, off, size)
-	s.counters.record(op, size, done-now)
-	s.trace.add(TraceRecord{At: now, Op: op, Off: off, Size: size, Latency: done - now})
-	return done
+	return s.access(now, op, off, size)
 }
 
 // Disk layers a virtual clock on a Store: data structures issue
