@@ -18,12 +18,16 @@
 #   one-of     grep gate: the duplicates internal/node, storage.Topology,
 #              the reply codec, cluster.ParseTopology, engine.Session, the
 #              pager's latch wait, the experiments' serving harness,
-#              lintutil.FuncPattern and the store's chunk table removed
-#              (hand-written boots, anonymous device-hint assertions,
-#              hand-built replies, per-tool -cluster splitters, per-tree
-#              Session types, per-method busy-retry loops and a fourth ioCtx
-#              type, per-experiment client loops, per-analyzer pattern
-#              parsers, a flat store image grown by copying it) stay removed
+#              lintutil.FuncPattern, the store's chunk table and the read
+#              scheduler's virtual slots removed (hand-written boots,
+#              anonymous device-hint assertions, hand-built replies, per-tool
+#              -cluster splitters, per-tree Session types, per-method
+#              busy-retry loops and a fourth ioCtx type, per-experiment
+#              client loops, per-analyzer pattern parsers, a flat store image
+#              grown by copying it, a read batch launched by a wall-clock
+#              grace timer) stay removed; the serving stack reads the wall
+#              clock or arms a timer at 13 sites in server/cluster/engine/
+#              node, none of them in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -149,6 +153,23 @@ fi
 dups=$(grep -n -e 'func (s \*Store) ensure' -e 'copy(grown' internal/storage/storage.go || true)
 if [ -n "$dups" ]; then
 	echo "internal/storage/storage.go grows the image by copying it again (write into the chunk table):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# The read scheduler is a function of the cursors it is handed: no clock, no
+# timer, and no grace option anywhere from the flag to the lane (iolint's
+# virtualtime scope covers scheduler.go for the calls; this covers the import
+# and the knob).
+dups=$(grep -n '"time"' internal/server/scheduler.go || true)
+if [ -n "$dups" ]; then
+	echo "internal/server/scheduler.go imports time (a read starts at max(its cursor, its slot's free instant); nothing waits on a clock):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' -e 'BatchGrace' -e 'AfterFunc' -e '"grace"' internal/server internal/node internal/experiments cmd/kvserve || true)
+if [ -n "$dups" ]; then
+	echo "a batch grace window or a timer is back on the serving path:" >&2
 	echo "$dups" >&2
 	exit 1
 fi

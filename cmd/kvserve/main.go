@@ -69,9 +69,8 @@ func main() {
 	cache := flag.Int64("cache", 64<<20, "engine cache bytes")
 	items := flag.Int64("items", 0, "preload this many keys before serving")
 	durable := flag.Bool("durable", false, "enable the WAL: group commit and crash recovery")
-	batch := flag.Int("batch", 0, "read batch size (0: ask the device for P; 1: DAM-style)")
-	lanes := flag.Int("lanes", 0, "read batch lanes (0: ask the device for its queue topology)")
-	grace := flag.Duration("grace", 0, "partial-batch launch grace (0: server default)")
+	batch := flag.Int("batch", 0, "read slots per lane (0: ask the device for P; 1: DAM-style)")
+	lanes := flag.Int("lanes", 0, "read lanes (0: ask the device for its queue topology)")
 	readq := flag.Int("readq", 0, "read admission bound (0: 4x batch)")
 	writeq := flag.Int("writeq", 0, "write queue bound (0: default 1024)")
 	writeBatch := flag.Int("writebatch", 0, "mutations per group commit (0: default 64)")
@@ -125,7 +124,6 @@ func main() {
 			Addr:            *addr,
 			BatchIOs:        *batch,
 			ReadLanes:       *lanes,
-			BatchGrace:      *grace,
 			ReadQueue:       *readq,
 			WriteQueue:      *writeq,
 			WriteBatch:      *writeBatch,
@@ -182,8 +180,8 @@ func main() {
 		}
 	}
 	cfg := srv.Config()
-	fmt.Printf("kvserve: %s on %s, lanes=%d batch=%d grace=%v durable=%v\n",
-		*treeKind, dev.Name(), cfg.ReadLanes, cfg.BatchIOs, cfg.BatchGrace, *durable)
+	fmt.Printf("kvserve: %s on %s, lanes=%d batch=%d durable=%v\n",
+		*treeKind, dev.Name(), cfg.ReadLanes, cfg.BatchIOs, *durable)
 	if role != server.RoleSolo {
 		fmt.Printf("kvserve: shard %d/%d role=%s replica-of=%q sync-ship=%v\n",
 			*shard, *shards, role, *replicaOf, *syncShip)

@@ -12,16 +12,16 @@
 // inserts, and reporting the buffer pool's hit ratios per round.
 //
 // With -serving it also runs E20: the same effect through the full network
-// stack — real TCP clients against internal/server's batch read scheduler,
-// batch-of-P vs the DAM-style batch-of-1, plus the group-commit table.
+// stack — real TCP clients against internal/server's read scheduler,
+// P-slot vs the DAM-style one-slot scheduler, plus the group-commit table.
 //
 // With -mvcc it runs E22: snapshot point-read latency under saturating
 // write pressure, pinned LSN snapshots vs the shared-world-view read path.
 //
 // With -mqserving it runs E23: the multi-queue device — the queue-count /
-// depth calibration sweep, the DAM vs PDAM-global vs queue-aware-lanes
-// serving comparison, the live four-model residual table, and the
-// write-queue isolation round.
+// depth calibration sweep, the DAM vs PDAM-global vs topology-global vs
+// queue-aware-lanes serving comparison, the live four-model residual table,
+// and the write-queue isolation round.
 //
 // Usage:
 //

@@ -22,15 +22,16 @@ import (
 
 const doc = `forbid wall-clock time in simulation and cost-model packages
 
-Simulated components advance sim.Time only; time.Now/Since/Sleep there make
-experiment output host-dependent. Configure with -virtualtime.scope and
+Simulated components advance sim.Time only; time.Now/Since/Sleep/AfterFunc
+there make experiment output host-dependent. Configure with -virtualtime.scope and
 -virtualtime.funcs; exceptional call sites use //lint:allowrealtime <reason>.`
 
-// Defaults: the simulator core, the three device models, the cost-model
-// root package, and the parameter-fitting package.
+// Defaults: the simulator core, the device models, the cost-model root
+// package, the parameter-fitting package, and the server's read scheduler —
+// the one file of a real-time package that decides virtual start instants.
 const (
-	DefaultScope = "iomodels,internal/sim,internal/pdamdev,internal/hdd,internal/ssd,internal/mqssd,internal/fit"
-	DefaultFuncs = "Now,Since,Sleep"
+	DefaultScope = "iomodels,internal/sim,internal/pdamdev,internal/hdd,internal/ssd,internal/mqssd,internal/fit,internal/server:scheduler.go"
+	DefaultFuncs = "Now,Since,Sleep,AfterFunc"
 )
 
 var Analyzer = &analysis.Analyzer{

@@ -25,6 +25,16 @@ func TestDefaultScopeCoversMQSSD(t *testing.T) {
 	atest.Run(t, "../testdata", virtualtime.Analyzer, "internal/mqssd")
 }
 
+// TestDefaultScopeCoversReadScheduler: of the server package only
+// scheduler.go is in the default scope — a timer armed there is flagged, the
+// wall-clock latency metrics beside it are not.
+func TestDefaultScopeCoversReadScheduler(t *testing.T) {
+	if err := virtualtime.Analyzer.Flags.Set("scope", virtualtime.DefaultScope); err != nil {
+		t.Fatal(err)
+	}
+	atest.Run(t, "../testdata", virtualtime.Analyzer, "internal/server")
+}
+
 // TestOutOfScope: the same package is silent when not scoped — the server's
 // real-time code is simply never in the scope list.
 func TestOutOfScope(t *testing.T) {

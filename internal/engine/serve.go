@@ -96,10 +96,9 @@ func (e *Engine) AdoptSharedClock(sc *SharedClock) {
 }
 
 // AlignTo moves the client's virtual cursor forward to t (never backward).
-// The server's batch scheduler uses it to start every request admitted into
-// one device batch at the batch's common instant, so their IOs overlap on
-// the device model's queues regardless of how the host schedules the
-// handler goroutines. Only shared-clock clients support it.
+// The server uses it to start a read at the instant its scheduler slot is
+// free and to move a connection's cursor to the end of a commit it waited
+// for. Only shared-clock clients support it.
 func (c *Client) AlignTo(t sim.Time) {
 	sc, ok := c.ctx.(*sharedCtx)
 	if !ok {

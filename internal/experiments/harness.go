@@ -22,10 +22,6 @@ import (
 	"iomodels/internal/workload"
 )
 
-// batchGrace is the real-time wait every serving experiment's read scheduler
-// gives a partial batch.
-const batchGrace = time.Millisecond
-
 // ServeBase is the part of a serving experiment's config E20, E22 and E23
 // share: the preloaded B-tree and the engine budget under it.
 type ServeBase struct {
@@ -54,7 +50,6 @@ func (b ServeBase) start(blockBytes int64, durable bool, spec node.Spec) (*node.
 		}
 	}
 	spec.Server.Addr = "127.0.0.1:0"
-	spec.Server.BatchGrace = batchGrace
 	return node.Start(spec)
 }
 
@@ -88,17 +83,23 @@ type conns []*conn
 
 // dialConns opens k connections to addr, connection i drawing from
 // stats.NewRNG(seed).Split(i). It is the one place a serving experiment
-// dials.
+// dials. Each connection completes a Ping before dialConns returns: the
+// server gives a connection its virtual cursor — the clock mark of that
+// moment — when it accepts it, so a closed loop's whole population must be
+// accepted before its first request moves the mark.
 func dialConns(addr string, k int, seed uint64) (conns, error) {
 	root := stats.NewRNG(seed)
 	cs := make(conns, 0, k)
 	for i := 0; i < k; i++ {
 		cl, err := server.Dial(addr)
+		if err == nil {
+			cs = append(cs, &conn{Client: cl, i: i, rng: root.Split(uint64(i))})
+			err = cl.Ping()
+		}
 		if err != nil {
 			cs.close()
 			return nil, err
 		}
-		cs = append(cs, &conn{Client: cl, i: i, rng: root.Split(uint64(i))})
 	}
 	return cs, nil
 }

@@ -12,16 +12,17 @@
 //
 //  2. Serving residuals: a kvserve B-tree on the multi-queue profile with
 //     the span tracer and the four-model accountant (obs.ExactMQ), driven
-//     by closed-loop TCP clients through a PDAM-sized global read batch —
-//     the scheduler a PDAM believer would build, which overcommits the
-//     device. The live read-residual histograms must order
+//     by closed-loop TCP clients through one global pool of raw-P read
+//     slots — the scheduler a PDAM believer would build, which overcommits
+//     the device. The live read-residual histograms must order
 //     mq < pdam < dam (acceptance: mq beats pdam, both beat dam ≥ 2×).
 //
 //  3. Scheduler comparison + write isolation: gets/step under the DAM
-//     (batch 1), PDAM-global (one raw-P batch), and queue-aware (per-queue
-//     lanes via the device's storage.Topology) schedulers; then reads
-//     against concurrent group-committing writers with and without the
-//     dedicated write queue.
+//     (one slot), PDAM-global (one pool of raw P slots), topology-global
+//     (one pool of Queues × PerQueue slots) and queue-aware (the same slots
+//     as per-queue lanes, via the device's storage.Topology) schedulers;
+//     then reads against concurrent group-committing writers with and
+//     without the dedicated write queue.
 
 package experiments
 
@@ -156,13 +157,18 @@ func startMQServing(cfg MQServingConfig, lanes, batch int, tracer *obs.Tracer) (
 }
 
 // MQServing runs the scheduler comparison: closed-loop TCP gets per device
-// step under the DAM, PDAM-global, and queue-aware schedulers.
+// step under the DAM, PDAM-global, topology-global and queue-aware
+// schedulers. The last two hold the same number of reads in flight, so the
+// difference between their rows is what partitioning the slots by key costs;
+// the difference to the PDAM-global row is what the depth costs.
 func MQServing(cfg MQServingConfig) ([]ServingRow, error) {
+	topo := mqssd.New(cfg.Device).Storage(1).Topology()
 	return cfg.schedulerRows(cfg.Device.StepTime, cfg.Clients, cfg.OpsPerClient,
 		func(lanes, batch int) (*node.Node, error) { return startMQServing(cfg, lanes, batch, nil) },
-		schedulerMode{"dam", 1, 1},                          // one IO at a time: the DAM's implicit discipline
-		schedulerMode{"pdam", 1, cfg.Device.Model().RawP()}, // one global batch of the raw slot count
-		schedulerMode{"mq-lanes", 0, 0})                     // per-queue lanes sized by the device topology
+		schedulerMode{"dam", 1, 1},                                 // one IO at a time: the DAM's implicit discipline
+		schedulerMode{"pdam", 1, cfg.Device.Model().RawP()},        // one global pool of the raw slot count
+		schedulerMode{"mq-global", 1, topo.Queues * topo.PerQueue}, // one global pool of the topology's slots
+		schedulerMode{"mq-lanes", 0, 0})                            // the same slots as per-queue lanes
 }
 
 // MQResiduals runs the accountant phase: the PDAM-global scheduler (the
@@ -179,8 +185,8 @@ func MQResiduals(cfg MQServingConfig) (obs.Summary, error) {
 		return obs.Summary{}, err
 	}
 	defer sb.Close()
-	// Twice the batch size in closed-loop clients, so a full batch is always
-	// queued behind the running one and every launch is raw-P wide.
+	// Twice the slot count in closed-loop clients, so every slot is always
+	// held and raw-P reads are in flight throughout.
 	k := 2 * raw
 	if _, err := cfg.readRound(sb, cfg.Device.StepTime, "residuals", k, cfg.OpsPerClient); err != nil {
 		return obs.Summary{}, err
@@ -269,7 +275,7 @@ func RenderMQCalibration(rows []MQCalibRow) string {
 
 // RenderMQServing formats the scheduler comparison.
 func RenderMQServing(rows []ServingRow) string {
-	return renderSchedulerRows("E23 (serving): gets per device step — DAM vs PDAM-global vs queue-aware lanes on the multi-queue device", rows)
+	return renderSchedulerRows("E23 (serving): gets per device step — DAM vs PDAM-global vs topology-global vs queue-aware lanes on the multi-queue device", rows)
 }
 
 // RenderMQIsolation formats the write-isolation phase.

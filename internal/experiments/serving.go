@@ -1,7 +1,7 @@
 // E20 (serving / §8 applied): the Lemma 13 effect measured through the full
 // network stack. A kvserve instance fronts a B-tree on the abstract PDAM
 // device; k closed-loop TCP clients run random gets. The server's read
-// scheduler admits reads in device-parallelism-sized batches, so aggregate
+// scheduler keeps a device-parallelism-sized set of reads in flight, so aggregate
 // throughput in device time steps should grow ~linearly in k up to ~P and
 // then plateau — while the same server configured with batch size 1 (the
 // DAM-style scheduler, which assumes one IO per step is all a device can do)
@@ -131,7 +131,7 @@ func servingWriteRound(cfg ServingConfig, maxK, writers, total int) (ServingComm
 
 // RenderServing formats the read phase, one row per (mode, clients).
 func RenderServing(rows []ServingRow) string {
-	return renderSchedulerRows("E20 (serving): closed-loop TCP gets per device step — batch-of-P scheduler vs DAM-style batch-of-1", rows)
+	return renderSchedulerRows("E20 (serving): closed-loop TCP gets per device step — P-slot scheduler vs DAM-style one-slot", rows)
 }
 
 // RenderServingCommit formats the write phase.

@@ -196,6 +196,9 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 	d.TotalIOs += int64(n)
 	usage := d.usage[q]
 	step := d.StepOf(now)
+	if oldest := d.oldestExact(); step < oldest {
+		step = oldest // a cursor from before the bookkeeping: see oldestExact
+	}
 	d.prune(step)
 	var done sim.Time
 	for n > 0 {
@@ -221,6 +224,14 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 // containing t.
 func (d *Device) SlotsFreeAt(q int, t sim.Time) int { return d.freeAt(q, d.StepOf(t)) }
 
+// oldestExact is the earliest step the device still schedules exactly: the
+// last sweep kept it and the step before it, which freeAt consults. A
+// submission whose cursor is older — a serving connection that only hit
+// cache, or sat idle, while others advanced the device by more than the
+// window — is served from here: the steps behind read "empty" only because
+// they were forgotten.
+func (d *Device) oldestExact() int64 { return d.pruneBelow - pruneWindow + 1 }
+
 // prune drops bookkeeping more than pruneWindow steps behind current, the
 // step of the submission being scheduled. It sweeps every queue and the
 // shared active map at once, whichever queue is submitting, so the maps hold
@@ -228,7 +239,7 @@ func (d *Device) SlotsFreeAt(q int, t sim.Time) int { return d.freeAt(q, d.StepO
 // traffic is spread — an idle queue cannot pin the others' history. Keeping
 // one window back (rather than trimming up to current) leaves freeAt's look
 // at step s−1, and any client whose cursor trails the newest by less than
-// the window, exact.
+// the window, exact; Submit moves an older cursor up to oldestExact.
 func (d *Device) prune(current int64) {
 	if current-d.pruneBelow < pruneWindow {
 		return

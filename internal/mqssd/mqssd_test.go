@@ -188,3 +188,39 @@ func TestBookkeepingBoundedWithIdleQueues(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleSubmissionServedAtWindowEdge: a client whose cursor trails the
+// newest submission by more than the device remembers — a serving connection
+// that only hit cache, or sat idle, while the others ran on — must not be
+// charged against steps whose bookkeeping is gone: they read "empty" however
+// full they were. It is served from the oldest step the device still knows
+// exactly, and its IO is booked there.
+func TestStaleSubmissionServedAtWindowEdge(t *testing.T) {
+	d := New(Config{Queues: 1, PerQueueP: 2, BlockBytes: 4096, StepTime: sim.Millisecond})
+	var now sim.Time
+	for d.StepOf(now) < 20_000 {
+		now = d.Submit(0, now, 1) // a serial client: one of each step's two slots
+	}
+	newest := d.StepOf(now) - 1
+	edge := d.oldestExact()
+	if back := newest - edge; back < pruneWindow-1 || back >= 2*pruneWindow {
+		t.Fatalf("oldest exact step is %d behind the newest, want within [%d, %d)", back, pruneWindow-1, 2*pruneWindow)
+	}
+	stale := sim.Time(newest-10_000) * d.cfg.StepTime
+	if got, want := d.Submit(0, stale, 1), d.EndOfStep(edge); got != want {
+		t.Fatalf("read 10,000 steps behind the newest done at %v (step %d), want the window's edge %v (step %d)",
+			got, d.StepOf(got)-1, want, edge)
+	}
+	if used := d.usage[0][edge]; used != 2 {
+		t.Fatalf("edge step holds %d IOs after the stale read, want the serial client's and the stale one", used)
+	}
+	// The edge step is full now: the next stale read takes the one after.
+	if got, want := d.Submit(0, stale, 1), d.EndOfStep(edge+1); got != want {
+		t.Fatalf("second stale read done at %v, want %v", got, want)
+	}
+	// A cursor inside the window is served where it stands, as ever.
+	near := sim.Time(newest-100) * d.cfg.StepTime
+	if got, want := d.Submit(0, near, 1), d.EndOfStep(newest-100); got != want {
+		t.Fatalf("read 100 steps behind done at %v, want its own step's end %v", got, want)
+	}
+}

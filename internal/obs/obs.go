@@ -315,7 +315,8 @@ type Config struct {
 // estimate the device's offered concurrency (see concurrency()).
 const concWindow = 128
 
-// ioInterval is one device IO's [start, end) in virtual time.
+// ioInterval is one device IO's [start, end) on the clock mark's axis: it
+// ends where the mark stood once the IO was reported (see Tracer.mark).
 type ioInterval struct {
 	start, end sim.Time
 }
@@ -342,8 +343,20 @@ type Tracer struct {
 	window   [concWindow]ioInterval
 	wlen     int
 	wpos     int
-	concSum  float64
-	concN    int64
+	// mark is the latest completion any traced IO has reached — the shared
+	// clock's mark, as far as the tracer can see it. The window holds each
+	// IO where the mark stood when it was reported, not where its client's
+	// cursor did: serving connections run on cursors of their own, hundreds
+	// of steps apart, and the hull of their IOs' own intervals is that drift,
+	// not the time the device spent on them. The window is a count of IOs, so
+	// its length in time varies, and a mean of busy/length ratios weights the
+	// short windows up: the estimate is biased high and can read above the
+	// device's P (by about 5 % on a full 16-slot device). It says how many
+	// IOs compete, not how full the steps are; the device's own slot
+	// utilisation is the number for that.
+	mark    sim.Time
+	concSum float64
+	concN   int64
 }
 
 // layerTotal accumulates one layer's device traffic.
@@ -470,7 +483,10 @@ func (t *Tracer) Finish(sp *Span, now sim.Time) {
 			lt.ios++
 			lt.bytes += ev.Size
 			lt.time += ev.Latency
-			t.window[t.wpos] = ioInterval{start: ev.At, end: ev.At + ev.Latency}
+			if end := ev.At + ev.Latency; end > t.mark {
+				t.mark = end
+			}
+			t.window[t.wpos] = ioInterval{start: t.mark - ev.Latency, end: t.mark}
 			t.wpos = (t.wpos + 1) % concWindow
 			if t.wlen < concWindow {
 				t.wlen++
@@ -512,10 +528,10 @@ func (t *Tracer) Finish(sp *Span, now sim.Time) {
 
 // concurrencyLocked estimates the device's average offered concurrency
 // over the recent-IO window by Little's law: total busy time divided by
-// the virtual span the window covers. The estimate is what the PDAM and
-// DAM predictions need (how many IOs compete for the device's P slots) and
-// is itself exported as "measured parallelism" next to the fitted P.
-// Caller holds t.mu. Returns 0 before any IO.
+// the stretch of the clock mark's axis the window covers. The estimate is
+// what the PDAM and DAM predictions need (how many IOs compete for the
+// device's P slots) and is itself exported as "measured parallelism" next
+// to the fitted P. Caller holds t.mu. Returns 0 before any IO.
 func (t *Tracer) concurrencyLocked() float64 {
 	if t.wlen == 0 {
 		return 0

@@ -7,6 +7,7 @@ import (
 	"iomodels/internal/core"
 	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
+	"iomodels/internal/stats"
 	"iomodels/internal/storage"
 )
 
@@ -207,5 +208,52 @@ func TestPDAMModelsAreTheOneQueueMQ(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("ModelsFor(pdam) =\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestConcurrencySurvivesUnalignedCursors: the concurrency estimate is IO
+// busy time per unit of clock-mark advance, so it counts streams that run
+// hundreds of steps apart in virtual time. Sixteen serial streams, each on
+// its own cursor up to 200 steps either side of the middle, keep sixteen IOs
+// in flight per step of the mark; the hull of their IOs' own intervals is
+// the drift between them, and dividing by it reads ~1.
+func TestConcurrencySurvivesUnalignedCursors(t *testing.T) {
+	const step = sim.Millisecond
+	run := func(streams int) float64 {
+		tr := NewTracer(Config{})
+		rng := stats.NewRNG(uint64(streams))
+		cursor := make([]sim.Time, streams)
+		for i := range cursor {
+			cursor[i] = 1000 * step
+			if streams > 1 {
+				cursor[i] += sim.Time(i*400/(streams-1)-200) * step
+			}
+		}
+		order := make([]int, streams)
+		for i := range order {
+			order[i] = i
+		}
+		for round := 0; round < 600; round++ {
+			// The host finishes the streams' spans in no particular order.
+			for i := streams - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				order[i], order[j] = order[j], order[i]
+			}
+			for _, s := range order {
+				sp := tr.Begin("get", int64(s), cursor[s])
+				for io := 0; io < 2; io++ {
+					sp.IO(LayerPager, storage.Read, 0, 4096, cursor[s], step)
+					cursor[s] += step
+				}
+				tr.Finish(sp, cursor[s])
+			}
+		}
+		return tr.Summary().AvgConcurrency
+	}
+	if got := run(16); got < 14 || got > 16 {
+		t.Errorf("16 serial streams ±200 steps apart: avg concurrency %.2f, want 14–16", got)
+	}
+	if got := run(1); got != 1 {
+		t.Errorf("one serial stream: avg concurrency %.2f, want 1", got)
 	}
 }

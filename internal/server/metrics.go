@@ -71,8 +71,8 @@ type StatsSnapshot struct {
 	ListenAddr string `json:"listen_addr"`
 	GoVersion  string `json:"go_version"`
 	Device     string `json:"device"`
-	BatchIOs   int    `json:"batch_ios"`  // scheduler batch size per lane (the device's P or per-queue service)
-	ReadLanes  int    `json:"read_lanes"` // independent read-batch lanes (device queues; 1 = global)
+	BatchIOs   int    `json:"batch_ios"`  // read scheduler slots per lane (the device's P or per-queue service)
+	ReadLanes  int    `json:"read_lanes"` // independent read lanes (device queues; 1 = global)
 
 	Conns      int64 `json:"conns"`
 	ConnsTotal int64 `json:"conns_total"`
@@ -338,16 +338,16 @@ func (s *Server) writeProm(w io.Writer) {
 		fmt.Fprintf(w, "%s %v\n", full, v)
 	}
 	scalar("uptime_seconds", "gauge", "Seconds since the server started.", snap.UptimeSeconds)
-	scalar("batch_ios", "gauge", "Read scheduler batch size per lane (the device's parallelism P or per-queue service).", snap.BatchIOs)
-	scalar("read_lanes", "gauge", "Independent read-batch lanes (device queues; 1 = global scheduler).", snap.ReadLanes)
+	scalar("batch_ios", "gauge", "Read scheduler slots per lane (the device's parallelism P or per-queue service).", snap.BatchIOs)
+	scalar("read_lanes", "gauge", "Independent read lanes (device queues; 1 = global scheduler).", snap.ReadLanes)
 	scalar("conns", "gauge", "Open client connections.", snap.Conns)
 	scalar("conns_total", "counter", "Connections accepted since start.", snap.ConnsTotal)
 	scalar("in_flight", "gauge", "Requests currently being served.", snap.InFlight)
-	scalar("read_queued", "gauge", "Reads queued or running in the batch scheduler.", snap.ReadQueued)
+	scalar("read_queued", "gauge", "Reads queued or running in the read scheduler.", snap.ReadQueued)
 	scalar("proto_errors_total", "counter", "Malformed or oversized requests.", snap.ProtoErrs)
 	scalar("busy_total", "counter", "Requests shed by admission control.", snap.Busy)
 	scalar("not_found_total", "counter", "Gets for absent keys.", snap.NotFound)
-	scalar("read_batches_total", "counter", "Read batches launched by the scheduler.", snap.ReadBatches)
+	scalar("read_batches_total", "counter", "Read launches that opened a new virtual start instant on their lane (a lone client: every read).", snap.ReadBatches)
 	scalar("write_batches_total", "counter", "Group-commit batches applied.", snap.WriteBatches)
 	scalar("write_ops_total", "counter", "Mutations applied across all batches.", snap.WriteOps)
 	scalar("write_queue_depth", "gauge", "Mutations waiting in the write queue.", snap.WriteQueueDepth)
@@ -455,7 +455,7 @@ func (s *Server) writeProm(w io.Writer) {
 	if o := snap.Obs; o != nil {
 		scalar("obs_spans_total", "counter", "Finished sampled spans.", o.Spans)
 		scalar("obs_ops_total", "counter", "Operations offered to the tracer (incl. sampled out).", o.Ops)
-		scalar("obs_avg_concurrency", "gauge", "Estimated device concurrency (Little's law over recent IOs).", o.AvgConcurrency)
+		scalar("obs_avg_concurrency", "gauge", "Estimated device concurrency (Little's law: recent IO time per unit of virtual-clock advance).", o.AvgConcurrency)
 		writePromObs(w, o)
 	}
 }

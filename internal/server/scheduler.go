@@ -3,24 +3,28 @@
 // are in flight per step; a scheduler admitting one request at a time (the
 // DAM's implicit discipline) leaves P-1 slots idle.
 //
-// The scheduler groups incoming reads into batches of up to `size` (from
-// the device's storage.Topology), and launches each batch at one common
-// virtual instant. Every member aligns its engine client to the batch's start time
-// before running, so the batch's IOs pack into the same device time steps —
-// the virtual-time picture is the Lemma 13 experiment's, regardless of how
-// the host kernel interleaves the handler goroutines. A short real-time
-// grace window lets a partially-filled batch wait for stragglers before
-// launching; it costs real latency only, never virtual throughput.
+// What the lemma gates on is free queue depth, so that is all the scheduler
+// keeps: a LANE is `size` virtual slots (from the device's
+// storage.Topology), and a slot remembers the virtual instant it last became
+// free. A read presents its connection's cursor and starts, at once, at
+// max(cursor, the slot's free instant); it waits only when every slot of its
+// lane is held, and then inherits the end of the read that releases one.
+// There is no batch, no barrier and no clock: a closed-loop client's next
+// request arrives, virtually, at its own previous completion, so k <= size
+// connections each keep a slot and run on their own cursors — the device's
+// stepper, not the scheduler, packs their IOs into steps — and k > size is
+// list scheduling on `size` machines. size = 1 is the DAM's serial
+// discipline (the E20 baseline).
+//
+// Slots are handed out best-fit: the latest-freed idle slot that does not
+// delay the read, else the earliest-freed one. Taking the earliest would
+// hand a leading connection the slot a lagging one is about to come back
+// for, and drag the laggard up to the leader's instant.
 //
 // Queue awareness (the multi-queue refinement): on a device with several
-// submission queues the scheduler runs one independent batch LANE per
-// queue, each sized to the topology's per-queue target, and requests are
-// assigned lanes by key hash. Lanes launch and complete
-// independently, so a slow batch on one queue never convoys the others —
-// and the per-lane batch size matches what its queue can actually serve,
-// instead of one global P-sized batch overcommitting the device. With one
-// lane (every device without queue structure) the behavior is exactly the
-// classic global scheduler.
+// submission queues the scheduler runs one independent lane per queue, each
+// sized to the topology's per-queue target, and requests are assigned lanes
+// by key hash, so a backlog on one queue never convoys the others.
 //
 // Admission control: at most maxQueue requests may be queued or running
 // across all lanes. Beyond that, admit refuses and the connection answers
@@ -29,46 +33,44 @@ package server
 
 import (
 	"sync"
-	"time"
 
 	"iomodels/internal/engine"
 	"iomodels/internal/sim"
 )
 
-// readBatch is one group of reads sharing a virtual start instant.
-type readBatch struct {
-	launched  chan struct{} // closed at launch; members wait on it
-	start     sim.Time      // common virtual start, set at launch
-	createdAt sim.Time      // clock mark when the first member arrived
-	lane      int           // the lane this batch belongs to
-	n         int           // members admitted
-	done      int           // members finished
-	end       sim.Time      // max member completion time
-	ready     bool          // grace expired: launch as soon as we're head
+// ticket is one admitted read's place on its lane.
+type ticket struct {
+	lane int
+	// start is the read's virtual start instant once launched (until then,
+	// the cursor it was admitted with).
+	start sim.Time
+	// launched is nil when admit found a slot; a read that had to queue
+	// waits for the releasing read to close it.
+	launched chan struct{}
 }
 
-// readScheduler batches read admissions across one or more lanes.
+// lane is one queue's slots.
+type lane struct {
+	idle    []sim.Time // the free instants of the slots nobody holds
+	waiting []*ticket  // FIFO; non-empty only while no slot is idle
+	latest  sim.Time   // the latest start instant handed out
+}
+
+// readScheduler admits reads onto one or more lanes of virtual slots.
 type readScheduler struct {
 	clock    *engine.SharedClock
-	size     int           // max batch size per lane (the queue's service; 1 = DAM-style)
-	maxQueue int           // admission bound across queued+running requests, all lanes
-	grace    time.Duration // how long a partial batch waits for stragglers
+	size     int // slots per lane (the queue's service; 1 = DAM-style)
+	maxQueue int // admission bound across queued+running requests, all lanes
 
-	mu      sync.Mutex     //lint:lockrank 40
-	lanes   [][]*readBatch // per lane: queue[0] is running or next to launch
-	last    []sim.Time     // per lane: end of the last completed batch
-	queued  int            // total members across all lanes (admission gauge)
-	batches int64          // batches launched (metrics)
+	mu      sync.Mutex //lint:lockrank 40
+	lanes   []lane
+	queued  int   // queued+running reads across all lanes (admission gauge)
+	batches int64 // launches that opened a new start instant (metrics)
 }
 
-// newReadScheduler builds the classic single-lane scheduler.
-func newReadScheduler(clock *engine.SharedClock, size, maxQueue int, grace time.Duration) *readScheduler {
-	return newLaneScheduler(clock, 1, size, maxQueue, grace)
-}
-
-// newLaneScheduler builds a scheduler with `lanes` independent batch lanes
-// of up to `size` members each.
-func newLaneScheduler(clock *engine.SharedClock, lanes, size, maxQueue int, grace time.Duration) *readScheduler {
+// newReadScheduler builds a scheduler with `lanes` independent lanes of
+// `size` slots each, every slot free since virtual time zero.
+func newReadScheduler(clock *engine.SharedClock, lanes, size, maxQueue int) *readScheduler {
 	if lanes < 1 {
 		lanes = 1
 	}
@@ -78,11 +80,11 @@ func newLaneScheduler(clock *engine.SharedClock, lanes, size, maxQueue int, grac
 	if maxQueue < lanes*size {
 		maxQueue = lanes * size
 	}
-	return &readScheduler{
-		clock: clock, size: size, maxQueue: maxQueue, grace: grace,
-		lanes: make([][]*readBatch, lanes),
-		last:  make([]sim.Time, lanes),
+	s := &readScheduler{clock: clock, size: size, maxQueue: maxQueue, lanes: make([]lane, lanes)}
+	for i := range s.lanes {
+		s.lanes[i].idle = make([]sim.Time, size)
 	}
+	return s
 }
 
 // laneCount reports the number of lanes (for stats).
@@ -101,105 +103,84 @@ func (s *readScheduler) laneOf(key []byte) int {
 	return int(h % uint32(len(s.lanes)))
 }
 
-// admit joins the caller into a batch on the given lane, or refuses
-// (admission control). On true, the caller must wait on the batch's
-// launched channel, align its client to batch.start, run the read, then
-// call done.
-func (s *readScheduler) admit(lane int) (*readBatch, bool) {
+// admit gives a read whose connection stands at cursor a slot on the lane,
+// queues it behind the lane's held slots, or refuses it (admission control).
+// On true the caller waits on the ticket's launched channel if it has one,
+// aligns its client to ticket.start, runs the read, then calls done.
+func (s *readScheduler) admit(laneIdx int, cursor sim.Time) (*ticket, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.queued >= s.maxQueue {
 		return nil, false
 	}
-	q := s.lanes[lane]
-	var b *readBatch
-	if n := len(q); n > 0 {
-		if tail := q[n-1]; tail.n < s.size && !launchedOf(tail) {
-			b = tail
-		}
-	}
-	if b == nil {
-		b = &readBatch{launched: make(chan struct{}), lane: lane, createdAt: s.clock.Now()}
-		s.lanes[lane] = append(q, b)
-		if s.grace > 0 && s.size > 1 {
-			time.AfterFunc(s.grace, func() {
-				s.mu.Lock()
-				b.ready = true
-				s.launchHeadLocked(b.lane)
-				s.mu.Unlock()
-			})
-		} else {
-			b.ready = true
-		}
-	}
-	b.n++
 	s.queued++
-	s.launchHeadLocked(lane)
-	return b, true
+	l := &s.lanes[laneIdx]
+	t := &ticket{lane: laneIdx, start: cursor}
+	if len(l.idle) == 0 {
+		t.launched = make(chan struct{})
+		l.waiting = append(l.waiting, t)
+		return t, true
+	}
+	best := 0
+	for i, free := range l.idle {
+		if fitsBetter(free, l.idle[best], cursor) {
+			best = i
+		}
+	}
+	free := l.idle[best]
+	l.idle[best] = l.idle[len(l.idle)-1]
+	l.idle = l.idle[:len(l.idle)-1]
+	s.launchLocked(l, t, free)
+	return t, true
 }
 
-// done reports a member's completion at virtual time end. When the whole
-// batch has finished, its max completion time becomes the shared clock's new
-// mark and the lane's next batch may launch.
-func (s *readScheduler) done(b *readBatch, end sim.Time) {
+// fitsBetter reports whether a slot free since a suits a read at cursor
+// better than one free since b: a slot that does not delay the read beats
+// one that does; of two that do not, the later-freed; of two that do, the
+// earlier-freed.
+func fitsBetter(a, b, cursor sim.Time) bool {
+	if (a <= cursor) != (b <= cursor) {
+		return a <= cursor
+	}
+	if a <= cursor {
+		return a > b
+	}
+	return a < b
+}
+
+// done reports a read's completion at virtual time end: the shared clock
+// observes it, and its slot goes to the lane's longest-waiting read or back
+// to the idle set.
+func (s *readScheduler) done(t *ticket, end sim.Time) {
 	s.mu.Lock()
-	b.done++
-	if end > b.end {
-		b.end = end
-	}
+	defer s.mu.Unlock()
+	s.clock.Observe(end)
 	s.queued--
-	q := s.lanes[b.lane]
-	if b.done == b.n && len(q) > 0 && q[0] == b {
-		s.clock.Observe(b.end)
-		if b.end > s.last[b.lane] {
-			s.last[b.lane] = b.end
-		}
-		s.lanes[b.lane] = q[1:]
-		s.launchHeadLocked(b.lane)
+	l := &s.lanes[t.lane]
+	if len(l.waiting) == 0 {
+		l.idle = append(l.idle, end)
+		return
 	}
-	s.mu.Unlock()
+	next := l.waiting[0]
+	l.waiting = l.waiting[1:]
+	s.launchLocked(l, next, end)
+	close(next.launched)
 }
 
-// launchHeadLocked launches the lane's head batch if it is full, or its
-// grace window has expired, and it has not launched yet. Called with mu
-// held.
-func (s *readScheduler) launchHeadLocked(lane int) {
-	q := s.lanes[lane]
-	if len(q) == 0 {
-		return
-	}
-	b := q[0]
-	if launchedOf(b) || b.n == 0 {
-		return
-	}
-	if b.n >= s.size || b.ready {
-		// Anchor the batch to its own lane's timeline, not the global
-		// high-water mark: the lane's previous batch end, or the clock mark
-		// when the batch's first member arrived, whichever is later. Other
-		// lanes' completions raise the shared clock but must not push this
-		// lane's start forward — that would convoy the lanes in virtual
-		// time. Members align their clients forward-only, so a start behind
-		// a client's own cursor never rewinds anyone.
-		b.start = b.createdAt
-		if s.last[lane] > b.start {
-			b.start = s.last[lane]
-		}
+// launchLocked starts t on a slot free since `free`, which the caller has
+// taken out of the idle set. read_batches counts the launches that opened a
+// new start instant on their lane — every other slot was idle, or no read of
+// the lane had started this late — so a lone client reads fill 1/size and
+// reads sharing an instant count once. Called with mu held.
+func (s *readScheduler) launchLocked(l *lane, t *ticket, free sim.Time) {
+	t.start = max(t.start, free)
+	if alone := len(l.idle) == s.size-1; alone || t.start > l.latest {
 		s.batches++
-		close(b.launched) // batch is now closed to joins (head + launched)
 	}
+	l.latest = max(l.latest, t.start)
 }
 
-// launchedOf reports whether b has launched (its channel is closed).
-func launchedOf(b *readBatch) bool {
-	select {
-	case <-b.launched:
-		return true
-	default:
-		return false
-	}
-}
-
-// snapshot returns (queued members, batches launched) for metrics.
+// snapshot returns (queued+running reads, batches launched) for metrics.
 func (s *readScheduler) snapshot() (int, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

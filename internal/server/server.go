@@ -1,6 +1,6 @@
 // Package server is a concurrent KV service over the repo's storage engine
 // and trees: a length-prefixed binary protocol on TCP, a PDAM-aware read
-// scheduler that admits reads in device-parallelism-sized batches
+// scheduler that keeps a device-parallelism-sized set of reads in flight
 // (scheduler.go), a single writer that group-commits mutations across
 // connections through the PR-2 WAL (writer.go), admission control that
 // sheds load with typed busy replies, and a metrics layer (metrics.go).
@@ -40,22 +40,19 @@ type Config struct {
 	// Addr is the TCP listen address for ListenAndServe ("127.0.0.1:0"
 	// picks a free port).
 	Addr string
-	// BatchIOs is the read scheduler's batch size per lane. 0 asks the
-	// device's storage.Topology: the per-queue target when the lanes also
-	// come from the topology, else its realizable Parallelism (the PDAM's
-	// P). 1 gives the DAM-style one-at-a-time scheduler (the E20 baseline).
+	// BatchIOs is the read scheduler's slot count per lane: how many reads
+	// of one lane run at once. 0 asks the device's storage.Topology: the
+	// per-queue target when the lanes also come from the topology, else its
+	// realizable Parallelism (the PDAM's P). 1 gives the DAM-style
+	// one-at-a-time scheduler (the E20 baseline).
 	BatchIOs int
-	// ReadLanes is the number of independent read-batch lanes, each with
-	// its own BatchIOs-sized batches; requests are assigned lanes by key
-	// hash. 0 asks the device's storage.Topology for its queue count — 1,
-	// the classic global scheduler, on devices without queue structure. On
-	// a multi-queue device, per-queue lanes keep each batch sized to what
-	// one queue can serve instead of one global batch overcommitting the
-	// device.
+	// ReadLanes is the number of independent read lanes, each with its own
+	// BatchIOs slots; requests are assigned lanes by key hash. 0 asks the
+	// device's storage.Topology for its queue count — 1, the classic global
+	// scheduler, on devices without queue structure. On a multi-queue
+	// device, per-queue lanes keep each lane's reads in flight at what one
+	// queue can serve instead of one global pool overcommitting the device.
 	ReadLanes int
-	// BatchGrace is how long (real time) a partial read batch waits for
-	// stragglers before launching. Default 200µs.
-	BatchGrace time.Duration
 	// ReadQueue bounds queued+running read requests; beyond it reads are
 	// refused with StatusBusy. Default 4×BatchIOs.
 	ReadQueue int
@@ -117,9 +114,6 @@ func (c Config) withDefaults(dev storage.Device) Config {
 	}
 	if c.BatchIOs < 1 {
 		c.BatchIOs = 1
-	}
-	if c.BatchGrace == 0 {
-		c.BatchGrace = 200 * time.Microsecond
 	}
 	if c.ReadQueue == 0 {
 		c.ReadQueue = 4 * c.BatchIOs * c.ReadLanes
@@ -220,7 +214,7 @@ func New(cfg Config, backend Backend) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		backend:    backend,
-		readSched:  newLaneScheduler(backend.Clock, cfg.ReadLanes, cfg.BatchIOs, cfg.ReadQueue, cfg.BatchGrace),
+		readSched:  newReadScheduler(backend.Clock, cfg.ReadLanes, cfg.BatchIOs, cfg.ReadQueue),
 		metrics:    newMetrics(),
 		writeCh:    make(chan writeReq, cfg.WriteQueue),
 		writerDone: make(chan struct{}),
@@ -568,7 +562,7 @@ func (s *Server) serveSnapOpen(cs *connState, req request) reply {
 }
 
 // serveSnapRead runs a snapshot Get/Scan. The fast path never consults the
-// write queue, the state lock, or the batch scheduler: a point read whose
+// write queue, the state lock, or the read scheduler: a point read whose
 // key has a recorded version resolves from the in-memory chain alone. Only
 // chain misses — keys untouched since the snapshot opened, whose current
 // tree value IS the snapshot value — and scans, whose tree merge reads the
@@ -611,23 +605,25 @@ func (s *Server) serveSnapRelease(cs *connState, req request) reply {
 }
 
 // scheduledRead runs a Get/Scan — as of sn's pinned LSN when sn is non-nil —
-// through the batch scheduler: join a batch on the key's lane (or be shed),
-// start at the batch's common virtual instant, read under the state
-// read-lock, report completion.
+// through the read scheduler: take a slot on the key's lane (or be shed),
+// start at the later of the connection's cursor and the slot's free instant,
+// read under the state read-lock, report completion.
 func (s *Server) scheduledRead(cs *connState, req request, sn *engine.Snap) reply {
 	client := cs.client
 	affinity := req.key
 	if req.op == OpScan || req.op == OpSnapScan {
 		affinity = req.lo
 	}
-	b, ok := s.readSched.admit(s.readSched.laneOf(affinity))
+	t, ok := s.readSched.admit(s.readSched.laneOf(affinity), client.Now())
 	if !ok {
 		return failure(StatusBusy, "read queue full")
 	}
-	<-b.launched
-	client.AlignTo(b.start)
-	// The span opens at the batch's common virtual instant, so its duration
-	// is the request's virtual service time (queue wait is wall-clock and
+	if t.launched != nil {
+		<-t.launched
+	}
+	client.AlignTo(t.start)
+	// The span opens at the read's virtual start, so its duration is the
+	// request's virtual service time (queue wait is wall-clock and
 	// deliberately excluded — virtual time is the models' currency). A
 	// carried trace context links the span under the client's trace and
 	// bypasses sampling; a zero context is the ordinary sampled StartSpan.
@@ -640,7 +636,7 @@ func (s *Server) scheduledRead(cs *connState, req request, sn *engine.Snap) repl
 	s.stateMu.RUnlock()
 	client.FinishSpan(sp)
 	cs.lastSpan = sp
-	s.readSched.done(b, client.Now())
+	s.readSched.done(t, client.Now())
 	return rep
 }
 
@@ -727,6 +723,9 @@ func (s *Server) serveWrite(cs *connState, req request) reply {
 		return failure(StatusBusy, "write queue full")
 	}
 	res := <-cs.writeDone
+	// Read-your-write in virtual time: the connection's next read starts at
+	// its own cursor, so the cursor must not stay behind the commit's end.
+	cs.client.AlignTo(res.end)
 	cs.client.FinishSpan(sp)
 	cs.lastSpan = sp
 	if res.err != nil {

@@ -1,6 +1,6 @@
 // Integration tests: real TCP connections against real trees on simulated
 // devices. The headline assertions mirror E20's acceptance criteria — the
-// PDAM batch scheduler beats a batch-of-1 (DAM-style) configuration in
+// PDAM slot scheduler beats a one-slot (DAM-style) configuration in
 // device time steps, and concurrent writers share WAL flushes.
 
 package server
@@ -18,6 +18,7 @@ import (
 	"iomodels/internal/btree"
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
+	"iomodels/internal/obs"
 	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
 	"iomodels/internal/stats"
@@ -359,10 +360,20 @@ func TestServerBusyWrite(t *testing.T) {
 }
 
 // TestServerSchedulerBeatsDAM is the Lemma 13 effect end-to-end: the same
-// closed-loop read load, served by a batch-of-P scheduler vs a batch-of-1
-// (DAM-style) one, must consume at least 2× fewer device time steps with
-// batching — and no more than P× fewer. Virtual time makes this robust to
+// closed-loop read load, served by a P-slot scheduler vs a one-slot
+// (DAM-style) one, must consume at least 2× fewer device time steps with P
+// slots — and no more than P× fewer. Virtual time makes this robust to
 // host scheduling noise.
+//
+// A connection's cursor starts at the clock mark of the moment the server
+// accepts it — the one virtual instant the wall clock decides. "established"
+// has the whole population accepted before the first request, and every
+// bound holds. "joining" dials inside the client goroutines, as a real client
+// does: a connection the host accepts late starts where the others have got
+// to and runs its reads after theirs, so the speed-up is the host's to take
+// away (all the way to serial, if it runs the clients one after another)
+// and only the range a timeline with device work behind it stays in is
+// asserted.
 func TestServerSchedulerBeatsDAM(t *testing.T) {
 	const (
 		p     = 8
@@ -372,25 +383,35 @@ func TestServerSchedulerBeatsDAM(t *testing.T) {
 		conns = 8
 		each  = 40
 	)
-	run := func(batch int) float64 {
+	run := func(t *testing.T, batch int, established bool) float64 {
 		dev := pdamdev.New(p, block, step)
 		tb := newTestServer(t, Config{
-			BatchIOs:   batch,
-			BatchGrace: time.Millisecond,
-			ReadQueue:  4 * conns, // don't shed: both configs serve the full load
+			BatchIOs:  batch,
+			ReadQueue: 4 * conns, // don't shed: both configs serve the full load
 		}, dev.Storage(1<<30), false, 64<<10 /* small cache: force misses */, items)
+		clients := make([]*Client, conns)
+		if established {
+			for w := range clients {
+				clients[w] = dialT(t, tb)
+				if err := clients[w].Ping(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		start := tb.clock.Now()
 		var wg sync.WaitGroup
-		for w := 0; w < conns; w++ {
+		for w, c := range clients {
 			wg.Add(1)
-			go func(w int) {
+			go func(w int, c *Client) {
 				defer wg.Done()
-				c, err := Dial(tb.addr.String())
-				if err != nil {
-					t.Error(err)
-					return
+				if c == nil {
+					var err error
+					if c, err = Dial(tb.addr.String()); err != nil {
+						t.Error(err)
+						return
+					}
+					defer c.Close()
 				}
-				defer c.Close()
 				rng := stats.NewRNG(uint64(w) + 99)
 				for i := 0; i < each; i++ {
 					if _, _, err := c.Get(tkey(rng.Intn(items))); err != nil {
@@ -398,31 +419,84 @@ func TestServerSchedulerBeatsDAM(t *testing.T) {
 						return
 					}
 				}
-			}(w)
+			}(w, c)
 		}
 		wg.Wait()
 		return float64(tb.clock.Now()-start) / float64(step)
 	}
 
-	damSteps := run(1)
-	pdamSteps := run(p)
-	if pdamSteps <= 0 || damSteps <= 0 {
-		t.Fatalf("degenerate measurement: dam=%v pdam=%v", damSteps, pdamSteps)
+	for name, established := range map[string]bool{"established": true, "joining": false} {
+		t.Run(name, func(t *testing.T) {
+			damSteps := run(t, 1, established)
+			pdamSteps := run(t, p, established)
+			if pdamSteps <= 0 || damSteps <= 0 {
+				t.Fatalf("degenerate measurement: dam=%v pdam=%v", damSteps, pdamSteps)
+			}
+			ratio := damSteps / pdamSteps
+			t.Logf("device steps: dam(1 slot)=%.0f pdam(%d slots)=%.0f ratio=%.2f", damSteps, p, pdamSteps, ratio)
+			if established && ratio < 2 {
+				t.Fatalf("slot scheduler only %.2fx better than DAM-style (dam=%.0f pdam=%.0f steps), want >= 2x",
+					ratio, damSteps, pdamSteps)
+			}
+			// One slot is the fully serial schedule of the same work, and the
+			// device has p slots per step: a closed loop of conns <= p clients
+			// can take neither more steps than the serial run nor fewer than a
+			// p-th of them. Outside that range the timeline moved without
+			// device work behind it (see engine.Client.wait for the one time
+			// it did).
+			if pdamSteps > damSteps || pdamSteps < damSteps/p {
+				t.Fatalf("slotted run took %.0f steps, outside [serial/P, serial] = [%.0f, %.0f]",
+					pdamSteps, damSteps/p, damSteps)
+			}
+		})
 	}
-	ratio := damSteps / pdamSteps
-	t.Logf("device steps: dam(batch=1)=%.0f pdam(batch=%d)=%.0f ratio=%.2f", damSteps, p, pdamSteps, ratio)
-	if ratio < 2 {
-		t.Fatalf("batch scheduler only %.2fx better than DAM-style (dam=%.0f pdam=%.0f steps), want >= 2x",
-			ratio, damSteps, pdamSteps)
+}
+
+// TestServerVirtualReadYourWrite: a read starts at its connection's cursor,
+// not at the clock mark, so the order between a write and the reads after it
+// is the connection's to keep — the write's acknowledgement moves the cursor
+// to the commit's virtual end. A Put then a Get on one connection: the Get's
+// span starts at or after the commit span's end. A second connection that
+// never wrote is on its own timeline, and no such order is imposed on it.
+func TestServerVirtualReadYourWrite(t *testing.T) {
+	tracer := obs.NewTracer(obs.Config{})
+	dev := pdamdev.New(4, 4<<10, sim.Millisecond)
+	tb := newTestServer(t, Config{Tracer: tracer}, dev.Storage(1<<30), true, 64<<10, 2000)
+	writer, reader := dialT(t, tb), dialT(t, tb)
+	// Both connections are accepted, and have their cursors, before any write.
+	for _, c := range []*Client{writer, reader} {
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Batch-of-1 is the fully serial schedule of the same work, and the
-	// device has p slots per step: a closed loop of conns <= p clients can
-	// take neither more steps than the serial run nor fewer than a p-th of
-	// them. Outside that range the timeline moved without device work behind
-	// it (see engine.Client.wait for the one time it did).
-	if pdamSteps > damSteps || pdamSteps < damSteps/p {
-		t.Fatalf("batched run took %.0f steps, outside [serial/P, serial] = [%.0f, %.0f]",
-			pdamSteps, damSteps/p, damSteps)
+	for i := 0; i < 5; i++ { // each commit is at least a step of log IO on the owner's cursor
+		if err := writer.Put(tkey(i), []byte("rewritten")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []*Client{writer, reader} { // in this order: the spans finish in it
+		if v, ok, err := c.Get(tkey(0)); err != nil || !ok || string(v) != "rewritten" {
+			t.Fatalf("get after put: %q %v %v", v, ok, err)
+		}
+	}
+	var commitEnd sim.Time
+	var gets []*obs.Span
+	for _, sp := range tracer.Spans() {
+		switch sp.Op {
+		case "commit":
+			commitEnd = max(commitEnd, sp.End)
+		case "get":
+			gets = append(gets, sp)
+		}
+	}
+	if commitEnd == 0 || len(gets) != 2 {
+		t.Fatalf("traced %d gets and a last commit end of %v, want 2 gets after a commit", len(gets), commitEnd)
+	}
+	if own := gets[0]; own.Start < commitEnd {
+		t.Errorf("the writer's own Get starts at %v, before its commit ended at %v", own.Start, commitEnd)
+	}
+	if other := gets[1]; other.Start >= commitEnd {
+		t.Errorf("another connection's Get starts at %v, dragged to the commit's end %v", other.Start, commitEnd)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
 	"iomodels/internal/obs"
+	"iomodels/internal/sim"
 	"iomodels/internal/wal"
 )
 
@@ -26,7 +27,8 @@ var errSyncShipTimeout = errors.New("sync-ship: no replica acknowledged the writ
 
 // writeResult is the writer's reply to one request.
 type writeResult struct {
-	accepted bool // Delete's report (true for Put/Upsert)
+	accepted bool     // Delete's report (true for Put/Upsert)
+	end      sim.Time // the commit's virtual end (the owner's cursor after it)
 	err      error
 }
 
@@ -166,7 +168,9 @@ func (s *Server) applyWrites(batch []writeReq) {
 	s.metrics.writeBatches.Add(1)
 	s.metrics.writeOps.Add(int64(len(batch)))
 	s.metrics.writeSteps.Add(int64(s.backend.Clock.Now() - start))
+	end := owner.Now()
 	for i, req := range batch {
+		results[i].end = end
 		req.done <- results[i]
 	}
 }

@@ -84,7 +84,7 @@ type Shaped interface {
 // TopologyOf returns dev's declared Topology, or the fallback for devices
 // that declare none (hdd, flat test devices): one queue of 16, what such
 // devices have always been served with. It is the only fallback; answering
-// 1×1 for them instead would turn their servers into batch-of-1 schedulers,
+// 1×1 for them instead would turn their servers into one-slot schedulers,
 // which is a policy change, not a description of the device.
 func TopologyOf(dev Device) Topology {
 	if s, ok := dev.(Shaped); ok {
