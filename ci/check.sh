@@ -18,16 +18,18 @@
 #   one-of     grep gate: the duplicates internal/node, storage.Topology,
 #              the reply codec, cluster.ParseTopology, engine.Session, the
 #              pager's latch wait, the experiments' serving harness,
-#              lintutil.FuncPattern, the store's chunk table and the read
-#              scheduler's virtual slots removed (hand-written boots,
-#              anonymous device-hint assertions, hand-built replies, per-tool
-#              -cluster splitters, per-tree Session types, per-method
-#              busy-retry loops and a fourth ioCtx type, per-experiment
-#              client loops, per-analyzer pattern parsers, a flat store image
-#              grown by copying it, a read batch launched by a wall-clock
-#              grace timer) stay removed; the serving stack reads the wall
-#              clock or arms a timer at 13 sites in server/cluster/engine/
-#              node, none of them in the scheduler
+#              lintutil.FuncPattern, the store's chunk table, the read
+#              scheduler's virtual slots and kv.Dec's views removed
+#              (hand-written boots, anonymous device-hint assertions,
+#              hand-built replies, per-tool -cluster splitters, per-tree
+#              Session types, per-method busy-retry loops and a fourth ioCtx
+#              type, per-experiment client loops, per-analyzer pattern
+#              parsers, a flat store image grown by copying it, a read batch
+#              launched by a wall-clock grace timer, a decoder that copies
+#              every key and value and callers that copy its copy) stay
+#              removed; the serving stack reads the wall clock or arms a
+#              timer at 13 sites in server/cluster/engine/node, none of them
+#              in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -170,6 +172,24 @@ fi
 dups=$(grep -rn --include='*.go' -e 'BatchGrace' -e 'AfterFunc' -e '"grace"' internal/server internal/node internal/experiments cmd/kvserve || true)
 if [ -n "$dups" ]; then
 	echo "a batch grace window or a timer is back on the serving path:" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# A decoded byte string is a view of the buffer it was decoded from (DESIGN.md
+# §5): kv.Dec.Bytes neither allocates nor copies, and no caller copies what
+# it returns by appending it to nil (a field that must outlive its buffer is
+# copied once, with kv.Entry/Message.Clone or bytes.Clone, where that is
+# decided).
+body=$(sed -n '/^func (d \*Dec) Bytes() \[\]byte {$/,/^}$/p' internal/kv/kv.go)
+if [ -z "$body" ] || echo "$body" | grep -q -e 'make(' -e 'copy('; then
+	echo "kv.Dec.Bytes copies again (return the capacity-capped view d.Buf[off:off+n:off+n]):" >&2
+	echo "${body:-func (d *Dec) Bytes not found in internal/kv/kv.go}" >&2
+	exit 1
+fi
+dups=$(grep -rnE --include='*.go' 'append\(\[\]byte\(nil\), [a-z]+\.Bytes\(\)\.\.\.\)' internal || true)
+if [ -n "$dups" ]; then
+	echo "a decoded field copied by appending it to nil (copy once with Clone, or keep the view):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -181,7 +181,7 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 		n := t.ensureFullc(c, off)
 		var p slotPayload
 		if leaf {
-			p.entries = n.entries[n.cuts[minInt(j, len(n.cuts)-2)]:n.cuts[minInt(j, len(n.cuts)-2)+1]]
+			p.entries = n.entries[n.cuts[min(j, len(n.cuts)-2)]:n.cuts[min(j, len(n.cuts)-2)+1]]
 			if t.cfg.Layout == Packed {
 				p.entries = n.entries // packed leaves are one big basement
 			}
@@ -215,7 +215,7 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 	if n.full {
 		var p slotPayload
 		if leaf {
-			j = minInt(j, len(n.cuts)-2)
+			j = min(j, len(n.cuts)-2)
 			p.entries = n.entries[n.cuts[j]:n.cuts[j+1]]
 		} else {
 			p.msgs = n.bufs[j].msgs
@@ -229,20 +229,13 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 	stride := t.cfg.slotStride()
 	sbuf := make([]byte, stride)
 	c.ReadAt(sbuf, off+int64(t.cfg.metaCap())+int64(j)*int64(stride))
-	p, err := decodeSlot(leaf, sbuf)
+	p, err := decodeSlot(leaf, sbuf, nil)
 	if err != nil {
 		panic(fmt.Sprintf("betree: load of slot %d at %d: %v", j, off, err))
 	}
 	n.partial[j] = p
 	t.pager().Resize(c, engine.PageID(off), n.chargeSize(t.cfg))
 	return n, p
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +360,7 @@ func (t *Tree) Put(key, value []byte) {
 		panic(fmt.Sprintf("betree: value length %d exceeds %d", len(value), t.cfg.MaxValueBytes))
 	}
 	t.LogicalBytesInserted += int64(len(key) + len(value))
-	t.inject(kv.Message{Kind: kv.Put, Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)})
+	t.inject(kv.Message{Kind: kv.Put, Key: key, Value: value})
 }
 
 // Delete buffers a tombstone for key and reports that the message was
@@ -375,7 +368,7 @@ func (t *Tree) Put(key, value []byte) {
 // a leaf; use Get first if you need to know.)
 func (t *Tree) Delete(key []byte) bool {
 	t.checkKey(key)
-	t.inject(kv.Message{Kind: kv.Tombstone, Key: append([]byte(nil), key...)})
+	t.inject(kv.Message{Kind: kv.Tombstone, Key: key})
 	return true
 }
 
@@ -384,9 +377,10 @@ func (t *Tree) Delete(key []byte) bool {
 func (t *Tree) Upsert(key []byte, delta int64) {
 	t.checkKey(key)
 	t.LogicalBytesInserted += int64(len(key) + 8)
-	t.inject(kv.Message{Kind: kv.Upsert, Key: append([]byte(nil), key...), Value: kv.UpsertDelta(delta)})
+	t.inject(kv.Message{Kind: kv.Upsert, Key: key, Value: kv.UpsertDelta(delta)})
 }
 
+// inject buffers m at the root, which copies it (buffer.add, applyToLeaf).
 func (t *Tree) inject(m kv.Message) {
 	t.seq++
 	m.Seq = t.seq
@@ -511,7 +505,8 @@ func (t *Tree) syncRoute(parent *node, i int, child *node) {
 	parent.routes[i] = child.ownRoute()
 }
 
-// applyToLeaf merges a sorted message run into the leaf's entries.
+// applyToLeaf merges a sorted message run into the leaf's entries, copying
+// what it adds (a message's key and value are views of another extent).
 func (t *Tree) applyToLeaf(leaf *node, msgs []kv.Message) {
 	if len(msgs) == 0 {
 		return
@@ -547,7 +542,7 @@ func (t *Tree) applyToLeaf(leaf *node, msgs []kv.Message) {
 			t.items--
 		}
 		if ok {
-			out = append(out, kv.Entry{Key: key, Value: val})
+			out = append(out, kv.Entry{Key: key, Value: val}.Clone())
 			bytes += kv.EncodedEntrySize(key, val)
 		}
 	}
@@ -665,7 +660,9 @@ func (t *Tree) maybeMergeLeafChild(parentOff int64, parent *node, i int, childOf
 		sibOff := parent.children[i+1]
 		sib := t.ensureFull(sibOff)
 		if sib.leaf && child.leafBytes+sib.leafBytes <= t.cfg.leafCapBytes()*3/4 {
-			child.entries = append(child.entries, sib.entries...)
+			for _, e := range sib.entries { // copies: sib's extent goes with sib
+				child.entries = append(child.entries, e.Clone())
+			}
 			child.leafBytes += sib.leafBytes
 			child.recut(t.basementCount())
 			// Fold the sibling's pending buffer into the child's.
@@ -685,7 +682,9 @@ func (t *Tree) maybeMergeLeafChild(parentOff int64, parent *node, i int, childOf
 		sibOff := parent.children[i-1]
 		sib := t.ensureFull(sibOff)
 		if sib.leaf && child.leafBytes+sib.leafBytes <= t.cfg.leafCapBytes()*3/4 {
-			sib.entries = append(sib.entries, child.entries...)
+			for _, e := range child.entries {
+				sib.entries = append(sib.entries, e.Clone())
+			}
 			sib.leafBytes += child.leafBytes
 			sib.recut(t.basementCount())
 			for _, m := range parent.bufs[i].msgs {

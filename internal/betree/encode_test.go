@@ -63,14 +63,82 @@ func TestEncodePackedGolden(t *testing.T) {
 	}
 }
 
-// TestEncodePackedAllocatesOnce: a write-back costs one extent-sized buffer.
-func TestEncodePackedAllocatesOnce(t *testing.T) {
-	cfg := Config{NodeBytes: 4096, Layout: Packed}
+// slottedCfg is a small Slotted configuration the golden nodes fit.
+var slottedCfg = Config{NodeBytes: 4096, MaxFanout: 4, MaxKeyBytes: 16, MaxValueBytes: 32, Layout: Slotted}
+
+// slottedNodes returns the golden nodes with what the Slotted layout adds: a
+// leaf cut into basements, and a route per child.
+func slottedNodes() []*node {
+	leaf := goldenPackedLeaf()
+	leaf.leafBytes = entryBytes(leaf.entries)
+	leaf.recut(slottedCfg.MaxFanout)
+	internal := goldenPackedInternal()
+	internal.routes = []route{{keys: [][]byte{[]byte("c")}}, {keys: [][]byte{[]byte("p"), []byte("t")}, ptrs: []int64{1, 2, 3}}}
+	return []*node{leaf, internal}
+}
+
+// TestEncodeAllocatesOnce: a write-back costs one extent-sized buffer, in
+// both layouts — the Slotted encoder writes its meta region and every slot
+// straight into the extent.
+func TestEncodeAllocatesOnce(t *testing.T) {
 	var sink []byte
-	for _, n := range []*node{goldenPackedLeaf(), goldenPackedInternal()} {
-		if a := testing.AllocsPerRun(100, func() { sink = n.encode(cfg) }); a != 1 {
-			t.Errorf("packed encode (leaf=%v): %v allocations, want 1", n.leaf, a)
+	for _, c := range []struct {
+		cfg   Config
+		nodes []*node
+	}{
+		{Config{NodeBytes: 4096, Layout: Packed}, []*node{goldenPackedLeaf(), goldenPackedInternal()}},
+		{slottedCfg, slottedNodes()},
+	} {
+		for _, n := range c.nodes {
+			if a := testing.AllocsPerRun(100, func() { sink = n.encode(c.cfg) }); a != 1 {
+				t.Errorf("%v encode (leaf=%v): %v allocations, want 1", c.cfg.Layout, n.leaf, a)
+			}
+			if _, err := decodeFull(c.cfg, n.encode(c.cfg)); err != nil {
+				t.Errorf("%v (leaf=%v): decode of the extent: %v", c.cfg.Layout, n.leaf, err)
+			}
 		}
 	}
 	_ = sink
+}
+
+// TestEncodeSlottedOverflowPanics: a slot encoded in place that outgrows its
+// stride fails loudly instead of spilling into the next slot.
+func TestEncodeSlottedOverflowPanics(t *testing.T) {
+	leaf := newLeafNode()
+	for i := 0; i < 40; i++ {
+		leaf.entries = append(leaf.entries, kv.Entry{Key: key(i), Value: make([]byte, 32)})
+	}
+	leaf.leafBytes = entryBytes(leaf.entries)
+	leaf.recut(1) // every entry in the first basement: far more than a stride
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an overflowing slot encoded without a panic")
+		}
+	}()
+	leaf.encode(slottedCfg)
+}
+
+// TestDecodeAllocsIndependentOfEntries: decoding a whole Slotted leaf costs
+// the same few allocations whether it holds 8 entries or 200 — the entries
+// are views of the extent, decoded into one slice.
+func TestDecodeAllocsIndependentOfEntries(t *testing.T) {
+	cfg := Config{NodeBytes: 64 << 10, MaxFanout: 8, MaxKeyBytes: 32, MaxValueBytes: 128, Layout: Slotted}
+	allocs := func(entries int) float64 {
+		leaf := newLeafNode()
+		for i := 0; i < entries; i++ {
+			leaf.entries = append(leaf.entries, kv.Entry{Key: key(i), Value: value(i)})
+		}
+		leaf.leafBytes = entryBytes(leaf.entries)
+		leaf.recut(cfg.MaxFanout)
+		ext := leaf.encode(cfg)
+		return testing.AllocsPerRun(50, func() {
+			if n, err := decodeFull(cfg, ext); err != nil || len(n.entries) != entries {
+				t.Fatalf("decode of %d entries: %v", entries, err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(200)
+	if small != large || large > 4 {
+		t.Fatalf("slotted leaf decode: %v allocations at 8 entries, %v at 200; want the same, at most 4", small, large)
+	}
 }

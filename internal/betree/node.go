@@ -82,9 +82,9 @@ func (b *buffer) find(key []byte) (int, int) {
 	return lo, hi
 }
 
-// add inserts m in (key, seq) order, coalescing: an absorbing message (Put
-// or Tombstone) supersedes all earlier messages for the same key in this
-// buffer.
+// add inserts a copy of m (a flushed message must not pin the extent it was
+// decoded from) in (key, seq) order, coalescing: an absorbing message (Put
+// or Tombstone) supersedes all earlier messages for the same key.
 func (b *buffer) add(m kv.Message) {
 	lo, hi := b.find(m.Key)
 	if m.Kind != kv.Upsert && hi > lo {
@@ -96,7 +96,7 @@ func (b *buffer) add(m kv.Message) {
 	}
 	b.msgs = append(b.msgs, kv.Message{})
 	copy(b.msgs[hi+1:], b.msgs[hi:])
-	b.msgs[hi] = m
+	b.msgs[hi] = m.Clone()
 	b.bytes += m.Size()
 }
 
@@ -332,10 +332,12 @@ func (n *node) encodePacked(cfg Config) []byte {
 	return e.Buf[:cfg.NodeBytes]
 }
 
+// encodeSlotted encodes each region in place, through an Enc over an empty
+// window of the extent capped at the region's end: an overflow reallocates.
 func (n *node) encodeSlotted(cfg Config) []byte {
 	buf := make([]byte, cfg.NodeBytes)
 	// Meta region.
-	var e kv.Enc
+	e := kv.Enc{Buf: buf[:0:cfg.metaCap()]}
 	if n.leaf {
 		e.U8(magicLeaf)
 		e.U8(0)
@@ -355,7 +357,6 @@ func (n *node) encodeSlotted(cfg Config) []byte {
 	if len(e.Buf) > cfg.metaCap() {
 		panic(fmt.Sprintf("betree: meta region overflows: %d > %d", len(e.Buf), cfg.metaCap()))
 	}
-	copy(buf, e.Buf)
 	// Slots.
 	stride := cfg.slotStride()
 	nslots := len(n.children)
@@ -363,7 +364,8 @@ func (n *node) encodeSlotted(cfg Config) []byte {
 		nslots = len(n.cuts) - 1
 	}
 	for i := 0; i < nslots; i++ {
-		var s kv.Enc
+		start := cfg.metaCap() + i*stride
+		s := kv.Enc{Buf: buf[start : start : start+stride]}
 		if n.leaf {
 			ents := n.entries[n.cuts[i]:n.cuts[i+1]]
 			s.U32(uint32(len(ents)))
@@ -381,7 +383,6 @@ func (n *node) encodeSlotted(cfg Config) []byte {
 		if len(s.Buf) > stride {
 			panic(fmt.Sprintf("betree: slot %d overflows stride: %d > %d", i, len(s.Buf), stride))
 		}
-		copy(buf[cfg.metaCap()+i*stride:], s.Buf)
 	}
 	return buf
 }
@@ -479,12 +480,14 @@ type slotPayload struct {
 	bytes   int // serialized content size
 }
 
-// decodeSlot parses one slot's bytes (already sliced to the stride).
-func decodeSlot(leaf bool, buf []byte) (slotPayload, error) {
+// decodeSlot parses one slot's bytes (already sliced to the stride). A leaf
+// slot's entries are appended to ents, and p.entries is the result.
+func decodeSlot(leaf bool, buf []byte, ents []kv.Entry) (slotPayload, error) {
 	d := kv.Dec{Buf: buf}
 	var p slotPayload
 	if leaf {
 		count := int(d.U32())
+		p.entries = ents
 		for i := 0; i < count && d.Err == nil; i++ {
 			p.entries = append(p.entries, d.Entry())
 		}
@@ -508,24 +511,29 @@ func decodeSlotted(cfg Config, buf []byte) (*node, error) {
 		return nil, err
 	}
 	stride := cfg.slotStride()
+	slot := func(i int) []byte { return buf[cfg.metaCap()+i*stride : cfg.metaCap()+(i+1)*stride] }
 	if n.leaf {
-		n.cuts = []int{0}
+		// Every basement decodes into one slice, sized from the slot counts.
+		total := 0
 		for i := 0; i < nslots; i++ {
-			p, err := decodeSlot(true, buf[cfg.metaCap()+i*stride:cfg.metaCap()+(i+1)*stride])
+			total += int((&kv.Dec{Buf: slot(i)}).U32())
+		}
+		n.entries = make([]kv.Entry, 0, min(total, len(buf)/kv.EncodedEntrySize(nil, nil)))
+		n.cuts = make([]int, 1, nslots+1)
+		for i := 0; i < nslots; i++ {
+			p, err := decodeSlot(true, slot(i), n.entries)
 			if err != nil {
 				return nil, err
 			}
-			n.entries = append(n.entries, p.entries...)
-			for _, e := range p.entries {
-				n.leafBytes += e.Size()
-			}
+			n.leafBytes += p.bytes - 4 // the slot's entries: all of it past the count
+			n.entries = p.entries
 			n.cuts = append(n.cuts, len(n.entries))
 		}
 	} else {
 		n.bufs = make([]buffer, nslots)
 		n.routes = make([]route, nslots)
 		for i := 0; i < nslots; i++ {
-			p, err := decodeSlot(false, buf[cfg.metaCap()+i*stride:cfg.metaCap()+(i+1)*stride])
+			p, err := decodeSlot(false, slot(i), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -545,7 +553,7 @@ func (n *node) chargeSize(cfg Config) int64 {
 	if n.full {
 		s := n.metaBytes()
 		if n.leaf {
-			s += n.leafBytes + slotHeader*maxi(1, len(n.cuts)-1)
+			s += n.leafBytes + slotHeader*max(1, len(n.cuts)-1)
 		} else {
 			s += n.bufBytesTotal()
 			for i := range n.routes {
@@ -559,11 +567,4 @@ func (n *node) chargeSize(cfg Config) int64 {
 		s += slotHeader + p.bytes
 	}
 	return int64(s)
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,6 +12,7 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 
 	"iomodels/internal/engine"
@@ -315,7 +316,7 @@ func (t *Tree) splitNode(n *node) (*node, []byte) {
 	if m == 0 {
 		m = 1
 	}
-	pivot := n.pivots[m]
+	pivot := bytes.Clone(n.pivots[m]) // the parent must not pin n's extent
 	right := newInternal()
 	right.children = append(right.children, n.children[m+1:]...)
 	right.pivots = append(right.pivots, n.pivots[m+1:]...)
@@ -411,11 +412,14 @@ func (t *Tree) mergeChildren(parentOff int64, parent *node, i int, leftOff int64
 	if left.leaf != right.leaf {
 		panic("btree: merging nodes of different kinds")
 	}
-	if left.leaf {
-		left.entries = append(left.entries, right.entries...)
-	} else {
-		left.pivots = append(left.pivots, parent.pivots[i])
-		left.pivots = append(left.pivots, right.pivots...)
+	// What moves into left is copied: it must not pin another node's extent.
+	for _, e := range right.entries {
+		left.entries = append(left.entries, e.Clone())
+	}
+	if !left.leaf {
+		for _, p := range append([][]byte{parent.pivots[i]}, right.pivots...) {
+			left.pivots = append(left.pivots, bytes.Clone(p))
+		}
 		left.children = append(left.children, right.children...)
 	}
 	left.size = left.computeSize()
@@ -439,7 +443,7 @@ func (t *Tree) borrowFromRight(parent *node, i int, child, sib *node) {
 			e := sib.entries[0]
 			sib.entries = sib.entries[1:]
 			sib.size -= e.Size()
-			child.entries = append(child.entries, e)
+			child.entries = append(child.entries, e.Clone())
 			child.size += e.Size()
 			parent.size += len(sib.entries[0].Key) - len(parent.pivots[i])
 			parent.pivots[i] = append([]byte(nil), sib.entries[0].Key...)
@@ -454,10 +458,10 @@ func (t *Tree) borrowFromRight(parent *node, i int, child, sib *node) {
 			sib.pivots = sib.pivots[1:]
 			sib.size -= childRefBytes + t.pivotCost(newPivot)
 			child.children = append(child.children, moved)
-			child.pivots = append(child.pivots, parent.pivots[i])
+			child.pivots = append(child.pivots, bytes.Clone(parent.pivots[i]))
 			child.size += childRefBytes + t.pivotCost(parent.pivots[i])
 			parent.size += len(newPivot) - len(parent.pivots[i])
-			parent.pivots[i] = newPivot
+			parent.pivots[i] = bytes.Clone(newPivot)
 		}
 	}
 }
@@ -473,7 +477,7 @@ func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
 			e := sib.entries[len(sib.entries)-1]
 			sib.entries = sib.entries[:len(sib.entries)-1]
 			sib.size -= e.Size()
-			child.entries = append([]kv.Entry{e}, child.entries...)
+			child.entries = append([]kv.Entry{e.Clone()}, child.entries...)
 			child.size += e.Size()
 			parent.size += len(e.Key) - len(parent.pivots[i-1])
 			parent.pivots[i-1] = append([]byte(nil), e.Key...)
@@ -487,10 +491,10 @@ func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
 			sib.pivots = sib.pivots[:len(sib.pivots)-1]
 			sib.size -= childRefBytes + t.pivotCost(newPivot)
 			child.children = append([]int64{moved}, child.children...)
-			child.pivots = append([][]byte{parent.pivots[i-1]}, child.pivots...)
+			child.pivots = append([][]byte{bytes.Clone(parent.pivots[i-1])}, child.pivots...)
 			child.size += childRefBytes + t.pivotCost(parent.pivots[i-1])
 			parent.size += len(newPivot) - len(parent.pivots[i-1])
-			parent.pivots[i-1] = newPivot
+			parent.pivots[i-1] = bytes.Clone(newPivot)
 		}
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"iomodels/internal/betree"
 	"iomodels/internal/btree"
@@ -256,6 +258,98 @@ func TestDurableLSMRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("key %d: got %q,%v want %q", k, v, ok, val(last))
 		}
 	}
+}
+
+// TestRecoveryReleasesJournal: decoded fields are views of the buffer they
+// were decoded from, so anything recovery leaves in a live structure would
+// keep the whole checkpoint journal payload alive. The manifests are copied
+// out and the pages installed from the payload, so once Replay returns the
+// payload is garbage even while the recovered engine and trees (the LSM
+// keeps key ranges and block index keys from its manifest) stay in use.
+func TestRecoveryReleasesJournal(t *testing.T) {
+	fs := storage.NewFaultStore(flatDev{testCapacity})
+	e := engine.FromStore(engCfg(), fs, sim.New())
+	dcfg := smallDur()
+	if err := e.EnableDurability(dcfg); err != nil {
+		t.Fatal(err)
+	}
+	lcfg := lsm.Config{MemtableBytes: 8 << 10, SSTableBytes: 16 << 10, GrowthFactor: 4, Level0Runs: 2, BlockBytes: 2 << 10}
+	bcfg := betree.Config{NodeBytes: 16 << 10, MaxFanout: 8, MaxKeyBytes: 64, MaxValueBytes: 64}.Optimized()
+	lt, err := lsm.New(lcfg, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := betree.New(bcfg, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, err := e.Durable("lsm", lt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := e.Durable("be", bt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1200; i++ {
+		dl.Put(key(i%400), val(i))
+		db.Put(key(i%400), key(i))
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	freed := make(chan struct{})
+	engine.SetJournalLoaded(func(payload []byte) {
+		runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+	})
+	defer engine.SetJournalLoaded(nil)
+	e2, r, err := engine.Recover(engCfg(), dcfg, fs, sim.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lman, _ := r.Manifest("lsm")
+	lt2, err := lsm.Open(lcfg, e2, lman)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bman, _ := r.Manifest("be")
+	bt2, err := betree.Open(bcfg, e2, bman)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl2, err := r.Attach("lsm", lt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, err := r.Attach("be", bt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Replay(); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.After(5 * time.Second)
+	for released := false; !released; {
+		runtime.GC()
+		select {
+		case <-freed:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("the journal payload is still reachable after recovery")
+		}
+	}
+	for k := 0; k < 400; k++ {
+		if v, ok := dl2.Get(key(k)); !ok || !bytes.Equal(v, val(800+k)) {
+			t.Fatalf("lsm key %d: got %q,%v want %q", k, v, ok, val(800+k))
+		}
+		if v, ok := db2.Get(key(k)); !ok || !bytes.Equal(v, key(800+k)) {
+			t.Fatalf("betree key %d: got %q,%v want %q", k, v, ok, key(800+k))
+		}
+	}
+	runtime.KeepAlive(r)
 }
 
 // TestLogFullCheckpointRetry: a log too small for the workload must recycle

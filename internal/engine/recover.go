@@ -14,6 +14,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -28,6 +29,9 @@ import (
 // a sealed checkpoint — the store was never a durable engine image (or its
 // configuration differs).
 var ErrNotDurableImage = errors.New("engine: no valid checkpoint journal (not a durable image, or wrong DurabilityConfig)")
+
+// journalLoaded sees the journal payload Recover decodes (a test hook).
+var journalLoaded = func([]byte) {}
 
 // Recovery is the decoded crash state: manifests to reattach dictionaries
 // from and the committed WAL suffix to replay.
@@ -65,6 +69,7 @@ func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *si
 	if slot < 0 {
 		return nil, nil, ErrNotDurableImage
 	}
+	journalLoaded(payload)
 
 	// Decode: lastLSN, allocator, manifests, pages.
 	dec := &kv.Dec{Buf: payload}
@@ -75,7 +80,7 @@ func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *si
 	for i := uint8(0); i < nDicts && dec.Err == nil; i++ {
 		name := string(dec.Bytes())
 		r.order = append(r.order, name)
-		r.mans[name] = dec.Bytes()
+		r.mans[name] = bytes.Clone(dec.Bytes()) // trees keep what they decode from it
 	}
 	type page struct {
 		off  int64

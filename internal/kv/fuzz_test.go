@@ -5,6 +5,7 @@
 package kv
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -52,6 +53,41 @@ func FuzzDec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		decodeEverything(buf) // must not panic
+	})
+}
+
+// FuzzDecViewsCapped: every field Bytes returns lies inside the buffer at
+// the offset it was read from, ends its capacity there, and appending to it
+// leaves the buffer — and so every later field — untouched.
+func FuzzDecViewsCapped(f *testing.F) {
+	var e Enc
+	e.Entry(Entry{Key: []byte("key"), Value: []byte("value")})
+	e.Bytes(nil)
+	e.Message(Message{Kind: Put, Seq: 3, Key: []byte("k"), Value: []byte("v")})
+	f.Add(append([]byte(nil), e.Buf...))
+	f.Add([]byte{0, 0, 0, 2, 'a', 'b', 0, 0, 0, 1, 'c'})
+	f.Add([]byte{0, 0, 0, 9, 'x'})
+
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		orig := append([]byte(nil), buf...)
+		d := &Dec{Buf: buf}
+		for d.Err == nil && d.Off < len(buf) {
+			at := d.Off + 4
+			v := d.Bytes()
+			if d.Err != nil {
+				break
+			}
+			if len(v) > 0 && &v[0] != &buf[at] {
+				t.Fatalf("field at %d is not a view of the buffer", at)
+			}
+			if cap(v) != len(v) {
+				t.Fatalf("field at %d: cap %d beyond len %d", at, cap(v), len(v))
+			}
+			_ = append(v, 0xAA, 0xBB, 0xCC, 0xDD)
+		}
+		if !bytes.Equal(buf, orig) {
+			t.Fatal("appending to a decoded field wrote into the buffer")
+		}
 	})
 }
 

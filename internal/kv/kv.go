@@ -24,6 +24,13 @@ func EncodedEntrySize(key, value []byte) int { return 4 + len(key) + 4 + len(val
 // Size returns the on-disk footprint of e.
 func (e Entry) Size() int { return EncodedEntrySize(e.Key, e.Value) }
 
+// Clone returns e with its key and value copied into one new allocation, so
+// whatever keeps the copy does not pin the buffer e was decoded from.
+func (e Entry) Clone() Entry {
+	b := append(append(make([]byte, 0, len(e.Key)+len(e.Value)), e.Key...), e.Value...)
+	return Entry{Key: b[:len(e.Key):len(e.Key)], Value: b[len(e.Key):]}
+}
+
 // Compare orders keys bytewise.
 func Compare(a, b []byte) int { return bytes.Compare(a, b) }
 
@@ -69,6 +76,13 @@ func EncodedMessageSize(key, value []byte) int { return 1 + 8 + 4 + len(key) + 4
 
 // Size returns the on-disk footprint of m.
 func (m Message) Size() int { return EncodedMessageSize(m.Key, m.Value) }
+
+// Clone is Entry.Clone for a message.
+func (m Message) Clone() Message {
+	e := Entry{Key: m.Key, Value: m.Value}.Clone()
+	m.Key, m.Value = e.Key, e.Value
+	return m
+}
 
 // UpsertDelta encodes an upsert delta value.
 func UpsertDelta(delta int64) []byte {
@@ -155,6 +169,10 @@ func (e *Enc) Message(m Message) {
 // Dec reads fields appended by Enc. The first malformed read sets Err and
 // makes all further reads return zero values, so call sites can decode a
 // whole structure and check Err once.
+//
+// Decoded byte strings are views of Buf: a buffer handed to Dec is never
+// written again, and a decoded field keeps all of it alive. A field that must
+// outlive its buffer without pinning it is copied once, by the caller (Clone).
 type Dec struct {
 	Buf []byte
 	Off int
@@ -200,20 +218,19 @@ func (d *Dec) U64() uint64 {
 	return v
 }
 
-// Bytes reads a length-prefixed byte string. The returned slice is a copy,
-// so decoded structures do not alias page buffers. The length is validated
-// against the remaining buffer before any allocation, so a hostile prefix
-// (the server decodes these off the wire) cannot force a huge allocation —
-// and on 32-bit platforms the int conversion is guarded against going
-// negative.
+// Bytes reads a length-prefixed byte string as a view of Buf whose capacity
+// ends with the string, so an append to it reallocates instead of
+// overwriting the next field. The length is validated against the remaining
+// buffer, so a hostile prefix (the server decodes these off the wire) fails
+// cleanly — and on 32-bit platforms the int conversion is guarded against
+// going negative.
 func (d *Dec) Bytes() []byte {
 	n := int(d.U32())
 	if d.Err != nil || n < 0 || n > len(d.Buf)-d.Off {
 		d.fail("bytes")
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.Buf[d.Off:])
+	v := d.Buf[d.Off : d.Off+n : d.Off+n]
 	d.Off += n
 	return v
 }

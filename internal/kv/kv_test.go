@@ -143,14 +143,30 @@ func TestDecBadMessageKind(t *testing.T) {
 	}
 }
 
-func TestDecBytesCopies(t *testing.T) {
+// TestDecBytesAliasesCapped: a decoded field is a view of the buffer (no
+// copy), and its capacity stops at its own end, so appending to it cannot
+// overwrite the field after it.
+func TestDecBytesAliasesCapped(t *testing.T) {
 	var e Enc
 	e.Bytes([]byte("abc"))
+	e.Bytes([]byte("next"))
 	d := Dec{Buf: e.Buf}
 	got := d.Bytes()
-	e.Buf[5] = 'X' // mutate the source buffer
-	if string(got) != "abc" {
-		t.Fatal("decoded bytes alias the buffer")
+	if &got[0] != &e.Buf[4] {
+		t.Fatal("decoded bytes are a copy, not a view of the buffer")
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("view has cap %d beyond its len %d", cap(got), len(got))
+	}
+	grown := append(got, "XXXXXXXX"...)
+	if string(grown) != "abcXXXXXXXX" {
+		t.Fatalf("append to a view = %q", grown)
+	}
+	if next := d.Bytes(); d.Err != nil || string(next) != "next" {
+		t.Fatalf("field after an appended view = %q, %v", next, d.Err)
+	}
+	if empty := (&Dec{Buf: []byte{0, 0, 0, 0}}).Bytes(); empty == nil || len(empty) != 0 {
+		t.Fatalf("empty field decoded as %#v, want a non-nil empty slice", empty)
 	}
 }
 

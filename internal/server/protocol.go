@@ -259,6 +259,11 @@ func decodeRequest(buf []byte, maxScanLimit int) (request, error) {
 	if d.Off != len(buf) {
 		return req, fmt.Errorf("server: %v request has %d trailing bytes", req.op, len(buf)-d.Off)
 	}
+	if req.op == OpPut || req.op == OpDelete || req.op == OpUpsert {
+		// The store keeps these (B-tree leaves, the ship ring): not the frame.
+		e := kv.Entry{Key: req.key, Value: req.value}.Clone()
+		req.key, req.value = e.Key, e.Value
+	}
 	switch req.op {
 	case OpGet, OpPut, OpDelete, OpUpsert, OpSnapGet:
 		if len(req.key) == 0 {
@@ -464,7 +469,7 @@ func decodeReply(req request, buf []byte) (reply, error) {
 		if n = int(d.U32()); d.Err == nil && n <= req.limit {
 			rep.recs = make([]engine.ShipRecord, 0, n)
 			for i := 0; i < n; i++ {
-				m := d.Message()
+				m := d.Message().Clone() // a replica's trees keep it: not the frame
 				r := engine.ShipRecord{Record: wal.Record{Kind: m.Kind, Seq: m.Seq, Key: m.Key, Value: m.Value}}
 				if req.stamps {
 					r.CommitWallNs = int64(d.U64())

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
@@ -62,6 +64,43 @@ func TestDecodeRequestRejects(t *testing.T) {
 	for _, buf := range bad {
 		if req, err := decodeRequest(buf, 10000); err == nil {
 			t.Fatalf("payload %x decoded as %+v", buf, req)
+		}
+	}
+}
+
+// TestMutationDoesNotPinFrame: the store keeps a mutation's key and value (a
+// B-tree leaf, the ship ring), and a frame may be almost all extension
+// padding the decoder skips, so decodeRequest copies a mutation's fields out
+// of its frame: with the decoded request still in use, the frame is garbage.
+func TestMutationDoesNotPinFrame(t *testing.T) {
+	for _, op := range []Op{OpPut, OpDelete, OpUpsert} {
+		var e kv.Enc
+		e.U8(kv.ExtMagic)
+		e.U8(1)
+		e.U8(0xEE) // an extension kind the server does not know: skipped by length
+		e.Bytes(make([]byte, 1<<20-64))
+		e.Buf = append(e.Buf, encodeRequest(request{op: op, key: []byte("key"), value: []byte("value"), delta: 1})...)
+		frame := bytes.Clone(e.Buf) // readFrame's one allocation per frame
+		freed := make(chan struct{})
+		runtime.SetFinalizer(&frame[0], func(*byte) { close(freed) })
+		req, err := decodeRequest(frame, 10000)
+		if err != nil || string(req.key) != "key" {
+			t.Fatalf("%v: decoded %q, %v", op, req.key, err)
+		}
+		frame = nil
+		deadline := time.After(5 * time.Second)
+		for released := false; !released; {
+			runtime.GC()
+			select {
+			case <-freed:
+				released = true
+			case <-time.After(10 * time.Millisecond):
+			case <-deadline:
+				t.Fatalf("%v: the request frame is still reachable from the decoded request", op)
+			}
+		}
+		if string(req.key) != "key" || (op == OpPut && string(req.value) != "value") {
+			t.Fatalf("%v: decoded fields changed to %q, %q", op, req.key, req.value)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package wal
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"iomodels/internal/kv"
+)
 
 // discardDev moves no bytes and allocates nothing, so what a run allocates
 // is the log's own doing.
@@ -51,6 +56,33 @@ func TestAppendCommitAllocs(t *testing.T) {
 				t.Errorf("hook=%v: a group of %d records allocates %.0f times, want at most %.0f", hook, n, got, want)
 			}
 		}
+	}
+}
+
+// TestDecodeRecordsAllocs: replay copies each record's key and value out of
+// the frame exactly once, together (a record outlives its frame), plus the
+// frame's one record slice. Copying twice (a copy of a decoded copy) is four
+// allocations per record.
+func TestDecodeRecordsAllocs(t *testing.T) {
+	const n = 32
+	var e kv.Enc
+	for i := 0; i < n; i++ {
+		r := rec(i)
+		e.U8(uint8(r.Kind))
+		e.U8(r.Dict)
+		e.U64(uint64(100 + i))
+		e.Bytes(r.Key)
+		e.Bytes(r.Value)
+	}
+	recs, ok := decodeRecords(e.Buf, 100, n)
+	if !ok || len(recs) != n || !bytes.Equal(recs[n-1].Key, rec(n-1).Key) || !bytes.Equal(recs[n-1].Value, rec(n-1).Value) {
+		t.Fatalf("decodeRecords = %d records, ok=%v", len(recs), ok)
+	}
+	if &recs[0].Key[0] == &e.Buf[14] {
+		t.Fatal("a replayed key aliases its frame")
+	}
+	if got := testing.AllocsPerRun(100, func() { decodeRecords(e.Buf, 100, n) }); got > n+1 {
+		t.Fatalf("decoding %d records allocates %.0f times, want at most %d", n, got, n+1)
 	}
 }
 

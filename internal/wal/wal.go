@@ -273,8 +273,10 @@ func decodeRecords(payload []byte, firstSeq uint64, n uint32) ([]Record, bool) {
 		r.Kind = kv.Kind(d.U8())
 		r.Dict = d.U8()
 		r.Seq = d.U64()
-		r.Key = append([]byte(nil), d.Bytes()...)
-		r.Value = append([]byte(nil), d.Bytes()...)
+		// A replayed record outlives its frame (recovery hands it to a tree,
+		// which may keep it), so key and value are copied once, not pinned.
+		e := d.Entry().Clone()
+		r.Key, r.Value = e.Key, e.Value
 		if d.Err != nil || r.Seq != firstSeq+uint64(i) || len(r.Key) == 0 {
 			return nil, false
 		}
