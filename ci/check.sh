@@ -18,18 +18,19 @@
 #   one-of     grep gate: the duplicates internal/node, storage.Topology,
 #              the reply codec, cluster.ParseTopology, engine.Session, the
 #              pager's latch wait, the experiments' serving harness,
-#              lintutil.FuncPattern, the store's chunk table, the read
-#              scheduler's virtual slots and kv.Dec's views removed
-#              (hand-written boots, anonymous device-hint assertions,
-#              hand-built replies, per-tool -cluster splitters, per-tree
-#              Session types, per-method busy-retry loops and a fourth ioCtx
-#              type, per-experiment client loops, per-analyzer pattern
-#              parsers, a flat store image grown by copying it, a read batch
-#              launched by a wall-clock grace timer, a decoder that copies
-#              every key and value and callers that copy its copy) stay
-#              removed; the serving stack reads the wall clock or arms a
-#              timer at 13 sites in server/cluster/engine/node, none of them
-#              in the scheduler
+#              lintutil.FuncPattern, the store's block table, the read
+#              scheduler's virtual slots, kv.Dec's views and the store's
+#              read-only views removed (hand-written boots, anonymous
+#              device-hint assertions, hand-built replies, per-tool -cluster
+#              splitters, per-tree Session types, per-method busy-retry loops
+#              and a fourth ioCtx type, per-experiment client loops,
+#              per-analyzer pattern parsers, a flat store image grown by
+#              copying it, a read batch launched by a wall-clock grace timer,
+#              a decoder that copies every key and value and callers that copy
+#              its copy, a tree, LSM, WAL or recovery decode site that reads
+#              into a buffer it just allocated) stay removed; the serving
+#              stack reads the wall clock or arms a timer at 13 sites in
+#              server/cluster/engine/node, none of them in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -150,11 +151,20 @@ if [ -n "$dups" ]; then
 	exit 1
 fi
 
-# The store image is a table of chunks allocated on first write: no growth
-# policy, nothing that copies the image to extend it.
+# The store image is a table of blocks whose bytes live in runs the writes
+# allocated: no growth policy, nothing that copies the image to extend it.
 dups=$(grep -n -e 'func (s \*Store) ensure' -e 'copy(grown' internal/storage/storage.go || true)
 if [ -n "$dups" ]; then
-	echo "internal/storage/storage.go grows the image by copying it again (write into the chunk table):" >&2
+	echo "internal/storage/storage.go grows the image by copying it again (write into the block table):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+# A page is read in place (DESIGN.md §5): a decode site takes the read-only
+# bytes engine.Client.Read lends it, a view of the store's image, and never
+# reads into a buffer it has just allocated.
+dups=$(grep -n 'ReadAt(' internal/betree/*.go internal/btree/*.go internal/lsm/*.go internal/wal/*.go internal/engine/recover.go | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a decode site reads into its own buffer again (decode what Client.Read returns):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -68,8 +68,9 @@ const DefaultFuncs = "internal/engine.Engine.ApplyBatch," +
 	"internal/wal.Log.Commit," +
 	"internal/wal.Log.Replay," +
 	"internal/wal.Log.TailFrom," +
-	"internal/storage.Store.ReadAt," +
-	"internal/storage.Store.WriteAt"
+	"internal/storage.Store.Read," +
+	"internal/storage.Store.WriteAt," +
+	"internal/storage.Store.Handover"
 
 // blocks marks a function that may block, with the root-cause description.
 type blocks struct {

@@ -1,8 +1,8 @@
 // Package enginebypass defines an analyzer that keeps the PR-1 layering
 // honest: the storage byte stores and the device simulators are owned by the
 // engine, and everything above it — trees, server, experiment harnesses —
-// reaches bytes only through engine.Client (ReadAt/WriteAt/Meter on the
-// shared pager). A direct storage.Store.ReadAt or Device.Access call from a
+// reaches bytes only through engine.Client (Read/WriteAt/Handover/Meter on
+// the shared pager). A direct storage.Store.Read or Device.Access call from a
 // tree would bypass the cache, the per-client clocks, and the IO accounting
 // that every experiment's numbers depend on.
 //
@@ -38,7 +38,7 @@ const (
 	// DefaultMethods lists the restricted entry points: byte IO and the raw
 	// device timing call. Store.Meter stays open — it moves no bytes and is
 	// the sanctioned probe for device-model validation experiments.
-	DefaultMethods = "ReadAt,WriteAt,Access"
+	DefaultMethods = "Read,ReadAt,WriteAt,Handover,Access"
 	// DefaultAllow lists the packages that form the engine layer: the
 	// engine itself, the storage package (Store wraps Device), the WAL
 	// (driven by the engine through a sanctioned device handle), and the

@@ -76,23 +76,23 @@ type loader Tree
 // Load implements engine.Loader.
 func (l *loader) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
 	t := (*Tree)(l)
-	buf := make([]byte, t.cfg.NodeBytes)
-	c.ReadAt(buf, int64(id))
-	n, err := decodeFull(t.cfg, buf)
-	if err != nil {
-		panic(fmt.Sprintf("betree: load of node at %d: %v", id, err))
-	}
+	n := t.decodeExtent(int64(id), c.Read(int64(id), t.cfg.NodeBytes))
 	return n, n.chargeSize(t.cfg)
 }
 
-// Store implements engine.Loader.
+// Store implements engine.Loader: the fresh encoding is handed over.
 func (l *loader) Store(c *engine.Client, id engine.PageID, obj interface{}) {
 	t := (*Tree)(l)
-	n := obj.(*node)
-	if !n.full {
-		panic("betree: write-back of partial node")
+	c.Handover(obj.(*node).encode(t.cfg), int64(id))
+}
+
+// decodeExtent decodes the whole extent of the node at off.
+func (t *Tree) decodeExtent(off int64, ext []byte) *node {
+	n, err := decodeFull(t.cfg, ext)
+	if err != nil {
+		panic(fmt.Sprintf("betree: load of node at %d: %v", off, err))
 	}
-	c.WriteAt(n.encode(t.cfg), int64(id))
+	return n
 }
 
 // StoreSize implements engine.StoreSizer: nodes encode to at most the
@@ -145,96 +145,97 @@ func (t *Tree) Flush() { t.pager().Flush(t.owner) }
 // ---------------------------------------------------------------------------
 // Node residency
 
-// ensureFull returns the node at off with all content resident, pinned on
-// the owner client (single-writer paths).
-func (t *Tree) ensureFull(off int64) *node { return t.ensureFullc(t.owner, off) }
-
-// ensureFullc returns the node at off with all content resident, pinned on
-// behalf of client c. Charges one whole-extent read if anything was
-// missing. Cold misses go through the pager's Get so the busy latch makes
-// concurrent clients share a single load; the partial→full upgrade is
-// idempotent under the simulator's cooperative interleaving.
-func (t *Tree) ensureFullc(c *engine.Client, off int64) *node {
-	if obj, ok := t.pager().TryGet(c, engine.PageID(off)); ok {
-		n := obj.(*node)
-		if n.full {
-			return n
-		}
-		buf := make([]byte, t.cfg.NodeBytes)
-		c.ReadAt(buf, off)
-		dec, err := decodeFull(t.cfg, buf)
-		if err != nil {
-			panic(fmt.Sprintf("betree: load of node at %d: %v", off, err))
-		}
-		*n = *dec // upgrade in place so existing references stay valid
-		t.pager().Resize(c, engine.PageID(off), n.chargeSize(t.cfg))
-		return n
+// ensureFull returns the node at off with all content resident and every
+// entry decoded, pinned on the owner client (single-writer paths).
+func (t *Tree) ensureFull(off int64) *node {
+	n := t.ensureFullc(t.owner, off)
+	if err := n.materialize(t.cfg); err != nil {
+		panic(fmt.Sprintf("betree: load of node at %d: %v", off, err))
 	}
-	return t.pager().Get(c, (*loader)(t), engine.PageID(off)).(*node)
+	return n
+}
+
+// ensureFullc returns the node at off Full (a Slotted leaf possibly lazy),
+// pinned on behalf of client c. Charges one whole-extent read if anything
+// was missing. Cold misses go through the pager's Get so the busy latch
+// makes concurrent clients share a single load. A resident partial node —
+// or one a concurrent slot read put in between TryGet and Get — is not
+// upgraded in place, since other readers hold it: the whole node is decoded
+// aside and swapped into the pager, and a client that swaps second gets the
+// first one's node.
+func (t *Tree) ensureFullc(c *engine.Client, off int64) *node {
+	id := engine.PageID(off)
+	obj, ok := t.pager().TryGet(c, id)
+	if !ok {
+		obj = t.pager().Get(c, (*loader)(t), id)
+	}
+	n := obj.(*node)
+	if !n.full {
+		whole := t.decodeExtent(off, c.Read(off, t.cfg.NodeBytes))
+		n = t.pager().Swap(c, id, n, whole, whole.chargeSize(t.cfg)).(*node)
+	}
+	return n
+}
+
+// leafSlot returns basement j of the Full leaf n at off, clamped to its
+// last basement; a Packed leaf is one big basement.
+func (t *Tree) leafSlot(off int64, n *node, j int) []kv.Entry {
+	if n.ext == nil {
+		j = min(j, len(n.cuts)-2)
+		return n.entries[n.cuts[j]:n.cuts[j+1]]
+	}
+	p, err := n.basement(t.cfg, min(j, len(n.slots)-1))
+	if err != nil {
+		panic(fmt.Sprintf("betree: load of basement %d at %d: %v", j, off, err))
+	}
+	return p.entries
 }
 
 // readSlot returns slot j of the node at off, reading the minimum the
 // configured QueryMode allows, on behalf of client c. The returned node is
 // pinned; the caller unpins via t.unpinc(c, off).
 func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (*node, slotPayload) {
-	if t.cfg.QueryMode == WholeNode {
-		n := t.ensureFullc(c, off)
-		var p slotPayload
-		if leaf {
-			p.entries = n.entries[n.cuts[min(j, len(n.cuts)-2)]:n.cuts[min(j, len(n.cuts)-2)+1]]
-			if t.cfg.Layout == Packed {
-				p.entries = n.entries // packed leaves are one big basement
-			}
-		} else {
-			p.msgs = n.bufs[j].msgs
-			if t.cfg.Layout == Slotted {
-				p.route = n.routes[j]
-			} else {
-				// Packed layout stores no parent-side routes; synthesize the
-				// child's route from nothing — WholeNode traversal reads the
-				// child itself, so the route is unused.
-			}
-		}
-		return n, p
-	}
-
+	id := engine.PageID(off)
 	var n *node
-	if obj, ok := t.pager().TryGet(c, engine.PageID(off)); ok {
+	if t.cfg.QueryMode == WholeNode {
+		n = t.ensureFullc(c, off)
+	} else if obj, ok := t.pager().TryGet(c, id); ok {
 		n = obj.(*node)
 	} else {
-		n = newPartialNode(leaf, height)
+		n = newPartialNode(leaf, height, t.cfg.MaxFanout)
 		if t.cfg.QueryMode == MetaPlusSlot {
 			// Pay for the meta region read (the node's own pivots).
-			mbuf := make([]byte, t.cfg.metaCap())
-			c.ReadAt(mbuf, off)
+			c.Read(off, t.cfg.metaCap())
 		}
 		// Another client may have inserted the node while we read the meta
 		// region; the pager returns the canonical resident object.
-		n = t.pager().PutClean(c, (*loader)(t), engine.PageID(off), n, n.chargeSize(t.cfg)).(*node)
+		n = t.pager().PutClean(c, (*loader)(t), id, n, n.chargeSize(t.cfg)).(*node)
 	}
 	if n.full {
 		var p slotPayload
 		if leaf {
-			j = min(j, len(n.cuts)-2)
-			p.entries = n.entries[n.cuts[j]:n.cuts[j+1]]
+			p.entries = t.leafSlot(off, n, j)
 		} else {
 			p.msgs = n.bufs[j].msgs
-			p.route = n.routes[j]
+			// A Packed parent stores no routes: WholeNode traversal reads the
+			// child itself, so the route is unused.
+			if t.cfg.Layout == Slotted {
+				p.route = n.routes[j]
+			}
 		}
 		return n, p
 	}
-	if p, ok := n.partial[j]; ok {
-		return n, p
+	if p := n.slots[j].Load(); p != nil {
+		return n, *p
 	}
 	stride := t.cfg.slotStride()
-	sbuf := make([]byte, stride)
-	c.ReadAt(sbuf, off+int64(t.cfg.metaCap())+int64(j)*int64(stride))
-	p, err := decodeSlot(leaf, sbuf, nil)
+	p, err := decodeSlot(leaf, c.Read(off+int64(t.cfg.metaCap())+int64(j)*int64(stride), stride), nil)
 	if err != nil {
 		panic(fmt.Sprintf("betree: load of slot %d at %d: %v", j, off, err))
 	}
-	n.partial[j] = p
-	t.pager().Resize(c, engine.PageID(off), n.chargeSize(t.cfg))
+	if n.slots[j].CompareAndSwap(nil, &p) {
+		t.pager().Grow(c, id, n, int64(slotHeader+p.bytes))
+	}
 	return n, p
 }
 

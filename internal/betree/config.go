@@ -154,6 +154,12 @@ func (c Config) slotStride() int {
 	return (c.NodeBytes - c.metaCap()) / c.MaxFanout
 }
 
+// slot returns slot i of a Slotted extent.
+func (c Config) slot(ext []byte, i int) []byte {
+	start := c.metaCap() + i*c.slotStride()
+	return ext[start : start+c.slotStride()]
+}
+
 // bufCap is the message capacity of one slot (after its header and the
 // child's route).
 func (c Config) bufCap() int { return c.slotStride() - slotHeader - c.routeCap() }

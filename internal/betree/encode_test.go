@@ -118,9 +118,9 @@ func TestEncodeSlottedOverflowPanics(t *testing.T) {
 	leaf.encode(slottedCfg)
 }
 
-// TestDecodeAllocsIndependentOfEntries: decoding a whole Slotted leaf costs
-// the same few allocations whether it holds 8 entries or 200 — the entries
-// are views of the extent, decoded into one slice.
+// TestDecodeAllocsIndependentOfEntries: decoding a whole Slotted leaf and
+// materializing it costs the same few allocations whether it holds 8 entries
+// or 200 — the entries are views of the extent, decoded into one slice.
 func TestDecodeAllocsIndependentOfEntries(t *testing.T) {
 	cfg := Config{NodeBytes: 64 << 10, MaxFanout: 8, MaxKeyBytes: 32, MaxValueBytes: 128, Layout: Slotted}
 	allocs := func(entries int) float64 {
@@ -132,7 +132,11 @@ func TestDecodeAllocsIndependentOfEntries(t *testing.T) {
 		leaf.recut(cfg.MaxFanout)
 		ext := leaf.encode(cfg)
 		return testing.AllocsPerRun(50, func() {
-			if n, err := decodeFull(cfg, ext); err != nil || len(n.entries) != entries {
+			n, err := decodeFull(cfg, ext)
+			if err == nil {
+				err = n.materialize(cfg)
+			}
+			if err != nil || len(n.entries) != entries {
 				t.Fatalf("decode of %d entries: %v", entries, err)
 			}
 		})

@@ -1,11 +1,20 @@
 // In-memory node representation and on-disk serialization for the Bε-tree.
 //
-// A node object may be Full (everything decoded and paid for) or partial
-// (only some slots resident). Queries in SlotOnly/MetaPlusSlot modes create
-// partial nodes by reading single slots; all mutations (message inserts,
-// flushes, splits, merges) operate on Full nodes, so a dirty node is always
-// Full and write-back always rewrites the whole extent, exactly as the
-// paper's flush analysis assumes.
+// A node object may be Full (its whole extent paid for) or partial (only
+// some slots resident). Queries in SlotOnly/MetaPlusSlot modes create
+// partial nodes by reading single slots. A Full Slotted leaf read from its
+// extent is lazy: it is charged as a whole, and each basement is decoded, and
+// its crc checked, the first time a query uses it. All mutations (message
+// inserts, flushes, splits, merges) operate on Full nodes with every entry
+// decoded (materialize), so a dirty node is always Full and write-back always
+// rewrites the whole extent, exactly as the paper's flush analysis assumes.
+//
+// Concurrent readers share resident nodes, and what they add to one is
+// published race-free: a slot or basement is decoded aside and stored with
+// one compare-and-swap of its atomic pointer (a reader that loses the race
+// uses the winner's), and a partial node that a reader needs whole is decoded
+// aside and swapped into the pager (engine.Pager.Swap). No reader writes a
+// field of a node another reader can hold.
 
 package betree
 
@@ -14,6 +23,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"iomodels/internal/kv"
 )
@@ -120,12 +130,15 @@ type node struct {
 	// cursor after a reload is harmless).
 	rrCursor int
 
-	// Residency: a Full node has every field above populated and paid for.
-	// A partial node (query path only) instead carries the slots it has
-	// paid for in the partial map; its full-content fields are nil.
-	full    bool
-	partial map[int]slotPayload // slot index -> decoded content (when !full)
-	charged int64               // bytes charged to the cache
+	// Residency: a Full node has paid for its whole extent and has every
+	// field above populated, except a lazy leaf's entries and cuts: ext is
+	// then its extent, leafBytes comes from the meta region, and slots[j]
+	// holds basement j once a query has decoded it. A partial node (query
+	// path only) carries the slots it has paid for in slots; its
+	// full-content fields are nil.
+	full  bool
+	ext   []byte
+	slots []atomic.Pointer[slotPayload]
 }
 
 func newLeafNode() *node {
@@ -138,8 +151,8 @@ func newInternalNode(height int) *node {
 	return &node{height: height, full: true}
 }
 
-func newPartialNode(leaf bool, height int) *node {
-	return &node{leaf: leaf, height: height, partial: map[int]slotPayload{}}
+func newPartialNode(leaf bool, height, fanout int) *node {
+	return &node{leaf: leaf, height: height, slots: make([]atomic.Pointer[slotPayload], fanout)}
 }
 
 // findChild routes key within the node's own pivots (Full internal nodes).
@@ -287,8 +300,8 @@ func decodeRoute(d *kv.Dec) route {
 
 // encode serializes a Full node into an extent of cfg.NodeBytes.
 func (n *node) encode(cfg Config) []byte {
-	if !n.full {
-		panic("betree: encoding a partial node")
+	if !n.full || n.ext != nil {
+		panic("betree: encoding a partial or lazy node")
 	}
 	if cfg.Layout == Slotted {
 		return n.encodeSlotted(cfg)
@@ -339,9 +352,12 @@ func (n *node) encodeSlotted(cfg Config) []byte {
 	// Meta region.
 	e := kv.Enc{Buf: buf[:0:cfg.metaCap()]}
 	if n.leaf {
+		// A leaf's meta region records its entry bytes, so a load can charge
+		// the leaf whole before it decodes a basement.
 		e.U8(magicLeaf)
 		e.U8(0)
 		e.U32(uint32(len(n.cuts) - 1))
+		e.U32(uint32(n.leafBytes))
 	} else {
 		e.U8(magicInternal)
 		e.U8(uint8(n.height))
@@ -387,7 +403,8 @@ func (n *node) encodeSlotted(cfg Config) []byte {
 	return buf
 }
 
-// decodeFull parses a whole extent into a Full node.
+// decodeFull parses a whole extent into a Full node; a Slotted leaf stays
+// lazy until materialize.
 func decodeFull(cfg Config, buf []byte) (*node, error) {
 	if cfg.Layout == Packed {
 		return decodePacked(buf)
@@ -452,6 +469,7 @@ func decodeMeta(cfg Config, buf []byte) (*node, int, error) {
 		n.leaf = true
 		d.U8()
 		nslots = int(d.U32())
+		n.leafBytes = int(d.U32())
 	case magicInternal:
 		n.height = int(d.U8())
 		count := int(d.U32())
@@ -510,30 +528,14 @@ func decodeSlotted(cfg Config, buf []byte) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	stride := cfg.slotStride()
-	slot := func(i int) []byte { return buf[cfg.metaCap()+i*stride : cfg.metaCap()+(i+1)*stride] }
 	if n.leaf {
-		// Every basement decodes into one slice, sized from the slot counts.
-		total := 0
-		for i := 0; i < nslots; i++ {
-			total += int((&kv.Dec{Buf: slot(i)}).U32())
-		}
-		n.entries = make([]kv.Entry, 0, min(total, len(buf)/kv.EncodedEntrySize(nil, nil)))
-		n.cuts = make([]int, 1, nslots+1)
-		for i := 0; i < nslots; i++ {
-			p, err := decodeSlot(true, slot(i), n.entries)
-			if err != nil {
-				return nil, err
-			}
-			n.leafBytes += p.bytes - 4 // the slot's entries: all of it past the count
-			n.entries = p.entries
-			n.cuts = append(n.cuts, len(n.entries))
-		}
+		n.ext = buf
+		n.slots = make([]atomic.Pointer[slotPayload], nslots)
 	} else {
 		n.bufs = make([]buffer, nslots)
 		n.routes = make([]route, nslots)
 		for i := 0; i < nslots; i++ {
-			p, err := decodeSlot(false, slot(i), nil)
+			p, err := decodeSlot(false, cfg.slot(buf, i), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -548,12 +550,62 @@ func decodeSlotted(cfg Config, buf []byte) (*node, error) {
 	return n, nil
 }
 
-// chargeSize returns the cache charge for the node's resident content.
+// basement returns basement j of a lazy leaf, decoding it and checking its
+// crc on first use, and publishing it for every reader of the node.
+func (n *node) basement(cfg Config, j int) (*slotPayload, error) {
+	if p := n.slots[j].Load(); p != nil {
+		return p, nil
+	}
+	p, err := decodeSlot(true, cfg.slot(n.ext, j), nil)
+	if err != nil {
+		return nil, err
+	}
+	n.slots[j].CompareAndSwap(nil, &p) // a reader that published first wins
+	return n.slots[j].Load(), nil
+}
+
+// materialize decodes every basement of a lazy leaf into one slice, sized
+// from the slot counts, for a mutation: every crc is checked again, and the
+// entry bytes must add up to what the meta region recorded. The owner alone
+// calls it, with no reader running.
+func (n *node) materialize(cfg Config) error {
+	if n.ext == nil {
+		return nil
+	}
+	total := 0
+	for j := range n.slots {
+		total += int((&kv.Dec{Buf: cfg.slot(n.ext, j)}).U32())
+	}
+	entries := make([]kv.Entry, 0, min(total, len(n.ext)/kv.EncodedEntrySize(nil, nil)))
+	cuts := make([]int, 1, len(n.slots)+1)
+	bytes := 0
+	for j := range n.slots {
+		p, err := decodeSlot(true, cfg.slot(n.ext, j), entries)
+		if err != nil {
+			return err
+		}
+		bytes += p.bytes - 4 // the slot's entries: all of it past the count
+		entries = p.entries
+		cuts = append(cuts, len(entries))
+	}
+	if bytes != n.leafBytes {
+		return fmt.Errorf("betree: leaf meta records %d entry bytes, its basements hold %d", n.leafBytes, bytes)
+	}
+	n.entries, n.cuts, n.ext, n.slots = entries, cuts, nil, nil
+	return nil
+}
+
+// chargeSize returns the cache charge for the node's resident content. A
+// lazy leaf is charged what it will hold once materialized.
 func (n *node) chargeSize(cfg Config) int64 {
 	if n.full {
 		s := n.metaBytes()
 		if n.leaf {
-			s += n.leafBytes + slotHeader*max(1, len(n.cuts)-1)
+			basements := len(n.cuts) - 1
+			if n.ext != nil {
+				basements = len(n.slots)
+			}
+			s += n.leafBytes + slotHeader*max(1, basements)
 		} else {
 			s += n.bufBytesTotal()
 			for i := range n.routes {
@@ -563,8 +615,10 @@ func (n *node) chargeSize(cfg Config) int64 {
 		return int64(s)
 	}
 	s := metaBase
-	for _, p := range n.partial {
-		s += slotHeader + p.bytes
+	for i := range n.slots {
+		if p := n.slots[i].Load(); p != nil {
+			s += slotHeader + p.bytes
+		}
 	}
 	return int64(s)
 }

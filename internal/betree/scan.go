@@ -6,7 +6,9 @@
 // in each node's buffered messages; at a leaf the accumulated messages are
 // applied to the entries and the results emitted in key order. Range scans
 // read whole nodes — the paper's range-query bound is O(1+ℓ/B) IOs of
-// (1+αB) each regardless of node organization.
+// (1+αB) each regardless of node organization — but decode only the leaf
+// basements they emit from: a lazy leaf's pending messages are cut per
+// basement by the leaf's route in its parent.
 
 package betree
 
@@ -38,19 +40,19 @@ func (t *Tree) ScanN(lo []byte, n int) []kv.Entry {
 
 // scanNode emits the live entries of the subtree at off restricted to
 // [lo, hi), under the pending messages inherited from ancestors (sorted by
-// key then seq). The node handle n may be nil, in which case it is loaded.
-// Returns false if fn stopped the scan.
-func (t *Tree) scanNode(c *engine.Client, off int64, n *node, lo, hi []byte, pending []kv.Message, fn func(k, v []byte) bool) bool {
-	owned := false
+// key then seq). The node handle n may be nil, in which case it is loaded;
+// rt is its route in its parent (Slotted layout). Returns false if fn
+// stopped the scan.
+func (t *Tree) scanNode(c *engine.Client, off int64, n *node, rt route, lo, hi []byte, pending []kv.Message, fn func(k, v []byte) bool) bool {
 	if n == nil {
 		n = t.ensureFullc(c, off)
-		owned = true
-	}
-	if owned {
 		defer t.unpinc(c, off)
 	}
 	if n.leaf {
-		return emitLeaf(n.entries, pending, lo, hi, fn)
+		if n.ext == nil {
+			return emitLeaf(n.entries, pending, lo, hi, fn)
+		}
+		return t.emitBasements(off, n, rt, pending, lo, hi, fn)
 	}
 	first, last := childRange(n, lo, hi)
 	for i := first; i <= last; i++ {
@@ -67,7 +69,33 @@ func (t *Tree) scanNode(c *engine.Client, off int64, n *node, lo, hi []byte, pen
 			sliceRange(pending, clo, chi),
 			sliceRange(n.bufs[i].msgs, clo, chi),
 		)
-		if !t.scanNode(c, n.children[i], nil, lo, hi, childPending, fn) {
+		var crt route
+		if t.cfg.Layout == Slotted {
+			crt = n.routes[i]
+		}
+		if !t.scanNode(c, n.children[i], nil, crt, lo, hi, childPending, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// emitBasements is emitLeaf over the lazy leaf n at off, one basement at a
+// time from the first that can hold lo: basement j holds the keys in
+// [rt.keys[j-1], rt.keys[j]), so it takes the pending messages in that range,
+// and a scan that fn stops decodes no basement past the one it stopped in.
+func (t *Tree) emitBasements(off int64, n *node, rt route, pending []kv.Message, lo, hi []byte, fn func(k, v []byte) bool) bool {
+	for j := min(rt.slotIndex(lo), len(n.slots)-1); j < len(n.slots); j++ {
+		var blo, bhi []byte
+		if j > 0 {
+			if blo = rt.keys[j-1]; hi != nil && kv.Compare(blo, hi) >= 0 {
+				break
+			}
+		}
+		if j < len(rt.keys) {
+			bhi = rt.keys[j]
+		}
+		if !emitLeaf(t.leafSlot(off, n, j), sliceRange(pending, blo, bhi), lo, hi, fn) {
 			return false
 		}
 	}

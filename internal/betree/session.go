@@ -18,5 +18,5 @@ func (t *Tree) Session(c *engine.Client) *engine.Session { return engine.NewSess
 
 // ScanAs is Scan charged to c.
 func (t *Tree) ScanAs(c *engine.Client, lo, hi []byte, fn func(key, value []byte) bool) {
-	t.scanNode(c, t.root, t.rootN, lo, hi, nil, fn)
+	t.scanNode(c, t.root, t.rootN, route{}, lo, hi, nil, fn)
 }

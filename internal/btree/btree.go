@@ -87,20 +87,19 @@ type loader Tree
 // the requesting client.
 func (l *loader) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
 	t := (*Tree)(l)
-	buf := make([]byte, t.cfg.NodeBytes)
-	c.ReadAt(buf, int64(id))
-	n, err := decodeNode(buf)
+	n, err := decodeNode(c.Read(int64(id), t.cfg.NodeBytes))
 	if err != nil {
 		panic(fmt.Sprintf("btree: load of node at %d: %v", id, err))
 	}
 	return n, int64(n.size)
 }
 
-// Store implements engine.Loader: one IO of exactly NodeBytes.
+// Store implements engine.Loader: one IO of exactly NodeBytes, handing
+// over the fresh encoding.
 func (l *loader) Store(c *engine.Client, id engine.PageID, obj interface{}) {
 	t := (*Tree)(l)
 	n := obj.(*node)
-	c.WriteAt(n.encode(t.cfg.NodeBytes), int64(id))
+	c.Handover(n.encode(t.cfg.NodeBytes), int64(id))
 }
 
 // StoreSize implements engine.StoreSizer: nodes always encode to the full

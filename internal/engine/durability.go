@@ -453,7 +453,7 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 		// image stays correct for runtime reads; what is lost — and recorded
 		// as the sticky error — is crash-consistency.
 		for _, pw := range pages {
-			e.owner.WriteAt(pw.data, pw.off)
+			e.owner.write(pw.data, pw.off, pw.give)
 			d.redoBytes += int64(len(pw.data))
 		}
 		d.err = fmt.Errorf("engine: checkpoint of %d bytes exceeds journal region %d (raise JournalBytes)",
@@ -463,9 +463,10 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 	e.owner.WriteAt(frame, d.journalOff[d.nextSlot])
 	d.journalBytes += int64(len(frame))
 
-	// 5. Install the pages in place. A crash here is covered by the seal.
+	// 5. Install the pages in place. A crash here is covered by the seal. An
+	// extent its write-back handed over becomes the store's image as it is.
 	for _, pw := range pages {
-		e.owner.WriteAt(pw.data, pw.off)
+		e.owner.write(pw.data, pw.off, pw.give)
 		d.redoBytes += int64(len(pw.data))
 	}
 

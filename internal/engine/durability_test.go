@@ -53,6 +53,15 @@ func smallDur() engine.DurabilityConfig {
 	}
 }
 
+// copyingStore returns a private copy from every read instead of a view of
+// the image.
+type copyingStore struct{ storage.ByteStore }
+
+func (s copyingStore) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
+	p, done := s.ByteStore.Read(now, off, n)
+	return bytes.Clone(p), done
+}
+
 func key(i int) []byte      { return []byte(fmt.Sprintf("key-%04d", i)) }
 func val(i int) []byte      { return []byte(fmt.Sprintf("value-%06d", i)) }
 func engCfg() engine.Config { return engine.Config{CacheBytes: 1 << 20} }
@@ -260,12 +269,15 @@ func TestDurableLSMRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoveryReleasesJournal: decoded fields are views of the buffer they
+// TestRecoveryReleasesJournal: decoded fields are views of the bytes they
 // were decoded from, so anything recovery leaves in a live structure would
 // keep the whole checkpoint journal payload alive. The manifests are copied
 // out and the pages installed from the payload, so once Replay returns the
 // payload is garbage even while the recovered engine and trees (the LSM
-// keeps key ranges and block index keys from its manifest) stay in use.
+// keeps key ranges and block index keys from its manifest) stay in use. The
+// store lends views of an image it keeps, so recovery here runs on a store
+// whose every read returns a private copy: what stays reachable is what
+// recovery kept.
 func TestRecoveryReleasesJournal(t *testing.T) {
 	fs := storage.NewFaultStore(flatDev{testCapacity})
 	e := engine.FromStore(engCfg(), fs, sim.New())
@@ -304,7 +316,7 @@ func TestRecoveryReleasesJournal(t *testing.T) {
 		runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
 	})
 	defer engine.SetJournalLoaded(nil)
-	e2, r, err := engine.Recover(engCfg(), dcfg, fs, sim.New())
+	e2, r, err := engine.Recover(engCfg(), dcfg, copyingStore{fs}, sim.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,11 +208,12 @@ type Client struct {
 	ctx      ioCtx
 	id       int64
 	counters storage.Counters
-	// capture, when non-nil, diverts WriteAt into a list instead of the
+	// capture, when non-nil, diverts writes into a list instead of the
 	// device. The checkpoint uses it to collect the pager's dirty pages
 	// into the journal without issuing in-place IO. The list keeps each
 	// written slice itself, not a copy: a write-back hands over the extent it
-	// has just encoded (Loader.Store) and does not touch it again.
+	// has just encoded (Loader.Store) and does not touch it again, and the
+	// install passes a handed-over extent on to the store.
 	capture *[]pageWrite
 	// span is the client's open tracing span (nil while tracing is off or
 	// the op was sampled out); layer attributes its IOs to the stack layer
@@ -222,10 +223,11 @@ type Client struct {
 	layer obs.Layer
 }
 
-// pageWrite is one captured write.
+// pageWrite is one captured write; give records a Handover.
 type pageWrite struct {
 	off  int64
 	data []byte
+	give bool
 }
 
 // Engine returns the engine this client drives.
@@ -234,31 +236,49 @@ func (c *Client) Engine() *Engine { return c.eng }
 // Now returns the client's current virtual time.
 func (c *Client) Now() sim.Time { return c.ctx.Now() }
 
-// ReadAt reads len(p) bytes at off, charging device time to this client.
-func (c *Client) ReadAt(p []byte, off int64) {
-	if len(p) == 0 {
-		return
+// Read reads n bytes at off, charging device time to this client, and
+// returns them: read-only bytes the store lends (storage.Store.Read), which
+// nothing writes again. A decoder keeps views of them (kv.Dec).
+func (c *Client) Read(off int64, n int) []byte {
+	if n == 0 {
+		return nil
 	}
 	now := c.ctx.Now()
-	done := c.eng.store.ReadAt(now, p, off)
-	c.counters.Add(storage.Counters{Reads: 1, BytesRead: int64(len(p)), ReadTime: done - now})
+	p, done := c.eng.store.Read(now, off, n)
+	c.counters.Add(storage.Counters{Reads: 1, BytesRead: int64(n), ReadTime: done - now})
 	if c.span != nil {
-		c.span.IO(c.layer, storage.Read, off, int64(len(p)), now, done-now)
+		c.span.IO(c.layer, storage.Read, off, int64(n), now, done-now)
 	}
 	c.ctx.WaitUntil(done)
+	return p
 }
 
+// ReadAt is Read into a buffer of the caller's: for a caller that needs a
+// private copy it may write (the bench ladder's read rung and page loader).
+func (c *Client) ReadAt(p []byte, off int64) { copy(p, c.Read(off, len(p))) }
+
 // WriteAt writes len(p) bytes at off, charging device time to this client.
-func (c *Client) WriteAt(p []byte, off int64) {
+func (c *Client) WriteAt(p []byte, off int64) { c.write(p, off, false) }
+
+// Handover is WriteAt that gives p to the store (storage.Store.Handover):
+// the caller never writes p again. A Loader's Store hands over the extent it
+// has just encoded.
+func (c *Client) Handover(p []byte, off int64) { c.write(p, off, true) }
+
+func (c *Client) write(p []byte, off int64, give bool) {
 	if len(p) == 0 {
 		return
 	}
 	if c.capture != nil {
-		*c.capture = append(*c.capture, pageWrite{off: off, data: p})
+		*c.capture = append(*c.capture, pageWrite{off: off, data: p, give: give})
 		return
 	}
 	now := c.ctx.Now()
-	done := c.eng.store.WriteAt(now, p, off)
+	write := c.eng.store.WriteAt
+	if give {
+		write = c.eng.store.Handover
+	}
+	done := write(now, p, off)
 	c.counters.Add(storage.Counters{Writes: 1, BytesWritten: int64(len(p)), WriteTime: done - now})
 	if c.span != nil {
 		c.span.IO(c.layer, storage.Write, off, int64(len(p)), now, done-now)

@@ -21,8 +21,9 @@ type Loader interface {
 	// Load reads and decodes the object; size is its charged byte footprint.
 	Load(c *Client, id PageID) (obj interface{}, size int64)
 	// Store serializes and writes back a dirty object. The bytes it hands to
-	// c.WriteAt are a fresh encoding it does not modify afterwards: during a
-	// checkpoint the client keeps them until the journal is sealed.
+	// c.WriteAt or c.Handover are a fresh encoding it does not modify
+	// afterwards: during a checkpoint the client keeps them until the journal
+	// is sealed, and an extent given by Handover becomes the store's image.
 	Store(c *Client, id PageID, obj interface{})
 }
 
@@ -283,9 +284,9 @@ func (sh *shard) pin(it *item) {
 func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
 	sh := p.shard(id)
 	if it := sh.lockUnlatched(c, id, false); it != nil {
-		sh.hit(c, it)
+		obj := sh.hit(c, it)
 		p.evictToBudget(c, sh)
-		return it.obj
+		return obj
 	}
 	// Miss: latch a placeholder so concurrent getters wait rather than
 	// issuing a duplicate load, then do the IO outside the lock.
@@ -310,15 +311,18 @@ func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
 	return obj
 }
 
-// hit counts and pins a resident, unlatched item for c and releases sh.mu,
-// which the caller holds.
-func (sh *shard) hit(c *Client, it *item) {
+// hit counts and pins a resident, unlatched item for c, releases sh.mu,
+// which the caller holds, and returns the item's object as it was under the
+// lock (a Swap may replace it the moment the lock is gone).
+func (sh *shard) hit(c *Client, it *item) interface{} {
 	sh.stats.Hits++
 	sh.pin(it)
+	obj := it.obj
 	sh.mu.Unlock()
 	if c.span != nil {
 		c.span.CacheHit(c.ctx.Now())
 	}
+	return obj
 }
 
 // Put inserts a freshly created object (not yet on disk) as dirty and pins
@@ -354,9 +358,9 @@ func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size i
 func (p *Pager) PutClean(c *Client, loader Loader, id PageID, obj interface{}, size int64) interface{} {
 	sh := p.shard(id)
 	if it := sh.lockUnlatched(c, id, false); it != nil {
-		sh.hit(c, it)
+		obj := sh.hit(c, it)
 		p.evictToBudget(c, sh)
-		return it.obj
+		return obj
 	}
 	sh.stats.Misses++
 	sh.items[id] = &item{id: id, obj: obj, size: size, pins: 1, loader: loader}
@@ -385,8 +389,7 @@ func (p *Pager) TryGet(c *Client, id PageID) (interface{}, bool) {
 		sh.mu.Unlock()
 		return nil, false
 	}
-	sh.hit(c, it)
-	return it.obj, true
+	return sh.hit(c, it), true
 }
 
 // Pin increments id's pin count; the object must be resident.
@@ -447,26 +450,44 @@ func (p *Pager) MarkDirty(c *Client, id PageID, newSize int64) {
 	p.evictToBudget(c, sh)
 }
 
-// Resize updates id's charged size without marking it dirty (used when a
-// clean object grows by absorbing more of its on-disk image). The caller
-// must hold a pin.
-func (p *Pager) Resize(c *Client, id PageID, newSize int64) {
+// Grow adds delta to the charged size of id's clean object if id still holds
+// obj: a reader published more of obj's on-disk image into it. The caller
+// holds a pin. Concurrent readers each add their own delta, so the order in
+// which they arrive does not matter, and one whose object was swapped out
+// meanwhile (Swap) adds nothing: the charge is the new object's.
+func (p *Pager) Grow(c *Client, id PageID, obj interface{}, delta int64) {
+	p.replace(c, id, obj, obj, delta, true)
+}
+
+// Swap replaces id's clean object old with new, charged size, and returns
+// the object id holds afterwards: new, or whatever another reader swapped in
+// first. A reader that has decoded more of an object than others hold builds
+// it aside and swaps it in, instead of writing the object they are reading.
+// The caller holds a pin, which stays.
+func (p *Pager) Swap(c *Client, id PageID, old, new interface{}, size int64) interface{} {
+	return p.replace(c, id, old, new, size, false)
+}
+
+// replace is Grow and Swap: if id holds old, it holds new from now on,
+// charged size, or its charge plus size when grow is set.
+func (p *Pager) replace(c *Client, id PageID, old, new interface{}, size int64, grow bool) interface{} {
 	sh := p.shard(id)
 	sh.mu.Lock()
 	it, ok := sh.items[id]
 	if !ok {
 		sh.mu.Unlock()
-		panic(fmt.Sprintf("engine: Resize of non-resident page %d", id))
+		panic(fmt.Sprintf("engine: replace of non-resident page %d", id))
 	}
-	if it.dirty {
-		newEnc := it.encSize()
-		sh.dirtyBytes += newEnc - it.enc
-		it.enc = newEnc
+	if it.obj == old {
+		if grow {
+			size += it.size
+		}
+		it.obj, sh.used, it.size = new, sh.used+size-it.size, size
 	}
-	sh.used += newSize - it.size
-	it.size = newSize
+	cur := it.obj
 	sh.mu.Unlock()
 	p.evictToBudget(c, sh)
+	return cur
 }
 
 // Drop discards id without write-back (the node was freed). It panics if

@@ -251,18 +251,29 @@ func TestPutCleanEvictsWithoutWrite(t *testing.T) {
 	}
 }
 
-func TestResizeClean(t *testing.T) {
+// TestGrowAndSwapClean: Grow and Swap change a clean object's charge only
+// while the page still holds the object the caller read, and never make it
+// dirty.
+func TestGrowAndSwapClean(t *testing.T) {
 	l := newFakeLoader()
 	p, c := newTestPager(100)
 	p.PutClean(c, l, 1, "x", 5)
-	p.Resize(c, 1, 50)
+	p.Grow(c, 1, "x", 45)
 	if p.Used() != 50 {
-		t.Fatalf("used = %d", p.Used())
+		t.Fatalf("used = %d after Grow, want 50", p.Used())
+	}
+	if got := p.Swap(c, 1, "x", "y", 70); got != "y" || p.Used() != 70 {
+		t.Fatalf("Swap returned %v, used %d; want y, 70", got, p.Used())
+	}
+	// A reader still holding "x" lost the race: it grows and swaps nothing.
+	p.Grow(c, 1, "x", 9)
+	if got := p.Swap(c, 1, "x", "z", 90); got != "y" || p.Used() != 70 {
+		t.Fatalf("stale Swap returned %v, used %d; want y, 70", got, p.Used())
 	}
 	p.Unpin(c, 1)
 	p.EvictAll(c)
 	if l.stores != 0 {
-		t.Fatal("resized clean object was written back")
+		t.Fatal("grown clean object was written back")
 	}
 }
 

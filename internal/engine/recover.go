@@ -98,6 +98,7 @@ func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *si
 
 	// Re-install the checkpoint's pages. Idempotent, so it is safe whether
 	// the original install completed, partially completed, or never ran.
+	// They are views of the journal's image, so WriteAt copies them.
 	for _, pg := range pages {
 		e.owner.WriteAt(pg.data, pg.off)
 	}
@@ -149,8 +150,7 @@ func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *si
 // readJournal reads and validates one journal slot; ok only if the header
 // and payload CRCs both pass.
 func (e *Engine) readJournal(off, size int64) (epoch uint64, payload []byte, ok bool) {
-	hdr := make([]byte, journalHdrBytes)
-	e.owner.ReadAt(hdr, off)
+	hdr := e.owner.Read(off, journalHdrBytes)
 	hd := &kv.Dec{Buf: hdr}
 	magic := hd.U32()
 	epoch = hd.U64()
@@ -162,8 +162,7 @@ func (e *Engine) readJournal(off, size int64) (epoch uint64, payload []byte, ok 
 		plen > uint64(size-journalHdrBytes) {
 		return 0, nil, false
 	}
-	payload = make([]byte, plen)
-	e.owner.ReadAt(payload, off+journalHdrBytes)
+	payload = e.owner.Read(off+journalHdrBytes, int(plen))
 	if crc32.ChecksumIEEE(payload) != pcrc {
 		return 0, nil, false
 	}

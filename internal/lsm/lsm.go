@@ -222,8 +222,7 @@ func (t *Tree) tableGet(c *engine.Client, tb *table, key []byte) (entry, bool) {
 	if start+size > tb.size {
 		size = tb.size - start
 	}
-	buf := make([]byte, size)
-	c.ReadAt(buf, tb.off+start)
+	buf := c.Read(tb.off+start, int(size))
 	// Entries never span blocks (the writer pads); scan the block.
 	d := kv.Dec{Buf: buf}
 	for d.Off < len(buf) {
@@ -302,8 +301,7 @@ func (t *Tree) writeTable(entries []entry) *table {
 
 // readTable loads a whole SSTable (used by compaction and scans).
 func (t *Tree) readTable(c *engine.Client, tb *table) []entry {
-	buf := make([]byte, tb.size)
-	c.ReadAt(buf, tb.off)
+	buf := c.Read(tb.off, int(tb.size))
 	d := kv.Dec{Buf: buf}
 	out := make([]entry, 0, tb.count)
 	for len(out) < tb.count {

@@ -14,6 +14,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -148,8 +149,9 @@ func (f *FaultStore) checkDown() {
 	}
 }
 
-// ReadAt forwards the read, applying read faults.
-func (f *FaultStore) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
+// Read forwards the read, applying read faults. A corrupted read flips a bit
+// in a copy of the bytes: the medium, and every view of it, stays intact.
+func (f *FaultStore) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
 	f.mu.Lock()
 	f.checkDown()
 	f.reads++
@@ -159,26 +161,34 @@ func (f *FaultStore) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
 		panic(&ReadFaultError{Read: f.reads})
 	}
 	f.mu.Unlock()
-	done := f.inner.ReadAt(now, p, off)
+	p, done := f.inner.Read(now, off, n)
 	if corrupt && len(p) > 0 {
+		p = bytes.Clone(p)
 		p[len(p)/2] ^= 0x01
 	}
-	return done
+	return p, done
 }
 
 // WriteAt forwards the write unless the armed crash fires: then only the
 // torn prefix reaches the medium and the store goes down.
 func (f *FaultStore) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
+	return f.write(now, p, off, false)
+}
+
+// Handover is WriteAt that hands p to the medium (Store.Handover). A torn
+// write copies its prefix instead.
+func (f *FaultStore) Handover(now sim.Time, p []byte, off int64) sim.Time {
+	return f.write(now, p, off, true)
+}
+
+func (f *FaultStore) write(now sim.Time, p []byte, off int64, give bool) sim.Time {
 	f.mu.Lock()
 	f.checkDown()
 	f.writes++
 	if f.crashAt != 0 && f.writes >= f.crashAt {
 		f.crashed = true
 		f.crashedAt = f.writes
-		keep := f.tearBytes
-		if keep > len(p) {
-			keep = len(p)
-		}
+		keep := min(f.tearBytes, len(p))
 		f.mu.Unlock()
 		if keep > 0 {
 			f.inner.WriteAt(now, p[:keep], off)
@@ -186,6 +196,9 @@ func (f *FaultStore) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
 		panic(&CrashError{Write: f.crashedAt})
 	}
 	f.mu.Unlock()
+	if give {
+		return f.inner.Handover(now, p, off)
+	}
 	return f.inner.WriteAt(now, p, off)
 }
 

@@ -45,47 +45,55 @@ func TestFaultStoreCrashTearsWrite(t *testing.T) {
 				t.Fatal("read after crash did not panic")
 			}
 		}()
-		f.ReadAt(0, make([]byte, 8), 0)
+		f.Read(0, 0, 8)
 	}()
 
 	// Reboot: the durable image has the full first write and exactly the
 	// torn prefix of the fatal one.
 	f.ClearFaults()
-	got := make([]byte, 64)
-	f.ReadAt(0, got, 0)
+	got, _ := f.Read(0, 0, 64)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("pre-crash write lost")
 	}
-	f.ReadAt(0, got, 128)
+	got, _ = f.Read(0, 128, 64)
 	want := append(bytes.Repeat([]byte{0x11}, 24), make([]byte, 40)...)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("torn write image wrong: %x", got[:32])
 	}
 }
 
+// TestFaultStoreCorruptRead: a corrupted read flips one bit of a copy. The
+// view the clean read returned, the image, and the next read are intact.
 func TestFaultStoreCorruptRead(t *testing.T) {
 	f := NewFaultStore(flatDev{1 << 20})
-	f.WriteAt(0, bytes.Repeat([]byte{0xAA}, 32), 0)
+	want := bytes.Repeat([]byte{0xAA}, 32)
+	f.WriteAt(0, want, 0)
 	f.CorruptRead(2)
-	clean := make([]byte, 32)
-	f.ReadAt(0, clean, 0)
-	if !bytes.Equal(clean, bytes.Repeat([]byte{0xAA}, 32)) {
+	clean, _ := f.Read(0, 0, 32)
+	if !bytes.Equal(clean, want) {
 		t.Fatal("read 1 should be clean")
 	}
-	dirty := make([]byte, 32)
-	f.ReadAt(0, dirty, 0)
-	if bytes.Equal(dirty, clean) {
+	dirty, _ := f.Read(0, 0, 32)
+	if bytes.Equal(dirty, want) {
 		t.Fatal("read 2 should be corrupted")
 	}
 	// One bit, in the middle.
 	if dirty[16] != 0xAA^0x01 {
 		t.Fatalf("corruption pattern wrong: %x", dirty)
 	}
+	again, _ := f.Read(0, 0, 32)
+	if !bytes.Equal(clean, want) || !bytes.Equal(again, want) {
+		t.Fatalf("the corruption reached the image: view %x, read 3 %x", clean, again)
+	}
 }
 
+// TestFaultStoreFailRead: a failed read panics before anything is read and
+// leaves the store up, its image and earlier views intact.
 func TestFaultStoreFailRead(t *testing.T) {
 	f := NewFaultStore(flatDev{1 << 20})
-	f.WriteAt(0, []byte{1, 2, 3, 4}, 0)
+	want := []byte{1, 2, 3, 4}
+	f.WriteAt(0, want, 0)
+	view, _ := f.Read(0, 0, 4)
 	f.FailRead(1)
 	func() {
 		defer func() {
@@ -93,13 +101,15 @@ func TestFaultStoreFailRead(t *testing.T) {
 				t.Fatal("expected *ReadFaultError")
 			}
 		}()
-		f.ReadAt(0, make([]byte, 4), 0)
+		f.Read(0, 0, 4)
 	}()
 	// A hard read error is not a crash: the store stays up.
 	if f.Crashed() {
 		t.Fatal("read fault must not mark the store crashed")
 	}
-	f.ReadAt(0, make([]byte, 4), 0)
+	if got, _ := f.Read(0, 0, 4); !bytes.Equal(got, want) || !bytes.Equal(view, want) {
+		t.Fatalf("after a failed read: read %v, view %v, want %v", got, view, want)
+	}
 }
 
 func TestAllocatorSnapshotRoundTrip(t *testing.T) {

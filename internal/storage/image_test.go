@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"iomodels/internal/sim"
 )
@@ -24,6 +25,7 @@ func (d skewDevice) Name() string    { return "skew" }
 // flatImage is the reference model: the whole device as one zeroed []byte,
 // with the Store's contract spelled out longhand (bounds panic first, then
 // one device access, the byte move, one counter record, one trace record).
+// Its reads are copies.
 type flatImage struct {
 	dev      Device
 	data     []byte
@@ -41,13 +43,12 @@ func (m *flatImage) io(now sim.Time, op Op, off, size int64) sim.Time {
 	return done
 }
 
-func (m *flatImage) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
-	if len(p) == 0 {
-		return now
+func (m *flatImage) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
+	if n == 0 {
+		return nil, now
 	}
-	done := m.io(now, Read, off, int64(len(p)))
-	copy(p, m.data[off:])
-	return done
+	done := m.io(now, Read, off, int64(n))
+	return bytes.Clone(m.data[off : off+int64(n)]), done
 }
 
 func (m *flatImage) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
@@ -73,23 +74,75 @@ func panicOf(fn func()) (r interface{}) {
 	return nil
 }
 
-// TestStoreMatchesFlatImage drives a Store and the flat reference with the
-// same seeded WriteAt/ReadAt/Meter sequence — lengths and offsets chosen on,
-// just before and just after chunk boundaries, reads of ranges nothing ever
-// wrote, accesses ending exactly at capacity and one byte past it — and
-// requires equal bytes, completion times, panics, counters and traces.
+// isView reports whether p, read at off, is a view of s's image.
+func isView(s *Store, p []byte, off int64) bool {
+	if off/blockBytes >= int64(len(s.blocks)) {
+		return false
+	}
+	b := s.blocks[off/blockBytes]
+	return b.run != nil && unsafe.SliceData(p) == &b.run.buf[b.at+int(off%blockBytes)]
+}
+
+// checkTable requires every run's live count to be the blocks that point
+// into it, and Resident to be the bytes of those runs.
+func checkTable(t *testing.T, s *Store, what string) {
+	t.Helper()
+	live := map[*run]int{}
+	var bytes int64
+	for _, b := range s.blocks {
+		if b.run == nil {
+			continue
+		}
+		if live[b.run] == 0 {
+			bytes += int64(len(b.run.buf))
+		}
+		live[b.run]++
+	}
+	for r, n := range live {
+		if r.live != n {
+			t.Fatalf("%s: a run counts %d live blocks, %d point into it", what, r.live, n)
+		}
+	}
+	if s.Resident() != bytes {
+		t.Fatalf("%s: Resident() = %d, the table's runs hold %d", what, s.Resident(), bytes)
+	}
+}
+
+// TestStoreMatchesFlatImage drives a FaultStore over a Store and the flat
+// reference with the same seeded sequence of writes, handovers, torn writes,
+// reads and metered IOs — lengths and offsets chosen on, just before and just
+// after block boundaries, reads of ranges nothing ever wrote, accesses ending
+// exactly at capacity and one byte past it — and requires equal bytes,
+// completion times, panics, counters and traces. It keeps what every read
+// returned: view or copy, each must still equal the flat image as it was
+// when the read returned, whatever overlapping, partial or torn writes came
+// after.
 func TestStoreMatchesFlatImage(t *testing.T) {
-	const capacity = 6*chunkBytes + 123 // the last chunk is partial
-	lengths := []int64{0, 1, chunkBytes - 1, chunkBytes, chunkBytes + 1, 3*chunkBytes + 7}
-	noise := make([]byte, 4*chunkBytes) // payloads are windows of it
+	const capacity = 6*blockBytes + 123 // the last block is partial
+	lengths := []int64{0, 1, blockBytes - 1, blockBytes, blockBytes + 1, 3*blockBytes + 7}
+	noise := make([]byte, 4*blockBytes) // payloads are windows of it
 	rand.New(rand.NewSource(99)).Read(noise)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(skewDevice{capacity})
+		f := NewFaultStore(skewDevice{capacity})
+		s := f.Inner()
 		tr := NewTrace()
-		s.SetTrace(tr)
+		f.SetTrace(tr)
 		m := &flatImage{dev: skewDevice{capacity}, data: make([]byte, capacity)}
 
+		type kept struct {
+			got, want []byte
+			step      int
+		}
+		var reads []kept
+		views := 0
+		checkReads := func(step int) {
+			for _, r := range reads {
+				if !bytes.Equal(r.got, r.want) {
+					t.Fatalf("seed %d step %d: what the read at step %d returned has changed", seed, step, r.step)
+				}
+			}
+		}
 		pickOff := func(size int64) int64 {
 			switch rng.Intn(8) {
 			case 0: // ends exactly at capacity
@@ -99,36 +152,57 @@ func TestStoreMatchesFlatImage(t *testing.T) {
 			case 2:
 				return rng.Int63n(capacity)
 			}
-			off := rng.Int63n(7)*chunkBytes + rng.Int63n(3) - 1
+			off := rng.Int63n(7)*blockBytes + rng.Int63n(3) - 1
 			if off < 0 {
 				off = 0
 			}
 			return off
 		}
+		payload := func(size int64) []byte { return noise[rng.Intn(blockBytes-7):][:size] }
 		var now sim.Time
-		for step := 0; step < 400; step++ {
+		for step := 0; step < 600; step++ {
 			size := lengths[rng.Intn(len(lengths))]
 			off := pickOff(size)
 			what := fmt.Sprintf("seed %d step %d: off %d size %d", seed, step, off, size)
 			var got, want sim.Time
 			var gotP, wantP interface{}
-			switch kind := rng.Intn(5); kind {
+			switch kind := rng.Intn(7); kind {
 			case 0, 1: // write
-				p := noise[rng.Intn(chunkBytes-7):][:size]
-				gotP = panicOf(func() { got = s.WriteAt(now, p, off) })
+				p := payload(size)
+				gotP = panicOf(func() { got = f.WriteAt(now, p, off) })
 				wantP = panicOf(func() { want = m.WriteAt(now, p, off) })
-			case 2, 3: // read
-				// A read must overwrite the whole buffer, zeros included.
-				gp := append([]byte(nil), noise[:size]...)
-				wp := append([]byte(nil), noise[:size]...)
-				gotP = panicOf(func() { got = s.ReadAt(now, gp, off) })
-				wantP = panicOf(func() { want = m.ReadAt(now, wp, off) })
-				if !bytes.Equal(gp, wp) {
+			case 2: // handover of a buffer nobody writes again
+				p := bytes.Clone(payload(size))
+				wantP = panicOf(func() { want = m.WriteAt(now, p, off) })
+				gotP = panicOf(func() { got = f.Handover(now, p, off) })
+			case 3: // torn write: the machine dies after tear bytes of it
+				if size == 0 || off+size > capacity {
+					continue
+				}
+				p, tear := payload(size), rng.Intn(int(size))
+				f.CrashAtWrite(1, tear)
+				if _, ok := panicOf(func() { f.WriteAt(now, p, off) }).(*CrashError); !ok {
+					t.Fatalf("%s: the armed crash did not fire", what)
+				}
+				f.ClearFaults()
+				m.WriteAt(now, p[:tear], off)
+				got, want = now, now
+			case 4, 5: // read
+				var gb, wb []byte
+				gotP = panicOf(func() { gb, got = f.Read(now, off, int(size)) })
+				wantP = panicOf(func() { wb, want = m.Read(now, off, int(size)) })
+				if !bytes.Equal(gb, wb) {
 					t.Fatalf("%s: read bytes differ from the flat image", what)
+				}
+				if gotP == nil && size > 0 {
+					reads = append(reads, kept{gb, wb, step})
+					if isView(s, gb, off) {
+						views++
+					}
 				}
 			default: // meter
 				op := Op(rng.Intn(2))
-				gotP = panicOf(func() { got = s.Meter(now, op, off, size) })
+				gotP = panicOf(func() { got = f.Meter(now, op, off, size) })
 				wantP = panicOf(func() { want = m.Meter(now, op, off, size) })
 			}
 			if !reflect.DeepEqual(gotP, wantP) {
@@ -140,22 +214,59 @@ func TestStoreMatchesFlatImage(t *testing.T) {
 			if wantP == nil && want > now {
 				now = want
 			}
+			checkReads(step)
 		}
-		if got := s.Counters(); got != m.counters {
+		if got := f.Counters(); got != m.counters {
 			t.Fatalf("seed %d: counters %+v, want %+v", seed, got, m.counters)
 		}
 		if got := tr.Snapshot(); !reflect.DeepEqual(got, m.trace) {
 			t.Fatalf("seed %d: trace differs from the flat image's (%d vs %d records)", seed, len(got), len(m.trace))
 		}
-		whole := make([]byte, capacity)
-		s.ReadAt(now, whole, 0)
-		if !bytes.Equal(whole, m.data) {
+		if whole, _ := s.Read(now, 0, capacity); !bytes.Equal(whole, m.data) {
 			t.Fatalf("seed %d: final image differs from the flat image", seed)
 		}
-		if r := s.Resident(); r > capacity {
-			t.Fatalf("seed %d: %d bytes resident on a %d-byte device", seed, r, capacity)
+		if views == 0 || views == len(reads) {
+			t.Fatalf("seed %d: %d of %d reads were views; the sequence must exercise both views and copies", seed, views, len(reads))
 		}
+		checkTable(t, s, fmt.Sprintf("seed %d", seed))
 	}
+}
+
+// TestStoreViewsAndHandover pins the copy-on-write rules one at a time: a
+// handed-over extent is the image, and a read of it is a view of the very
+// buffer; a write over viewed blocks moves them to one fresh run and leaves
+// the view as it was; a write into blocks nobody viewed goes in place.
+func TestStoreViewsAndHandover(t *testing.T) {
+	s := NewStore(skewDevice{1 << 20})
+	p := bytes.Repeat([]byte{1}, 2*blockBytes)
+	s.Handover(0, p, blockBytes)
+	v, _ := s.Read(0, blockBytes, len(p))
+	if unsafe.SliceData(v) != &p[0] || cap(v) != len(p) {
+		t.Fatal("a read of a handed-over extent is not a capacity-capped view of it")
+	}
+	if s.Resident() != int64(len(p)) {
+		t.Fatalf("Resident() = %d after one handover of %d bytes", s.Resident(), len(p))
+	}
+
+	s.WriteAt(0, bytes.Repeat([]byte{2}, len(p)), blockBytes)
+	if !bytes.Equal(v, bytes.Repeat([]byte{1}, len(p))) {
+		t.Fatal("a write changed a view")
+	}
+	w, _ := s.Read(0, blockBytes, len(p))
+	if !isView(s, w, blockBytes) || !bytes.Equal(w, bytes.Repeat([]byte{2}, len(p))) {
+		t.Fatal("an extent rewritten whole is not one run with the new bytes")
+	}
+	if s.Resident() != int64(len(p)) {
+		t.Fatalf("Resident() = %d: the viewed run is still counted", s.Resident())
+	}
+
+	s.WriteAt(0, []byte{9}, 5*blockBytes)
+	s.WriteAt(0, []byte{8}, 5*blockBytes+1)
+	x, _ := s.Read(0, 5*blockBytes, 2)
+	if !bytes.Equal(x, []byte{9, 8}) || s.Resident() != int64(len(p))+blockBytes {
+		t.Fatalf("a write into an unviewed block did not go in place: %v, resident %d", x, s.Resident())
+	}
+	checkTable(t, s, "after the pinned writes")
 }
 
 // TestStoreCapacityEdge pins the two accesses the sequence above only meets
@@ -163,12 +274,11 @@ func TestStoreMatchesFlatImage(t *testing.T) {
 // panics with the message the flat image always gave, for all three IO kinds,
 // and the refused access is neither counted nor resident.
 func TestStoreCapacityEdge(t *testing.T) {
-	const capacity = 2*chunkBytes + 5
+	const capacity = 2*blockBytes + 5
 	s := NewStore(skewDevice{capacity})
 	p := []byte{1, 2, 3, 4}
 	s.WriteAt(0, p, capacity-4)
-	got := make([]byte, 4)
-	s.ReadAt(0, got, capacity-4)
+	got, _ := s.Read(0, capacity-4, 4)
 	s.Meter(0, Read, capacity-4, 4)
 	if !bytes.Equal(got, p) {
 		t.Fatalf("tail bytes = %v, want %v", got, p)
@@ -177,7 +287,7 @@ func TestStoreCapacityEdge(t *testing.T) {
 	want := fmt.Sprintf("storage: access beyond device capacity: %d > %d", capacity+1, capacity)
 	for name, fn := range map[string]func(){
 		"WriteAt": func() { s.WriteAt(0, p, capacity-3) },
-		"ReadAt":  func() { s.ReadAt(0, got, capacity-3) },
+		"Read":    func() { s.Read(0, capacity-3, 4) },
 		"Meter":   func() { s.Meter(0, Write, capacity-3, 4) },
 	} {
 		if r := panicOf(fn); r != want {
@@ -191,20 +301,21 @@ func TestStoreCapacityEdge(t *testing.T) {
 }
 
 // TestStoreResidencyFollowsWrites: host memory is what was written. A read
-// of a range nothing wrote returns zeros, allocates nothing and leaves
-// nothing resident; three small writes 300 MiB apart on a 4 GiB device cost
-// three chunks, not 600 MiB.
+// of a range nothing wrote returns zeros, allocates only its result and
+// leaves nothing resident; three small writes 300 MiB apart on a 4 GiB device
+// cost three blocks, not 600 MiB.
 func TestStoreResidencyFollowsWrites(t *testing.T) {
 	s := NewStore(skewDevice{4 << 30})
-	buf := bytes.Repeat([]byte{0xAB}, 3*chunkBytes+7)
+	const n = 3*blockBytes + 7
+	var buf []byte
 	allocs := testing.AllocsPerRun(20, func() {
-		s.ReadAt(0, buf, 700<<20-5)
+		buf, _ = s.Read(0, 700<<20-5, n)
 	})
-	if allocs != 0 {
-		t.Errorf("a read of an absent range made %v allocations, want 0", allocs)
+	if allocs > 1 {
+		t.Errorf("a read of an absent range made %v allocations, want its result only", allocs)
 	}
-	if !bytes.Equal(buf, make([]byte, len(buf))) {
-		t.Error("a read of an absent range did not zero-fill the buffer")
+	if !bytes.Equal(buf, make([]byte, n)) {
+		t.Error("a read of an absent range is not zeros")
 	}
 	s.Meter(0, Write, 1<<30, 8<<20)
 	if r := s.Resident(); r != 0 {
@@ -214,23 +325,21 @@ func TestStoreResidencyFollowsWrites(t *testing.T) {
 	for _, off := range []int64{0, 300 << 20, 600 << 20} {
 		s.WriteAt(0, []byte("page"), off)
 	}
-	if r := s.Resident(); r <= 0 || r > 3*chunkBytes {
-		t.Fatalf("Resident() = %d after three small writes, want in (0, %d]", r, 3*chunkBytes)
+	if r := s.Resident(); r <= 0 || r > 3*blockBytes {
+		t.Fatalf("Resident() = %d after three small writes, want in (0, %d]", r, 3*blockBytes)
 	}
-	got := make([]byte, 4)
-	s.ReadAt(0, got, 300<<20)
-	if string(got) != "page" {
+	if got, _ := s.Read(0, 300<<20, 4); string(got) != "page" {
 		t.Fatalf("read back %q", got)
 	}
 }
 
-// TestFaultStoreTearsInsideSecondChunk: a fatal write that straddles a chunk
+// TestFaultStoreTearsInsideSecondBlock: a fatal write that straddles a block
 // boundary and tears past it leaves exactly the torn prefix — the part in the
-// first chunk whole, the part in the second cut at the tear point — and the
+// first block whole, the part in the second cut at the tear point — and the
 // bytes that were there before beyond it.
-func TestFaultStoreTearsInsideSecondChunk(t *testing.T) {
-	f := NewFaultStore(flatDev{8 * chunkBytes})
-	const off, size, tear = chunkBytes - 100, 300, 100 + 50 // 50 bytes into chunk 1
+func TestFaultStoreTearsInsideSecondBlock(t *testing.T) {
+	f := NewFaultStore(flatDev{8 * blockBytes})
+	const off, size, tear = blockBytes - 100, 300, 100 + 50 // 50 bytes into block 1
 	old := bytes.Repeat([]byte{0x11}, size)
 	f.WriteAt(0, old, off)
 
@@ -240,11 +349,10 @@ func TestFaultStoreTearsInsideSecondChunk(t *testing.T) {
 		t.Fatalf("panic %v, want *CrashError", r)
 	}
 	f.ClearFaults()
-	if f.Resident() != f.Inner().Resident() || f.Resident() > 2*chunkBytes {
-		t.Fatalf("Resident() = %d (inner %d), want the two chunks written", f.Resident(), f.Inner().Resident())
+	if f.Resident() != f.Inner().Resident() || f.Resident() > 2*blockBytes {
+		t.Fatalf("Resident() = %d (inner %d), want the two blocks written", f.Resident(), f.Inner().Resident())
 	}
-	got := make([]byte, size)
-	f.ReadAt(0, got, off)
+	got, _ := f.Read(0, off, size)
 	want := append(bytes.Repeat([]byte{0xEE}, tear), old[tear:]...)
 	if !bytes.Equal(got, want) {
 		i := 0

@@ -9,10 +9,16 @@
 // time without advancing any clock, so many concurrent clients can keep
 // their own notion of time and genuinely overlap IOs on the device (the
 // engine layer builds its per-client API on this). A Disk layers a virtual
-// clock on a Store for the classic single-threaded ReadAt/WriteAt usage.
+// clock on a Store for the classic single-threaded Read/WriteAt usage.
+//
+// A Store owns the bytes of its image and lends them out: a read returns a
+// view of the image rather than a copy, and the image is copy-on-write at
+// 4 KiB blocks, so a view holds still for as long as anyone keeps it while
+// host memory follows what was written (see Store).
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -293,18 +299,34 @@ type ByteStore interface {
 	SetTrace(t *Trace)
 	Counters() Counters
 	ResetCounters()
-	ReadAt(now sim.Time, p []byte, off int64) sim.Time
+	// Read returns n bytes at off: a read-only view of the image, which no
+	// write ever changes (Store.Read).
+	Read(now sim.Time, off int64, n int) ([]byte, sim.Time)
+	// WriteAt copies p into the image; Handover makes p itself the image,
+	// and the caller never writes p again.
 	WriteAt(now sim.Time, p []byte, off int64) sim.Time
+	Handover(now sim.Time, p []byte, off int64) sim.Time
 	Meter(now sim.Time, op Op, off, size int64) sim.Time
 	// Resident reports the bytes of host memory the store's image holds.
 	Resident() int64
 }
 
-// chunkBytes is the granule of a Store's image. A chunk costs host memory
-// from the first write that touches it, so a small store pays one chunk and a
-// durable node's image — tree pages 328 MiB past its journal and log regions
-// — pays for what it wrote, not for the address space in between.
-const chunkBytes = 1 << 20
+// blockBytes is the granule of a Store's image: the unit a view pins against
+// writes and a write moves to fresh memory.
+const blockBytes = 4 << 10
+
+// run is a buffer a write allocated, or was handed, for a range of blocks.
+type run struct {
+	buf  []byte
+	live int // blocks of the table that still point into buf
+}
+
+// block is one entry of a Store's table.
+type block struct {
+	run    *run // nil: never written
+	at     int  // the block's offset in run.buf
+	viewed bool // a Read handed out a view of it: no write touches it again
+}
 
 // Store couples a timing Device with an in-memory byte store. It is safe
 // for concurrent use: each call issues one IO at the caller-supplied
@@ -313,16 +335,24 @@ const chunkBytes = 1 << 20
 // completion times therefore genuinely overlap on the device — the die and
 // channel queues of internal/ssd, say, see the interleaved arrival order.
 //
-// The image is a table of chunkBytes-sized chunks indexed by off/chunkBytes,
-// each allocated by the first write into it and never moved: space nothing
-// wrote reads as zeros and costs nothing, and no IO pays for the size of the
-// image or the device.
+// The image is a table of blockBytes-sized blocks indexed by off/blockBytes.
+// Each written block is a window of a run: the buffer the write that last
+// moved it allocated, or the one a Handover gave. Space nothing wrote reads as
+// zeros and costs nothing, so memory follows what was written, not the
+// address space or the device. The image's bytes are shared, copy-on-write
+// at block granularity: a Read of a range that lies in one stretch of one run
+// returns a view of it instead of a copy and marks its blocks viewed, and a
+// write goes in place only into written blocks nobody has viewed. Any other
+// write moves its blocks to a fresh run — all of them, if it covers them
+// whole, so that an extent written in one piece stays one run, and that run
+// is the written buffer itself if it was handed over — and the old run lives
+// on for as long as a view of it does.
 type Store struct {
 	dev Device
 
 	mu       sync.Mutex
-	chunks   [][]byte // nil entry, or index past the end: never written
-	resident int64    // bytes of allocated chunks
+	blocks   []block
+	resident int64 // bytes of the runs the table points into
 	trace    *Trace
 	counters Counters
 }
@@ -357,8 +387,9 @@ func (s *Store) ResetCounters() {
 	s.mu.Unlock()
 }
 
-// Resident reports the host memory the image holds: the bytes of every chunk
-// a write has touched.
+// Resident reports the host memory the image holds: the bytes of every run
+// the table points into. A run a view keeps alive after every block has left
+// it is the view's, not the image's.
 func (s *Store) Resident() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -377,52 +408,146 @@ func (s *Store) access(now sim.Time, op Op, off, size int64) sim.Time {
 	return done
 }
 
-// ReadAt issues a read of len(p) bytes at off at time now, copies the bytes
-// out, and returns the IO's completion time. The caller is responsible for
-// waiting until then (advancing a clock, sleeping a sim process, ...).
-func (s *Store) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
-	if len(p) == 0 {
-		return now
+// Read issues a read of n bytes at off at time now and returns the bytes and
+// the IO's completion time. The caller is responsible for waiting until then
+// (advancing a clock, sleeping a sim process, ...). The bytes are read-only:
+// when [off, off+n) lies in one stretch of one run they are a view of it,
+// whose blocks no write touches again; otherwise they are a fresh copy.
+func (s *Store) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
+	if n == 0 {
+		return nil, now
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	done := s.access(now, Read, off, int64(len(p)))
-	for len(p) > 0 {
-		i, at := off/chunkBytes, off%chunkBytes
-		n := min(int64(len(p)), chunkBytes-at)
-		if i < int64(len(s.chunks)) && s.chunks[i] != nil {
-			copy(p[:n], s.chunks[i][at:])
-		} else {
-			clear(p[:n])
-		}
-		p, off = p[n:], off+n
+	done := s.access(now, Read, off, int64(n))
+	if v := s.view(off, n); v != nil {
+		return v, done
 	}
-	return done
+	p := make([]byte, n)
+	s.copyOut(p, off)
+	return p, done
+}
+
+// view returns [off, off+n) as a capacity-capped slice of the run holding it
+// and marks its blocks viewed, or returns nil if the range is not one
+// stretch of one run. Caller holds mu.
+func (s *Store) view(off int64, n int) []byte {
+	first, last := off/blockBytes, (off+int64(n)-1)/blockBytes
+	if last >= int64(len(s.blocks)) {
+		return nil
+	}
+	b := s.blocks[first]
+	for i, c := range s.blocks[first : last+1] {
+		if c.run == nil || c.run != b.run || c.at != b.at+i*blockBytes {
+			return nil
+		}
+	}
+	for i := first; i <= last; i++ {
+		s.blocks[i].viewed = true
+	}
+	start := b.at + int(off%blockBytes)
+	return b.run.buf[start : start+n : start+n]
+}
+
+// copyOut copies [off, off+len(dst)) of the image into dst, which is zeroed:
+// blocks nothing wrote stay zero. Caller holds mu.
+func (s *Store) copyOut(dst []byte, off int64) {
+	for len(dst) > 0 {
+		i, in := off/blockBytes, int(off%blockBytes)
+		k := min(len(dst), blockBytes-in)
+		if i < int64(len(s.blocks)) && s.blocks[i].run != nil {
+			b := s.blocks[i]
+			copy(dst[:k], b.run.buf[b.at+in:])
+		}
+		dst, off = dst[k:], off+int64(k)
+	}
 }
 
 // WriteAt issues a write of len(p) bytes at off at time now, copies the
 // bytes in, and returns the IO's completion time.
 func (s *Store) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
+	return s.write(now, p, off, false)
+}
+
+// Handover is WriteAt that gives p to the store: when [off, off+len(p)) is
+// whole blocks that must move anyway (viewed, or never written), p itself
+// becomes their run and nothing is copied. The caller must never write p
+// again; a pager write-back hands over the extent it has just encoded.
+func (s *Store) Handover(now sim.Time, p []byte, off int64) sim.Time {
+	return s.write(now, p, off, true)
+}
+
+func (s *Store) write(now sim.Time, p []byte, off int64, give bool) sim.Time {
 	if len(p) == 0 {
 		return now
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done := s.access(now, Write, off, int64(len(p)))
+	end := off + int64(len(p))
+	first, last := off/blockBytes, (end-1)/blockBytes
+	if n := last + 1 - int64(len(s.blocks)); n > 0 {
+		s.blocks = append(s.blocks, make([]block, n)...)
+	}
+	// Blocks the write covers whole and that must move anyway move together,
+	// to p itself when it is handed over. The device's last block stops at
+	// its capacity.
+	whole := off%blockBytes == 0 && (end%blockBytes == 0 || end == s.dev.Capacity())
+	if whole && !s.writable(first, last) {
+		buf := p[:len(p):len(p)]
+		if !give {
+			buf = bytes.Clone(p)
+		}
+		s.rehome(first, last, buf)
+		return done
+	}
+	// Move each stretch [i, j) of blocks that may not be written in place to
+	// a fresh run, keeping their bytes, then write in place.
+	for i := first; i <= last; i++ {
+		j := i
+		for j <= last && !s.writable(j, j) {
+			j++
+		}
+		if j > i {
+			buf := make([]byte, min(j*blockBytes, s.dev.Capacity())-i*blockBytes)
+			s.copyOut(buf, i*blockBytes)
+			s.rehome(i, j-1, buf)
+		}
+		i = j
+	}
 	for len(p) > 0 {
-		i, at := off/chunkBytes, off%chunkBytes
-		for int64(len(s.chunks)) <= i {
-			s.chunks = append(s.chunks, nil)
-		}
-		if s.chunks[i] == nil {
-			// The device's last chunk stops at its capacity.
-			s.chunks[i] = make([]byte, min(chunkBytes, s.dev.Capacity()-i*chunkBytes))
-			s.resident += int64(len(s.chunks[i]))
-		}
-		n := copy(s.chunks[i][at:], p)
-		p, off = p[n:], off+int64(n)
+		b, in := s.blocks[off/blockBytes], int(off%blockBytes)
+		k := copy(b.run.buf[b.at+in:min(b.at+blockBytes, len(b.run.buf))], p)
+		p, off = p[k:], off+int64(k)
 	}
 	return done
+}
+
+// writable reports whether blocks [first, last] are written and unviewed:
+// a write may change them in place. Caller holds mu.
+func (s *Store) writable(first, last int64) bool {
+	for _, b := range s.blocks[first : last+1] {
+		if b.run == nil || b.viewed {
+			return false
+		}
+	}
+	return true
+}
+
+// rehome points blocks [first, last] at consecutive windows of buf, a new
+// run. Caller holds mu.
+func (s *Store) rehome(first, last int64, buf []byte) {
+	r := &run{buf: buf, live: int(last - first + 1)}
+	s.resident += int64(len(buf))
+	for i := first; i <= last; i++ {
+		if old := s.blocks[i].run; old != nil {
+			old.live--
+			if old.live == 0 {
+				s.resident -= int64(len(old.buf))
+			}
+		}
+		s.blocks[i] = block{run: r, at: int(i-first) * blockBytes}
+	}
 }
 
 // Meter issues an IO for timing and counters only, moving no bytes. The
@@ -438,7 +563,7 @@ func (s *Store) Meter(now sim.Time, op Op, off, size int64) sim.Time {
 }
 
 // Disk layers a virtual clock on a Store: data structures issue
-// ReadAt/WriteAt, and each call advances the clock by the device's service
+// Read/WriteAt, and each call advances the clock by the device's service
 // time as a side effect. This is the classic one-simulated-client usage;
 // concurrent clients go through the engine layer's per-client API instead,
 // sharing the Store underneath.
@@ -470,9 +595,12 @@ func (d *Disk) Counters() Counters { return d.store.Counters() }
 // ResetCounters zeroes the IO statistics.
 func (d *Disk) ResetCounters() { d.store.ResetCounters() }
 
-// ReadAt reads len(p) bytes at offset off, charging device time.
-func (d *Disk) ReadAt(p []byte, off int64) {
-	d.clk.AdvanceTo(d.store.ReadAt(d.clk.Now(), p, off))
+// Read reads n bytes at offset off, charging device time, and returns them
+// read-only (see Store.Read).
+func (d *Disk) Read(off int64, n int) []byte {
+	p, done := d.store.Read(d.clk.Now(), off, n)
+	d.clk.AdvanceTo(done)
+	return p
 }
 
 // WriteAt writes len(p) bytes at offset off, charging device time.

@@ -23,9 +23,7 @@ func TestDiskRoundtrip(t *testing.T) {
 	d := NewDisk(flatDevice{1 << 20}, clk)
 	in := []byte("hello, disk")
 	d.WriteAt(in, 4096)
-	out := make([]byte, len(in))
-	d.ReadAt(out, 4096)
-	if !bytes.Equal(in, out) {
+	if out := d.Read(4096, len(in)); !bytes.Equal(in, out) {
 		t.Fatalf("roundtrip mismatch: %q", out)
 	}
 }
@@ -39,7 +37,7 @@ func TestDiskChargesTime(t *testing.T) {
 	if clk.Now() != want {
 		t.Fatalf("clock = %v, want %v", clk.Now(), want)
 	}
-	d.ReadAt(buf, 0)
+	d.Read(0, len(buf))
 	if clk.Now() != 2*want {
 		t.Fatalf("clock = %v, want %v", clk.Now(), 2*want)
 	}
@@ -49,8 +47,8 @@ func TestDiskCounters(t *testing.T) {
 	clk := sim.New()
 	d := NewDisk(flatDevice{1 << 20}, clk)
 	d.WriteAt(make([]byte, 100), 0)
-	d.ReadAt(make([]byte, 50), 0)
-	d.ReadAt(make([]byte, 50), 50)
+	d.Read(0, 50)
+	d.Read(50, 50)
 	c := d.Counters()
 	if c.Writes != 1 || c.BytesWritten != 100 || c.Reads != 2 || c.BytesRead != 100 {
 		t.Fatalf("counters = %+v", c)
@@ -84,7 +82,7 @@ func TestCountersAddString(t *testing.T) {
 func TestDiskZeroLengthIONoCharge(t *testing.T) {
 	clk := sim.New()
 	d := NewDisk(flatDevice{1 << 20}, clk)
-	d.ReadAt(nil, 0)
+	d.Read(0, 0)
 	d.WriteAt(nil, 0)
 	if clk.Now() != 0 || d.Counters().Reads != 0 {
 		t.Fatal("zero-length IO charged")
@@ -108,7 +106,7 @@ func TestTrace(t *testing.T) {
 	tr := &Trace{}
 	d.SetTrace(tr)
 	d.WriteAt(make([]byte, 10), 100)
-	d.ReadAt(make([]byte, 20), 200)
+	d.Read(200, 20)
 	recs := tr.Snapshot()
 	if len(recs) != 2 || tr.Len() != 2 {
 		t.Fatalf("records = %d", len(recs))
@@ -174,20 +172,30 @@ func TestTraceRingCap(t *testing.T) {
 }
 
 func TestStoreConcurrentSafe(t *testing.T) {
-	// Host-parallel smoke test: many goroutines hammer a shared Store.
-	// Run under -race this checks the locking discipline.
+	// Host-parallel smoke test: many goroutines hammer a shared Store, each
+	// in its own block of one run, keeping the view it read last while it
+	// writes again. Run under -race this checks the locking discipline and
+	// that a write never touches bytes another goroutine is viewing.
 	s := NewStore(flatDevice{1 << 20})
 	s.SetTrace(NewBoundedTrace(16))
+	s.WriteAt(0, make([]byte, 8*blockBytes), 0)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
-			buf := make([]byte, 64)
-			off := int64(g) * 4096
+			off := int64(g) * blockBytes
 			var now sim.Time
+			var last []byte
 			for i := 0; i < 200; i++ {
+				buf := bytes.Repeat([]byte{byte(g + i)}, 64)
 				now = s.WriteAt(now, buf, off)
-				now = s.ReadAt(now, buf, off)
+				if last != nil && last[0] != byte(g+i-1) {
+					t.Errorf("goroutine %d: a write changed the view it read", g)
+				}
+				last, now = s.Read(now, off, len(buf))
+				if !bytes.Equal(last, buf) {
+					t.Errorf("goroutine %d: read back %v, wrote %v", g, last[:4], buf[:4])
+				}
 				now = s.Meter(now, Read, off, 64)
 			}
 		}(g)
@@ -196,7 +204,7 @@ func TestStoreConcurrentSafe(t *testing.T) {
 		<-done
 	}
 	c := s.Counters()
-	if c.Writes != 8*200 || c.Reads != 2*8*200 {
+	if c.Writes != 1+8*200 || c.Reads != 2*8*200 {
 		t.Fatalf("counters = %+v", c)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // is the log's own doing.
 type discardDev struct{}
 
-func (discardDev) ReadAt([]byte, int64)  {}
-func (discardDev) WriteAt([]byte, int64) {}
+func (discardDev) Read(int64, int) []byte { return nil }
+func (discardDev) WriteAt([]byte, int64)  {}
 
 // newDiscardLog returns a log that never fills, with or without a commit hook.
 func newDiscardLog(tb testing.TB, hook bool) *Log {

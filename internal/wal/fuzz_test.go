@@ -22,10 +22,12 @@ const fuzzCap = 1 << 16
 // force an allocation.
 type memDevice struct{ data []byte }
 
-func (m *memDevice) ReadAt(p []byte, off int64) {
+func (m *memDevice) Read(off int64, n int) []byte {
+	p := make([]byte, n)
 	if off < int64(len(m.data)) {
 		copy(p, m.data[off:])
 	}
+	return p
 }
 
 func (m *memDevice) WriteAt(p []byte, off int64) {

@@ -39,9 +39,10 @@ import (
 )
 
 // Device is the byte-addressed medium the log lives on. Both *storage.Disk
-// and *engine.Client satisfy it.
+// and *engine.Client satisfy it. Read returns n bytes at off, which the log
+// only reads.
 type Device interface {
-	ReadAt(p []byte, off int64)
+	Read(off int64, n int) []byte
 	WriteAt(p []byte, off int64)
 }
 
@@ -192,8 +193,7 @@ func (l *Log) writeHeader(slot int) {
 // epoch. A torn header write leaves the other slot (the previous epoch)
 // authoritative.
 func (l *Log) readHeaders() (epoch, startSeq uint64, slot int, ok bool) {
-	buf := make([]byte, 2*headerBytes)
-	l.dev.ReadAt(buf, l.cfg.Offset)
+	buf := l.dev.Read(l.cfg.Offset, 2*headerBytes)
 	for s := 0; s < 2; s++ {
 		d := kv.Dec{Buf: buf[s*headerBytes : (s+1)*headerBytes]}
 		magic := d.U32()
@@ -222,9 +222,8 @@ func (l *Log) scan(visit func(Record) bool) (head int64, count uint64) {
 	off := l.frameStart()
 	end := off + l.usable()
 	expectSeq := l.startSeq
-	hdr := make([]byte, frameHdrSize)
 	for off+frameHdrSize <= end {
-		l.dev.ReadAt(hdr, off)
+		hdr := l.dev.Read(off, frameHdrSize)
 		d := kv.Dec{Buf: hdr}
 		magic := d.U32()
 		epoch := d.U64()
@@ -242,8 +241,7 @@ func (l *Log) scan(visit func(Record) bool) (head int64, count uint64) {
 		if n == 0 || off+frameHdrSize+int64(payloadLen) > end {
 			break
 		}
-		payload := make([]byte, payloadLen)
-		l.dev.ReadAt(payload, off+frameHdrSize)
+		payload := l.dev.Read(off+frameHdrSize, int(payloadLen))
 		if crc32.ChecksumIEEE(payload) != payloadCRC {
 			break
 		}

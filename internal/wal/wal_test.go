@@ -126,11 +126,8 @@ func TestTornTailStopsReplay(t *testing.T) {
 	}
 	mustCommit(t, l)
 	// Corrupt a byte inside the frame payload.
-	var probe [1]byte
 	off := l.frameStart() + l.DurableBytes()/2
-	disk.ReadAt(probe[:], off)
-	probe[0] ^= 0xFF
-	disk.WriteAt(probe[:], off)
+	disk.WriteAt([]byte{disk.Read(off, 1)[0] ^ 0xFF}, off)
 	n, err := l.Replay(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -267,16 +264,12 @@ func TestTornTailFuzz(t *testing.T) {
 	nEarlier := counts[0] + counts[1]
 	lastStart, lastEnd := heads[1], heads[2]
 	// Pristine image of the last frame.
-	pristine := make([]byte, lastEnd-lastStart)
-	disk.ReadAt(pristine, l.frameStart()+lastStart)
+	pristine := disk.Read(l.frameStart()+lastStart, int(lastEnd-lastStart))
 	restore := func() { disk.WriteAt(pristine, l.frameStart()+lastStart) }
 
 	for off := lastStart; off < lastEnd; off++ {
 		// Corrupt one byte.
-		var b [1]byte
-		disk.ReadAt(b[:], l.frameStart()+off)
-		b[0] ^= 0x40
-		disk.WriteAt(b[:], l.frameStart()+off)
+		disk.WriteAt([]byte{disk.Read(l.frameStart()+off, 1)[0] ^ 0x40}, l.frameStart()+off)
 		re, err := Open(l.cfg, disk)
 		if err != nil {
 			t.Fatalf("corrupt@%d: open: %v", off, err)

@@ -73,9 +73,7 @@ func TestFacadeSSD(t *testing.T) {
 	disk := NewSSD(SSDProfiles()[0], clk)
 	buf := make([]byte, 64<<10)
 	disk.WriteAt(buf, 0)
-	out := make([]byte, 64<<10)
-	disk.ReadAt(out, 0)
-	if !bytes.Equal(buf, out) {
+	if out := disk.Read(0, 64<<10); !bytes.Equal(buf, out) {
 		t.Fatal("roundtrip failed")
 	}
 	if clk.Now() == 0 {
