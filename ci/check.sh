@@ -19,18 +19,20 @@
 #              the reply codec, cluster.ParseTopology, engine.Session, the
 #              pager's latch wait, the experiments' serving harness,
 #              lintutil.FuncPattern, the store's block table, the read
-#              scheduler's virtual slots, kv.Dec's views and the store's
-#              read-only views removed (hand-written boots, anonymous
-#              device-hint assertions, hand-built replies, per-tool -cluster
-#              splitters, per-tree Session types, per-method busy-retry loops
-#              and a fourth ioCtx type, per-experiment client loops,
-#              per-analyzer pattern parsers, a flat store image grown by
-#              copying it, a read batch launched by a wall-clock grace timer,
-#              a decoder that copies every key and value and callers that copy
-#              its copy, a tree, LSM, WAL or recovery decode site that reads
-#              into a buffer it just allocated) stay removed; the serving
-#              stack reads the wall clock or arms a timer at 13 sites in
-#              server/cluster/engine/node, none of them in the scheduler
+#              scheduler's virtual slots, kv.Dec's views, the store's
+#              read-only views and the checkpoint's translation table removed
+#              (hand-written boots, anonymous device-hint assertions,
+#              hand-built replies, per-tool -cluster splitters, per-tree
+#              Session types, per-method busy-retry loops and a fourth ioCtx
+#              type, per-experiment client loops, per-analyzer pattern
+#              parsers, a flat store image grown by copying it, a read batch
+#              launched by a wall-clock grace timer, a decoder that copies
+#              every key and value and callers that copy its copy, a tree,
+#              LSM, WAL or recovery decode site that reads into a buffer it
+#              just allocated, journal regions, a journal reader and a pass
+#              that installs captured pages a second time) stay removed; the
+#              serving stack reads the wall clock or arms a timer at 13 sites
+#              in server/cluster/engine/node, none of them in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -40,8 +42,7 @@
 #              boots (the mq device, a durable Bε-tree) under a short burst;
 #              plus a durable boot that preloads past the ship ring's
 #              capacity under a deadline and a peak-memory bound (the node
-#              holds what it wrote, not its 330 MiB of log and journal
-#              address space)
+#              holds what it wrote, not its 64 MiB of log address space)
 #   go test -race   the concurrent engine path: k sim processes and
 #                   host-parallel detached clients through the sharded pager,
 #                   plus an explicit pass over the crash/recovery suite
@@ -165,6 +166,17 @@ fi
 dups=$(grep -n 'ReadAt(' internal/betree/*.go internal/btree/*.go internal/lsm/*.go internal/wal/*.go internal/engine/recover.go | grep -v '_test\.go:' || true)
 if [ -n "$dups" ]; then
 	echo "a decode site reads into its own buffer again (decode what Client.Read returns):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# A checkpoint writes each dirty page once, to the extent the translation
+# table's write rule picks, and seals the table (DESIGN.md §5): no journal
+# regions, no journal reader, and no captured page list installed in place
+# after a seal, or re-installed by recovery.
+dups=$(grep -n -e 'journalOff' -e 'readJournal' -e 'pageWrite' internal/engine/*.go | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "the double-write journal is back in internal/engine (write each page once through the translation table):" >&2
 	echo "$dups" >&2
 	exit 1
 fi
@@ -302,9 +314,9 @@ done
 # O(1) and the store image is allocated chunk by chunk as it is written. The
 # slice-copy ring spent ~20 s on the last 4,464 appends alone, and a flat image
 # grown by allocate-and-copy took 0.7-2.4 s and peaked at ~720 MiB to hold
-# ~25 MiB of pages (the two journals and the log put the first tree page at
-# byte 328 MiB); the 5 s deadline and the 256 MiB peak-RSS bound fail if either
-# cost returns.
+# ~25 MiB of pages (the two journals the checkpoint had then and the log put
+# the first tree page at byte 328 MiB; the log alone puts it at 64 MiB); the
+# 5 s deadline and the 256 MiB peak-RSS bound fail if either cost returns.
 "$smoke/kvserve" -addr 127.0.0.1:0 -items 70000 -durable >"$smoke/kvserve-boot.log" 2>&1 &
 kvpid=$!
 waitaddr "$smoke/kvserve-boot.log" 50 >/dev/null

@@ -98,7 +98,7 @@ func (t *Tree) decodeExtent(off int64, ext []byte) *node {
 // StoreSize implements engine.StoreSizer: nodes encode to at most the
 // configured node size (exactly, under the slotted layout). The bound
 // keeps the pager's dirty-set accounting conservative, which is the safe
-// direction for the durability layer's journal-capacity trigger.
+// direction for the durability layer's dirty-set checkpoint trigger.
 func (l *loader) StoreSize(interface{}) int64 {
 	return int64((*Tree)(l).cfg.NodeBytes)
 }

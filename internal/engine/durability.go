@@ -1,35 +1,46 @@
-// Durability: WAL-backed mutations, journaled checkpoints, and graceful
-// degradation — the engine half of the paper-§3 observation that "write IOs
-// in the B-tree may also trigger write IOs from logging and checkpointing".
+// Durability: WAL-backed mutations, copy-on-write checkpoints through a
+// block translation table, and graceful degradation — the engine half of the
+// paper-§3 observation that "write IOs in the B-tree may also trigger write
+// IOs from logging and checkpointing".
 //
 // With durability enabled, every mutation on a registered Dictionary is
 // appended to a group-committing WAL before the structure applies it
-// (write-ahead rule), the pager switches to a no-steal policy (dirty pages
-// never reach the device between checkpoints), and extents freed by node
-// merges or compactions are quarantined until the next checkpoint. A
-// checkpoint is a double-write: the dirty page set, the allocator snapshot,
-// and every dictionary's manifest are sealed into one of two alternating
-// journal regions with a single sequential write, then installed in place,
-// then the WAL is truncated. Whatever instant a crash hits, the device
-// image therefore contains either a sealed journal that reconstructs the
-// checkpoint exactly, or an intact older checkpoint plus a WAL whose
-// committed suffix replays the rest (see recover.go).
+// (write-ahead rule), and the pager switches to a no-steal policy (dirty pages
+// never reach the device between checkpoints).
+//
+// Every PageID a tree holds is logical: the offset its page was allocated
+// at. The translation table maps each one to the extent the page lives in
+// now, and Client.Read and WriteAt go through it. One write rule keeps the
+// last checkpoint intact on the device: a write goes to its page's current
+// extent unless the last sealed table references that extent; then the page
+// moves to a fresh extent first. The extent it leaves waits in quarantine,
+// with the extents of freed pages, until the next seal.
+//
+// A checkpoint therefore writes each dirty page once, wherever the rule puts
+// it, and then seals: the translation table, the allocator, every
+// dictionary's manifest and the covered LSN go to a table record in a fresh
+// extent, and the older of two superblock slots at the start of the device is
+// pointed at it. Then the quarantine is released and the WAL truncated.
+// Whatever instant a crash hits, the newest valid superblock names a whole
+// checkpoint, and the WAL's committed suffix replays the rest (see
+// recover.go).
 //
 // Nothing in this file panics: a durability failure (log overflow that a
-// checkpoint cannot clear, journal overflow, ...) records a sticky error,
-// mutations keep applying un-logged so availability is preserved, and the
-// error is reported by Checkpoint, Sync, and DurabilityStats.
+// checkpoint cannot clear, ...) records a sticky error, mutations keep
+// applying un-logged so availability is preserved, and the error is reported
+// by Checkpoint, Sync, and DurabilityStats.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
+	"sort"
 	"sync"
 
 	"iomodels/internal/kv"
 	"iomodels/internal/obs"
-	"iomodels/internal/storage"
 	"iomodels/internal/wal"
 )
 
@@ -40,15 +51,15 @@ type DurabilityConfig struct {
 	LogBytes int64
 	// GroupBytes is the WAL group-commit granularity (default 64 KiB).
 	GroupBytes int
-	// JournalBytes sizes EACH of the two checkpoint journal regions. It
-	// must hold the pager's dirty page set plus manifests; the default is
-	// twice the engine's cache budget plus 4 MiB of slack.
+	// JournalBytes is the no-steal policy's dirty-set budget: a checkpoint
+	// fires when the dirty page set reaches half of it. The default is twice
+	// the engine's cache budget plus 4 MiB.
 	JournalBytes int64
 	// CheckpointEveryBytes triggers an automatic checkpoint once the WAL's
 	// durable size crosses it (default LogBytes/2; negative disables this
 	// trigger, leaving log-full and explicit checkpoints). Independently of
 	// it, a checkpoint always fires when the dirty page set reaches half of
-	// JournalBytes, because the sealed frame must hold the whole set.
+	// JournalBytes.
 	CheckpointEveryBytes int64
 	// MaxVersionsPerKey bounds the MVCC version chain kept per key while
 	// snapshots are live (default 64; negative = unbounded). A snapshot
@@ -99,23 +110,23 @@ type durDict struct {
 }
 
 // durability is the engine's durability state. All fields are guarded by mu
-// except the journal/WAL regions, which only the mu holder writes.
+// except the superblock and WAL regions, which only the mu holder writes.
 type durability struct {
 	mu  sync.Mutex //lint:lockrank 60
 	cfg DurabilityConfig
 
-	log        *wal.Log
-	journalOff [2]int64
-	nextSlot   int    // journal slot the next checkpoint seals
-	epoch      uint64 // epoch of the last sealed journal
-	lastLSN    uint64 // highest seq covered by the last sealed journal
+	log      *wal.Log
+	nextSlot int    // superblock slot the next seal writes
+	epoch    uint64 // epoch of the last seal
+	lastLSN  uint64 // highest seq covered by the last seal
+	record   extent // the last seal's table record
 
 	dicts  []durDict
 	byName map[string]int
 
-	checkpoints  int64
-	journalBytes int64
-	redoBytes    int64
+	checkpoints int64
+	sealBytes   int64
+	pageBytes   int64
 
 	// nextTraceID/nextSpanID stamp the next logged record with the traced
 	// request that caused it (ApplyBatchNoSync sets them per mutation,
@@ -128,16 +139,19 @@ type durability struct {
 	err error // sticky: durability lost, availability kept
 }
 
-// journal framing.
+// The superblock: two slots of superBytes each at the start of the device,
+// ahead of the WAL region. A seal writes the older one. A slot is a whole
+// block, so a torn slot write never reaches the other.
 const (
-	journalMagic    = 0x434B504A // "CKPJ"
-	journalHdrBytes = 4 + 8 + 8 + 4 + 4
+	superMagic    = 0x434B5053 // "CKPS"
+	superBytes    = 4 << 10
+	superHdrBytes = 4 + 8 + 8 + 8 + 8 + 4 + 4
 )
 
 // errNotEnabled is returned by durability entry points on a plain engine.
 var errNotEnabled = errors.New("engine: durability not enabled")
 
-// EnableDurability reserves the journal and WAL regions, creates a fresh
+// EnableDurability reserves the superblock and WAL regions, creates a fresh
 // log, and seals an initial empty checkpoint, so the device image is
 // recoverable from this moment on. It must run before any allocation
 // (regions live at deterministic offsets, which is how Recover finds them)
@@ -149,15 +163,8 @@ func (e *Engine) EnableDurability(cfg DurabilityConfig) error {
 	if e.HighWater() != 0 {
 		return errors.New("engine: EnableDurability must precede all allocation")
 	}
-	d, err := e.layoutDurability(cfg)
-	if err != nil {
-		return err
-	}
-	log, err := wal.New(wal.Config{
-		Offset:     d.journalOff[1] + d.cfg.JournalBytes,
-		Capacity:   d.cfg.LogBytes,
-		GroupBytes: d.cfg.GroupBytes,
-	}, e.owner)
+	d := e.layoutDurability(cfg)
+	log, err := wal.New(d.logConfig(), e.owner)
 	if err != nil {
 		return fmt.Errorf("engine: wal: %w", err)
 	}
@@ -170,19 +177,77 @@ func (e *Engine) EnableDurability(cfg DurabilityConfig) error {
 	return e.Checkpoint()
 }
 
-// layoutDurability validates cfg and reserves the two journal regions and
-// the WAL region at the allocator's current origin. Used by both
+// layoutDurability applies cfg's defaults and reserves the superblock slots
+// and the WAL region at the allocator's origin. Used by both
 // EnableDurability and Recover, so the offsets always agree.
-func (e *Engine) layoutDurability(cfg DurabilityConfig) (*durability, error) {
-	cfg = cfg.withDefaults(e.pager.Budget())
-	if cfg.JournalBytes <= journalHdrBytes {
-		return nil, fmt.Errorf("engine: journal region %d too small", cfg.JournalBytes)
+func (e *Engine) layoutDurability(cfg DurabilityConfig) *durability {
+	d := &durability{cfg: cfg.withDefaults(e.pager.Budget()), byName: make(map[string]int)}
+	e.Alloc(2*superBytes + d.cfg.LogBytes)
+	return d
+}
+
+// logConfig places the WAL region directly after the superblock slots.
+func (d *durability) logConfig() wal.Config {
+	return wal.Config{Offset: 2 * superBytes, Capacity: d.cfg.LogBytes, GroupBytes: d.cfg.GroupBytes}
+}
+
+// page is one entry of the block translation table: the page a tree names
+// by the offset it was allocated at lives in [phys, phys+size). gen is the
+// epoch of the first seal that references phys, so the last seal references
+// it while gen <= Engine.sealed.
+type page struct {
+	name, phys, size int64
+	gen              uint64
+}
+
+// index returns how many pages are named at or below off. Caller holds
+// allocMu.
+func (e *Engine) index(off int64) int {
+	return sort.Search(len(e.pages), func(i int) bool { return e.pages[i].name > off })
+}
+
+// find returns the index of the page whose extent holds the logical offset
+// off, or -1. Caller holds allocMu.
+func (e *Engine) find(off int64) int {
+	if i := e.index(off) - 1; i >= 0 && off < e.pages[i].name+e.pages[i].size {
+		return i
 	}
-	d := &durability{cfg: cfg, byName: make(map[string]int)}
-	d.journalOff[0] = e.Alloc(cfg.JournalBytes)
-	d.journalOff[1] = e.Alloc(cfg.JournalBytes)
-	e.Alloc(cfg.LogBytes) // the WAL region, directly after journal B
-	return d, nil
+	return -1
+}
+
+// at returns the device offset the byte at logical offset off lives at; an
+// offset no page holds (the WAL, a superblock) is its own. A write follows
+// the one write rule: a page whose extent the last seal references first
+// moves to a fresh extent, and the one it leaves waits in quarantine. Nothing
+// is copied over, because a write rewrites its page from the start. A plain
+// engine never seals, so nothing moves there.
+func (e *Engine) at(off int64, write bool) int64 {
+	if e.dur == nil {
+		return off
+	}
+	e.allocMu.Lock()
+	defer e.allocMu.Unlock()
+	i := e.find(off)
+	if i < 0 {
+		return off
+	}
+	p := &e.pages[i]
+	if write && p.gen <= e.sealed {
+		e.pendingSpare = append(e.pendingSpare, extent{p.phys, p.size})
+		p.phys, p.gen = e.fresh(p.size), e.sealed+1
+	}
+	return p.phys + off - p.name
+}
+
+// fresh returns an extent of size that no page lives in and the last seal
+// does not reference: a spare one, or a new one at the high-water mark, never
+// a free name. Caller holds allocMu.
+func (e *Engine) fresh(size int64) int64 {
+	if s := e.spare[size]; len(s) > 0 {
+		e.spare[size] = s[:len(s)-1]
+		return s[len(s)-1]
+	}
+	return e.alloc.Bump(size)
 }
 
 // Durable wraps dict so every mutation is WAL-logged before it is applied.
@@ -291,10 +356,10 @@ func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte) {
 	// Auto-checkpoint BEFORE appending this record: every record appended
 	// so far has been applied by its caller, so the checkpoint's lastLSN is
 	// exact. (Checkpointing after the append would cover a sequence number
-	// whose mutation the journal cannot contain yet.) Two triggers: the WAL
-	// crossing CheckpointEveryBytes, and — always armed, since no-steal
+	// whose mutation the checkpoint cannot contain yet.) Two triggers: the
+	// WAL crossing CheckpointEveryBytes, and — always armed, since no-steal
 	// means only a checkpoint bounds it — the dirty page set reaching half
-	// the journal region, which the whole set must fit inside when sealed.
+	// of JournalBytes, its budget.
 	if (d.cfg.CheckpointEveryBytes > 0 && d.log.DurableBytes() >= d.cfg.CheckpointEveryBytes) ||
 		e.pager.DirtyBytes() >= d.cfg.JournalBytes/2 {
 		if cerr := e.checkpointLocked(); cerr != nil {
@@ -315,7 +380,7 @@ func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte) {
 	_, err := d.log.Append(rec)
 	if errors.Is(err, wal.ErrLogFull) {
 		// The group (this record included) no longer fits. Checkpoint to
-		// make every APPLIED record durable via the journal — the current
+		// make every APPLIED record durable via the checkpoint — the current
 		// record burned its sequence number but was never applied, so the
 		// checkpoint covers only LastSeq-1 — then re-append it under a
 		// fresh sequence number into the truncated log.
@@ -338,7 +403,7 @@ func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte) {
 // Sync forces the WAL's pending group to disk: a durability barrier, after
 // which every applied mutation survives a crash. It is CommitPending plus
 // the log-full fallback: when the group no longer fits the log, a checkpoint
-// makes everything durable through the journal and drops the group.
+// makes everything durable through the checkpoint and drops the group.
 func (e *Engine) Sync() error {
 	err := e.CommitPending()
 	if errors.Is(err, wal.ErrLogFull) {
@@ -348,10 +413,9 @@ func (e *Engine) Sync() error {
 }
 
 // Checkpoint makes the engine's entire state durable and truncates the WAL:
-// dictionary manifests, the pager's dirty pages, and the allocator snapshot
-// are sealed into the alternate journal region, installed in place, and the
-// log is reset. Must be called from the owner context (no pending sim
-// processes).
+// the pager's dirty pages are written back, the translation table, the
+// allocator snapshot and the dictionary manifests are sealed, and the log is
+// reset. Must be called from the owner context (no pending sim processes).
 func (e *Engine) Checkpoint() error {
 	if e.dur == nil {
 		return errNotEnabled
@@ -375,10 +439,9 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 	if d.err != nil {
 		return d.err
 	}
-	// Every device IO below (journal seal, in-place installs, WAL header
+	// Every device IO below (page write-backs, the seal, the WAL header
 	// rewrite) runs through the owner client: attribute it to the
-	// checkpoint layer. The capture client diverts the Flush writes to
-	// memory, so they emit no IO events at all.
+	// checkpoint layer.
 	prevLayer := e.owner.pushLayer(obs.LayerCheckpoint)
 	defer e.owner.popLayer(prevLayer)
 
@@ -393,121 +456,117 @@ func (e *Engine) checkpointAt(lastLSN uint64) error {
 		}
 	}
 
-	// 2. Capture the dirty page set. Flush marks pages clean but the
-	// capture client diverts the writes into memory: the device sees them
-	// only inside the sealed journal (step 4) and as the in-place install
-	// (step 5) — the classic double-write that makes torn page writes
-	// recoverable.
-	var pages []pageWrite
-	cc := &Client{eng: e, ctx: clockCtx{e.clk}, capture: &pages}
-	e.pager.Flush(cc)
+	// 2. Write the dirty page set back, each page once: the buffer its
+	// Loader has just encoded is handed over to the extent the write rule
+	// picks, a fresh one for every page the last seal references. Until the
+	// seal, the device still holds the last checkpoint whole.
+	wrote := e.owner.counters.BytesWritten
+	e.pager.Flush(e.owner)
+	d.pageBytes += e.owner.counters.BytesWritten - wrote
 
-	// 3. Quarantined frees become reusable at this checkpoint; snapshot the
-	// allocator after merging them.
+	// 3. Seal, then 4. truncate the WAL (epoch bump; drops any pending group,
+	// whose applied records the checkpoint now covers — and, when shipping is
+	// on, hands exactly those covered records to the ship ring; a pending
+	// record past lastLSN was never applied and will be re-appended by the
+	// caller).
+	e.seal(lastLSN, manifests)
+	d.log.CheckpointCovering(lastLSN)
+	d.lastLSN = lastLSN
+	d.checkpoints++
+	return nil
+}
+
+// seal makes the checkpoint of lastLSN durable. The table record — lastLSN,
+// the allocator, the spare extents, the manifests and the translation table
+// — goes to a fresh extent, and the older superblock slot is pointed at it.
+// The record counts the quarantine, and the last seal's record, as released;
+// nothing allocates until the superblock is down (the writer holds d.mu and
+// the seal's own writes go to device offsets), so nothing reuses them before
+// this seal stops referencing them.
+func (e *Engine) seal(lastLSN uint64, manifests [][]byte) {
+	d := e.dur
 	e.allocMu.Lock()
 	for _, x := range e.pendingFree {
 		e.alloc.Free(x.off, x.size)
 	}
-	e.pendingFree = nil
+	released := e.pendingSpare
+	if d.record.size > 0 {
+		released = append(released, d.record)
+	}
+	e.pendingFree, e.pendingSpare = nil, nil
+	// Size the record before taking its extent from the spares, which only
+	// shortens their encoding; a released extent adds at most a size class of
+	// one offset to it.
 	snap := e.alloc.Snapshot()
-	e.allocMu.Unlock()
-
-	// 4. Compose and seal the journal with one sequential write. Every length
-	// is known once the capture is done, so the frame is one buffer of exactly
-	// its size — the one allocation proportional to the dirty set that the
-	// seal makes under the writer's lock. The header's bytes are reserved, the
-	// payload is encoded behind them, and the header, which carries the
-	// payload's length and crc, is written into the reserved bytes last.
-	size := journalHdrBytes + 8 + allocatorEncodedSize(snap) + 1 + 4
+	size := 8 + 16 + freeBytes(snap.Free) + freeBytes(e.spare) + 20*len(released) + 1 + 4 + 24*len(e.pages)
 	for i, dd := range d.dicts {
 		size += 4 + len(dd.name) + 4 + len(manifests[i])
 	}
-	for _, pw := range pages {
-		size += 8 + 4 + len(pw.data)
+	rec := extent{size: superBytes}
+	for rec.size < int64(size) {
+		rec.size *= 2
 	}
-	p := kv.Enc{Buf: make([]byte, journalHdrBytes, size)}
+	rec.off = e.fresh(rec.size)
+	for _, x := range released {
+		e.spare[x.size] = append(e.spare[x.size], x.off)
+	}
+	p := kv.Enc{Buf: make([]byte, 0, size)}
 	p.U64(lastLSN)
-	encodeAllocator(&p, snap)
+	p.U64(uint64(e.alloc.HighWater()))
+	p.U64(uint64(snap.Capacity))
+	encodeFree(&p, snap.Free)
+	encodeFree(&p, e.spare)
 	p.U8(uint8(len(d.dicts)))
 	for i, dd := range d.dicts {
 		p.Bytes([]byte(dd.name))
 		p.Bytes(manifests[i])
 	}
-	p.U32(uint32(len(pages)))
-	for _, pw := range pages {
-		p.U64(uint64(pw.off))
-		p.Bytes(pw.data)
+	p.U32(uint32(len(e.pages)))
+	for _, pg := range e.pages {
+		p.U64(uint64(pg.name))
+		p.U64(uint64(pg.phys))
+		p.U64(uint64(pg.size))
 	}
-	frame := p.Buf
+	e.allocMu.Unlock()
+
 	epoch := d.epoch + 1
-	h := kv.Enc{Buf: frame[:0]}
-	h.U32(journalMagic)
+	h := kv.Enc{Buf: make([]byte, 0, superHdrBytes)}
+	h.U32(superMagic)
 	h.U64(epoch)
-	h.U64(uint64(len(frame) - journalHdrBytes))
-	h.U32(crc32.ChecksumIEEE(frame[journalHdrBytes:]))
+	h.U64(uint64(rec.off))
+	h.U64(uint64(rec.size))
+	h.U64(uint64(len(p.Buf)))
+	h.U32(crc32.ChecksumIEEE(p.Buf))
 	h.U32(crc32.ChecksumIEEE(h.Buf))
-	if int64(len(frame)) > d.cfg.JournalBytes {
-		// Too big to seal. The pages MUST still be installed: Flush already
-		// marked them clean, so if their bytes never reached the device a
-		// later eviction + reload would read stale or zero extents. The
-		// image stays correct for runtime reads; what is lost — and recorded
-		// as the sticky error — is crash-consistency.
-		for _, pw := range pages {
-			e.owner.write(pw.data, pw.off, pw.give)
-			d.redoBytes += int64(len(pw.data))
-		}
-		d.err = fmt.Errorf("engine: checkpoint of %d bytes exceeds journal region %d (raise JournalBytes)",
-			len(frame), d.cfg.JournalBytes)
-		return d.err
-	}
-	e.owner.WriteAt(frame, d.journalOff[d.nextSlot])
-	d.journalBytes += int64(len(frame))
+	e.owner.write(p.Buf, rec.off, false)
+	e.owner.write(h.Buf, int64(d.nextSlot)*superBytes, false)
+	d.sealBytes += int64(len(p.Buf) + len(h.Buf))
 
-	// 5. Install the pages in place. A crash here is covered by the seal. An
-	// extent its write-back handed over becomes the store's image as it is.
-	for _, pw := range pages {
-		e.owner.write(pw.data, pw.off, pw.give)
-		d.redoBytes += int64(len(pw.data))
-	}
-
-	// 6. Truncate the WAL (epoch bump; drops any pending group, whose
-	// applied records the journal now covers — and, when shipping is on,
-	// hands exactly those covered records to the ship ring; a pending record
-	// past lastLSN was never applied and will be re-appended by the caller).
-	d.log.CheckpointCovering(lastLSN)
-
-	d.epoch = epoch
-	d.lastLSN = lastLSN
-	d.nextSlot ^= 1
-	d.checkpoints++
-	return nil
+	e.allocMu.Lock()
+	e.sealed = epoch
+	e.allocMu.Unlock()
+	d.epoch, d.record, d.nextSlot = epoch, rec, d.nextSlot^1
 }
 
-// allocatorEncodedSize is the number of bytes encodeAllocator appends for s.
-func allocatorEncodedSize(s storage.AllocatorState) int {
-	n := 8 + 8 + 4
-	for _, offs := range s.Free {
+// freeBytes is the number of bytes encodeFree appends for free.
+func freeBytes(free map[int64][]int64) int {
+	n := 4
+	for _, offs := range free {
 		n += 8 + 4 + 8*len(offs)
 	}
 	return n
 }
 
-// encodeAllocator serializes an allocator snapshot deterministically.
-func encodeAllocator(e *kv.Enc, s storage.AllocatorState) {
-	e.U64(uint64(s.Next))
-	e.U64(uint64(s.Capacity))
-	sizes := make([]int64, 0, len(s.Free))
-	for size := range s.Free {
+// encodeFree serializes free lists by size deterministically.
+func encodeFree(e *kv.Enc, free map[int64][]int64) {
+	sizes := make([]int64, 0, len(free))
+	for size := range free {
 		sizes = append(sizes, size)
 	}
-	for i := 1; i < len(sizes); i++ { // insertion sort: tiny n, no new import
-		for j := i; j > 0 && sizes[j-1] > sizes[j]; j-- {
-			sizes[j-1], sizes[j] = sizes[j], sizes[j-1]
-		}
-	}
+	slices.Sort(sizes)
 	e.U32(uint32(len(sizes)))
 	for _, size := range sizes {
-		offs := s.Free[size]
+		offs := free[size]
 		e.U64(uint64(size))
 		e.U32(uint32(len(offs)))
 		for _, off := range offs {
@@ -516,11 +575,9 @@ func encodeAllocator(e *kv.Enc, s storage.AllocatorState) {
 	}
 }
 
-// decodeAllocator reverses encodeAllocator.
-func decodeAllocator(d *kv.Dec) storage.AllocatorState {
-	s := storage.AllocatorState{Free: make(map[int64][]int64)}
-	s.Next = int64(d.U64())
-	s.Capacity = int64(d.U64())
+// decodeFree reverses encodeFree.
+func decodeFree(d *kv.Dec) map[int64][]int64 {
+	free := make(map[int64][]int64)
 	nSizes := d.U32()
 	for i := uint32(0); i < nSizes && d.Err == nil; i++ {
 		size := int64(d.U64())
@@ -529,9 +586,9 @@ func decodeAllocator(d *kv.Dec) storage.AllocatorState {
 		for j := uint32(0); j < n && d.Err == nil; j++ {
 			offs = append(offs, int64(d.U64()))
 		}
-		s.Free[size] = offs
+		free[size] = offs
 	}
-	return s
+	return free
 }
 
 // DurabilityStats reports the durability subsystem's counters: the
@@ -539,7 +596,7 @@ func decodeAllocator(d *kv.Dec) storage.AllocatorState {
 // trees' own amplification.
 type DurabilityStats struct {
 	Enabled     bool
-	Epoch       uint64 // checkpoint epoch of the last sealed journal
+	Epoch       uint64 // checkpoint epoch of the last seal
 	LastLSN     uint64 // highest WAL seq the last checkpoint covers
 	Checkpoints int64
 
@@ -547,10 +604,10 @@ type DurabilityStats struct {
 	LogCommits int64 // group commits
 	LogBytes   int64 // WAL bytes written (frames + headers)
 
-	JournalBytes int64 // sealed checkpoint journal bytes written
-	RedoBytes    int64 // in-place page installs (the double-write's 2nd copy)
+	JournalBytes int64 // bytes the seals wrote: table records and superblocks
+	RedoBytes    int64 // page bytes checkpoints wrote back
 
-	PendingFree int   // extents quarantined until the next checkpoint
+	PendingFree int   // extents quarantined until the next seal
 	Err         error // sticky durability failure, nil while healthy
 }
 
@@ -563,7 +620,7 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e.allocMu.Lock()
-	pending := len(e.pendingFree)
+	pending := len(e.pendingSpare)
 	e.allocMu.Unlock()
 	return DurabilityStats{
 		Enabled:      true,
@@ -573,8 +630,8 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 		LogRecords:   d.log.Records,
 		LogCommits:   d.log.Commits,
 		LogBytes:     d.log.BytesWritten,
-		JournalBytes: d.journalBytes,
-		RedoBytes:    d.redoBytes,
+		JournalBytes: d.sealBytes,
+		RedoBytes:    d.pageBytes,
 		PendingFree:  pending,
 		Err:          d.err,
 	}

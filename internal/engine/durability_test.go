@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -269,16 +270,16 @@ func TestDurableLSMRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoveryReleasesJournal: decoded fields are views of the bytes they
-// were decoded from, so anything recovery leaves in a live structure would
-// keep the whole checkpoint journal payload alive. The manifests are copied
-// out and the pages installed from the payload, so once Replay returns the
-// payload is garbage even while the recovered engine and trees (the LSM
-// keeps key ranges and block index keys from its manifest) stay in use. The
-// store lends views of an image it keeps, so recovery here runs on a store
-// whose every read returns a private copy: what stays reachable is what
+// TestRecoveryReleasesTableRecord: decoded fields are views of the bytes
+// they were decoded from, so anything recovery leaves in a live structure
+// would keep the whole table record alive. The manifests are copied out and
+// the translation table decoded into the engine's own entries, so once Replay
+// returns the record is garbage even while the recovered engine and trees
+// (the LSM keeps key ranges and block index keys from its manifest) stay in
+// use. The store lends views of an image it keeps, so recovery here runs on a
+// store whose every read returns a private copy: what stays reachable is what
 // recovery kept.
-func TestRecoveryReleasesJournal(t *testing.T) {
+func TestRecoveryReleasesTableRecord(t *testing.T) {
 	fs := storage.NewFaultStore(flatDev{testCapacity})
 	e := engine.FromStore(engCfg(), fs, sim.New())
 	dcfg := smallDur()
@@ -312,10 +313,10 @@ func TestRecoveryReleasesJournal(t *testing.T) {
 	}
 
 	freed := make(chan struct{})
-	engine.SetJournalLoaded(func(payload []byte) {
-		runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+	engine.SetTableLoaded(func(record []byte) {
+		runtime.SetFinalizer(&record[0], func(*byte) { close(freed) })
 	})
-	defer engine.SetJournalLoaded(nil)
+	defer engine.SetTableLoaded(nil)
 	e2, r, err := engine.Recover(engCfg(), dcfg, copyingStore{fs}, sim.New())
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +351,7 @@ func TestRecoveryReleasesJournal(t *testing.T) {
 			released = true
 		case <-time.After(10 * time.Millisecond):
 		case <-deadline:
-			t.Fatal("the journal payload is still reachable after recovery")
+			t.Fatal("the table record is still reachable after recovery")
 		}
 	}
 	for k := 0; k < 400; k++ {
@@ -440,9 +441,88 @@ type crashOp struct {
 	val []byte
 }
 
+// apply runs ops through d.
+func apply(d *engine.Durable, ops []crashOp) {
+	for _, op := range ops {
+		if op.del {
+			d.Delete(op.key)
+		} else {
+			d.Put(op.key, op.val)
+		}
+	}
+}
+
+// crashTree is a recoverable tree the crash tests drive: Flush writes its
+// dirty pages back, Check verifies its invariants.
+type crashTree interface {
+	engine.Dictionary
+	Flush()
+	Check() error
+}
+
+// opener builds a tree on e from its checkpoint manifest, or an empty one
+// from a nil manifest.
+type opener func(e *engine.Engine, man []byte) (crashTree, error)
+
+func openBTree(e *engine.Engine, man []byte) (crashTree, error) {
+	if man == nil {
+		return btree.New(btreeCfg(), e)
+	}
+	return btree.Open(btreeCfg(), e, man)
+}
+
+func openBeTree(e *engine.Engine, man []byte) (crashTree, error) {
+	cfg := betree.Config{NodeBytes: 16 << 10, MaxFanout: 8, MaxKeyBytes: 64, MaxValueBytes: 64}.Optimized()
+	if man == nil {
+		return betree.New(cfg, e)
+	}
+	return betree.Open(cfg, e, man)
+}
+
+// sealGuard is a byte store that fails the test on any write into an extent
+// the newest valid superblock on the medium references: the write rule's
+// invariant, checked against the image rather than the engine's own
+// bookkeeping. It reads the referenced set again after each superblock write.
+type sealGuard struct {
+	storage.ByteStore
+	t      *testing.T
+	medium storage.ByteStore // the image, read without the fault layer
+	sealed [][2]int64
+}
+
+func (g *sealGuard) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
+	g.check(off, len(p))
+	done := g.ByteStore.WriteAt(now, p, off)
+	g.reload(off)
+	return done
+}
+
+func (g *sealGuard) Handover(now sim.Time, p []byte, off int64) sim.Time {
+	g.check(off, len(p))
+	done := g.ByteStore.Handover(now, p, off)
+	g.reload(off)
+	return done
+}
+
+func (g *sealGuard) check(off int64, n int) {
+	for _, x := range g.sealed {
+		if off < x[0]+x[1] && x[0] < off+int64(n) {
+			g.t.Errorf("a write of %d bytes at %d lands in the sealed extent [%d, %d)", n, off, x[0], x[0]+x[1])
+		}
+	}
+}
+
+func (g *sealGuard) reload(off int64) {
+	if off < engine.SuperRegionBytes {
+		g.sealed = engine.SealedExtents(g.medium)
+	}
+}
+
 // TestCrashRecoverEqualsCommittedPrefix is the headline property: whatever
 // write the machine dies on — torn mid-frame or clean — recovery yields
-// exactly the state of the committed operation prefix, no more, no less.
+// exactly the state of the committed operation prefix, no more, no less. The
+// store sits behind a sealGuard, so no write of the run may touch what the
+// last seal references.
 //
 // Sequence numbers equal operation indexes + 1 here because LogBytes is
 // large enough that the log never fills (no burned sequence numbers), so
@@ -474,7 +554,7 @@ func runCrashCase(t *testing.T, c crashCase) bool {
 	}
 
 	fs := storage.NewFaultStore(flatDev{testCapacity})
-	e := engine.FromStore(engCfg(), fs, sim.New())
+	e := engine.FromStore(engCfg(), &sealGuard{ByteStore: fs, t: t, medium: fs.Inner()}, sim.New())
 	dcfg := engine.DurabilityConfig{
 		LogBytes:             8 << 20, // never fills: seq == op index + 1
 		GroupBytes:           256 + rng.Intn(512),
@@ -499,31 +579,21 @@ func runCrashCase(t *testing.T, c crashCase) bool {
 	crashN := 1 + int64(c.CrashAt)%600
 	fs.CrashAtWrite(crashN, int(c.Tear))
 	crashed := runUntilCrash(func() {
-		for _, op := range ops {
-			if op.del {
-				d.Delete(op.key)
-			} else {
-				d.Put(op.key, op.val)
-			}
-		}
+		apply(d, ops)
 		if err := e.Sync(); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 	})
-	if !crashed {
-		fs.ClearFaults() // script outran the crash point: treat as clean run
-	} else {
-		fs.ClearFaults() // reboot: byte image survives, volatile state gone
-	}
+	fs.ClearFaults() // reboot: byte image survives, volatile state gone
 
-	recoverAndCheckPrefix(t, fs, engCfg(), dcfg, ops, crashed, fmt.Sprintf("crash at write %d (tear %d)", crashN, c.Tear))
+	recoverAndCheckPrefix(t, fs, engCfg(), dcfg, openBTree, ops, crashed, fmt.Sprintf("crash at write %d (tear %d)", crashN, c.Tear))
 	return true
 }
 
-// recoverAndCheckPrefix reopens fs's image and requires the recovered B-tree
-// "bt" to equal the model folded over exactly the first CommittedSeq ops — all
-// of them if the run did not crash.
-func recoverAndCheckPrefix(t *testing.T, fs *storage.FaultStore, ecfg engine.Config, dcfg engine.DurabilityConfig, ops []crashOp, crashed bool, what string) {
+// recoverAndCheckPrefix reopens fs's image and requires the recovered tree
+// "bt" to equal the model folded over exactly the first CommittedSeq ops —
+// all of them if the run did not crash.
+func recoverAndCheckPrefix(t *testing.T, fs *storage.FaultStore, ecfg engine.Config, dcfg engine.DurabilityConfig, open opener, ops []crashOp, crashed bool, what string) {
 	t.Helper()
 	e2, r, err := engine.Recover(ecfg, dcfg, fs, sim.New())
 	if err != nil {
@@ -532,16 +602,12 @@ func recoverAndCheckPrefix(t *testing.T, fs *storage.FaultStore, ecfg engine.Con
 	// A crash before the first post-registration checkpoint recovers to the
 	// initial (empty) checkpoint, which has no manifest: the tree restarts
 	// empty and replay rebuilds the committed prefix from the WAL alone.
-	var bt2 *btree.Tree
-	if man, ok := r.Manifest("bt"); ok {
-		bt2, err = btree.Open(btreeCfg(), e2, man)
-	} else {
-		bt2, err = btree.New(btreeCfg(), e2)
-	}
+	man, _ := r.Manifest("bt")
+	tree, err := open(e2, man)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	d2, err := r.Attach("bt", bt2)
+	d2, err := r.Attach("bt", tree)
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -580,24 +646,193 @@ func recoverAndCheckPrefix(t *testing.T, fs *storage.FaultStore, ecfg engine.Con
 				what, committed, len(ops), op.key, got, gotOK, want, wantOK)
 		}
 	}
-	if err := bt2.Check(); err != nil {
+	if err := tree.Check(); err != nil {
 		t.Fatalf("recovered tree invariants: %v", err)
 	}
 }
 
-// TestCrashTornSealAcrossChunks aims the same property at the store image's
-// chunk table: the fatal write is a checkpoint seal of several MiB — one
-// WriteAt that straddles every chunk boundary under it — torn a few bytes
-// past the 1 MiB mark and a page past the 2 MiB mark (boundaries of any
-// power-of-two chunk size up to 1 MiB), over a slot that held an older
-// sealed journal. Recovery must reject the torn
-// frame, fall back to the other slot's checkpoint and replay the WAL to
-// exactly the committed prefix.
-func TestCrashTornSealAcrossChunks(t *testing.T) {
-	ecfg := engine.Config{CacheBytes: 16 << 20}
-	dcfg := engine.DurabilityConfig{
-		LogBytes: 16 << 20, GroupBytes: 4 << 10, JournalBytes: 16 << 20, CheckpointEveryBytes: -1,
+// TestTornWriteBackOutsideCheckpoint: a tree's own Flush writes dirty pages
+// back between checkpoints, here after two checkpoints in a row, so the last
+// seal references every page and holds no copy of any. The write rule sends
+// each of them to a fresh extent, so tearing the first write leaves the
+// sealed checkpoint whole and recovery yields every committed op. (Written in
+// place over its sealed extent, the torn page fails to decode on reload.)
+func TestTornWriteBackOutsideCheckpoint(t *testing.T) {
+	const n = 300
+	for _, c := range []struct {
+		name string
+		open opener
+	}{{"btree", openBTree}, {"betree", openBeTree}} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := storage.NewFaultStore(flatDev{testCapacity})
+			e := engine.FromStore(engCfg(), fs, sim.New())
+			dcfg := smallDur()
+			dcfg.CheckpointEveryBytes = -1
+			if err := e.EnableDurability(dcfg); err != nil {
+				t.Fatal(err)
+			}
+			tree, err := c.open(e, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := e.Durable("bt", tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := make([]crashOp, n+1)
+			for i := range ops {
+				ops[i] = crashOp{key: key(i), val: val(i)}
+			}
+			apply(d, ops[:n])
+			for i := 0; i < 2; i++ {
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			apply(d, ops[n:])
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			fs.CrashAtWrite(1, 300)
+			if !runUntilCrash(tree.Flush) {
+				t.Fatal("the write-back issued no write")
+			}
+			fs.ClearFaults()
+			recoverAndCheckPrefix(t, fs, engCfg(), dcfg, c.open, ops, true, "write-back torn at byte 300")
+		})
 	}
+}
+
+// writeLog records the offset and length of every write on its way to the
+// store.
+type writeLog struct {
+	storage.ByteStore
+	writes [][2]int64
+}
+
+func (w *writeLog) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
+	w.writes = append(w.writes, [2]int64{off, int64(len(p))})
+	return w.ByteStore.WriteAt(now, p, off)
+}
+
+func (w *writeLog) Handover(now sim.Time, p []byte, off int64) sim.Time {
+	w.writes = append(w.writes, [2]int64{off, int64(len(p))})
+	return w.ByteStore.Handover(now, p, off)
+}
+
+// ckptScenario is a deterministic durable B-tree run that stops just before
+// one more checkpoint: ops[:split] and a checkpoint, ops[split:synced] and a
+// sync, then ops[synced:], which group commit may or may not have made
+// durable.
+type ckptScenario struct {
+	ecfg          engine.Config
+	dcfg          engine.DurabilityConfig
+	ops           []crashOp
+	split, synced int
+}
+
+// run plays the scenario on a fresh fault store, behind a sealGuard and a
+// writeLog.
+func (sc ckptScenario) run(t *testing.T) (*storage.FaultStore, *writeLog, *engine.Engine) {
+	t.Helper()
+	fs := storage.NewFaultStore(flatDev{testCapacity})
+	wl := &writeLog{ByteStore: &sealGuard{ByteStore: fs, t: t, medium: fs.Inner()}}
+	e := engine.FromStore(sc.ecfg, wl, sim.New())
+	if err := e.EnableDurability(sc.dcfg); err != nil {
+		t.Fatal(err)
+	}
+	bt, err := btree.New(btreeCfg(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.Durable("bt", bt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(d, sc.ops[:sc.split])
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	apply(d, sc.ops[sc.split:sc.synced])
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	apply(d, sc.ops[sc.synced:])
+	return fs, wl, e
+}
+
+// checkpointWrites plays the scenario through its last checkpoint and
+// returns that checkpoint's writes, with the index of its superblock write.
+func (sc ckptScenario) checkpointWrites(t *testing.T) ([][2]int64, int) {
+	t.Helper()
+	_, wl, e := sc.run(t)
+	n := len(wl.writes)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	writes := wl.writes[n:]
+	super := slices.IndexFunc(writes, func(w [2]int64) bool { return w[0] < engine.SuperRegionBytes })
+	if super < 2 {
+		t.Fatalf("the checkpoint's writes %v have no page write-backs and table record before a superblock", writes)
+	}
+	return writes, super
+}
+
+// crashIn plays the scenario again, crashes its last checkpoint at write k
+// (from 1) with tear bytes of it reaching the medium, and requires recovery
+// to equal the committed prefix.
+func (sc ckptScenario) crashIn(t *testing.T, k, tear int, what string) {
+	t.Helper()
+	fs, _, e := sc.run(t)
+	fs.CrashAtWrite(int64(k), tear)
+	if !runUntilCrash(func() { _ = e.Checkpoint() }) {
+		t.Fatalf("%s: the armed crash did not fire", what)
+	}
+	fs.ClearFaults()
+	recoverAndCheckPrefix(t, fs, sc.ecfg, sc.dcfg, openBTree, sc.ops, true, what)
+}
+
+// TestCrashSweepOneCheckpoint crashes one checkpoint at every write it
+// issues — each page write-back, the table record, the superblock and the
+// WAL truncation — once cleanly after the write and once torn halfway
+// through it, and requires every recovery to equal the committed prefix.
+func TestCrashSweepOneCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const keyspace = 1200
+	ops := make([]crashOp, 0, keyspace+320)
+	for i := 0; i < keyspace; i++ {
+		ops = append(ops, crashOp{key: key(i), val: val(i)})
+	}
+	for i := 0; i < 320; i++ {
+		k := key(rng.Intn(keyspace))
+		if i%5 == 0 {
+			ops = append(ops, crashOp{del: true, key: k})
+		} else {
+			ops = append(ops, crashOp{key: k, val: val(rng.Intn(1 << 20))})
+		}
+	}
+	dcfg := smallDur()
+	dcfg.CheckpointEveryBytes = -1
+	sc := ckptScenario{ecfg: engCfg(), dcfg: dcfg, ops: ops, split: keyspace, synced: keyspace + 300}
+	writes, super := sc.checkpointWrites(t)
+	t.Logf("%d writes: %d page write-backs, the table record, the superblock, %d of the WAL's", len(writes), super-1, len(writes)-super-1)
+	for k, w := range writes {
+		for _, tear := range []int{1 << 30, int(w[1]) / 2} {
+			sc.crashIn(t, k+1, tear, fmt.Sprintf("write %d of %d (%d bytes at %d), %d bytes down",
+				k+1, len(writes), w[1], w[0], min(tear, int(w[1]))))
+		}
+	}
+}
+
+// TestCrashTornSealAcrossChunks aims the same property at the seal. The
+// checkpoint writes back a dirty set of hundreds of pages — every leaf of a
+// 40,000-key B-tree, dirtied again since the last checkpoint — so its table
+// record spans several of the store's blocks. It is crashed twice: in the
+// table record, torn a few bytes past the record's first block boundary, and
+// in the superblock, torn mid-header over a slot that held an older valid
+// seal. Recovery must reject the torn seal, fall back to the other slot's
+// checkpoint and replay the WAL to exactly the committed prefix.
+func TestCrashTornSealAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const keyspace = 40000
 	ops := make([]crashOp, 0, 2*keyspace+500)
@@ -613,48 +848,20 @@ func TestCrashTornSealAcrossChunks(t *testing.T) {
 			ops = append(ops, crashOp{key: k, val: val(rng.Intn(1 << 20))})
 		}
 	}
-	for _, tear := range []int{1<<20 + 7, 2<<20 + 4099} {
-		fs := storage.NewFaultStore(flatDev{testCapacity})
-		e := engine.FromStore(ecfg, fs, sim.New())
-		if err := e.EnableDurability(dcfg); err != nil { // seals the empty checkpoint in slot 0
-			t.Fatal(err)
-		}
-		bt, err := btree.New(btreeCfg(), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := e.Durable("bt", bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apply := func(ops []crashOp) {
-			for _, op := range ops {
-				if op.del {
-					d.Delete(op.key)
-				} else {
-					d.Put(op.key, op.val)
-				}
-			}
-		}
-		apply(ops[:keyspace])
-		if err := e.Checkpoint(); err != nil { // slot 1: the checkpoint recovery will fall back to
-			t.Fatal(err)
-		}
-		apply(ops[keyspace:synced]) // dirties every leaf again
-		if err := e.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		apply(ops[synced:])
-		if dirty := e.Pager().DirtyBytes(); dirty <= int64(tear) {
-			t.Fatalf("dirty set %d bytes: the seal would not reach the tear point %d", dirty, tear)
-		}
-		fs.CrashAtWrite(1, tear) // the checkpoint's first write is the seal, into slot 0
-		if !runUntilCrash(func() { _ = e.Checkpoint() }) {
-			t.Fatalf("tear %d: the armed crash did not fire", tear)
-		}
-		fs.ClearFaults()
-		recoverAndCheckPrefix(t, fs, ecfg, dcfg, ops, true, fmt.Sprintf("seal torn at byte %d", tear))
+	sc := ckptScenario{
+		ecfg: engine.Config{CacheBytes: 16 << 20},
+		dcfg: engine.DurabilityConfig{
+			LogBytes: 16 << 20, GroupBytes: 4 << 10, JournalBytes: 16 << 20, CheckpointEveryBytes: -1,
+		},
+		ops: ops, split: keyspace, synced: synced,
 	}
+	writes, super := sc.checkpointWrites(t)
+	const tear = 4<<10 + 7
+	if writes[super-1][1] <= tear {
+		t.Fatalf("the table record is %d bytes: a tear at %d would not cross a block boundary", writes[super-1][1], tear)
+	}
+	sc.crashIn(t, super, tear, fmt.Sprintf("table record torn at byte %d", tear))
+	sc.crashIn(t, super+1, 20, "superblock torn at byte 20")
 }
 
 // runUntilCrash runs fn, absorbing the FaultStore's crash panic; it reports

@@ -14,6 +14,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,13 +44,19 @@ type Engine struct {
 
 	allocMu sync.Mutex
 	alloc   *storage.Allocator
-	// pendingFree holds extents freed since the last checkpoint when
-	// durability is on: they may still be referenced by the checkpoint
-	// image, so reusing them before the next checkpoint seals could let an
-	// in-place write corrupt state that recovery depends on. The next
-	// checkpoint merges them into the allocator's free lists. Guarded by
+	// On a durable engine (durability.go) alloc hands out page names, and
+	// pages, the block translation table sorted by name, maps each name to
+	// the extent its page lives in now. spare holds, by size, extents no page
+	// lives in: free for a page to move into. What a free or a move releases
+	// waits in quarantine until the next seal is down, since the sealed
+	// checkpoint may still reference it: freed names in pendingFree, extents
+	// in pendingSpare. sealed is the epoch of the last seal. Guarded by
 	// allocMu.
-	pendingFree []extent
+	pages        []page
+	spare        map[int64][]int64
+	pendingFree  []extent
+	pendingSpare []extent
+	sealed       uint64
 
 	dur *durability
 	// mvcc is the version layer backing Snapshot reads; created together
@@ -68,7 +75,7 @@ type Engine struct {
 	owner *Client
 }
 
-// extent is a freed [off, off+size) range awaiting a checkpoint.
+// extent is the range [off, off+size).
 type extent struct{ off, size int64 }
 
 // New creates an engine over dev on clock clk.
@@ -91,6 +98,7 @@ func FromStore(cfg Config, store storage.ByteStore, clk *sim.Engine) *Engine {
 		clk:   clk,
 		store: store,
 		alloc: storage.NewAllocator(store.Device().Capacity()),
+		spare: make(map[int64][]int64),
 		pager: newPager(cfg),
 	}
 	e.owner = &Client{eng: e, ctx: clockCtx{clk}, id: e.clientIDs.Add(1)}
@@ -130,24 +138,43 @@ func (e *Engine) Process(pr *sim.Proc) *Client {
 // ordered.
 func (e *Engine) Detached() *Client { return e.SharedClient(NewSharedClock()) }
 
-// Alloc reserves an extent of the given size (safe for concurrent use).
+// Alloc reserves an extent of the given size (safe for concurrent use). On a
+// durable engine the offset names a new page of the translation table. The
+// page lives at its name unless another page has moved in there since the
+// name was last free; then it starts in a fresh extent.
 func (e *Engine) Alloc(size int64) int64 {
 	e.allocMu.Lock()
 	defer e.allocMu.Unlock()
-	return e.alloc.Alloc(size)
+	hw := e.alloc.HighWater()
+	off := e.alloc.Alloc(size)
+	if e.dur == nil {
+		return off
+	}
+	phys := off
+	if i := slices.Index(e.spare[size], off); i >= 0 {
+		e.spare[size] = slices.Delete(e.spare[size], i, i+1)
+	} else if off < hw {
+		phys = e.fresh(size)
+	}
+	e.pages = slices.Insert(e.pages, e.index(off), page{name: off, phys: phys, size: size, gen: e.sealed + 1})
+	return off
 }
 
-// Free returns an extent for reuse (safe for concurrent use). With
-// durability enabled the extent is parked until the next checkpoint (see
-// Engine.pendingFree) instead of becoming reusable immediately.
+// Free returns an extent for reuse (safe for concurrent use). On a durable
+// engine off names a page: the page leaves the translation table, and its
+// name and the extent it lives in wait in quarantine for the next seal.
 func (e *Engine) Free(off, size int64) {
 	e.allocMu.Lock()
 	defer e.allocMu.Unlock()
-	if e.dur != nil {
-		e.pendingFree = append(e.pendingFree, extent{off, size})
+	if e.dur == nil {
+		e.alloc.Free(off, size)
 		return
 	}
-	e.alloc.Free(off, size)
+	if i := e.find(off); i >= 0 {
+		e.pendingSpare = append(e.pendingSpare, extent{e.pages[i].phys, size})
+		e.pages = slices.Delete(e.pages, i, i+1)
+	}
+	e.pendingFree = append(e.pendingFree, extent{off, size})
 }
 
 // HighWater reports the allocator's bump-pointer position.
@@ -208,26 +235,12 @@ type Client struct {
 	ctx      ioCtx
 	id       int64
 	counters storage.Counters
-	// capture, when non-nil, diverts writes into a list instead of the
-	// device. The checkpoint uses it to collect the pager's dirty pages
-	// into the journal without issuing in-place IO. The list keeps each
-	// written slice itself, not a copy: a write-back hands over the extent it
-	// has just encoded (Loader.Store) and does not touch it again, and the
-	// install passes a handed-over extent on to the store.
-	capture *[]pageWrite
 	// span is the client's open tracing span (nil while tracing is off or
 	// the op was sampled out); layer attributes its IOs to the stack layer
 	// currently driving the client (pager load, WAL, checkpoint). Both are
 	// client-local: a client is single-goroutine, so no synchronization.
 	span  *obs.Span
 	layer obs.Layer
-}
-
-// pageWrite is one captured write; give records a Handover.
-type pageWrite struct {
-	off  int64
-	data []byte
-	give bool
 }
 
 // Engine returns the engine this client drives.
@@ -238,8 +251,12 @@ func (c *Client) Now() sim.Time { return c.ctx.Now() }
 
 // Read reads n bytes at off, charging device time to this client, and
 // returns them: read-only bytes the store lends (storage.Store.Read), which
-// nothing writes again. A decoder keeps views of them (kv.Dec).
-func (c *Client) Read(off int64, n int) []byte {
+// nothing writes again. A decoder keeps views of them (kv.Dec). On a durable
+// engine off is logical: it reads the extent its page lives in now.
+func (c *Client) Read(off int64, n int) []byte { return c.read(c.eng.at(off, false), n) }
+
+// read is Read at a device offset.
+func (c *Client) read(off int64, n int) []byte {
 	if n == 0 {
 		return nil
 	}
@@ -258,19 +275,18 @@ func (c *Client) Read(off int64, n int) []byte {
 func (c *Client) ReadAt(p []byte, off int64) { copy(p, c.Read(off, len(p))) }
 
 // WriteAt writes len(p) bytes at off, charging device time to this client.
-func (c *Client) WriteAt(p []byte, off int64) { c.write(p, off, false) }
+// On a durable engine off is logical, and the write follows the one write
+// rule (Engine.at): a page the last seal references moves first.
+func (c *Client) WriteAt(p []byte, off int64) { c.write(p, c.eng.at(off, true), false) }
 
 // Handover is WriteAt that gives p to the store (storage.Store.Handover):
 // the caller never writes p again. A Loader's Store hands over the extent it
 // has just encoded.
-func (c *Client) Handover(p []byte, off int64) { c.write(p, off, true) }
+func (c *Client) Handover(p []byte, off int64) { c.write(p, c.eng.at(off, true), true) }
 
+// write is WriteAt, or Handover when give is set, at a device offset.
 func (c *Client) write(p []byte, off int64, give bool) {
 	if len(p) == 0 {
-		return
-	}
-	if c.capture != nil {
-		*c.capture = append(*c.capture, pageWrite{off: off, data: p, give: give})
 		return
 	}
 	now := c.ctx.Now()

@@ -21,17 +21,17 @@ type Loader interface {
 	// Load reads and decodes the object; size is its charged byte footprint.
 	Load(c *Client, id PageID) (obj interface{}, size int64)
 	// Store serializes and writes back a dirty object. The bytes it hands to
-	// c.WriteAt or c.Handover are a fresh encoding it does not modify
-	// afterwards: during a checkpoint the client keeps them until the journal
-	// is sealed, and an extent given by Handover becomes the store's image.
+	// c.WriteAt or c.Handover are a fresh encoding of the whole page, from its
+	// start, that it does not modify afterwards: an extent given by Handover
+	// becomes the store's image.
 	Store(c *Client, id PageID, obj interface{})
 }
 
 // StoreSizer is an optional Loader extension reporting the exact byte
 // length Store would write for obj right now. The pager uses it to track
 // the encoded size of the dirty set (DirtyBytes), which the durability
-// layer compares against its journal capacity — charged (in-memory) sizes
-// can be much smaller than the on-disk images a checkpoint must seal.
+// layer compares against its dirty-set budget — charged (in-memory) sizes
+// can be much smaller than the on-disk images a checkpoint must write.
 // Loaders without it are assumed to store their charged size.
 type StoreSizer interface {
 	StoreSize(obj interface{}) int64
@@ -115,8 +115,8 @@ type shard struct {
 	budget int64
 	used   int64
 	// dirtyBytes tracks the encoded (Store) size of dirty items. The
-	// durability layer checkpoints before this approaches the journal
-	// region size: the whole dirty set must fit in one sealed frame.
+	// durability layer checkpoints when it reaches half its dirty-set
+	// budget (DurabilityConfig.JournalBytes).
 	dirtyBytes int64
 	items      map[PageID]*item
 	lru        *list.List // front = most recently used; holds only unpinned items
@@ -194,8 +194,8 @@ func (p *Pager) Used() int64 {
 }
 
 // DirtyBytes returns the encoded size of dirty (not yet written back)
-// objects across all shards: the write-back volume the next checkpoint
-// must seal into a journal frame under the no-steal policy.
+// objects across all shards: the write-back volume of the next checkpoint
+// under the no-steal policy.
 func (p *Pager) DirtyBytes() int64 {
 	var total int64
 	for _, sh := range p.shards {
@@ -557,7 +557,9 @@ func (p *Pager) flushOne(c *Client, sh *shard, id PageID) {
 	sh.stats.Writebacks++
 	sh.mu.Unlock()
 
-	prev := c.pushLayer(obs.LayerPager)
+	// A checkpoint's write-back stays the checkpoint's IO (layers are
+	// numbered outermost first).
+	prev := c.pushLayer(max(c.layer, obs.LayerPager))
 	victim.loader.Store(c, victim.id, victim.obj)
 	c.popLayer(prev)
 

@@ -1,16 +1,16 @@
 // Recovery: reopening a durable engine image after a crash.
 //
-// The image a crash leaves behind is, by construction (durability.go), one
-// of: a sealed journal whose epoch is the newest plus a WAL suffix; two
-// sealed journals where the newer one's install may have been interrupted
-// (re-installing from the sealed copy is idempotent); or a journal whose
-// seal itself tore, in which case its header or payload CRC fails and the
-// older slot wins, with the WAL replaying everything since that older
-// checkpoint. Recover picks the newest valid journal, re-installs its
-// pages, restores the allocator, reopens the WAL, and hands the caller a
-// Recovery from which the dictionaries are reattached (via each package's
-// Open function and the journal's manifests) and the committed WAL suffix
-// is replayed.
+// The image a crash leaves behind is, by construction (durability.go), two
+// superblock slots of which at least one is valid and names a whole
+// checkpoint: its table record and every extent that record's translation
+// table references are exactly as that seal left them, because no write
+// lands in an extent the last seal references. A seal that tore in its table
+// record or in its superblock fails a CRC, and the other slot wins, with the
+// WAL replaying everything since that older checkpoint. Recover picks the
+// newest valid superblock, loads its translation table and allocator, reopens
+// the WAL, and hands the caller a Recovery from which the dictionaries are
+// reattached (via each package's Open function and the record's manifests)
+// and the committed WAL suffix is replayed. Nothing is copied or re-installed.
 package engine
 
 import (
@@ -25,13 +25,13 @@ import (
 	"iomodels/internal/wal"
 )
 
-// ErrNotDurableImage is returned by Recover when neither journal slot holds
-// a sealed checkpoint — the store was never a durable engine image (or its
-// configuration differs).
-var ErrNotDurableImage = errors.New("engine: no valid checkpoint journal (not a durable image, or wrong DurabilityConfig)")
+// ErrNotDurableImage is returned by Recover when neither superblock slot
+// names a sealed checkpoint — the store was never a durable engine image (or
+// its configuration differs).
+var ErrNotDurableImage = errors.New("engine: no valid checkpoint superblock (not a durable image, or wrong DurabilityConfig)")
 
-// journalLoaded sees the journal payload Recover decodes (a test hook).
-var journalLoaded = func([]byte) {}
+// tableLoaded sees the table record Recover decodes (a test hook).
+var tableLoaded = func([]byte) {}
 
 // Recovery is the decoded crash state: manifests to reattach dictionaries
 // from and the committed WAL suffix to replay.
@@ -53,28 +53,25 @@ type Recovery struct {
 // Recovery.Replay.
 func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *sim.Engine) (*Engine, *Recovery, error) {
 	e := FromStore(cfg, store, clk)
-	d, err := e.layoutDurability(dcfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	d := e.layoutDurability(dcfg)
 
-	// Pick the newest sealed journal.
+	// Pick the newest valid superblock.
 	slot, epoch, payload := -1, uint64(0), []byte(nil)
 	for s := 0; s < 2; s++ {
-		ep, pl, ok := e.readJournal(d.journalOff[s], d.cfg.JournalBytes)
-		if ok && ep > epoch {
-			slot, epoch, payload = s, ep, pl
+		if ep, rec, pl, ok := e.readSuper(s); ok && ep > epoch {
+			slot, epoch, payload, d.record = s, ep, pl, rec
 		}
 	}
 	if slot < 0 {
 		return nil, nil, ErrNotDurableImage
 	}
-	journalLoaded(payload)
+	tableLoaded(payload)
 
-	// Decode: lastLSN, allocator, manifests, pages.
+	// Decode: lastLSN, allocator, spare extents, manifests, translation table.
 	dec := &kv.Dec{Buf: payload}
 	lastLSN := dec.U64()
-	snap := decodeAllocator(dec)
+	snap := storage.AllocatorState{Next: int64(dec.U64()), Capacity: int64(dec.U64()), Free: decodeFree(dec)}
+	spare := decodeFree(dec)
 	r := &Recovery{eng: e, mans: make(map[string][]byte), lastLSN: lastLSN, maxSeq: lastLSN}
 	nDicts := dec.U8()
 	for i := uint8(0); i < nDicts && dec.Err == nil; i++ {
@@ -82,40 +79,26 @@ func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *si
 		r.order = append(r.order, name)
 		r.mans[name] = bytes.Clone(dec.Bytes()) // trees keep what they decode from it
 	}
-	type page struct {
-		off  int64
-		data []byte
-	}
-	var pages []page
 	nPages := dec.U32()
+	pages := make([]page, 0, nPages)
 	for i := uint32(0); i < nPages && dec.Err == nil; i++ {
-		off := int64(dec.U64())
-		pages = append(pages, page{off, dec.Bytes()})
+		pages = append(pages, page{name: int64(dec.U64()), phys: int64(dec.U64()), size: int64(dec.U64())})
 	}
 	if dec.Err != nil {
-		return nil, nil, fmt.Errorf("engine: corrupt checkpoint journal payload: %w", dec.Err)
+		return nil, nil, fmt.Errorf("engine: corrupt checkpoint table record: %w", dec.Err)
 	}
 
-	// Re-install the checkpoint's pages. Idempotent, so it is safe whether
-	// the original install completed, partially completed, or never ran.
-	// They are views of the journal's image, so WriteAt copies them.
-	for _, pg := range pages {
-		e.owner.WriteAt(pg.data, pg.off)
-	}
-
-	// Restore the allocator and reopen the log. The WAL's own epoch/CRC
-	// machinery rejects any records from before the checkpoint's truncation
-	// (the ISSUE's replay-after-reopen bug); the lastLSN filter below
-	// additionally drops records the checkpoint covers but the truncation
-	// never reached (crash between journal seal and WAL reset).
+	// Restore the allocator, the spares and the translation table — every
+	// page in it is referenced by this seal — and reopen the log. The WAL's
+	// own epoch/CRC machinery rejects any records from before the
+	// checkpoint's truncation, so a reopened log never replays them; the
+	// lastLSN filter below additionally drops records the checkpoint covers
+	// but the truncation never reached (crash between seal and WAL reset).
 	e.allocMu.Lock()
 	e.alloc.LoadState(snap)
+	e.pages, e.spare, e.sealed = pages, spare, epoch
 	e.allocMu.Unlock()
-	log, err := wal.Open(wal.Config{
-		Offset:     d.journalOff[1] + d.cfg.JournalBytes,
-		Capacity:   d.cfg.LogBytes,
-		GroupBytes: d.cfg.GroupBytes,
-	}, e.owner)
+	log, err := wal.Open(d.logConfig(), e.owner)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: wal reopen: %w", err)
 	}
@@ -147,26 +130,22 @@ func Recover(cfg Config, dcfg DurabilityConfig, store storage.ByteStore, clk *si
 	return e, r, nil
 }
 
-// readJournal reads and validates one journal slot; ok only if the header
-// and payload CRCs both pass.
-func (e *Engine) readJournal(off, size int64) (epoch uint64, payload []byte, ok bool) {
-	hdr := e.owner.Read(off, journalHdrBytes)
+// readSuper reads and validates superblock slot s and the table record it
+// points at; ok only if the header and record CRCs both pass.
+func (e *Engine) readSuper(s int) (epoch uint64, rec extent, payload []byte, ok bool) {
+	hdr := e.owner.Read(int64(s)*superBytes, superHdrBytes)
 	hd := &kv.Dec{Buf: hdr}
 	magic := hd.U32()
 	epoch = hd.U64()
+	rec = extent{off: int64(hd.U64()), size: int64(hd.U64())}
 	plen := hd.U64()
 	pcrc := hd.U32()
 	hcrc := hd.U32()
-	if hd.Err != nil || magic != journalMagic ||
-		hcrc != crc32.ChecksumIEEE(hdr[:journalHdrBytes-4]) ||
-		plen > uint64(size-journalHdrBytes) {
-		return 0, nil, false
+	if hd.Err != nil || magic != superMagic || hcrc != crc32.ChecksumIEEE(hdr[:superHdrBytes-4]) || plen > uint64(rec.size) {
+		return 0, extent{}, nil, false
 	}
-	payload = e.owner.Read(off+journalHdrBytes, int(plen))
-	if crc32.ChecksumIEEE(payload) != pcrc {
-		return 0, nil, false
-	}
-	return epoch, payload, true
+	payload = e.owner.Read(rec.off, int(plen))
+	return epoch, rec, payload, crc32.ChecksumIEEE(payload) == pcrc
 }
 
 // Engine returns the rebuilt engine.

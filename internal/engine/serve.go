@@ -175,10 +175,10 @@ func (e *Engine) ApplyBatchNoSync(muts []Mutation) error {
 
 // CommitPending flushes the WAL's pending group like Sync, but when the log
 // is full it returns wal.ErrLogFull instead of checkpointing: a checkpoint
-// restructures engine state (memtable flushes, page installs), which a
+// restructures engine state (memtable flushes, page write-backs), which a
 // caller running the flush off the structural lock must re-acquire the lock
 // for. Callers seeing wal.ErrLogFull take their write exclusion and call
-// Checkpoint, which makes every applied record durable via the journal.
+// Checkpoint, which makes every applied record durable by itself.
 func (e *Engine) CommitPending() error {
 	if e.dur == nil {
 		return errNotEnabled

@@ -3,7 +3,7 @@
 // A shipping-enabled engine keeps a bounded in-memory ring of its durable
 // WAL records — fed by the log's commit hook, so a record enters the ring at
 // the exact moment it becomes crash-safe (group commit, or a checkpoint that
-// covers it via the journal). A replica tails the ring through ShipSince,
+// covers it). A replica tails the ring through ShipSince,
 // applies the records through its own durable engine in order, and is then a
 // byte-equivalent warm standby: promote = seal its log tail and serve.
 //
@@ -65,7 +65,7 @@ type shipBuffer struct {
 // EnableShipping attaches the ship ring to a durable engine. capRecords
 // bounds the ring (0 selects DefaultShipCap). Call it before the first
 // mutation (right after EnableDurability, or after Recover): records already
-// retired into a checkpoint journal are not shippable, so a later enable
+// retired into a checkpoint are not shippable, so a later enable
 // starts the stream at the current checkpoint LSN and a from-zero subscriber
 // would see ErrShipGap.
 func (e *Engine) EnableShipping(capRecords int) error {

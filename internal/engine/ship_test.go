@@ -71,7 +71,7 @@ func TestShippingStreamsEveryDurableMutation(t *testing.T) {
 		}
 	}
 	// The stream crosses checkpoint boundaries (smallDur checkpoints every
-	// 16KB): records made durable via the journal must ship exactly once too.
+	// 16KB): records made durable by a checkpoint must ship exactly once too.
 	if ds := e.DurabilityStats(); ds.Checkpoints == 0 {
 		t.Fatal("test did not cross a checkpoint; stream coverage unexercised")
 	}

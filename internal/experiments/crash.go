@@ -2,11 +2,11 @@
 // nodes includes that "write IOs in the B-tree may also trigger write IOs
 // from logging and checkpointing" — durability turns one logical update
 // into structure writes PLUS log-append writes PLUS periodic checkpoint
-// journal and install writes. E19 measures that decomposition for the
-// three dictionary families: baseline write amplification with durability
-// off, amplification with the WAL-backed engine on, the log/journal/redo
-// byte components, and a crash-at-90%-of-writes recovery drill (records
-// replayed, virtual recovery time).
+// writes (the dirty pages, then the seal). E19 measures that decomposition
+// for the three dictionary families: baseline write amplification with
+// durability off, amplification with the WAL-backed engine on, the log and
+// checkpoint byte components, and a crash-at-90%-of-writes recovery drill
+// (records replayed, virtual recovery time).
 
 package experiments
 
@@ -50,9 +50,8 @@ func DefaultCrashConfig() CrashConfig {
 		Durability: engine.DurabilityConfig{
 			LogBytes:   64 << 20,
 			GroupBytes: 64 << 10,
-			// Large enough that the whole tree fits in a sealed frame, so
-			// checkpoint cadence is set by WAL growth (below), not by
-			// journal pressure.
+			// A dirty-set budget larger than the whole tree, so checkpoint
+			// cadence is set by WAL growth (below), not by the dirty set.
 			JournalBytes:         32 << 20,
 			CheckpointEveryBytes: 2 << 20,
 		},
@@ -66,7 +65,7 @@ type CrashRow struct {
 	BaseWA       float64 // durability off: disk bytes written / logical bytes
 	DurableWA    float64 // durability on: all writes, same quotient
 	LogWA        float64 // WAL append component of DurableWA
-	CkptWA       float64 // checkpoint component (journal seal + in-place redo)
+	CkptWA       float64 // checkpoint component (page write-backs + seals)
 	Checkpoints  int64
 	Replayed     int                    // records replayed in the crash drill
 	RecoveryTime sim.Time               // virtual time to recover + replay
@@ -228,7 +227,7 @@ func (cfg CrashConfig) durableRun(mk func(*engine.Engine) (crashTree, error), cr
 			// Pull the plug on the next device write; the sync forces one
 			// (committing the pending log group, which lands in full — a
 			// clean-boundary crash — before the power dies). If the group
-			// happened to be empty, the checkpoint's journal seal crashes
+			// happened to be empty, the checkpoint's first write crashes
 			// instead.
 			fs.CrashAtWrite(1, 1<<30)
 			eng.Sync()       //lint:allowdiscard the injected crash panics mid-write; no return to check

@@ -16,8 +16,8 @@ import (
 	"iomodels/internal/workload"
 )
 
-// smallWAL keeps a durable test node's log and journal regions (and so its
-// store image) a few MiB instead of the serving defaults' hundreds.
+// smallWAL keeps a durable test node's log region and dirty-set budget a few
+// MiB instead of the serving defaults' tens.
 var smallWAL = engine.DurabilityConfig{LogBytes: 8 << 20, GroupBytes: 1 << 20, JournalBytes: 4 << 20}
 
 func clientOpts() server.Options {
@@ -197,11 +197,11 @@ func TestPrimaryReplicaPair(t *testing.T) {
 }
 
 // TestDurableBootAllocatesWhatItWrites boots the benchmark's mixed-durable-c16
-// node — kvserve -durable -items 65540 at its defaults: serving-size journal
-// and log regions, so the first tree page sits 328 MiB into the image — and
-// bounds what the boot allocates in total. The image alone is ~95 MiB of
-// written chunks; a store that grows a flat image by copying it allocates
-// over a GiB to get there.
+// node — kvserve -durable -items 65540 at its defaults: a serving-size log
+// region, so the first tree page sits 64 MiB into the image — and bounds what
+// the boot allocates in total. The image holds ~19 MiB of written blocks; a
+// store that grows a flat image by copying it allocates hundreds of MiB to get
+// there.
 func TestDurableBootAllocatesWhatItWrites(t *testing.T) {
 	d, err := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 4<<30)
 	if err != nil {

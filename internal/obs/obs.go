@@ -41,8 +41,8 @@ const (
 	LayerPager
 	// LayerWAL is log IO: record appends and group-commit flushes.
 	LayerWAL
-	// LayerCheckpoint is durability-checkpoint IO: journal seals and
-	// in-place page installs.
+	// LayerCheckpoint is durability-checkpoint IO: dirty-page write-backs
+	// and seals.
 	LayerCheckpoint
 
 	numLayers

@@ -118,8 +118,8 @@ type StatsSnapshot struct {
 	PagerDirtyMB    float64 `json:"pager_dirty_mb"`
 	WriteQueueDepth int     `json:"write_queue_depth"`
 	WriteBatchAvg   float64 `json:"write_batch_avg"`
-	JournalMB       float64 `json:"journal_mb"`
-	RedoMB          float64 `json:"redo_mb"`
+	JournalMB       float64 `json:"journal_mb"` // checkpoint seals: table records and superblocks
+	RedoMB          float64 `json:"redo_mb"`    // page bytes checkpoints wrote back
 	PendingFree     int     `json:"pending_free"`
 
 	// MVCC snapshot-read surface (PR-6). Horizon is the oldest LSN any live

@@ -129,11 +129,11 @@ func (s *Server) applyWrites(batch []writeReq) {
 			err = s.backend.Eng.CommitPending()
 			if errors.Is(err, wal.ErrLogFull) {
 				// The pending group no longer fits: checkpointing makes every
-				// applied record durable via the journal instead, but it
-				// restructures engine state (memtable flushes, page installs),
-				// so it needs the write exclusion back.
+				// applied record durable instead, but it restructures engine
+				// state (memtable flushes, page write-backs), so it needs the
+				// write exclusion back.
 				s.stateMu.Lock()
-				//lint:allowblock a checkpoint restructures engine state (memtable flushes, page installs) and therefore needs the write exclusion back; rare by construction (log-full only)
+				//lint:allowblock a checkpoint restructures engine state (memtable flushes, page write-backs) and therefore needs the write exclusion back; rare by construction (log-full only)
 				err = s.backend.Eng.Checkpoint()
 				s.stateMu.Unlock()
 			}

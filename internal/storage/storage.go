@@ -470,9 +470,9 @@ func (s *Store) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
 }
 
 // Handover is WriteAt that gives p to the store: when [off, off+len(p)) is
-// whole blocks that must move anyway (viewed, or never written), p itself
-// becomes their run and nothing is copied. The caller must never write p
-// again; a pager write-back hands over the extent it has just encoded.
+// whole blocks, p itself becomes their run and nothing is copied. The caller
+// must never write p again; a pager write-back hands over the extent it has
+// just encoded.
 func (s *Store) Handover(now sim.Time, p []byte, off int64) sim.Time {
 	return s.write(now, p, off, true)
 }
@@ -489,11 +489,11 @@ func (s *Store) write(now sim.Time, p []byte, off int64, give bool) sim.Time {
 	if n := last + 1 - int64(len(s.blocks)); n > 0 {
 		s.blocks = append(s.blocks, make([]block, n)...)
 	}
-	// Blocks the write covers whole and that must move anyway move together,
-	// to p itself when it is handed over. The device's last block stops at
-	// its capacity.
+	// Blocks the write covers whole move together to p when it is handed
+	// over, and to a copy of it when they must move anyway. The device's last
+	// block stops at its capacity.
 	whole := off%blockBytes == 0 && (end%blockBytes == 0 || end == s.dev.Capacity())
-	if whole && !s.writable(first, last) {
+	if whole && (give || !s.writable(first, last)) {
 		buf := p[:len(p):len(p)]
 		if !give {
 			buf = bytes.Clone(p)
@@ -635,6 +635,12 @@ func (a *Allocator) Alloc(size int64) int64 {
 		a.free[size] = list[:len(list)-1]
 		return off
 	}
+	return a.Bump(size)
+}
+
+// Bump returns a fresh extent at the bump pointer, passing over the free
+// lists.
+func (a *Allocator) Bump(size int64) int64 {
 	off := a.next
 	if off+size > a.capacity {
 		panic(fmt.Sprintf("storage: device full: need %d at %d, capacity %d", size, off, a.capacity))

@@ -80,8 +80,8 @@ func TestCheckpointCoveringShipsCoveredDropsRest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustAppend(t, l, rec(i))
 	}
-	// Checkpoint covering only the first 7: those become durable via the
-	// journal and must ship; 8..10 burned their seqs and are dropped (the
+	// Checkpoint covering only the first 7: those become durable through the
+	// checkpoint and must ship; 8..10 burned their seqs and are dropped (the
 	// engine re-appends them, which re-tails them).
 	l.CheckpointCovering(7)
 	if len(*got) != 7 {

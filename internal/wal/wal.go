@@ -107,8 +107,8 @@ type Log struct {
 	// durable its Key/Value alias its encoding in buf — append-only until the
 	// group is sealed or dropped, so the bytes hold still even when buf
 	// regrows. Records move from ship to the hook the moment they become
-	// durable — a group commit, or a checkpoint that covers them via the
-	// journal instead — and only then are their payloads copied out of buf.
+	// durable — a group commit, or a checkpoint that covers them instead —
+	// and only then are their payloads copied out of buf.
 	ship     []Record
 	onCommit func([]Record)
 
@@ -304,7 +304,7 @@ func (l *Log) LastSeq() uint64 { return l.nextSeq - 1 }
 // SetOnCommit attaches the log-shipping hook: fn is called, under the
 // caller's own serialization (the Log is single-threaded by contract), with
 // every record exactly once at the moment it becomes durable — sealed into a
-// committed frame, or covered by a checkpoint's journal (CheckpointCovering).
+// committed frame, or covered by a checkpoint (CheckpointCovering).
 // Append's callers may reuse their key/value buffers at once: the log never
 // hands the hook caller memory. nil detaches (and drops any untailed
 // records).
@@ -455,11 +455,11 @@ func (l *Log) Checkpoint() {
 
 // CheckpointCovering is Checkpoint for a caller whose checkpoint covers only
 // sequences up to lastLSN (the engine's log-full path: the newest appended
-// record burned its sequence number but was never applied, so the journal
+// record burned its sequence number but was never applied, so the checkpoint
 // cannot cover it). Tailed records the checkpoint covers are handed to the
-// commit hook — they are durable now, via the journal — while newer ones are
-// dropped from the tail exactly as they are dropped from the pending group:
-// the caller re-appends them, and the re-append re-tails them.
+// commit hook — they are durable now, through the checkpoint — while newer
+// ones are dropped from the tail exactly as they are dropped from the pending
+// group: the caller re-appends them, and the re-append re-tails them.
 func (l *Log) CheckpointCovering(lastLSN uint64) {
 	l.shipThrough(lastLSN)
 	l.buf = l.buf[:0]

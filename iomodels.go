@@ -91,17 +91,18 @@ type (
 )
 
 // Re-exported durability and fault-injection types: the WAL-backed engine
-// write path, journaled checkpoints, crash recovery, and the fault store
+// write path, copy-on-write checkpoints, crash recovery, and the fault store
 // that drills them (see internal/engine and internal/storage).
 type (
-	// DurabilityConfig sizes the WAL, the checkpoint journal regions, and
+	// DurabilityConfig sizes the WAL, the no-steal dirty-set budget, and
 	// the auto-checkpoint cadence; zero values pick defaults.
 	DurabilityConfig = engine.DurabilityConfig
 	// Durable is the write-ahead-logging wrapper around a Dictionary:
 	// every mutation is logged before it is applied.
 	Durable = engine.Durable
 	// DurabilityStats decomposes the durability write traffic (log bytes,
-	// journal bytes, in-place installs) the paper's §3 alludes to.
+	// the page bytes checkpoints write back, the bytes their seals write)
+	// the paper's §3 alludes to.
 	DurabilityStats = engine.DurabilityStats
 	// Recovery is the reopen-after-crash handle: reattach dictionaries by
 	// name, then Replay the WAL's committed suffix.
