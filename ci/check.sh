@@ -20,7 +20,8 @@
 #              pager's latch wait, the experiments' serving harness,
 #              lintutil.FuncPattern, the store's block table, the read
 #              scheduler's virtual slots, kv.Dec's views, the store's
-#              read-only views and the checkpoint's translation table removed
+#              read-only views, the checkpoint's translation table and the
+#              pager's intrusive LRU ring removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -29,8 +30,9 @@
 #              launched by a wall-clock grace timer, a decoder that copies
 #              every key and value and callers that copy its copy, a tree,
 #              LSM, WAL or recovery decode site that reads into a buffer it
-#              just allocated, journal regions, a journal reader and a pass
-#              that installs captured pages a second time) stay removed; the
+#              just allocated, journal regions, a journal reader, a pass
+#              that installs captured pages a second time and a
+#              container/list LRU that allocates per Unpin) stay removed; the
 #              serving stack reads the wall clock or arms a timer at 13 sites
 #              in server/cluster/engine/node, none of them in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
@@ -177,6 +179,16 @@ fi
 dups=$(grep -n -e 'journalOff' -e 'readJournal' -e 'pageWrite' internal/engine/*.go | grep -v '_test\.go:' || true)
 if [ -n "$dups" ]; then
 	echo "the double-write journal is back in internal/engine (write each page once through the translation table):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# A cached read allocates nothing (DESIGN.md §5): the pager's LRU is an
+# intrusive ring through its items, not a container/list whose every Unpin
+# allocates an element.
+dups=$(grep -ln '"container/list"' internal/engine/*.go | grep -v '_test\.go$' || true)
+if [ -n "$dups" ]; then
+	echo "container/list is back in internal/engine (link items into the shard's LRU ring):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

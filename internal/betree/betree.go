@@ -24,6 +24,7 @@ package betree
 
 import (
 	"fmt"
+	"slices"
 
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
@@ -258,8 +259,10 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 		return root.entries[i].Value, true
 	}
 
-	// Collect messages top-down; stop early at an absorbing message.
-	var levels [][]kv.Message
+	// Collect messages top-down; stop early at an absorbing message. Only a
+	// tree deeper than the array spills to the heap.
+	var stack [8][]kv.Message
+	levels := stack[:0]
 	absorbed := false
 
 	j := root.findChild(key)
@@ -283,11 +286,10 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 				jb = rt.slotIndex(key)
 			}
 			_, p := t.readSlot(c, off, true, height, jb)
-			for _, e := range p.entries {
-				if kv.Compare(e.Key, key) == 0 {
-					base, baseOK = e.Value, true
-					break
-				}
+			if i, ok := slices.BinarySearchFunc(p.entries, key, func(e kv.Entry, k []byte) int {
+				return kv.Compare(e.Key, k)
+			}); ok {
+				base, baseOK = p.entries[i].Value, true
 			}
 			t.unpinc(c, off)
 			break
@@ -326,14 +328,13 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 	return val, ok
 }
 
-// bufMessagesFor copies the messages for key out of b (they are already in
-// seq order).
+// bufMessagesFor returns b's messages for key, in seq order, as a view of b
+// capped at the last of them. The view is valid for the Get that took it: a
+// buffer changes only under the tree's single-writer exclusion, which a
+// reader's Get is inside.
 func bufMessagesFor(b buffer, key []byte) []kv.Message {
 	lo, hi := b.find(key)
-	if lo == hi {
-		return nil
-	}
-	return append([]kv.Message(nil), b.msgs[lo:hi]...)
+	return b.msgs[lo:hi:hi]
 }
 
 func hasAbsorbing(msgs []kv.Message) bool {

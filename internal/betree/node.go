@@ -499,19 +499,24 @@ type slotPayload struct {
 }
 
 // decodeSlot parses one slot's bytes (already sliced to the stride). A leaf
-// slot's entries are appended to ents, and p.entries is the result.
+// slot's entries are appended to ents, and p.entries is the result. A fresh
+// slice is sized from the slot's count, capped at what its bytes can hold.
 func decodeSlot(leaf bool, buf []byte, ents []kv.Entry) (slotPayload, error) {
 	d := kv.Dec{Buf: buf}
 	var p slotPayload
 	if leaf {
 		count := int(d.U32())
 		p.entries = ents
+		if ents == nil {
+			p.entries = make([]kv.Entry, 0, min(count, len(buf)/kv.EncodedEntrySize(nil, nil)))
+		}
 		for i := 0; i < count && d.Err == nil; i++ {
 			p.entries = append(p.entries, d.Entry())
 		}
 	} else {
 		p.route = decodeRoute(&d)
 		count := int(d.U32())
+		p.msgs = make([]kv.Message, 0, min(count, len(buf)/kv.EncodedMessageSize(nil, nil)))
 		for i := 0; i < count && d.Err == nil; i++ {
 			p.msgs = append(p.msgs, d.Message())
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"fmt"
 	"slices"
 	"sync"
@@ -89,17 +88,17 @@ func (s PagerStats) String() string {
 // read the pre-image frame the flusher is copying from). Neither latched
 // form is ever in the LRU.
 type item struct {
-	id      PageID
-	obj     interface{}
-	size    int64
-	enc     int64 // while dirty: Store's byte length, counted in shard.dirtyBytes
-	dirty   bool
-	pins    int
-	busy    bool
-	writing bool
-	freeAt  sim.Time // the latch holder's virtual instant when busy/writing last cleared
-	loader  Loader
-	elem    *list.Element // position in LRU list; nil while pinned or latched
+	id         PageID
+	obj        interface{}
+	size       int64
+	enc        int64 // while dirty: Store's byte length, counted in shard.dirtyBytes
+	dirty      bool
+	pins       int
+	busy       bool
+	writing    bool
+	freeAt     sim.Time // the latch holder's virtual instant when busy/writing last cleared
+	loader     Loader
+	prev, next *item // neighbours on the shard's LRU ring; nil while pinned or latched
 }
 
 // encSize returns the bytes Store would write for it's current object.
@@ -119,8 +118,35 @@ type shard struct {
 	// budget (DurabilityConfig.JournalBytes).
 	dirtyBytes int64
 	items      map[PageID]*item
-	lru        *list.List // front = most recently used; holds only unpinned items
-	stats      ShardStats
+	// lru is the sentinel of a ring of the unpinned, unlatched items:
+	// lru.next is the most recently used, lru.prev the eviction candidate.
+	lru   item
+	stats ShardStats
+}
+
+// pushFront makes it, which is off the ring, sh's most recently used item.
+// Caller holds sh.mu.
+func (sh *shard) pushFront(it *item) {
+	it.prev, it.next = &sh.lru, sh.lru.next
+	it.prev.next, it.next.prev = it, it
+}
+
+// unlink takes it off sh's LRU ring if it is on it. Caller holds sh.mu.
+func (sh *shard) unlink(it *item) {
+	if it.next != nil {
+		it.prev.next, it.next.prev = it.next, it.prev
+		it.prev, it.next = nil, nil
+	}
+}
+
+// overBudget records how far over budget sh is in PeakOver and reports
+// whether it is over at all. Caller holds sh.mu.
+func (sh *shard) overBudget() bool {
+	over := sh.used - sh.budget
+	if over > sh.stats.PeakOver {
+		sh.stats.PeakOver = over
+	}
+	return over > 0
 }
 
 // Pager is the engine's buffer pool: an LRU object cache with a byte
@@ -159,11 +185,9 @@ func newPager(cfg Config) *Pager {
 	}
 	p := &Pager{shards: make([]*shard, n)}
 	for i := range p.shards {
-		p.shards[i] = &shard{
-			budget: per,
-			items:  make(map[PageID]*item),
-			lru:    list.New(),
-		}
+		sh := &shard{budget: per, items: make(map[PageID]*item)}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		p.shards[i] = sh
 	}
 	return p
 }
@@ -270,10 +294,7 @@ func (sh *shard) lockUnlatched(c *Client, id PageID, writingToo bool) *item {
 // pin takes an item out of the LRU and holds it. Caller holds sh.mu and
 // has checked !it.busy.
 func (sh *shard) pin(it *item) {
-	if it.elem != nil {
-		sh.lru.Remove(it.elem)
-		it.elem = nil
-	}
+	sh.unlink(it)
 	it.pins++
 }
 
@@ -284,8 +305,10 @@ func (sh *shard) pin(it *item) {
 func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
 	sh := p.shard(id)
 	if it := sh.lockUnlatched(c, id, false); it != nil {
-		obj := sh.hit(c, it)
-		p.evictToBudget(c, sh)
+		obj, over := sh.hit(c, it)
+		if over {
+			p.evictToBudget(c, sh)
+		}
 		return obj
 	}
 	// Miss: latch a placeholder so concurrent getters wait rather than
@@ -313,16 +336,17 @@ func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
 
 // hit counts and pins a resident, unlatched item for c, releases sh.mu,
 // which the caller holds, and returns the item's object as it was under the
-// lock (a Swap may replace it the moment the lock is gone).
-func (sh *shard) hit(c *Client, it *item) interface{} {
+// lock (a Swap may replace it the moment the lock is gone) and whether the
+// shard was over budget then.
+func (sh *shard) hit(c *Client, it *item) (interface{}, bool) {
 	sh.stats.Hits++
 	sh.pin(it)
-	obj := it.obj
+	obj, over := it.obj, sh.overBudget()
 	sh.mu.Unlock()
 	if c.span != nil {
 		c.span.CacheHit(c.ctx.Now())
 	}
-	return obj
+	return obj, over
 }
 
 // Put inserts a freshly created object (not yet on disk) as dirty and pins
@@ -358,8 +382,10 @@ func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size i
 func (p *Pager) PutClean(c *Client, loader Loader, id PageID, obj interface{}, size int64) interface{} {
 	sh := p.shard(id)
 	if it := sh.lockUnlatched(c, id, false); it != nil {
-		obj := sh.hit(c, it)
-		p.evictToBudget(c, sh)
+		obj, over := sh.hit(c, it)
+		if over {
+			p.evictToBudget(c, sh)
+		}
 		return obj
 	}
 	sh.stats.Misses++
@@ -389,7 +415,8 @@ func (p *Pager) TryGet(c *Client, id PageID) (interface{}, bool) {
 		sh.mu.Unlock()
 		return nil, false
 	}
-	return sh.hit(c, it), true
+	obj, _ := sh.hit(c, it)
+	return obj, true
 }
 
 // Pin increments id's pin count; the object must be resident.
@@ -420,10 +447,13 @@ func (p *Pager) Unpin(c *Client, id PageID) {
 	}
 	it.pins--
 	if it.pins == 0 && !it.busy && !it.writing {
-		it.elem = sh.lru.PushFront(it)
+		sh.pushFront(it)
 	}
+	over := sh.overBudget()
 	sh.mu.Unlock()
-	p.evictToBudget(c, sh)
+	if over {
+		p.evictToBudget(c, sh)
+	}
 }
 
 // MarkDirty flags id as modified and updates its charged size (serialized
@@ -550,10 +580,7 @@ func (p *Pager) flushOne(c *Client, sh *shard, id PageID) {
 		return
 	}
 	victim.writing = true
-	if victim.elem != nil {
-		sh.lru.Remove(victim.elem)
-		victim.elem = nil
-	}
+	sh.unlink(victim)
 	sh.stats.Writebacks++
 	sh.mu.Unlock()
 
@@ -569,7 +596,7 @@ func (p *Pager) flushOne(c *Client, sh *shard, id PageID) {
 	victim.enc = 0
 	victim.writing, victim.freeAt = false, c.ctx.Now()
 	if victim.pins == 0 {
-		victim.elem = sh.lru.PushFront(victim)
+		sh.pushFront(victim)
 	}
 	sh.mu.Unlock()
 }
@@ -590,12 +617,9 @@ func (p *Pager) EvictAll(c *Client) {
 func (p *Pager) evictToBudget(c *Client, sh *shard) {
 	for {
 		sh.mu.Lock()
-		over := sh.used - sh.budget
-		if over > sh.stats.PeakOver {
-			sh.stats.PeakOver = over
-		}
+		over := sh.overBudget()
 		sh.mu.Unlock()
-		if over <= 0 || !p.evictOne(c, sh) {
+		if !over || !p.evictOne(c, sh) {
 			return
 		}
 	}
@@ -606,20 +630,18 @@ func (p *Pager) evictToBudget(c *Client, sh *shard) {
 // if nothing was evictable.
 func (p *Pager) evictOne(c *Client, sh *shard) bool {
 	sh.mu.Lock()
-	elem := sh.lru.Back()
+	it := sh.lru.prev
 	if p.noSteal {
 		// Skip dirty pages: they are unevictable until the next checkpoint.
-		for elem != nil && elem.Value.(*item).dirty {
-			elem = elem.Prev()
+		for it != &sh.lru && it.dirty {
+			it = it.prev
 		}
 	}
-	if elem == nil {
+	if it == &sh.lru {
 		sh.mu.Unlock()
 		return false
 	}
-	it := elem.Value.(*item)
-	sh.lru.Remove(elem)
-	it.elem = nil
+	sh.unlink(it)
 	it.busy = true
 	dirty := it.dirty
 	sh.stats.Evictions++
@@ -646,10 +668,7 @@ func (p *Pager) evictOne(c *Client, sh *shard) bool {
 
 // remove deletes an item from the shard. Caller holds sh.mu.
 func (sh *shard) remove(it *item) {
-	if it.elem != nil {
-		sh.lru.Remove(it.elem)
-		it.elem = nil
-	}
+	sh.unlink(it)
 	if it.dirty {
 		sh.dirtyBytes -= it.enc
 	}

@@ -680,10 +680,7 @@ func collectScan(session engine.Dictionary, sn *engine.Snap, req request) ([]kv.
 	}
 	var entries []kv.Entry
 	collect := func(k, v []byte) bool {
-		entries = append(entries, kv.Entry{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
+		entries = append(entries, kv.Entry{Key: k, Value: v}.Clone())
 		return len(entries) < req.limit
 	}
 	var err error
