@@ -2,13 +2,12 @@
 # Repo verification, in increasing order of cost:
 #
 #   gofmt      formatting drift
-#   go vet     stock static analysis
+#   go vet     stock static analysis (atomic, copylocks, lostcancel, ...)
 #   iolint     the repo's own go/analysis suite (cmd/iolint): no panic on
-#              the durability path, no engine bypass, consistent atomics,
-#              virtual time in sim code, no discarded durable-write errors,
-#              no leaked MVCC snapshots, lock acquisition in lockrank
-#              order, no blocking under an exclusive lock, goroutine exit
-#              signals, typed protocol-error handling
+#              the durability path, no engine bypass, no discarded
+#              durable-write errors, lock acquisition in lockrank order, no
+#              blocking under an exclusive lock, typed protocol-error
+#              handling
 #   go build   everything compiles, including cmd/ and examples/
 #   go test    tier-1 correctness, then the two packages whose tests drive
 #              real goroutines over TCP onto the virtual timeline — the
@@ -20,8 +19,8 @@
 #              pager's latch wait, the experiments' serving harness,
 #              lintutil.FuncPattern, the store's block table, the read
 #              scheduler's virtual slots, kv.Dec's views, the store's
-#              read-only views, the checkpoint's translation table and the
-#              pager's intrusive LRU ring removed
+#              read-only views, the checkpoint's translation table, the
+#              pager's intrusive LRU ring and the typed atomic counters removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -31,8 +30,9 @@
 #              every key and value and callers that copy its copy, a tree,
 #              LSM, WAL or recovery decode site that reads into a buffer it
 #              just allocated, journal regions, a journal reader, a pass
-#              that installs captured pages a second time and a
-#              container/list LRU that allocates per Unpin) stay removed; the
+#              that installs captured pages a second time, a
+#              container/list LRU that allocates per Unpin and a raw
+#              atomic.AddInt64-style call on a plain integer) stay removed; the
 #              serving stack reads the wall clock or arms a timer at 13 sites
 #              in server/cluster/engine/node, none of them in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
@@ -67,16 +67,15 @@ fi
 
 go vet ./...
 
-# iolint: the custom analyzer suite (see DESIGN.md "Static analysis"). It
-# subsumes the old grep-based panic lint — nopanic understands scope and the
-# //lint:allowpanic escape hatch instead of pattern-matching source text —
-# and adds the engine-bypass, atomic-field, virtual-time, wal-error, and
-# snapshot-release checks, plus the concurrency invariants: lockorder
+# iolint: the custom analyzer suite (see DESIGN.md §7), each analyzer an
+# invariant no type or test holds: nopanic (no panic on the durability path
+# without a reasoned //lint:allowpanic), enginebypass (raw device IO only in
+# the engine layer), walerr (no discarded durable-write error), lockorder
 # (//lint:lockrank acquisition order, cross-package via facts),
-# blockunderlock (no channel/IO/wait ops under an exclusive mutex),
-# goroutinelife (serving goroutines must have a provable exit signal), and
+# blockunderlock (no channel/IO/wait ops under an exclusive mutex), and
 # statuscheck (typed protocol sentinels handled via errors.Is, never
-# discarded or text-matched). Exits non-zero on any diagnostic.
+# discarded or text-matched). The stock passes run once, in go vet above.
+# Exits non-zero on any diagnostic.
 go run ./cmd/iolint ./...
 
 go build ./...
@@ -194,9 +193,9 @@ if [ -n "$dups" ]; then
 fi
 
 # The read scheduler is a function of the cursors it is handed: no clock, no
-# timer, and no grace option anywhere from the flag to the lane (iolint's
-# virtualtime scope covers scheduler.go for the calls; this covers the import
-# and the knob).
+# timer, and no grace option anywhere from the flag to the lane
+# (TestVirtualTimeScopeImportsNoClock covers the import with the device
+# models'; this names the file and covers the knob).
 dups=$(grep -n '"time"' internal/server/scheduler.go || true)
 if [ -n "$dups" ]; then
 	echo "internal/server/scheduler.go imports time (a read starts at max(its cursor, its slot's free instant); nothing waits on a clock):" >&2
@@ -206,6 +205,16 @@ fi
 dups=$(grep -rn --include='*.go' -e 'BatchGrace' -e 'AfterFunc' -e '"grace"' internal/server internal/node internal/experiments cmd/kvserve || true)
 if [ -n "$dups" ]; then
 	echo "a batch grace window or a timer is back on the serving path:" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# Counters shared between goroutines are typed (DESIGN.md §7): a field read
+# through sync/atomic is an atomic.Int64 (or kin), so a plain access to it
+# cannot be written and vet's copylocks rejects a copy.
+dups=$(grep -rnE --include='*.go' 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint)(32|64)\(' . | grep -v -e '^./vendor/' -e '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a raw sync/atomic call on a plain integer (declare the field atomic.Int64 and call its methods):" >&2
 	echo "$dups" >&2
 	exit 1
 fi
@@ -489,9 +498,8 @@ go test -race -run 'MergedTraceSpans|Interop|Ext|TraceContext' \
 go test -race -run 'E24ShipLag' ./internal/experiments
 
 # The analyzer suite's own tests under the race detector, plus the iolint
-# roster test: the atest harness type-checks packages concurrently, and the
-# roster test re-runs the full suite over the repo (a regression if a new
-# analyzer is written but never registered, or the tree stops being clean
+# roster test, which re-runs the full suite over the repo (a regression if a
+# new analyzer is written but never registered, or the tree stops being clean
 # under its own gate).
 go test -race ./internal/analysis/... ./cmd/iolint
 

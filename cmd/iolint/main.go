@@ -1,7 +1,6 @@
-// iolint is the repo's static-analysis gate: the ten custom analyzers that
-// encode the IO-model, durability, MVCC, and concurrency invariants (see
-// DESIGN.md "Static analysis"), plus the stock vet passes whose bugs bite
-// this codebase hardest (atomic, copylocks, lostcancel), in one command:
+// iolint is the repo's static-analysis gate: the six custom analyzers that
+// encode the IO-model, durability and concurrency invariants no type or test
+// holds (see DESIGN.md §7), in one command (the stock passes run in go vet):
 //
 //	go run ./cmd/iolint ./...
 //
@@ -10,9 +9,7 @@
 // by the go command itself: when invoked with package patterns, iolint
 // re-executes as `go vet -vettool=<itself> <patterns>`; when the go command
 // then calls it back with a *.cfg file (or -flags/-V=full during probing),
-// it runs the unitchecker protocol. Analyzer flags pass straight through:
-//
-//	go run ./cmd/iolint -nopanic.scope=internal/wal ./...
+// it runs the unitchecker protocol.
 package main
 
 import (
@@ -22,50 +19,33 @@ import (
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/atomic"
-	"golang.org/x/tools/go/analysis/passes/copylock"
-	"golang.org/x/tools/go/analysis/passes/lostcancel"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"iomodels/internal/analysis/atomicfield"
 	"iomodels/internal/analysis/blockunderlock"
 	"iomodels/internal/analysis/enginebypass"
-	"iomodels/internal/analysis/goroutinelife"
 	"iomodels/internal/analysis/lockorder"
 	"iomodels/internal/analysis/nopanic"
-	"iomodels/internal/analysis/snapshotrelease"
 	"iomodels/internal/analysis/statuscheck"
-	"iomodels/internal/analysis/virtualtime"
 	"iomodels/internal/analysis/walerr"
 )
 
-// Suite is the full analyzer set, exported through a var so the order in
-// `iolint help` output is deliberate: custom invariants first.
+// suite is the analyzer set, in the order `iolint help` lists it.
 var suite = []*analysis.Analyzer{
 	nopanic.Analyzer,
 	enginebypass.Analyzer,
-	atomicfield.Analyzer,
-	virtualtime.Analyzer,
 	walerr.Analyzer,
-	snapshotrelease.Analyzer,
-	// Concurrency invariants (PR 9): canonical lock order, no blocking
-	// under an exclusive lock, goroutine lifecycle, typed status handling.
+	// Concurrency invariants: canonical lock order, no blocking under an
+	// exclusive lock, typed status handling.
 	lockorder.Analyzer,
 	blockunderlock.Analyzer,
-	goroutinelife.Analyzer,
 	statuscheck.Analyzer,
-	// Stock passes for go vet parity: mixed atomic arithmetic, copied
-	// locks (incl. atomic.Int64 values), and leaked context cancels.
-	atomic.Analyzer,
-	copylock.Analyzer,
-	lostcancel.Analyzer,
 }
 
 func main() {
 	// The go command drives the unitchecker protocol with exactly one of:
 	// a unit.cfg file, -flags, or -V=full. Everything else — package
-	// patterns, analyzer flags typed by a human — means "run me over these
-	// packages", which we delegate to `go vet -vettool`.
+	// patterns typed by a human — means "run me over these packages", which
+	// we delegate to `go vet -vettool`.
 	protocol := len(os.Args) <= 1
 	for _, a := range os.Args[1:] {
 		if strings.HasSuffix(a, ".cfg") || a == "help" || a == "-flags" ||

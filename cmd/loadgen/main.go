@@ -300,7 +300,7 @@ func main() {
 
 	// Scan-beside-OLTP: the scanners run until the point clients finish.
 	scanHist := stats.NewLatencyHist()
-	var scans, scanned int64
+	var scans, scanned atomic.Int64
 	var scanErrs []error
 	if *scanners > 0 {
 		oltpDone := make(chan struct{})
@@ -311,8 +311,8 @@ func main() {
 			go func(i int) {
 				defer swg.Done()
 				n, entries, err := runScanner(*addr, *scanLen, scanHist, oltpDone)
-				atomic.AddInt64(&scans, n)
-				atomic.AddInt64(&scanned, entries)
+				scans.Add(n)
+				scanned.Add(entries)
 				scanErrs[i] = err
 			}(i)
 		}
@@ -356,7 +356,7 @@ func main() {
 	var scanLat *stats.LatencyMicros
 	if *scanners > 0 {
 		l := scanHist.Snapshot().Micros()
-		fmt.Printf("snapshot scans: %d scanners, %d scans (%d entries)\n", *scanners, scans, scanned)
+		fmt.Printf("snapshot scans: %d scanners, %d scans (%d entries)\n", *scanners, scans.Load(), scanned.Load())
 		fmt.Printf("scan latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
 			l.MeanUs, l.P50Us, l.P95Us, l.P99Us, l.MaxUs)
 		scanLat = &l

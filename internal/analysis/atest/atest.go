@@ -20,7 +20,6 @@ package atest
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -33,20 +32,9 @@ import (
 )
 
 // Run analyzes each named package found under dir/src with analyzer a and
-// checks the diagnostics against the packages' want comments.
+// checks the diagnostics against the packages' want comments: a package
+// with none must produce no diagnostic at all.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
-	t.Helper()
-	l := newLoader(filepath.Join(dir, "src"))
-	for _, path := range pkgpaths {
-		runOne(t, l, a, path)
-	}
-}
-
-// RunExpectClean analyzes each named package and fails on ANY diagnostic,
-// ignoring want comments. It exists for scope/flag tests: the same testdata
-// package can carry want comments for one configuration and be asserted
-// silent under another.
-func RunExpectClean(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	l := newLoader(filepath.Join(dir, "src"))
 	for _, path := range pkgpaths {
@@ -54,123 +42,92 @@ func RunExpectClean(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...
 		if err != nil {
 			t.Fatalf("%s: load: %v", path, err)
 		}
-		var diags []analysis.Diagnostic
-		if _, err := runGraph(l, a, pi, newFactStore(), &diags); err != nil {
-			t.Fatalf("%s: analyzer: %v", path, err)
-		}
-		for _, d := range diags {
-			pos := l.fset.Position(d.Pos)
-			t.Errorf("%s:%d: unexpected diagnostic under this configuration: %s", pos.Filename, pos.Line, d.Message)
-		}
-	}
-}
-
-func runOne(t *testing.T, l *loader, a *analysis.Analyzer, path string) {
-	t.Helper()
-	pi, err := l.load(path)
-	if err != nil {
-		t.Fatalf("%s: load: %v", path, err)
-	}
-	facts := newFactStore()
-
-	// Run a over the target's testdata-local dependencies first (in
-	// dependency order) so facts about their objects are available, then
-	// over the target, collecting diagnostics only from the target.
-	var diags []analysis.Diagnostic
-	for _, dep := range l.localDepsOf(path) {
-		dpi, err := l.load(dep)
-		if err != nil {
-			t.Fatalf("%s: load dep %s: %v", path, dep, err)
-		}
-		if _, err := runGraph(l, a, dpi, facts, nil); err != nil {
-			t.Fatalf("%s: analyzer on dep %s: %v", path, dep, err)
-		}
-	}
-	if _, err := runGraph(l, a, pi, facts, &diags); err != nil {
-		t.Fatalf("%s: analyzer: %v", path, err)
-	}
-
-	checkWants(t, l.fset, pi.files, diags)
-}
-
-// runGraph runs a and its Requires closure over one package.
-func runGraph(l *loader, a *analysis.Analyzer, pi *pkgInfo, facts *factStore, sink *[]analysis.Diagnostic) (interface{}, error) {
-	results := map[*analysis.Analyzer]interface{}{}
-	var visit func(an *analysis.Analyzer) error
-	var order []*analysis.Analyzer
-	visiting := map[*analysis.Analyzer]bool{}
-	visit = func(an *analysis.Analyzer) error {
-		if _, done := results[an]; done || visiting[an] {
-			return nil
-		}
-		visiting[an] = true
-		for _, req := range an.Requires {
-			if err := visit(req); err != nil {
-				return err
+		// Run a over the target's testdata-local dependencies first (in
+		// dependency order) so facts about their objects are available,
+		// then over the target, collecting diagnostics only from the target.
+		facts := factStore{}
+		for _, dep := range l.localDepsOf(path) {
+			if err := runGraph(l, a, l.pkgs[dep], facts, nil); err != nil {
+				t.Fatalf("%s: analyzer on dep %s: %v", path, dep, err)
 			}
 		}
-		visiting[an] = false
-		order = append(order, an)
-		results[an] = nil
-		return nil
+		var diags []analysis.Diagnostic
+		if err := runGraph(l, a, pi, facts, &diags); err != nil {
+			t.Fatalf("%s: analyzer: %v", path, err)
+		}
+		checkWants(t, l.fset, pi.files, diags)
 	}
-	if err := visit(a); err != nil {
-		return nil, err
+}
+
+// factStore holds object facts in memory. The unitchecker gob-encodes facts
+// between packages; inside one Run the packages share a store, which gives
+// the same visibility (facts about a dependency's objects are readable when
+// analyzing an importer) without serialization. A fact replaces any of the
+// same concrete type, mirroring ExportObjectFact.
+type factStore map[types.Object][]analysis.Fact
+
+func (s factStore) export(obj types.Object, f analysis.Fact) {
+	for i, old := range s[obj] {
+		if reflect.TypeOf(old) == reflect.TypeOf(f) {
+			s[obj][i] = f
+			return
+		}
 	}
-	var final interface{}
-	for _, an := range order {
-		pass := l.newPass(an, pi, results, facts)
+	s[obj] = append(s[obj], f)
+}
+
+// lookup copies the stored fact of ptr's type into ptr.
+func (s factStore) lookup(obj types.Object, ptr analysis.Fact) bool {
+	for _, old := range s[obj] {
+		if reflect.TypeOf(old) == reflect.TypeOf(ptr) {
+			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(old).Elem())
+			return true
+		}
+	}
+	return false
+}
+
+// runGraph runs a and its Requires closure over one package, reporting a's
+// diagnostics into sink (discarded when nil).
+func runGraph(l *loader, a *analysis.Analyzer, pi *pkgInfo, facts factStore, sink *[]analysis.Diagnostic) error {
+	results := map[*analysis.Analyzer]interface{}{}
+	var run func(an *analysis.Analyzer) error
+	run = func(an *analysis.Analyzer) error {
+		if _, done := results[an]; done {
+			return nil
+		}
+		resultOf := map[*analysis.Analyzer]interface{}{}
+		for _, req := range an.Requires {
+			if err := run(req); err != nil {
+				return err
+			}
+			resultOf[req] = results[req]
+		}
+		pass := &analysis.Pass{
+			Analyzer:         an,
+			Fset:             l.fset,
+			Files:            pi.files,
+			Pkg:              pi.pkg,
+			TypesInfo:        pi.info,
+			TypesSizes:       types.SizesFor("gc", "amd64"),
+			ResultOf:         resultOf,
+			Report:           func(analysis.Diagnostic) {},
+			ReadFile:         os.ReadFile,
+			Module:           &analysis.Module{Path: "testdata"},
+			ImportObjectFact: facts.lookup,
+			ExportObjectFact: facts.export,
+		}
 		if an == a && sink != nil {
 			pass.Report = func(d analysis.Diagnostic) { *sink = append(*sink, d) }
 		}
 		res, err := an.Run(pass)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", an.Name, err)
-		}
-		if got, want := reflect.TypeOf(res), an.ResultType; want != nil && res != nil && got != want {
-			return nil, fmt.Errorf("%s returned %v, want %v", an.Name, got, want)
+			return fmt.Errorf("%s: %v", an.Name, err)
 		}
 		results[an] = res
-		if an == a {
-			final = res
-		}
+		return nil
 	}
-	return final, nil
-}
-
-// newPass assembles an analysis.Pass for one analyzer over one package.
-func (l *loader) newPass(an *analysis.Analyzer, pi *pkgInfo, results map[*analysis.Analyzer]interface{}, facts *factStore) *analysis.Pass {
-	resultOf := map[*analysis.Analyzer]interface{}{}
-	for _, req := range an.Requires {
-		resultOf[req] = results[req]
-	}
-	pass := &analysis.Pass{
-		Analyzer:   an,
-		Fset:       l.fset,
-		Files:      pi.files,
-		Pkg:        pi.pkg,
-		TypesInfo:  pi.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   resultOf,
-		Report:     func(analysis.Diagnostic) {},
-		ReadFile:   os.ReadFile,
-		Module:     &analysis.Module{Path: "testdata"},
-	}
-	pass.ImportObjectFact = func(obj types.Object, f analysis.Fact) bool {
-		return facts.importObject(obj, f)
-	}
-	pass.ExportObjectFact = func(obj types.Object, f analysis.Fact) {
-		facts.exportObject(obj, f)
-	}
-	pass.ImportPackageFact = func(pkg *types.Package, f analysis.Fact) bool {
-		return facts.importPackage(pkg, f)
-	}
-	pass.ExportPackageFact = func(f analysis.Fact) {
-		facts.exportPackage(pi.pkg, f)
-	}
-	pass.AllObjectFacts = func() []analysis.ObjectFact { return facts.allObjects() }
-	pass.AllPackageFacts = func() []analysis.PackageFact { return facts.allPackages() }
-	return pass
+	return run(a)
 }
 
 // checkWants matches diagnostics against `// want "re"` comments. Each
@@ -215,9 +172,4 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 			}
 		}
 	}
-}
-
-// parse is a tiny indirection so loader_test can reuse the parser mode.
-func parseFile(fset *token.FileSet, filename string) (*ast.File, error) {
-	return parser.ParseFile(fset, filename, nil, parser.ParseComments)
 }

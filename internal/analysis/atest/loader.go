@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
@@ -30,7 +31,6 @@ type loader struct {
 	fset *token.FileSet
 	src  string // testdata/src root
 	pkgs map[string]*pkgInfo
-	errs map[string]error
 	std  types.Importer
 }
 
@@ -40,7 +40,6 @@ func newLoader(src string) *loader {
 		fset: fset,
 		src:  src,
 		pkgs: map[string]*pkgInfo{},
-		errs: map[string]error{},
 	}
 	l.std = importer.ForCompiler(fset, "gc", exportLookup)
 	return l
@@ -89,19 +88,6 @@ func (l *loader) load(path string) (*pkgInfo, error) {
 	if pi, ok := l.pkgs[path]; ok {
 		return pi, nil
 	}
-	if err, ok := l.errs[path]; ok {
-		return nil, err
-	}
-	pi, err := l.loadUncached(path)
-	if err != nil {
-		l.errs[path] = err
-		return nil, err
-	}
-	l.pkgs[path] = pi
-	return pi, nil
-}
-
-func (l *loader) loadUncached(path string) (*pkgInfo, error) {
 	dir := filepath.Join(l.src, filepath.FromSlash(path))
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -119,7 +105,7 @@ func (l *loader) loadUncached(path string) (*pkgInfo, error) {
 	}
 	pi := &pkgInfo{}
 	for _, name := range names {
-		f, err := parseFile(l.fset, filepath.Join(dir, name))
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -155,6 +141,7 @@ func (l *loader) loadUncached(path string) (*pkgInfo, error) {
 		return nil, fmt.Errorf("type-check %s: %v", path, err)
 	}
 	pi.pkg = pkg
+	l.pkgs[path] = pi
 	return pi, nil
 }
 

@@ -12,9 +12,8 @@
 //     a default clause (select with a default is a poll and is fine);
 //   - sync.WaitGroup.Wait, sync.Cond.Wait, time.Sleep, and the blocking
 //     net/bufio/io/os entry points (Read, Write, Flush, Accept, Dial, ...);
-//   - the repo's durable-IO entry points, configured with -funcs
-//     (walerr-style pkg.Type.Method patterns; the default lists the
-//     engine/WAL/storage device paths);
+//   - the repo's durable-IO entry points (walerr-style pkg.Type.Method
+//     patterns naming the engine/WAL/storage device paths);
 //   - calls to functions that transitively do any of the above — summaries
 //     propagate through same-package calls and across packages via object
 //     facts;
@@ -27,14 +26,9 @@
 // exists for. Audited exceptions (the group-commit flush holds the
 // durability mutex across the WAL write by design) document themselves with
 // //lint:allowblock <reason>.
-//
-// Where the blocking statement is immediately followed by the Unlock of a
-// held mutex, the analyzer attaches a suggested fix swapping the two
-// statements.
 package blockunderlock
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -53,12 +47,12 @@ const doc = `flag blocking operations while an exclusive mutex is held
 
 Channel operations, WaitGroup/Cond waits, sleeps, network and device IO
 under a held exclusive lock stall every contender and can deadlock against
-the goroutine that would signal them. Configure the watched IO entry points
-with -blockunderlock.funcs; audited cases use //lint:allowblock <reason>.`
+the goroutine that would signal them. Audited cases use
+//lint:allowblock <reason>.`
 
-// DefaultFuncs lists the repo's device/durable IO entry points: holding an
+// funcs lists the repo's device/durable IO entry points: holding an
 // exclusive lock across any of these serializes the serving path.
-const DefaultFuncs = "internal/engine.Engine.ApplyBatch," +
+const funcs = "internal/engine.Engine.ApplyBatch," +
 	"internal/engine.Engine.ApplyBatchNoSync," +
 	"internal/engine.Engine.CommitPending," +
 	"internal/engine.Engine.Checkpoint," +
@@ -86,13 +80,6 @@ var Analyzer = &analysis.Analyzer{
 	Requires:  []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	FactTypes: []analysis.Fact{new(blocks)},
 	Run:       run,
-}
-
-var funcsFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&funcsFlag, "funcs", DefaultFuncs,
-		"comma-separated pkg.Type.Method or pkg.Func blocking IO entry points")
 }
 
 // stdlib blocking entry points, by package: method names (on any receiver
@@ -229,7 +216,7 @@ func (c *checker) classify(n ast.Node, sel selectMaps) (string, bool) {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	c := &checker{pass: pass, ws: lintutil.ParseFuncPatterns(funcsFlag)}
+	c := &checker{pass: pass, ws: lintutil.ParseFuncPatterns(funcs)}
 
 	summaries := c.summarize(ins)
 	c.blocksOf = func(fn *types.Func) (string, bool) {
@@ -376,18 +363,18 @@ func (c *checker) checkFunc(g *cfg.CFG, body *ast.BlockStmt) {
 		if s, ok := sel.comm[n]; ok {
 			if !sel.hasDefault[s] && !reportedSel[s] {
 				reportedSel[s] = true
-				c.report(s, body, held, "select with no default", lock)
+				c.report(s, "select with no default", lock)
 			}
 			return
 		}
 		if op, ok := c.classify(n, sel); ok {
-			c.report(n, body, held, op, lock)
+			c.report(n, op, lock)
 			return
 		}
 		// Calls through function values cannot be verified; flag them at
 		// the lock site only.
 		if call, ok := n.(*ast.CallExpr); ok && isFuncValueCall(pass.TypesInfo, call) {
-			c.report(n, body, held, "call through a function value (unverifiable)", lock)
+			c.report(n, "call through a function value (unverifiable)", lock)
 		}
 	})
 }
@@ -431,7 +418,7 @@ func isFuncValueCall(info *types.Info, call *ast.CallExpr) bool {
 	return isSig
 }
 
-func (c *checker) report(n ast.Node, body *ast.BlockStmt, held lintutil.LockSet, op string, lock *types.Var) {
+func (c *checker) report(n ast.Node, op string, lock *types.Var) {
 	pass := c.pass
 	if lintutil.IsTestFile(pass.Fset, n.Pos()) {
 		return
@@ -442,82 +429,5 @@ func (c *checker) report(n ast.Node, body *ast.BlockStmt, held lintutil.LockSet,
 		pass.Reportf(n.Pos(), "//lint:allowblock needs a reason")
 		return
 	}
-	d := analysis.Diagnostic{
-		Pos:     n.Pos(),
-		End:     n.End(),
-		Message: fmt.Sprintf("blocking %s while holding %s", op, lock.Name()),
-	}
-	if fix := c.swapFix(n, body, held); fix != nil {
-		d.SuggestedFixes = []analysis.SuggestedFix{*fix}
-	}
-	pass.Report(d)
-}
-
-// swapFix proposes swapping the blocking statement with an immediately
-// following Unlock of a held exclusive mutex, when the blocking operation
-// is itself a whole simple statement.
-func (c *checker) swapFix(n ast.Node, body *ast.BlockStmt, held lintutil.LockSet) *analysis.SuggestedFix {
-	info := c.pass.TypesInfo
-	var stmt, next ast.Stmt
-	ast.Inspect(body, func(m ast.Node) bool {
-		blk, ok := m.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range blk.List {
-			if s.Pos() > n.Pos() || n.End() > s.End() || i+1 >= len(blk.List) {
-				continue
-			}
-			switch s.(type) {
-			case *ast.ExprStmt, *ast.SendStmt, *ast.AssignStmt:
-			default:
-				continue
-			}
-			if stmt == nil || (s.Pos() >= stmt.Pos() && s.End() <= stmt.End()) {
-				stmt, next = s, blk.List[i+1]
-			}
-		}
-		return true
-	})
-	if stmt == nil || next == nil {
-		return nil
-	}
-	es, ok := next.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	v, kind, ok := lintutil.MutexOp(info, call)
-	if !ok || kind != lintutil.MutexUnlock || held[v]&lintutil.HeldExcl == 0 {
-		return nil
-	}
-	src := func(from, to token.Pos) []byte {
-		file := c.pass.Fset.File(from)
-		if file == nil {
-			return nil
-		}
-		content, err := c.pass.ReadFile(file.Name())
-		if err != nil {
-			return nil
-		}
-		lo, hi := file.Offset(from), file.Offset(to)
-		if lo < 0 || hi > len(content) || lo > hi {
-			return nil
-		}
-		return content[lo:hi]
-	}
-	stmtText, nextText := src(stmt.Pos(), stmt.End()), src(next.Pos(), next.End())
-	if stmtText == nil || nextText == nil {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("release %s before the blocking operation", v.Name()),
-		TextEdits: []analysis.TextEdit{
-			{Pos: stmt.Pos(), End: stmt.End(), NewText: nextText},
-			{Pos: next.Pos(), End: next.End(), NewText: stmtText},
-		},
-	}
+	pass.Reportf(n.Pos(), "blocking %s while holding %s", op, lock.Name())
 }

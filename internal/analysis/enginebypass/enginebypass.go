@@ -6,14 +6,14 @@
 // tree would bypass the cache, the per-client clocks, and the IO accounting
 // that every experiment's numbers depend on.
 //
-// The analyzer bans a configurable set of method names on a configurable
-// set of IO-layer packages, from everywhere except a configurable allow
-// list (the engine layer itself) and _test.go files.
+// The analyzer bans a set of method names on the IO-layer packages, from
+// everywhere except the engine layer itself and _test.go files.
 package enginebypass
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -27,23 +27,22 @@ const doc = `forbid direct storage/device IO outside the engine layer
 
 Trees, the server, and experiment harnesses must reach the device through
 engine.Client so that caching, per-client clocks and IO accounting stay
-correct. Configure with -enginebypass.device, -enginebypass.methods and
--enginebypass.allow.`
+correct.`
 
-// Defaults encode the repo's layering.
+// The repo's layering.
 const (
-	// DefaultDevice lists the IO-layer packages whose raw IO entry points
-	// are restricted.
-	DefaultDevice = "internal/storage,internal/hdd,internal/ssd,internal/pdamdev"
-	// DefaultMethods lists the restricted entry points: byte IO and the raw
-	// device timing call. Store.Meter stays open — it moves no bytes and is
-	// the sanctioned probe for device-model validation experiments.
-	DefaultMethods = "Read,ReadAt,WriteAt,Handover,Access"
-	// DefaultAllow lists the packages that form the engine layer: the
-	// engine itself, the storage package (Store wraps Device), the WAL
-	// (driven by the engine through a sanctioned device handle), and the
-	// device simulators.
-	DefaultAllow = "internal/engine,internal/storage,internal/wal,internal/hdd,internal/ssd,internal/pdamdev"
+	// ioLayer lists the IO-layer packages whose raw IO entry points are
+	// restricted.
+	ioLayer = "internal/storage,internal/hdd,internal/ssd,internal/pdamdev"
+	// rawIO lists the restricted entry points: byte IO and the raw device
+	// timing call. Store.Meter stays open — it moves no bytes and is the
+	// sanctioned probe for device-model validation experiments.
+	rawIO = "Read,ReadAt,WriteAt,Handover,Access"
+	// engineLayer lists the packages that form the engine layer: the engine
+	// itself, the storage package (Store wraps Device), the WAL (driven by
+	// the engine through a sanctioned device handle), and the device
+	// simulators.
+	engineLayer = "internal/engine,internal/storage,internal/wal,internal/hdd,internal/ssd,internal/pdamdev"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -53,38 +52,16 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-var (
-	deviceFlag  string
-	methodsFlag string
-	allowFlag   string
-)
-
-func init() {
-	Analyzer.Flags.StringVar(&deviceFlag, "device", DefaultDevice,
-		"comma-separated package patterns of the restricted IO layer")
-	Analyzer.Flags.StringVar(&methodsFlag, "methods", DefaultMethods,
-		"comma-separated method names that constitute raw IO")
-	Analyzer.Flags.StringVar(&allowFlag, "allow", DefaultAllow,
-		"comma-separated package patterns allowed to perform raw IO")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	device := lintutil.ParseScope(deviceFlag)
-	allow := lintutil.ParseScope(allowFlag)
-	if allow.ContainsPkg(pass.Pkg.Path()) {
+	if lintutil.ParseScope(engineLayer).ContainsPkg(pass.Pkg.Path()) {
 		return nil, nil
 	}
-	methods := map[string]bool{}
-	for _, m := range strings.Split(methodsFlag, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			methods[m] = true
-		}
-	}
+	device, methods := lintutil.ParseScope(ioLayer), strings.Split(rawIO, ",")
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
 		fn := lintutil.Callee(pass.TypesInfo, call)
-		if fn == nil || fn.Pkg() == nil || !methods[fn.Name()] {
+		if fn == nil || fn.Pkg() == nil || !slices.Contains(methods, fn.Name()) {
 			return
 		}
 		if !device.ContainsPkg(fn.Pkg().Path()) {

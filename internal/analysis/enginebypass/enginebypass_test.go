@@ -7,29 +7,14 @@ import (
 	"iomodels/internal/analysis/enginebypass"
 )
 
-func configure(t *testing.T, device, allow string) {
-	t.Helper()
-	for flag, val := range map[string]string{"device": device, "allow": allow} {
-		if err := enginebypass.Analyzer.Flags.Set(flag, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		enginebypass.Analyzer.Flags.Set("device", enginebypass.DefaultDevice)
-		enginebypass.Analyzer.Flags.Set("allow", enginebypass.DefaultAllow)
-	})
-}
-
 // TestBypass: a tree-layer package calling the IO layer directly is
 // diagnosed on byte IO and raw Access, through both concrete and interface
 // receivers; the metering probe stays sanctioned.
 func TestBypass(t *testing.T) {
-	configure(t, "bypassdev", "bypassok")
-	atest.Run(t, "../testdata", enginebypass.Analyzer, "bypassdata")
+	atest.Run(t, "testdata", enginebypass.Analyzer, "internal/btree")
 }
 
 // TestAllowList: the engine-layer package makes the same calls silently.
 func TestAllowList(t *testing.T) {
-	configure(t, "bypassdev", "bypassok")
-	atest.RunExpectClean(t, "../testdata", enginebypass.Analyzer, "bypassok")
+	atest.Run(t, "testdata", enginebypass.Analyzer, "internal/engine")
 }

@@ -1,10 +1,10 @@
 // Package lintutil holds the small amount of machinery shared by the iolint
 // analyzers: import-path scope matching, `//lint:` directive comments,
-// callee and receiver resolution, and the entry-point patterns their flags
-// are written in. Every analyzer in internal/analysis is configured with
-// comma-separated scope lists so the invariants stay data, not code; the
-// defaults encode this repo's layering and the flags let analyzer tests (and
-// future packages) rescope without edits.
+// callee and receiver resolution, the entry-point patterns their watched
+// lists are written in, and the shapes of a discarded error. Each analyzer
+// names its scope and entry points in unexported constants, comma-separated
+// lists that encode this repo's layering, so the invariants stay data, not
+// code; an analyzer's testdata models those import paths.
 package lintutil
 
 import (
@@ -12,6 +12,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"golang.org/x/tools/go/ast/inspector"
 )
 
 // Scope is a comma-separated list of package patterns, each optionally
@@ -218,4 +220,51 @@ func IsBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == name
+}
+
+// Discards calls report for every call match resolves (non-nil) whose
+// error is discarded: the call as a bare statement ("discarded"), its last
+// result assigned to _ ("assigned to _"), or the call run by go or defer
+// ("unobservable in go statement", "unobservable in defer").
+func Discards(ins *inspector.Inspector, match func(*ast.CallExpr) *types.Func, report func(call *ast.CallExpr, fn *types.Func, how string)) {
+	check := func(call *ast.CallExpr, how string) {
+		if fn := match(call); fn != nil {
+			report(call, fn, how)
+		}
+	}
+	ins.Preorder([]ast.Node{
+		(*ast.ExprStmt)(nil), (*ast.AssignStmt)(nil),
+		(*ast.GoStmt)(nil), (*ast.DeferStmt)(nil),
+	}, func(n ast.Node) {
+		switch st := n.(type) {
+		case *ast.ExprStmt:
+			if call, ok := st.X.(*ast.CallExpr); ok {
+				check(call, "discarded")
+			}
+		case *ast.GoStmt:
+			check(st.Call, "unobservable in go statement")
+		case *ast.DeferStmt:
+			check(st.Call, "unobservable in defer")
+		case *ast.AssignStmt:
+			// f() as the sole RHS: the error is the last LHS position.
+			if call, ok := st.Rhs[0].(*ast.CallExpr); ok && len(st.Rhs) == 1 {
+				if isBlank(st.Lhs[len(st.Lhs)-1]) {
+					check(call, "assigned to _")
+				}
+				return
+			}
+			// Parallel assignment a, b = f(), g(): single-valued calls line
+			// up 1:1 with the LHS.
+			for i, rhs := range st.Rhs {
+				if call, ok := rhs.(*ast.CallExpr); ok && len(st.Lhs) == len(st.Rhs) && isBlank(st.Lhs[i]) {
+					check(call, "assigned to _")
+				}
+			}
+		}
+	})
+}
+
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
 }

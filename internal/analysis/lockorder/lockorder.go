@@ -20,8 +20,7 @@
 //     sync mutexes are not reentrant), ranked or not;
 //   - calling, while holding a ranked lock, a function that may acquire an
 //     equal- or lower-ranked one. Function summaries propagate through
-//     same-package calls and, via object facts (the atomicfield technique),
-//     across packages.
+//     same-package calls and, via object facts, across packages.
 //
 // Unranked mutexes participate only in the self-deadlock check. An audited
 // exception documents itself with //lint:allowlockorder <reason>.

@@ -8,10 +8,10 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	atest.Run(t, "../testdata", lockorder.Analyzer, "lockorderdata")
+	atest.Run(t, "testdata", lockorder.Analyzer, "lockorderdata")
 }
 
 // TestDepClean: the dependency package is well-ordered on its own.
 func TestDepClean(t *testing.T) {
-	atest.RunExpectClean(t, "../testdata", lockorder.Analyzer, "lockorderdep")
+	atest.Run(t, "testdata", lockorder.Analyzer, "lockorderdep")
 }

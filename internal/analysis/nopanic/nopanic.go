@@ -28,12 +28,12 @@ const doc = `forbid panic() on the durability path
 
 The WAL and the engine's durability/recovery files must degrade via errors
 (sticky in the engine) rather than panic; see DESIGN.md "Degradation
-contract". Scope is configurable with -nopanic.scope; deliberate panics
-need a reasoned //lint:allowpanic directive.`
+contract". Deliberate panics need a reasoned //lint:allowpanic
+directive.`
 
-// DefaultScope names the durability path: all of internal/wal, plus the
+// durabilityPath names the durability path: all of internal/wal, plus the
 // engine files that implement logging, checkpointing and recovery.
-const DefaultScope = "internal/wal,internal/engine:durability.go,internal/engine:recover.go"
+const durabilityPath = "internal/wal,internal/engine:durability.go,internal/engine:recover.go"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "nopanic",
@@ -42,15 +42,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-var scopeFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&scopeFlag, "scope", DefaultScope,
-		"comma-separated pkg[:file.go] list forming the durability path")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	scope := lintutil.ParseScope(scopeFlag)
+	scope := lintutil.ParseScope(durabilityPath)
 	if !scope.ContainsPkg(pass.Pkg.Path()) {
 		return nil, nil
 	}

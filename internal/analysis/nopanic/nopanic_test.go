@@ -8,20 +8,12 @@ import (
 )
 
 func TestNoPanic(t *testing.T) {
-	if err := nopanic.Analyzer.Flags.Set("scope", "nopanicdata,nopanicfile:durability.go"); err != nil {
-		t.Fatal(err)
-	}
-	defer nopanic.Analyzer.Flags.Set("scope", nopanic.DefaultScope)
-	atest.Run(t, "../testdata", nopanic.Analyzer, "nopanicdata", "nopanicfile")
+	atest.Run(t, "testdata", nopanic.Analyzer, "internal/wal", "internal/engine")
 }
 
 // TestOutOfScope: a package off the durability path is never diagnosed,
-// even though it panics — rescoping the analyzer to internal/wal must turn
-// every nopanicfile diagnostic (including durability.go's) off.
+// even though it panics — including one whose import path merely extends
+// internal/wal's.
 func TestOutOfScope(t *testing.T) {
-	if err := nopanic.Analyzer.Flags.Set("scope", "internal/wal"); err != nil {
-		t.Fatal(err)
-	}
-	defer nopanic.Analyzer.Flags.Set("scope", nopanic.DefaultScope)
-	atest.RunExpectClean(t, "../testdata", nopanic.Analyzer, "nopanicfile")
+	atest.Run(t, "testdata", nopanic.Analyzer, "internal/walx")
 }

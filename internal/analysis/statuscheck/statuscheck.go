@@ -13,9 +13,8 @@
 //     text matching breaks the moment a message is reworded and ignores
 //     wrapping.
 //
-// The watched client types are configured with -statuscheck.types
-// (pkg.Type entries; the default names the repo's wire client and cluster
-// router). Every method on them whose last result is an error is covered,
+// The watched client types are the repo's wire client and cluster router.
+// Every method on them whose last result is an error is covered,
 // except Close (shutdown-path errors are advisory). The err.Error() text
 // check applies to all analyzed code. Audited exceptions use
 // //lint:allowstatus <reason>.
@@ -37,11 +36,11 @@ const doc = `require handling the wire client's typed error contract
 
 Errors from the wire client and router carry typed sentinels the failover
 and poisoned-connection machinery dispatch on; discarding them or matching
-on err.Error() text breaks that contract. Configure the watched types with
--statuscheck.types; audited exceptions use //lint:allowstatus <reason>.`
+on err.Error() text breaks that contract. Audited exceptions use
+//lint:allowstatus <reason>.`
 
-// DefaultTypes: the wire client and the cluster router.
-const DefaultTypes = "internal/server.Client,internal/cluster.Router"
+// watched names the wire client and the cluster router (pkg.Type entries).
+const watched = "internal/server.Client,internal/cluster.Router"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "statuscheck",
@@ -50,15 +49,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-var typesFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&typesFlag, "types", DefaultTypes,
-		"comma-separated pkg.Type wire-client types whose method errors carry the protocol contract")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	ws := lintutil.ParseFuncPatterns(typesFlag) // pkg.Type entries: Name is the type
+	ws := lintutil.ParseFuncPatterns(watched) // pkg.Type entries: Name is the type
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	info := pass.TypesInfo
 
@@ -109,45 +101,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	// Discard shapes, walerr's taxonomy.
-	ins.Preorder([]ast.Node{
-		(*ast.ExprStmt)(nil), (*ast.AssignStmt)(nil),
-		(*ast.GoStmt)(nil), (*ast.DeferStmt)(nil),
-	}, func(n ast.Node) {
-		switch st := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := st.X.(*ast.CallExpr); ok {
-				if fn := match(call); fn != nil {
-					reportDiscard(call, fn, "discarded")
-				}
-			}
-		case *ast.GoStmt:
-			if fn := match(st.Call); fn != nil {
-				reportDiscard(st.Call, fn, "unobservable in go statement")
-			}
-		case *ast.DeferStmt:
-			if fn := match(st.Call); fn != nil {
-				reportDiscard(st.Call, fn, "unobservable in defer")
-			}
-		case *ast.AssignStmt:
-			if len(st.Rhs) == 1 {
-				if call, ok := st.Rhs[0].(*ast.CallExpr); ok {
-					if fn := match(call); fn != nil && len(st.Lhs) > 0 && isBlank(st.Lhs[len(st.Lhs)-1]) {
-						reportDiscard(call, fn, "assigned to _")
-					}
-					return
-				}
-			}
-			if len(st.Lhs) == len(st.Rhs) {
-				for i, rhs := range st.Rhs {
-					if call, ok := rhs.(*ast.CallExpr); ok {
-						if fn := match(call); fn != nil && isBlank(st.Lhs[i]) {
-							reportDiscard(call, fn, "assigned to _")
-						}
-					}
-				}
-			}
-		}
-	})
+	lintutil.Discards(ins, match, reportDiscard)
 
 	// err.Error() text matching: comparison against a string, or passed to
 	// a strings predicate. (Printing the text is fine; dispatching on it is
@@ -200,9 +154,4 @@ func recvName(fn *types.Func) string {
 		return named.Obj().Name()
 	}
 	return "client"
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
 }

@@ -8,20 +8,12 @@ import (
 )
 
 func TestStatusCheck(t *testing.T) {
-	if err := statuscheck.Analyzer.Flags.Set("types", "statuswire.Client"); err != nil {
-		t.Fatal(err)
-	}
-	defer statuscheck.Analyzer.Flags.Set("types", statuscheck.DefaultTypes)
-	atest.Run(t, "../testdata", statuscheck.Analyzer, "statusdata")
+	atest.Run(t, "testdata", statuscheck.Analyzer, "statusdata")
 }
 
-// TestUnwatched: with no watched type configured the discard checks are
-// silent, but err.Error() text dispatch is still flagged — it is wrong
+// TestUnwatched: errors of a type that is not the wire client may be
+// discarded, but err.Error() text dispatch is still flagged — it is wrong
 // regardless of where the error came from.
 func TestUnwatched(t *testing.T) {
-	if err := statuscheck.Analyzer.Flags.Set("types", "nosuch.Type"); err != nil {
-		t.Fatal(err)
-	}
-	defer statuscheck.Analyzer.Flags.Set("types", statuscheck.DefaultTypes)
-	atest.Run(t, "../testdata", statuscheck.Analyzer, "statusnotypes")
+	atest.Run(t, "testdata", statuscheck.Analyzer, "statusnotypes")
 }

@@ -8,10 +8,5 @@ import (
 )
 
 func TestWalErr(t *testing.T) {
-	funcs := "walerrdata.Log.Append,walerrdata.Log.Commit,walerrdata.Eng.Sync"
-	if err := walerr.Analyzer.Flags.Set("funcs", funcs); err != nil {
-		t.Fatal(err)
-	}
-	defer walerr.Analyzer.Flags.Set("funcs", walerr.DefaultFuncs)
-	atest.Run(t, "../testdata", walerr.Analyzer, "walerrdata")
+	atest.Run(t, "testdata", walerr.Analyzer, "internal/server")
 }

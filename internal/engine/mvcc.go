@@ -356,7 +356,7 @@ func copyBytes(p []byte) []byte {
 // exactly the state the engine had applied when the snapshot opened, no
 // matter how many mutations commit afterwards. A Snap is safe for
 // concurrent use by many readers; Release it when done — live snapshots pin
-// version-chain memory (see the iolint snapshotrelease check).
+// version-chain memory.
 type Snap struct {
 	v        *versionStore
 	lsn      uint64

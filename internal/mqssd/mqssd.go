@@ -18,7 +18,7 @@
 // though they still exert cross-queue interference.
 //
 // Like every device model in the repo, it is driven entirely in virtual
-// time (sim.Time) — no wall-clock reads (the iolint virtualtime analyzer
+// time (sim.Time) — no wall-clock reads (TestVirtualTimeScopeImportsNoClock
 // enforces this).
 package mqssd
 

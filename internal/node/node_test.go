@@ -196,6 +196,92 @@ func TestPrimaryReplicaPair(t *testing.T) {
 	}
 }
 
+// TestCloseLeavesNoGoroutines: a sync-ship primary and a replica tailing it,
+// driven through Put, Get, Scan and a snapshot, leave no goroutine behind
+// once the client and both nodes are closed — the server's writer, accept
+// loop and connection handlers, and the replica's shipper each have a way
+// to be stopped, and Close uses it. A Close that hangs fails the test at its
+// deadline instead of timing out the package.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := func(cfg server.Config) node.Spec {
+		d, err := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Addr = "127.0.0.1:0"
+		return node.Spec{
+			Device: d, CacheBytes: 1 << 20, Tree: "btree", NodeBytes: 4 << 10,
+			Durability: &smallWAL, Items: 100, Server: cfg,
+		}
+	}
+	p, err := node.Start(spec(server.Config{Role: server.RolePrimary, SyncShip: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := spec(server.Config{Role: server.RoleReplica})
+	rs.Shipper = cluster.ShipperConfig{Primary: p.Addr, Opts: clientOpts(), Interval: time.Millisecond}
+	r, err := node.Start(rs)
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	c, err := server.DialOpts(p.Addr, clientOpts())
+	if err == nil {
+		err = drive(c)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		if c != nil {
+			c.Close()
+		}
+		rerr := r.Close()
+		closed <- errors.Join(rerr, p.Close())
+	}()
+	select {
+	case cerr := <-closed:
+		if err = errors.Join(err, cerr); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("closing the client, the replica and the primary hung past 10 s")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before boot:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// drive runs one of each request kind through c: a Put (acknowledged only
+// once the replica has pulled it), a Get, a Scan, and a snapshot opened,
+// read and released.
+func drive(c *server.Client) error {
+	keys := workload.DefaultSpec()
+	if err := c.Put(keys.Key(1000), []byte("v")); err != nil {
+		return fmt.Errorf("put: %w", err)
+	}
+	if _, ok, err := c.Get(keys.Key(7)); err != nil || !ok {
+		return fmt.Errorf("get: %v, %v", ok, err)
+	}
+	if _, err := c.Scan(keys.Key(0), keys.Key(50), 10); err != nil {
+		return fmt.Errorf("scan: %w", err)
+	}
+	id, _, err := c.SnapOpen()
+	if err != nil {
+		return fmt.Errorf("snapshot open: %w", err)
+	}
+	if _, _, err := c.SnapGet(id, keys.Key(7)); err != nil {
+		return fmt.Errorf("snapshot get: %w", err)
+	}
+	return c.SnapRelease(id)
+}
+
 // TestDurableBootAllocatesWhatItWrites boots the benchmark's mixed-durable-c16
 // node — kvserve -durable -items 65540 at its defaults: a serving-size log
 // region, so the first tree page sits 64 MiB into the image — and bounds what

@@ -354,8 +354,8 @@ type connState struct {
 }
 
 // releaseAll retires every snapshot the connection still holds (the
-// disconnect path; the iolint snapshotrelease check enforces the same
-// discipline on library callers).
+// disconnect path; TestServerSnapshotReleasedOnDisconnect holds it to
+// that, past the per-connection cap too).
 func (cs *connState) releaseAll() {
 	for id, sn := range cs.snaps {
 		sn.Release()

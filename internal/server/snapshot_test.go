@@ -119,25 +119,38 @@ func TestServerSnapshotEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerSnapshotReleasedOnDisconnect: every snapshot a connection
+// opened is released when it disconnects, and past the per-connection cap an
+// open refused with ErrBusy pins nothing.
 func TestServerSnapshotReleasedOnDisconnect(t *testing.T) {
-	tb := newTestServer(t, Config{}, flatDev{64 << 20}, true, 1<<20, 10)
-	c := dialT(t, tb)
-	if _, _, err := c.SnapOpen(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.SnapOpen(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.eng.MVCCStats().LiveSnapshots; got != 2 {
-		t.Fatalf("live snapshots = %d, want 2", got)
-	}
-	c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for tb.eng.MVCCStats().LiveSnapshots != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("disconnect leaked snapshots: %d live", tb.eng.MVCCStats().LiveSnapshots)
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, tc := range []struct {
+		name  string
+		opens int
+	}{{"under_cap", 2}, {"past_cap", maxSnapsPerConn + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestServer(t, Config{}, flatDev{64 << 20}, true, 1<<20, 10)
+			c := dialT(t, tb)
+			for i := 0; i < tc.opens; i++ {
+				_, _, err := c.SnapOpen()
+				if i < maxSnapsPerConn && err != nil {
+					t.Fatalf("open %d: %v", i, err)
+				}
+				if i >= maxSnapsPerConn && !errors.Is(err, ErrBusy) {
+					t.Fatalf("over-cap open: err = %v, want ErrBusy", err)
+				}
+			}
+			if got, want := tb.eng.MVCCStats().LiveSnapshots, min(tc.opens, maxSnapsPerConn); got != want {
+				t.Fatalf("live snapshots = %d, want %d", got, want)
+			}
+			c.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for tb.eng.MVCCStats().LiveSnapshots != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("disconnect leaked snapshots: %d live", tb.eng.MVCCStats().LiveSnapshots)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 

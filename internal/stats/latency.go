@@ -24,14 +24,14 @@ const (
 // (nanoseconds, virtual-time ticks — any unit). The zero value is NOT ready;
 // use NewLatencyHist. All methods are safe for concurrent use.
 type LatencyHist struct {
-	counts []int64 // accessed atomically
-	sum    int64   // atomic: exact running sum for Mean
-	max    int64   // atomic high-water
+	counts []atomic.Int64
+	sum    atomic.Int64 // exact running sum for Mean
+	max    atomic.Int64 // high-water
 }
 
 // NewLatencyHist returns an empty histogram.
 func NewLatencyHist() *LatencyHist {
-	return &LatencyHist{counts: make([]int64, latencyBuckets)}
+	return &LatencyHist{counts: make([]atomic.Int64, latencyBuckets)}
 }
 
 // latencyBucket maps a sample to its bucket index.
@@ -65,14 +65,9 @@ func (h *LatencyHist) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.counts[latencyBucket(v)], 1)
-	atomic.AddInt64(&h.sum, v)
-	for {
-		cur := atomic.LoadInt64(&h.max)
-		if v <= cur || atomic.CompareAndSwapInt64(&h.max, cur, v) {
-			return
-		}
-	}
+	h.counts[latencyBucket(v)].Add(1)
+	h.sum.Add(v)
+	h.raiseMax(v)
 }
 
 // Merge folds o's samples into h (o is read atomically; both may keep
@@ -80,15 +75,19 @@ func (h *LatencyHist) Observe(v int64) {
 // snapshot, the same guarantee Snapshot gives).
 func (h *LatencyHist) Merge(o *LatencyHist) {
 	for i := range o.counts {
-		if c := atomic.LoadInt64(&o.counts[i]); c != 0 {
-			atomic.AddInt64(&h.counts[i], c)
+		if c := o.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
 		}
 	}
-	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
-	om := atomic.LoadInt64(&o.max)
+	h.sum.Add(o.sum.Load())
+	h.raiseMax(o.max.Load())
+}
+
+// raiseMax lifts the high-water mark to v if v is above it.
+func (h *LatencyHist) raiseMax(v int64) {
 	for {
-		cur := atomic.LoadInt64(&h.max)
-		if om <= cur || atomic.CompareAndSwapInt64(&h.max, cur, om) {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -98,7 +97,7 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 func (h *LatencyHist) Count() int64 {
 	var n int64
 	for i := range h.counts {
-		n += atomic.LoadInt64(&h.counts[i])
+		n += h.counts[i].Load()
 	}
 	return n
 }
@@ -109,7 +108,7 @@ func (h *LatencyHist) Mean() float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(atomic.LoadInt64(&h.sum)) / float64(n)
+	return float64(h.sum.Load()) / float64(n)
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) as a bucket lower bound:
@@ -129,12 +128,12 @@ func (h *LatencyHist) Quantile(q float64) int64 {
 	rank := int64(q * float64(n-1))
 	var seen int64
 	for i := range h.counts {
-		seen += atomic.LoadInt64(&h.counts[i])
+		seen += h.counts[i].Load()
 		if seen > rank {
 			return latencyBucketLow(i)
 		}
 	}
-	return atomic.LoadInt64(&h.max)
+	return h.max.Load()
 }
 
 // Cumulative re-buckets the histogram onto the given ascending inclusive
@@ -147,7 +146,7 @@ func (h *LatencyHist) Quantile(q float64) int64 {
 func (h *LatencyHist) Cumulative(bounds []int64) (counts []int64, total, sum int64) {
 	counts = make([]int64, len(bounds))
 	for i := range h.counts {
-		c := atomic.LoadInt64(&h.counts[i])
+		c := h.counts[i].Load()
 		if c == 0 {
 			continue
 		}
@@ -163,7 +162,7 @@ func (h *LatencyHist) Cumulative(bounds []int64) (counts []int64, total, sum int
 	for j := 1; j < len(counts); j++ {
 		counts[j] += counts[j-1]
 	}
-	return counts, total, atomic.LoadInt64(&h.sum)
+	return counts, total, h.sum.Load()
 }
 
 // LatencySnapshot is a point-in-time summary of a LatencyHist.
@@ -185,7 +184,7 @@ func (h *LatencyHist) Snapshot() LatencySnapshot {
 		P50:   h.Quantile(0.50),
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
-		Max:   atomic.LoadInt64(&h.max),
+		Max:   h.max.Load(),
 	}
 }
 

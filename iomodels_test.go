@@ -3,6 +3,10 @@ package iomodels
 import (
 	"bytes"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -196,5 +200,45 @@ func TestFacadeDurableCrashRecovery(t *testing.T) {
 		if !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("key %d: got %q %v after recovery", i, v, ok)
 		}
+	}
+}
+
+// TestVirtualTimeScopeImportsNoClock: the device simulators, the cost models,
+// the fits and the read scheduler are functions of virtual time (sim.Time),
+// so the tables the experiments print are byte-identical run to run. No
+// non-test file there may import time: a wall-clock read, a sleep or a timer
+// would make a result depend on how the host schedules it.
+func TestVirtualTimeScopeImportsNoClock(t *testing.T) {
+	for _, sc := range []struct{ name, glob string }{
+		{"root", "*.go"},
+		{"sim", "internal/sim/*.go"},
+		{"pdamdev", "internal/pdamdev/*.go"},
+		{"hdd", "internal/hdd/*.go"},
+		{"ssd", "internal/ssd/*.go"},
+		{"mqssd", "internal/mqssd/*.go"},
+		{"fit", "internal/fit/*.go"},
+		{"scheduler", "internal/server/scheduler.go"},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			files, err := filepath.Glob(sc.glob)
+			if err != nil || len(files) == 0 {
+				t.Fatalf("%s: no Go files (%v)", sc.glob, err)
+			}
+			fset := token.NewFileSet()
+			for _, name := range files {
+				if strings.HasSuffix(name, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, imp := range f.Imports {
+					if imp.Path.Value == `"time"` {
+						t.Errorf("%s imports time; the virtual-time packages keep sim.Time only", name)
+					}
+				}
+			}
+		})
 	}
 }
