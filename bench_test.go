@@ -5,8 +5,9 @@
 // The table/figure benches run the corresponding experiment harness at
 // reduced scale and report the headline derived quantity as a custom
 // metric (virtual time, derived P, write amplification, ...), so
-// `go test -bench=.` regenerates every result in one sweep. The cmd/ tools
-// run the same harnesses at full scale with tables and CSV output.
+// `go test -bench=.` regenerates every result in one sweep. cmd/repro runs
+// the same harnesses at full scale through the experiment registry and
+// prints the tables EXPERIMENTS.md records.
 package iomodels
 
 import (

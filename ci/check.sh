@@ -20,7 +20,8 @@
 #              lintutil.FuncPattern, the store's block table, the read
 #              scheduler's virtual slots, kv.Dec's views, the store's
 #              read-only views, the checkpoint's translation table, the
-#              pager's intrusive LRU ring and the typed atomic counters removed
+#              pager's intrusive LRU ring, the typed atomic counters and the
+#              experiment registry removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -32,7 +33,9 @@
 #              just allocated, journal regions, a journal reader, a pass
 #              that installs captured pages a second time, a
 #              container/list LRU that allocates per Unpin and a raw
-#              atomic.AddInt64-style call on a plain integer) stay removed; the
+#              atomic.AddInt64-style call on a plain integer, a cmd/ main
+#              other than cmd/repro that drives internal/experiments) stay
+#              removed; the
 #              serving stack reads the wall clock or arms a timer at 13 sites
 #              in server/cluster/engine/node, none of them in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
@@ -54,7 +57,9 @@
 # concurrency to check and would push the package past its timeout.
 #
 # CI runs this script verbatim (.github/workflows/ci.yml); run it locally
-# before pushing.
+# before pushing. The full-scale EXPERIMENTS.md check (`go run ./cmd/repro
+# -check EXPERIMENTS.md`, about a quarter of an hour) is CI's separate
+# experiments job; tier-1 renders the same rows at reduced scale.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -149,6 +154,16 @@ fi
 dups=$(grep -rn --include='*.go' 'type watched' ./internal/analysis | grep -v -e '/lintutil/' -e '/testdata/' || true)
 if [ -n "$dups" ]; then
 	echo "an analyzer declares its own pattern type (use lintutil.FuncPattern):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# EXPERIMENTS.md is an output of one registry (internal/experiments/registry.go)
+# and one command, cmd/repro: a second main that drives the experiments is a
+# switchboard of flags growing back.
+dups=$(grep -ln '"iomodels/internal/experiments"' cmd/*/*.go | grep -v -e '^cmd/repro/' -e '_test\.go$' || true)
+if [ -n "$dups" ]; then
+	echo "a cmd/ main other than cmd/repro imports internal/experiments (add a registry row instead):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -108,15 +108,6 @@ func RenderTable2(rows []Table2Row) string {
 // label names a drive the way Table 2 does.
 func (r Table2Row) label() string { return fmt.Sprintf("%s (%d)", r.Device, r.Year) }
 
-// RenderTable2CSV emits the per-size series underlying Table 2.
-func RenderTable2CSV(rows []Table2Row) string {
-	cols := []column[int]{{"blocks_4k", func(i int) string { return fmt0(rows[0].sizes[i]) }}}
-	for _, r := range rows {
-		cols = append(cols, column[int]{r.label(), func(i int) string { return f6(r.means[i]) }})
-	}
-	return RenderCSV(grid(indices(len(rows[0].sizes)), cols))
-}
-
 // AffinePredictionRow quantifies E8 for one drive: the affine fit's maximum
 // relative error across IO sizes (paper: within 25%), and the worst-case
 // ratio between the DAM estimate (unit-cost blocks at the half-bandwidth

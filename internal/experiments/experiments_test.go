@@ -74,8 +74,8 @@ func TestE1E2PDAMValidation(t *testing.T) {
 	if !strings.Contains(RenderTable1(rows), "Samsung") {
 		t.Fatal("render broken")
 	}
-	if !strings.Contains(RenderFigure1CSV(series), "threads") {
-		t.Fatal("csv broken")
+	if !strings.Contains(RenderFigure1(series, smallPDAM()), "| p=64 |") {
+		t.Fatal("render broken")
 	}
 }
 
@@ -126,9 +126,6 @@ func TestE3AffineValidation(t *testing.T) {
 	}
 	if !strings.Contains(RenderTable2(rows), "Hitachi") {
 		t.Fatal("render broken")
-	}
-	if !strings.Contains(RenderTable2CSV(rows), "blocks_4k") {
-		t.Fatal("csv broken")
 	}
 }
 
@@ -247,9 +244,6 @@ func TestE5Figure2BTreeNodeSize(t *testing.T) {
 	}
 	if !strings.Contains(RenderNodeSize(res, "fig2"), "Node size") {
 		t.Fatal("render broken")
-	}
-	if !strings.Contains(RenderNodeSizeCSV(res), "node_bytes") {
-		t.Fatal("csv broken")
 	}
 
 	// E10: the measured optimum must sit below the half-bandwidth point,
@@ -450,12 +444,8 @@ func TestE9DynamicLemma13(t *testing.T) {
 
 func TestRenderHelpers(t *testing.T) {
 	tbl := RenderTable("t", []string{"a", "bb"}, [][]string{{"1", "2"}})
-	if !strings.Contains(tbl, "t\n") || !strings.Contains(tbl, "bb") {
-		t.Fatalf("table: %q", tbl)
-	}
-	csv := RenderCSV([]string{"a"}, [][]string{{"1"}})
-	if csv != "a\n1\n" {
-		t.Fatalf("csv: %q", csv)
+	if want := "t\n\n| a | bb |\n|---|---|\n| 1 | 2 |\n"; tbl != want {
+		t.Fatalf("table: %q, want %q", tbl, want)
 	}
 	if humanBytes(4096) != "4KiB" || humanBytes(2<<20) != "2MiB" || humanBytes(100) != "100B" {
 		t.Fatal("humanBytes wrong")
@@ -582,100 +572,53 @@ func TestE15DeviceFamilies(t *testing.T) {
 	}
 }
 
-// TestDeterminism is the repository's reproducibility contract: running a
-// sim-only harness twice in one process renders byte-identical output. The
-// pager-backed rows (E9-dynamic, E12, E14, E16, E18, E19) are the ones a
-// map-ordered Pager.Flush used to break: write-back order decided head
-// position and cache recency, hence virtual time, per run. The node-size
-// sweeps (E5, E6, E11, E13, E15) cost 20 s a render and stay out.
+// TestDeterminism is the repository's reproducibility contract: every
+// deterministic row of the registry, run twice in one process at the reduced
+// scale, renders byte-identical output. The pager-backed rows (E9-dynamic,
+// E12, E14, E16, E18, E19) are the ones a map-ordered Pager.Flush used to
+// break: write-back order decided head position and cache recency, hence
+// virtual time, per run. Under the race detector only the rows without a
+// tree workload run: the others take 10-20x as long there, and their
+// concurrent paths have their own tests in the race pass.
 func TestDeterminism(t *testing.T) {
 	t.Parallel()
+	light := map[string]bool{"E1": true, "E3": true, "E4": true, "E17": true, "E23": true, "M1": true}
+	for _, r := range Registry {
+		if !r.Deterministic {
+			continue
+		}
+		t.Run(r.ID+" "+r.Name, func(t *testing.T) {
+			if !light[r.ID] {
+				skipUnderRace(t)
+			}
+			render := func() string {
+				out, err := r.Run(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			if a, b := render(), render(); a != b {
+				t.Fatalf("not deterministic:\n%s\nvs\n%s", a, b)
+			}
+		})
+	}
+	// The E9 and E23 rows join tables from separate harness runs; each of
+	// those is also checked on its own, so a failure names its table.
 	for _, h := range []struct {
 		name   string
-		render func(t *testing.T) string
+		render func() string
 		heavy  bool // a full tree workload: skipped under the race detector
 	}{
-		{"Table 2", func(t *testing.T) string {
-			cfg := DefaultAffineConfig()
-			cfg.Rounds = 16
-			rows, err := Table2(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return RenderTable2(rows)
-		}, false},
-		{"Figure 1", func(*testing.T) string {
-			cfg := smallPDAM()
-			cfg.PerThreadIOs = 100
-			return RenderFigure1CSV(Figure1(cfg))
-		}, false},
-		{"E9 Lemma 13", func(*testing.T) string {
-			cfg := DefaultLemma13Config()
-			cfg.Items = 1 << 14
-			cfg.QueriesPerClient = 20
-			return RenderLemma13(Lemma13(cfg))
-		}, false},
-		{"E9-dynamic", func(*testing.T) string {
+		{"E9-dynamic", func() string {
 			cfg := DefaultLemma13DynamicConfig()
-			cfg.Items = 10_000
-			cfg.QueriesPerClient = 20
+			cfg.Items, cfg.QueriesPerClient = 10_000, 20
 			return RenderLemma13Dynamic(Lemma13Dynamic(cfg))
 		}, true},
-		{"E16 aging", func(*testing.T) string {
-			cfg := DefaultAgingConfig()
-			cfg.Items = 20_000
-			cfg.ChurnOps = 10_000
-			cfg.ScanOps = 5
-			cfg.ScanLen = 500
-			cfg.CacheBytes = 1 << 20
-			return RenderAging(Aging(cfg))
-		}, true},
-		{"E19 durability", func(*testing.T) string {
-			cfg := DefaultCrashConfig()
-			cfg.Items = 4_000
-			cfg.CacheBytes = 1 << 20
-			cfg.NodeBytes = 32 << 10
-			cfg.Durability.JournalBytes = 16 << 20
-			cfg.Durability.CheckpointEveryBytes = 512 << 10
-			return RenderCrash(Crash(cfg))
-		}, true},
-		{"E12 write amp", func(*testing.T) string {
-			cfg := DefaultWriteAmpConfig()
-			cfg.Items = 8_000
-			cfg.CacheBytes = 512 << 10
-			cfg.NodeSizes = []int{64 << 10}
-			return RenderWriteAmp(WriteAmp(cfg))
-		}, true},
-		{"E14 flush policy", func(*testing.T) string {
-			cfg := DefaultFlushPolicyConfig()
-			cfg.Items = 10_000
-			cfg.Ops = 4_000
-			cfg.KeySpace = 10_000
-			return RenderFlushPolicy(FlushPolicyAblation(cfg))
-		}, true},
-		{"E17 asymmetry", func(t *testing.T) string {
-			cfg := smallPDAM()
-			cfg.PerThreadIOs = 100
-			rows, err := Asymmetry(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return RenderAsymmetry(rows)
-		}, false},
-		{"E18 epsilon", func(*testing.T) string {
-			cfg := DefaultEpsilonConfig()
-			cfg.Items = 20_000
-			cfg.QueryOps = 40
-			cfg.InsertOps = 1_000
-			cfg.NodeBytes = 128 << 10
-			cfg.Fanouts = []int{2, 8}
-			cfg.CacheBytes = 1 << 20
-			return RenderEpsilon(EpsilonSweep(cfg))
-		}, true},
-		{"E23 calibration", func(*testing.T) string {
+		{"E23 calibration", func() string {
 			return RenderMQCalibration(MQCalibration(DefaultMQServingConfig()))
 		}, false},
-		{"E23 write isolation", func(*testing.T) string {
+		{"E23 write isolation", func() string {
 			return RenderMQIsolation(MQWriteIsolation(DefaultMQServingConfig()))
 		}, false},
 	} {
@@ -683,7 +626,7 @@ func TestDeterminism(t *testing.T) {
 			if h.heavy {
 				skipUnderRace(t)
 			}
-			if a, b := h.render(t), h.render(t); a != b {
+			if a, b := h.render(), h.render(); a != b {
 				t.Fatalf("not deterministic:\n%s\nvs\n%s", a, b)
 			}
 		})

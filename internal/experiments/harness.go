@@ -223,7 +223,7 @@ func renderSchedulerRows(title string, rows []ServingRow) string {
 		{"steps", func(r ServingRow) string { return fmt0(r.Steps) }},
 		{"gets/step", func(r ServingRow) string { return f3(r.Throughput) }},
 		{"hit%", func(r ServingRow) string { return f2(r.HitRatio * 100) }},
-		{"p50 µs", func(r ServingRow) string { return fmt0(r.P50Us) }},
-		{"p99 µs", func(r ServingRow) string { return fmt0(r.P99Us) }},
+		{"p50 (wall µs)", func(r ServingRow) string { return fmt0(r.P50Us) }},
+		{"p99 (wall µs)", func(r ServingRow) string { return fmt0(r.P99Us) }},
 	})
 }

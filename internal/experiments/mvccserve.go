@@ -212,8 +212,8 @@ func RenderMVCCServe(rows []MVCCServeRow) string {
 		{"readers", func(r MVCCServeRow) string { return intStr(r.Readers) }},
 		{"writers", func(r MVCCServeRow) string { return intStr(r.Writers) }},
 		{"reads", func(r MVCCServeRow) string { return intStr(int(r.Reads)) }},
-		{"p50 µs", func(r MVCCServeRow) string { return fmt0(r.P50Us) }},
-		{"p99 µs", func(r MVCCServeRow) string { return fmt0(r.P99Us) }},
+		{"p50 (wall µs)", func(r MVCCServeRow) string { return fmt0(r.P50Us) }},
+		{"p99 (wall µs)", func(r MVCCServeRow) string { return fmt0(r.P99Us) }},
 		{"chain hit%", func(r MVCCServeRow) string { return f2(r.ChainHitPct) }},
 	})
 }

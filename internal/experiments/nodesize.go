@@ -307,19 +307,6 @@ func RenderNodeSize(res NodeSizeResult, title string) string {
 	})
 }
 
-// RenderNodeSizeCSV emits the sweep as CSV.
-func RenderNodeSizeCSV(res NodeSizeResult) string {
-	return RenderCSV(grid(res.Points, []column[NodeSizePoint]{
-		{"node_bytes", func(p NodeSizePoint) string { return intStr(p.NodeBytes) }},
-		{"query_ms", func(p NodeSizePoint) string { return f4(p.QueryMs) }},
-		{"model_query_ms", func(p NodeSizePoint) string { return f4(p.ModelQueryMs) }},
-		{"insert_ms", func(p NodeSizePoint) string { return f4(p.InsertMs) }},
-		{"model_insert_ms", func(p NodeSizePoint) string { return f4(p.ModelInsertMs) }},
-		{"scan_us_item", func(p NodeSizePoint) string { return f4(p.ScanUsItem) }},
-		{"model_scan_us_item", func(p NodeSizePoint) string { return f4(p.ModelScanUsIt) }},
-	}))
-}
-
 // OptimaRow is E10: where the measured B-tree optimum falls versus the
 // model's Corollary 7 optimum and the half-bandwidth point.
 type OptimaRow struct {

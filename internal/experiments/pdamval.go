@@ -12,6 +12,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"iomodels/internal/core"
 	"iomodels/internal/fit"
 	"iomodels/internal/sim"
@@ -151,13 +153,15 @@ func RenderTable1(rows []Table1Row) string {
 	})
 }
 
-// RenderFigure1CSV emits the Figure 1 series (one column per device).
-func RenderFigure1CSV(series []Figure1Series) string {
-	cols := []column[int]{{"threads", func(i int) string { return intStr(series[0].Points[i].Threads) }}}
-	for _, s := range series {
-		cols = append(cols, column[int]{s.Device, func(i int) string { return f3(s.Points[i].Seconds) }})
+// RenderFigure1 formats the Figure 1 series, one row per device and one
+// column per thread count.
+func RenderFigure1(series []Figure1Series, cfg PDAMConfig) string {
+	cols := []column[Figure1Series]{{"Device", func(s Figure1Series) string { return s.Device }}}
+	for i, pt := range series[0].Points {
+		cols = append(cols, column[Figure1Series]{fmt.Sprintf("p=%d", pt.Threads), func(s Figure1Series) string { return f2(s.Points[i].Seconds) }})
 	}
-	return RenderCSV(grid(indices(len(series[0].Points)), cols))
+	title := fmt.Sprintf("Figure 1: seconds (virtual) for p threads × %d random %s reads each", cfg.PerThreadIOs, humanBytes(int(cfg.IOBytes)))
+	return renderRows(title, series, cols)
 }
 
 // PredictionRow quantifies E7: how well the PDAM (knee model) and the DAM

@@ -1,9 +1,10 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation, plus the §4 prediction-error claims and the §6/§8
 // design experiments. Each harness runs real workloads on the simulated
-// devices and returns structured results; cmd/ tools render them as the
-// aligned text tables and CSV series the paper plots. DESIGN.md's
-// per-experiment index maps experiment IDs (E1..E12) to these functions.
+// devices and returns structured results; every Render* formats them as the
+// GitHub pipe tables EXPERIMENTS.md records. The registry (registry.go) runs
+// each harness at the scale EXPERIMENTS.md records; cmd/repro lists, runs
+// and checks its rows, and DESIGN.md §4 maps experiment IDs to them.
 package experiments
 
 import (
@@ -11,38 +12,18 @@ import (
 	"strings"
 )
 
-// RenderTable formats rows as an aligned text table.
+// RenderTable formats rows as a GitHub pipe table under its title: the one
+// format of every table, on a terminal and in EXPERIMENTS.md alike.
 func RenderTable(title string, headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	var b strings.Builder
 	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
+		fmt.Fprintf(&b, "%s\n\n", title)
 	}
 	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "| %s |\n", strings.Join(cells, " | "))
 	}
 	line(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
+	b.WriteString(strings.Repeat("|---", len(headers)) + "|\n")
 	for _, r := range rows {
 		line(r)
 	}
@@ -55,12 +36,14 @@ type column[R any] struct {
 	cell func(R) string
 }
 
-// grid lays rows out through cols: the header line and one line of cells
-// per row, for RenderTable or RenderCSV.
-func grid[R any](rows []R, cols []column[R]) (headers []string, cells [][]string) {
+// renderRows formats one table line per row through a column list: every
+// Render* table in the package is a title, rows and columns.
+func renderRows[R any](title string, rows []R, cols []column[R]) string {
+	var headers []string
 	for _, c := range cols {
 		headers = append(headers, c.head)
 	}
+	var cells [][]string
 	for _, r := range rows {
 		line := make([]string, len(cols))
 		for i, c := range cols {
@@ -68,36 +51,7 @@ func grid[R any](rows []R, cols []column[R]) (headers []string, cells [][]string
 		}
 		cells = append(cells, line)
 	}
-	return headers, cells
-}
-
-// indices returns 0, 1, … n-1: the rows of a table whose columns are series.
-func indices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// renderRows formats one aligned table line per row through a column list:
-// every Render* table in the package is a title, rows and columns.
-func renderRows[R any](title string, rows []R, cols []column[R]) string {
-	headers, cells := grid(rows, cols)
 	return RenderTable(title, headers, cells)
-}
-
-// RenderCSV formats rows as CSV (no quoting needed: cells are numbers and
-// simple names).
-func RenderCSV(headers []string, rows [][]string) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(headers, ","))
-	b.WriteByte('\n')
-	for _, r := range rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -197,12 +197,12 @@ func RenderShipLag(rows []ShipLagRow) string {
 		{"mode", func(r ShipLagRow) string { return r.Mode }},
 		{"writers", func(r ShipLagRow) string { return intStr(r.Writers) }},
 		{"writes", func(r ShipLagRow) string { return intStr(int(r.Writes)) }},
-		{"p50 µs", func(r ShipLagRow) string { return fmt0(r.P50Us) }},
-		{"p99 µs", func(r ShipLagRow) string { return fmt0(r.P99Us) }},
+		{"put p50 (wall µs)", func(r ShipLagRow) string { return fmt0(r.P50Us) }},
+		{"put p99 (wall µs)", func(r ShipLagRow) string { return fmt0(r.P99Us) }},
 		{"gate waits", func(r ShipLagRow) string { return intStr(int(r.GateWaits)) }},
-		{"gate p99 µs", func(r ShipLagRow) string { return fmt0(r.GateP99Us) }},
+		{"gate p99 (wall µs)", func(r ShipLagRow) string { return fmt0(r.GateP99Us) }},
 		{"lag samples", func(r ShipLagRow) string { return intStr(int(r.LagSamples)) }},
-		{"lag max ms", func(r ShipLagRow) string { return f3(r.LagMaxMs) }},
+		{"lag max (wall ms)", func(r ShipLagRow) string { return f3(r.LagMaxMs) }},
 		{"lag max lsns", func(r ShipLagRow) string { return intStr(int(r.LagMaxLSNs)) }},
 	})
 }

@@ -23,8 +23,8 @@
 //	experiments one harness per table/figure of the paper
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-versus-measured results; the cmd/ tools regenerate every table and
-// figure.
+// paper-versus-measured results; cmd/repro regenerates every table and
+// figure from the experiment registry and checks EXPERIMENTS.md against it.
 package iomodels
 
 import (
