@@ -497,10 +497,10 @@ go test -race ./internal/cluster
 go test -race ./internal/mqssd
 go test -race -run 'Lane|Scheduler|Batch' ./internal/server
 
-# The span tracer's and trace ring's concurrency regressions, named
+# The span tracer's and the IO trace's concurrency regressions, named
 # explicitly for the same reason (the full -race pass below also covers the
 # end-to-end residual tests).
-go test -race -run 'TracerConcurrent|TraceConcurrentSetCap' ./internal/obs ./internal/storage
+go test -race -run 'TracerConcurrent|TraceConcurrentAdd' ./internal/obs ./internal/storage
 
 # The cluster-observability chain under the race detector, named explicitly:
 # the merged-trace test races a traced client against the primary's writer

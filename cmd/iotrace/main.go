@@ -14,8 +14,7 @@
 // Usage:
 //
 //	iotrace [-tree b|be|lsm] [-device hdd|ssd|pdam|mq] [-items N] [-ops N]
-//	        [-clients K] [-node BYTES] [-cache BYTES] [-sample N]
-//	        [-chrome FILE] [-assert]
+//	        [-clients K] [-node BYTES] [-cache BYTES] [-chrome FILE] [-assert]
 //	iotrace -merge [-o FILE] name=spans.json [name=spans.json ...]
 //
 // -clients runs the query phase as K concurrent simulated processes, so on
@@ -44,7 +43,6 @@ import (
 
 	"iomodels/internal/engine"
 	"iomodels/internal/hdd"
-	"iomodels/internal/mqssd"
 	"iomodels/internal/node"
 	"iomodels/internal/obs"
 	"iomodels/internal/sim"
@@ -61,7 +59,6 @@ func main() {
 	cache := flag.Int64("cache", 4<<20, "engine cache bytes")
 	ops := flag.Int("ops", 200, "measured queries after the load")
 	clients := flag.Int("clients", 1, "concurrent query clients (sim processes)")
-	sample := flag.Int("sample", 1, "trace 1 in N queries")
 	chromeOut := flag.String("chrome", "", "write a Chrome trace_event JSON of the query phase here")
 	assert := flag.Bool("assert", false, "exit 1 unless the refined model beats the DAM on read residuals")
 	merge := flag.Bool("merge", false, "merge span dumps (name=file args) into one cross-process Chrome trace and exit")
@@ -81,10 +78,9 @@ func main() {
 		// cost, so the measured side uses the mean-rotation disk.
 		dev = hdd.NewDeterministic(hdd.DefaultProfile())
 	} else {
-		// The serving devices: pdam at kvserve's defaults, mq at the E23
-		// profile.
+		// The serving devices as kvserve builds them, at its default P.
 		var err error
-		if dev, err = node.NewDevice(*device, 16, mqssd.DefaultConfig(), 4<<30); err != nil {
+		if dev, err = node.NewDevice(*device, 16); err != nil {
 			fatalf("unknown device %q (want hdd, ssd, pdam, or mq)", *device)
 		}
 	}
@@ -110,7 +106,7 @@ func main() {
 	// confined to the engine's allocated region: the hdd's seek cost grows
 	// with distance, so a whole-device sweep would fit an s the workload's
 	// short seeks never pay.
-	cfg := obs.Config{SampleEvery: *sample}
+	var cfg obs.Config // every query traced
 	models, ok := obs.ModelsFor(dev, obs.CalibrationConfig{
 		BlockBytes:  int64(*nodeBytes),
 		RegionBytes: eng.HighWater(),

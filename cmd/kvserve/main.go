@@ -12,10 +12,12 @@
 //	kvserve [-addr HOST:PORT] [-metrics HOST:PORT] [-device pdam|ssd|mq]
 //	        [-tree btree|betree|lsm] [-items N] [-durable] [-batch N] ...
 //
-// The device is a timing model, so IO cost accrues on a shared virtual
-// clock while connections are real TCP; the /stats document reports both
-// (vclock_ns vs wall-clock op latencies). -batch 1 degrades the read
-// scheduler to the DAM-style one-IO-at-a-time baseline of experiment E20.
+// The device is a timing model at 4 KiB blocks and 1 ms steps (pdam: P = -p
+// slots per step; mq: experiment E23's multi-queue device), so IO cost
+// accrues on a shared virtual clock while connections are real TCP; the
+// /stats document reports both (vclock_ns vs wall-clock op latencies).
+// -batch 1 degrades the read scheduler to the DAM-style one-IO-at-a-time
+// baseline of experiment E20. DESIGN.md §13 lists every flag and who sets it.
 //
 // Cluster membership: -shard/-shards place this node's keyspace slice in
 // internal/cluster's consistent-hash ring, -replica-of turns the node into
@@ -43,12 +45,10 @@ import (
 
 	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
-	"iomodels/internal/mqssd"
 	"iomodels/internal/node"
 	"iomodels/internal/obs"
 	"iomodels/internal/server"
 	"iomodels/internal/sim"
-	"iomodels/internal/storage"
 )
 
 func main() {
@@ -56,25 +56,12 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "HTTP listen address for /stats and /metrics (empty: disabled)")
 	device := flag.String("device", "pdam", "device model: pdam, ssd, or mq")
 	p := flag.Int("p", 16, "PDAM parallelism P (IO slots per step)")
-	block := flag.Int64("block", 4<<10, "PDAM block bytes B")
-	step := flag.Duration("step", time.Millisecond, "PDAM step length (virtual time)")
-	capacity := flag.Int64("capacity", 4<<30, "pdam device capacity bytes")
-	queues := flag.Int("queues", 0, "mq device: read queue pairs (0: mq default)")
-	qslots := flag.Int("qslots", 0, "mq device: per-queue IOs per step (0: mq default)")
-	qdepth := flag.Int("qdepth", 0, "mq device: per-queue outstanding cap (0: per-queue slots)")
-	beta := flag.Float64("beta", 0.125, "mq device: cross-queue interference β")
-	writeQueue := flag.Bool("wq", true, "mq device: dedicate a write queue pair")
 	treeKind := flag.String("tree", "btree", "dictionary: btree, betree, or lsm")
 	nodeBytes := flag.Int("node", 4<<10, "tree node bytes (btree/betree)")
 	cache := flag.Int64("cache", 64<<20, "engine cache bytes")
 	items := flag.Int64("items", 0, "preload this many keys before serving")
 	durable := flag.Bool("durable", false, "enable the WAL: group commit and crash recovery")
 	batch := flag.Int("batch", 0, "read slots per lane (0: ask the device for P; 1: DAM-style)")
-	lanes := flag.Int("lanes", 0, "read lanes (0: ask the device for its queue topology)")
-	readq := flag.Int("readq", 0, "read admission bound (0: 4x batch)")
-	writeq := flag.Int("writeq", 0, "write queue bound (0: default 1024)")
-	writeBatch := flag.Int("writebatch", 0, "mutations per group commit (0: default 64)")
-	traceCap := flag.Int("trace", 0, "retain an IO trace of this many records (0: off)")
 	obsOn := flag.Bool("obs", false, "attach the span tracer: per-layer IO attribution and live model residuals on /stats and /metrics")
 	obsSample := flag.Int("obs-sample", 16, "trace 1 in N operations (with -obs)")
 	chromeOut := flag.String("chrome", "", "write a Chrome trace_event JSON of retained spans here at shutdown (implies -obs)")
@@ -85,7 +72,6 @@ func main() {
 	shards := flag.Int("shards", 1, "total shard count in the cluster ring")
 	replicaOf := flag.String("replica-of", "", "primary address to tail as a warm replica (requires -durable)")
 	syncShip := flag.Bool("sync-ship", false, "ack writes only after a replica confirms them (requires -durable)")
-	shipBuffer := flag.Int("ship-buffer", 0, "ship ring capacity in records (0: engine default)")
 	flag.Parse()
 
 	isReplica := *replicaOf != ""
@@ -104,11 +90,7 @@ func main() {
 		role = server.RolePrimary
 	}
 
-	mcfg := mqssd.Config{
-		Queues: *queues, PerQueueP: *qslots, QueueDepth: *qdepth, Interference: *beta,
-		WriteQueue: *writeQueue, BlockBytes: *block, StepTime: sim.Time(*step),
-	}
-	dev, err := node.NewDevice(*device, *p, mcfg, *capacity)
+	dev, err := node.NewDevice(*device, *p)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -118,15 +100,10 @@ func main() {
 		CacheBytes: *cache,
 		Tree:       *treeKind,
 		NodeBytes:  *nodeBytes,
-		ShipCap:    *shipBuffer,
 		Items:      *items,
 		Server: server.Config{
 			Addr:            *addr,
 			BatchIOs:        *batch,
-			ReadLanes:       *lanes,
-			ReadQueue:       *readq,
-			WriteQueue:      *writeq,
-			WriteBatch:      *writeBatch,
 			ShardID:         *shard,
 			Shards:          *shards,
 			Role:            role,
@@ -142,9 +119,6 @@ func main() {
 	}
 	if *durable {
 		spec.Durability = &engine.DurabilityConfig{}
-	}
-	if *traceCap > 0 {
-		spec.Server.Trace = storage.NewBoundedTrace(*traceCap)
 	}
 	var tracer *obs.Tracer
 	if *obsOn || *chromeOut != "" || *spansOut != "" {

@@ -25,6 +25,9 @@ import (
 	"iomodels/internal/wal"
 )
 
+// shipPullBatch is the most records one pull asks for.
+const shipPullBatch = 1024
+
 // ShipperConfig tunes a Shipper.
 type ShipperConfig struct {
 	// Primary is the primary's TCP address.
@@ -32,8 +35,6 @@ type ShipperConfig struct {
 	// Opts are the connection options (the request timeout bounds how long
 	// a dead primary can stall one pull).
 	Opts server.Options
-	// Batch is the max records per pull (default 1024).
-	Batch int
 	// Interval is the poll delay while caught up (default 2ms). Behind the
 	// stream, the shipper pulls back-to-back.
 	Interval time.Duration
@@ -58,9 +59,6 @@ type Shipper struct {
 
 // NewShipper builds a shipper feeding srv from the primary. Call Start.
 func NewShipper(srv *server.Server, cfg ShipperConfig) *Shipper {
-	if cfg.Batch <= 0 {
-		cfg.Batch = 1024
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Millisecond
 	}
@@ -141,7 +139,7 @@ func (sh *Shipper) loop() {
 			backoff = min(2*backoff, maxBackoff)
 			continue
 		}
-		recs, committed, _, err := c.ShipPullStamped(sh.Cursor(), sh.cfg.Batch)
+		recs, committed, _, err := c.ShipPullStamped(sh.Cursor(), shipPullBatch)
 		if err != nil {
 			if errors.Is(err, server.ErrShipGap) {
 				sh.fail(fmt.Errorf("shipper: %w", err))

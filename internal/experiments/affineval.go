@@ -15,8 +15,7 @@ import (
 
 	"iomodels/internal/fit"
 	"iomodels/internal/hdd"
-	"iomodels/internal/sim"
-	"iomodels/internal/stats"
+	"iomodels/internal/obs"
 	"iomodels/internal/storage"
 )
 
@@ -59,19 +58,7 @@ func Table2(cfg AffineConfig) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, prof := range hdd.Profiles() {
 		st := storage.NewStore(hdd.New(prof, cfg.Seed))
-		rng := stats.NewRNG(cfg.Seed + 77)
-		var now sim.Time
-		var xs, ys []float64
-		for _, blocks := range cfg.Blocks {
-			size := blocks * 4096
-			start := now
-			for i := 0; i < cfg.Rounds; i++ {
-				off := rng.Int63n((prof.Capacity()-size)/4096) * 4096
-				now = st.Meter(now, storage.Read, off, size)
-			}
-			xs = append(xs, float64(blocks))
-			ys = append(ys, (now-start).Seconds()/float64(cfg.Rounds))
-		}
+		xs, ys := obs.SizeSweep(st, cfg.Blocks, cfg.Rounds, prof.Capacity(), cfg.Seed)
 		line, err := fit.Linear(xs, ys)
 		if err != nil {
 			return nil, err

@@ -139,8 +139,8 @@ func relErr(pred, meas float64) float64 {
 func mqThreadRound(dcfg mqssd.Config, p, ios int, seed uint64) float64 {
 	dev := mqssd.New(dcfg)
 	block := dev.Config().BlockBytes
-	return ioRound(storage.NewStore(dev.Storage(1<<31)), storage.Read, p, ios, block, (1<<31)/block,
-		stats.NewRNG(seed+uint64(p)*1000003))
+	return obs.IORound(storage.NewStore(dev.Storage(1<<31)), storage.Read, p, ios, block, (1<<31)/block,
+		stats.NewRNG(seed+uint64(p)*obs.ThreadSeedStride))
 }
 
 // startMQServing boots a B-tree server on a fresh multi-queue device.
@@ -229,7 +229,7 @@ func mqIsolationRound(dcfg mqssd.Config, readers, ios int, seed uint64) MQIsolat
 	dev := mqssd.New(dcfg)
 	st := storage.NewStore(dev.Storage(1 << 31))
 	block := dev.Config().BlockBytes
-	lastReader := ioThreads(eng, st, storage.Read, readers, ios, block, (1<<30)/block, stats.NewRNG(seed+99991))
+	lastReader := obs.IOThreads(eng, st, storage.Read, readers, ios, block, (1<<30)/block, stats.NewRNG(seed+99991))
 	// The write stream: dependent 16-block sequential bursts, with enough
 	// volume to outlast the readers. Sequential addresses rotate across the
 	// read queues when no write queue isolates them.

@@ -15,8 +15,7 @@ import (
 	"fmt"
 
 	"iomodels/internal/core"
-	"iomodels/internal/fit"
-	"iomodels/internal/sim"
+	"iomodels/internal/obs"
 	"iomodels/internal/ssd"
 	"iomodels/internal/stats"
 	"iomodels/internal/storage"
@@ -56,7 +55,7 @@ type Figure1Series struct {
 func Figure1(cfg PDAMConfig) []Figure1Series {
 	var out []Figure1Series
 	for _, prof := range ssd.Profiles() {
-		out = append(out, threadSeries(prof, cfg, storage.Read, 1000003))
+		out = append(out, threadSeries(prof, cfg, storage.Read, obs.ThreadSeedStride))
 	}
 	return out
 }
@@ -69,41 +68,11 @@ func threadSeries(prof ssd.Profile, cfg PDAMConfig, op storage.Op, seedStride ui
 	s := Figure1Series{Device: prof.Name}
 	slots := (prof.Capacity() - cfg.IOBytes) / cfg.IOBytes
 	for _, p := range cfg.Threads {
-		secs := ioRound(storage.NewStore(ssd.New(prof)), op, p, cfg.PerThreadIOs, cfg.IOBytes, slots,
+		secs := obs.IORound(storage.NewStore(ssd.New(prof)), op, p, cfg.PerThreadIOs, cfg.IOBytes, slots,
 			stats.NewRNG(cfg.Seed+uint64(p)*seedStride))
 		s.Points = append(s.Points, Figure1Point{Threads: p, Seconds: secs})
 	}
 	return s
-}
-
-// ioThreads starts p sim processes on eng, thread i issuing n dependent
-// random IOs of size bytes on st, at size-aligned offsets below slots·size
-// drawn from root.Split(i). It returns where the latest finish so far is
-// kept: once eng.Run returns, the completion time of the slowest thread.
-func ioThreads(eng *sim.Engine, st *storage.Store, op storage.Op, p, n int, size, slots int64, root *stats.RNG) *sim.Time {
-	last := new(sim.Time)
-	for i := 0; i < p; i++ {
-		rng := root.Split(uint64(i))
-		eng.Go(func(pr *sim.Proc) {
-			for j := 0; j < n; j++ {
-				done := st.Meter(pr.Now(), op, rng.Int63n(slots)*size, size)
-				pr.SleepUntil(done)
-			}
-			if pr.Now() > *last {
-				*last = pr.Now()
-			}
-		})
-	}
-	return last
-}
-
-// ioRound runs ioThreads alone on a clock of its own and returns the
-// completion time of the slowest thread in virtual seconds.
-func ioRound(st *storage.Store, op storage.Op, p, n int, size, slots int64, root *stats.RNG) float64 {
-	eng := sim.New()
-	last := ioThreads(eng, st, op, p, n, size, slots, root)
-	eng.Run()
-	return last.Seconds()
 }
 
 // Table1Row is one derived row of Table 1.
@@ -114,8 +83,7 @@ type Table1Row struct {
 	R2      float64
 }
 
-// Table1 derives P and ∝PB from Figure 1 series by flat-then-linear
-// segmented regression (completion time is constant below P, linear above).
+// Table1 derives P and ∝PB from Figure 1 series (obs.FitThreads).
 func Table1(series []Figure1Series, cfg PDAMConfig) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, s := range series {
@@ -124,21 +92,11 @@ func Table1(series []Figure1Series, cfg PDAMConfig) ([]Table1Row, error) {
 			xs = append(xs, float64(pt.Threads))
 			ys = append(ys, pt.Seconds)
 		}
-		seg, err := fit.FlatThenLinear(xs, ys)
+		knee, sat, r2, err := obs.FitThreads(xs, ys, float64(cfg.PerThreadIOs)*float64(cfg.IOBytes))
 		if err != nil {
 			return nil, err
 		}
-		// Saturation throughput: at large p the device moves
-		// p·volume / time(p) bytes/s; use the regression line at max p.
-		pMax := xs[len(xs)-1]
-		volume := float64(cfg.PerThreadIOs) * float64(cfg.IOBytes)
-		sat := pMax * volume / seg.Eval(pMax)
-		rows = append(rows, Table1Row{
-			Device:  s.Device,
-			P:       seg.Knee,
-			SatMBps: sat / 1e6,
-			R2:      seg.R2,
-		})
+		rows = append(rows, Table1Row{Device: s.Device, P: knee, SatMBps: sat / 1e6, R2: r2})
 	}
 	return rows, nil
 }

@@ -179,11 +179,13 @@ func (n *Node) Close() error {
 	return n.closeErr
 }
 
-// NewDevice builds a serving device model by name. pdam is the Definition 1
-// device with p slots per step — the one-queue case of the mq stepper, so
-// it takes its block size and step length from mq like the mq device does;
-// ssd is the default mechanistic profile (its own capacity).
-func NewDevice(kind string, p int, mq mqssd.Config, capacity int64) (storage.Device, error) {
+// NewDevice builds a serving device model by name, at 4 KiB blocks, 1 ms
+// steps and 4 GiB: pdam is the Definition 1 device with p slots per step,
+// mq the multi-queue device of experiment E23 (mqssd.DefaultConfig), and
+// ssd the default mechanistic profile (its own capacity).
+func NewDevice(kind string, p int) (storage.Device, error) {
+	const capacity = 4 << 30
+	mq := mqssd.DefaultConfig()
 	switch kind {
 	case "pdam":
 		return pdamdev.New(p, mq.BlockBytes, mq.StepTime).Storage(capacity), nil

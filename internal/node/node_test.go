@@ -10,7 +10,6 @@ import (
 
 	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
-	"iomodels/internal/mqssd"
 	"iomodels/internal/node"
 	"iomodels/internal/server"
 	"iomodels/internal/workload"
@@ -45,7 +44,7 @@ func TestStartEveryArm(t *testing.T) {
 		for _, tree := range []string{"btree", "betree", "lsm"} {
 			for _, durable := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/durable=%v", dev.kind, tree, durable), func(t *testing.T) {
-					d, err := node.NewDevice(dev.kind, 16, mqssd.DefaultConfig(), 1<<30)
+					d, err := node.NewDevice(dev.kind, 16)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,7 +106,7 @@ func TestStartEveryArm(t *testing.T) {
 // device sizes its batch from the topology's realizable parallelism (8 on
 // the E23 profile), not the per-queue target and not the raw slot count.
 func TestExplicitLaneKeepsEffectiveParallelism(t *testing.T) {
-	d, err := node.NewDevice("mq", 0, mqssd.DefaultConfig(), 1<<30)
+	d, err := node.NewDevice("mq", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestExplicitLaneKeepsEffectiveParallelism(t *testing.T) {
 // which it is a primary with every shipped write.
 func TestPrimaryReplicaPair(t *testing.T) {
 	spec := func(role server.Role) node.Spec {
-		d, err := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 1<<30)
+		d, err := node.NewDevice("pdam", 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +204,7 @@ func TestPrimaryReplicaPair(t *testing.T) {
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	spec := func(cfg server.Config) node.Spec {
-		d, err := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 1<<30)
+		d, err := node.NewDevice("pdam", 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +288,7 @@ func drive(c *server.Client) error {
 // store that grows a flat image by copying it allocates hundreds of MiB to get
 // there.
 func TestDurableBootAllocatesWhatItWrites(t *testing.T) {
-	d, err := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 4<<30)
+	d, err := node.NewDevice("pdam", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +318,10 @@ func TestDurableBootAllocatesWhatItWrites(t *testing.T) {
 
 // TestUnknownNames: the by-name constructors refuse what they do not own.
 func TestUnknownNames(t *testing.T) {
-	if _, err := node.NewDevice("hdd", 16, mqssd.DefaultConfig(), 1<<30); err == nil {
+	if _, err := node.NewDevice("hdd", 16); err == nil {
 		t.Error("NewDevice(hdd) succeeded; hdd is not a serving device")
 	}
-	d, _ := node.NewDevice("pdam", 16, mqssd.DefaultConfig(), 1<<30)
+	d, _ := node.NewDevice("pdam", 16)
 	if _, err := node.Start(node.Spec{Device: d, CacheBytes: 1 << 20, Tree: "trie", NodeBytes: 4 << 10}); err == nil {
 		t.Error("Start with an unknown tree succeeded")
 	}

@@ -31,8 +31,6 @@ type CalibrationConfig struct {
 	// workload's dominant IO size (the tree's node size); the paper uses
 	// 64 KiB. Default 64 KiB.
 	BlockBytes int64
-	// Seed drives the sweeps' random offsets.
-	Seed uint64
 	// RegionBytes, when > 0, confines the sweeps' random offsets to the
 	// first RegionBytes of the device: calibrating at the workload's spatial
 	// locality. The hdd model's seek time grows with distance, so a workload
@@ -47,11 +45,11 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 	if c.BlockBytes <= 0 {
 		c.BlockBytes = 64 << 10
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
+
+// calibSeed drives the calibration sweeps' random offsets.
+const calibSeed = 1
 
 // ModelsFor calibrates models for the given live device by type-switching
 // on the known simulators and rebuilding a fresh instance from the same
@@ -83,8 +81,8 @@ func ModelsFor(dev storage.Device, cfg CalibrationConfig) (Models, bool) {
 // is exactly why the affine refinement is the one that matters there (§2).
 func CalibrateHDD(prof hdd.Profile, cfg CalibrationConfig) (Models, error) {
 	cfg = cfg.withDefaults()
-	st := storage.NewStore(hdd.New(prof, cfg.Seed))
-	affine, r2, err := sizeSweep(st, sweepSpan(prof.Capacity(), cfg), cfg.Seed)
+	st := storage.NewStore(hdd.New(prof, calibSeed))
+	affine, r2, err := sizeSweep(st, sweepSpan(prof.Capacity(), cfg))
 	if err != nil {
 		return Models{}, fmt.Errorf("obs: hdd size sweep: %w", err)
 	}
@@ -118,7 +116,8 @@ const ssdPerThreadIOs = 256
 // The DAM gets the §4.1 serial reading: one block of B per step.
 func CalibrateSSD(prof ssd.Profile, cfg CalibrationConfig) (Models, error) {
 	cfg = cfg.withDefaults()
-	affine, affR2, err := sizeSweep(storage.NewStore(ssd.New(prof)), sweepSpan(prof.Capacity(), cfg), cfg.Seed)
+	span := sweepSpan(prof.Capacity(), cfg)
+	affine, affR2, err := sizeSweep(storage.NewStore(ssd.New(prof)), span)
 	if err != nil {
 		return Models{}, fmt.Errorf("obs: ssd size sweep: %w", err)
 	}
@@ -126,20 +125,18 @@ func CalibrateSSD(prof ssd.Profile, cfg CalibrationConfig) (Models, error) {
 	ys := make([]float64, 0, len(ssdSweepThreads))
 	for _, p := range ssdSweepThreads {
 		xs = append(xs, float64(p))
-		ys = append(ys, threadRound(prof, p, cfg))
+		ys = append(ys, IORound(storage.NewStore(ssd.New(prof)), storage.Read, p, ssdPerThreadIOs,
+			cfg.BlockBytes, (span-cfg.BlockBytes)/cfg.BlockBytes, stats.NewRNG(calibSeed+uint64(p)*ThreadSeedStride)))
 	}
-	seg, err := fit.FlatThenLinear(xs, ys)
+	knee, sat, r2, err := FitThreads(xs, ys, float64(ssdPerThreadIOs)*float64(cfg.BlockBytes))
 	if err != nil {
 		return Models{}, fmt.Errorf("obs: ssd thread sweep: %w", err)
 	}
-	p := int(math.Round(seg.Knee))
+	p := int(math.Round(knee))
 	if p < 1 {
 		p = 1
 	}
 	step := ys[0] / ssdPerThreadIOs // single-thread seconds per block IO
-	pMax := xs[len(xs)-1]
-	volume := float64(ssdPerThreadIOs) * float64(cfg.BlockBytes)
-	sat := pMax * volume / seg.Eval(pMax)
 	pd := core.PDAM{P: p, BlockBytes: float64(cfg.BlockBytes), StepSeconds: step}
 	return Models{
 		Device:         prof.Name,
@@ -148,7 +145,7 @@ func CalibrateSSD(prof ssd.Profile, cfg CalibrationConfig) (Models, error) {
 		DAM:            core.DAM{BlockBytes: float64(cfg.BlockBytes), UnitCost: step},
 		PDAM:           pd,
 		MQ:             core.MQFromPDAM(pd),
-		PDAMR2:         seg.R2,
+		PDAMR2:         r2,
 		SatBytesPerSec: sat,
 	}, nil
 }
@@ -196,55 +193,89 @@ var sizeSweepBlocks = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
 // calibration cheap and virtual time is noise-free enough).
 const sizeSweepRounds = 32
 
-// sizeSweep runs the Table 2 methodology on a fresh store: for each IO
-// size, the mean time of random block-aligned reads within span bytes;
-// least squares over (bytes, seconds) yields s (intercept) and t (slope).
-func sizeSweep(st *storage.Store, span int64, seed uint64) (core.Affine, float64, error) {
-	rng := stats.NewRNG(seed + 77)
-	var now sim.Time
-	var xs, ys []float64
-	for _, blocks := range sizeSweepBlocks {
-		size := blocks * 4096
-		if size > span/4 {
-			break
-		}
-		start := now
-		for i := 0; i < sizeSweepRounds; i++ {
-			off := rng.Int63n((span-size)/4096) * 4096
-			now = st.Meter(now, storage.Read, off, size)
-		}
-		xs = append(xs, float64(size))
-		ys = append(ys, (now-start).Seconds()/sizeSweepRounds)
+// sizeSweep fits the affine s (intercept) and t (slope per byte) to
+// SizeSweep's means over sizeSweepBlocks.
+func sizeSweep(st *storage.Store, span int64) (core.Affine, float64, error) {
+	blocks, secs := SizeSweep(st, sizeSweepBlocks, sizeSweepRounds, span, calibSeed)
+	for i := range blocks {
+		blocks[i] *= 4096
 	}
-	line, err := fit.Linear(xs, ys)
+	line, err := fit.Linear(blocks, secs)
 	if err != nil {
 		return core.Affine{}, 0, err
 	}
 	return core.Affine{Setup: line.Intercept, PerByte: line.Slope}, line.R2, nil
 }
 
-// threadRound is one Figure 1 point: p sim processes each issuing
-// dependent random reads of the calibration block size against a fresh
-// device; returns the completion time of the slowest in seconds.
-func threadRound(prof ssd.Profile, p int, cfg CalibrationConfig) float64 {
-	eng := sim.New()
-	st := storage.NewStore(ssd.New(prof))
-	root := stats.NewRNG(cfg.Seed + uint64(p)*1000003)
-	span := sweepSpan(prof.Capacity(), cfg)
-	var last sim.Time
+// SizeSweep runs the Table 2 methodology (§4.2) on a fresh store: for each
+// IO size of blocks 4 KiB blocks, up to the first larger than span/4, the
+// mean time of rounds random block-aligned reads within span bytes. It
+// returns the sizes swept, in blocks, and their mean seconds; a linear fit
+// of one against the other yields the affine s and t.
+func SizeSweep(st *storage.Store, blocks []int64, rounds int, span int64, seed uint64) (sizes, secs []float64) {
+	rng := stats.NewRNG(seed + 77)
+	var now sim.Time
+	for _, b := range blocks {
+		size := b * 4096
+		if size > span/4 {
+			break
+		}
+		start := now
+		for i := 0; i < rounds; i++ {
+			off := rng.Int63n((span-size)/4096) * 4096
+			now = st.Meter(now, storage.Read, off, size)
+		}
+		sizes = append(sizes, float64(b))
+		secs = append(secs, (now-start).Seconds()/float64(rounds))
+	}
+	return sizes, secs
+}
+
+// ThreadSeedStride spaces the Figure 1 rounds' seeds: the round at p
+// threads draws its offsets from seed + p·ThreadSeedStride.
+const ThreadSeedStride = 1000003
+
+// IOThreads starts p sim processes on eng, thread i issuing n dependent
+// random IOs of size bytes on st, at size-aligned offsets below slots·size
+// drawn from root.Split(i). It returns where the latest finish so far is
+// kept: once eng.Run returns, the completion time of the slowest thread.
+func IOThreads(eng *sim.Engine, st *storage.Store, op storage.Op, p, n int, size, slots int64, root *stats.RNG) *sim.Time {
+	last := new(sim.Time)
 	for i := 0; i < p; i++ {
 		rng := root.Split(uint64(i))
 		eng.Go(func(pr *sim.Proc) {
-			for j := 0; j < ssdPerThreadIOs; j++ {
-				off := rng.Int63n((span-cfg.BlockBytes)/cfg.BlockBytes) * cfg.BlockBytes
-				done := st.Meter(pr.Now(), storage.Read, off, cfg.BlockBytes)
+			for j := 0; j < n; j++ {
+				done := st.Meter(pr.Now(), op, rng.Int63n(slots)*size, size)
 				pr.SleepUntil(done)
 			}
-			if pr.Now() > last {
-				last = pr.Now()
+			if pr.Now() > *last {
+				*last = pr.Now()
 			}
 		})
 	}
+	return last
+}
+
+// IORound is one Figure 1 point (§4.1): IOThreads alone on a clock of its
+// own. It returns the completion time of the slowest thread in virtual
+// seconds.
+func IORound(st *storage.Store, op storage.Op, p, n int, size, slots int64, root *stats.RNG) float64 {
+	eng := sim.New()
+	last := IOThreads(eng, st, op, p, n, size, slots, root)
 	eng.Run()
 	return last.Seconds()
+}
+
+// FitThreads derives Table 1's parameters from a Figure 1 curve: secs[i]
+// is the completion time of threads[i] threads each moving volume bytes.
+// Flat-then-linear segmented regression (time is constant below P, linear
+// above) places the knee P; the saturation throughput ∝PB is what the
+// regression line moves at the largest thread count.
+func FitThreads(threads, secs []float64, volume float64) (knee, sat, r2 float64, err error) {
+	seg, err := fit.FlatThenLinear(threads, secs)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	pMax := threads[len(threads)-1]
+	return seg.Knee, pMax * volume / seg.Eval(pMax), seg.R2, nil
 }

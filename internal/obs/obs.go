@@ -293,9 +293,6 @@ type Config struct {
 	// SampleEvery traces one in N operations (Begin returns nil for the
 	// rest), making tracing production-safe. 0 or 1 traces every op.
 	SampleEvery int
-	// Retain bounds the ring of finished spans kept for export (Chrome
-	// trace, Spans). Default 4096.
-	Retain int
 	// Models, when set, enables the model-cost accountant: every finished
 	// span's measured IO time is compared against the DAM/affine/PDAM
 	// predictions and the residual recorded. Nil disables accounting but
@@ -310,6 +307,10 @@ type Config struct {
 	// valid tag (a single-process deployment needs no distinction).
 	WireTag uint64
 }
+
+// retainSpans bounds the ring of finished spans kept for export (Chrome
+// trace, Spans).
+const retainSpans = 4096
 
 // concWindow is how many recent device-IO intervals the tracer keeps to
 // estimate the device's offered concurrency (see concurrency()).
@@ -383,14 +384,11 @@ func NewTracer(cfg Config) *Tracer {
 	if cfg.SampleEvery < 1 {
 		cfg.SampleEvery = 1
 	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 4096
-	}
 	t := &Tracer{
 		sample:  int64(cfg.SampleEvery),
 		wallNow: cfg.WallNow,
 		wireTag: cfg.WireTag,
-		ring:    make([]*Span, 0, cfg.Retain),
+		ring:    make([]*Span, 0, retainSpans),
 	}
 	if cfg.Models != nil {
 		t.acct = newAccountant(*cfg.Models)

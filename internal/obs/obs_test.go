@@ -56,18 +56,19 @@ func TestSampling(t *testing.T) {
 	}
 }
 
-// TestRingRetention: the export ring keeps the most recent Retain spans,
-// oldest first, while totals keep counting.
+// TestRingRetention: the export ring keeps the most recent retainSpans
+// spans, oldest first, while totals keep counting.
 func TestRingRetention(t *testing.T) {
-	tr := NewTracer(Config{Retain: 8})
-	for i := 0; i < 20; i++ {
+	const total = retainSpans + 12
+	tr := NewTracer(Config{})
+	for i := 0; i < total; i++ {
 		sp := tr.Begin("get", 1, sim.Time(i))
 		sp.IO(LayerTree, storage.Read, int64(i)*4096, 4096, sim.Time(i), sim.Millisecond)
 		tr.Finish(sp, sim.Time(i+1))
 	}
 	spans := tr.Spans()
-	if len(spans) != 8 {
-		t.Fatalf("retained %d spans, want 8", len(spans))
+	if len(spans) != retainSpans {
+		t.Fatalf("retained %d spans, want %d", len(spans), retainSpans)
 	}
 	for i, sp := range spans {
 		if want := uint64(13 + i); sp.ID != want {
@@ -75,11 +76,11 @@ func TestRingRetention(t *testing.T) {
 		}
 	}
 	sum := tr.Summary()
-	if sum.Spans != 20 || sum.Retained != 8 {
-		t.Fatalf("spans=%d retained=%d, want 20/8", sum.Spans, sum.Retained)
+	if sum.Spans != total || sum.Retained != retainSpans {
+		t.Fatalf("spans=%d retained=%d, want %d/%d", sum.Spans, sum.Retained, total, retainSpans)
 	}
-	if len(sum.Layers) != 1 || sum.Layers[0].IOs != 20 || sum.Layers[0].Bytes != 20*4096 {
-		t.Fatalf("layer totals = %+v, want 20 IOs / %d bytes", sum.Layers, 20*4096)
+	if len(sum.Layers) != 1 || sum.Layers[0].IOs != total || sum.Layers[0].Bytes != total*4096 {
+		t.Fatalf("layer totals = %+v, want %d IOs / %d bytes", sum.Layers, total, total*4096)
 	}
 }
 
@@ -88,8 +89,8 @@ func TestRingRetention(t *testing.T) {
 // Each worker plays an engine client: clients are single-goroutine, so each
 // span is built by one goroutine and handed to Finish.
 func TestTracerConcurrent(t *testing.T) {
-	const workers, perWorker = 8, 250
-	tr := NewTracer(Config{Retain: 64, Models: &Models{
+	const workers, perWorker = 8, 520 // 4,160 spans: the export ring wraps
+	tr := NewTracer(Config{Models: &Models{
 		Device: "flat",
 		Affine: core.Affine{Setup: 1e-3, PerByte: 1e-9},
 		DAM:    core.DAM{BlockBytes: 4096, UnitCost: 2e-3},
@@ -144,8 +145,8 @@ func TestTracerConcurrent(t *testing.T) {
 	if len(sum.Residuals) == 0 {
 		t.Fatal("accountant recorded no residuals")
 	}
-	if len(tr.Spans()) != 64 {
-		t.Fatalf("retained %d, want 64", len(tr.Spans()))
+	if len(tr.Spans()) != retainSpans {
+		t.Fatalf("retained %d, want %d", len(tr.Spans()), retainSpans)
 	}
 }
 

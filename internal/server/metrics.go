@@ -107,10 +107,6 @@ type StatsSnapshot struct {
 	DurabilityErr  string `json:"durability_error,omitempty"`
 	DurableEnabled bool   `json:"durable"`
 
-	TraceLen     int   `json:"trace_len"`
-	TraceCap     int   `json:"trace_cap"`
-	TraceDropped int64 `json:"trace_dropped"`
-
 	// Pager and write-path detail (PR-5 additions; existing fields above are
 	// protocol surface and keep their meaning).
 	PagerEvictions  int64   `json:"pager_evictions"`
@@ -255,9 +251,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 	out.Promotions = m.promotions.Load()
 	out.ShipLag = s.lag.Snapshot()
 	out.GateWait = m.gateWait.Snapshot().Micros()
-	if t := s.cfg.Trace; t != nil {
-		out.TraceLen, out.TraceCap, out.TraceDropped = t.Len(), t.Cap(), t.Dropped()
-	}
 	if tr := s.cfg.Tracer; tr != nil {
 		sum := tr.Summary()
 		out.Obs = &sum

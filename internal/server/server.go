@@ -30,11 +30,6 @@ import (
 	"iomodels/internal/storage"
 )
 
-// DefaultTraceCap bounds a serving device's IO trace: long-running sessions
-// must not grow memory without bound, so an unbounded trace handed to the
-// server is capped to this many records (most recent kept).
-const DefaultTraceCap = 65536
-
 // Config tunes the server. Zero values select defaults.
 type Config struct {
 	// Addr is the TCP listen address for ListenAndServe ("127.0.0.1:0"
@@ -60,9 +55,6 @@ type Config struct {
 	// bounds mutations per group commit (default 64).
 	WriteQueue int
 	WriteBatch int
-	// Trace, if set, is attached to the engine's store. Unbounded traces
-	// are capped to DefaultTraceCap first.
-	Trace *storage.Trace
 	// Tracer, if set, is attached to the engine: reads and commits open
 	// spans, the pager/WAL/checkpoint layers annotate them, and /stats and
 	// /metrics expose the per-layer breakdown and live model residuals.
@@ -195,19 +187,13 @@ type Server struct {
 }
 
 // New creates a server over backend. It validates the backend, applies
-// config defaults (asking the device for its parallelism), caps the trace,
-// and starts the writer goroutine; call ListenAndServe (or Serve) next.
+// config defaults (asking the device for its parallelism) and starts the
+// writer goroutine; call ListenAndServe (or Serve) next.
 func New(cfg Config, backend Backend) (*Server, error) {
 	if backend.Eng == nil || backend.Clock == nil || backend.NewSession == nil || backend.Writer == nil {
 		return nil, errors.New("server: incomplete backend")
 	}
 	cfg = cfg.withDefaults(backend.Eng.Device())
-	if cfg.Trace != nil {
-		if cfg.Trace.Cap() <= 0 {
-			cfg.Trace.SetCap(DefaultTraceCap)
-		}
-		backend.Eng.SetTrace(cfg.Trace)
-	}
 	if cfg.Tracer != nil {
 		backend.Eng.SetTracer(cfg.Tracer)
 	}

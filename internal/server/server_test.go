@@ -6,10 +6,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,8 +112,17 @@ func dialT(t *testing.T, tb *testBackend) *Client {
 	return c
 }
 
+// TestServerEndToEnd drives every request kind over one connection, on a
+// durable backend and on a plain one, whose writes apply to the tree
+// directly (an upsert by read-modify-write).
 func TestServerEndToEnd(t *testing.T) {
-	tb := newTestServer(t, Config{}, flatDev{64 << 20}, true, 1<<20, 100)
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) { testServerEndToEnd(t, durable) })
+	}
+}
+
+func testServerEndToEnd(t *testing.T, durable bool) {
+	tb := newTestServer(t, Config{}, flatDev{64 << 20}, durable, 1<<20, 100)
 	c := dialT(t, tb)
 
 	if err := c.Ping(); err != nil {
@@ -148,6 +159,16 @@ func TestServerEndToEnd(t *testing.T) {
 	if v, ok, _ := c.Get([]byte("ctr")); !ok || int64(binary.BigEndian.Uint64(v)) != 3 {
 		t.Fatalf("counter = %x ok=%v, want 3", v, ok)
 	}
+	// An upsert over a value that is not an 8-byte counter counts from 0.
+	if err := c.Put([]byte("odd"), []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Upsert([]byte("odd"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := c.Get([]byte("odd")); !ok || len(v) != 8 || int64(binary.BigEndian.Uint64(v)) != 4 {
+		t.Fatalf("upsert over %q = %x ok=%v, want 4", "abc", v, ok)
+	}
 	// Scan a bounded range.
 	ents, err := c.Scan(tkey(10), tkey(20), 100)
 	if err != nil || len(ents) != 10 {
@@ -171,11 +192,47 @@ func TestServerEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(js, &snap); err != nil {
 		t.Fatalf("stats JSON: %v\n%s", err, js)
 	}
-	if !snap.DurableEnabled || snap.Ops["get"].Count == 0 || snap.Conns != 1 {
+	if snap.DurableEnabled != durable || snap.Ops["get"].Count == 0 || snap.Conns != 1 {
 		t.Fatalf("stats snapshot wrong: %+v", snap)
 	}
-	if snap.WALCommits == 0 || snap.WALRecords == 0 {
+	if durable && (snap.WALCommits == 0 || snap.WALRecords == 0) {
 		t.Fatalf("WAL counters empty: %+v", snap)
+	}
+}
+
+// lockedBuffer is a log a handler goroutine writes while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestServerSlowOpLog: at a 1 ns threshold every request is slow, and a Get
+// writes one JSON line naming it on SlowOpLog.
+func TestServerSlowOpLog(t *testing.T) {
+	var log lockedBuffer
+	tb := newTestServer(t, Config{SlowOpThreshold: time.Nanosecond, SlowOpLog: &log},
+		flatDev{64 << 20}, false, 1<<20, 10)
+	c := dialT(t, tb)
+	if _, _, err := c.Get(tkey(1)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	var line slowOpLine
+	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &line) != nil ||
+		line.Event != "slow_op" || line.Op != "get" {
+		t.Fatalf("slow-op log after one Get = %q, want one slow_op line naming get", lines)
 	}
 }
 
@@ -497,27 +554,6 @@ func TestServerVirtualReadYourWrite(t *testing.T) {
 	}
 	if other := gets[1]; other.Start >= commitEnd {
 		t.Errorf("another connection's Get starts at %v, dragged to the commit's end %v", other.Start, commitEnd)
-	}
-}
-
-// TestServerTraceCapDefault: an unbounded trace handed to the server is
-// capped, so long-running serving cannot grow memory without bound.
-func TestServerTraceCapDefault(t *testing.T) {
-	tr := storage.NewTrace()
-	tb := newTestServer(t, Config{Trace: tr}, flatDev{64 << 20}, false, 1<<20, 10)
-	if got := tr.Cap(); got != DefaultTraceCap {
-		t.Fatalf("trace cap = %d, want %d", got, DefaultTraceCap)
-	}
-	c := dialT(t, tb)
-	if _, _, err := c.Get(tkey(1)); err != nil {
-		t.Fatal(err)
-	}
-	// A pre-bounded trace keeps its bound.
-	tr2 := storage.NewBoundedTrace(128)
-	tb2 := newTestServer(t, Config{Trace: tr2}, flatDev{64 << 20}, false, 1<<20, 10)
-	_ = tb2
-	if got := tr2.Cap(); got != 128 {
-		t.Fatalf("bounded trace cap rewritten to %d", got)
 	}
 }
 

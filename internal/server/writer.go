@@ -10,7 +10,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"time"
 
@@ -208,11 +207,9 @@ func (s *Server) applyPlain(req writeReq) writeResult {
 			return writeResult{accepted: true}
 		}
 		// Trees without an upsert path get read-modify-write semantics.
-		var cur int64
-		if old, ok := w.Get(req.key); ok && len(old) == 8 {
-			cur = int64(binary.BigEndian.Uint64(old))
-		}
-		w.Put(req.key, kv.UpsertDelta(cur+req.delta))
+		old, ok := w.Get(req.key)
+		v, _ := kv.Message{Kind: kv.Upsert, Value: kv.UpsertDelta(req.delta)}.Apply(old, ok)
+		w.Put(req.key, v)
 		return writeResult{accepted: true}
 	default:
 		panic("server: non-write op in write queue")

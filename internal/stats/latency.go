@@ -190,7 +190,7 @@ func (h *LatencyHist) Snapshot() LatencySnapshot {
 
 // LatencyMicros is a LatencySnapshot of nanosecond samples rendered in
 // microseconds: the one JSON shape of a latency summary (/stats' per-op and
-// gate-wait entries, loadgen's -bench-json).
+// gate-wait entries).
 type LatencyMicros struct {
 	Count  int64   `json:"count"`
 	MeanUs float64 `json:"mean_us"`

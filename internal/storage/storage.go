@@ -166,43 +166,15 @@ type TraceRecord struct {
 
 // Trace records IOs for post-hoc analysis (e.g. verifying that the optimized
 // Bε-tree issues exactly one IO per level). A nil *Trace records nothing.
-// The zero value is an unbounded trace; SetCap turns it into a ring buffer
-// that keeps only the most recent records, so long concurrent runs can stay
-// traced without growing memory without limit. A Trace is safe for
-// concurrent use.
+// A Trace keeps every record it is given, so attach one only to a bounded
+// run. A Trace is safe for concurrent use.
 type Trace struct {
 	mu      sync.Mutex
-	cap     int // 0 = unbounded
-	start   int // ring head: index of the oldest record when capped
 	records []TraceRecord
-	dropped int64
 }
 
-// NewTrace returns an unbounded trace.
+// NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
-
-// NewBoundedTrace returns a trace that keeps only the most recent n records.
-func NewBoundedTrace(n int) *Trace {
-	t := &Trace{}
-	t.SetCap(n)
-	return t
-}
-
-// SetCap bounds the trace to the most recent n records (n <= 0 removes the
-// bound). Shrinking below the current length drops the oldest records.
-func (t *Trace) SetCap(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.normalize()
-	if n > 0 && len(t.records) > n {
-		t.dropped += int64(len(t.records) - n)
-		t.records = append([]TraceRecord(nil), t.records[len(t.records)-n:]...)
-	}
-	if n <= 0 {
-		n = 0
-	}
-	t.cap = n
-}
 
 func (t *Trace) add(r TraceRecord) {
 	if t == nil {
@@ -210,13 +182,6 @@ func (t *Trace) add(r TraceRecord) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.cap > 0 && len(t.records) == t.cap {
-		// Ring: overwrite the oldest record in place.
-		t.records[t.start] = r
-		t.start = (t.start + 1) % t.cap
-		t.dropped++
-		return
-	}
 	t.records = append(t.records, r)
 }
 
@@ -227,13 +192,10 @@ func (t *Trace) Snapshot() []TraceRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TraceRecord, 0, len(t.records))
-	out = append(out, t.records[t.start:]...)
-	out = append(out, t.records[:t.start]...)
-	return out
+	return append(make([]TraceRecord, 0, len(t.records)), t.records...)
 }
 
-// Len returns the number of retained records.
+// Len returns the number of recorded IOs.
 func (t *Trace) Len() int {
 	if t == nil {
 		return 0
@@ -241,54 +203,6 @@ func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.records)
-}
-
-// Cap returns the trace's record bound (0 = unbounded). Long-running owners
-// (the network server) use it to detect and cap unbounded traces before
-// attaching them to a device.
-func (t *Trace) Cap() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cap
-}
-
-// Dropped returns how many records the cap has discarded.
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Reset discards recorded IOs (the drop counter included).
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.normalize()
-	t.records = t.records[:0]
-	t.start = 0
-	t.dropped = 0
-}
-
-// normalize rotates the ring so records are in chronological order starting
-// at index 0. Caller holds mu.
-func (t *Trace) normalize() {
-	if t.start == 0 {
-		return
-	}
-	rotated := make([]TraceRecord, 0, len(t.records))
-	rotated = append(rotated, t.records[t.start:]...)
-	rotated = append(rotated, t.records[:t.start]...)
-	t.records = rotated
-	t.start = 0
 }
 
 // ByteStore is the concurrent byte-moving interface a *Store implements.

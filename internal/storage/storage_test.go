@@ -115,59 +115,11 @@ func TestTrace(t *testing.T) {
 	if r.Op != Read || r.Off != 200 || r.Size != 20 || r.Latency <= 0 {
 		t.Fatalf("record = %+v", r)
 	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("reset failed")
-	}
 	// nil trace is a no-op
 	var nilTrace *Trace
 	nilTrace.add(TraceRecord{})
-	nilTrace.Reset()
-	if nilTrace.Snapshot() != nil || nilTrace.Len() != 0 || nilTrace.Dropped() != 0 {
+	if nilTrace.Snapshot() != nil || nilTrace.Len() != 0 {
 		t.Fatal("nil trace not empty")
-	}
-}
-
-func TestTraceRingCap(t *testing.T) {
-	clk := sim.New()
-	d := NewDisk(flatDevice{1 << 20}, clk)
-	tr := NewBoundedTrace(3)
-	d.SetTrace(tr)
-	for i := 0; i < 10; i++ {
-		d.WriteAt(make([]byte, 1), int64(i))
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d, want 3", tr.Len())
-	}
-	if tr.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", tr.Dropped())
-	}
-	recs := tr.Snapshot()
-	for i, r := range recs {
-		if r.Off != int64(7+i) {
-			t.Fatalf("record %d has off %d, want %d (oldest must be dropped, order chronological)", i, r.Off, 7+i)
-		}
-	}
-	// Shrinking the cap drops the oldest retained records.
-	tr.SetCap(2)
-	recs = tr.Snapshot()
-	if len(recs) != 2 || recs[0].Off != 8 || recs[1].Off != 9 {
-		t.Fatalf("after shrink: %+v", recs)
-	}
-	if tr.Dropped() != 8 {
-		t.Fatalf("dropped after shrink = %d, want 8", tr.Dropped())
-	}
-	// Removing the cap lets it grow again.
-	tr.SetCap(0)
-	for i := 0; i < 5; i++ {
-		d.WriteAt(make([]byte, 1), int64(100+i))
-	}
-	if tr.Len() != 7 {
-		t.Fatalf("uncapped len = %d, want 7", tr.Len())
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -177,7 +129,7 @@ func TestStoreConcurrentSafe(t *testing.T) {
 	// writes again. Run under -race this checks the locking discipline and
 	// that a write never touches bytes another goroutine is viewing.
 	s := NewStore(flatDevice{1 << 20})
-	s.SetTrace(NewBoundedTrace(16))
+	s.SetTrace(NewTrace())
 	s.WriteAt(0, make([]byte, 8*blockBytes), 0)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {

@@ -7,37 +7,36 @@ import (
 	"iomodels/internal/sim"
 )
 
-// TestTraceConcurrentSetCap is a race regression for the trace ring:
-// writers add records while another goroutine re-caps, snapshots, and reads
-// the drop counter. The conservation invariant must hold throughout — every
-// added record is either retained or counted as dropped (by the ring
-// overwrite or by a shrinking SetCap), never lost or double-counted.
-func TestTraceConcurrentSetCap(t *testing.T) {
+// TestTraceConcurrentAdd is a race regression for the trace: writers add
+// records while another goroutine snapshots and reads the length. The
+// conservation invariant must hold throughout — every added record is
+// retained, never lost or double-counted, and a snapshot never sees more
+// than has been added.
+func TestTraceConcurrentAdd(t *testing.T) {
 	const writers, perWriter = 8, 500
-	tr := NewBoundedTrace(256)
+	const total = writers * perWriter
+	tr := NewTrace()
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
-		caps := []int{64, 256, 128}
-		for i := 0; ; i++ {
+		for last := 0; ; {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			tr.SetCap(caps[i%len(caps)])
-			if n := tr.Len(); n > 256 {
-				t.Errorf("Len() = %d exceeds the largest cap", n)
+			n := len(tr.Snapshot())
+			if n < last || n > total {
+				t.Errorf("Snapshot() returned %d records after %d, want %d..%d", n, last, last, total)
 				return
 			}
-			if got := len(tr.Snapshot()); got > 256 {
-				t.Errorf("Snapshot() returned %d records, cap 256", got)
+			last = n
+			if l := tr.Len(); l < n {
+				t.Errorf("Len() = %d after a snapshot of %d", l, n)
 				return
 			}
-			_ = tr.Dropped()
-			_ = tr.Cap()
 		}
 	}()
 	var wg sync.WaitGroup
@@ -58,19 +57,17 @@ func TestTraceConcurrentSetCap(t *testing.T) {
 	close(stop)
 	churn.Wait()
 
-	tr.SetCap(64)
-	total := int64(writers * perWriter)
-	if got := tr.Len(); got != 64 {
-		t.Fatalf("Len() after SetCap(64) = %d, want 64", got)
+	if got := tr.Len(); got != total {
+		t.Fatalf("Len() = %d, want %d (records lost or double-counted)", got, total)
 	}
-	if got := int64(tr.Len()) + tr.Dropped(); got != total {
-		t.Fatalf("Len()+Dropped() = %d, want %d (records lost or double-counted)", got, total)
+	seen := make(map[sim.Time]bool, total)
+	for _, r := range tr.Snapshot() {
+		if seen[r.At] {
+			t.Fatalf("record %v retained twice", r.At)
+		}
+		seen[r.At] = true
 	}
-	if got := len(tr.Snapshot()); got != tr.Len() {
-		t.Fatalf("Snapshot() length %d != Len() %d", got, tr.Len())
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("Reset left Len=%d Dropped=%d", tr.Len(), tr.Dropped())
+	if len(seen) != total {
+		t.Fatalf("Snapshot() holds %d distinct records, want %d", len(seen), total)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"iomodels/internal/kv"
 	"iomodels/internal/stats"
 )
 
@@ -234,13 +235,9 @@ func Apply(d Dictionary, spec KeySpec, op Op) {
 			up.Upsert(key, 1)
 			return
 		}
-		var cur uint64
-		if old, ok := d.Get(key); ok && len(old) == 8 {
-			cur = binary.BigEndian.Uint64(old)
-		}
-		var v [8]byte
-		binary.BigEndian.PutUint64(v[:], cur+1)
-		d.Put(key, v[:])
+		old, ok := d.Get(key)
+		v, _ := kv.Message{Kind: kv.Upsert, Value: kv.UpsertDelta(1)}.Apply(old, ok)
+		d.Put(key, v)
 	case OpRMW:
 		key := spec.Key(op.ID)
 		old, ok := d.Get(key)

@@ -3,9 +3,12 @@ package iomodels
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -240,5 +243,77 @@ func TestVirtualTimeScopeImportsNoClock(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEveryFlagHasARow: every flag a cmd/ main defines has a row in
+// DESIGN.md's options table (§13) that names who sets it, and every row
+// names a flag that exists. An option nobody sets cannot come back unseen.
+func TestEveryFlagHasARow(t *testing.T) {
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go (%v)", err)
+	}
+	flags := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range mains {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(name))
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				flag, _ := strconv.Unquote(lit.Value)
+				flags[cmd+" -"+flag] = true
+			}
+			return true
+		})
+	}
+
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 13. Options")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 13. Options")
+	}
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 6 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue // prose, the header or the separator
+		}
+		row := strings.Trim(strings.TrimSpace(cells[1]), "`") + " " + strings.Trim(strings.TrimSpace(cells[2]), "`")
+		if rows[row] {
+			t.Errorf("DESIGN.md §13 lists %s twice", row)
+		}
+		rows[row] = true
+		if strings.TrimSpace(cells[3]) == "" {
+			t.Errorf("DESIGN.md §13: %s names nobody who sets it", row)
+		}
+		if !flags[row] {
+			t.Errorf("DESIGN.md §13 has a row for %s, which no cmd/ main defines", row)
+		}
+	}
+	for flag := range flags {
+		if !rows[flag] {
+			t.Errorf("%s has no row in DESIGN.md §13: name who sets it, or make it a constant", flag)
+		}
 	}
 }
