@@ -89,7 +89,7 @@ func benchFig2Cfg() experiments.NodeSizeConfig {
 func BenchmarkFigure2(b *testing.B) {
 	cfg := benchFig2Cfg()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Figure2(cfg)
+		res := experiments.NodeSizeSweep(cfg)
 		b.ReportMetric(res.Points[1].QueryMs, "vms-query-64KiB")
 		b.ReportMetric(res.Points[1].InsertMs, "vms-insert-64KiB")
 	}
@@ -104,7 +104,7 @@ func BenchmarkFigure3(b *testing.B) {
 	cfg.InsertOps = 2000
 	cfg.NodeSizes = []int{64 << 10, 256 << 10, 1 << 20}
 	for i := 0; i < b.N; i++ {
-		res := experiments.Figure3(cfg)
+		res := experiments.NodeSizeSweep(cfg)
 		b.ReportMetric(res.Points[2].QueryMs, "vms-query-1MiB")
 		b.ReportMetric(res.Points[2].InsertMs, "vms-insert-1MiB")
 	}
@@ -114,7 +114,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkCorollary7(b *testing.B) {
 	cfg := benchFig2Cfg()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Figure2(cfg)
+		res := experiments.NodeSizeSweep(cfg)
 		opt := experiments.Corollary7Check(res, cfg)
 		b.ReportMetric(opt.ModelOptimal/1024, "model-opt-KiB")
 		b.ReportMetric(float64(opt.MeasuredBestInsert)/1024, "measured-opt-KiB")

@@ -20,8 +20,8 @@
 #              lintutil.FuncPattern, the store's block table, the read
 #              scheduler's virtual slots, kv.Dec's views, the store's
 #              read-only views, the checkpoint's translation table, the
-#              pager's intrusive LRU ring, the typed atomic counters and the
-#              experiment registry removed
+#              pager's intrusive LRU ring, the typed atomic counters, the
+#              experiment registry and the tree harness removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -34,10 +34,11 @@
 #              that installs captured pages a second time, a
 #              container/list LRU that allocates per Unpin and a raw
 #              atomic.AddInt64-style call on a plain integer, a cmd/ main
-#              other than cmd/repro that drives internal/experiments) stay
-#              removed; the
-#              serving stack reads the wall clock or arms a timer at 13 sites
-#              in server/cluster/engine/node, none of them in the scheduler
+#              other than cmd/repro that drives internal/experiments, a
+#              second file of internal/experiments that assembles an engine)
+#              stay removed; the serving stack reads the wall clock or arms a
+#              timer at 13 sites in server/cluster/engine/node, none of them
+#              in the scheduler
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -125,7 +126,7 @@ if [ -n "$dups" ]; then
 fi
 dups=$(grep -rn --include='*.go' 'func (s \*Session)' ./internal/btree ./internal/betree ./internal/lsm ./internal/cobtree || true)
 if [ -n "$dups" ]; then
-	echo "a tree grew its own Session methods (engine.Session is the one; implement engine.SessionReader):" >&2
+	echo "a tree grew its own Session methods (engine.Session is the one; implement engine.Tree):" >&2
 	echo "$dups" >&2
 	exit 1
 fi
@@ -149,6 +150,14 @@ fi
 n=$(grep -l 'server\.Dial(' internal/experiments/*.go | grep -vc '_test\.go$' || true)
 if [ "$n" -ne 1 ]; then
 	echo "server.Dial( in $n non-test files of internal/experiments (drive clients through conns.run in harness.go)" >&2
+	exit 1
+fi
+# The tree experiments build, load and time a tree one way (treeharness.go):
+# a second file that assembles an engine is a hand-built tree run growing back.
+n=$(grep -l -e 'engine\.New(' -e 'engine\.FromStore(' internal/experiments/*.go | grep -vc '_test\.go$' || true)
+if [ "$n" -gt 1 ]; then
+	echo "engine.New( or engine.FromStore( in $n non-test files of internal/experiments (build and load a tree through load in treeharness.go):" >&2
+	grep -l -e 'engine\.New(' -e 'engine\.FromStore(' internal/experiments/*.go | grep -v '_test\.go$' >&2
 	exit 1
 fi
 dups=$(grep -rn --include='*.go' 'type watched' ./internal/analysis | grep -v -e '/lintutil/' -e '/testdata/' || true)

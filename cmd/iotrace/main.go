@@ -125,7 +125,7 @@ func main() {
 		i := i
 		eng.Clock().Go(func(pr *sim.Proc) {
 			c := eng.Process(pr)
-			sess := tree.Session(c)
+			sess := engine.NewSession(tree, c)
 			for j := 0; j < perClient; j++ {
 				id := uint64((i*perClient+j)*2654435761) % uint64(*items)
 				sp := c.StartSpan("get")

@@ -7,11 +7,12 @@
 //	repro                        # list the rows
 //	repro [-small] E7 E20 ...    # run the rows that render these tables
 //	repro [-small] -all          # run every row
-//	repro -check EXPERIMENTS.md  # re-render every deterministic row; fail on drift
+//	repro [-small] -check FILE   # re-render every deterministic row; fail on drift
 //
-// -small runs at the reduced scale tier-1 renders. -check renders at full
-// scale and fails, naming the row, wherever a generated block of the file
-// differs from what the row prints now.
+// -small runs at the reduced scale tier-1 renders. -check fails, naming the
+// row, wherever a generated block of FILE differs from what the row prints
+// now: EXPERIMENTS.md holds the full-scale tables, and
+// internal/experiments/testdata/small.md the -small ones.
 package main
 
 import (
@@ -26,7 +27,7 @@ import (
 func main() {
 	all := flag.Bool("all", false, "run every row")
 	small := flag.Bool("small", false, "run at the reduced scale tier-1 renders")
-	check := flag.String("check", "", "re-render every deterministic row at full scale and compare it with its block in `FILE`")
+	check := flag.String("check", "", "re-render every deterministic row and compare it with its block in `FILE`")
 	flag.Parse()
 
 	rows := experiments.Registry
@@ -34,7 +35,7 @@ func main() {
 	case *check != "":
 		doc, err := os.ReadFile(*check)
 		if err == nil {
-			err = experiments.Check(string(doc), rows, os.Stderr)
+			err = experiments.Check(string(doc), rows, *small, os.Stderr)
 		}
 		exitOn(err)
 		return

@@ -2,7 +2,7 @@
 // B-tree (BerkeleyDB-style), Bε-tree (TokuDB-style, Theorem 9 organization),
 // cache-oblivious B-tree, and leveled LSM-tree (LevelDB-style) — run the
 // same mixed workload on identical simulated hardware, all driven through
-// the one engine.Dictionary interface. Reported: virtual time per operation
+// the one engine.Tree interface. Reported: virtual time per operation
 // by phase, write amplification, and the buffer pool's hit ratio.
 //
 // The outcome mirrors §3/§5/§6: the write-optimized structures ingest orders
@@ -20,7 +20,7 @@ import (
 
 type candidate struct {
 	name string
-	make func(eng *iomodels.Engine) iomodels.Dictionary
+	make func(eng *iomodels.Engine) iomodels.Tree
 }
 
 func main() {
@@ -31,7 +31,7 @@ func main() {
 	candidates := []candidate{
 		{
 			name: "B-tree (64KiB nodes)",
-			make: func(eng *iomodels.Engine) iomodels.Dictionary {
+			make: func(eng *iomodels.Engine) iomodels.Tree {
 				t, err := iomodels.NewBTree(iomodels.BTreeConfig{
 					NodeBytes: 64 << 10, MaxKeyBytes: spec.KeyBytes,
 					MaxValueBytes: spec.ValueBytes,
@@ -42,7 +42,7 @@ func main() {
 		},
 		{
 			name: "Bε-tree (1MiB nodes, F=16)",
-			make: func(eng *iomodels.Engine) iomodels.Dictionary {
+			make: func(eng *iomodels.Engine) iomodels.Tree {
 				t, err := iomodels.NewBeTree(iomodels.BeTreeConfig{
 					NodeBytes: 1 << 20, MaxFanout: 16, MaxKeyBytes: spec.KeyBytes,
 					MaxValueBytes: spec.ValueBytes,
@@ -53,7 +53,7 @@ func main() {
 		},
 		{
 			name: "cache-oblivious B-tree",
-			make: func(eng *iomodels.Engine) iomodels.Dictionary {
+			make: func(eng *iomodels.Engine) iomodels.Tree {
 				t, err := iomodels.NewCOBTree(iomodels.COBTreeConfig{
 					MaxKeyBytes: spec.KeyBytes, MaxValueBytes: spec.ValueBytes,
 					BlockBytes: 4 << 10,
@@ -64,7 +64,7 @@ func main() {
 		},
 		{
 			name: "LSM-tree (2MiB SSTables)",
-			make: func(eng *iomodels.Engine) iomodels.Dictionary {
+			make: func(eng *iomodels.Engine) iomodels.Tree {
 				t, err := iomodels.NewLSMTree(iomodels.LSMConfig{
 					MemtableBytes: cacheBytes / 4, SSTableBytes: 2 << 20,
 					GrowthFactor: 10, Level0Runs: 4, BlockBytes: 4 << 10,
@@ -87,7 +87,7 @@ func main() {
 
 		start := clk.Now()
 		workload.Load(d, spec, items)
-		flush(d)
+		d.Flush()
 		loadMs := (clk.Now() - start).Milliseconds() / float64(items)
 
 		start = clk.Now()
@@ -115,38 +115,9 @@ func main() {
 		st := d.Stats()
 		fmt.Printf("%-28s %12.3f %12.2f %12.2f %9.1fx %7.1f\n",
 			c.name, loadMs, queryMs, scanMs,
-			float64(st.IO.BytesWritten)/float64(logicalBytes(d)),
+			float64(st.IO.BytesWritten)/float64(st.LogicalBytes),
 			100*st.Pager.HitRatio())
 	}
-}
-
-// flush pushes buffered state to the device so phase timings are honest.
-// Flush is a structure-level concern, not part of Dictionary.
-func flush(d iomodels.Dictionary) {
-	switch t := d.(type) {
-	case *iomodels.BTree:
-		t.Flush()
-	case *iomodels.BeTree:
-		t.Flush()
-	case *iomodels.COBTree:
-		t.Flush()
-	case *iomodels.LSMTree:
-		t.Flush()
-	}
-}
-
-func logicalBytes(d iomodels.Dictionary) int64 {
-	switch t := d.(type) {
-	case *iomodels.BTree:
-		return t.LogicalBytesInserted
-	case *iomodels.BeTree:
-		return t.LogicalBytesInserted
-	case *iomodels.COBTree:
-		return t.LogicalBytesInserted
-	case *iomodels.LSMTree:
-		return t.LogicalBytesInserted
-	}
-	return 1
 }
 
 func must(err error) {

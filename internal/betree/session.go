@@ -2,14 +2,14 @@ package betree
 
 import "iomodels/internal/engine"
 
-// Tree implements the engine's dictionary interface and lends its read
-// paths to per-client sessions.
-var _ engine.SessionReader = (*Tree)(nil)
+// Tree implements the engine's tree interface: the dictionary, its read
+// paths lent to per-client sessions, and Flush.
+var _ engine.Tree = (*Tree)(nil)
 
 // Stats implements engine.Dictionary. Items is approximate until Settle
 // (buffered updates are not counted).
 func (t *Tree) Stats() engine.Stats {
-	return engine.Stats{Items: t.items, IO: t.eng.Counters(), Pager: t.pager().Stats()}
+	return engine.Stats{Items: t.items, LogicalBytes: t.LogicalBytesInserted, IO: t.eng.Counters(), Pager: t.pager().Stats()}
 }
 
 // Session creates a client-bound view of the tree: reads run in c's own

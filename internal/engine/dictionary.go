@@ -26,15 +26,18 @@ type Dictionary interface {
 	Stats() Stats
 }
 
-// SessionReader is what a tree lends its sessions: its read paths with the
-// paying client as a parameter (Tree.Get and Tree.Scan are these on the
-// tree's owner client).
-type SessionReader interface {
+// Tree is what every tree in this repo declares: a Dictionary that lends
+// its read paths to sessions, with the paying client as a parameter (Get
+// and Scan are these on the tree's owner client), and writes back what it
+// buffers on Flush.
+type Tree interface {
 	Dictionary
 	// GetAs is Get charged to c.
 	GetAs(c *Client, key []byte) ([]byte, bool)
 	// ScanAs is Scan charged to c.
 	ScanAs(c *Client, lo, hi []byte, fn func(key, value []byte) bool)
+	// Flush writes every buffered update and dirty page back to the device.
+	Flush()
 }
 
 // Session is one client's handle onto a shared tree: reads (Get/Scan) run
@@ -44,13 +47,13 @@ type SessionReader interface {
 // concurrently with other operations. Snapshot reads take a Session as the
 // fall-through dictionary (Snap.Get, Snap.Scan).
 type Session struct {
-	t SessionReader
+	t Tree
 	c *Client
 }
 
 // NewSession creates a client-bound view of the tree (each tree's
 // Session(c) method is this).
-func NewSession(t SessionReader, c *Client) *Session { return &Session{t: t, c: c} }
+func NewSession(t Tree, c *Client) *Session { return &Session{t: t, c: c} }
 
 // Client returns the session's engine client.
 func (s *Session) Client() *Client { return s.c }
@@ -77,6 +80,9 @@ type Stats struct {
 	// Items is the number of live keys (approximate for structures that
 	// buffer deletes).
 	Items int
+	// LogicalBytes is the key and value bytes the dictionary was handed
+	// to insert: the denominator of write amplification.
+	LogicalBytes int64
 	// IO aggregates device traffic attributed to the dictionary's engine.
 	IO storage.Counters
 	// Pager is the buffer-pool traffic of the dictionary's engine.

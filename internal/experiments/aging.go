@@ -64,70 +64,42 @@ type AgingRow struct {
 	AgingPenalty float64 // aged / fresh
 }
 
-// agingDict is what the harness needs from a structure.
-type agingDict interface {
-	Put(key, value []byte)
-	Scan(lo, hi []byte, fn func(k, v []byte) bool)
-	Flush()
-}
-
 // Aging runs E16 for the B-tree and the Bε-tree.
 func Aging(cfg AgingConfig) []AgingRow {
-	var rows []AgingRow
-	run := func(name string, mk func(eng *engine.Engine) (agingDict, func(key []byte))) {
-		clk := sim.New()
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-		d, del := mk(eng)
-		// Sequential load: ascending keys allocate leaves in disk order.
+	return concurrently(
+		func() AgingRow {
+			return aged(cfg, fmt.Sprintf("B-tree (%s nodes)", humanBytes(cfg.NodeBytes)),
+				bind(btree.New, bTree(cfg.Spec, cfg.NodeBytes)))
+		},
+		func() AgingRow {
+			return aged(cfg, fmt.Sprintf("Bε-tree (%s nodes)", humanBytes(cfg.BeNodeView)),
+				bind(betree.New, beTree(cfg.Spec, cfg.BeNodeView, cfg.Fanout).Optimized()))
+		},
+	)
+}
+
+// aged measures one structure: a sequential load (ascending keys allocate
+// leaves in disk order), scans, random delete + reinsert churn, scans again.
+func aged[T engine.Tree](cfg AgingConfig, name string, newTree func(*engine.Engine) (T, error)) AgingRow {
+	clk, _, d := load(hdd.New(cfg.Profile, cfg.Seed), cfg.CacheBytes, newTree, func(t T) {
 		for id := int64(0); id < cfg.Items; id++ {
-			d.Put(cfg.Spec.SequentialKey(uint64(id)), cfg.Spec.Value(uint64(id)))
+			t.Put(cfg.Spec.SequentialKey(uint64(id)), cfg.Spec.Value(uint64(id)))
 		}
-		d.Flush()
-		fresh := agingScan(clk, cfg, d)
-		// Churn: random delete + reinsert cycles.
-		rng := stats.NewRNG(cfg.Seed + 5)
-		for i := 0; i < cfg.ChurnOps; i++ {
-			id := uint64(rng.Int63n(cfg.Items))
-			del(cfg.Spec.SequentialKey(id))
-			d.Put(cfg.Spec.SequentialKey(id), cfg.Spec.Value(id))
-		}
-		d.Flush()
-		aged := agingScan(clk, cfg, d)
-		rows = append(rows, AgingRow{
-			Structure:    name,
-			FreshUsItem:  fresh,
-			AgedUsItem:   aged,
-			AgingPenalty: aged / fresh,
-		})
+	})
+	fresh := agingScan(clk, cfg, d)
+	rng := stats.NewRNG(cfg.Seed + 5)
+	for i := 0; i < cfg.ChurnOps; i++ {
+		id := uint64(rng.Int63n(cfg.Items))
+		d.Delete(cfg.Spec.SequentialKey(id))
+		d.Put(cfg.Spec.SequentialKey(id), cfg.Spec.Value(id))
 	}
-	run(fmt.Sprintf("B-tree (%s nodes)", humanBytes(cfg.NodeBytes)), func(eng *engine.Engine) (agingDict, func(key []byte)) {
-		t, err := btree.New(btree.Config{
-			NodeBytes:     cfg.NodeBytes,
-			MaxKeyBytes:   cfg.Spec.KeyBytes,
-			MaxValueBytes: cfg.Spec.ValueBytes,
-		}, eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: aging btree: %v", err))
-		}
-		return t, func(k []byte) { t.Delete(k) }
-	})
-	run(fmt.Sprintf("Bε-tree (%s nodes)", humanBytes(cfg.BeNodeView)), func(eng *engine.Engine) (agingDict, func(key []byte)) {
-		t, err := betree.New(betree.Config{
-			NodeBytes:     cfg.BeNodeView,
-			MaxFanout:     cfg.Fanout,
-			MaxKeyBytes:   cfg.Spec.KeyBytes,
-			MaxValueBytes: cfg.Spec.ValueBytes,
-		}.Optimized(), eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: aging betree: %v", err))
-		}
-		return t, func(k []byte) { t.Delete(k) }
-	})
-	return rows
+	d.Flush()
+	aged := agingScan(clk, cfg, d)
+	return AgingRow{Structure: name, FreshUsItem: fresh, AgedUsItem: aged, AgingPenalty: aged / fresh}
 }
 
 // agingScan measures scan cost per item from cold cache.
-func agingScan(clk *sim.Engine, cfg AgingConfig, d agingDict) float64 {
+func agingScan(clk *sim.Engine, cfg AgingConfig, d engine.Dictionary) float64 {
 	rng := stats.NewRNG(cfg.Seed + 9)
 	start := clk.Now()
 	for i := 0; i < cfg.ScanOps; i++ {

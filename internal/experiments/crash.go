@@ -72,142 +72,70 @@ type CrashRow struct {
 	Stats        engine.DurabilityStats // full durable-run counters
 }
 
-// crashSetup builds a durable engine + tree of the named structure on a
-// fault store and returns the workload-facing dictionary plus the tree's
-// logical-bytes counter.
+// crashTree is one structure of E19: its name, and its constructor on an
+// engine, new when manifest is nil or reopened from a recovered manifest.
 type crashTree struct {
-	dict    workload.Dictionary
-	logical func() int64
-	// open reopens the structure on a recovered engine from its manifest
-	// (nil manifest = start empty) and returns the dictionary to attach.
-	open func(e *engine.Engine, manifest []byte) (engine.Dictionary, error)
 	name string
+	open func(e *engine.Engine, manifest []byte) (engine.Tree, error)
 }
 
-func (cfg CrashConfig) trees() []func(e *engine.Engine) (crashTree, error) {
-	btCfg := btree.Config{
-		NodeBytes:     cfg.NodeBytes,
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
+// reopen pairs a tree's constructor and its Open at one config.
+func reopen[C any, T engine.Tree](newTree func(C, *engine.Engine) (T, error), open func(C, *engine.Engine, []byte) (T, error), cfg C) func(*engine.Engine, []byte) (engine.Tree, error) {
+	return func(e *engine.Engine, manifest []byte) (engine.Tree, error) {
+		if manifest == nil {
+			return newTree(cfg, e)
+		}
+		return open(cfg, e, manifest)
 	}
-	beCfg := betree.Config{
-		NodeBytes:     cfg.NodeBytes,
-		MaxFanout:     cfg.Fanout,
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
-	}.Optimized()
+}
+
+func (cfg CrashConfig) trees() []crashTree {
 	lsCfg := lsm.DefaultConfig()
 	lsCfg.MemtableBytes = int(cfg.CacheBytes / 4)
-	return []func(e *engine.Engine) (crashTree, error){
-		func(e *engine.Engine) (crashTree, error) {
-			t, err := btree.New(btCfg, e)
-			if err != nil {
-				return crashTree{}, err
-			}
-			return crashTree{
-				name: "B-tree", dict: t,
-				logical: func() int64 { return t.LogicalBytesInserted },
-				open: func(e2 *engine.Engine, man []byte) (engine.Dictionary, error) {
-					if man == nil {
-						return btree.New(btCfg, e2)
-					}
-					return btree.Open(btCfg, e2, man)
-				},
-			}, nil
-		},
-		func(e *engine.Engine) (crashTree, error) {
-			t, err := betree.New(beCfg, e)
-			if err != nil {
-				return crashTree{}, err
-			}
-			return crashTree{
-				name: "Bε-tree", dict: t,
-				logical: func() int64 { return t.LogicalBytesInserted },
-				open: func(e2 *engine.Engine, man []byte) (engine.Dictionary, error) {
-					if man == nil {
-						return betree.New(beCfg, e2)
-					}
-					return betree.Open(beCfg, e2, man)
-				},
-			}, nil
-		},
-		func(e *engine.Engine) (crashTree, error) {
-			t, err := lsm.New(lsCfg, e)
-			if err != nil {
-				return crashTree{}, err
-			}
-			return crashTree{
-				name: "LSM-tree", dict: t,
-				logical: func() int64 { return t.LogicalBytesInserted },
-				open: func(e2 *engine.Engine, man []byte) (engine.Dictionary, error) {
-					if man == nil {
-						return lsm.New(lsCfg, e2)
-					}
-					return lsm.Open(lsCfg, e2, man)
-				},
-			}, nil
-		},
+	return []crashTree{
+		{"B-tree", reopen(btree.New, btree.Open, bTree(cfg.Spec, cfg.NodeBytes))},
+		{"Bε-tree", reopen(betree.New, betree.Open, beTree(cfg.Spec, cfg.NodeBytes, cfg.Fanout).Optimized())},
+		{"LSM-tree", reopen(lsm.New, lsm.Open, lsCfg)},
 	}
 }
 
 // Crash runs E19.
 func Crash(cfg CrashConfig) []CrashRow {
-	var rows []CrashRow
-	for _, mk := range cfg.trees() {
+	return sweep(cfg.trees(), func(ct crashTree) CrashRow {
 		// Baseline: durability off.
-		var baseWA float64
-		{
-			eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.NewDeterministic(cfg.Profile), sim.New())
-			ct, err := mk(eng)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: crash baseline: %v", err))
-			}
-			workload.Load(ct.dict, cfg.Spec, cfg.Items)
-			flushDict(ct.dict)
-			baseWA = float64(eng.Counters().BytesWritten) / float64(ct.logical())
-		}
+		_, _, base := load(hdd.NewDeterministic(cfg.Profile), cfg.CacheBytes,
+			func(e *engine.Engine) (engine.Tree, error) { return ct.open(e, nil) },
+			func(t engine.Tree) { workload.Load(t, cfg.Spec, cfg.Items) })
 
 		// Durable run: same load through the WAL-backed wrapper.
-		row := cfg.durableRun(mk, 0)
-		row.BaseWA = baseWA
+		row := cfg.durableRun(ct, 0)
+		row.BaseWA = writeAmp(base)
 
 		// Crash drill: rerun, pull the plug after CrashFrac of the
 		// operations, recover, replay.
-		crashAfter := int64(float64(cfg.Items) * cfg.CrashFrac)
-		if crashAfter < 1 {
-			crashAfter = 1
-		}
-		drill := cfg.durableRun(mk, crashAfter)
+		drill := cfg.durableRun(ct, max(int64(float64(cfg.Items)*cfg.CrashFrac), 1))
 		row.Replayed = drill.Replayed
 		row.RecoveryTime = drill.RecoveryTime
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// flushDict flushes whatever flavor of Flush the tree has.
-func flushDict(d workload.Dictionary) {
-	if f, ok := d.(interface{ Flush() }); ok {
-		f.Flush()
-	}
+		return row
+	})
 }
 
 // durableRun loads cfg.Items through a durable wrapper. With crashAfter >
 // 0 it loads only that many items, arms a clean-boundary crash on the next
 // device write, forces one with a sync, then recovers and replays, filling
 // Replayed and RecoveryTime.
-func (cfg CrashConfig) durableRun(mk func(*engine.Engine) (crashTree, error), crashAfter int64) CrashRow {
+func (cfg CrashConfig) durableRun(ct crashTree, crashAfter int64) CrashRow {
 	fs := storage.NewFaultStore(hdd.NewDeterministic(cfg.Profile))
-	eng := engine.FromStore(engine.Config{CacheBytes: cfg.CacheBytes}, fs, sim.New())
+	_, eng := assemble(fs, cfg.CacheBytes)
 	dcfg := cfg.Durability
 	if err := eng.EnableDurability(dcfg); err != nil {
 		panic(fmt.Sprintf("experiments: crash durability: %v", err))
 	}
-	ct, err := mk(eng)
+	tree, err := ct.open(eng, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: crash durable: %v", err))
 	}
-	wrapped, err := eng.Durable("t", ct.dict.(engine.Dictionary))
+	wrapped, err := eng.Durable("t", tree)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: crash register: %v", err))
 	}
@@ -247,9 +175,8 @@ func (cfg CrashConfig) durableRun(mk func(*engine.Engine) (crashTree, error), cr
 	row := CrashRow{Structure: ct.name}
 	if !crashed {
 		st := eng.DurabilityStats()
-		logical := ct.logical()
-		total := eng.Counters().BytesWritten
-		row.DurableWA = float64(total) / float64(logical)
+		logical := tree.Stats().LogicalBytes
+		row.DurableWA = writeAmp(tree)
 		row.LogWA = float64(st.LogBytes) / float64(logical)
 		row.CkptWA = float64(st.JournalBytes+st.RedoBytes) / float64(logical)
 		row.Checkpoints = st.Checkpoints

@@ -9,12 +9,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"iomodels/internal/betree"
-	"iomodels/internal/engine"
 	"iomodels/internal/hdd"
-	"iomodels/internal/sim"
 	"iomodels/internal/workload"
 )
 
@@ -55,43 +51,22 @@ type EpsilonRow struct {
 	Height   int
 }
 
-// EpsilonSweep runs E18.
+// EpsilonSweep runs E18: the point measurement at each fanout, without
+// scans.
 func EpsilonSweep(cfg EpsilonConfig) []EpsilonRow {
-	var rows []EpsilonRow
-	for _, f := range cfg.Fanouts {
-		bcfg := betree.Config{
-			NodeBytes:     cfg.NodeBytes,
-			MaxFanout:     f,
-			MaxKeyBytes:   cfg.Spec.KeyBytes,
-			MaxValueBytes: cfg.Spec.ValueBytes,
-		}.Optimized()
-		clk := sim.New()
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-		tree, err := betree.New(bcfg, eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: epsilon sweep F=%d: %v", f, err))
-		}
-		workload.Load(tree, cfg.Spec, cfg.Items)
-		tree.Flush()
-
-		queryMs := measurePhase(clk, cfg.QueryOps, func(i int) {
-			id := uint64(int64(i*2654435761) % cfg.Items)
-			tree.Get(cfg.Spec.Key(id))
-		}, nil)
-		insertMs := measurePhase(clk, cfg.InsertOps, func(i int) {
-			id := uint64(cfg.Items + int64(i))
-			tree.Put(cfg.Spec.Key(id), cfg.Spec.Value(id))
-		}, tree.Flush)
-
-		rows = append(rows, EpsilonRow{
+	ncfg := NodeSizeConfig{Items: cfg.Items, CacheBytes: cfg.CacheBytes, QueryOps: cfg.QueryOps,
+		InsertOps: cfg.InsertOps, Profile: cfg.Profile, Spec: cfg.Spec, Seed: cfg.Seed}
+	return sweep(cfg.Fanouts, func(f int) EpsilonRow {
+		bcfg := beTree(cfg.Spec, cfg.NodeBytes, f).Optimized()
+		p, tree := measure(ncfg, bind(betree.New, bcfg))
+		return EpsilonRow{
 			Fanout:   f,
 			Epsilon:  bcfg.Epsilon(cfg.Spec.KeyBytes + cfg.Spec.ValueBytes + 8),
-			InsertMs: insertMs,
-			QueryMs:  queryMs,
+			InsertMs: p.InsertMs,
+			QueryMs:  p.QueryMs,
 			Height:   tree.Height(),
-		})
-	}
-	return rows
+		}
+	})
 }
 
 // RenderEpsilon formats E18.

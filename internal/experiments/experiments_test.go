@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -175,32 +176,8 @@ func smallFig2() NodeSizeConfig {
 // hard drive, computed by whichever of E5 (E10), E6, E13 and E15 asks first —
 // E5 in a whole-package run — and shared by all four. Each used to run its
 // own copy or near-copy, and the sweep's 1 MiB point alone is 20 s of host
-// time.
-//
-// Figure2 gives every node size a fresh device, engine and tree, so the sweep
-// is assembled from one single-size call per point, run concurrently: the
-// 1 MiB point's 20 s then overlap the other four sizes' 5 s on the second
-// core, which is otherwise idle while the serial tests run.
-var fig2Small = sync.OnceValue(func() NodeSizeResult {
-	cfg := smallFig2()
-	points := make([]NodeSizeResult, len(cfg.NodeSizes))
-	var wg sync.WaitGroup
-	for i, nb := range cfg.NodeSizes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			one := cfg
-			one.NodeSizes = []int{nb}
-			points[i] = Figure2(one)
-		}()
-	}
-	wg.Wait()
-	res := points[0]
-	for _, p := range points[1:] {
-		res.Points = append(res.Points, p.Points...)
-	}
-	return res
-})
+// time (NodeSizeSweep overlaps it with the other sizes on a second core).
+var fig2Small = sync.OnceValue(func() NodeSizeResult { return NodeSizeSweep(smallFig2()) })
 
 // skipUnderRace skips the full-scale single-client harnesses when built
 // with the race detector: they exercise no goroutine concurrency, and
@@ -265,7 +242,7 @@ func TestE5Figure2BTreeNodeSize(t *testing.T) {
 func smallFig3() NodeSizeConfig {
 	cfg := DefaultFigure3Config()
 	cfg.Items = 60_000
-	cfg.CacheBytes = 3 << 21 >> 1 // 1.5 MiB
+	cfg.CacheBytes = 3 << 21 >> 1 // 3 MiB
 	cfg.QueryOps = 80
 	cfg.InsertOps = 4000
 	cfg.NodeSizes = []int{64 << 10, 256 << 10, 1 << 20, 2 << 20}
@@ -275,7 +252,7 @@ func smallFig3() NodeSizeConfig {
 func TestE6Figure3BeTreeNodeSize(t *testing.T) {
 	skipUnderRace(t)
 	t.Parallel()
-	fig3 := Figure3(smallFig3())
+	fig3 := NodeSizeSweep(smallFig3())
 	fig2 := fig2Small()
 
 	// Core claim: the Bε-tree is much less sensitive to node size than the
@@ -544,7 +521,7 @@ func TestE15DeviceFamilies(t *testing.T) {
 	hddRes.Points = slices.DeleteFunc(slices.Clone(hddRes.Points), func(p NodeSizePoint) bool {
 		return !slices.Contains(ssdCfg.NodeSizes, p.NodeBytes)
 	})
-	ssdRes := Figure2(ssdCfg)
+	ssdRes := NodeSizeSweep(ssdCfg)
 
 	best := func(res NodeSizeResult) (int, float64) {
 		bi := 0
@@ -574,14 +551,24 @@ func TestE15DeviceFamilies(t *testing.T) {
 
 // TestDeterminism is the repository's reproducibility contract: every
 // deterministic row of the registry, run twice in one process at the reduced
-// scale, renders byte-identical output. The pager-backed rows (E9-dynamic,
-// E12, E14, E16, E18, E19) are the ones a map-ordered Pager.Flush used to
-// break: write-back order decided head position and cache recency, hence
-// virtual time, per run. Under the race detector only the rows without a
-// tree workload run: the others take 10-20x as long there, and their
-// concurrent paths have their own tests in the race pass.
+// scale, renders byte-identical output, and that output is the row's block
+// in testdata/small.md (regenerate it as the file's header says when a
+// change is meant to move a table). The pager-backed rows (E9-dynamic, E12,
+// E14, E16, E18, E19) are the ones a map-ordered Pager.Flush used to break:
+// write-back order decided head position and cache recency, hence virtual
+// time, per run. Under the race detector only the rows without a tree
+// workload run: the others take 10-20x as long there, and their concurrent
+// paths have their own tests in the race pass.
 func TestDeterminism(t *testing.T) {
 	t.Parallel()
+	golden, err := os.ReadFile("testdata/small.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := Blocks(string(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
 	light := map[string]bool{"E1": true, "E3": true, "E4": true, "E17": true, "E23": true, "M1": true}
 	for _, r := range Registry {
 		if !r.Deterministic {
@@ -598,7 +585,15 @@ func TestDeterminism(t *testing.T) {
 				}
 				return out
 			}
-			if a, b := render(), render(); a != b {
+			a := render()
+			block, ok := blocks[r.ID]
+			if !ok {
+				t.Fatalf("testdata/small.md has no block for %s", r.ID)
+			}
+			if d := diff(strings.TrimSpace(block), strings.TrimSpace(a)); d != "" {
+				t.Errorf("%s: the render differs from testdata/small.md (- recorded, + rendered):\n%s", r.ID, d)
+			}
+			if b := render(); a != b {
 				t.Fatalf("not deterministic:\n%s\nvs\n%s", a, b)
 			}
 		})

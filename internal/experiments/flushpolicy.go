@@ -11,12 +11,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"iomodels/internal/betree"
-	"iomodels/internal/engine"
 	"iomodels/internal/hdd"
-	"iomodels/internal/sim"
 	"iomodels/internal/stats"
 	"iomodels/internal/workload"
 )
@@ -62,50 +58,35 @@ type FlushPolicyRow struct {
 // FlushPolicyAblation runs E14: both policies under uniform and skewed
 // upsert streams.
 func FlushPolicyAblation(cfg FlushPolicyConfig) []FlushPolicyRow {
-	var rows []FlushPolicyRow
+	var runs []FlushPolicyRow
 	for _, skewed := range []bool{false, true} {
 		for _, policy := range []betree.FlushPolicy{betree.FlushFullest, betree.FlushRoundRobin} {
-			clk := sim.New()
-			eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-			bcfg := betree.Config{
-				NodeBytes:     cfg.NodeBytes,
-				MaxFanout:     cfg.Fanout,
-				MaxKeyBytes:   cfg.Spec.KeyBytes,
-				MaxValueBytes: cfg.Spec.ValueBytes,
-				FlushPolicy:   policy,
-			}.Optimized()
-			bcfg.FlushPolicy = policy // Optimized() must not reset it
-			tree, err := betree.New(bcfg, eng)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: flush policy: %v", err))
-			}
-			workload.Load(tree, cfg.Spec, cfg.Items)
-			tree.Flush()
-
-			rng := stats.NewRNG(cfg.Seed + 7)
-			var zipf *stats.Zipf
-			if skewed {
-				zipf = stats.NewZipf(cfg.KeySpace, cfg.Theta)
-			}
-			flushesBefore := tree.Flushes
-			ms := measurePhase(clk, cfg.Ops, func(i int) {
-				var id uint64
-				if zipf != nil {
-					id = uint64(zipf.Next(rng))
-				} else {
-					id = uint64(rng.Int63n(cfg.KeySpace))
-				}
-				tree.Upsert(cfg.Spec.Key(id), 1)
-			}, tree.Flush)
-			rows = append(rows, FlushPolicyRow{
-				Policy:   policy,
-				Skewed:   skewed,
-				InsertMs: ms,
-				Flushes:  float64(tree.Flushes-flushesBefore) / float64(cfg.Ops) * 1000,
-			})
+			runs = append(runs, FlushPolicyRow{Policy: policy, Skewed: skewed})
 		}
 	}
-	return rows
+	return sweep(runs, func(row FlushPolicyRow) FlushPolicyRow {
+		bcfg := beTree(cfg.Spec, cfg.NodeBytes, cfg.Fanout).Optimized()
+		bcfg.FlushPolicy = row.Policy
+		clk, _, tree := load(hdd.New(cfg.Profile, cfg.Seed), cfg.CacheBytes, bind(betree.New, bcfg),
+			func(t *betree.Tree) { workload.Load(t, cfg.Spec, cfg.Items) })
+		rng := stats.NewRNG(cfg.Seed + 7)
+		var zipf *stats.Zipf
+		if row.Skewed {
+			zipf = stats.NewZipf(cfg.KeySpace, cfg.Theta)
+		}
+		flushesBefore := tree.Flushes
+		row.InsertMs = measurePhase(clk, cfg.Ops, func(i int) {
+			var id uint64
+			if zipf != nil {
+				id = uint64(zipf.Next(rng))
+			} else {
+				id = uint64(rng.Int63n(cfg.KeySpace))
+			}
+			tree.Upsert(cfg.Spec.Key(id), 1)
+		}, tree.Flush)
+		row.Flushes = float64(tree.Flushes-flushesBefore) / float64(cfg.Ops) * 1000
+		return row
+	})
 }
 
 // RenderFlushPolicy formats E14.

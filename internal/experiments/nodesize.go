@@ -1,12 +1,14 @@
-// E5 (Figure 2), E6 (Figure 3), E10 (Corollary 7 check) and E11 (Theorem 9
-// ablation): node-size sweeps of the disk-backed B-tree (BerkeleyDB
-// stand-in) and Bε-tree (TokuDB stand-in) on a simulated HDD.
+// E5 (Figure 2), E6 (Figure 3), E10 (Corollary 7 check), E11 (Theorem 9
+// ablation) and E15 (Figure 2 on an SSD): one node-size sweep, of the
+// disk-backed B-tree (BerkeleyDB stand-in) or the Bε-tree (TokuDB
+// stand-in) on a simulated HDD or SSD.
 //
 // Methodology follows §7: load a key-value population, then measure the
-// average virtual time of random point queries and random inserts at each
-// node size, overlaying the affine model's prediction. Sizes are scaled
-// from the paper's 16 GB / 4 GiB-RAM setup, keeping the data:cache ratio
-// (all knobs are exposed in NodeSizeConfig).
+// average virtual time of random point queries, random inserts and range
+// scans at each node size (the tree harness's point measurement), overlaying
+// the affine model's prediction for that tree. Sizes are scaled from the
+// paper's 16 GB / 4 GiB-RAM setup, keeping the data:cache ratio (all knobs
+// are exposed in NodeSizeConfig).
 
 package experiments
 
@@ -24,7 +26,7 @@ import (
 	"iomodels/internal/workload"
 )
 
-// NodeSizeConfig parameterizes the Figure 2/3 sweeps.
+// NodeSizeConfig parameterizes the node-size sweep.
 type NodeSizeConfig struct {
 	Items      int64
 	CacheBytes int64
@@ -33,7 +35,7 @@ type NodeSizeConfig struct {
 	ScanOps    int // range queries measured per node size
 	ScanLen    int // items returned per range query
 	NodeSizes  []int
-	Fanout     int // Bε-tree only
+	Fanout     int // the Bε-tree's maximum fanout; 0 sweeps the B-tree
 	Profile    hdd.Profile
 	// SSD, when non-nil, runs the sweep on this solid-state profile instead
 	// of the hard drive (the E15 device-family comparison).
@@ -136,106 +138,42 @@ func (cfg NodeSizeConfig) entryBytes() float64 {
 	return float64(cfg.Spec.KeyBytes + cfg.Spec.ValueBytes + 8)
 }
 
-// Figure2 sweeps the B-tree.
-func Figure2(cfg NodeSizeConfig) NodeSizeResult {
-	res := NodeSizeResult{Tree: "B-tree", Device: cfg.DeviceName()}
-	a := cfg.affine()
-	for _, nb := range cfg.NodeSizes {
-		clk := sim.New()
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, cfg.makeDevice(), clk)
-		tree, err := btree.New(btree.Config{
-			NodeBytes:     nb,
-			MaxKeyBytes:   cfg.Spec.KeyBytes,
-			MaxValueBytes: cfg.Spec.ValueBytes,
-		}, eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: figure2 config: %v", err))
+// NodeSizeSweep measures cfg's tree at each of cfg.NodeSizes, one point
+// per size, with the affine model's prediction beside each: Figure 2 (E5,
+// and E15 on another device) on the B-tree, Figure 3 (E6) on the Bε-tree.
+func NodeSizeSweep(cfg NodeSizeConfig) NodeSizeResult {
+	name := "B-tree"
+	if cfg.Fanout > 0 {
+		name = "Bε-tree"
+		if !cfg.Optimized {
+			name = "Bε-tree (naive)"
 		}
-		workload.Load(tree, cfg.Spec, cfg.Items)
-		tree.Flush()
-		eng.Pager().ResetStats()
+	}
+	return NodeSizeResult{Tree: name, Device: cfg.DeviceName(), Points: sweep(cfg.NodeSizes, cfg.point)}
+}
 
-		queryMs := measurePhase(clk, cfg.QueryOps, func(i int) {
-			id := uint64(int64(i*2654435761) % cfg.Items)
-			tree.Get(cfg.Spec.Key(id))
-		}, nil)
-		insertMs := measurePhase(clk, cfg.InsertOps, func(i int) {
-			id := uint64(cfg.Items + int64(i))
-			tree.Put(cfg.Spec.Key(id), cfg.Spec.Value(id))
-		}, tree.Flush)
-		scanUs := measureScans(clk, cfg, func(lo []byte, n int) {
-			count := 0
-			tree.Scan(lo, nil, func(k, v []byte) bool {
-				count++
-				return count < n
-			})
-		})
-
-		p := core.BTreeParams{
+// point is one node size of the sweep.
+func (cfg NodeSizeConfig) point(nb int) NodeSizePoint {
+	a := cfg.affine()
+	var p NodeSizePoint
+	if cfg.Fanout == 0 {
+		p, _ = measure(cfg, bind(btree.New, bTree(cfg.Spec, nb)))
+		m := core.BTreeParams{
 			NodeBytes:  float64(nb),
 			EntryBytes: cfg.entryBytes(),
 			Items:      float64(cfg.Items),
 			CacheBytes: float64(cfg.CacheBytes),
 		}
-		res.Points = append(res.Points, NodeSizePoint{
-			NodeBytes:     nb,
-			QueryMs:       queryMs,
-			InsertMs:      insertMs,
-			ScanUsItem:    scanUs,
-			ModelQueryMs:  core.BTreePointCost(a, p) * 1000,
-			ModelInsertMs: core.BTreePointCost(a, p) * 1000,
-			ModelScanUsIt: core.BTreeRangeCost(a, p, float64(cfg.ScanLen)) / float64(maxInt(cfg.ScanLen, 1)) * 1e6,
-			Pager:         eng.Pager().Stats(),
-		})
-	}
-	return res
-}
-
-// Figure3 sweeps the Bε-tree.
-func Figure3(cfg NodeSizeConfig) NodeSizeResult {
-	name := "Bε-tree"
-	if !cfg.Optimized {
-		name = "Bε-tree (naive)"
-	}
-	res := NodeSizeResult{Tree: name, Device: cfg.DeviceName()}
-	a := cfg.affine()
-	for _, nb := range cfg.NodeSizes {
-		bcfg := betree.Config{
-			NodeBytes:     nb,
-			MaxFanout:     cfg.Fanout,
-			MaxKeyBytes:   cfg.Spec.KeyBytes,
-			MaxValueBytes: cfg.Spec.ValueBytes,
-		}
+		p.ModelQueryMs = core.BTreePointCost(a, m) * 1000
+		p.ModelInsertMs = p.ModelQueryMs
+		p.ModelScanUsIt = core.BTreeRangeCost(a, m, float64(cfg.ScanLen)) / float64(max(cfg.ScanLen, 1)) * 1e6
+	} else {
+		bcfg := beTree(cfg.Spec, nb, cfg.Fanout)
 		if cfg.Optimized {
 			bcfg = bcfg.Optimized()
 		}
-		clk := sim.New()
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, cfg.makeDevice(), clk)
-		tree, err := betree.New(bcfg, eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: figure3 config at %d: %v", nb, err))
-		}
-		workload.Load(tree, cfg.Spec, cfg.Items)
-		tree.Flush()
-		eng.Pager().ResetStats()
-
-		queryMs := measurePhase(clk, cfg.QueryOps, func(i int) {
-			id := uint64(int64(i*2654435761) % cfg.Items)
-			tree.Get(cfg.Spec.Key(id))
-		}, nil)
-		insertMs := measurePhase(clk, cfg.InsertOps, func(i int) {
-			id := uint64(cfg.Items + int64(i))
-			tree.Put(cfg.Spec.Key(id), cfg.Spec.Value(id))
-		}, tree.Flush)
-		scanUs := measureScans(clk, cfg, func(lo []byte, n int) {
-			count := 0
-			tree.Scan(lo, nil, func(k, v []byte) bool {
-				count++
-				return count < n
-			})
-		})
-
-		p := core.BeTreeParams{
+		p, _ = measure(cfg, bind(betree.New, bcfg))
+		m := core.BeTreeParams{
 			NodeBytes:  float64(nb),
 			EntryBytes: cfg.entryBytes(),
 			PivotBytes: float64(cfg.Spec.KeyBytes + 12),
@@ -244,53 +182,12 @@ func Figure3(cfg NodeSizeConfig) NodeSizeResult {
 			CacheBytes: float64(cfg.CacheBytes),
 			Optimized:  cfg.Optimized,
 		}
-		res.Points = append(res.Points, NodeSizePoint{
-			NodeBytes:     nb,
-			QueryMs:       queryMs,
-			InsertMs:      insertMs,
-			ScanUsItem:    scanUs,
-			ModelQueryMs:  core.BeTreePointCost(a, p) * 1000,
-			ModelInsertMs: core.BeTreeInsertCost(a, p) * 1000,
-			ModelScanUsIt: core.BeTreeRangeCost(a, p, float64(cfg.ScanLen)) / float64(maxInt(cfg.ScanLen, 1)) * 1e6,
-			Pager:         eng.Pager().Stats(),
-		})
+		p.ModelQueryMs = core.BeTreePointCost(a, m) * 1000
+		p.ModelInsertMs = core.BeTreeInsertCost(a, m) * 1000
+		p.ModelScanUsIt = core.BeTreeRangeCost(a, m, float64(cfg.ScanLen)) / float64(max(cfg.ScanLen, 1)) * 1e6
 	}
-	return res
-}
-
-// measureScans runs cfg.ScanOps range queries of cfg.ScanLen items and
-// returns virtual microseconds per item returned (0 if scans disabled).
-func measureScans(clk *sim.Engine, cfg NodeSizeConfig, scan func(lo []byte, n int)) float64 {
-	if cfg.ScanOps <= 0 || cfg.ScanLen <= 0 {
-		return 0
-	}
-	start := clk.Now()
-	for i := 0; i < cfg.ScanOps; i++ {
-		id := uint64(int64(i*7919) % cfg.Items)
-		scan(cfg.Spec.Key(id), cfg.ScanLen)
-	}
-	total := float64(cfg.ScanOps * cfg.ScanLen)
-	return (clk.Now() - start).Milliseconds() * 1000 / total
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// measurePhase runs ops and returns virtual milliseconds per op, including
-// any closing cost (e.g. the write-back the ops deferred).
-func measurePhase(clk *sim.Engine, ops int, run func(i int), closing func()) float64 {
-	start := clk.Now()
-	for i := 0; i < ops; i++ {
-		run(i)
-	}
-	if closing != nil {
-		closing()
-	}
-	return (clk.Now() - start).Milliseconds() / float64(ops)
+	p.NodeBytes = nb
+	return p
 }
 
 // RenderNodeSize formats a Figure 2/3 sweep.
@@ -362,39 +259,17 @@ func Theorem9Ablation(cfg NodeSizeConfig, nodeBytes int) []AblationRow {
 		layout betree.Layout
 		qm     betree.QueryMode
 	}
-	variants := []variant{
+	cfg.ScanOps = 0
+	return sweep([]variant{
 		{"whole-node (Lemma 8)", betree.Packed, betree.WholeNode},
 		{"segmented buffers (meta+slot)", betree.Slotted, betree.MetaPlusSlot},
 		{"pivots-in-parent (Theorem 9)", betree.Slotted, betree.SlotOnly},
-	}
-	var rows []AblationRow
-	for _, v := range variants {
-		clk := sim.New()
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-		tree, err := betree.New(betree.Config{
-			NodeBytes:     nodeBytes,
-			MaxFanout:     cfg.Fanout,
-			MaxKeyBytes:   cfg.Spec.KeyBytes,
-			MaxValueBytes: cfg.Spec.ValueBytes,
-			Layout:        v.layout,
-			QueryMode:     v.qm,
-		}, eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: ablation: %v", err))
-		}
-		workload.Load(tree, cfg.Spec, cfg.Items)
-		tree.Flush()
-		queryMs := measurePhase(clk, cfg.QueryOps, func(i int) {
-			id := uint64(int64(i*2654435761) % cfg.Items)
-			tree.Get(cfg.Spec.Key(id))
-		}, nil)
-		insertMs := measurePhase(clk, cfg.InsertOps, func(i int) {
-			id := uint64(cfg.Items + int64(i))
-			tree.Put(cfg.Spec.Key(id), cfg.Spec.Value(id))
-		}, tree.Flush)
-		rows = append(rows, AblationRow{Mode: v.name, QueryMs: queryMs, InsertMs: insertMs})
-	}
-	return rows
+	}, func(v variant) AblationRow {
+		bcfg := beTree(cfg.Spec, nodeBytes, cfg.Fanout)
+		bcfg.Layout, bcfg.QueryMode = v.layout, v.qm
+		p, _ := measure(cfg, bind(betree.New, bcfg))
+		return AblationRow{Mode: v.name, QueryMs: p.QueryMs, InsertMs: p.InsertMs}
+	})
 }
 
 // RenderAblation formats E11.

@@ -14,7 +14,7 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 
 	"iomodels/internal/betree"
 	"iomodels/internal/btree"
@@ -66,81 +66,47 @@ type Lemma13DynamicRow struct {
 	HitRatio      float64 // pager hit ratio during the round
 }
 
-// dynTree builds one dictionary on an engine and hands out per-client
-// sessions.
-type dynTree struct {
-	name  string
-	build func(eng *engine.Engine) func(c *engine.Client) engine.Dictionary
-}
-
-func (cfg Lemma13DynamicConfig) trees() []dynTree {
-	return []dynTree{
-		{
-			name: "B-tree",
-			build: func(eng *engine.Engine) func(c *engine.Client) engine.Dictionary {
-				tree, err := btree.New(btree.Config{
-					NodeBytes:     cfg.BTreeNodeBlocks * int(cfg.BlockBytes),
-					MaxKeyBytes:   cfg.Spec.KeyBytes,
-					MaxValueBytes: cfg.Spec.ValueBytes,
-				}, eng)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: lemma13 dynamic btree: %v", err))
-				}
-				workload.Load(tree, cfg.Spec, cfg.Items)
-				tree.Flush()
-				return func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-			},
-		},
-		{
-			name: "Bε-tree",
-			build: func(eng *engine.Engine) func(c *engine.Client) engine.Dictionary {
-				tree, err := betree.New(betree.Config{
-					NodeBytes:     cfg.BeTreeNodeBlocks * int(cfg.BlockBytes),
-					MaxFanout:     betree.DefaultFanout,
-					MaxKeyBytes:   cfg.Spec.KeyBytes,
-					MaxValueBytes: cfg.Spec.ValueBytes,
-				}.Optimized(), eng)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: lemma13 dynamic betree: %v", err))
-				}
-				workload.Load(tree, cfg.Spec, cfg.Items)
-				tree.Settle()
-				tree.Flush()
-				return func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-			},
-		},
-	}
-}
-
 // Lemma13Dynamic runs the extended E9 and returns rows grouped by structure
 // then clients.
 func Lemma13Dynamic(cfg Lemma13DynamicConfig) []Lemma13DynamicRow {
+	return slices.Concat(concurrently(
+		func() []Lemma13DynamicRow {
+			return dynamicRounds(cfg, "B-tree", bind(btree.New, bTree(cfg.Spec, cfg.BTreeNodeBlocks*int(cfg.BlockBytes))),
+				func(t *btree.Tree) { workload.Load(t, cfg.Spec, cfg.Items) })
+		},
+		func() []Lemma13DynamicRow {
+			return dynamicRounds(cfg, "Bε-tree", bind(betree.New, beTree(cfg.Spec, cfg.BeTreeNodeBlocks*int(cfg.BlockBytes), betree.DefaultFanout).Optimized()),
+				func(t *betree.Tree) {
+					workload.Load(t, cfg.Spec, cfg.Items)
+					t.Settle()
+				})
+		},
+	)...)
+}
+
+// dynamicRounds loads one structure on the PDAM device and runs a round per
+// client count on it.
+func dynamicRounds[T engine.Tree](cfg Lemma13DynamicConfig, name string, newTree func(*engine.Engine) (T, error), fill func(T)) []Lemma13DynamicRow {
+	dev := pdamdev.New(cfg.P, cfg.BlockBytes, cfg.StepTime).Storage(1 << 31)
+	clk, eng, tree := load(dev, cfg.CacheBytes, newTree, fill)
 	var rows []Lemma13DynamicRow
-	for _, tr := range cfg.trees() {
-		clk := sim.New()
-		dev := pdamdev.New(cfg.P, cfg.BlockBytes, cfg.StepTime)
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes},
-			dev.Storage(1<<31), clk)
-		session := tr.build(eng)
-		for _, k := range cfg.Clients {
-			steps := runDynamicRound(clk, eng, session, cfg, k)
-			total := float64(k * cfg.QueriesPerClient)
-			rows = append(rows, Lemma13DynamicRow{
-				Tree:          tr.name,
-				Clients:       k,
-				StepsPerQuery: steps / float64(cfg.QueriesPerClient),
-				Throughput:    total / steps,
-				HitRatio:      eng.Pager().Stats().HitRatio(),
-			})
-		}
+	for _, k := range cfg.Clients {
+		steps := runDynamicRound(clk, eng, tree, cfg, k)
+		total := float64(k * cfg.QueriesPerClient)
+		rows = append(rows, Lemma13DynamicRow{
+			Tree:          name,
+			Clients:       k,
+			StepsPerQuery: steps / float64(cfg.QueriesPerClient),
+			Throughput:    total / steps,
+			HitRatio:      eng.Pager().Stats().HitRatio(),
+		})
 	}
 	return rows
 }
 
 // runDynamicRound cold-starts the cache and measures how many time steps k
 // concurrent clients need for their queries.
-func runDynamicRound(clk *sim.Engine, eng *engine.Engine,
-	session func(c *engine.Client) engine.Dictionary, cfg Lemma13DynamicConfig, k int) float64 {
+func runDynamicRound(clk *sim.Engine, eng *engine.Engine, tree engine.Tree, cfg Lemma13DynamicConfig, k int) float64 {
 	eng.Pager().EvictAll(eng.Owner())
 	eng.Pager().ResetStats()
 	root := stats.NewRNG(cfg.Seed + uint64(k))
@@ -148,7 +114,7 @@ func runDynamicRound(clk *sim.Engine, eng *engine.Engine,
 	for c := 0; c < k; c++ {
 		rng := root.Split(uint64(c))
 		clk.Go(func(pr *sim.Proc) {
-			s := session(eng.Process(pr))
+			s := engine.NewSession(tree, eng.Process(pr))
 			for q := 0; q < cfg.QueriesPerClient; q++ {
 				id := uint64(rng.Int63n(cfg.Items))
 				if _, ok := s.Get(cfg.Spec.Key(id)); !ok {

@@ -1,8 +1,10 @@
 // The experiment registry: one row per harness run, at the scale
-// EXPERIMENTS.md records or at the reduced scale tier-1 renders. A row is the
-// only place its full-scale config lives. cmd/repro lists, runs and checks
-// the rows; every deterministic row's output sits in EXPERIMENTS.md as a
-// generated block, and Check fails when a block and its render differ.
+// EXPERIMENTS.md records or at the reduced scale tier-1 renders. A row is
+// where a harness's Default*Config is cut to a scale and its tables are
+// joined. cmd/repro lists, runs and checks the rows; every deterministic
+// row's output sits in EXPERIMENTS.md as a generated block (and at the
+// reduced scale in testdata/small.md), and Check fails when a block and its
+// render differ.
 
 package experiments
 
@@ -73,14 +75,14 @@ var Registry = []Row{
 	})},
 	{"E5", "Figure 2", []string{"E5", "E10", "E13"}, true, pure(func(small bool) string {
 		cfg := smallSweep(small, DefaultFigure2Config(), 4<<10, 16<<10, 64<<10)
-		res := Figure2(cfg)
+		res := NodeSizeSweep(cfg)
 		return join(RenderNodeSize(res, "Figure 2: B-tree ms/op vs node size (cf. paper: optimum ~64KiB, then near-linear growth)"),
 			RenderOptima(Corollary7Check(res, cfg)))
 	})},
 	{"E6", "Figure 3", []string{"E6", "E11"}, true, pure(func(small bool) string {
 		cfg := smallSweep(small, DefaultFigure3Config(), 64<<10, 256<<10)
 		nb := scale(small, 512<<10, 256<<10)
-		return join(RenderNodeSize(Figure3(cfg), "Figure 3: Bε-tree ms/op vs node size (cf. paper: queries best ~512KiB, inserts ~4MiB, both flat)"),
+		return join(RenderNodeSize(NodeSizeSweep(cfg), "Figure 3: Bε-tree ms/op vs node size (cf. paper: queries best ~512KiB, inserts ~4MiB, both flat)"),
 			RenderAblation(Theorem9Ablation(cfg, nb), nb))
 	})},
 	{"E9", "Lemma 13", []string{"E9", "E9-dynamic"}, true, pure(func(small bool) string {
@@ -112,7 +114,7 @@ var Registry = []Row{
 		cfg = smallSweep(small, cfg, 4<<10, 64<<10)
 		prof := ssd.DefaultProfile()
 		cfg.SSD = &prof
-		return RenderNodeSize(Figure2(cfg), fmt.Sprintf("E15: the Figure 2 sweep on the %s, %d pairs, %s cache", cfg.DeviceName(), cfg.Items, humanBytes(int(cfg.CacheBytes))))
+		return RenderNodeSize(NodeSizeSweep(cfg), fmt.Sprintf("E15: the Figure 2 sweep on the %s, %d pairs, %s cache", cfg.DeviceName(), cfg.Items, humanBytes(int(cfg.CacheBytes))))
 	})},
 	{"E16", "aging", []string{"E16"}, true, pure(func(small bool) string {
 		cfg := DefaultAgingConfig()
@@ -234,10 +236,11 @@ func Blocks(doc string) (map[string]string, error) {
 	return blocks, nil
 }
 
-// Check renders each deterministic row of rows at full scale and compares
-// the output with the row's block in doc, logging one line per row. The
-// error names every row whose block is missing or differs.
-func Check(doc string, rows []Row, log io.Writer) error {
+// Check renders each deterministic row of rows, at the reduced scale when
+// small, and compares the output with the row's block in doc, logging one
+// line per row. The error names every row whose block is missing or
+// differs.
+func Check(doc string, rows []Row, small bool, log io.Writer) error {
 	blocks, err := Blocks(doc)
 	if err != nil {
 		return err
@@ -253,7 +256,7 @@ func Check(doc string, rows []Row, log io.Writer) error {
 			continue
 		}
 		start := time.Now()
-		out, err := r.Run(false)
+		out, err := r.Run(small)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", r.ID, err))
 			continue

@@ -62,7 +62,7 @@ func TestRegistryMarkers(t *testing.T) {
 func TestCheckFlagsDrift(t *testing.T) {
 	doc := readDoc(t, "EXPERIMENTS.md")
 	e4, _ := Lookup("E4")
-	if err := Check(doc, []Row{e4}, io.Discard); err != nil {
+	if err := Check(doc, []Row{e4}, false, io.Discard); err != nil {
 		t.Fatalf("unchanged EXPERIMENTS.md: %v", err)
 	}
 	blocks, err := Blocks(doc)
@@ -73,7 +73,7 @@ func TestCheckFlagsDrift(t *testing.T) {
 	i := strings.Index(block, "| 64 | ") + len("| 64 | ")
 	digit := block[i]
 	drifted := block[:i] + string('0'+(digit-'0'+1)%10) + block[i+1:]
-	err = Check(strings.Replace(doc, block, drifted, 1), []Row{e4}, io.Discard)
+	err = Check(strings.Replace(doc, block, drifted, 1), []Row{e4}, false, io.Discard)
 	if err == nil || !strings.HasPrefix(err.Error(), "E4: ") {
 		t.Fatalf("one digit changed in the E4 block: Check returned %v, want an error naming E4", err)
 	}

@@ -11,14 +11,11 @@
 package experiments
 
 import (
-	"fmt"
-
 	"iomodels/internal/betree"
 	"iomodels/internal/btree"
 	"iomodels/internal/engine"
 	"iomodels/internal/hdd"
 	"iomodels/internal/lsm"
-	"iomodels/internal/sim"
 	"iomodels/internal/workload"
 )
 
@@ -56,81 +53,37 @@ type WriteAmpRow struct {
 
 // WriteAmp measures write amplification across structures and node sizes.
 func WriteAmp(cfg WriteAmpConfig) []WriteAmpRow {
-	var rows []WriteAmpRow
 	entry := float64(cfg.Spec.KeyBytes + cfg.Spec.ValueBytes + 8)
+	var runs []func() WriteAmpRow
 	for _, nb := range cfg.NodeSizes {
-		// B-tree.
-		{
-			clk := sim.New()
-			eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-			tree, err := btree.New(btree.Config{
-				NodeBytes:     nb,
-				MaxKeyBytes:   cfg.Spec.KeyBytes,
-				MaxValueBytes: cfg.Spec.ValueBytes,
-			}, eng)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: writeamp btree: %v", err))
-			}
-			workload.Load(tree, cfg.Spec, cfg.Items)
-			tree.Flush()
-			c := eng.Counters()
-			rows = append(rows, WriteAmpRow{
-				Structure: "B-tree",
-				NodeBytes: nb,
-				WriteAmp:  float64(c.BytesWritten) / float64(tree.LogicalBytesInserted),
-				ModelAmp:  float64(nb) / entry,
-			})
-		}
-		// Bε-tree (Theorem 9 organization).
-		{
-			clk := sim.New()
-			eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-			tree, err := betree.New(betree.Config{
-				NodeBytes:     nb,
-				MaxFanout:     cfg.Fanout,
-				MaxKeyBytes:   cfg.Spec.KeyBytes,
-				MaxValueBytes: cfg.Spec.ValueBytes,
-			}.Optimized(), eng)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: writeamp betree: %v", err))
-			}
-			workload.Load(tree, cfg.Spec, cfg.Items)
-			tree.Settle()
-			tree.Flush()
-			c := eng.Counters()
-			h := float64(tree.Height() - 1)
-			if h < 1 {
-				h = 1
-			}
-			rows = append(rows, WriteAmpRow{
-				Structure: "Bε-tree",
-				NodeBytes: nb,
-				WriteAmp:  float64(c.BytesWritten) / float64(tree.LogicalBytesInserted),
-				ModelAmp:  float64(cfg.Fanout) * h,
-			})
-		}
-	}
-	// LSM (node size not applicable; one row).
-	{
-		clk := sim.New()
-		eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, hdd.New(cfg.Profile, cfg.Seed), clk)
-		lcfg := lsm.DefaultConfig()
-		lcfg.MemtableBytes = int(cfg.CacheBytes / 4)
-		tree, err := lsm.New(lcfg, eng)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: writeamp lsm: %v", err))
-		}
-		workload.Load(tree, cfg.Spec, cfg.Items)
-		tree.Flush()
-		c := eng.Counters()
-		rows = append(rows, WriteAmpRow{
-			Structure: "LSM-tree",
-			NodeBytes: lcfg.SSTableBytes,
-			WriteAmp:  float64(c.BytesWritten) / float64(tree.LogicalBytesInserted),
-			ModelAmp:  float64(lcfg.GrowthFactor) * float64(tree.Levels()),
+		runs = append(runs, func() WriteAmpRow {
+			_, _, t := load(hdd.New(cfg.Profile, cfg.Seed), cfg.CacheBytes, bind(btree.New, bTree(cfg.Spec, nb)),
+				func(t *btree.Tree) { workload.Load(t, cfg.Spec, cfg.Items) })
+			return WriteAmpRow{Structure: "B-tree", NodeBytes: nb, WriteAmp: writeAmp(t), ModelAmp: float64(nb) / entry}
+		}, func() WriteAmpRow {
+			// Theorem 9 organization.
+			_, _, t := load(hdd.New(cfg.Profile, cfg.Seed), cfg.CacheBytes, bind(betree.New, beTree(cfg.Spec, nb, cfg.Fanout).Optimized()),
+				func(t *betree.Tree) {
+					workload.Load(t, cfg.Spec, cfg.Items)
+					t.Settle()
+				})
+			return WriteAmpRow{Structure: "Bε-tree", NodeBytes: nb, WriteAmp: writeAmp(t), ModelAmp: float64(cfg.Fanout) * float64(max(t.Height()-1, 1))}
 		})
 	}
-	return rows
+	// LSM (node size not applicable; one row).
+	return concurrently(append(runs, func() WriteAmpRow {
+		lcfg := lsm.DefaultConfig()
+		lcfg.MemtableBytes = int(cfg.CacheBytes / 4)
+		_, _, t := load(hdd.New(cfg.Profile, cfg.Seed), cfg.CacheBytes, bind(lsm.New, lcfg),
+			func(t *lsm.Tree) { workload.Load(t, cfg.Spec, cfg.Items) })
+		return WriteAmpRow{Structure: "LSM-tree", NodeBytes: lcfg.SSTableBytes, WriteAmp: writeAmp(t), ModelAmp: float64(lcfg.GrowthFactor) * float64(t.Levels())}
+	})...)
+}
+
+// writeAmp is a tree's device bytes written per byte it was handed.
+func writeAmp(t engine.Tree) float64 {
+	st := t.Stats()
+	return float64(st.IO.BytesWritten) / float64(st.LogicalBytes)
 }
 
 // RenderWriteAmp formats E12.

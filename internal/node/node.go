@@ -109,7 +109,7 @@ func Start(spec Spec) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	writer := tree.Dictionary
+	var writer engine.Dictionary = tree
 	if durable {
 		d, err := eng.Durable(spec.Tree, writer)
 		if err != nil {
@@ -147,7 +147,7 @@ func Start(spec Spec) (*Node, error) {
 		}
 		return n.Shipper.Promote(eng)
 	}
-	n.Srv, err = server.New(cfg, server.Backend{Eng: eng, Clock: n.Clock, NewSession: tree.Session, Writer: writer})
+	n.Srv, err = server.New(cfg, server.Backend{Eng: eng, Clock: n.Clock, NewSession: func(c *engine.Client) engine.Dictionary { return engine.NewSession(tree, c) }, Writer: writer})
 	if err != nil {
 		return nil, err
 	}
@@ -197,41 +197,33 @@ func NewDevice(kind string, p int) (storage.Device, error) {
 	return nil, fmt.Errorf("unknown device %q (want pdam, ssd, or mq)", kind)
 }
 
-// Tree is a dictionary built by NewTree: the tree itself (the owner-side
-// mutation target), its per-client read sessions, and its settle step.
-type Tree struct {
-	engine.Dictionary
-	Session func(*engine.Client) engine.Dictionary
-	Flush   func()
-}
-
-// NewTree builds a dictionary by name on eng: btree (or b), betree (be) at
+// NewTree builds a tree by name on eng: btree (or b), betree (be) at
 // the default fanout with the Optimized layout, or lsm at its defaults.
-func NewTree(kind string, nodeBytes int, keys workload.KeySpec, eng *engine.Engine) (Tree, error) {
+func NewTree(kind string, nodeBytes int, keys workload.KeySpec, eng *engine.Engine) (engine.Tree, error) {
 	switch kind {
 	case "btree", "b":
 		t, err := btree.New(btree.Config{
 			NodeBytes: nodeBytes, MaxKeyBytes: keys.KeyBytes, MaxValueBytes: keys.ValueBytes,
 		}, eng)
 		if err != nil {
-			return Tree{}, fmt.Errorf("btree: %w", err)
+			return nil, fmt.Errorf("btree: %w", err)
 		}
-		return Tree{t, func(c *engine.Client) engine.Dictionary { return t.Session(c) }, t.Flush}, nil
+		return t, nil
 	case "betree", "be":
 		t, err := betree.New(betree.Config{
 			NodeBytes: nodeBytes, MaxFanout: betree.DefaultFanout,
 			MaxKeyBytes: keys.KeyBytes, MaxValueBytes: keys.ValueBytes,
 		}.Optimized(), eng)
 		if err != nil {
-			return Tree{}, fmt.Errorf("betree: %w", err)
+			return nil, fmt.Errorf("betree: %w", err)
 		}
-		return Tree{t, func(c *engine.Client) engine.Dictionary { return t.Session(c) }, t.Flush}, nil
+		return t, nil
 	case "lsm":
 		t, err := lsm.New(lsm.DefaultConfig(), eng)
 		if err != nil {
-			return Tree{}, fmt.Errorf("lsm: %w", err)
+			return nil, fmt.Errorf("lsm: %w", err)
 		}
-		return Tree{t, func(c *engine.Client) engine.Dictionary { return t.Session(c) }, t.Flush}, nil
+		return t, nil
 	}
-	return Tree{}, fmt.Errorf("unknown tree %q (want btree, betree, or lsm)", kind)
+	return nil, fmt.Errorf("unknown tree %q (want btree, betree, or lsm)", kind)
 }

@@ -83,6 +83,9 @@ type (
 	// Dictionary is the common interface all four tree structures
 	// implement (Get/Put/Delete/Scan/Stats).
 	Dictionary = engine.Dictionary
+	// Tree is a Dictionary that lends its reads to per-client sessions
+	// and writes back what it buffers on Flush; all four trees are one.
+	Tree = engine.Tree
 	// DictionaryStats is a Dictionary's uniform self-report.
 	DictionaryStats = engine.Stats
 	// PagerStats reports buffer-pool hits, misses, evictions, and
