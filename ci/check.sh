@@ -21,7 +21,8 @@
 #              scheduler's virtual slots, kv.Dec's views, the store's
 #              read-only views, the checkpoint's translation table, the
 #              pager's intrusive LRU ring, the typed atomic counters, the
-#              experiment registry and the tree harness removed
+#              experiment registry, the tree harness and the long-polled
+#              ship pull removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -35,10 +36,13 @@
 #              container/list LRU that allocates per Unpin and a raw
 #              atomic.AddInt64-style call on a plain integer, a cmd/ main
 #              other than cmd/repro that drives internal/experiments, a
-#              second file of internal/experiments that assembles an engine)
+#              second file of internal/experiments that assembles an engine,
+#              a ship poll interval and a sleep after an empty ship pull)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
-#              in the scheduler
+#              in the scheduler (the sync-ship gate and a parked ship pull
+#              share one, in engine.Watermark.Wait; the shipper's reconnect
+#              backoff keeps its own)
 #   bench      ship-ring and WAL commit-path benchmarks at a fixed iteration
 #              count: seconds when the path is O(1), minutes if the ring
 #              ever copies itself per append again
@@ -230,6 +234,21 @@ dups=$(grep -rn --include='*.go' -e 'BatchGrace' -e 'AfterFunc' -e '"grace"' int
 if [ -n "$dups" ]; then
 	echo "a batch grace window or a timer is back on the serving path:" >&2
 	echo "$dups" >&2
+	exit 1
+fi
+# A caught-up ship pull waits at the primary for the next commit
+# (serveShipPull), so the replica keeps no poll: no interval option on the
+# shipper or in E24's harness, and nothing that sleeps after an empty pull.
+dups=$(grep -nw -e 'Interval' -e 'PullInterval' internal/cluster/*.go internal/experiments/shiplag.go | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a ship poll interval is back (a caught-up pull waits at the primary for the next commit):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+body=$(sed -n '/^func (sh \*Shipper) loop() {$/,/^}$/p' internal/cluster/replica.go | awk '/len\(recs\) == 0 \{/ {on = 1} on {print} on && /^\t\t}$/ {exit}')
+if [ -z "$body" ] || echo "$body" | grep -q -e 'sleep(' -e 'Sleep(' -e 'NewTimer(' -e 'After('; then
+	echo "Shipper.loop waits after an empty pull again (pull again at once; the primary holds a caught-up pull):" >&2
+	echo "${body:-the empty-pull branch of Shipper.loop not found in internal/cluster/replica.go}" >&2
 	exit 1
 fi
 

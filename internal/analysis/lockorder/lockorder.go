@@ -1,6 +1,6 @@
 // Package lockorder defines an analyzer enforcing a declared mutex
-// acquisition order. The serving path interleaves four locks (the server's
-// stateMu, promoteMu, shipMu and the scheduler/conn mu); a cycle in their
+// acquisition order. The serving path interleaves several locks (the
+// server's stateMu, promoteMu and the scheduler/conn mu); a cycle in their
 // acquisition graph is a deadlock that only manifests under exactly the
 // wrong interleaving of a failover and a write burst — the kind of schedule
 // no test reliably produces. So the order is declared in the source and

@@ -89,10 +89,9 @@ func newTracedNode(t *testing.T, shardID, shards int, role server.Role, syncShip
 	spec.Server.SyncShip = syncShip
 	spec.Server.Tracer = tracer
 	spec.Shipper = cluster.ShipperConfig{
-		Primary:  primaryAddr,
-		Opts:     clientOpts(),
-		Interval: time.Millisecond,
-		Logf:     t.Logf,
+		Primary: primaryAddr,
+		Opts:    clientOpts(),
+		Logf:    t.Logf,
 	}
 	return startNode(t, spec)
 }

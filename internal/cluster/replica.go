@@ -35,14 +35,13 @@ type ShipperConfig struct {
 	// Opts are the connection options (the request timeout bounds how long
 	// a dead primary can stall one pull).
 	Opts server.Options
-	// Interval is the poll delay while caught up (default 2ms). Behind the
-	// stream, the shipper pulls back-to-back.
-	Interval time.Duration
 	// Logf, if set, receives shipper lifecycle messages (reconnects, gap).
 	Logf func(format string, args ...interface{})
 }
 
-// Shipper tails one primary into one local replica server.
+// Shipper tails one primary into one local replica server. It pulls
+// back-to-back: a caught-up pull waits at the primary for the next commit,
+// so the shipper keeps no poll timer.
 type Shipper struct {
 	cfg ShipperConfig
 	srv *server.Server
@@ -59,9 +58,6 @@ type Shipper struct {
 
 // NewShipper builds a shipper feeding srv from the primary. Call Start.
 func NewShipper(srv *server.Server, cfg ShipperConfig) *Shipper {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
@@ -139,7 +135,7 @@ func (sh *Shipper) loop() {
 			backoff = min(2*backoff, maxBackoff)
 			continue
 		}
-		recs, committed, _, err := c.ShipPullStamped(sh.Cursor(), shipPullBatch)
+		recs, committed, _, err := c.ShipPull(sh.Cursor(), shipPullBatch)
 		if err != nil {
 			if errors.Is(err, server.ErrShipGap) {
 				sh.fail(fmt.Errorf("shipper: %w", err))
@@ -155,13 +151,11 @@ func (sh *Shipper) loop() {
 		}
 		backoff = 10 * time.Millisecond
 		if len(recs) == 0 {
-			// Caught up: positional lag is whatever the primary committed
-			// past the cursor (normally 0), temporal lag is 0 by definition —
-			// there is nothing unapplied to be stale.
+			// Caught up (the primary held the pull until its wait ran out):
+			// positional lag is whatever the primary committed past the
+			// cursor (normally 0), temporal lag is 0 by definition — there
+			// is nothing unapplied to be stale. Pull again at once.
 			sh.noteLag(0, committed, sh.Cursor())
-			if !sh.sleep(sh.cfg.Interval) {
-				return
-			}
 			continue
 		}
 		// Stop may have fired while the pull was in flight; promotion relies

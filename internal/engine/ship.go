@@ -54,12 +54,14 @@ type ShipRecord struct {
 // bytes are immutable and owned by the receiver, so the ring keeps them by
 // reference and a slab is collectable once every record in it is trimmed).
 type shipBuffer struct {
-	mu        sync.Mutex
-	cap       int
-	recs      []ShipRecord // seq-ascending from head, wrapping at len(recs)
-	head      int          // index of the oldest record; 0 until the ring is full
-	floor     uint64       // records with Seq > floor are available
-	committed uint64       // highest durable (shippable) LSN seen
+	mu    sync.Mutex
+	cap   int
+	recs  []ShipRecord // seq-ascending from head, wrapping at len(recs)
+	head  int          // index of the oldest record; 0 until the ring is full
+	floor uint64       // records with Seq > floor are available
+	// committed is the highest durable (shippable) LSN: advanced under mu,
+	// waited on by caught-up pulls (ShipMark) without it.
+	committed Watermark
 }
 
 // EnableShipping attaches the ship ring to a durable engine. capRecords
@@ -81,7 +83,8 @@ func (e *Engine) EnableShipping(capRecords int) error {
 	if e.ship != nil {
 		return errors.New("engine: shipping already enabled")
 	}
-	s := &shipBuffer{cap: capRecords, floor: d.lastLSN, committed: d.lastLSN}
+	s := &shipBuffer{cap: capRecords, floor: d.lastLSN}
+	s.committed.Advance(d.lastLSN)
 	// Backfill what the log still holds on disk (committed records since the
 	// last checkpoint), then let the live commit hook take over. Backfilled
 	// records are stamped with the enable instant — their true commit time
@@ -91,17 +94,19 @@ func (e *Engine) EnableShipping(capRecords int) error {
 	//lint:allowblock one-time enable path: the backfill must complete under d.mu so no commit can slip between the tail scan and the OnCommit hook installation (a record missed there is a permanent ship gap)
 	d.log.TailFrom(d.lastLSN, func(r wal.Record) bool {
 		s.append(r, now)
+		s.committed.Advance(r.Seq)
 		return true
 	})
 	// The hook's contract (wal.Log.SetOnCommit): recs is the log's own tail,
-	// valid only during the call — append copies each Record out of it — while
-	// the payload bytes are the ring's to keep by reference.
+	// never empty and valid only during the call — append copies each Record
+	// out of it — while the payload bytes are the ring's to keep by reference.
 	d.log.SetOnCommit(func(recs []wal.Record) {
 		now := time.Now().UnixNano()
 		s.mu.Lock()
 		for _, r := range recs {
 			s.append(r, now)
 		}
+		s.committed.Advance(recs[len(recs)-1].Seq)
 		s.mu.Unlock()
 	})
 	e.ship = s
@@ -113,9 +118,6 @@ func (e *Engine) EnableShipping(capRecords int) error {
 // overwritten and its Seq becomes the floor. Callers hold s.mu except during
 // EnableShipping's backfill, which runs before the buffer is published.
 func (s *shipBuffer) append(r wal.Record, wallNs int64) {
-	if r.Seq > s.committed {
-		s.committed = r.Seq
-	}
 	rec := ShipRecord{Record: r, CommitWallNs: wallNs}
 	if len(s.recs) == s.cap {
 		s.floor = s.recs[s.head].Seq
@@ -143,18 +145,18 @@ func (s *shipBuffer) index(i int) int {
 }
 
 // ShipSince returns up to max durable records with Seq > after, in append
-// order, plus the stream's current status. A subscriber polls with its
+// order, plus the stream's current stats. A subscriber pulls with its
 // applied position: an empty batch means it is caught up to CommittedLSN.
 // ErrShipGap means the position has been trimmed — the subscriber must
 // re-bootstrap from a fresh image.
-func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStatus, error) {
+func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStats, error) {
 	s := e.ship
 	if s == nil {
-		return nil, ShipStatus{}, ErrShippingOff
+		return nil, ShipStats{}, ErrShippingOff
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := ShipStatus{CommittedLSN: s.committed, FloorLSN: s.floor}
+	st := s.stats()
 	if after < s.floor {
 		return nil, st, ErrShipGap
 	}
@@ -183,20 +185,14 @@ func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStatus, err
 	return out, st, nil
 }
 
-// ShipStatus is the stream position a ShipSince reply carries.
-type ShipStatus struct {
+// ShipStats is the ship stream's position and the ring's fill.
+type ShipStats struct {
+	Enabled bool
 	// CommittedLSN is the highest durable (shippable) LSN.
 	CommittedLSN uint64
 	// FloorLSN is the trim floor: records with Seq > FloorLSN are available.
 	FloorLSN uint64
-}
-
-// ShipStats is the shipping subsystem's counter snapshot.
-type ShipStats struct {
-	Enabled      bool
-	CommittedLSN uint64
-	FloorLSN     uint64
-	Buffered     int // records currently in the ring
+	Buffered int // records currently in the ring
 }
 
 // ShipStats returns a snapshot (zero value when shipping is off).
@@ -207,10 +203,19 @@ func (e *Engine) ShipStats() ShipStats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return ShipStats{
-		Enabled:      true,
-		CommittedLSN: s.committed,
-		FloorLSN:     s.floor,
-		Buffered:     len(s.recs),
+	return s.stats()
+}
+
+// stats snapshots the ring under s.mu.
+func (s *shipBuffer) stats() ShipStats {
+	return ShipStats{Enabled: true, CommittedLSN: s.committed.Load(), FloorLSN: s.floor, Buffered: len(s.recs)}
+}
+
+// ShipMark is the ship stream's committed LSN as a Watermark, for a
+// caught-up subscriber to wait on; nil when shipping is off.
+func (e *Engine) ShipMark() *Watermark {
+	if e.ship == nil {
+		return nil
 	}
+	return &e.ship.committed
 }

@@ -40,7 +40,6 @@ type ShipLagConfig struct {
 	WritesPerWriter int
 	IOTime          sim.Time      // per-IO device latency on both nodes
 	CacheBytes      int64         // engine budget per node
-	PullInterval    time.Duration // shipper poll delay while caught up
 	CatchUp         time.Duration // max wait for the replica to drain after load
 	Spec            workload.KeySpec
 	Seed            uint64
@@ -55,7 +54,6 @@ func DefaultShipLagConfig() ShipLagConfig {
 		WritesPerWriter: 150,
 		IOTime:          50 * sim.Microsecond,
 		CacheBytes:      1 << 20,
-		PullInterval:    2 * time.Millisecond,
 		CatchUp:         10 * time.Second,
 		Spec:            workload.DefaultSpec(),
 		Seed:            24,
@@ -107,9 +105,8 @@ func startShipNode(cfg ShipLagConfig, role server.Role, syncShip bool, primaryAd
 			SyncShipTimeout: 5 * time.Second,
 		},
 		Shipper: cluster.ShipperConfig{
-			Primary:  primaryAddr,
-			Opts:     server.Options{RequestTimeout: time.Second, ConnectTimeout: time.Second},
-			Interval: cfg.PullInterval,
+			Primary: primaryAddr,
+			Opts:    server.Options{RequestTimeout: time.Second, ConnectTimeout: time.Second},
 		},
 	})
 }

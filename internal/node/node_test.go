@@ -144,7 +144,7 @@ func TestPrimaryReplicaPair(t *testing.T) {
 	}
 	defer p.Close()
 	rs := spec(server.RoleReplica)
-	rs.Shipper = cluster.ShipperConfig{Primary: p.Addr, Opts: clientOpts(), Interval: time.Millisecond}
+	rs.Shipper = cluster.ShipperConfig{Primary: p.Addr, Opts: clientOpts()}
 	r, err := node.Start(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := spec(server.Config{Role: server.RoleReplica})
-	rs.Shipper = cluster.ShipperConfig{Primary: p.Addr, Opts: clientOpts(), Interval: time.Millisecond}
+	rs.Shipper = cluster.ShipperConfig{Primary: p.Addr, Opts: clientOpts()}
 	r, err := node.Start(rs)
 	if err != nil {
 		p.Close()

@@ -20,7 +20,6 @@ import (
 
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
-	"iomodels/internal/wal"
 )
 
 // ErrBusy is returned when the server sheds the request under admission
@@ -315,23 +314,14 @@ func (c *Client) Hello() (NodeInfo, error) {
 // Seq > after, plus the stream's committed and floor LSNs. Pulling with
 // after = my applied LSN both fetches the next batch and acknowledges
 // everything applied so far (the primary's sync-ship gate releases on it).
-func (c *Client) ShipPull(after uint64, max int) (recs []wal.Record, committed, floor uint64, err error) {
-	rep, err := c.roundTrip(request{op: OpShipPull, lsn: after, limit: max})
-	recs = make([]wal.Record, 0, len(rep.recs))
-	for _, r := range rep.recs {
-		recs = append(recs, r.Record)
-	}
-	return recs, rep.committed, rep.floor, err
-}
-
-// ShipPullStamped is ShipPull with the stamped-ship extension: each record
-// additionally carries the wall-clock instant it became durable on the
-// primary and its trace identity, so the replica can measure replication
-// lag in seconds and continue carried traces on its apply path. Requires a
-// server that understands the extension block — an old server answers the
-// extended frame with a protocol error; same-version deployments (the
-// cluster shipper) use this, mixed ones fall back to plain ShipPull.
-func (c *Client) ShipPullStamped(after uint64, max int) (recs []engine.ShipRecord, committed, floor uint64, err error) {
+// A caught-up pull waits at the primary for the next commit, for at most
+// 100 ms, so the request timeout must exceed that. The pull uses the
+// stamped-ship extension: each record also carries the wall-clock instant
+// it became durable on the primary and its trace identity, so the replica
+// can measure replication lag in seconds and continue carried traces on its
+// apply path. An old server answers the extended frame with a protocol
+// error.
+func (c *Client) ShipPull(after uint64, max int) (recs []engine.ShipRecord, committed, floor uint64, err error) {
 	rep, err := c.roundTrip(request{op: OpShipPull, lsn: after, limit: max, stamps: true})
 	return rep.recs, rep.committed, rep.floor, err
 }

@@ -7,9 +7,12 @@
 // Sync-ship: with Config.SyncShip on, a primary only acknowledges a write
 // after a replica's ShipPull has acknowledged an LSN at or past it — the
 // pull's `after` position doubles as the ack. A write that times out waiting
-// is answered with StatusErr: it is durable locally but unacknowledged by
-// the replica, so a failover may lose it — exactly the contract the client
-// sees.
+// (or is still waiting when the server closes) is answered with StatusErr:
+// it is durable locally but unacknowledged by the replica, so a failover may
+// lose it — exactly the contract the client sees.
+//
+// A caught-up pull is a long poll: it waits for the next commit, for at most
+// shipPark, so a replica needs no timer of its own to learn of new records.
 package server
 
 import (
@@ -44,43 +47,10 @@ func (s *Server) Role() Role { return Role(s.role.Load()) }
 
 func (s *Server) setRole(r Role) { s.role.Store(int32(r)) }
 
-// ackShip records a subscriber's acknowledged position and wakes sync-ship
-// waiters. Positions only advance.
-func (s *Server) ackShip(lsn uint64) {
-	s.shipMu.Lock()
-	if lsn > s.shipAcked {
-		s.shipAcked = lsn
-		close(s.shipWake)
-		s.shipWake = make(chan struct{})
-	}
-	s.shipMu.Unlock()
-}
-
-// shipAckedLSN reads the highest acknowledged position.
-func (s *Server) shipAckedLSN() uint64 {
-	s.shipMu.Lock()
-	defer s.shipMu.Unlock()
-	return s.shipAcked
-}
-
-// waitShipAck blocks until a subscriber acknowledges lsn or timeout passes.
-func (s *Server) waitShipAck(lsn uint64, timeout time.Duration) bool {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		s.shipMu.Lock()
-		acked, wake := s.shipAcked, s.shipWake
-		s.shipMu.Unlock()
-		if acked >= lsn {
-			return true
-		}
-		select {
-		case <-wake:
-		case <-timer.C:
-			return false
-		}
-	}
-}
+// shipPark bounds how long a caught-up ship pull waits for the next commit.
+// It stays below every shipper's request timeout (5 s by default, 500 ms in
+// the cluster tests), so a waiting pull never looks like a dead primary.
+const shipPark = 100 * time.Millisecond
 
 // serveHello answers the shard-identity probe: who this node is and where
 // its replication stream stands. The router validates topology with it; the
@@ -99,19 +69,28 @@ func (s *Server) serveHello() reply {
 // serveShipPull serves one ship-stream pull: records past req.lsn, capped by
 // req.limit and by the frame budget (shipFit; the replica resumes where the
 // batch ends). The pull position acknowledges everything before it. A pull
-// carrying the stamped-ship extension gets each record suffixed with its
-// commit wall time and trace identity — the replica's lag and
+// that finds nothing past its position waits for the next commit, for at
+// most shipPark or until Close, and then answers as it would have at once.
+// A pull carrying the stamped-ship extension gets each record suffixed with
+// its commit wall time and trace identity — the replica's lag and
 // trace-continuation inputs; a legacy pull gets the original encoding byte
 // for byte.
 func (s *Server) serveShipPull(req request) reply {
 	recs, st, err := s.backend.Eng.ShipSince(req.lsn, req.limit)
+	if err == nil {
+		// Acknowledge before waiting: the position releases the sync-ship
+		// gate now, not when the wait ends.
+		s.shipAcked.Advance(req.lsn)
+		if len(recs) == 0 && s.backend.Eng.ShipMark().Wait(req.lsn+1, shipPark, s.closing) {
+			recs, st, err = s.backend.Eng.ShipSince(req.lsn, req.limit)
+		}
+	}
 	switch {
 	case errors.Is(err, engine.ErrShipGap):
 		return failure(StatusShipGap, err.Error())
 	case err != nil:
 		return failure(StatusErr, err.Error())
 	}
-	s.ackShip(req.lsn)
 	s.metrics.shipPulls.Add(1)
 	recs = recs[:shipFit(recs, req.stamps)]
 	s.metrics.shipRecords.Add(int64(len(recs)))
@@ -165,7 +144,6 @@ func (s *Server) ApplyShipped(recs []wal.Record) error {
 		return errors.New("server: ApplyShipped on a non-replica")
 	}
 	batch := make([]writeReq, len(recs))
-	done := make(chan writeResult, len(recs)) // one reply per record
 	for i, r := range recs {
 		// A stamped record's trace identity continues the primary's trace on
 		// this node: the replica's commit span links back to the primary-side
@@ -176,22 +154,17 @@ func (s *Server) ApplyShipped(recs []wal.Record) error {
 		}
 		switch r.Kind {
 		case kv.Put:
-			batch[i] = writeReq{op: OpPut, key: r.Key, value: r.Value, tc: tc, done: done}
+			batch[i] = writeReq{op: OpPut, key: r.Key, value: r.Value, tc: tc}
 		case kv.Tombstone:
-			batch[i] = writeReq{op: OpDelete, key: r.Key, tc: tc, done: done}
+			batch[i] = writeReq{op: OpDelete, key: r.Key, tc: tc}
 		default:
 			return fmt.Errorf("server: shipped record %d has unexpected kind %d", r.Seq, r.Kind)
 		}
 	}
-	s.applyWrites(batch)
-	var firstErr error
-	for range batch {
-		if res := <-done; res.err != nil && firstErr == nil {
-			firstErr = res.err
+	for _, res := range s.applyWrites(batch) {
+		if res.err != nil {
+			return res.err
 		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	s.shipAppliedLSN.Store(recs[len(recs)-1].Seq)
 	return nil

@@ -244,7 +244,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 	}
 	out.ShipRecords = m.shipRecords.Load()
 	out.ShipPulls = m.shipPulls.Load()
-	out.ShipAckedLSN = int64(s.shipAckedLSN())
+	out.ShipAckedLSN = int64(s.shipAcked.Load())
 	out.ShipAppliedLSN = int64(s.shipAppliedLSN.Load())
 	out.ShipAckTimeouts = m.shipAckTimeouts.Load()
 	out.NotPrimary = m.replies[StatusNotPrimary].Load()

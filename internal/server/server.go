@@ -166,11 +166,9 @@ type Server struct {
 	// Cluster state (cluster.go): the node's role, the sync-ship ack gate,
 	// and the replica's applied high-water mark.
 	role           atomic.Int32
-	promoteMu      sync.Mutex    //lint:lockrank 20
-	shipMu         sync.Mutex    //lint:lockrank 30
-	shipAcked      uint64        // highest LSN a subscriber has acknowledged
-	shipWake       chan struct{} // closed+replaced when shipAcked advances
-	shipAppliedLSN atomic.Uint64 // replica: highest shipped primary LSN applied
+	promoteMu      sync.Mutex       //lint:lockrank 20
+	shipAcked      engine.Watermark // highest LSN a subscriber has acknowledged
+	shipAppliedLSN atomic.Uint64    // replica: highest shipped primary LSN applied
 
 	// lag is the replication-lag estimator the cluster shipper feeds via
 	// NoteShipLag (one sample per ship pull, on a replica).
@@ -182,6 +180,7 @@ type Server struct {
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
+	closing  chan struct{} // closed by Close: ends the waits at the ack gate and in ship pulls
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
 }
@@ -205,7 +204,7 @@ func New(cfg Config, backend Backend) (*Server, error) {
 		writeCh:    make(chan writeReq, cfg.WriteQueue),
 		writerDone: make(chan struct{}),
 		conns:      make(map[net.Conn]struct{}),
-		shipWake:   make(chan struct{}),
+		closing:    make(chan struct{}),
 		lag:        obs.NewLagEstimator(0),
 	}
 	s.setRole(cfg.Role)
@@ -290,8 +289,9 @@ func (s *Server) NoteShipLag(lagSeconds float64, lagLSNs int64) {
 	s.lag.Observe(lagSeconds, lagLSNs)
 }
 
-// Close shuts the server down: stop accepting, sever connections, wait for
-// handlers, then drain and stop the writer. Safe to call once.
+// Close shuts the server down: stop accepting, end the ack-gate and
+// ship-pull waits, sever connections, wait for handlers, then drain and stop
+// the writer. Safe to call once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -299,6 +299,7 @@ func (s *Server) Close() error {
 		return errors.New("server: already closed")
 	}
 	s.closed = true
+	close(s.closing)
 	ln := s.ln
 	for conn := range s.conns {
 		conn.Close()
@@ -397,7 +398,9 @@ func (s *Server) serveRequest(cs *connState, buf []byte) []byte {
 		wall := time.Since(start)
 		s.metrics.ops[req.op].Observe(int64(wall))
 		s.metrics.inFlight.Add(-1)
-		if thr := s.cfg.SlowOpThreshold; thr > 0 && wall >= thr {
+		// A ship pull's wall time includes its wait for the next commit
+		// (shipPark), so it is never a slow op.
+		if thr := s.cfg.SlowOpThreshold; thr > 0 && wall >= thr && req.op != OpShipPull {
 			s.logSlowOp(cs, req, wall)
 		}
 		cs.lastSpan = nil

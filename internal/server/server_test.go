@@ -225,6 +225,11 @@ func TestServerSlowOpLog(t *testing.T) {
 	tb := newTestServer(t, Config{SlowOpThreshold: time.Nanosecond, SlowOpLog: &log},
 		flatDev{64 << 20}, false, 1<<20, 10)
 	c := dialT(t, tb)
+	// A ship pull is never a slow op: its wall time includes its wait for
+	// the next commit.
+	if _, _, _, err := c.ShipPull(0, 1); err == nil {
+		t.Fatal("ship pull on a node without shipping succeeded")
+	}
 	if _, _, err := c.Get(tkey(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +237,7 @@ func TestServerSlowOpLog(t *testing.T) {
 	var line slowOpLine
 	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &line) != nil ||
 		line.Event != "slow_op" || line.Op != "get" {
-		t.Fatalf("slow-op log after one Get = %q, want one slow_op line naming get", lines)
+		t.Fatalf("slow-op log after a ship pull and a Get = %q, want one slow_op line naming get", lines)
 	}
 }
 

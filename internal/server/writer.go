@@ -42,13 +42,15 @@ type writeReq struct {
 	// no tracer is attached. It links the group-commit span and stamps the
 	// mutation's WAL record for the ship stream.
 	tc obs.TraceContext
-	// done receives the one reply. It must never block the writer: a
-	// connection owns one with room for its single outstanding write.
+	// done receives the writer loop's one reply (nil for a shipped record,
+	// whose caller reads applyWrites' results). It must never block the
+	// writer: a connection owns one with room for its single outstanding
+	// write.
 	done chan<- writeResult
 }
 
 // writerLoop drains the write queue: each iteration takes everything
-// immediately available (up to batchMax), applies it under the state lock,
+// immediately available (up to WriteBatch), applies it under the state lock,
 // commits the WAL once, and replies to every waiter. Runs until the queue is
 // closed and drained.
 func (s *Server) writerLoop() {
@@ -72,18 +74,21 @@ func (s *Server) writerLoop() {
 			}
 		}
 		s.writeScratch = batch
-		s.applyWrites(batch)
+		for i, res := range s.applyWrites(batch) {
+			batch[i].done <- res
+		}
 	}
 }
 
-// applyWrites runs one batch and replies. The state lock covers only the
+// applyWrites runs one batch and returns one result per request, in batch
+// order (valid until the next call). The state lock covers only the
 // structural applies (tree mutations + WAL appends); the group-commit flush
 // runs after the lock is dropped, so snapshot and point readers never wait
 // out the log device behind a committing batch. Readers may therefore
 // observe applied-but-not-yet-flushed values — the same read-your-writes
 // view the engine's own sessions have always had — while the waiting
 // writers are only acknowledged after the flush (see DESIGN.md §9).
-func (s *Server) applyWrites(batch []writeReq) {
+func (s *Server) applyWrites(batch []writeReq) []writeResult {
 	start := s.backend.Clock.Now()
 	// One span per group commit, on the owner client: the trees' mutation
 	// path, the WAL appends, the group-commit flush, and any checkpoint all
@@ -139,13 +144,13 @@ func (s *Server) applyWrites(batch []writeReq) {
 		}
 		if err == nil && s.cfg.SyncShip && s.Role() == RolePrimary {
 			// Semi-synchronous replication: hold the acks until a replica's
-			// pull acknowledges the batch's last LSN. A timeout degrades that
-			// batch to an error reply — the writes are durable locally but a
-			// failover may lose them, and the client must know. The wall time
-			// spent at the gate is the sync-ship latency tax; the histogram
-			// is what E24 and kvtop read.
+			// pull acknowledges the batch's last LSN. A timeout, or Close,
+			// degrades that batch to an error reply — the writes are durable
+			// locally but a failover may lose them, and the client must
+			// know. The wall time spent at the gate is the sync-ship latency
+			// tax; the histogram is what E24 and kvtop read.
 			gateStart := time.Now()
-			acked := s.waitShipAck(target, s.cfg.SyncShipTimeout)
+			acked := s.shipAcked.Wait(target, s.cfg.SyncShipTimeout, s.closing)
 			s.metrics.gateWait.Observe(int64(time.Since(gateStart)))
 			if !acked {
 				s.metrics.shipAckTimeouts.Add(1)
@@ -168,10 +173,10 @@ func (s *Server) applyWrites(batch []writeReq) {
 	s.metrics.writeOps.Add(int64(len(batch)))
 	s.metrics.writeSteps.Add(int64(s.backend.Clock.Now() - start))
 	end := owner.Now()
-	for i, req := range batch {
+	for i := range results {
 		results[i].end = end
-		req.done <- results[i]
 	}
+	return results
 }
 
 // toMutation converts a request into the engine's group-commit form,
