@@ -21,8 +21,8 @@
 #              scheduler's virtual slots, kv.Dec's views, the store's
 #              read-only views, the checkpoint's translation table, the
 #              pager's intrusive LRU ring, the typed atomic counters, the
-#              experiment registry, the tree harness and the long-polled
-#              ship pull removed
+#              experiment registry, the tree harness, the long-polled
+#              ship pull and the one write mutation removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -37,7 +37,10 @@
 #              atomic.AddInt64-style call on a plain integer, a cmd/ main
 #              other than cmd/repro that drives internal/experiments, a
 #              second file of internal/experiments that assembles an engine,
-#              a ship poll interval and a sleep after an empty ship pull)
+#              a ship poll interval and a sleep after an empty ship pull, a
+#              request-to-mutation converter, a per-server apply switch, trace
+#              ids handed to the log through a durability field, a second
+#              trace-context type and a second copy of the upsert fold)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -249,6 +252,30 @@ body=$(sed -n '/^func (sh \*Shipper) loop() {$/,/^}$/p' internal/cluster/replica
 if [ -z "$body" ] || echo "$body" | grep -q -e 'sleep(' -e 'Sleep(' -e 'NewTimer(' -e 'After('; then
 	echo "Shipper.loop waits after an empty pull again (pull again at once; the primary holds a caught-up pull):" >&2
 	echo "${body:-the empty-pull branch of Shipper.loop not found in internal/cluster/replica.go}" >&2
+	exit 1
+fi
+
+# A write is one engine.Mutation from the request (or the shipped record) to
+# the log, applied by Durable.apply or Mutation.ApplyTo (DESIGN.md §5): no
+# request-to-mutation converter, no per-server apply switch, no trace ids
+# handed to the log through the durability struct, one trace-context type
+# (kv.TraceContext), and the upsert fold in one file of the write path.
+dups=$(grep -rn --include='*.go' -e 'nextTraceID' -e 'func toMutation' -e 'applyPlain' -e 'obsTC' . | grep -v -e '^./vendor/' -e '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a second copy of the write path is back (build an engine.Mutation; apply it with ApplyBatchNoSync or ApplyTo):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' 'type TraceContext' . | grep -v -e '^./vendor/' -e '^./internal/kv/' || true)
+if [ -n "$dups" ]; then
+	echo "a second trace-context type (carry kv.TraceContext):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+n=$(grep -l 'kv\.Message{Kind: kv\.Upsert' internal/engine/*.go internal/server/*.go | grep -vc '_test\.go$' || true)
+if [ "$n" -gt 1 ]; then
+	echo "the upsert fold is written in $n non-test files of internal/engine and internal/server (fold through engine's fold helper):" >&2
+	grep -l 'kv\.Message{Kind: kv\.Upsert' internal/engine/*.go internal/server/*.go | grep -v '_test\.go$' >&2
 	exit 1
 fi
 

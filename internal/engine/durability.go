@@ -128,14 +128,6 @@ type durability struct {
 	sealBytes   int64
 	pageBytes   int64
 
-	// nextTraceID/nextSpanID stamp the next logged record with the traced
-	// request that caused it (ApplyBatchNoSync sets them per mutation,
-	// logMutation consumes and clears them). They are deliberately NOT
-	// guarded by mu: both sides run on the engine's single writer
-	// goroutine, whose program order sequences the write before the read.
-	nextTraceID uint64
-	nextSpanID  uint64
-
 	err error // sticky: durability lost, availability kept
 }
 
@@ -299,54 +291,73 @@ func (d *Durable) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
 // Stats passes through.
 func (d *Durable) Stats() Stats { return d.dict.Stats() }
 
-// Put logs the write, records its version, then applies it. The version
-// bracket (mvcc.begin/end) pins the mutation's LSN and holds snapshot opens
-// out of the window between the chain append and the structure apply.
-func (d *Durable) Put(key, value []byte) {
-	d.eng.logMutation(d.id, kv.Put, key, value)
-	v := d.eng.mvcc
-	v.begin(d.eng.LogSeq(), key, value, true, func() ([]byte, bool) { return d.dict.Get(key) })
-	d.dict.Put(key, value)
-	v.end()
-}
+// Put logs the write, records its version, then applies it.
+func (d *Durable) Put(key, value []byte) { d.apply(&Mutation{Kind: kv.Put, Key: key, Value: value}) }
 
 // Delete logs a tombstone, records it as a versioned absence, then applies
 // it.
 func (d *Durable) Delete(key []byte) bool {
-	d.eng.logMutation(d.id, kv.Tombstone, key, nil)
-	v := d.eng.mvcc
-	v.begin(d.eng.LogSeq(), key, nil, false, func() ([]byte, bool) { return d.dict.Get(key) })
-	ok := d.dict.Delete(key)
-	v.end()
-	return ok
+	m := Mutation{Kind: kv.Tombstone, Key: key}
+	d.apply(&m)
+	return m.Accepted
 }
 
-// Upsert materializes the post-image — read the current value, apply the
+// Upsert logs and applies a Put of the upserted value (see apply).
+func (d *Durable) Upsert(key []byte, delta int64) {
+	d.apply(&Mutation{Kind: kv.Upsert, Key: key, Delta: delta})
+}
+
+// apply logs m with its own trace ids, records its version, then applies it
+// and sets m.Accepted. The version bracket (mvcc.begin/end) pins the
+// mutation's LSN and holds snapshot opens out of the window between the chain
+// append and the structure apply.
+//
+// An Upsert materializes its post-image — read the current value, apply the
 // delta, log a Put of the result — so replay is a pure fold of Put records
 // and can never double-apply a delta. This is the durability tax on blind
 // upserts the paper's §3 alludes to: the read the Bε-tree's native upsert
 // avoids comes back as soon as the operation must be logged with a
 // replayable image.
-func (d *Durable) Upsert(key []byte, delta int64) {
-	old, ok := d.dict.Get(key)
-	m := kv.Message{Kind: kv.Upsert, Value: kv.UpsertDelta(delta)}
-	post, _ := m.Apply(old, ok)
-	d.eng.logMutation(d.id, kv.Put, key, post)
+func (d *Durable) apply(m *Mutation) {
+	kind, value := m.Kind, m.Value
+	pre := func() ([]byte, bool) { return d.dict.Get(m.Key) }
+	switch kind {
+	case kv.Tombstone:
+		value = nil
+	case kv.Upsert:
+		old, ok, post := fold(d.dict, m.Key, m.Delta)
+		kind, value = kv.Put, post
+		pre = func() ([]byte, bool) { return old, ok }
+	}
+	d.eng.logMutation(d.id, kind, m.Key, value, m.TraceID, m.SpanID)
 	v := d.eng.mvcc
-	v.begin(d.eng.LogSeq(), key, post, true, func() ([]byte, bool) { return old, ok })
-	d.dict.Put(key, post)
+	v.begin(d.eng.LogSeq(), m.Key, value, kind == kv.Put, pre)
+	if kind == kv.Put {
+		d.dict.Put(m.Key, value)
+		m.Accepted = true
+	} else {
+		m.Accepted = d.dict.Delete(m.Key)
+	}
 	v.end()
+}
+
+// fold reads key from dict and returns what it read and the value an upsert
+// of delta leaves there.
+func fold(dict Dictionary, key []byte, delta int64) (old []byte, ok bool, post []byte) {
+	old, ok = dict.Get(key)
+	post, _ = kv.Message{Kind: kv.Upsert, Value: kv.UpsertDelta(delta)}.Apply(old, ok)
+	return old, ok, post
 }
 
 var _ Dictionary = (*Durable)(nil)
 var _ Upserter = (*Durable)(nil)
 
-// logMutation appends one record to the WAL under the durability mutex,
-// handling log-full by checkpointing and retrying, and auto-checkpointing
-// past the configured threshold. On unrecoverable failure it records the
-// sticky error and returns: the caller applies the mutation anyway
-// (durability degrades, availability does not).
-func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte) {
+// logMutation appends one record, stamped with traceID/spanID, to the WAL
+// under the durability mutex, handling log-full by checkpointing and
+// retrying, and auto-checkpointing past the configured threshold. On
+// unrecoverable failure it records the sticky error and returns: the caller
+// applies the mutation anyway (durability degrades, availability does not).
+func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte, traceID, spanID uint64) {
 	d := e.dur
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -366,11 +377,7 @@ func (e *Engine) logMutation(id uint8, kind kv.Kind, key, value []byte) {
 			return
 		}
 	}
-	rec := wal.Record{
-		Kind: kind, Dict: id, Key: key, Value: value,
-		TraceID: d.nextTraceID, SpanID: d.nextSpanID,
-	}
-	d.nextTraceID, d.nextSpanID = 0, 0
+	rec := wal.Record{Kind: kind, Dict: id, Key: key, Value: value, TraceID: traceID, SpanID: spanID}
 	// The log's device is e.owner (see EnableDurability), so a group that
 	// fills inside Append issues its commit IO through the owner client:
 	// attribute it — and annotate the owner's open span, if the mutation is

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -22,9 +23,11 @@ import (
 	"iomodels/internal/betree"
 	"iomodels/internal/btree"
 	"iomodels/internal/engine"
+	"iomodels/internal/kv"
 	"iomodels/internal/lsm"
 	"iomodels/internal/sim"
 	"iomodels/internal/storage"
+	"iomodels/internal/wal"
 )
 
 // flatDev is a stateless timing device: every IO takes 100µs. Statelessness
@@ -408,7 +411,7 @@ func TestLogFullCheckpointRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	man, _ := r.Manifest("bt")
-	bt2, err := btree.Open(btreeCfg(), e2, man)
+	bt2, err := openBTree(e2, man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -887,5 +890,61 @@ func TestRecoverRejectsNonDurableImage(t *testing.T) {
 	_, _, err := engine.Recover(engCfg(), smallDur(), fs, sim.New())
 	if err == nil {
 		t.Fatal("Recover succeeded on a blank image")
+	}
+}
+
+// TestReplayRefusesUpsertRecord: a Durable logs an upsert as the Put of its
+// post-image, so the log it writes holds only Puts and Tombstones. An Upsert
+// record appended behind its back makes Replay fail naming the record,
+// instead of folding a delta into the recovered tree.
+func TestReplayRefusesUpsertRecord(t *testing.T) {
+	fs := storage.NewFaultStore(flatDev{testCapacity})
+	e := engine.FromStore(engCfg(), fs, sim.New())
+	dcfg := smallDur()
+	if err := e.EnableDurability(dcfg); err != nil {
+		t.Fatal(err)
+	}
+	bt, err := btree.New(btreeCfg(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.Durable("bt", bt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(key(1), val(1))
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash, then append an Upsert record to the committed log directly.
+	raw := engine.FromStore(engCfg(), fs, sim.New())
+	log, err := wal.Open(wal.Config{Offset: engine.SuperRegionBytes, Capacity: dcfg.LogBytes, GroupBytes: dcfg.GroupBytes}, raw.Owner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := log.Append(wal.Record{Kind: kv.Upsert, Key: key(2), Value: kv.UpsertDelta(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, r, err := engine.Recover(engCfg(), dcfg, fs, sim.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, _ := r.Manifest("bt")
+	bt2, err := openBTree(e2, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Attach("bt", bt2); err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Replay()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d has kind upsert", seq)) {
+		t.Fatalf("Replay of an Upsert record (seq %d) returned %v, want an error naming it", seq, err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"iomodels/internal/kv"
 	"iomodels/internal/obs"
 	"iomodels/internal/sim"
 	"iomodels/internal/storage"
@@ -344,7 +345,7 @@ func (c *Client) StartSpan(op string) *obs.Span {
 // apply, and the span is linked to the remote parent. A zero context
 // behaves exactly like StartSpan. Nil when a span is already open or no
 // tracer is attached.
-func (c *Client) StartSpanLinked(op string, tc obs.TraceContext) *obs.Span {
+func (c *Client) StartSpanLinked(op string, tc kv.TraceContext) *obs.Span {
 	if c.span != nil {
 		return nil
 	}

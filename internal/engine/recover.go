@@ -199,29 +199,18 @@ func (r *Recovery) Attach(name string, dict Dictionary) (*Durable, error) {
 // directly, not through the Durable wrappers, so replay is not re-logged
 // (the records are already in the log) — and seals a fresh checkpoint so
 // the recovered state is itself durable. It returns the number of records
-// applied.
+// applied. A Durable logs only Puts and Tombstones (an upsert is logged as
+// the Put of its post-image), so a record of any other kind is an error.
 func (r *Recovery) Replay() (int, error) {
 	for _, rec := range r.pending {
 		if int(rec.Dict) >= len(r.dicts) || r.dicts[rec.Dict] == nil {
 			return 0, fmt.Errorf("engine: replay record %d targets unattached dictionary %d", rec.Seq, rec.Dict)
 		}
-		dict := r.dicts[rec.Dict]
-		switch rec.Kind {
-		case kv.Put:
-			dict.Put(rec.Key, rec.Value)
-		case kv.Tombstone:
-			dict.Delete(rec.Key)
-		case kv.Upsert:
-			// Durable.Upsert logs materialized Puts, so Upsert records only
-			// appear in logs written by future/raw appenders; fold via Apply
-			// for forward compatibility.
-			old, ok := dict.Get(rec.Key)
-			m := kv.Message{Kind: kv.Upsert, Value: rec.Value}
-			post, _ := m.Apply(old, ok)
-			dict.Put(rec.Key, post)
-		default:
-			return 0, fmt.Errorf("engine: replay record %d has invalid kind %d", rec.Seq, rec.Kind)
+		if rec.Kind != kv.Put && rec.Kind != kv.Tombstone {
+			return 0, fmt.Errorf("engine: replay record %d has kind %v (a durable log holds only Puts and Tombstones)", rec.Seq, rec.Kind)
 		}
+		m := Mutation{Kind: rec.Kind, Key: rec.Key, Value: rec.Value}
+		m.ApplyTo(r.dicts[rec.Dict])
 	}
 	n := len(r.pending)
 	r.pending = nil

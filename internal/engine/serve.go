@@ -107,8 +107,9 @@ func (c *Client) AlignTo(t sim.Time) {
 	sc.alignTo(t)
 }
 
-// Mutation is one write in a group-commit batch. Accepted is an output:
-// ApplyBatch stores Delete's acceptance report there (true for Put/Upsert).
+// Mutation is one write, from the request (or the shipped WAL record) that
+// carries it to the log. Accepted is an output: an apply stores Delete's
+// acceptance report there (true for Put/Upsert).
 type Mutation struct {
 	Dict     *Durable
 	Kind     kv.Kind // Put / Tombstone / Upsert
@@ -121,6 +122,27 @@ type Mutation struct {
 	// replica's apply path (the stamps ride the ship stream, not the disk).
 	TraceID uint64
 	SpanID  uint64
+}
+
+// ApplyTo applies m to dict without logging it and sets m.Accepted: an
+// Upsert through dict's own Upsert when it has one, else as a Put of the
+// folded value. A mutation of any other kind applies nothing.
+func (m *Mutation) ApplyTo(dict Dictionary) {
+	switch m.Kind {
+	case kv.Put:
+		dict.Put(m.Key, m.Value)
+		m.Accepted = true
+	case kv.Tombstone:
+		m.Accepted = dict.Delete(m.Key)
+	case kv.Upsert:
+		if up, ok := dict.(Upserter); ok {
+			up.Upsert(m.Key, m.Delta)
+		} else {
+			_, _, post := fold(dict, m.Key, m.Delta)
+			dict.Put(m.Key, post)
+		}
+		m.Accepted = true
+	}
 }
 
 // ApplyBatch applies muts in order through their Durable wrappers, then
@@ -151,25 +173,11 @@ func (e *Engine) ApplyBatchNoSync(muts []Mutation) error {
 		if m.Dict == nil {
 			return fmt.Errorf("engine: ApplyBatch mutation %d has no dictionary", i)
 		}
-		// Hand the mutation's trace identity to logMutation (same
-		// goroutine: the apply below logs before returning).
-		e.dur.nextTraceID, e.dur.nextSpanID = m.TraceID, m.SpanID
-		switch m.Kind {
-		case kv.Put:
-			m.Dict.Put(m.Key, m.Value)
-			m.Accepted = true
-		case kv.Tombstone:
-			m.Accepted = m.Dict.Delete(m.Key)
-		case kv.Upsert:
-			m.Dict.Upsert(m.Key, m.Delta)
-			m.Accepted = true
-		default:
+		if m.Kind < kv.Put || m.Kind > kv.Upsert {
 			return fmt.Errorf("engine: ApplyBatch mutation %d has invalid kind %d", i, m.Kind)
 		}
+		m.Dict.apply(m)
 	}
-	// Don't let the last mutation's stamps leak onto a later direct
-	// Durable mutation (logMutation clears them only when it runs).
-	e.dur.nextTraceID, e.dur.nextSpanID = 0, 0
 	return nil
 }
 

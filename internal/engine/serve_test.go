@@ -1,7 +1,8 @@
 // Serving-path tests: the shared clock must make aligned clients' IOs
 // overlap on the PDAM device (the server scheduler's whole point), AdoptSharedClock
 // must carry the owner — and with it the WAL — onto the shared timeline, and
-// ApplyBatch must turn N mutations into one WAL flush.
+// ApplyBatch must turn N mutations into one WAL flush, each record stamped
+// with its own mutation's trace ids.
 
 package engine_test
 
@@ -16,6 +17,7 @@ import (
 	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
 	"iomodels/internal/storage"
+	"iomodels/internal/wal"
 )
 
 // TestSharedClockOverlap: P aligned clients each read one block starting at
@@ -269,5 +271,110 @@ func TestApplyBatchGroupCommit(t *testing.T) {
 	}
 	if v, ok := d.Get(key(1)); !ok || !bytes.Equal(v, val(1)) {
 		t.Fatal("batched put not visible")
+	}
+}
+
+// TestApplyBatchStampsEachRecord: every record a batch logs carries its own
+// mutation's trace ids, and none carries another's: an untraced mutation
+// after a traced one, and a direct Durable.Put after the batch, log no ids.
+// An Upsert is logged as the Put of its post-image, and Accepted is set per
+// mutation.
+func TestApplyBatchStampsEachRecord(t *testing.T) {
+	e, d := newShippingPrimary(t, 0)
+	muts := []engine.Mutation{
+		{Dict: d, Kind: kv.Put, Key: key(1), Value: val(1), TraceID: 11, SpanID: 12},
+		{Dict: d, Kind: kv.Tombstone, Key: key(2)}, // absent: the B-tree refuses it
+		{Dict: d, Kind: kv.Upsert, Key: key(3), Delta: 5, TraceID: 31, SpanID: 32},
+	}
+	if err := e.ApplyBatch(muts); err != nil {
+		t.Fatal(err)
+	}
+	d.Put(key(4), val(4))
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !muts[0].Accepted || muts[1].Accepted || !muts[2].Accepted {
+		t.Fatalf("Accepted = %v %v %v, want true false true", muts[0].Accepted, muts[1].Accepted, muts[2].Accepted)
+	}
+	recs, _, err := e.ShipSince(0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wal.Record{
+		{Seq: 1, Kind: kv.Put, Key: key(1), Value: val(1), TraceID: 11, SpanID: 12},
+		{Seq: 2, Kind: kv.Tombstone, Key: key(2)},
+		{Seq: 3, Kind: kv.Put, Key: key(3), Value: kv.UpsertDelta(5), TraceID: 31, SpanID: 32},
+		{Seq: 4, Kind: kv.Put, Key: key(4), Value: val(4)},
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("logged %d records, want %d", len(recs), len(want))
+	}
+	for i, w := range want {
+		r := recs[i].Record
+		if r.Seq != w.Seq || r.Kind != w.Kind || !bytes.Equal(r.Key, w.Key) || !bytes.Equal(r.Value, w.Value) ||
+			r.TraceID != w.TraceID || r.SpanID != w.SpanID {
+			t.Errorf("record %d = {seq %d %v %q %q trace %d/%d}, want {seq %d %v %q %q trace %d/%d}", i,
+				r.Seq, r.Kind, r.Key, r.Value, r.TraceID, r.SpanID, w.Seq, w.Kind, w.Key, w.Value, w.TraceID, w.SpanID)
+		}
+	}
+}
+
+// mapDict is a Dictionary over a map whose Delete reports presence.
+type mapDict map[string][]byte
+
+func (m mapDict) Get(k []byte) ([]byte, bool)                 { v, ok := m[string(k)]; return v, ok }
+func (m mapDict) Put(k, v []byte)                             { m[string(k)] = bytes.Clone(v) }
+func (m mapDict) Scan([]byte, []byte, func(k, v []byte) bool) {}
+func (m mapDict) Stats() engine.Stats                         { return engine.Stats{} }
+func (m mapDict) Delete(k []byte) bool {
+	_, ok := m[string(k)]
+	delete(m, string(k))
+	return ok
+}
+
+// upsertDict is a mapDict with its own Upsert, which counts its calls.
+type upsertDict struct {
+	mapDict
+	upserts int
+}
+
+func (u *upsertDict) Upsert(k []byte, delta int64) {
+	u.upserts++
+	v, _ := u.Get(k)
+	u.Put(k, kv.UpsertDelta(int64FromBytes(v)+delta))
+}
+
+// TestMutationApplyTo: ApplyTo applies a Put and a Delete as themselves and
+// reports Delete's presence in Accepted; an Upsert goes through the
+// dictionary's own Upsert when it has one and is folded into a Put when it
+// has not, and three +1 upserts reach the same counter both ways.
+func TestMutationApplyTo(t *testing.T) {
+	native := &upsertDict{mapDict: mapDict{}}
+	for _, dict := range []engine.Dictionary{mapDict{}, native} {
+		put := engine.Mutation{Kind: kv.Put, Key: key(1), Value: val(1)}
+		put.ApplyTo(dict)
+		if v, ok := dict.Get(key(1)); !ok || !bytes.Equal(v, val(1)) || !put.Accepted {
+			t.Fatalf("%T: put left %q,%v (accepted %v)", dict, v, ok, put.Accepted)
+		}
+		present := engine.Mutation{Kind: kv.Tombstone, Key: key(1)}
+		present.ApplyTo(dict)
+		absent := engine.Mutation{Kind: kv.Tombstone, Key: key(2), Accepted: true}
+		absent.ApplyTo(dict)
+		if _, ok := dict.Get(key(1)); ok || !present.Accepted || absent.Accepted {
+			t.Fatalf("%T: delete left the key %v; accepted present %v, absent %v", dict, ok, present.Accepted, absent.Accepted)
+		}
+		for i := 0; i < 3; i++ {
+			up := engine.Mutation{Kind: kv.Upsert, Key: key(3), Delta: 1}
+			up.ApplyTo(dict)
+			if !up.Accepted {
+				t.Fatalf("%T: upsert %d not accepted", dict, i)
+			}
+		}
+		if v, _ := dict.Get(key(3)); int64FromBytes(v) != 3 {
+			t.Fatalf("%T: three +1 upserts left counter %d, want 3", dict, int64FromBytes(v))
+		}
+	}
+	if native.upserts != 3 {
+		t.Fatalf("the dictionary's own Upsert ran %d times, want 3", native.upserts)
 	}
 }

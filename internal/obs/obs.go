@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"iomodels/internal/kv"
 	"iomodels/internal/sim"
 	"iomodels/internal/storage"
 )
@@ -173,7 +174,7 @@ func (sp *Span) AddLink(traceID, spanID uint64) {
 
 // Context returns the trace context downstream work should carry to
 // continue this span's trace. Nil-safe (zero context).
-func (sp *Span) Context() (tc TraceContext) {
+func (sp *Span) Context() (tc kv.TraceContext) {
 	if sp == nil {
 		return tc
 	}
@@ -183,17 +184,7 @@ func (sp *Span) Context() (tc TraceContext) {
 		tc.TraceID = sp.Wire
 	}
 	tc.SpanID = sp.Wire
-	tc.Sampled = true
 	return tc
-}
-
-// TraceContext is the obs-side view of a propagated trace context (the
-// wire codec lives in internal/kv; this mirror keeps obs free of protocol
-// imports).
-type TraceContext struct {
-	TraceID uint64
-	SpanID  uint64
-	Sampled bool
 }
 
 // IO records one device IO. Nil-safe.
@@ -427,7 +418,7 @@ func (t *Tracer) Begin(op string, tid int64, now sim.Time) *Span {
 // received a request that is already part of a trace, so sampling does not
 // apply — the originator explicitly asked for this operation to be traced.
 // A zero context falls back to ordinary sampled Begin. Nil-safe.
-func (t *Tracer) BeginLinked(op string, tid int64, now sim.Time, tc TraceContext) *Span {
+func (t *Tracer) BeginLinked(op string, tid int64, now sim.Time, tc kv.TraceContext) *Span {
 	if t == nil {
 		return nil
 	}

@@ -22,7 +22,6 @@ import (
 
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
-	"iomodels/internal/obs"
 	"iomodels/internal/wal"
 )
 
@@ -143,28 +142,18 @@ func (s *Server) ApplyShipped(recs []wal.Record) error {
 	if s.Role() != RoleReplica {
 		return errors.New("server: ApplyShipped on a non-replica")
 	}
-	batch := make([]writeReq, len(recs))
+	muts := make([]engine.Mutation, len(recs))
 	for i, r := range recs {
+		if r.Kind != kv.Put && r.Kind != kv.Tombstone {
+			return fmt.Errorf("server: shipped record %d has unexpected kind %d", r.Seq, r.Kind)
+		}
 		// A stamped record's trace identity continues the primary's trace on
 		// this node: the replica's commit span links back to the primary-side
 		// span that logged the record.
-		var tc obs.TraceContext
-		if r.TraceID != 0 {
-			tc = obs.TraceContext{TraceID: r.TraceID, SpanID: r.SpanID, Sampled: true}
-		}
-		switch r.Kind {
-		case kv.Put:
-			batch[i] = writeReq{op: OpPut, key: r.Key, value: r.Value, tc: tc}
-		case kv.Tombstone:
-			batch[i] = writeReq{op: OpDelete, key: r.Key, tc: tc}
-		default:
-			return fmt.Errorf("server: shipped record %d has unexpected kind %d", r.Seq, r.Kind)
-		}
+		muts[i] = engine.Mutation{Kind: r.Kind, Key: r.Key, Value: r.Value, TraceID: r.TraceID, SpanID: r.SpanID}
 	}
-	for _, res := range s.applyWrites(batch) {
-		if res.err != nil {
-			return res.err
-		}
+	if _, err := s.applyWrites(muts); err != nil {
+		return err
 	}
 	s.shipAppliedLSN.Store(recs[len(recs)-1].Seq)
 	return nil

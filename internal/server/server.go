@@ -150,12 +150,8 @@ type Server struct {
 	readSched *readScheduler
 	metrics   *metrics
 
-	writeCh      chan writeReq
-	writerDone   chan struct{}
-	writeScratch []writeReq // writer-goroutine-local batch buffer
-	// applyWrites' per-batch scratch, reused across batches.
-	mutScratch    []engine.Mutation
-	resultScratch []writeResult
+	writeCh    chan writeReq
+	writerDone chan struct{}
 
 	// stateMu orders tree reads against tree mutations: sessions take the
 	// read side per operation, the writer takes the write side per batch.
@@ -441,11 +437,6 @@ func (s *Server) serve(cs *connState, req request) reply {
 	}
 }
 
-// obsTC converts a wire trace context into the tracer's mirror form.
-func obsTC(tc kv.TraceContext) obs.TraceContext {
-	return obs.TraceContext{TraceID: tc.TraceID, SpanID: tc.SpanID, Sampled: tc.Sampled()}
-}
-
 // slowOpLayer is one stack layer's share in a slow-op log line.
 type slowOpLayer struct {
 	Layer string  `json:"layer"`
@@ -570,7 +561,7 @@ func (s *Server) serveSnapRead(cs *connState, req request) reply {
 		}
 		if hit {
 			s.metrics.snapChainHits.Add(1)
-			sp := cs.client.StartSpanLinked(req.op.String(), obsTC(req.tc))
+			sp := cs.client.StartSpanLinked(req.op.String(), req.tc)
 			sp.MVCCResolve(true, cs.client.Now())
 			cs.client.FinishSpan(sp)
 			if !present {
@@ -616,7 +607,7 @@ func (s *Server) scheduledRead(cs *connState, req request, sn *engine.Snap) repl
 	// deliberately excluded — virtual time is the models' currency). A
 	// carried trace context links the span under the client's trace and
 	// bypasses sampling; a zero context is the ordinary sampled StartSpan.
-	sp := client.StartSpanLinked(req.op.String(), obsTC(req.tc))
+	sp := client.StartSpanLinked(req.op.String(), req.tc)
 	if sn != nil {
 		sp.MVCCResolve(false, client.Now())
 	}
@@ -681,6 +672,9 @@ func collectScan(session engine.Dictionary, sn *engine.Snap, req request) ([]kv.
 	return entries, err
 }
 
+// writeKinds maps each write op to the kind of mutation it is.
+var writeKinds = [...]kv.Kind{OpPut: kv.Put, OpDelete: kv.Tombstone, OpUpsert: kv.Upsert}
+
 // serveWrite enqueues the mutation for the writer's next group commit and
 // waits for the batch's WAL flush before acknowledging.
 func (s *Server) serveWrite(cs *connState, req request) reply {
@@ -688,19 +682,21 @@ func (s *Server) serveWrite(cs *connState, req request) reply {
 		return failure(StatusNotPrimary, "replica: writes go to the shard primary")
 	}
 	// The server-side span for this write: linked under the client's carried
-	// trace when one arrived. Its own context rides the writeReq so the
+	// trace when one arrived. Its own context rides the mutation so the
 	// group-commit span — and, through the stamped ship stream, a replica's
 	// apply — links back to this request.
-	sp := cs.client.StartSpanLinked(req.op.String(), obsTC(req.tc))
-	tc := obsTC(req.tc)
+	sp := cs.client.StartSpanLinked(req.op.String(), req.tc)
+	tc := req.tc
 	if sp != nil {
 		tc = sp.Context()
 	}
 	if cs.writeDone == nil {
 		cs.writeDone = make(chan writeResult, 1)
 	}
-	wr := writeReq{op: req.op, key: req.key, value: req.value, delta: req.delta,
-		tc: tc, done: cs.writeDone}
+	wr := writeReq{done: cs.writeDone, Mutation: engine.Mutation{
+		Kind: writeKinds[req.op], Key: req.key, Value: req.value, Delta: req.delta,
+		TraceID: tc.TraceID, SpanID: tc.SpanID,
+	}}
 	select {
 	case s.writeCh <- wr:
 	default:

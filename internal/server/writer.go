@@ -1,9 +1,11 @@
 // The write path: all mutations from all connections funnel through one
 // writer goroutine (the engine's single-writer rule made structural), which
 // drains the queue in batches and commits each batch with ONE WAL flush —
-// group commit across connections, via engine.ApplyBatch. Durability is
-// batch-scoped: a reply is only sent after the batch's WAL commit, so an
-// acknowledged write is on the log.
+// group commit across connections. Each drain is applied under the state
+// lock with engine.ApplyBatchNoSync; the lock is then dropped and the WAL
+// flushed once with engine.CommitPending. Durability is batch-scoped: a reply
+// is only sent after the batch's WAL commit, so an acknowledged write is on
+// the log.
 //
 // The queue is bounded; a full queue refuses the write with StatusBusy
 // (admission control, same contract as the read scheduler).
@@ -31,21 +33,14 @@ type writeResult struct {
 	err      error
 }
 
-// writeReq is one queued mutation.
+// writeReq is one queued mutation and the channel its reply goes to. The
+// mutation's trace ids are the request's trace context (zero when untraced):
+// the server span that enqueued it, or the client's carried context when no
+// tracer is attached. They link the group-commit span and stamp the
+// mutation's WAL record for the ship stream. done must never block the
+// writer: a connection owns one with room for its single outstanding write.
 type writeReq struct {
-	op    Op // OpPut, OpDelete, OpUpsert
-	key   []byte
-	value []byte
-	delta int64
-	// tc is the request's trace context (zero when untraced): the server
-	// span that enqueued the mutation, or the client's carried context when
-	// no tracer is attached. It links the group-commit span and stamps the
-	// mutation's WAL record for the ship stream.
-	tc obs.TraceContext
-	// done receives the writer loop's one reply (nil for a shipped record,
-	// whose caller reads applyWrites' results). It must never block the
-	// writer: a connection owns one with room for its single outstanding
-	// write.
+	engine.Mutation
 	done chan<- writeResult
 }
 
@@ -55,40 +50,44 @@ type writeReq struct {
 // closed and drained.
 func (s *Server) writerLoop() {
 	defer close(s.writerDone)
+	var muts []engine.Mutation
+	var dones []chan<- writeResult
 	for {
 		req, ok := <-s.writeCh
 		if !ok {
 			return
 		}
-		batch := append(s.writeScratch[:0], req)
+		muts, dones = append(muts[:0], req.Mutation), append(dones[:0], req.done)
 	fill:
-		for len(batch) < s.cfg.WriteBatch {
+		for len(muts) < s.cfg.WriteBatch {
 			select {
 			case req, ok := <-s.writeCh:
 				if !ok {
 					break fill
 				}
-				batch = append(batch, req)
+				muts, dones = append(muts, req.Mutation), append(dones, req.done)
 			default:
 				break fill
 			}
 		}
-		s.writeScratch = batch
-		for i, res := range s.applyWrites(batch) {
-			batch[i].done <- res
+		end, err := s.applyWrites(muts)
+		for i, done := range dones {
+			done <- writeResult{accepted: muts[i].Accepted, end: end, err: err}
 		}
 	}
 }
 
-// applyWrites runs one batch and returns one result per request, in batch
-// order (valid until the next call). The state lock covers only the
-// structural applies (tree mutations + WAL appends); the group-commit flush
-// runs after the lock is dropped, so snapshot and point readers never wait
-// out the log device behind a committing batch. Readers may therefore
-// observe applied-but-not-yet-flushed values — the same read-your-writes
-// view the engine's own sessions have always had — while the waiting
-// writers are only acknowledged after the flush (see DESIGN.md §9).
-func (s *Server) applyWrites(batch []writeReq) []writeResult {
+// applyWrites runs one batch and returns the commit's virtual end and its
+// error; each mutation's Accepted holds its own report. The state lock
+// covers only the structural applies (tree mutations + WAL appends); the
+// group-commit flush runs after the lock is dropped, so snapshot and point
+// readers never wait out the log device behind a committing batch. Readers
+// may therefore observe applied-but-not-yet-flushed values — the same
+// read-your-writes view the engine's own sessions have always had — while
+// the waiting writers are only acknowledged after the flush (see DESIGN.md
+// §9). applyWrites has one caller at a time: the writer goroutine, or on a
+// replica the shipper (ApplyShipped).
+func (s *Server) applyWrites(muts []engine.Mutation) (sim.Time, error) {
 	start := s.backend.Clock.Now()
 	// One span per group commit, on the owner client: the trees' mutation
 	// path, the WAL appends, the group-commit flush, and any checkpoint all
@@ -98,35 +97,30 @@ func (s *Server) applyWrites(batch []writeReq) []writeResult {
 	// the first carried context parents it (bypassing sampling), the rest
 	// attach as extra links — one flush serves N traced writes.
 	firstTraced := -1
-	for i := range batch {
-		if batch[i].tc.TraceID != 0 {
+	for i := range muts {
+		if muts[i].TraceID != 0 {
 			firstTraced = i
 			break
 		}
 	}
 	var sp *obs.Span
 	if firstTraced >= 0 {
-		sp = owner.StartSpanLinked("commit", batch[firstTraced].tc)
-		for _, req := range batch[firstTraced+1:] {
-			if req.tc.TraceID != 0 {
-				sp.AddLink(req.tc.TraceID, req.tc.SpanID)
-			}
+		first := &muts[firstTraced]
+		sp = owner.StartSpanLinked("commit", kv.TraceContext{TraceID: first.TraceID, SpanID: first.SpanID})
+		for _, m := range muts[firstTraced+1:] {
+			sp.AddLink(m.TraceID, m.SpanID)
 		}
 	} else {
 		sp = owner.StartSpan("commit")
 	}
-	// The scratch slices need no lock: applyWrites has one caller at a time
-	// (the writer goroutine, or on a replica the shipper — ApplyShipped).
-	results := s.resultScratch[:0]
+	var err error
 	if d, ok := s.backend.Writer.(*engine.Durable); ok {
-		muts := s.mutScratch[:0]
-		for _, req := range batch {
-			muts = append(muts, toMutation(d, req))
+		for i := range muts {
+			muts[i].Dict = d
 		}
-		s.mutScratch = muts
 		s.stateMu.Lock()
 		//lint:allowblock structural applies run under the write exclusion by design; the expensive part — the group-commit flush — already runs after stateMu is dropped (CommitPending below)
-		err := s.backend.Eng.ApplyBatchNoSync(muts)
+		err = s.backend.Eng.ApplyBatchNoSync(muts)
 		target := s.backend.Eng.LogSeq() // the batch's last appended LSN
 		s.stateMu.Unlock()
 		if err == nil {
@@ -157,66 +151,16 @@ func (s *Server) applyWrites(batch []writeReq) []writeResult {
 				err = errSyncShipTimeout
 			}
 		}
-		for i := range muts {
-			results = append(results, writeResult{accepted: muts[i].Accepted, err: err})
-		}
 	} else {
 		s.stateMu.Lock()
-		for _, req := range batch {
-			results = append(results, s.applyPlain(req))
+		for i := range muts {
+			muts[i].ApplyTo(s.backend.Writer)
 		}
 		s.stateMu.Unlock()
 	}
-	s.resultScratch = results
 	owner.FinishSpan(sp)
 	s.metrics.writeBatches.Add(1)
-	s.metrics.writeOps.Add(int64(len(batch)))
+	s.metrics.writeOps.Add(int64(len(muts)))
 	s.metrics.writeSteps.Add(int64(s.backend.Clock.Now() - start))
-	end := owner.Now()
-	for i := range results {
-		results[i].end = end
-	}
-	return results
-}
-
-// toMutation converts a request into the engine's group-commit form,
-// carrying the request's trace identity onto the mutation so the WAL record
-// (and through it the ship stream) is stamped.
-func toMutation(d *engine.Durable, req writeReq) engine.Mutation {
-	m := engine.Mutation{Dict: d, TraceID: req.tc.TraceID, SpanID: req.tc.SpanID}
-	switch req.op {
-	case OpPut:
-		m.Kind, m.Key, m.Value = kv.Put, req.key, req.value
-	case OpDelete:
-		m.Kind, m.Key = kv.Tombstone, req.key
-	case OpUpsert:
-		m.Kind, m.Key, m.Delta = kv.Upsert, req.key, req.delta
-	default:
-		panic("server: non-write op in write queue")
-	}
-	return m
-}
-
-// applyPlain applies one mutation to a non-durable backend.
-func (s *Server) applyPlain(req writeReq) writeResult {
-	w := s.backend.Writer
-	switch req.op {
-	case OpPut:
-		w.Put(req.key, req.value)
-		return writeResult{accepted: true}
-	case OpDelete:
-		return writeResult{accepted: w.Delete(req.key)}
-	case OpUpsert:
-		if up, ok := w.(engine.Upserter); ok {
-			up.Upsert(req.key, req.delta)
-			return writeResult{accepted: true}
-		}
-		// Trees without an upsert path get read-modify-write semantics.
-		old, ok := w.Get(req.key)
-		v, _ := kv.Message{Kind: kv.Upsert, Value: kv.UpsertDelta(req.delta)}.Apply(old, ok)
-		w.Put(req.key, v)
-		return writeResult{accepted: true}
-	default:
-		panic("server: non-write op in write queue")
-	}
+	return owner.Now(), err
 }
