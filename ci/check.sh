@@ -22,7 +22,8 @@
 #              read-only views, the checkpoint's translation table, the
 #              pager's intrusive LRU ring, the typed atomic counters, the
 #              experiment registry, the tree harness, the long-polled
-#              ship pull and the one write mutation removed
+#              ship pull, the one write mutation and the Bε-tree's one
+#              head-column key search removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -40,7 +41,9 @@
 #              a ship poll interval and a sleep after an empty ship pull, a
 #              request-to-mutation converter, a per-server apply switch, trace
 #              ids handed to the log through a durability field, a second
-#              trace-context type and a second copy of the upsert fold)
+#              trace-context type, a second copy of the upsert fold and a
+#              second file of internal/betree that binary-searches keys with
+#              sort.Search, sort.Find or slices.BinarySearch)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -276,6 +279,17 @@ n=$(grep -l 'kv\.Message{Kind: kv\.Upsert' internal/engine/*.go internal/server/
 if [ "$n" -gt 1 ]; then
 	echo "the upsert fold is written in $n non-test files of internal/engine and internal/server (fold through engine's fold helper):" >&2
 	grep -l 'kv\.Message{Kind: kv\.Upsert' internal/engine/*.go internal/server/*.go | grep -v '_test\.go$' >&2
+	exit 1
+fi
+
+# A Bε-tree key run is searched in one place, search in internal/betree/
+# node.go, which probes the run's column of 8-byte key heads before it loads
+# a key (DESIGN.md §5): a second file that binary-searches keys loads a key
+# view, two dependent loads, on every probe again.
+n=$(grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -vc '_test\.go$' || true)
+if [ "$n" -gt 1 ]; then
+	echo "sort.Search(, sort.Find( or slices.BinarySearch in $n non-test files of internal/betree (search a key run with search in node.go):" >&2
+	grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -v '_test\.go$' >&2
 	exit 1
 fi
 

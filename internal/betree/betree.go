@@ -179,17 +179,18 @@ func (t *Tree) ensureFullc(c *engine.Client, off int64) *node {
 }
 
 // leafSlot returns basement j of the Full leaf n at off, clamped to its
-// last basement; a Packed leaf is one big basement.
-func (t *Tree) leafSlot(off int64, n *node, j int) []kv.Entry {
+// last basement, and, with index, its head column (nil on a materialized
+// leaf); a Packed leaf is one big basement.
+func (t *Tree) leafSlot(off int64, n *node, j int, index bool) ([]kv.Entry, []uint64) {
 	if n.ext == nil {
 		j = min(j, len(n.cuts)-2)
-		return n.entries[n.cuts[j]:n.cuts[j+1]]
+		return n.entries[n.cuts[j]:n.cuts[j+1]], nil
 	}
-	p, err := n.basement(t.cfg, min(j, len(n.slots)-1))
+	p, err := n.basement(t.cfg, min(j, len(n.slots)-1), index)
 	if err != nil {
 		panic(fmt.Sprintf("betree: load of basement %d at %d: %v", j, off, err))
 	}
-	return p.entries
+	return p.entries, p.heads
 }
 
 // readSlot returns slot j of the node at off, reading the minimum the
@@ -215,9 +216,9 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 	if n.full {
 		var p slotPayload
 		if leaf {
-			p.entries = t.leafSlot(off, n, j)
+			p.entries, p.heads = t.leafSlot(off, n, j, true)
 		} else {
-			p.msgs = n.bufs[j].msgs
+			p.buf = n.bufs[j]
 			// A Packed parent stores no routes: WholeNode traversal reads the
 			// child itself, so the route is unused.
 			if t.cfg.Layout == Slotted {
@@ -234,6 +235,7 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 	if err != nil {
 		panic(fmt.Sprintf("betree: load of slot %d at %d: %v", j, off, err))
 	}
+	p.index()
 	if n.slots[j].CompareAndSwap(nil, &p) {
 		t.pager().Grow(c, id, n, int64(slotHeader+p.bytes))
 	}
@@ -286,9 +288,7 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 				jb = rt.slotIndex(key)
 			}
 			_, p := t.readSlot(c, off, true, height, jb)
-			if i, ok := slices.BinarySearchFunc(p.entries, key, func(e kv.Entry, k []byte) int {
-				return kv.Compare(e.Key, k)
-			}); ok {
+			if i, ok := search(len(p.entries), p.heads, key, false, func(i int) []byte { return p.entries[i].Key }); ok {
 				base, baseOK = p.entries[i].Value, true
 			}
 			t.unpinc(c, off)
@@ -309,7 +309,7 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 			j2 = rt.slotIndex(key)
 			nextPtrs := rt.ptrs
 			_, p := t.readSlot(c, off, false, height, j2)
-			msgs = bufMessagesFor(buffer{msgs: p.msgs}, key)
+			msgs = bufMessagesFor(p.buf, key)
 			rt = p.route
 			next = nextPtrs[j2]
 			t.unpinc(c, off)
@@ -464,7 +464,7 @@ func (t *Tree) flushNode(off int64, n *node) {
 	t.Flushes++
 	i := t.flushVictim(n)
 	moved := n.bufs[i].msgs
-	n.bufs[i] = buffer{}
+	n.bufs[i] = buffer{heads: n.bufs[i].heads[:0]} // the emptied column's storage is reused
 	childOff := n.children[i]
 	child := t.ensureFull(childOff)
 
@@ -633,6 +633,7 @@ func (t *Tree) installChild(parent *node, i int, childOff int64, pivot []byte) {
 	parent.pivots = append(parent.pivots, nil)
 	copy(parent.pivots[i+1:], parent.pivots[i:])
 	parent.pivots[i] = pivot
+	parent.pivotHeads = slices.Insert(parent.pivotHeads, i, head(pivot))
 	parent.bufs = append(parent.bufs, buffer{})
 	copy(parent.bufs[i+2:], parent.bufs[i+1:])
 	parent.bufs[i+1] = buffer{}
@@ -647,6 +648,7 @@ func (t *Tree) installChild(parent *node, i int, childOff int64, pivot []byte) {
 func (t *Tree) removeChild(parent *node, i int) {
 	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
 	parent.pivots = append(parent.pivots[:i], parent.pivots[i+1:]...)
+	parent.pivotHeads = append(parent.pivotHeads[:i], parent.pivotHeads[i+1:]...)
 	parent.bufs = append(parent.bufs[:i+1], parent.bufs[i+2:]...)
 	if t.cfg.Layout == Slotted {
 		parent.routes = append(parent.routes[:i+1], parent.routes[i+2:]...)
@@ -731,6 +733,7 @@ func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff
 
 	origChildren := append([]int64(nil), child.children...)
 	origPivots := append([][]byte(nil), child.pivots...)
+	origHeads := append([]uint64(nil), child.pivotHeads...)
 	origBufs := append([]buffer(nil), child.bufs...)
 	var origRoutes []route
 	if t.cfg.Layout == Slotted {
@@ -740,6 +743,7 @@ func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff
 	carve := func(dst *node, lo, hi int) {
 		dst.children = append([]int64(nil), origChildren[lo:hi]...)
 		dst.pivots = append([][]byte(nil), origPivots[lo:hi-1]...)
+		dst.pivotHeads = append([]uint64(nil), origHeads[lo:hi-1]...)
 		dst.bufs = append([]buffer(nil), origBufs[lo:hi]...)
 		if t.cfg.Layout == Slotted {
 			dst.routes = append([]route(nil), origRoutes[lo:hi]...)

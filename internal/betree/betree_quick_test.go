@@ -62,7 +62,15 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 					count++
 					return true
 				})
-				return count == len(model)
+				if count != len(model) {
+					return false
+				}
+				tree.Settle()
+				if err := tree.Check(); err != nil {
+					t.Logf("invariant violation after Settle: %v", err)
+					return false
+				}
+				return true
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 				t.Fatal(err)
@@ -73,7 +81,8 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 
 // TestQuickBufferCoalescing verifies the buffer invariants under random
 // message streams: (key, seq) order, byte accounting, and the coalescing
-// rule (an absorbing message erases everything older for its key).
+// rule (an absorbing message erases everything older for its key), and the
+// head column kept in lockstep.
 func TestQuickBufferCoalescing(t *testing.T) {
 	f := func(ops []struct {
 		Kind uint8
@@ -112,7 +121,7 @@ func TestQuickBufferCoalescing(t *testing.T) {
 				}
 			}
 		}
-		return bytesTotal == b.bytes
+		return bytesTotal == b.bytes && checkColumn(b.heads, len(b.msgs), b.key) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -364,6 +365,147 @@ func TestSmallCacheEviction(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGetThroughDecodedSlots: with every node but the root evicted, a
+// slot-mode Get reads each internal level a slot at a time, so the buffered
+// messages it applies come from a slot decoded into a partial node
+// (readSlot's non-resident branch), not from a whole node. In every layout
+// and query mode, on a small cache, through the owner and a Detached
+// session, every Get and Scan agrees with a model. Gets leave a head column
+// on every slot and basement they decoded, which Check finds whole; a scan
+// leaves a lazy leaf's basements without one, and a later Get adds it.
+func TestGetThroughDecodedSlots(t *testing.T) {
+	for name, cfg := range configs(16<<10, 0) {
+		t.Run(name, func(t *testing.T) {
+			tree := newTestTree(t, cfg, 32<<10)
+			model := map[string][]byte{}
+			const n = 3000
+			for i := 0; i < n; i++ {
+				tree.Put(key(i), value(i))
+				model[string(key(i))] = value(i)
+			}
+			tree.Settle()
+			rng := stats.NewRNG(39)
+			for i := 0; i < 2000; i++ { // leaves non-empty buffers below the root
+				id := rng.Intn(n + n/5)
+				if k := key(id); rng.Intn(4) == 0 {
+					tree.Delete(k)
+					delete(model, string(k))
+				} else {
+					tree.Put(k, value(id+i))
+					model[string(k)] = value(id + i)
+				}
+			}
+			if tree.Height() < 3 {
+				t.Fatalf("height %d: want internal nodes below the root", tree.Height())
+			}
+			wantKeys := make([]string, 0, len(model))
+			for k := range model {
+				wantKeys = append(wantKeys, k)
+			}
+			sort.Strings(wantKeys)
+			s := tree.Session(tree.Engine().Detached())
+			for _, who := range []struct {
+				name string
+				get  func([]byte) ([]byte, bool)
+				scan func(lo, hi []byte, fn func(k, v []byte) bool)
+			}{{"owner", tree.Get, tree.Scan}, {"detached", s.Get, s.Scan}} {
+				gets := func() {
+					for _, id := range rng.Perm(n + n/5) {
+						k := key(id)
+						got, ok := who.get(k)
+						if want, wok := model[string(k)]; ok != wok || !bytes.Equal(got, want) {
+							t.Fatalf("%s: Get(%d) = %q, %v; model %q, %v", who.name, id, got, ok, want, wok)
+						}
+					}
+				}
+				tree.Flush()
+				tree.pager().EvictAll(tree.owner)
+				evicted := tree.pager().Stats().Evictions
+				gets()
+				if tree.pager().Stats().Evictions == evicted {
+					t.Fatalf("%s: the Gets evicted nothing", who.name)
+				}
+				bufSlots, indexed, bare := residentSlots(tree)
+				if cfg.QueryMode != WholeNode && bufSlots == 0 {
+					t.Fatalf("%s: no Get decoded a non-empty buffer slot into a partial node", who.name)
+				}
+				if bare > 0 || cfg.Layout == Slotted && indexed == 0 {
+					t.Fatalf("%s: after Gets, %d decoded basements with a head column and %d without", who.name, indexed, bare)
+				}
+				if err := tree.Check(); err != nil {
+					t.Fatalf("%s: %v", who.name, err)
+				}
+
+				tree.Flush()
+				tree.pager().EvictAll(tree.owner)
+				var gotKeys []string
+				who.scan(nil, nil, func(k, v []byte) bool {
+					if !bytes.Equal(v, model[string(k)]) {
+						t.Fatalf("%s: scan value at %s", who.name, k)
+					}
+					gotKeys = append(gotKeys, string(k))
+					return true
+				})
+				if !slices.Equal(gotKeys, wantKeys) {
+					t.Fatalf("%s: scan returned %d keys, model holds %d", who.name, len(gotKeys), len(wantKeys))
+				}
+				if _, _, bare := residentSlots(tree); cfg.Layout == Slotted && bare == 0 {
+					t.Fatalf("%s: the scan left no decoded basement without a head column", who.name)
+				}
+				gets()
+				if _, _, bare := residentSlots(tree); bare > 0 {
+					t.Fatalf("%s: Gets of every key left %d decoded basements without a head column", who.name, bare)
+				}
+				if err := tree.Check(); err != nil {
+					t.Fatalf("%s: %v", who.name, err)
+				}
+			}
+		})
+	}
+}
+
+// residentSlots walks the nodes resident in the tree's pager from the root
+// down, through whole and partial nodes alike, loading none. It counts the
+// decoded internal slots that hold buffered messages, and the decoded leaf
+// slots and basements with entries that have a head column and that have
+// none.
+func residentSlots(tree *Tree) (bufSlots, indexed, bare int) {
+	var walk func(off int64, rt route)
+	walk = func(off int64, rt route) {
+		obj, ok := tree.pager().TryGet(tree.owner, engine.PageID(off))
+		if !ok {
+			return
+		}
+		defer tree.unpin(off)
+		n := obj.(*node)
+		for i, c := range n.children { // a whole internal node
+			var crt route
+			if i < len(n.routes) {
+				crt = n.routes[i]
+			}
+			walk(c, crt)
+		}
+		for j := range n.slots {
+			p := n.slots[j].Load()
+			switch {
+			case p == nil:
+			case !n.leaf:
+				if len(p.buf.msgs) > 0 {
+					bufSlots++
+				}
+				walk(rt.ptrs[j], p.route)
+			case len(p.entries) == 0:
+			case p.heads != nil:
+				indexed++
+			default:
+				bare++
+			}
+		}
+	}
+	walk(tree.root, route{})
+	return bufSlots, indexed, bare
 }
 
 // TestSlotOnlyQueryIOShape verifies the Theorem 9 claim operationally: a

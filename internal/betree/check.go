@@ -7,6 +7,7 @@ package betree
 import (
 	"fmt"
 
+	"iomodels/internal/engine"
 	"iomodels/internal/kv"
 )
 
@@ -17,6 +18,9 @@ import (
 //     in (key, seq) order;
 //   - per-slot capacities hold (Slotted) or node capacity holds (Packed);
 //   - parents' route copies match each child's own routing info (Slotted);
+//   - every head column holds its keys' heads: each node's pivots', each
+//     buffer's and route's, and each slot or basement a query decoded into
+//     a resident node (a basement only scans have read has none yet);
 //   - all leaves are at height 0 and node heights decrease by one per level;
 //   - fanout never exceeds MaxFanout between operations;
 //   - byte accounting (leafBytes, buffer bytes) matches content.
@@ -88,6 +92,9 @@ func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 			return fmt.Errorf("node %d: pivot out of range", off)
 		}
 	}
+	if err := checkColumn(n.pivotHeads, len(n.pivots), n.pivot); err != nil {
+		return fmt.Errorf("node %d pivots: %v", off, err)
+	}
 	if t.overfullNode(n) {
 		return fmt.Errorf("node %d: overfull between operations", off)
 	}
@@ -115,6 +122,14 @@ func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 		if bytes != n.bufs[i].bytes {
 			return fmt.Errorf("node %d buf %d: bytes %d, actual %d", off, i, n.bufs[i].bytes, bytes)
 		}
+		if err := checkColumn(n.bufs[i].heads, len(n.bufs[i].msgs), n.bufs[i].key); err != nil {
+			return fmt.Errorf("node %d buf %d: %v", off, i, err)
+		}
+	}
+	for i := range n.routes {
+		if err := checkColumn(n.routes[i].heads, len(n.routes[i].keys), n.routes[i].key); err != nil {
+			return fmt.Errorf("node %d route %d: %v", off, i, err)
+		}
 	}
 	for i, c := range n.children {
 		clo, chi := lo, hi
@@ -123,6 +138,9 @@ func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 		}
 		if i < len(n.pivots) {
 			chi = n.pivots[i]
+		}
+		if err := t.checkResident(c); err != nil {
+			return fmt.Errorf("node %d child %d: %v", off, i, err)
 		}
 		child := t.ensureFull(c)
 		if t.cfg.Layout == Slotted {
@@ -152,6 +170,48 @@ func routesEqual(a, b route) error {
 	for i := range a.ptrs {
 		if a.ptrs[i] != b.ptrs[i] {
 			return fmt.Errorf("ptr %d differs", i)
+		}
+	}
+	return nil
+}
+
+// checkResident checks the head columns of what queries decoded into the
+// node at off, if it is resident: a partial node's slots or a lazy leaf's
+// basements, which ensureFull replaces or materializes. A basement that only
+// scans have read has no column yet.
+func (t *Tree) checkResident(off int64) error {
+	obj, ok := t.pager().TryGet(t.owner, engine.PageID(off))
+	if !ok {
+		return nil
+	}
+	defer t.unpin(off)
+	n := obj.(*node)
+	for j := range n.slots {
+		p := n.slots[j].Load()
+		if p == nil || n.ext != nil && p.heads == nil {
+			continue
+		}
+		for _, err := range []error{
+			checkColumn(p.route.heads, len(p.route.keys), p.route.key),
+			checkColumn(p.buf.heads, len(p.buf.msgs), p.buf.key),
+			checkColumn(p.heads, len(p.entries), func(i int) []byte { return p.entries[i].Key }),
+		} {
+			if err != nil {
+				return fmt.Errorf("resident slot %d: %v", j, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkColumn reports whether heads is the head column of key(0..n-1).
+func checkColumn(heads []uint64, n int, key func(int) []byte) error {
+	if len(heads) != n {
+		return fmt.Errorf("%d heads for %d keys", len(heads), n)
+	}
+	for i, h := range heads {
+		if want := head(key(i)); h != want {
+			return fmt.Errorf("head %d is %#x, its key's is %#x", i, h, want)
 		}
 	}
 	return nil

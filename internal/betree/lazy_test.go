@@ -106,7 +106,7 @@ func TestLazyLeafChecks(t *testing.T) {
 		t.Fatalf("a load decoded a basement: %v", err)
 	}
 	for j := range n.slots {
-		if _, err := n.basement(slottedCfg, j); (err != nil) != (j == bad) {
+		if _, err := n.basement(slottedCfg, j, true); (err != nil) != (j == bad) {
 			t.Fatalf("basement %d of a leaf with basement %d flipped: err %v", j, bad, err)
 		}
 	}

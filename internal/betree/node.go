@@ -19,9 +19,12 @@
 package betree
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -35,20 +38,65 @@ const (
 
 func logf(x float64) float64 { return math.Log(x) }
 
+// head is k's first 8 bytes as a big-endian word, zero-padded: where two
+// keys' heads differ they order as the keys do.
+func head(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// search is the tree's one binary search over a sorted key run: the first
+// i < n with key(i) >= k (key(i) > k when after is set), or n, and whether
+// key(i) == k (never, with after). heads is the run's head column, or nil
+// for a run without one; a probe loads key(i) only when its head ties k's.
+func search(n int, heads []uint64, k []byte, after bool, key func(int) []byte) (int, bool) {
+	h, eq := head(k), false
+	i := sort.Search(n, func(m int) bool {
+		var c int
+		if heads != nil && heads[m] != h {
+			c = cmp.Compare(heads[m], h)
+		} else {
+			c = kv.Compare(key(m), k)
+		}
+		if c < 0 || after && c == 0 {
+			return false
+		}
+		eq = c == 0
+		return true
+	})
+	return i, eq
+}
+
+// column appends the heads of key(0..n-1) to *col and returns them, capped
+// so that growing one column (buffer.add) never writes the next.
+func column(col *[]uint64, n int, key func(int) []byte) []uint64 {
+	for i := range n {
+		*col = append(*col, head(key(i)))
+	}
+	c := *col
+	return c[len(c)-n : len(c) : len(c)]
+}
+
 // route is the routing information for one child, stored in the parent
 // (Theorem 9's "pivots in the parent"): for an internal child, its pivot
 // keys and child pointers; for a leaf child, its basement boundary keys
 // (ptrs nil).
 type route struct {
-	keys [][]byte
-	ptrs []int64
+	keys  [][]byte
+	heads []uint64 // head column of keys
+	ptrs  []int64
 }
+
+func (r route) key(i int) []byte { return r.keys[i] }
 
 // slotIndex returns which child/basement of the routed node covers key.
 func (r route) slotIndex(key []byte) int {
-	return sort.Search(len(r.keys), func(i int) bool {
-		return kv.Compare(key, r.keys[i]) < 0
-	})
+	i, _ := search(len(r.keys), r.heads, key, true, r.key)
+	return i
 }
 
 // bytes returns the serialized size of the route.
@@ -61,33 +109,41 @@ func (r route) bytes() int {
 	return s
 }
 
-// clone deep-copies r (routes are copied from child to parent, which then
-// evolve independently until the next sync).
-func (r route) clone() route {
-	out := route{keys: make([][]byte, len(r.keys))}
+// own copies r's keys into one run of bytes, so that a parent's route views
+// nothing its child owns, and builds their head column.
+func (r *route) own() {
+	size := 0
+	for _, k := range r.keys {
+		size += len(k)
+	}
+	run := make([]byte, 0, size)
+	r.heads = make([]uint64, len(r.keys))
 	for i, k := range r.keys {
-		out.keys[i] = append([]byte(nil), k...)
+		run = append(run, k...)
+		r.keys[i] = run[len(run)-len(k) : len(run) : len(run)]
+		r.heads[i] = head(k)
 	}
-	if r.ptrs != nil {
-		out.ptrs = append([]int64(nil), r.ptrs...)
-	}
-	return out
 }
 
-// buffer holds the messages destined for one child, sorted by (key, seq).
+// buffer holds the messages destined for one child, sorted by (key, seq),
+// and their head column in lockstep.
 type buffer struct {
 	msgs  []kv.Message
+	heads []uint64
 	bytes int
 }
 
+func (b *buffer) key(i int) []byte { return b.msgs[i].Key }
+
 // find returns the range [lo, hi) of messages for key.
 func (b *buffer) find(key []byte) (int, int) {
-	lo := sort.Search(len(b.msgs), func(i int) bool {
-		return kv.Compare(b.msgs[i].Key, key) >= 0
-	})
+	lo, eq := search(len(b.msgs), b.heads, key, false, b.key)
 	hi := lo
-	for hi < len(b.msgs) && kv.Compare(b.msgs[hi].Key, key) == 0 {
+	if eq {
 		hi++
+		for hi < len(b.msgs) && kv.Compare(b.msgs[hi].Key, key) == 0 {
+			hi++
+		}
 	}
 	return lo, hi
 }
@@ -102,11 +158,11 @@ func (b *buffer) add(m kv.Message) {
 			b.bytes -= old.Size()
 		}
 		b.msgs = append(b.msgs[:lo], b.msgs[hi:]...)
+		b.heads = append(b.heads[:lo], b.heads[hi:]...)
 		hi = lo
 	}
-	b.msgs = append(b.msgs, kv.Message{})
-	copy(b.msgs[hi+1:], b.msgs[hi:])
-	b.msgs[hi] = m.Clone()
+	b.msgs = slices.Insert(b.msgs, hi, m.Clone())
+	b.heads = slices.Insert(b.heads, hi, head(m.Key))
 	b.bytes += m.Size()
 }
 
@@ -116,10 +172,11 @@ type node struct {
 	height int // 0 = leaf
 
 	// Internal-node state.
-	children []int64
-	pivots   [][]byte // len(children)-1 separators
-	bufs     []buffer // per-child message buffers
-	routes   []route  // per-child routing copies (Slotted layout only)
+	children   []int64
+	pivots     [][]byte // len(children)-1 separators
+	pivotHeads []uint64 // head column of pivots
+	bufs       []buffer // per-child message buffers
+	routes     []route  // per-child routing copies (Slotted layout only)
 
 	// Leaf state.
 	entries   []kv.Entry
@@ -155,22 +212,17 @@ func newPartialNode(leaf bool, height, fanout int) *node {
 	return &node{leaf: leaf, height: height, slots: make([]atomic.Pointer[slotPayload], fanout)}
 }
 
+func (n *node) pivot(i int) []byte { return n.pivots[i] }
+
 // findChild routes key within the node's own pivots (Full internal nodes).
 func (n *node) findChild(key []byte) int {
-	return sort.Search(len(n.pivots), func(i int) bool {
-		return kv.Compare(key, n.pivots[i]) < 0
-	})
+	i, _ := search(len(n.pivots), n.pivotHeads, key, true, n.pivot)
+	return i
 }
 
 // findEntry locates key among the leaf entries.
 func (n *node) findEntry(key []byte) (int, bool) {
-	i := sort.Search(len(n.entries), func(i int) bool {
-		return kv.Compare(n.entries[i].Key, key) >= 0
-	})
-	if i < len(n.entries) && kv.Compare(n.entries[i].Key, key) == 0 {
-		return i, true
-	}
-	return i, false
+	return search(len(n.entries), nil, key, false, func(i int) []byte { return n.entries[i].Key })
 }
 
 // bufBytesTotal sums buffered message bytes.
@@ -221,10 +273,10 @@ func (n *node) recut(nb int) {
 // boundaries returns the leaf's basement boundary keys (first key of each
 // basement after the first): the leaf's "pivot set" stored in its parent.
 func (n *node) boundaries() route {
-	var r route
+	r := route{keys: make([][]byte, 0, len(n.cuts)-2)}
 	for _, c := range n.cuts[1 : len(n.cuts)-1] {
 		if c < len(n.entries) {
-			r.keys = append(r.keys, append([]byte(nil), n.entries[c].Key...))
+			r.keys = append(r.keys, n.entries[c].Key)
 		} else if len(n.entries) > 0 {
 			// Degenerate trailing cut (empty last basements): the boundary
 			// must sort strictly ABOVE every real key, or the last entry
@@ -238,6 +290,7 @@ func (n *node) boundaries() route {
 			r.keys = append(r.keys, []byte{0xff})
 		}
 	}
+	r.own()
 	return r
 }
 
@@ -246,10 +299,8 @@ func (n *node) ownRoute() route {
 	if n.leaf {
 		return n.boundaries()
 	}
-	r := route{keys: make([][]byte, len(n.pivots)), ptrs: append([]int64(nil), n.children...)}
-	for i, p := range n.pivots {
-		r.keys[i] = append([]byte(nil), p...)
-	}
+	r := route{keys: slices.Clone(n.pivots), ptrs: slices.Clone(n.children)}
+	r.own()
 	return r
 }
 
@@ -450,6 +501,7 @@ func decodePacked(buf []byte) (*node, error) {
 				n.bufs[i].bytes += m.Size()
 			}
 		}
+		n.index()
 	default:
 		return nil, fmt.Errorf("betree: bad node magic 0x%02x", buf[0])
 	}
@@ -489,18 +541,49 @@ func decodeMeta(cfg Config, buf []byte) (*node, int, error) {
 	return n, nslots, nil
 }
 
+// index builds the head columns of n's pivots, routes and buffers, in one
+// allocation for the node.
+func (n *node) index() {
+	keys := len(n.pivots)
+	for i := range n.routes {
+		keys += len(n.routes[i].keys)
+	}
+	for i := range n.bufs {
+		keys += len(n.bufs[i].msgs)
+	}
+	col := make([]uint64, 0, keys)
+	n.pivotHeads = column(&col, len(n.pivots), n.pivot)
+	for i := range n.routes {
+		n.routes[i].heads = column(&col, len(n.routes[i].keys), n.routes[i].key)
+	}
+	for i := range n.bufs {
+		n.bufs[i].heads = column(&col, len(n.bufs[i].msgs), n.bufs[i].key)
+	}
+}
+
 // slotPayload is a decoded slot: for an internal node, the child's route and
-// the buffered messages; for a leaf, the basement entries.
+// the buffered messages; for a leaf, the basement entries and their head
+// column (nil until a search uses the basement, and on a materialized leaf).
 type slotPayload struct {
 	route   route
-	msgs    []kv.Message
+	buf     buffer
 	entries []kv.Entry
+	heads   []uint64
 	bytes   int // serialized content size
+}
+
+// index builds p's head columns in one allocation.
+func (p *slotPayload) index() {
+	col := make([]uint64, 0, len(p.route.keys)+len(p.buf.msgs)+len(p.entries))
+	p.route.heads = column(&col, len(p.route.keys), p.route.key)
+	p.buf.heads = column(&col, len(p.buf.msgs), p.buf.key)
+	p.heads = column(&col, len(p.entries), func(i int) []byte { return p.entries[i].Key })
 }
 
 // decodeSlot parses one slot's bytes (already sliced to the stride). A leaf
 // slot's entries are appended to ents, and p.entries is the result. A fresh
 // slice is sized from the slot's count, capped at what its bytes can hold.
+// The head columns are left to the caller (slotPayload.index, node.index).
 func decodeSlot(leaf bool, buf []byte, ents []kv.Entry) (slotPayload, error) {
 	d := kv.Dec{Buf: buf}
 	var p slotPayload
@@ -516,9 +599,11 @@ func decodeSlot(leaf bool, buf []byte, ents []kv.Entry) (slotPayload, error) {
 	} else {
 		p.route = decodeRoute(&d)
 		count := int(d.U32())
-		p.msgs = make([]kv.Message, 0, min(count, len(buf)/kv.EncodedMessageSize(nil, nil)))
+		p.buf.msgs = make([]kv.Message, 0, min(count, len(buf)/kv.EncodedMessageSize(nil, nil)))
 		for i := 0; i < count && d.Err == nil; i++ {
-			p.msgs = append(p.msgs, d.Message())
+			m := d.Message()
+			p.buf.msgs = append(p.buf.msgs, m)
+			p.buf.bytes += m.Size()
 		}
 	}
 	p.bytes = d.Off
@@ -544,28 +629,37 @@ func decodeSlotted(cfg Config, buf []byte) (*node, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.routes[i] = p.route
-			n.bufs[i].msgs = p.msgs
-			for _, m := range p.msgs {
-				n.bufs[i].bytes += m.Size()
-			}
+			n.routes[i], n.bufs[i] = p.route, p.buf
 		}
+		n.index()
 	}
 	n.full = true
 	return n, nil
 }
 
 // basement returns basement j of a lazy leaf, decoding it and checking its
-// crc on first use, and publishing it for every reader of the node.
-func (n *node) basement(cfg Config, j int) (*slotPayload, error) {
-	if p := n.slots[j].Load(); p != nil {
+// crc on first use, and publishing it for every reader of the node. Its head
+// column is built the first time a search (index) uses it, and published
+// with a copy of the basement: a scan reads a basement in order and never
+// pays for one.
+func (n *node) basement(cfg Config, j int, index bool) (*slotPayload, error) {
+	p := n.slots[j].Load()
+	if p != nil && (!index || p.heads != nil || len(p.entries) == 0) {
 		return p, nil
 	}
-	p, err := decodeSlot(true, cfg.slot(n.ext, j), nil)
-	if err != nil {
-		return nil, err
+	var q slotPayload
+	if p != nil {
+		q = *p
+	} else {
+		var err error
+		if q, err = decodeSlot(true, cfg.slot(n.ext, j), nil); err != nil {
+			return nil, err
+		}
 	}
-	n.slots[j].CompareAndSwap(nil, &p) // a reader that published first wins
+	if index {
+		q.index()
+	}
+	n.slots[j].CompareAndSwap(p, &q) // a reader that published first wins
 	return n.slots[j].Load(), nil
 }
 

@@ -13,8 +13,6 @@
 package betree
 
 import (
-	"sort"
-
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
 )
@@ -66,8 +64,8 @@ func (t *Tree) scanNode(c *engine.Client, off int64, n *node, rt route, lo, hi [
 			chi = n.pivots[i]
 		}
 		childPending := mergeMessages(
-			sliceRange(pending, clo, chi),
-			sliceRange(n.bufs[i].msgs, clo, chi),
+			sliceRange(pending, nil, clo, chi),
+			sliceRange(n.bufs[i].msgs, n.bufs[i].heads, clo, chi),
 		)
 		var crt route
 		if t.cfg.Layout == Slotted {
@@ -95,7 +93,8 @@ func (t *Tree) emitBasements(off int64, n *node, rt route, pending []kv.Message,
 		if j < len(rt.keys) {
 			bhi = rt.keys[j]
 		}
-		if !emitLeaf(t.leafSlot(off, n, j), sliceRange(pending, blo, bhi), lo, hi, fn) {
+		ents, _ := t.leafSlot(off, n, j, false)
+		if !emitLeaf(ents, sliceRange(pending, nil, blo, bhi), lo, hi, fn) {
 			return false
 		}
 	}
@@ -110,26 +109,21 @@ func childRange(n *node, lo, hi []byte) (int, int) {
 	}
 	last := len(n.children) - 1
 	if hi != nil {
-		last = sort.Search(len(n.pivots), func(i int) bool {
-			return kv.Compare(hi, n.pivots[i]) <= 0
-		})
+		last, _ = search(len(n.pivots), n.pivotHeads, hi, false, n.pivot)
 	}
 	return first, last
 }
 
-// sliceRange returns the sub-slice of sorted messages with lo <= key < hi.
-func sliceRange(msgs []kv.Message, lo, hi []byte) []kv.Message {
-	start := 0
+// sliceRange returns the sub-slice of sorted messages with lo <= key < hi;
+// heads is their head column, or nil.
+func sliceRange(msgs []kv.Message, heads []uint64, lo, hi []byte) []kv.Message {
+	key := func(i int) []byte { return msgs[i].Key }
+	start, end := 0, len(msgs)
 	if lo != nil {
-		start = sort.Search(len(msgs), func(i int) bool {
-			return kv.Compare(msgs[i].Key, lo) >= 0
-		})
+		start, _ = search(len(msgs), heads, lo, false, key)
 	}
-	end := len(msgs)
 	if hi != nil {
-		end = sort.Search(len(msgs), func(i int) bool {
-			return kv.Compare(msgs[i].Key, hi) >= 0
-		})
+		end, _ = search(len(msgs), heads, hi, false, key)
 	}
 	return msgs[start:end]
 }

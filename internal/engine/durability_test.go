@@ -201,6 +201,9 @@ func TestDurableBeTreeUpsertRecover(t *testing.T) {
 			t.Fatalf("counter %s = %d, want %d", k, got, sum)
 		}
 	}
+	if err := bt2.Check(); err != nil {
+		t.Fatalf("recovered tree invariants: %v", err)
+	}
 }
 
 func int64FromBytes(b []byte) int64 {

@@ -341,9 +341,10 @@ func (c *Client) StartSpan(op string) *obs.Span {
 }
 
 // StartSpanLinked opens a span continuing a carried trace context (a
-// request that arrived over the wire already traced): sampling does not
-// apply, and the span is linked to the remote parent. A zero context
-// behaves exactly like StartSpan. Nil when a span is already open or no
+// request that arrived over the wire already traced), linked to the remote
+// parent: a context flagged sampled bypasses sampling, any other goes
+// through the sampler (obs.Tracer.BeginLinked). A zero context behaves
+// exactly like StartSpan. Nil when a span is already open or no
 // tracer is attached.
 func (c *Client) StartSpanLinked(op string, tc kv.TraceContext) *obs.Span {
 	if c.span != nil {

@@ -414,19 +414,23 @@ func (t *Tracer) Begin(op string, tid int64, now sim.Time) *Span {
 	return t.newSpan(op, tid, now)
 }
 
-// BeginLinked opens a span continuing a carried trace context: the caller
-// received a request that is already part of a trace, so sampling does not
-// apply — the originator explicitly asked for this operation to be traced.
-// A zero context falls back to ordinary sampled Begin. Nil-safe.
+// BeginLinked opens a span continuing a carried trace context, linked to
+// the carried parent. A context flagged TraceFlagSampled bypasses sampling:
+// its originator is recording the trace and asked for this operation. Any
+// other context, the zero one included, goes through the ordinary 1-in-N
+// sampler, and a span the sampler takes still links to a valid parent.
+// Nil-safe.
 func (t *Tracer) BeginLinked(op string, tid int64, now sim.Time, tc kv.TraceContext) *Span {
 	if t == nil {
 		return nil
 	}
-	if tc.TraceID == 0 {
-		return t.Begin(op, tid, now)
+	var sp *Span
+	if tc.Valid() && tc.Sampled() {
+		t.ctr.Add(1)
+		sp = t.newSpan(op, tid, now)
+	} else if sp = t.Begin(op, tid, now); sp == nil || !tc.Valid() {
+		return sp
 	}
-	t.ctr.Add(1)
-	sp := t.newSpan(op, tid, now)
 	sp.TraceID = tc.TraceID
 	sp.Links = append(sp.Links, Link{TraceID: tc.TraceID, SpanID: tc.SpanID})
 	return sp

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iomodels/internal/core"
+	"iomodels/internal/kv"
 	"iomodels/internal/pdamdev"
 	"iomodels/internal/sim"
 	"iomodels/internal/stats"
@@ -53,6 +54,34 @@ func TestSampling(t *testing.T) {
 	if sum.Ops != 100 || sum.Spans != 25 || sum.SampleEvery != 4 {
 		t.Fatalf("summary ops=%d spans=%d sample=%d, want 100/25/4",
 			sum.Ops, sum.Spans, sum.SampleEvery)
+	}
+}
+
+// TestBeginLinkedHonoursSampledFlag: a carried context flagged sampled opens
+// a span every time; an unsampled one goes through the 1-in-N sampler. Every
+// span opened either way links to its carried parent.
+func TestBeginLinkedHonoursSampledFlag(t *testing.T) {
+	for _, c := range []struct {
+		flags uint8
+		want  int
+	}{{0, 10}, {kv.TraceFlagSampled, 40}} {
+		tr := NewTracer(Config{SampleEvery: 4})
+		opened := 0
+		for i := 0; i < 40; i++ {
+			tc := kv.TraceContext{TraceID: uint64(100 + i), SpanID: uint64(200 + i), Flags: c.flags}
+			sp := tr.BeginLinked("put", 1, sim.Time(i), tc)
+			if sp == nil {
+				continue
+			}
+			opened++
+			if sp.TraceID != tc.TraceID || len(sp.Links) != 1 || sp.Links[0] != (Link{TraceID: tc.TraceID, SpanID: tc.SpanID}) {
+				t.Fatalf("flags %#x: span trace %d links %+v, want linked to %+v", c.flags, sp.TraceID, sp.Links, tc)
+			}
+			tr.Finish(sp, sim.Time(i+1))
+		}
+		if opened != c.want {
+			t.Errorf("flags %#x: %d linked spans for 40 carried contexts at 1-in-4, want %d", c.flags, opened, c.want)
+		}
 	}
 }
 

@@ -605,8 +605,9 @@ func (s *Server) scheduledRead(cs *connState, req request, sn *engine.Snap) repl
 	// The span opens at the read's virtual start, so its duration is the
 	// request's virtual service time (queue wait is wall-clock and
 	// deliberately excluded — virtual time is the models' currency). A
-	// carried trace context links the span under the client's trace and
-	// bypasses sampling; a zero context is the ordinary sampled StartSpan.
+	// carried trace context links the span under the client's trace, and
+	// bypasses sampling when flagged sampled; a zero context is the ordinary
+	// sampled StartSpan.
 	sp := client.StartSpanLinked(req.op.String(), req.tc)
 	if sn != nil {
 		sp.MVCCResolve(false, client.Now())
@@ -682,13 +683,17 @@ func (s *Server) serveWrite(cs *connState, req request) reply {
 		return failure(StatusNotPrimary, "replica: writes go to the shard primary")
 	}
 	// The server-side span for this write: linked under the client's carried
-	// trace when one arrived. Its own context rides the mutation so the
-	// group-commit span — and, through the stamped ship stream, a replica's
-	// apply — links back to this request.
+	// trace when one arrived. The mutation carries the context of a recorded
+	// span only — this one, or with none open (no tracer) a carried context
+	// flagged sampled — so the group-commit span and, through the stamped
+	// ship stream, a replica's apply link back to this request, and an
+	// unsampled context never forces a span further down.
 	sp := cs.client.StartSpanLinked(req.op.String(), req.tc)
 	tc := req.tc
 	if sp != nil {
 		tc = sp.Context()
+	} else if !tc.Sampled() {
+		tc = kv.TraceContext{}
 	}
 	if cs.writeDone == nil {
 		cs.writeDone = make(chan writeResult, 1)

@@ -94,8 +94,10 @@ func (s *Server) applyWrites(muts []engine.Mutation) (sim.Time, error) {
 	// run through the owner (which only this goroutine drives).
 	owner := s.backend.Eng.Owner()
 	// Link the group-commit span under every traced request in the batch:
-	// the first carried context parents it (bypassing sampling), the rest
-	// attach as extra links — one flush serves N traced writes.
+	// the first carried context parents it, the rest attach as extra links —
+	// one flush serves N traced writes. A mutation carries only the context
+	// of a recorded span (serveWrite), so the link is flagged sampled and
+	// bypasses sampling.
 	firstTraced := -1
 	for i := range muts {
 		if muts[i].TraceID != 0 {
@@ -106,7 +108,7 @@ func (s *Server) applyWrites(muts []engine.Mutation) (sim.Time, error) {
 	var sp *obs.Span
 	if firstTraced >= 0 {
 		first := &muts[firstTraced]
-		sp = owner.StartSpanLinked("commit", kv.TraceContext{TraceID: first.TraceID, SpanID: first.SpanID})
+		sp = owner.StartSpanLinked("commit", kv.TraceContext{TraceID: first.TraceID, SpanID: first.SpanID, Flags: kv.TraceFlagSampled})
 		for _, m := range muts[firstTraced+1:] {
 			sp.AddLink(m.TraceID, m.SpanID)
 		}
