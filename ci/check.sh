@@ -22,8 +22,9 @@
 #              read-only views, the checkpoint's translation table, the
 #              pager's intrusive LRU ring, the typed atomic counters, the
 #              experiment registry, the tree harness, the long-polled
-#              ship pull, the one write mutation and the Bε-tree's one
-#              head-column key search removed
+#              ship pull, the one write mutation, the Bε-tree's one
+#              head-column key search and the one declaration per /metrics
+#              family removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -41,9 +42,10 @@
 #              a ship poll interval and a sleep after an empty ship pull, a
 #              request-to-mutation converter, a per-server apply switch, trace
 #              ids handed to the log through a durability field, a second
-#              trace-context type, a second copy of the upsert fold and a
+#              trace-context type, a second copy of the upsert fold, a
 #              second file of internal/betree that binary-searches keys with
-#              sort.Search, sort.Find or slices.BinarySearch)
+#              sort.Search, sort.Find or slices.BinarySearch, and a kvserve_
+#              family name written outside promWriter's family and sample)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -290,6 +292,20 @@ n=$(grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' intern
 if [ "$n" -gt 1 ]; then
 	echo "sort.Search(, sort.Find( or slices.BinarySearch in $n non-test files of internal/betree (search a key run with search in node.go):" >&2
 	grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -v '_test\.go$' >&2
+	exit 1
+fi
+
+# A /metrics family is declared once (DESIGN.md §12): a scalar by the prom tag
+# on the StatsSnapshot field that carries its value, a labelled family or a
+# histogram by a family call on promWriter. The kvserve_ prefix is written
+# only in promWriter's family and sample methods (internal/server/metrics.go);
+# on any other non-comment line of non-test Go it is a hand-listed family
+# growing back.
+dups=$(grep -rn --include='*.go' 'kvserve_' . | grep -v -e '^./vendor/' -e '_test\.go:' -e '^./internal/server/metrics\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+dups="$dups$(awk '/^func \(p promWriter\) (family|sample)\(/ {m = 1} !m && /kvserve_/ && !/^[[:space:]]*\/\// {print FILENAME ":" FNR ":" $0} m && /^}/ {m = 0}' internal/server/metrics.go)"
+if [ -n "$dups" ]; then
+	echo "kvserve_ written outside promWriter.family and promWriter.sample (declare a scalar family in a prom tag, a labelled one with a family call):" >&2
+	echo "$dups" >&2
 	exit 1
 fi
 

@@ -1,12 +1,16 @@
 // Property-based tests (testing/quick) for the Bε-tree: quick generates
 // random operation scripts which are replayed against a reference map, with
-// structural invariants checked after every script.
+// structural invariants checked after every script. The scripts are long
+// enough, and the nodes small enough, that a script splits the root leaf,
+// flushes buffers, splits leaves and merges them again.
 
 package betree
 
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -21,15 +25,36 @@ type script []struct {
 	VLen uint8
 }
 
+// quickKeys is the scripts' key space: enough live keys to fill more leaves
+// than one internal node may point at.
+const quickKeys = 1500
+
+// Generate implements quick.Generator. quick's default slices (at most 50
+// ops) never fill a node; a script here is 1,000-4,000 ops, and its second
+// half is delete-heavy so that leaves shrink and merge.
+func (script) Generate(r *rand.Rand, _ int) reflect.Value {
+	s := make(script, 1000+r.Intn(3000))
+	for i := range s {
+		s[i].Kind, s[i].ID, s[i].VLen = uint8(r.Intn(4)), uint16(r.Intn(quickKeys)), uint8(r.Intn(256))
+		if i > len(s)/2 && r.Intn(2) == 0 {
+			s[i].Kind = 2
+		}
+	}
+	return reflect.ValueOf(s)
+}
+
 func TestQuickScriptsAgainstModel(t *testing.T) {
-	for name, cfg := range configs(16<<10, 256<<10) {
+	for name, cfg := range configs(8<<10, 0) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
+			var flushes int64
+			height := 1
 			f := func(s script) bool {
 				tree := newTestTree(t, cfg)
+				defer func() { flushes, height = flushes+tree.Flushes, max(height, tree.Height()) }()
 				model := map[string][]byte{}
 				for _, op := range s {
-					k := key(int(op.ID % 400))
+					k := key(int(op.ID % quickKeys))
 					switch op.Kind % 4 {
 					case 0, 1:
 						v := bytes.Repeat([]byte{byte(op.VLen)}, int(op.VLen)%96)
@@ -74,6 +99,12 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 				t.Fatal(err)
+			}
+			// Scripts that never leave the root leaf check nothing the flush
+			// and split paths do; about seven in ten scripts grow the tree to
+			// height 3, so 25 that all stop short mean the test has shrunk.
+			if flushes == 0 || height < 3 {
+				t.Fatalf("across the scripts: %d flushes, height at most %d", flushes, height)
 			}
 		})
 	}

@@ -81,15 +81,16 @@ func (le *LagEstimator) Observe(lagSeconds float64, lagLSNs int64) {
 }
 
 // LagSnapshot is a point-in-time view of the estimator, JSON-ready for the
-// server's /stats document.
+// server's /stats document. Samples' tags declare its /metrics family; the
+// other fields render as the server's labelled ship_lag families.
 type LagSnapshot struct {
-	Samples     int64   `json:"samples"`
-	LastSeconds float64 `json:"last_seconds"`
-	EWMASeconds float64 `json:"ewma_seconds"`
-	MaxSeconds  float64 `json:"max_seconds"` // over the sample window
-	LastLSNs    int64   `json:"last_lsns"`
-	EWMALSNs    float64 `json:"ewma_lsns"`
-	MaxLSNs     int64   `json:"max_lsns"` // over the sample window
+	Samples     int64   `json:"samples" prom:"ship_lag_samples_total,counter" help:"Replication-lag samples observed."`
+	LastSeconds float64 `json:"last_seconds" prom:"-"`
+	EWMASeconds float64 `json:"ewma_seconds" prom:"-"`
+	MaxSeconds  float64 `json:"max_seconds" prom:"-"` // over the sample window
+	LastLSNs    int64   `json:"last_lsns" prom:"-"`
+	EWMALSNs    float64 `json:"ewma_lsns" prom:"-"`
+	MaxLSNs     int64   `json:"max_lsns" prom:"-"` // over the sample window
 }
 
 // Snapshot returns the current view. Nil-safe (zero snapshot).

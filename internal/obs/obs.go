@@ -573,17 +573,19 @@ type LayerSummary struct {
 }
 
 // Summary is a point-in-time view of everything the tracer has seen,
-// JSON-ready for the server's /stats document.
+// JSON-ready for the server's /stats document. The prom and help tags
+// declare the server's /metrics scalar families (see server.StatsSnapshot);
+// the layer and residual families are labelled and rendered as code there.
 type Summary struct {
-	Ops            int64             `json:"ops"`   // operations offered (incl. sampled out)
-	Spans          int64             `json:"spans"` // finished sampled spans
-	SampleEvery    int               `json:"sample_every"`
-	Retained       int               `json:"retained"`
-	AvgConcurrency float64           `json:"avg_concurrency"`
-	Counts         PathCounts        `json:"counts"`
-	Layers         []LayerSummary    `json:"layers"`
-	Models         *Models           `json:"models,omitempty"`
-	Residuals      []ResidualSummary `json:"residuals,omitempty"`
+	Ops            int64             `json:"ops" prom:"obs_ops_total,counter" help:"Operations offered to the tracer (incl. sampled out)."`
+	Spans          int64             `json:"spans" prom:"obs_spans_total,counter" help:"Finished sampled spans."`
+	SampleEvery    int               `json:"sample_every" prom:"-"`
+	Retained       int               `json:"retained" prom:"-"`
+	AvgConcurrency float64           `json:"avg_concurrency" prom:"obs_avg_concurrency,gauge" help:"Estimated device concurrency (Little's law: recent IO time per unit of virtual-clock advance)."`
+	Counts         PathCounts        `json:"counts" prom:"-"`
+	Layers         []LayerSummary    `json:"layers" prom:"-"`
+	Models         *Models           `json:"models,omitempty" prom:"-"`
+	Residuals      []ResidualSummary `json:"residuals,omitempty" prom:"-"`
 }
 
 // Summary snapshots the tracer. Nil-safe (returns a zero summary).

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -63,105 +65,114 @@ func newMetrics() *metrics {
 
 // StatsSnapshot is the full /stats document. Field names are part of the
 // protocol surface (loadgen and the CI smoke test parse them).
+//
+// A field is also its /metrics scalar family, declared once in its tags:
+// `prom:"name,type[,opts]"` (the name without the kvserve_ prefix, the type
+// counter or gauge) and `help:"…"`. Option mib exports a MiB float as whole
+// bytes; if=Field renders the family only while the bool Field of the same
+// struct is true. prom:"-" marks a field, or a whole nested struct, that has
+// no scalar family (it is not exported, or a labelled family in writeProm
+// renders it). TestEveryStatsFieldDeclaresItsFamily fails on a numeric field
+// that says neither.
 type StatsSnapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"uptime_seconds,gauge" help:"Seconds since the server started."`
 	// Node identity (PR-10): the bound listen address ("" before Serve) and
 	// the Go toolchain the binary was built with, so kvtop (and a human at
 	// /stats) can tell nodes apart without out-of-band configuration.
 	ListenAddr string `json:"listen_addr"`
 	GoVersion  string `json:"go_version"`
 	Device     string `json:"device"`
-	BatchIOs   int    `json:"batch_ios"`  // read scheduler slots per lane (the device's P or per-queue service)
-	ReadLanes  int    `json:"read_lanes"` // independent read lanes (device queues; 1 = global)
+	BatchIOs   int    `json:"batch_ios" prom:"batch_ios,gauge" help:"Read scheduler slots per lane (the device's parallelism P or per-queue service)."`
+	ReadLanes  int    `json:"read_lanes" prom:"read_lanes,gauge" help:"Independent read lanes (device queues; 1 = global scheduler)."`
 
-	Conns      int64 `json:"conns"`
-	ConnsTotal int64 `json:"conns_total"`
-	InFlight   int64 `json:"in_flight"`
-	ReadQueued int64 `json:"read_queued"`
-	ProtoErrs  int64 `json:"proto_errors"`
-	Busy       int64 `json:"busy"`
-	NotFound   int64 `json:"not_found"`
+	Conns      int64 `json:"conns" prom:"conns,gauge" help:"Open client connections."`
+	ConnsTotal int64 `json:"conns_total" prom:"conns_total,counter" help:"Connections accepted since start."`
+	InFlight   int64 `json:"in_flight" prom:"in_flight,gauge" help:"Requests currently being served."`
+	ReadQueued int64 `json:"read_queued" prom:"read_queued,gauge" help:"Reads queued or running in the read scheduler."`
+	ProtoErrs  int64 `json:"proto_errors" prom:"proto_errors_total,counter" help:"Malformed or oversized requests."`
+	Busy       int64 `json:"busy" prom:"busy_total,counter" help:"Requests shed by admission control."`
+	NotFound   int64 `json:"not_found" prom:"not_found_total,counter" help:"Gets for absent keys."`
 
-	Ops map[string]stats.LatencyMicros `json:"ops"`
+	Ops map[string]stats.LatencyMicros `json:"ops" prom:"-"`
 
-	ReadBatches  int64   `json:"read_batches"`
-	WriteBatches int64   `json:"write_batches"`
-	WriteOps     int64   `json:"write_ops"`
-	WriteSteps   int64   `json:"write_vsteps"`
-	VClock       int64   `json:"vclock_ns"` // shared virtual clock, ns
-	PagerHits    int64   `json:"pager_hits"`
-	PagerMisses  int64   `json:"pager_misses"`
-	PagerHit     float64 `json:"pager_hit_ratio"`
-	DevReads     int64   `json:"dev_reads"`
-	DevWrites    int64   `json:"dev_writes"`
-	DevReadMB    float64 `json:"dev_read_mb"`
-	DevWriteMB   float64 `json:"dev_write_mb"`
+	ReadBatches  int64   `json:"read_batches" prom:"read_batches_total,counter" help:"Read launches that opened a new virtual start instant on their lane (a lone client: every read)."`
+	WriteBatches int64   `json:"write_batches" prom:"write_batches_total,counter" help:"Group-commit batches applied."`
+	WriteOps     int64   `json:"write_ops" prom:"write_ops_total,counter" help:"Mutations applied across all batches."`
+	WriteSteps   int64   `json:"write_vsteps" prom:"-"`
+	VClock       int64   `json:"vclock_ns" prom:"vclock_ns,gauge" help:"Shared virtual clock (device-model time), ns."`
+	PagerHits    int64   `json:"pager_hits" prom:"pager_hits_total,counter" help:"Buffer-pool hits."`
+	PagerMisses  int64   `json:"pager_misses" prom:"pager_misses_total,counter" help:"Buffer-pool misses."`
+	PagerHit     float64 `json:"pager_hit_ratio" prom:"pager_hit_ratio,gauge" help:"Buffer-pool hit ratio."`
+	DevReads     int64   `json:"dev_reads" prom:"device_reads_total,counter" help:"Device read IOs."`
+	DevWrites    int64   `json:"dev_writes" prom:"device_writes_total,counter" help:"Device write IOs."`
+	DevReadMB    float64 `json:"dev_read_mb" prom:"-"`
+	DevWriteMB   float64 `json:"dev_write_mb" prom:"-"`
 	// StoreResidentMB is the host memory the store image holds: the chunks a
 	// write has touched, not the address range the node's regions span.
-	StoreResidentMB float64 `json:"store_resident_mb"`
+	StoreResidentMB float64 `json:"store_resident_mb" prom:"store_resident_bytes,gauge,mib" help:"Host memory held by the store image (chunks written)."`
 
-	WALRecords     int64  `json:"wal_records"`
-	WALCommits     int64  `json:"wal_commits"`
-	WALBytes       int64  `json:"wal_bytes"`
-	Checkpoints    int64  `json:"checkpoints"`
+	WALRecords     int64  `json:"wal_records" prom:"wal_records_total,counter" help:"WAL records appended."`
+	WALCommits     int64  `json:"wal_commits" prom:"wal_commits_total,counter" help:"WAL group commits."`
+	WALBytes       int64  `json:"wal_bytes" prom:"wal_bytes_total,counter" help:"WAL bytes written (frames and headers)."`
+	Checkpoints    int64  `json:"checkpoints" prom:"checkpoints_total,counter" help:"Durability checkpoints sealed."`
 	DurabilityErr  string `json:"durability_error,omitempty"`
-	DurableEnabled bool   `json:"durable"`
+	DurableEnabled bool   `json:"durable" prom:"-"`
 
 	// Pager and write-path detail (PR-5 additions; existing fields above are
 	// protocol surface and keep their meaning).
-	PagerEvictions  int64   `json:"pager_evictions"`
-	PagerWritebacks int64   `json:"pager_writebacks"`
-	PagerDirtyMB    float64 `json:"pager_dirty_mb"`
-	WriteQueueDepth int     `json:"write_queue_depth"`
-	WriteBatchAvg   float64 `json:"write_batch_avg"`
-	JournalMB       float64 `json:"journal_mb"` // checkpoint seals: table records and superblocks
-	RedoMB          float64 `json:"redo_mb"`    // page bytes checkpoints wrote back
-	PendingFree     int     `json:"pending_free"`
+	PagerEvictions  int64   `json:"pager_evictions" prom:"pager_evictions_total,counter" help:"Buffer-pool evictions."`
+	PagerWritebacks int64   `json:"pager_writebacks" prom:"pager_writebacks_total,counter" help:"Dirty-page write-backs."`
+	PagerDirtyMB    float64 `json:"pager_dirty_mb" prom:"pager_dirty_bytes,gauge,mib" help:"Encoded size of the dirty page set."`
+	WriteQueueDepth int     `json:"write_queue_depth" prom:"write_queue_depth,gauge" help:"Mutations waiting in the write queue."`
+	WriteBatchAvg   float64 `json:"write_batch_avg" prom:"write_batch_avg,gauge" help:"Mean mutations per group-commit batch."`
+	JournalMB       float64 `json:"journal_mb" prom:"-"` // checkpoint seals: table records and superblocks
+	RedoMB          float64 `json:"redo_mb" prom:"-"`    // page bytes checkpoints wrote back
+	PendingFree     int     `json:"pending_free" prom:"-"`
 
 	// MVCC snapshot-read surface (PR-6). Horizon is the oldest LSN any live
 	// snapshot pins (0 when none); chain hits are snapshot gets answered from
 	// the version layer without touching the tree or the device.
-	MVCCEnabled       bool    `json:"mvcc_enabled"`
-	MVCCAppliedLSN    int64   `json:"mvcc_applied_lsn"`
-	MVCCHorizonLSN    int64   `json:"mvcc_snapshot_horizon_lsn"`
-	MVCCLiveSnapshots int64   `json:"mvcc_live_snapshots"`
-	MVCCChains        int64   `json:"mvcc_chains"`
-	MVCCVersions      int64   `json:"mvcc_versions"`
-	MVCCOpened        int64   `json:"mvcc_snapshots_opened"`
-	MVCCReleased      int64   `json:"mvcc_snapshots_released"`
-	MVCCChainHits     int64   `json:"mvcc_chain_hits"`
-	MVCCChainMisses   int64   `json:"mvcc_chain_misses"`
-	MVCCTooOld        int64   `json:"mvcc_too_old"`
-	MVCCReclVersions  int64   `json:"mvcc_reclaimed_versions"`
-	MVCCReclChains    int64   `json:"mvcc_reclaimed_chains"`
-	MVCCChainLens     []int64 `json:"mvcc_chain_len_hist,omitempty"`
-	SnapChainHits     int64   `json:"snap_chain_hits"`
-	SnapExpired       int64   `json:"snap_expired"`
+	MVCCEnabled       bool    `json:"mvcc_enabled" prom:"-"`
+	MVCCAppliedLSN    int64   `json:"mvcc_applied_lsn" prom:"mvcc_applied_lsn,gauge,if=MVCCEnabled" help:"Newest WAL LSN applied to the trees."`
+	MVCCHorizonLSN    int64   `json:"mvcc_snapshot_horizon_lsn" prom:"mvcc_snapshot_horizon_lsn,gauge,if=MVCCEnabled" help:"Oldest LSN pinned by a live snapshot (0 when none)."`
+	MVCCLiveSnapshots int64   `json:"mvcc_live_snapshots" prom:"mvcc_live_snapshots,gauge,if=MVCCEnabled" help:"Snapshots currently pinned."`
+	MVCCChains        int64   `json:"mvcc_chains" prom:"mvcc_chains,gauge,if=MVCCEnabled" help:"Keys with a recorded version chain."`
+	MVCCVersions      int64   `json:"mvcc_versions" prom:"mvcc_versions,gauge,if=MVCCEnabled" help:"Recorded versions across all chains."`
+	MVCCOpened        int64   `json:"mvcc_snapshots_opened" prom:"mvcc_snapshots_opened_total,counter,if=MVCCEnabled" help:"Snapshots opened since start."`
+	MVCCReleased      int64   `json:"mvcc_snapshots_released" prom:"mvcc_snapshots_released_total,counter,if=MVCCEnabled" help:"Snapshots released since start."`
+	MVCCChainHits     int64   `json:"mvcc_chain_hits" prom:"mvcc_chain_hits_total,counter,if=MVCCEnabled" help:"Snapshot reads resolved from a version chain."`
+	MVCCChainMisses   int64   `json:"mvcc_chain_misses" prom:"mvcc_chain_misses_total,counter,if=MVCCEnabled" help:"Snapshot reads that fell through to the tree."`
+	MVCCTooOld        int64   `json:"mvcc_too_old" prom:"mvcc_too_old_total,counter,if=MVCCEnabled" help:"Snapshot reads refused: the chain was trimmed past the pin."`
+	MVCCReclVersions  int64   `json:"mvcc_reclaimed_versions" prom:"mvcc_reclaimed_versions_total,counter,if=MVCCEnabled" help:"Versions reclaimed by horizon GC."`
+	MVCCReclChains    int64   `json:"mvcc_reclaimed_chains" prom:"mvcc_reclaimed_chains_total,counter,if=MVCCEnabled" help:"Whole chains reclaimed by horizon GC."`
+	MVCCChainLens     []int64 `json:"mvcc_chain_len_hist,omitempty" prom:"-"`
+	SnapChainHits     int64   `json:"snap_chain_hits" prom:"-"`
+	SnapExpired       int64   `json:"snap_expired" prom:"snap_expired_total,counter,if=MVCCEnabled" help:"Snapshot ops refused: unknown id or horizon passed."`
 
 	// Cluster surface (PR-7): the node's shard identity and role, and the
 	// WAL-shipping stream's positions. On a primary, AckedLSN is the highest
 	// LSN a replica pull has acknowledged; on a replica, AppliedLSN is the
 	// highest shipped primary LSN applied locally.
 	Role            string `json:"role"`
-	ShardID         int    `json:"shard_id"`
-	Shards          int    `json:"shards"`
-	ShipEnabled     bool   `json:"ship_enabled"`
-	ShipCommitted   int64  `json:"ship_committed_lsn"`
-	ShipFloor       int64  `json:"ship_floor_lsn"`
-	ShipBuffered    int    `json:"ship_buffered"`
-	ShipRecords     int64  `json:"ship_records_total"`
-	ShipPulls       int64  `json:"ship_pulls_total"`
-	ShipAckedLSN    int64  `json:"ship_acked_lsn"`
-	ShipAppliedLSN  int64  `json:"ship_applied_lsn"`
-	ShipAckTimeouts int64  `json:"ship_ack_timeouts"`
-	NotPrimary      int64  `json:"not_primary_total"`
-	Promotions      int64  `json:"promotions_total"`
+	ShardID         int    `json:"shard_id" prom:"shard_id,gauge" help:"This node's shard index."`
+	Shards          int    `json:"shards" prom:"shards,gauge" help:"Shards in the cluster."`
+	ShipEnabled     bool   `json:"ship_enabled" prom:"-"`
+	ShipCommitted   int64  `json:"ship_committed_lsn" prom:"ship_committed_lsn,gauge,if=ShipEnabled" help:"Highest durable (shippable) LSN."`
+	ShipFloor       int64  `json:"ship_floor_lsn" prom:"ship_floor_lsn,gauge,if=ShipEnabled" help:"Ship ring trim floor."`
+	ShipBuffered    int    `json:"ship_buffered" prom:"ship_buffered,gauge,if=ShipEnabled" help:"Records buffered in the ship ring."`
+	ShipRecords     int64  `json:"ship_records_total" prom:"ship_records_total,counter" help:"WAL records shipped to subscribers."`
+	ShipPulls       int64  `json:"ship_pulls_total" prom:"ship_pulls_total,counter" help:"ShipPull requests served."`
+	ShipAckedLSN    int64  `json:"ship_acked_lsn" prom:"ship_acked_lsn,gauge" help:"Highest LSN acknowledged by a replica pull."`
+	ShipAppliedLSN  int64  `json:"ship_applied_lsn" prom:"ship_applied_lsn,gauge" help:"Highest shipped primary LSN applied locally (replica)."`
+	ShipAckTimeouts int64  `json:"ship_ack_timeouts" prom:"ship_ack_timeouts_total,counter" help:"Sync-ship batches that waited out the ack window."`
+	NotPrimary      int64  `json:"not_primary_total" prom:"not_primary_total,counter" help:"Writes refused because this node is a replica."`
+	Promotions      int64  `json:"promotions_total" prom:"promotions_total,counter" help:"Replica-to-primary promotions served."`
 
 	// Replication-lag accounting (PR-10). ShipLag is always present (zero
 	// until the cluster shipper feeds NoteShipLag on a replica); GateWait is
 	// the sync-ship ack gate's wall-wait histogram summary on a primary.
 	ShipLag  obs.LagSnapshot     `json:"ship_lag"`
-	GateWait stats.LatencyMicros `json:"sync_gate_wait"`
+	GateWait stats.LatencyMicros `json:"sync_gate_wait" prom:"-"`
 
 	// Obs is the span tracer's summary (per-layer IO attribution and live
 	// model residuals); present only when a tracer is attached.
@@ -285,150 +296,149 @@ func (s *Server) MetricsHandler() http.Handler {
 
 // latencyBoundsNs are the op-latency histogram's bucket upper bounds:
 // 1µs·4^k for k = 0..11 (1µs to ~4.2s), in nanoseconds to match the
-// histograms' unit. Fixed bounds keep the exposition's bucket set stable
+// histograms' unit, and latencyBoundsSec the same bounds in seconds, the
+// exposition's unit. Fixed bounds keep the exposition's bucket set stable
 // across scrapes, as Prometheus requires.
-var latencyBoundsNs = func() []int64 {
-	b := make([]int64, 12)
-	v := int64(1000)
-	for i := range b {
-		b[i] = v
-		v *= 4
+var latencyBoundsNs, latencyBoundsSec = func() (ns []int64, sec []float64) {
+	for v := int64(1000); len(ns) < 12; v *= 4 {
+		ns, sec = append(ns, v), append(sec, float64(v)/1e9)
 	}
-	return b
+	return ns, sec
 }()
 
-// promFamily writes one metric family's # HELP / # TYPE preamble.
-func promFamily(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// promWriter writes Prometheus exposition text. Its family and sample
+// methods are the only place the kvserve_ prefix is written: a family is
+// named without it, in a prom tag or in a family call.
+type promWriter struct{ io.Writer }
+
+// family writes one metric family's # HELP / # TYPE preamble.
+func (p promWriter) family(name, typ, help string) {
+	fmt.Fprintf(p, "# HELP kvserve_%s %s\n# TYPE kvserve_%s %s\n", name, help, name, typ)
 }
 
-// promHistogram writes one series of a latency histogram family — the
-// cumulative buckets on latencyBoundsNs, +Inf, _sum and _count, in seconds —
-// straight from the lock-free stats.LatencyHist. labels is the series' label
-// list without braces (`op="get"`), or "" for an unlabelled family.
-func promHistogram(w io.Writer, name, labels string, h *stats.LatencyHist) {
-	counts, total, sum := h.Cumulative(latencyBoundsNs)
-	inner, outer := "", ""
+// sample writes one sample. labels is the series' label list without braces
+// (`op="get"`), or "" for an unlabelled series.
+func (p promWriter) sample(name, labels string, v any) {
 	if labels != "" {
-		inner, outer = labels+",", "{"+labels+"}"
+		labels = "{" + labels + "}"
 	}
-	for i, b := range latencyBoundsNs {
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, inner, float64(b)/1e9, counts[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, inner, total)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, outer, float64(sum)/1e9)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, outer, total)
+	fmt.Fprintf(p, "kvserve_%s%s %v\n", name, labels, v)
 }
 
-// writeProm renders the server's state in Prometheus exposition format:
-// every family carries # HELP / # TYPE, every scalar goes through one helper
-// at one line per family, and every latency histogram through promHistogram.
+// buckets writes one series of a histogram family: the cumulative counts cum
+// on the upper bounds le, +Inf, _sum and _count.
+func (p promWriter) buckets(name, labels string, le []float64, cum []int64, total int64, sum any) {
+	inner := strings.TrimPrefix(labels+",", ",") // labels joined to le
+	for i, c := range cum {
+		p.sample(name+"_bucket", fmt.Sprintf("%sle=\"%g\"", inner, le[i]), c)
+	}
+	p.sample(name+"_bucket", inner+`le="+Inf"`, total)
+	p.sample(name+"_sum", labels, sum)
+	p.sample(name+"_count", labels, total)
+}
+
+// latency writes one series of a latency histogram family, in seconds,
+// straight from the lock-free stats.LatencyHist.
+func (p promWriter) latency(name, labels string, h *stats.LatencyHist) {
+	cum, total, sum := h.Cumulative(latencyBoundsNs)
+	p.buckets(name, labels, latencyBoundsSec, cum, total, float64(sum)/1e9)
+}
+
+// promTag is a scalar family's declaration, parsed from a field's prom tag
+// (see StatsSnapshot). Parsing is lenient; TestEveryStatsFieldDeclaresItsFamily
+// holds every tag to the grammar.
+type promTag struct {
+	name, typ, cond string
+	mib             bool
+}
+
+func parsePromTag(tag string) (d promTag) {
+	var opts string
+	d.name, d.typ, _ = strings.Cut(tag, ",")
+	d.typ, opts, _ = strings.Cut(d.typ, ",")
+	for _, o := range strings.Split(opts, ",") {
+		if c, ok := strings.CutPrefix(o, "if="); ok {
+			d.cond = c
+		}
+		d.mib = d.mib || o == "mib"
+	}
+	return d
+}
+
+// scalars writes the family each prom-tagged field of the struct v declares,
+// in declaration order, descending into untagged struct fields and non-nil
+// pointers to structs.
+func (p promWriter) scalars(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		switch tag := f.Tag.Get("prom"); tag {
+		case "-":
+		case "":
+			if fv = reflect.Indirect(fv); fv.Kind() == reflect.Struct {
+				p.scalars(fv)
+			}
+		default:
+			d := parsePromTag(tag)
+			if d.cond != "" && !v.FieldByName(d.cond).Bool() {
+				continue
+			}
+			x := fv.Interface()
+			if d.mib {
+				x = int64(fv.Float() * (1 << 20))
+			}
+			p.family(d.name, d.typ, f.Tag.Get("help"))
+			p.sample(d.name, "", x)
+		}
+	}
+}
+
+// writeProm renders the server's state in Prometheus exposition format: the
+// scalar families StatsSnapshot's field tags declare, then the labelled
+// families and histograms, every one through promWriter.
 func (s *Server) writeProm(w io.Writer) {
 	snap := s.Snapshot()
-	scalar := func(name, typ, help string, v interface{}) {
-		full := "kvserve_" + name
-		promFamily(w, full, typ, help)
-		fmt.Fprintf(w, "%s %v\n", full, v)
-	}
-	scalar("uptime_seconds", "gauge", "Seconds since the server started.", snap.UptimeSeconds)
-	scalar("batch_ios", "gauge", "Read scheduler slots per lane (the device's parallelism P or per-queue service).", snap.BatchIOs)
-	scalar("read_lanes", "gauge", "Independent read lanes (device queues; 1 = global scheduler).", snap.ReadLanes)
-	scalar("conns", "gauge", "Open client connections.", snap.Conns)
-	scalar("conns_total", "counter", "Connections accepted since start.", snap.ConnsTotal)
-	scalar("in_flight", "gauge", "Requests currently being served.", snap.InFlight)
-	scalar("read_queued", "gauge", "Reads queued or running in the read scheduler.", snap.ReadQueued)
-	scalar("proto_errors_total", "counter", "Malformed or oversized requests.", snap.ProtoErrs)
-	scalar("busy_total", "counter", "Requests shed by admission control.", snap.Busy)
-	scalar("not_found_total", "counter", "Gets for absent keys.", snap.NotFound)
-	scalar("read_batches_total", "counter", "Read launches that opened a new virtual start instant on their lane (a lone client: every read).", snap.ReadBatches)
-	scalar("write_batches_total", "counter", "Group-commit batches applied.", snap.WriteBatches)
-	scalar("write_ops_total", "counter", "Mutations applied across all batches.", snap.WriteOps)
-	scalar("write_queue_depth", "gauge", "Mutations waiting in the write queue.", snap.WriteQueueDepth)
-	scalar("write_batch_avg", "gauge", "Mean mutations per group-commit batch.", snap.WriteBatchAvg)
-	scalar("vclock_ns", "gauge", "Shared virtual clock (device-model time), ns.", snap.VClock)
-	scalar("pager_hits_total", "counter", "Buffer-pool hits.", snap.PagerHits)
-	scalar("pager_misses_total", "counter", "Buffer-pool misses.", snap.PagerMisses)
-	scalar("pager_hit_ratio", "gauge", "Buffer-pool hit ratio.", snap.PagerHit)
-	scalar("pager_evictions_total", "counter", "Buffer-pool evictions.", snap.PagerEvictions)
-	scalar("pager_writebacks_total", "counter", "Dirty-page write-backs.", snap.PagerWritebacks)
-	scalar("pager_dirty_bytes", "gauge", "Encoded size of the dirty page set.", int64(snap.PagerDirtyMB*(1<<20)))
-	scalar("device_reads_total", "counter", "Device read IOs.", snap.DevReads)
-	scalar("device_writes_total", "counter", "Device write IOs.", snap.DevWrites)
-	scalar("store_resident_bytes", "gauge", "Host memory held by the store image (chunks written).", int64(snap.StoreResidentMB*(1<<20)))
-	scalar("wal_records_total", "counter", "WAL records appended.", snap.WALRecords)
-	scalar("wal_commits_total", "counter", "WAL group commits.", snap.WALCommits)
-	scalar("wal_bytes_total", "counter", "WAL bytes written (frames and headers).", snap.WALBytes)
-	scalar("checkpoints_total", "counter", "Durability checkpoints sealed.", snap.Checkpoints)
+	p := promWriter{w}
+	p.scalars(reflect.ValueOf(snap))
 
-	promFamily(w, "kvserve_role", "gauge", "Node role as a one-hot label (solo/primary/replica).")
+	p.family("role", "gauge", "Node role as a one-hot label (solo/primary/replica).")
 	for _, role := range roleNames {
 		v := 0
 		if role == snap.Role {
 			v = 1
 		}
-		fmt.Fprintf(w, "kvserve_role{role=%q} %d\n", role, v)
+		p.sample("role", fmt.Sprintf("role=%q", role), v)
 	}
-	scalar("shard_id", "gauge", "This node's shard index.", snap.ShardID)
-	scalar("shards", "gauge", "Shards in the cluster.", snap.Shards)
-	if snap.ShipEnabled {
-		scalar("ship_committed_lsn", "gauge", "Highest durable (shippable) LSN.", snap.ShipCommitted)
-		scalar("ship_floor_lsn", "gauge", "Ship ring trim floor.", snap.ShipFloor)
-		scalar("ship_buffered", "gauge", "Records buffered in the ship ring.", snap.ShipBuffered)
-	}
-	scalar("ship_records_total", "counter", "WAL records shipped to subscribers.", snap.ShipRecords)
-	scalar("ship_pulls_total", "counter", "ShipPull requests served.", snap.ShipPulls)
-	scalar("ship_acked_lsn", "gauge", "Highest LSN acknowledged by a replica pull.", snap.ShipAckedLSN)
-	scalar("ship_applied_lsn", "gauge", "Highest shipped primary LSN applied locally (replica).", snap.ShipAppliedLSN)
-	scalar("ship_ack_timeouts_total", "counter", "Sync-ship batches that waited out the ack window.", snap.ShipAckTimeouts)
-	scalar("not_primary_total", "counter", "Writes refused because this node is a replica.", snap.NotPrimary)
-	scalar("promotions_total", "counter", "Replica-to-primary promotions served.", snap.Promotions)
 
-	promFamily(w, "kvserve_ship_lag_seconds", "gauge",
+	lag := snap.ShipLag
+	p.family("ship_lag_seconds", "gauge",
 		"Replication lag behind the primary in seconds (stat: last, ewma, max over the sample window).")
-	fmt.Fprintf(w, "kvserve_ship_lag_seconds{stat=\"last\"} %g\n", snap.ShipLag.LastSeconds)
-	fmt.Fprintf(w, "kvserve_ship_lag_seconds{stat=\"ewma\"} %g\n", snap.ShipLag.EWMASeconds)
-	fmt.Fprintf(w, "kvserve_ship_lag_seconds{stat=\"max\"} %g\n", snap.ShipLag.MaxSeconds)
-	promFamily(w, "kvserve_ship_lag_lsns", "gauge",
+	p.sample("ship_lag_seconds", `stat="last"`, lag.LastSeconds)
+	p.sample("ship_lag_seconds", `stat="ewma"`, lag.EWMASeconds)
+	p.sample("ship_lag_seconds", `stat="max"`, lag.MaxSeconds)
+	p.family("ship_lag_lsns", "gauge",
 		"Replication lag behind the primary in LSNs (stat: last, ewma, max over the sample window).")
-	fmt.Fprintf(w, "kvserve_ship_lag_lsns{stat=\"last\"} %d\n", snap.ShipLag.LastLSNs)
-	fmt.Fprintf(w, "kvserve_ship_lag_lsns{stat=\"ewma\"} %g\n", snap.ShipLag.EWMALSNs)
-	fmt.Fprintf(w, "kvserve_ship_lag_lsns{stat=\"max\"} %d\n", snap.ShipLag.MaxLSNs)
-	scalar("ship_lag_samples_total", "counter", "Replication-lag samples observed.", snap.ShipLag.Samples)
+	p.sample("ship_lag_lsns", `stat="last"`, lag.LastLSNs)
+	p.sample("ship_lag_lsns", `stat="ewma"`, lag.EWMALSNs)
+	p.sample("ship_lag_lsns", `stat="max"`, lag.MaxLSNs)
 
-	promFamily(w, "kvserve_sync_gate_wait_seconds", "histogram",
-		"Wall-clock wait at the sync-ship ack gate per group commit.")
-	promHistogram(w, "kvserve_sync_gate_wait_seconds", "", s.metrics.gateWait)
+	p.family("sync_gate_wait_seconds", "histogram", "Wall-clock wait at the sync-ship ack gate per group commit.")
+	p.latency("sync_gate_wait_seconds", "", s.metrics.gateWait)
 
-	promFamily(w, "kvserve_node_info", "gauge",
-		"Node identity as labels (listen address, Go toolchain); value is always 1.")
-	fmt.Fprintf(w, "kvserve_node_info{addr=%q,go=%q} 1\n", snap.ListenAddr, snap.GoVersion)
+	p.family("node_info", "gauge", "Node identity as labels (listen address, Go toolchain); value is always 1.")
+	p.sample("node_info", fmt.Sprintf("addr=%q,go=%q", snap.ListenAddr, snap.GoVersion), 1)
 
 	if snap.MVCCEnabled {
-		scalar("mvcc_applied_lsn", "gauge", "Newest WAL LSN applied to the trees.", snap.MVCCAppliedLSN)
-		scalar("mvcc_snapshot_horizon_lsn", "gauge", "Oldest LSN pinned by a live snapshot (0 when none).", snap.MVCCHorizonLSN)
-		scalar("mvcc_live_snapshots", "gauge", "Snapshots currently pinned.", snap.MVCCLiveSnapshots)
-		scalar("mvcc_chains", "gauge", "Keys with a recorded version chain.", snap.MVCCChains)
-		scalar("mvcc_versions", "gauge", "Recorded versions across all chains.", snap.MVCCVersions)
-		scalar("mvcc_snapshots_opened_total", "counter", "Snapshots opened since start.", snap.MVCCOpened)
-		scalar("mvcc_snapshots_released_total", "counter", "Snapshots released since start.", snap.MVCCReleased)
-		scalar("mvcc_chain_hits_total", "counter", "Snapshot reads resolved from a version chain.", snap.MVCCChainHits)
-		scalar("mvcc_chain_misses_total", "counter", "Snapshot reads that fell through to the tree.", snap.MVCCChainMisses)
-		scalar("mvcc_too_old_total", "counter", "Snapshot reads refused: the chain was trimmed past the pin.", snap.MVCCTooOld)
-		scalar("mvcc_reclaimed_versions_total", "counter", "Versions reclaimed by horizon GC.", snap.MVCCReclVersions)
-		scalar("mvcc_reclaimed_chains_total", "counter", "Whole chains reclaimed by horizon GC.", snap.MVCCReclChains)
-		scalar("snap_expired_total", "counter", "Snapshot ops refused: unknown id or horizon passed.", snap.SnapExpired)
-		promFamily(w, "kvserve_mvcc_chain_len", "histogram", "Version-chain length distribution (live chains).")
-		var cum int64
 		bounds := engine.ChainLenBounds()
+		le, cum := make([]float64, len(bounds)), make([]int64, len(bounds))
+		var total int64
 		for i, c := range snap.MVCCChainLens {
-			cum += c
+			total += c
 			if i < len(bounds) {
-				fmt.Fprintf(w, "kvserve_mvcc_chain_len_bucket{le=\"%d\"} %d\n", bounds[i], cum)
+				le[i], cum[i] = float64(bounds[i]), total
 			}
 		}
-		fmt.Fprintf(w, "kvserve_mvcc_chain_len_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "kvserve_mvcc_chain_len_sum %d\n", snap.MVCCVersions)
-		fmt.Fprintf(w, "kvserve_mvcc_chain_len_count %d\n", cum)
+		p.family("mvcc_chain_len", "histogram", "Version-chain length distribution (live chains).")
+		p.buckets("mvcc_chain_len", "", le, cum, total, snap.MVCCVersions)
 	}
 
 	ops := make([]Op, 0, len(opNames))
@@ -436,52 +446,42 @@ func (s *Server) writeProm(w io.Writer) {
 		ops = append(ops, op)
 	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i].String() < ops[j].String() })
-	promFamily(w, "kvserve_op_total", "counter", "Completed operations by op.")
+	p.family("op_total", "counter", "Completed operations by op.")
 	for _, op := range ops {
-		fmt.Fprintf(w, "kvserve_op_total{op=%q} %d\n", op, s.metrics.ops[op].Count())
+		p.sample("op_total", fmt.Sprintf("op=%q", op), s.metrics.ops[op].Count())
 	}
-	promFamily(w, "kvserve_op_latency_seconds", "histogram", "Wall-clock operation latency.")
+	p.family("op_latency_seconds", "histogram", "Wall-clock operation latency.")
 	for _, op := range ops {
-		promHistogram(w, "kvserve_op_latency_seconds", fmt.Sprintf("op=%q", op), s.metrics.ops[op])
+		p.latency("op_latency_seconds", fmt.Sprintf("op=%q", op), s.metrics.ops[op])
 	}
 
-	if o := snap.Obs; o != nil {
-		scalar("obs_spans_total", "counter", "Finished sampled spans.", o.Spans)
-		scalar("obs_ops_total", "counter", "Operations offered to the tracer (incl. sampled out).", o.Ops)
-		scalar("obs_avg_concurrency", "gauge", "Estimated device concurrency (Little's law: recent IO time per unit of virtual-clock advance).", o.AvgConcurrency)
-		writePromObs(w, o)
+	if snap.Obs != nil {
+		p.obs(snap.Obs)
 	}
 }
 
-// writePromObs renders the span tracer's labelled families: per-layer
-// device-time attribution and the live model-residual quantiles.
-func writePromObs(w io.Writer, o *obs.Summary) {
-
-	promFamily(w, "kvserve_obs_layer_io_seconds", "counter", "Virtual device time attributed to each stack layer.")
+// obs renders the span tracer's labelled families: per-layer device-time
+// attribution and the live model-residual quantiles.
+func (p promWriter) obs(o *obs.Summary) {
+	p.family("obs_layer_io_seconds", "counter", "Virtual device time attributed to each stack layer.")
 	for _, l := range o.Layers {
-		fmt.Fprintf(w, "kvserve_obs_layer_io_seconds{layer=%q} %g\n", l.Layer, l.TimeSeconds)
+		p.sample("obs_layer_io_seconds", fmt.Sprintf("layer=%q", l.Layer), l.TimeSeconds)
 	}
-	promFamily(w, "kvserve_obs_layer_io_total", "counter", "Device IOs attributed to each stack layer.")
+	p.family("obs_layer_io_total", "counter", "Device IOs attributed to each stack layer.")
 	for _, l := range o.Layers {
-		fmt.Fprintf(w, "kvserve_obs_layer_io_total{layer=%q} %d\n", l.Layer, l.IOs)
+		p.sample("obs_layer_io_total", fmt.Sprintf("layer=%q", l.Layer), l.IOs)
 	}
 
 	if len(o.Residuals) == 0 {
 		return
 	}
-	promFamily(w, "kvserve_model_residual_ratio", "gauge",
-		"Quantiles of |predicted-measured|/measured per cost model and op class.")
+	p.family("model_residual_ratio", "gauge", "Quantiles of |predicted-measured|/measured per cost model and op class.")
 	for _, r := range o.Residuals {
-		for _, q := range []struct {
-			q string
-			v float64
-		}{{"0.5", r.P50}, {"0.9", r.P90}} {
-			fmt.Fprintf(w, "kvserve_model_residual_ratio{model=%q,class=%q,quantile=%q} %g\n",
-				r.Model, r.Class, q.q, q.v)
-		}
+		p.sample("model_residual_ratio", fmt.Sprintf("model=%q,class=%q,quantile=\"0.5\"", r.Model, r.Class), r.P50)
+		p.sample("model_residual_ratio", fmt.Sprintf("model=%q,class=%q,quantile=\"0.9\"", r.Model, r.Class), r.P90)
 	}
-	promFamily(w, "kvserve_model_residual_count", "counter", "Operations accounted per cost model and op class.")
+	p.family("model_residual_count", "counter", "Operations accounted per cost model and op class.")
 	for _, r := range o.Residuals {
-		fmt.Fprintf(w, "kvserve_model_residual_count{model=%q,class=%q} %d\n", r.Model, r.Class, r.Count)
+		p.sample("model_residual_count", fmt.Sprintf("model=%q,class=%q", r.Model, r.Class), r.Count)
 	}
 }
