@@ -23,8 +23,8 @@
 #              pager's intrusive LRU ring, the typed atomic counters, the
 #              experiment registry, the tree harness, the long-polled
 #              ship pull, the one write mutation, the Bε-tree's one
-#              head-column key search and the one declaration per /metrics
-#              family removed
+#              head-column key search, the one declaration per /metrics
+#              family and the B-tree leaf that is its page removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -44,8 +44,9 @@
 #              ids handed to the log through a durability field, a second
 #              trace-context type, a second copy of the upsert fold, a
 #              second file of internal/betree that binary-searches keys with
-#              sort.Search, sort.Find or slices.BinarySearch, and a kvserve_
-#              family name written outside promWriter's family and sample)
+#              sort.Search, sort.Find or slices.BinarySearch, a kvserve_
+#              family name written outside promWriter's family and sample,
+#              and a B-tree leaf encoded or decoded entry by entry)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -292,6 +293,17 @@ n=$(grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' intern
 if [ "$n" -gt 1 ]; then
 	echo "sort.Search(, sort.Find( or slices.BinarySearch in $n non-test files of internal/betree (search a key run with search in node.go):" >&2
 	grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -v '_test\.go$' >&2
+	exit 1
+fi
+
+# A B-tree leaf is its page (DESIGN.md §5): a load validates the extent and
+# keeps it, a Get searches it in place, a write-back seals and hands it over.
+# A kv.Enc.Entry or kv.Dec.Entry call in internal/btree is a leaf translated
+# entry by entry, and allocating per load or store, again.
+dups=$(grep -n '\.Entry(' internal/btree/*.go | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "kv entry encode or decode in internal/btree (a leaf is its page; read and write it in place, node.go):" >&2
+	echo "$dups" >&2
 	exit 1
 fi
 
@@ -553,8 +565,9 @@ grep -q "^  mq " "$smoke/iotrace-mq.log" || {
 # seed corpora run as ordinary tests in the go test pass above). To shake the
 # decoders locally:
 #
-#   go test ./internal/kv  -run '^$' -fuzz=FuzzDec    -fuzztime=30s
-#   go test ./internal/wal -run '^$' -fuzz=FuzzReplay -fuzztime=30s
+#   go test ./internal/kv    -run '^$' -fuzz='^FuzzDec$'  -fuzztime=30s
+#   go test ./internal/wal   -run '^$' -fuzz=FuzzReplay   -fuzztime=30s
+#   go test ./internal/btree -run '^$' -fuzz=FuzzLeafPage -fuzztime=30s
 
 # The crash-consistency, MVCC snapshot and log-shipping suites (the ship
 # ring's oracle test among them) under the race detector, named explicitly

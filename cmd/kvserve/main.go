@@ -136,13 +136,15 @@ func main() {
 		spec.Server.Tracer = tracer
 	}
 
+	boot := time.Now()
 	n, err := node.Start(spec)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	srv := n.Srv
 	if *items > 0 {
-		fmt.Printf("kvserve: preloaded %d items (%s of virtual IO)\n", *items, n.Eng.Clock().Now())
+		fmt.Printf("kvserve: preloaded %d items in %s (%s of virtual IO)\n", *items,
+			time.Since(boot).Round(10*time.Millisecond), n.Eng.Clock().Now())
 	}
 	if tracer != nil {
 		if models := tracer.Models(); models != nil {

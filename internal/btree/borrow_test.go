@@ -16,7 +16,7 @@ func borrowFixture(t *testing.T) *Tree {
 }
 
 func leafWith(ids ...int) *node {
-	n := newLeaf()
+	n := newLeaf(1024)
 	for _, id := range ids {
 		n.insertEntry(key(id), bytes.Repeat([]byte{byte(id)}, 60))
 	}
@@ -45,11 +45,11 @@ func TestBorrowFromLeftLeaf(t *testing.T) {
 		t.Fatalf("child still sparse: %d < %d", child.size, tree.minBytes())
 	}
 	// The parent pivot must equal the child's new first key.
-	if !bytes.Equal(parent.pivots[0], child.entries[0].Key) {
-		t.Fatalf("pivot %q != child first key %q", parent.pivots[0], child.entries[0].Key)
+	if !bytes.Equal(parent.pivots[0], child.key(0)) {
+		t.Fatalf("pivot %q != child first key %q", parent.pivots[0], child.key(0))
 	}
 	// Order preserved across the boundary.
-	if kvCompare(sib.entries[len(sib.entries)-1].Key, child.entries[0].Key) >= 0 {
+	if kvCompare(sib.key(sib.count-1), child.key(0)) >= 0 {
 		t.Fatal("rotation broke key order")
 	}
 	if sib.size != sib.computeSize() || child.size != child.computeSize() || parent.size != parent.computeSize() {
@@ -68,10 +68,10 @@ func TestBorrowFromRightLeaf(t *testing.T) {
 	if child.size < tree.minBytes() {
 		t.Fatalf("child still sparse: %d", child.size)
 	}
-	if !bytes.Equal(parent.pivots[0], sib.entries[0].Key) {
-		t.Fatalf("pivot %q != sibling first key %q", parent.pivots[0], sib.entries[0].Key)
+	if !bytes.Equal(parent.pivots[0], sib.key(0)) {
+		t.Fatalf("pivot %q != sibling first key %q", parent.pivots[0], sib.key(0))
 	}
-	if kvCompare(child.entries[len(child.entries)-1].Key, sib.entries[0].Key) >= 0 {
+	if kvCompare(child.key(child.count-1), sib.key(0)) >= 0 {
 		t.Fatal("rotation broke key order")
 	}
 }
@@ -150,7 +150,7 @@ func TestBorrowGuardsAgainstEmptySibling(t *testing.T) {
 	child := leafWith(20)
 	parent := internalWith([]int64{0, 1024}, 20)
 	tree.borrowFromLeft(parent, 1, child, sib)
-	if len(sib.entries) != 1 {
+	if sib.count != 1 {
 		t.Fatal("guard failed: sibling drained")
 	}
 	tree.borrowFromRight(parent, 0, child, leafWithSize(tree, 1))

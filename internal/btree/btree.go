@@ -24,7 +24,8 @@ type Config struct {
 	// NodeBytes is the extent size of every node: the paper's B.
 	NodeBytes int
 	// MaxKeyBytes and MaxValueBytes bound a single entry so that splits can
-	// always make room for one more.
+	// always make room for one more. A leaf page stores each length in a u16,
+	// so neither may exceed 65,535.
 	MaxKeyBytes   int
 	MaxValueBytes int
 }
@@ -38,6 +39,9 @@ func (c Config) maxPivotBytes() int { return 4 + c.MaxKeyBytes + childRefBytes }
 func (c Config) validate() error {
 	if c.NodeBytes <= 0 || c.MaxKeyBytes <= 0 || c.MaxValueBytes < 0 {
 		return fmt.Errorf("btree: non-positive config field")
+	}
+	if c.MaxKeyBytes > maxLenField || c.MaxValueBytes > maxLenField {
+		return fmt.Errorf("btree: MaxKeyBytes %d or MaxValueBytes %d exceeds a leaf's u16 length field (%d)", c.MaxKeyBytes, c.MaxValueBytes, maxLenField)
 	}
 	if c.NodeBytes < baseNodeBytes+4*c.maxEntryBytes() {
 		return fmt.Errorf("btree: NodeBytes %d too small for 4 max-size entries (%d)", c.NodeBytes, c.maxEntryBytes())
@@ -70,7 +74,7 @@ func New(cfg Config, eng *engine.Engine) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{cfg: cfg, eng: eng, owner: eng.Owner()}
-	root := newLeaf()
+	root := newLeaf(cfg.NodeBytes)
 	t.root = t.allocNode()
 	t.height = 1
 	t.pager().Put(t.owner, (*loader)(t), engine.PageID(t.root), root, int64(root.size))
@@ -84,7 +88,7 @@ func (t *Tree) pager() *engine.Pager { return t.eng.Pager() }
 type loader Tree
 
 // Load implements engine.Loader: one IO of exactly NodeBytes, charged to
-// the requesting client.
+// the requesting client. A leaf keeps the extent the read lent as its page.
 func (l *loader) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
 	t := (*Tree)(l)
 	n, err := decodeNode(c.Read(int64(id), t.cfg.NodeBytes))
@@ -95,7 +99,7 @@ func (l *loader) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
 }
 
 // Store implements engine.Loader: one IO of exactly NodeBytes, handing
-// over the fresh encoding.
+// over a leaf's own sealed page or an internal node's fresh encoding.
 func (l *loader) Store(c *engine.Client, id engine.PageID, obj interface{}) {
 	t := (*Tree)(l)
 	n := obj.(*node)
@@ -179,7 +183,7 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 	i, found := n.findEntry(key)
 	var val []byte
 	if found {
-		val = n.entries[i].Value
+		_, val = n.entry(i)
 	}
 	t.unpinc(c, off)
 	return val, found
@@ -245,9 +249,7 @@ func (t *Tree) insertNonFull(off int64, n *node, key, value []byte) {
 		t.unpin(off)
 		off, n = childOff, child
 	}
-	_, existed := n.findEntry(key)
-	n.insertEntry(key, value)
-	if !existed {
+	if n.insertEntry(key, value) {
 		t.items++
 	}
 	t.dirty(off, n)
@@ -283,22 +285,17 @@ func (t *Tree) splitNode(n *node) (*node, []byte) {
 		half := n.size / 2
 		acc := baseNodeBytes
 		cut := 0
-		for acc < half && cut < len(n.entries)-1 {
-			acc += n.entries[cut].Size()
+		for acc < half && cut < n.count-1 {
+			acc += n.entrySize(cut)
 			cut++
 		}
 		if cut == 0 {
 			cut = 1
 		}
-		right := newLeaf()
-		right.entries = append(right.entries, n.entries[cut:]...)
-		for _, e := range right.entries {
-			right.size += e.Size()
-		}
-		n.entries = n.entries[:cut:cut]
-		n.size = n.computeSize()
-		pivot := append([]byte(nil), right.entries[0].Key...)
-		return right, pivot
+		nb := len(n.page)
+		right := newLeaf(nb).fill(n, cut, n.count)
+		*n = *newLeaf(nb).fill(n, 0, cut)
+		return right, bytes.Clone(right.key(0))
 	}
 	if len(n.children) < 4 {
 		panic("btree: splitting internal node with fewer than 4 children")
@@ -412,16 +409,15 @@ func (t *Tree) mergeChildren(parentOff int64, parent *node, i int, leftOff int64
 		panic("btree: merging nodes of different kinds")
 	}
 	// What moves into left is copied: it must not pin another node's extent.
-	for _, e := range right.entries {
-		left.entries = append(left.entries, e.Clone())
-	}
-	if !left.leaf {
+	if left.leaf {
+		*left = *newLeaf(len(left.page)).fill(left, 0, left.count).fill(right, 0, right.count)
+	} else {
 		for _, p := range append([][]byte{parent.pivots[i]}, right.pivots...) {
 			left.pivots = append(left.pivots, bytes.Clone(p))
 		}
 		left.children = append(left.children, right.children...)
+		left.size = left.computeSize()
 	}
-	left.size = left.computeSize()
 	parent.size -= childRefBytes + t.pivotCost(parent.pivots[i])
 	parent.pivots = append(parent.pivots[:i], parent.pivots[i+1:]...)
 	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
@@ -434,67 +430,74 @@ func (t *Tree) mergeChildren(parentOff int64, parent *node, i int, leftOff int64
 // borrowFromRight moves items from the right sibling (parent index i+1)
 // into child (parent index i) until child reaches minBytes.
 func (t *Tree) borrowFromRight(parent *node, i int, child, sib *node) {
-	for child.size < t.minBytes() && sib.size > t.minBytes() {
-		if child.leaf {
-			if len(sib.entries) <= 1 {
-				return
-			}
-			e := sib.entries[0]
-			sib.entries = sib.entries[1:]
-			sib.size -= e.Size()
-			child.entries = append(child.entries, e.Clone())
-			child.size += e.Size()
-			parent.size += len(sib.entries[0].Key) - len(parent.pivots[i])
-			parent.pivots[i] = append([]byte(nil), sib.entries[0].Key...)
-		} else {
-			if len(sib.children) <= 2 {
-				return
-			}
-			// Rotate through the parent pivot.
-			moved := sib.children[0]
-			newPivot := sib.pivots[0]
-			sib.children = sib.children[1:]
-			sib.pivots = sib.pivots[1:]
-			sib.size -= childRefBytes + t.pivotCost(newPivot)
-			child.children = append(child.children, moved)
-			child.pivots = append(child.pivots, bytes.Clone(parent.pivots[i]))
-			child.size += childRefBytes + t.pivotCost(parent.pivots[i])
-			parent.size += len(newPivot) - len(parent.pivots[i])
-			parent.pivots[i] = bytes.Clone(newPivot)
+	if child.leaf {
+		m := t.borrowCount(child, sib, func(j int) int { return j })
+		if m == 0 {
+			return
 		}
+		nb := len(child.page)
+		*child = *newLeaf(nb).fill(child, 0, child.count).fill(sib, 0, m)
+		*sib = *newLeaf(nb).fill(sib, m, sib.count)
+		t.setPivot(parent, i, sib.key(0))
+		return
 	}
+	for child.size < t.minBytes() && sib.size > t.minBytes() && len(sib.children) > 2 {
+		// Rotate through the parent pivot.
+		moved := sib.children[0]
+		newPivot := sib.pivots[0]
+		sib.children = sib.children[1:]
+		sib.pivots = sib.pivots[1:]
+		sib.size -= childRefBytes + t.pivotCost(newPivot)
+		child.children = append(child.children, moved)
+		child.pivots = append(child.pivots, bytes.Clone(parent.pivots[i]))
+		child.size += childRefBytes + t.pivotCost(parent.pivots[i])
+		t.setPivot(parent, i, newPivot)
+	}
+}
+
+// borrowCount returns how many leaf entries move from sib into child to
+// bring child up to minBytes, taking them in the order at gives (the j-th
+// entry to move is sib's at(j)) and always leaving sib one.
+func (t *Tree) borrowCount(child, sib *node, at func(j int) int) int {
+	m, cs, ss := 0, child.size, sib.size
+	for cs < t.minBytes() && ss > t.minBytes() && m < sib.count-1 {
+		e := sib.entrySize(at(m))
+		cs, ss, m = cs+e, ss-e, m+1
+	}
+	return m
+}
+
+// setPivot replaces parent's pivot i with a copy of p: a pivot must not pin
+// a child's page.
+func (t *Tree) setPivot(parent *node, i int, p []byte) {
+	parent.size += len(p) - len(parent.pivots[i])
+	parent.pivots[i] = bytes.Clone(p)
 }
 
 // borrowFromLeft moves items from the left sibling (parent index i-1) into
 // child (parent index i) until child reaches minBytes.
 func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
-	for child.size < t.minBytes() && sib.size > t.minBytes() {
-		if child.leaf {
-			if len(sib.entries) <= 1 {
-				return
-			}
-			e := sib.entries[len(sib.entries)-1]
-			sib.entries = sib.entries[:len(sib.entries)-1]
-			sib.size -= e.Size()
-			child.entries = append([]kv.Entry{e.Clone()}, child.entries...)
-			child.size += e.Size()
-			parent.size += len(e.Key) - len(parent.pivots[i-1])
-			parent.pivots[i-1] = append([]byte(nil), e.Key...)
-		} else {
-			if len(sib.children) <= 2 {
-				return
-			}
-			moved := sib.children[len(sib.children)-1]
-			newPivot := sib.pivots[len(sib.pivots)-1]
-			sib.children = sib.children[:len(sib.children)-1]
-			sib.pivots = sib.pivots[:len(sib.pivots)-1]
-			sib.size -= childRefBytes + t.pivotCost(newPivot)
-			child.children = append([]int64{moved}, child.children...)
-			child.pivots = append([][]byte{bytes.Clone(parent.pivots[i-1])}, child.pivots...)
-			child.size += childRefBytes + t.pivotCost(parent.pivots[i-1])
-			parent.size += len(newPivot) - len(parent.pivots[i-1])
-			parent.pivots[i-1] = bytes.Clone(newPivot)
+	if child.leaf {
+		m := t.borrowCount(child, sib, func(j int) int { return sib.count - 1 - j })
+		if m == 0 {
+			return
 		}
+		nb, cut := len(child.page), sib.count-m
+		*child = *newLeaf(nb).fill(sib, cut, sib.count).fill(child, 0, child.count)
+		*sib = *newLeaf(nb).fill(sib, 0, cut)
+		t.setPivot(parent, i-1, child.key(0))
+		return
+	}
+	for child.size < t.minBytes() && sib.size > t.minBytes() && len(sib.children) > 2 {
+		moved := sib.children[len(sib.children)-1]
+		newPivot := sib.pivots[len(sib.pivots)-1]
+		sib.children = sib.children[:len(sib.children)-1]
+		sib.pivots = sib.pivots[:len(sib.pivots)-1]
+		sib.size -= childRefBytes + t.pivotCost(newPivot)
+		child.children = append([]int64{moved}, child.children...)
+		child.pivots = append([][]byte{bytes.Clone(parent.pivots[i-1])}, child.pivots...)
+		child.size += childRefBytes + t.pivotCost(parent.pivots[i-1])
+		t.setPivot(parent, i-1, newPivot)
 	}
 }
 
@@ -512,12 +515,12 @@ func (t *Tree) scan(c *engine.Client, off int64, lo, hi []byte, fn func(key, val
 		if lo != nil {
 			i, _ = n.findEntry(lo)
 		}
-		for ; i < len(n.entries); i++ {
-			e := n.entries[i]
-			if hi != nil && kv.Compare(e.Key, hi) >= 0 {
+		for ; i < n.count; i++ {
+			k, v := n.entry(i)
+			if hi != nil && kv.Compare(k, hi) >= 0 {
 				return false
 			}
-			if !fn(e.Key, e.Value) {
+			if !fn(k, v) {
 				return false
 			}
 		}
@@ -557,30 +560,33 @@ func (t *Tree) Check() error {
 	walk = func(off int64, lo, hi []byte, level int) error {
 		n := t.get(off)
 		defer t.unpin(off)
+		if n.leaf {
+			// The checks a load makes, then what only the tree knows.
+			size, low, err := n.validate()
+			switch {
+			case depth != -1 && depth != level:
+				return fmt.Errorf("leaf %d at depth %d, expected %d", off, level, depth)
+			case len(n.page) != t.cfg.NodeBytes:
+				return fmt.Errorf("leaf %d: page of %d bytes, want %d", off, len(n.page), t.cfg.NodeBytes)
+			case err != nil:
+				return fmt.Errorf("leaf %d: %v", off, err)
+			case n.size != size:
+				return fmt.Errorf("node %d: size accounting %d != actual %d", off, n.size, size)
+			case n.low > low || n.free() < 0:
+				return fmt.Errorf("leaf %d: heap start %d outside [%d, %d]", off, n.low, headerBytes+slotBytes*n.count, low)
+			case n.count > 0 && lo != nil && kv.Compare(n.key(0), lo) < 0:
+				return fmt.Errorf("leaf %d: key below range", off)
+			case n.count > 0 && hi != nil && kv.Compare(n.key(n.count-1), hi) >= 0:
+				return fmt.Errorf("leaf %d: key above range", off)
+			}
+			depth = level
+			return nil
+		}
 		if n.size != n.computeSize() {
 			return fmt.Errorf("node %d: size accounting %d != actual %d", off, n.size, n.computeSize())
 		}
 		if n.size > t.cfg.NodeBytes {
 			return fmt.Errorf("node %d: size %d exceeds extent %d", off, n.size, t.cfg.NodeBytes)
-		}
-		if n.leaf {
-			if depth == -1 {
-				depth = level
-			} else if depth != level {
-				return fmt.Errorf("leaf %d at depth %d, expected %d", off, level, depth)
-			}
-			for i, e := range n.entries {
-				if i > 0 && kv.Compare(n.entries[i-1].Key, e.Key) >= 0 {
-					return fmt.Errorf("leaf %d: entries out of order at %d", off, i)
-				}
-				if lo != nil && kv.Compare(e.Key, lo) < 0 {
-					return fmt.Errorf("leaf %d: key below range", off)
-				}
-				if hi != nil && kv.Compare(e.Key, hi) >= 0 {
-					return fmt.Errorf("leaf %d: key above range", off)
-				}
-			}
-			return nil
 		}
 		if len(n.children) != len(n.pivots)+1 {
 			return fmt.Errorf("node %d: %d children vs %d pivots", off, len(n.children), len(n.pivots))

@@ -63,24 +63,24 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 // TestQuickSerializationRoundtrip: any node shape survives encode/decode.
 func TestQuickSerializationRoundtrip(t *testing.T) {
 	f := func(ids []uint16, vlen uint8) bool {
-		n := newLeaf()
+		n := newLeaf(4096)
 		for _, id := range ids {
 			if len(ids) > 20 {
 				break
 			}
 			n.insertEntry(key(int(id%100)), bytes.Repeat([]byte{1}, int(vlen)%64))
 		}
-		buf := n.encode(4096)
-		dec, err := decodeNode(buf)
+		dec, err := decodeNode(bytes.Clone(n.encode(4096)))
 		if err != nil {
 			return false
 		}
-		if len(dec.entries) != len(n.entries) || dec.size != n.size {
+		if dec.count != n.count || dec.size != n.size {
 			return false
 		}
-		for i := range dec.entries {
-			if !bytes.Equal(dec.entries[i].Key, n.entries[i].Key) ||
-				!bytes.Equal(dec.entries[i].Value, n.entries[i].Value) {
+		for i := 0; i < dec.count; i++ {
+			dk, dv := dec.entry(i)
+			nk, nv := n.entry(i)
+			if !bytes.Equal(dk, nk) || !bytes.Equal(dv, nv) {
 				return false
 			}
 		}

@@ -7,15 +7,15 @@ import (
 	"unsafe"
 )
 
-// Extents of goldenLeaf and goldenInternal at 96 bytes, as the two-buffer
-// encoder wrote them.
+// Extents of goldenLeaf and goldenInternal at 96 bytes: the leaf as its
+// slotted page, the internal node as the two-buffer encoder wrote it.
 const (
-	goldenLeafHex     = "b100000003000000056170706c6500000003726564000000036669670000000a707572706c652d697368000000046b69776900000000992f90f20000000000000000000000000000000000000000000000000000000000000000000000000000"
+	goldenLeafHex     = "b30000000300000050000000370000004800000000000000000000000000000000000000000000000000000000000000000000000000000003000a666967707572706c652d697368000400006b697769000500036170706c65726564c67bc53b"
 	goldenInternalHex = "b200000003000000000000100000000002000000000000000000003000000000016700000004706561726e71725f0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
 )
 
 func goldenLeaf() *node {
-	n := newLeaf()
+	n := newLeaf(96)
 	n.insertEntry([]byte("apple"), []byte("red"))
 	n.insertEntry([]byte("kiwi"), []byte{})
 	n.insertEntry([]byte("fig"), []byte("purple-ish"))
@@ -29,10 +29,12 @@ func goldenInternal() *node {
 	}
 }
 
-// TestEncodeGolden pins the extent bytes of a leaf and an internal node to
-// what the two-buffer encoder wrote (recorded at the commit before encode
-// started returning its build buffer): same payload, crc directly after it,
-// zeros to the end of the extent.
+// TestEncodeGolden pins the extent bytes of a leaf and an internal node. The
+// internal node's are what the two-buffer encoder wrote (recorded at the
+// commit before encode started returning its build buffer): payload, crc
+// directly after it, zeros to the end of the extent. The leaf's are its
+// slotted page (node.go): header, three slots in key order, the heap grown
+// down in insertion order, the crc of everything before it in the last four.
 func TestEncodeGolden(t *testing.T) {
 	const nodeBytes = 96
 	for _, c := range []struct {
@@ -56,12 +58,21 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
-// TestEncodeAllocatesOnce: a write-back costs one extent-sized buffer.
+// TestEncodeAllocatesOnce: a leaf's write-back hands over its own page and
+// allocates nothing; an internal node's costs one extent-sized buffer. Each
+// leaf run seals a private page of its own, so every one writes a count and
+// a crc.
 func TestEncodeAllocatesOnce(t *testing.T) {
-	leaf, internal := goldenLeaf(), goldenInternal()
+	leaves := make([]*node, 102)
+	for i := range leaves {
+		leaves[i] = goldenLeaf()
+	}
+	internal := goldenInternal()
 	var sink []byte
-	if a := testing.AllocsPerRun(100, func() { sink = leaf.encode(4096) }); a != 1 {
-		t.Errorf("leaf encode: %v allocations, want 1", a)
+	if a := testing.AllocsPerRun(100, func() {
+		sink, leaves = leaves[0].encode(96), leaves[1:]
+	}); a != 0 {
+		t.Errorf("leaf encode: %v allocations, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() { sink = internal.encode(4096) }); a != 1 {
 		t.Errorf("internal encode: %v allocations, want 1", a)
@@ -69,25 +80,25 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 	_ = sink
 }
 
-// TestDecodeAllocsIndependentOfEntries: decoding a leaf costs the same two
-// allocations (the node and its entry slice) whether it holds 8 entries or
-// 150 — the keys and values are views of the extent.
+// TestDecodeAllocsIndependentOfEntries: loading a leaf costs one allocation,
+// the node, whether it holds 8 entries or 150 — the page is the extent the
+// read lent, validated where it lies.
 func TestDecodeAllocsIndependentOfEntries(t *testing.T) {
 	allocs := func(entries int) float64 {
-		leaf := newLeaf()
+		leaf := newLeaf(8 << 10)
 		for i := 0; i < entries; i++ {
 			leaf.insertEntry(key(i), value(i))
 		}
 		ext := leaf.encode(8 << 10)
 		return testing.AllocsPerRun(50, func() {
-			if n, err := decodeNode(ext); err != nil || len(n.entries) != entries {
+			if n, err := decodeNode(ext); err != nil || n.count != entries {
 				t.Fatalf("decode of %d entries: %v", entries, err)
 			}
 		})
 	}
 	small, large := allocs(8), allocs(150)
-	if small != large || large > 2 {
-		t.Fatalf("leaf decode: %v allocations at 8 entries, %v at 150; want the same, at most 2", small, large)
+	if small != 1 || large != 1 {
+		t.Fatalf("leaf decode: %v allocations at 8 entries, %v at 150; want 1 at both", small, large)
 	}
 }
 
@@ -99,7 +110,7 @@ func TestMovedKeysOwned(t *testing.T) {
 	decoded := func(leaf bool, size, from int) (*node, []byte) {
 		n := newInternal()
 		if leaf {
-			n = newLeaf()
+			n = newLeaf(4096)
 		}
 		for i := 0; i < size; i++ {
 			if leaf {
@@ -150,8 +161,9 @@ func TestMovedKeysOwned(t *testing.T) {
 				t.Fatalf("%s moved too little: child size %d", what, child.size)
 			}
 			moved := append([][]byte(nil), child.pivots...)
-			for _, e := range child.entries {
-				moved = append(moved, e.Key, e.Value)
+			for i := 0; i < child.count; i++ {
+				k, v := child.entry(i)
+				moved = append(moved, k, v)
 			}
 			for _, p := range moved {
 				if views(p, parentExt, sibExt) {

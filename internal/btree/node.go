@@ -1,13 +1,37 @@
 // Node representation and on-disk serialization for the B-tree.
 //
-// Nodes are serialized into fixed-size extents of Config.NodeBytes — the
-// paper's tunable B. Every load reads the whole extent and every store
-// writes the whole extent, so the tree's IO sizes are exactly its node size,
-// as in the classic B-tree analyses of §5.
+// Nodes live in fixed-size extents of Config.NodeBytes — the paper's tunable
+// B. Every load reads the whole extent and every store writes the whole
+// extent, so the tree's IO sizes are exactly its node size, as in the
+// classic B-tree analyses of §5.
+//
+// A leaf is its extent (DESIGN.md §5): a slotted page that a load validates
+// and keeps, a Get searches in place, and a write-back seals and hands over.
+//
+//	[0]          magic 0xB3
+//	[1:5]        count u32
+//	[5:5+4c]     slot directory: u32 offset of entry i, in key order
+//	  …          free space
+//	heap         entries [klen u16][vlen u16][key][value], growing down from NB-4
+//	[NB-4:NB]    crc32 of [0, NB-4)
+//
+// A slot and an entry head cost kv.EncodedEntrySize's 8 bytes per entry, and
+// header plus footer baseNodeBytes, so size — what split, merge, borrow and
+// the pager charge read — is the byte count of the live page. Three rules
+// keep the views a Get returns valid: a page a read lent or the store was
+// handed is never written (the first mutation copies it); entry bytes in a
+// private page are never overwritten (a write appends, a delete edits the
+// directory, a page short of free space is compacted into a fresh one); and
+// a load validates every slot before anything reads the page in place.
+//
+// An internal node is decoded into pivots and children and encoded afresh
+// on write-back, its crc directly after its payload.
 
 package btree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -16,8 +40,10 @@ import (
 )
 
 const (
-	magicLeaf     = 0xB1
 	magicInternal = 0xB2
+	// magicLeaf marks a slotted leaf page. 0xB1 was the entry-list leaf
+	// encoding, which no longer loads.
+	magicLeaf = 0xB3
 
 	// headerBytes is magic(1) + count(4); footerBytes is the crc32.
 	headerBytes = 5
@@ -26,29 +52,77 @@ const (
 	baseNodeBytes = headerBytes + footerBytes
 	// childRefBytes is the serialized size of one child pointer.
 	childRefBytes = 8
+	// slotBytes is a leaf directory slot; entryHeadBytes an entry's klen and
+	// vlen. Together they are kv.EncodedEntrySize's overhead.
+	slotBytes      = 4
+	entryHeadBytes = 4
+	// maxLenField bounds a key or value length: a u16.
+	maxLenField = 1<<16 - 1
 )
 
-// node is a decoded B-tree node. Exactly one of (entries) and
-// (pivots, children) is populated, according to leaf.
+// node is a B-tree node: a leaf page (page, count, low, shared) or a decoded
+// internal node (pivots, children), according to leaf.
 type node struct {
-	leaf     bool
-	entries  []kv.Entry // leaf payload, sorted by key
-	pivots   [][]byte   // internal: len(children)-1 separators
-	children []int64    // internal: child extent offsets
-	size     int        // current serialized size in bytes
+	leaf bool
+	// page is a leaf's NodeBytes slotted page; entries occupy [low, NB-4).
+	// shared marks a page a read lent or a write-back handed to the store:
+	// it is never written again, and the next mutation copies it.
+	page   []byte
+	count  int
+	low    int
+	shared bool
+
+	pivots   [][]byte // internal: len(children)-1 separators
+	children []int64  // internal: child extent offsets
+	size     int      // current serialized size in bytes
 }
 
-func newLeaf() *node { return &node{leaf: true, size: baseNodeBytes} }
+// newLeaf returns an empty leaf on a fresh private page.
+func newLeaf(nodeBytes int) *node {
+	return &node{leaf: true, page: make([]byte, nodeBytes), low: nodeBytes - footerBytes, size: baseNodeBytes}
+}
 
 func newInternal() *node { return &node{size: baseNodeBytes} }
+
+// slot returns the page offset of leaf entry i.
+func (n *node) slot(i int) int {
+	return int(binary.BigEndian.Uint32(n.page[headerBytes+slotBytes*i:]))
+}
+
+func (n *node) setSlot(i, off int) {
+	binary.BigEndian.PutUint32(n.page[headerBytes+slotBytes*i:], uint32(off))
+}
+
+// entryAt returns the key and value of the entry at off as capacity-capped
+// views of p: appending to one copies.
+func entryAt(p []byte, off int) (key, value []byte) {
+	k := int(binary.BigEndian.Uint16(p[off:]))
+	v := int(binary.BigEndian.Uint16(p[off+2:]))
+	a := off + entryHeadBytes
+	return p[a : a+k : a+k], p[a+k : a+k+v : a+k+v]
+}
+
+// entry returns leaf entry i as views of the page.
+func (n *node) entry(i int) (key, value []byte) { return entryAt(n.page, n.slot(i)) }
+
+func (n *node) key(i int) []byte {
+	k, _ := n.entry(i)
+	return k
+}
+
+// entrySize is the bytes leaf entry i adds to size: its slot and its entry.
+func (n *node) entrySize(i int) int {
+	k, v := n.entry(i)
+	return kv.EncodedEntrySize(k, v)
+}
 
 // computeSize recomputes the serialized size from scratch (used by
 // consistency checks; mutations maintain size incrementally).
 func (n *node) computeSize() int {
 	s := baseNodeBytes
 	if n.leaf {
-		for _, e := range n.entries {
-			s += e.Size()
+		for i := 0; i < n.count; i++ {
+			s += n.entrySize(i)
 		}
 		return s
 	}
@@ -67,109 +141,167 @@ func (n *node) findChild(key []byte) int {
 	})
 }
 
-// findEntry returns the position of key in a leaf and whether it is present.
+// findEntry binary-searches a leaf's slot directory for key and returns its
+// position and whether it is present.
 func (n *node) findEntry(key []byte) (int, bool) {
-	i := sort.Search(len(n.entries), func(i int) bool {
-		return kv.Compare(n.entries[i].Key, key) >= 0
-	})
-	if i < len(n.entries) && kv.Compare(n.entries[i].Key, key) == 0 {
-		return i, true
+	lo, hi := 0, n.count
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if kv.Compare(n.key(m), key) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return i, false
+	return lo, lo < n.count && kv.Compare(n.key(lo), key) == 0
 }
 
-// insertEntry inserts or replaces (key, value) in a leaf and returns the
-// change in serialized size.
-func (n *node) insertEntry(key, value []byte) int {
-	i, found := n.findEntry(key)
-	if found {
-		delta := len(value) - len(n.entries[i].Value)
-		n.entries[i].Value = value
-		n.size += delta
-		return delta
+// own makes a leaf's page private before a write: a lent or handed page is
+// copied, never written.
+func (n *node) own() {
+	if n.shared {
+		n.page, n.shared = bytes.Clone(n.page), false
 	}
-	n.entries = append(n.entries, kv.Entry{})
-	copy(n.entries[i+1:], n.entries[i:])
-	n.entries[i] = kv.Entry{Key: key, Value: value}
-	delta := kv.EncodedEntrySize(key, value)
-	n.size += delta
-	return delta
+}
+
+// free is the gap between a leaf's slot directory and its heap.
+func (n *node) free() int { return n.low - headerBytes - slotBytes*n.count }
+
+// push appends an entry to the heap and its offset to the end of the
+// directory of a private page; the caller keeps the directory in key order.
+func (n *node) push(entry []byte) {
+	if len(entry)+slotBytes > n.free() {
+		panic(fmt.Sprintf("btree: leaf overflows its page: %d+%d > %d free", len(entry), slotBytes, n.free()))
+	}
+	n.low -= len(entry)
+	copy(n.page[n.low:], entry)
+	n.setSlot(n.count, n.low)
+	n.count++
+	n.size += slotBytes + len(entry)
+}
+
+// fill pushes entries [i, j) of the leaf src onto n's page and returns n.
+func (n *node) fill(src *node, i, j int) *node {
+	for ; i < j; i++ {
+		off := src.slot(i)
+		k, v := entryAt(src.page, off)
+		n.push(src.page[off : off+entryHeadBytes+len(k)+len(v)])
+	}
+	return n
+}
+
+// insertEntry inserts or replaces (key, value) in a leaf, reporting whether
+// the key is new. The entry is appended to free space, a replaced one left
+// where it is; a page short of free space is compacted first.
+func (n *node) insertEntry(key, value []byte) bool {
+	i, found := n.findEntry(key)
+	need, grow := entryHeadBytes+len(key)+len(value), slotBytes
+	if found {
+		grow = 0
+	}
+	if need+grow > n.free() {
+		*n = *newLeaf(len(n.page)).fill(n, 0, n.count)
+		if need+grow > n.free() {
+			panic(fmt.Sprintf("btree: leaf overflows its page: %d+%d > %d free", need, grow, n.free()))
+		}
+	}
+	n.own()
+	n.low -= need
+	binary.BigEndian.PutUint16(n.page[n.low:], uint16(len(key)))
+	binary.BigEndian.PutUint16(n.page[n.low+2:], uint16(len(value)))
+	copy(n.page[n.low+entryHeadBytes:], key)
+	copy(n.page[n.low+entryHeadBytes+len(key):], value)
+	if found {
+		_, old := n.entry(i)
+		n.size += len(value) - len(old)
+		n.setSlot(i, n.low)
+		return false
+	}
+	dir := n.page[headerBytes:]
+	copy(dir[slotBytes*(i+1):slotBytes*(n.count+1)], dir[slotBytes*i:slotBytes*n.count])
+	n.setSlot(i, n.low)
+	n.count++
+	n.size += slotBytes + need
+	return true
 }
 
 // removeEntry deletes key from a leaf if present, reporting whether it was.
+// Only the directory changes; the entry's bytes stay until a compaction.
 func (n *node) removeEntry(key []byte) bool {
 	i, found := n.findEntry(key)
 	if !found {
 		return false
 	}
-	n.size -= n.entries[i].Size()
-	n.entries = append(n.entries[:i], n.entries[i+1:]...)
+	n.own()
+	n.size -= n.entrySize(i)
+	dir := n.page[headerBytes:]
+	copy(dir[slotBytes*i:], dir[slotBytes*(i+1):slotBytes*n.count])
+	n.count--
 	return true
 }
 
-// encode serializes n into a buffer of exactly nodeBytes (zero padded) and
-// appends a crc32 of the payload so torn or corrupted extents are detected
-// on load.
+// encode returns the extent a write-back hands over. A leaf's is its own
+// page: encode writes its count and crc in place, once, and marks it shared,
+// allocating nothing. An internal node is serialized into a fresh buffer of
+// exactly nodeBytes (zero padded), with a crc32 of the payload after it.
 func (n *node) encode(nodeBytes int) []byte {
+	if n.leaf {
+		// A shared page is unchanged since it was loaded or last sealed.
+		if p := n.page; !n.shared {
+			p[0] = magicLeaf
+			binary.BigEndian.PutUint32(p[1:], uint32(n.count))
+			binary.BigEndian.PutUint32(p[len(p)-footerBytes:], crc32.ChecksumIEEE(p[:len(p)-footerBytes]))
+			n.shared = true
+		}
+		return n.page
+	}
 	var e kv.Enc
 	e.Buf = make([]byte, 0, nodeBytes)
-	if n.leaf {
-		e.U8(magicLeaf)
-		e.U32(uint32(len(n.entries)))
-		for _, ent := range n.entries {
-			e.Entry(ent)
-		}
-	} else {
-		e.U8(magicInternal)
-		e.U32(uint32(len(n.children)))
-		for _, c := range n.children {
-			e.U64(uint64(c))
-		}
-		for _, p := range n.pivots {
-			e.Bytes(p)
-		}
+	e.U8(magicInternal)
+	e.U32(uint32(len(n.children)))
+	for _, c := range n.children {
+		e.U64(uint64(c))
+	}
+	for _, p := range n.pivots {
+		e.Bytes(p)
 	}
 	if len(e.Buf)+footerBytes > nodeBytes {
 		panic(fmt.Sprintf("btree: node overflows extent: %d+%d > %d", len(e.Buf), footerBytes, nodeBytes))
 	}
-	// CRC goes at the end of the payload; the decoder re-derives the payload
-	// length from the structure, so store the crc immediately after it. The
-	// node fit, so e.Buf still has the capacity it was made with and is zero
-	// beyond its length: the extent is that buffer at full length.
+	// The crc goes directly after the payload; the decoder re-derives the
+	// payload length from the structure. The node fit, so e.Buf still has
+	// the capacity it was made with and is zero beyond its length: the
+	// extent is that buffer at full length.
 	e.U32(crc32.ChecksumIEEE(e.Buf))
 	return e.Buf[:nodeBytes]
 }
 
-// decodeNode parses an extent produced by encode, verifying the checksum.
+// decodeNode loads an extent produced by encode, verifying its checksum. A
+// leaf keeps buf as its page, shared: buf is what a read lent.
 func decodeNode(buf []byte) (*node, error) {
-	d := kv.Dec{Buf: buf}
-	n := &node{}
-	switch d.U8() {
+	if len(buf) < baseNodeBytes {
+		return nil, fmt.Errorf("btree: extent of %d bytes is shorter than a node", len(buf))
+	}
+	switch buf[0] {
 	case magicLeaf:
-		n.leaf = true
-		count := int(d.U32())
-		if count > len(buf) { // entries are multi-byte; a count beyond this is corruption
-			return nil, fmt.Errorf("btree: implausible entry count %d", count)
-		}
-		n.entries = make([]kv.Entry, 0, count)
-		for i := 0; i < count && d.Err == nil; i++ {
-			n.entries = append(n.entries, d.Entry())
-		}
+		return loadLeaf(buf)
 	case magicInternal:
-		count := int(d.U32())
-		if count < 1 || count > len(buf)/childRefBytes {
-			return nil, fmt.Errorf("btree: implausible child count %d", count)
-		}
-		n.children = make([]int64, 0, count)
-		for i := 0; i < count && d.Err == nil; i++ {
-			n.children = append(n.children, int64(d.U64()))
-		}
-		n.pivots = make([][]byte, 0, count-1)
-		for i := 0; i < count-1 && d.Err == nil; i++ {
-			n.pivots = append(n.pivots, d.Bytes())
-		}
 	default:
 		return nil, fmt.Errorf("btree: bad node magic 0x%02x", buf[0])
+	}
+	d := kv.Dec{Buf: buf, Off: 1}
+	n := &node{}
+	count := int(d.U32())
+	if count < 1 || count > len(buf)/childRefBytes {
+		return nil, fmt.Errorf("btree: implausible child count %d", count)
+	}
+	n.children = make([]int64, 0, count)
+	for i := 0; i < count && d.Err == nil; i++ {
+		n.children = append(n.children, int64(d.U64()))
+	}
+	n.pivots = make([][]byte, 0, count-1)
+	for i := 0; i < count-1 && d.Err == nil; i++ {
+		n.pivots = append(n.pivots, d.Bytes())
 	}
 	if d.Err != nil {
 		return nil, d.Err
@@ -178,10 +310,61 @@ func decodeNode(buf []byte) (*node, error) {
 	if payload+footerBytes > len(buf) {
 		return nil, fmt.Errorf("btree: truncated node footer")
 	}
-	want := uint32(buf[payload])<<24 | uint32(buf[payload+1])<<16 | uint32(buf[payload+2])<<8 | uint32(buf[payload+3])
-	if got := crc32.ChecksumIEEE(buf[:payload]); got != want {
-		return nil, fmt.Errorf("btree: checksum mismatch: extent torn or corrupt")
+	if got := crc32.ChecksumIEEE(buf[:payload]); got != binary.BigEndian.Uint32(buf[payload:]) {
+		return nil, errTorn
 	}
 	n.size = payload + footerBytes
 	return n, nil
+}
+
+var errTorn = fmt.Errorf("btree: checksum mismatch: extent torn or corrupt")
+
+// loadLeaf validates a leaf page — its crc, its count against the page, and
+// every slot — and returns it as a leaf, shared.
+func loadLeaf(page []byte) (*node, error) {
+	nb := len(page)
+	if crc32.ChecksumIEEE(page[:nb-footerBytes]) != binary.BigEndian.Uint32(page[nb-footerBytes:]) {
+		return nil, errTorn
+	}
+	count := binary.BigEndian.Uint32(page[1:])
+	if int64(count) > int64(nb-baseNodeBytes)/(slotBytes+entryHeadBytes) {
+		return nil, fmt.Errorf("btree: implausible entry count %d", count)
+	}
+	n := &node{leaf: true, page: page, count: int(count), shared: true}
+	var err error
+	n.size, n.low, err = n.validate()
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// validate walks a leaf's directory checking that every entry lies inside the
+// heap, between the directory and the footer, and that keys ascend. It
+// returns the page's size and the lowest entry offset.
+func (n *node) validate() (size, low int, err error) {
+	end := len(n.page) - footerBytes
+	dir := headerBytes + slotBytes*n.count
+	size, low = baseNodeBytes, end
+	var prev []byte
+	for i := 0; i < n.count; i++ {
+		off := n.slot(i)
+		if off < dir || off > end-entryHeadBytes {
+			return 0, 0, fmt.Errorf("btree: leaf slot %d: offset %d outside the heap [%d, %d)", i, off, dir, end)
+		}
+		k := int(binary.BigEndian.Uint16(n.page[off:]))
+		v := int(binary.BigEndian.Uint16(n.page[off+2:]))
+		if off+entryHeadBytes+k+v > end {
+			return 0, 0, fmt.Errorf("btree: leaf slot %d: entry of %d+%d bytes at %d runs past the heap", i, k, v, off)
+		}
+		key, _ := entryAt(n.page, off)
+		if i > 0 && kv.Compare(prev, key) >= 0 {
+			return 0, 0, fmt.Errorf("btree: leaf entries out of order at %d", i)
+		}
+		prev, size, low = key, size+slotBytes+entryHeadBytes+k+v, min(low, off)
+	}
+	if size > len(n.page) {
+		return 0, 0, fmt.Errorf("btree: leaf entries of %d bytes overlap in a %d-byte page", size, len(n.page))
+	}
+	return size, low, nil
 }

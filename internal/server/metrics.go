@@ -98,15 +98,15 @@ type StatsSnapshot struct {
 	ReadBatches  int64   `json:"read_batches" prom:"read_batches_total,counter" help:"Read launches that opened a new virtual start instant on their lane (a lone client: every read)."`
 	WriteBatches int64   `json:"write_batches" prom:"write_batches_total,counter" help:"Group-commit batches applied."`
 	WriteOps     int64   `json:"write_ops" prom:"write_ops_total,counter" help:"Mutations applied across all batches."`
-	WriteSteps   int64   `json:"write_vsteps" prom:"-"`
+	WriteSteps   int64   `json:"write_vsteps" prom:"-"` // virtual time: exported once, as vclock_ns
 	VClock       int64   `json:"vclock_ns" prom:"vclock_ns,gauge" help:"Shared virtual clock (device-model time), ns."`
 	PagerHits    int64   `json:"pager_hits" prom:"pager_hits_total,counter" help:"Buffer-pool hits."`
 	PagerMisses  int64   `json:"pager_misses" prom:"pager_misses_total,counter" help:"Buffer-pool misses."`
 	PagerHit     float64 `json:"pager_hit_ratio" prom:"pager_hit_ratio,gauge" help:"Buffer-pool hit ratio."`
 	DevReads     int64   `json:"dev_reads" prom:"device_reads_total,counter" help:"Device read IOs."`
 	DevWrites    int64   `json:"dev_writes" prom:"device_writes_total,counter" help:"Device write IOs."`
-	DevReadMB    float64 `json:"dev_read_mb" prom:"-"`
-	DevWriteMB   float64 `json:"dev_write_mb" prom:"-"`
+	DevReadMB    float64 `json:"dev_read_mb" prom:"device_read_bytes_total,counter,mib" help:"Bytes read from the device."`
+	DevWriteMB   float64 `json:"dev_write_mb" prom:"device_write_bytes_total,counter,mib" help:"Bytes written to the device."`
 	// StoreResidentMB is the host memory the store image holds: the chunks a
 	// write has touched, not the address range the node's regions span.
 	StoreResidentMB float64 `json:"store_resident_mb" prom:"store_resident_bytes,gauge,mib" help:"Host memory held by the store image (chunks written)."`
@@ -116,7 +116,7 @@ type StatsSnapshot struct {
 	WALBytes       int64  `json:"wal_bytes" prom:"wal_bytes_total,counter" help:"WAL bytes written (frames and headers)."`
 	Checkpoints    int64  `json:"checkpoints" prom:"checkpoints_total,counter" help:"Durability checkpoints sealed."`
 	DurabilityErr  string `json:"durability_error,omitempty"`
-	DurableEnabled bool   `json:"durable" prom:"-"`
+	DurableEnabled bool   `json:"durable" prom:"-"` // configuration, fixed at boot
 
 	// Pager and write-path detail (PR-5 additions; existing fields above are
 	// protocol surface and keep their meaning).
@@ -125,9 +125,9 @@ type StatsSnapshot struct {
 	PagerDirtyMB    float64 `json:"pager_dirty_mb" prom:"pager_dirty_bytes,gauge,mib" help:"Encoded size of the dirty page set."`
 	WriteQueueDepth int     `json:"write_queue_depth" prom:"write_queue_depth,gauge" help:"Mutations waiting in the write queue."`
 	WriteBatchAvg   float64 `json:"write_batch_avg" prom:"write_batch_avg,gauge" help:"Mean mutations per group-commit batch."`
-	JournalMB       float64 `json:"journal_mb" prom:"-"` // checkpoint seals: table records and superblocks
-	RedoMB          float64 `json:"redo_mb" prom:"-"`    // page bytes checkpoints wrote back
-	PendingFree     int     `json:"pending_free" prom:"-"`
+	JournalMB       float64 `json:"journal_mb" prom:"journal_bytes_total,counter,mib" help:"Checkpoint seal bytes: table records and superblocks."`
+	RedoMB          float64 `json:"redo_mb" prom:"redo_bytes_total,counter,mib" help:"Page bytes that checkpoints wrote back."`
+	PendingFree     int     `json:"pending_free" prom:"-"` // extents of mixed sizes: no byte count
 
 	// MVCC snapshot-read surface (PR-6). Horizon is the oldest LSN any live
 	// snapshot pins (0 when none); chain hits are snapshot gets answered from
@@ -146,7 +146,7 @@ type StatsSnapshot struct {
 	MVCCReclVersions  int64   `json:"mvcc_reclaimed_versions" prom:"mvcc_reclaimed_versions_total,counter,if=MVCCEnabled" help:"Versions reclaimed by horizon GC."`
 	MVCCReclChains    int64   `json:"mvcc_reclaimed_chains" prom:"mvcc_reclaimed_chains_total,counter,if=MVCCEnabled" help:"Whole chains reclaimed by horizon GC."`
 	MVCCChainLens     []int64 `json:"mvcc_chain_len_hist,omitempty" prom:"-"`
-	SnapChainHits     int64   `json:"snap_chain_hits" prom:"-"`
+	SnapChainHits     int64   `json:"snap_chain_hits" prom:"-"` // the events mvcc_chain_hits_total counts
 	SnapExpired       int64   `json:"snap_expired" prom:"snap_expired_total,counter,if=MVCCEnabled" help:"Snapshot ops refused: unknown id or horizon passed."`
 
 	// Cluster surface (PR-7): the node's shard identity and role, and the

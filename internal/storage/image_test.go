@@ -269,6 +269,25 @@ func TestStoreViewsAndHandover(t *testing.T) {
 	checkTable(t, s, "after the pinned writes")
 }
 
+// TestHandoverIsAView: the giver of an extent may go on reading it (a B-tree
+// leaf serves Gets from the page it handed over), so no later write changes
+// it in place — not one into part of a block, not one over the whole extent —
+// even though nothing has read it back.
+func TestHandoverIsAView(t *testing.T) {
+	s := NewStore(skewDevice{1 << 20})
+	p := bytes.Repeat([]byte{1}, 2*blockBytes)
+	s.Handover(0, p, blockBytes)
+	s.WriteAt(0, []byte{7}, blockBytes+5)
+	s.WriteAt(0, bytes.Repeat([]byte{2}, len(p)), blockBytes)
+	if !bytes.Equal(p, bytes.Repeat([]byte{1}, len(p))) {
+		t.Fatal("a write changed a handed-over extent in place")
+	}
+	if w, _ := s.Read(0, blockBytes, len(p)); !bytes.Equal(w, bytes.Repeat([]byte{2}, len(p))) {
+		t.Fatal("the image does not hold the last write")
+	}
+	checkTable(t, s, "after writes over a handed-over extent")
+}
+
 // TestStoreCapacityEdge pins the two accesses the sequence above only meets
 // by chance: one ending exactly at Capacity() succeeds, one byte further
 // panics with the message the flat image always gave, for all three IO kinds,

@@ -385,8 +385,9 @@ func (s *Store) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
 
 // Handover is WriteAt that gives p to the store: when [off, off+len(p)) is
 // whole blocks, p itself becomes their run and nothing is copied. The caller
-// must never write p again; a pager write-back hands over the extent it has
-// just encoded.
+// must never write p again but may keep reading it, as a view: a pager
+// write-back hands over the extent it has just encoded, or a leaf page it
+// goes on serving Gets from.
 func (s *Store) Handover(now sim.Time, p []byte, off int64) sim.Time {
 	return s.write(now, p, off, true)
 }
@@ -413,6 +414,11 @@ func (s *Store) write(now sim.Time, p []byte, off int64, give bool) sim.Time {
 			buf = bytes.Clone(p)
 		}
 		s.rehome(first, last, buf)
+		// The giver may go on reading p (a B-tree leaf is its page): it
+		// holds a view, which no later write changes in place.
+		for i := first; give && i <= last; i++ {
+			s.blocks[i].viewed = true
+		}
 		return done
 	}
 	// Move each stretch [i, j) of blocks that may not be written in place to
