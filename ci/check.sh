@@ -24,7 +24,8 @@
 #              experiment registry, the tree harness, the long-polled
 #              ship pull, the one write mutation, the Bε-tree's one
 #              head-column key search, the one declaration per /metrics
-#              family and the B-tree leaf that is its page removed
+#              family, the B-tree leaf that is its page and the Bε-tree's
+#              one message merge and one leaf walk removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -46,7 +47,9 @@
 #              second file of internal/betree that binary-searches keys with
 #              sort.Search, sort.Find or slices.BinarySearch, a kvserve_
 #              family name written outside promWriter's family and sample,
-#              and a B-tree leaf encoded or decoded entry by entry)
+#              a B-tree leaf encoded or decoded entry by entry, and a
+#              Bε-tree buffer fed message by message or a third site that
+#              applies a key's messages)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -293,6 +296,24 @@ n=$(grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' intern
 if [ "$n" -gt 1 ]; then
 	echo "sort.Search(, sort.Find( or slices.BinarySearch in $n non-test files of internal/betree (search a key run with search in node.go):" >&2
 	grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -v '_test\.go$' >&2
+	exit 1
+fi
+
+# A Bε-tree flush is a merge (DESIGN.md §5): messages enter a buffer through
+# buffer.merge of a sorted run, and a key's messages are applied in GetAs and
+# in the one leaf walk (walkLeaf) that a flush into a leaf and a scan share.
+# A second .add( call site is a per-message loop growing back, and a third
+# kv.ApplyAll( a second leaf walk.
+n=$(grep -n '\.add(' internal/betree/*.go | grep -vc '_test\.go:' || true)
+if [ "$n" -gt 1 ]; then
+	echo ".add( at $n non-test sites in internal/betree (move messages with buffer.merge of a sorted run):" >&2
+	grep -n '\.add(' internal/betree/*.go | grep -v '_test\.go:' >&2
+	exit 1
+fi
+n=$(grep -n 'kv\.ApplyAll(' internal/betree/*.go | grep -vc '_test\.go:' || true)
+if [ "$n" -gt 2 ]; then
+	echo "kv.ApplyAll( at $n non-test sites in internal/betree (GetAs and walkLeaf are the two; merge entries with messages through walkLeaf):" >&2
+	grep -n 'kv\.ApplyAll(' internal/betree/*.go | grep -v '_test\.go:' >&2
 	exit 1
 fi
 

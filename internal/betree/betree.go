@@ -10,16 +10,18 @@
 // pending bytes. Queries logically apply the messages on their root-to-leaf
 // path.
 //
+// A flush is a merge: messages move as (key, seq)-sorted runs, into a buffer
+// through buffer.merge and into a leaf's entries through walkLeaf.
+//
 // The Theorem 9 optimizations are selected by Config (see config.go):
 // per-child buffer segments with a B/F bound and partial (one-slot) query
 // IOs; pivots stored in the parent so queries cost one IO of ~B/F+F per
 // level; leaves organized as basement blocks. In place of the paper's
-// weight-balanced subtree rebuilds, structural balance uses classic
-// split/merge with byte thresholds — all leaves stay at the same depth and
-// nonroot fanout stays within a constant factor of the target, which is the
-// property the rebuild scheme exists to guarantee (DESIGN.md documents the
-// substitution); internal-node underflow is handled lazily (root collapse),
-// which suffices for the paper's workloads.
+// weight-balanced subtree rebuilds, structural balance uses split/merge with
+// byte thresholds: all leaves stay at the same depth and no fanout exceeds
+// MaxFanout, but only leaves merge, so an internal node's fanout has no
+// lower bound (a one-child root collapses). DESIGN.md §5 documents the
+// substitution.
 package betree
 
 import (
@@ -382,21 +384,22 @@ func (t *Tree) Upsert(key []byte, delta int64) {
 	t.inject(kv.Message{Kind: kv.Upsert, Key: key, Value: kv.UpsertDelta(delta)})
 }
 
-// inject buffers m at the root, which copies it (buffer.add, applyToLeaf).
+// inject buffers m at the root as a one-message run, which copies it
+// (buffer.merge, applyToLeaf).
 func (t *Tree) inject(m kv.Message) {
 	t.seq++
 	m.Seq = t.seq
+	run := []kv.Message{m}
 	root := t.rootN
 	if root.leaf {
-		t.applyToLeaf(root, []kv.Message{m})
+		t.applyToLeaf(root, run)
 		t.markDirty(t.root, root)
 		if root.leafBytes > t.cfg.leafCapBytes() {
-			t.splitRootLeaf()
+			t.splitRoot()
 		}
 		return
 	}
-	j := root.findChild(m.Key)
-	root.bufs[j].add(m)
+	root.bufs[root.findChild(m.Key)].merge(run)
 	t.markDirty(t.root, root)
 	for t.overfullNode(root) {
 		t.flushNode(t.root, root)
@@ -463,13 +466,13 @@ func (t *Tree) flushVictim(n *node) int {
 func (t *Tree) flushNode(off int64, n *node) {
 	t.Flushes++
 	i := t.flushVictim(n)
-	moved := n.bufs[i].msgs
-	n.bufs[i] = buffer{heads: n.bufs[i].heads[:0]} // the emptied column's storage is reused
+	moved := n.bufs[i]
+	n.bufs[i] = buffer{heads: moved.heads[:0]} // the emptied column's storage is reused
 	childOff := n.children[i]
 	child := t.ensureFull(childOff)
 
 	if child.leaf {
-		t.applyToLeaf(child, moved)
+		t.applyToLeaf(child, moved.msgs)
 		t.markDirty(childOff, child)
 		switch {
 		case child.leafBytes > t.cfg.leafCapBytes():
@@ -481,8 +484,15 @@ func (t *Tree) flushNode(off int64, n *node) {
 			t.unpin(childOff)
 		}
 	} else {
-		for _, m := range moved {
-			child.bufs[child.findChild(m.Key)].add(m)
+		// One walk cuts the moved run at the child's pivots: each sub-run
+		// ends at the first message at or past its child's upper pivot.
+		for lo := 0; lo < len(moved.msgs); {
+			c, hi := child.findChild(moved.msgs[lo].Key), len(moved.msgs)
+			if c < len(child.pivots) {
+				hi, _ = search(hi, moved.heads, child.pivots[c], false, moved.key)
+			}
+			child.bufs[c].merge(moved.msgs[lo:hi])
+			lo = hi
 		}
 		t.markDirty(childOff, child)
 		for t.overfullNode(child) {
@@ -515,28 +525,7 @@ func (t *Tree) applyToLeaf(leaf *node, msgs []kv.Message) {
 	}
 	out := make([]kv.Entry, 0, len(leaf.entries)+len(msgs))
 	bytes := 0
-	i := 0
-	m := 0
-	for m < len(msgs) {
-		key := msgs[m].Key
-		// Copy entries before key.
-		for i < len(leaf.entries) && kv.Compare(leaf.entries[i].Key, key) < 0 {
-			out = append(out, leaf.entries[i])
-			bytes += leaf.entries[i].Size()
-			i++
-		}
-		var old []byte
-		oldOK := false
-		if i < len(leaf.entries) && kv.Compare(leaf.entries[i].Key, key) == 0 {
-			old, oldOK = leaf.entries[i].Value, true
-			i++
-		}
-		run := m
-		for run < len(msgs) && kv.Compare(msgs[run].Key, key) == 0 {
-			run++
-		}
-		val, ok := kv.ApplyAll(msgs[m:run], old, oldOK)
-		m = run
+	walkLeaf(leaf.entries, msgs, func(e kv.Entry, ok, oldOK, fresh bool) bool {
 		switch {
 		case ok && !oldOK:
 			t.items++
@@ -544,18 +533,54 @@ func (t *Tree) applyToLeaf(leaf *node, msgs []kv.Message) {
 			t.items--
 		}
 		if ok {
-			out = append(out, kv.Entry{Key: key, Value: val}.Clone())
-			bytes += kv.EncodedEntrySize(key, val)
+			if fresh {
+				e = e.Clone()
+			}
+			out = append(out, e)
+			bytes += e.Size()
 		}
-	}
-	for i < len(leaf.entries) {
-		out = append(out, leaf.entries[i])
-		bytes += leaf.entries[i].Size()
-		i++
-	}
+		return true
+	})
 	leaf.entries = out
 	leaf.leafBytes = bytes
 	leaf.recut(t.basementCount())
+}
+
+// walkLeaf merges entries with msgs, both sorted by key, and calls fn in key
+// order for every key either holds: e is the key with what its messages make
+// of its entry's value (ok false if nothing), oldOK says it had an entry, and
+// fresh that a message made e (it views the message, not the entry). fn
+// returning false stops the walk.
+func walkLeaf(entries []kv.Entry, msgs []kv.Message, fn func(e kv.Entry, ok, oldOK, fresh bool) bool) bool {
+	i, m := 0, 0
+	for i < len(entries) || m < len(msgs) {
+		c := -1 // < 0: the next key is an entry's only, 0: both's, > 0: messages' only
+		if i == len(entries) {
+			c = 1
+		} else if m < len(msgs) {
+			c = kv.Compare(entries[i].Key, msgs[m].Key)
+		}
+		var e kv.Entry
+		oldOK := c <= 0
+		if oldOK {
+			e = entries[i]
+			i++
+		} else {
+			e.Key = msgs[m].Key
+		}
+		run := m
+		if c >= 0 {
+			for run++; run < len(msgs) && kv.Compare(msgs[run].Key, e.Key) == 0; run++ {
+			}
+		}
+		var ok bool
+		e.Value, ok = kv.ApplyAll(msgs[m:run], e.Value, oldOK)
+		if !fn(e, ok, oldOK, run > m) {
+			return false
+		}
+		m = run
+	}
+	return true
 }
 
 func (t *Tree) basementCount() int {
@@ -655,51 +680,44 @@ func (t *Tree) removeChild(parent *node, i int) {
 	}
 }
 
-// maybeMergeLeafChild merges an underfull leaf child with its right (or
-// left) neighbor when the result fits comfortably. Unpins everything it
-// pins, including the child.
+// maybeMergeLeafChild merges an underfull leaf child with its right (or,
+// for the last child, left) neighbor when the result fits comfortably: the
+// left leaf takes the right one's entries and its buffer the right one's
+// messages, and the right leaf is freed. Unpins everything it pins,
+// including the child.
 func (t *Tree) maybeMergeLeafChild(parentOff int64, parent *node, i int, childOff int64, child *node) {
-	// Prefer the right neighbor.
-	if i+1 < len(parent.children) {
-		sibOff := parent.children[i+1]
+	j := i + 1
+	if j == len(parent.children) {
+		j = i - 1
+	}
+	if j >= 0 {
+		sibOff := parent.children[j]
 		sib := t.ensureFull(sibOff)
 		if sib.leaf && child.leafBytes+sib.leafBytes <= t.cfg.leafCapBytes()*3/4 {
-			for _, e := range sib.entries { // copies: sib's extent goes with sib
-				child.entries = append(child.entries, e.Clone())
+			l, left, right, rightOff := i, child, sib, sibOff
+			if j < i {
+				l, left, right, rightOff = j, sib, child, childOff
 			}
-			child.leafBytes += sib.leafBytes
-			child.recut(t.basementCount())
-			// Fold the sibling's pending buffer into the child's.
-			for _, m := range parent.bufs[i+1].msgs {
-				parent.bufs[i].add(m)
+			for _, e := range right.entries { // copies: right's extent goes with right
+				left.entries = append(left.entries, e.Clone())
 			}
-			t.removeChild(parent, i)
-			t.syncRoute(parent, i, child)
-			t.unpin(sibOff)
-			t.freeNode(sibOff)
-			t.markDirty(childOff, child)
-			t.unpin(childOff)
-			return
-		}
-		t.unpin(sibOff)
-	} else if i > 0 {
-		sibOff := parent.children[i-1]
-		sib := t.ensureFull(sibOff)
-		if sib.leaf && child.leafBytes+sib.leafBytes <= t.cfg.leafCapBytes()*3/4 {
-			for _, e := range child.entries {
-				sib.entries = append(sib.entries, e.Clone())
+			left.leafBytes += right.leafBytes
+			left.recut(t.basementCount())
+			parent.bufs[l].merge(parent.bufs[l+1].msgs)
+			t.removeChild(parent, l)
+			t.syncRoute(parent, l, left)
+			// The sibling is released before the child, whichever side it
+			// is on: what the pager evicts depends on whether the freed leaf
+			// is still charged when the kept one grows.
+			for _, off := range [2]int64{sibOff, childOff} {
+				if off == rightOff {
+					t.unpin(off)
+					t.freeNode(off)
+				} else {
+					t.markDirty(off, left)
+					t.unpin(off)
+				}
 			}
-			sib.leafBytes += child.leafBytes
-			sib.recut(t.basementCount())
-			for _, m := range parent.bufs[i].msgs {
-				parent.bufs[i-1].add(m)
-			}
-			t.removeChild(parent, i-1)
-			t.syncRoute(parent, i-1, sib)
-			t.markDirty(sibOff, sib)
-			t.unpin(sibOff)
-			t.unpin(childOff)
-			t.freeNode(childOff)
 			return
 		}
 		t.unpin(sibOff)
@@ -771,28 +789,8 @@ func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff
 	}
 }
 
-// splitRootLeaf splits a leaf root into two leaves under a new internal
+// splitRoot splits a leaf root, or an over-fanout internal one, under a new
 // root.
-func (t *Tree) splitRootLeaf() {
-	old := t.rootN
-	oldOff := t.root
-	newRoot := newInternalNode(1)
-	newRoot.children = []int64{oldOff}
-	newRoot.bufs = []buffer{{}}
-	if t.cfg.Layout == Slotted {
-		newRoot.routes = []route{{}}
-	}
-	newOff := t.allocNode()
-	t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, newRoot.chargeSize(t.cfg))
-	t.pager().Pin(engine.PageID(oldOff)) // splitLeafChild unpins it
-	t.splitLeafChild(newOff, newRoot, 0, oldOff, old)
-	t.markDirty(newOff, newRoot)
-	t.unpin(oldOff) // drop the long-lived root pin
-	t.root = newOff
-	t.rootN = newRoot
-}
-
-// splitRoot splits an over-fanout internal root under a new root.
 func (t *Tree) splitRoot() {
 	old := t.rootN
 	oldOff := t.root
@@ -804,8 +802,12 @@ func (t *Tree) splitRoot() {
 	}
 	newOff := t.allocNode()
 	t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, newRoot.chargeSize(t.cfg))
-	t.pager().Pin(engine.PageID(oldOff)) // splitInternalChild unpins it
-	t.splitInternalChild(newOff, newRoot, 0, oldOff, old)
+	t.pager().Pin(engine.PageID(oldOff)) // the split unpins it
+	if old.leaf {
+		t.splitLeafChild(newOff, newRoot, 0, oldOff, old)
+	} else {
+		t.splitInternalChild(newOff, newRoot, 0, oldOff, old)
+	}
 	t.markDirty(newOff, newRoot)
 	t.unpin(oldOff) // drop the long-lived root pin
 	t.root = newOff

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ import (
 )
 
 // script is a quick-generatable operation sequence: each op is (kind, key
-// id, value length).
+// id, value length, which is an Upsert's delta).
 type script []struct {
 	Kind uint8
 	ID   uint16
@@ -35,7 +36,7 @@ const quickKeys = 1500
 func (script) Generate(r *rand.Rand, _ int) reflect.Value {
 	s := make(script, 1000+r.Intn(3000))
 	for i := range s {
-		s[i].Kind, s[i].ID, s[i].VLen = uint8(r.Intn(4)), uint16(r.Intn(quickKeys)), uint8(r.Intn(256))
+		s[i].Kind, s[i].ID, s[i].VLen = uint8(r.Intn(5)), uint16(r.Intn(quickKeys)), uint8(r.Intn(256))
 		if i > len(s)/2 && r.Intn(2) == 0 {
 			s[i].Kind = 2
 		}
@@ -55,7 +56,7 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 				model := map[string][]byte{}
 				for _, op := range s {
 					k := key(int(op.ID % quickKeys))
-					switch op.Kind % 4 {
+					switch op.Kind % 5 {
 					case 0, 1:
 						v := bytes.Repeat([]byte{byte(op.VLen)}, int(op.VLen)%96)
 						tree.Put(k, v)
@@ -69,6 +70,10 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 						if ok != wok || (ok && !bytes.Equal(got, want)) {
 							return false
 						}
+					case 4:
+						tree.Upsert(k, int64(op.VLen))
+						old, had := model[string(k)]
+						model[string(k)], _ = kv.Message{Kind: kv.Upsert, Value: kv.UpsertDelta(int64(op.VLen))}.Apply(old, had)
 					}
 				}
 				if err := tree.Check(); err != nil {
@@ -82,12 +87,20 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 						return false
 					}
 				}
-				count := 0
+				// The scan meets every pending message at every level: it
+				// must yield the model's keys in order, with their values.
+				keys := make([]string, 0, len(model))
+				for k := range model {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				n, bad := 0, false
 				tree.Scan(nil, nil, func(k, v []byte) bool {
-					count++
-					return true
+					bad = n == len(keys) || string(k) != keys[n] || !bytes.Equal(v, model[keys[n]])
+					n++
+					return !bad
 				})
-				if count != len(model) {
+				if bad || n != len(keys) {
 					return false
 				}
 				tree.Settle()
@@ -110,51 +123,71 @@ func TestQuickScriptsAgainstModel(t *testing.T) {
 	}
 }
 
-// TestQuickBufferCoalescing verifies the buffer invariants under random
-// message streams: (key, seq) order, byte accounting, and the coalescing
-// rule (an absorbing message erases everything older for its key), and the
-// head column kept in lockstep.
-func TestQuickBufferCoalescing(t *testing.T) {
-	f := func(ops []struct {
-		Kind uint8
-		ID   uint8
-	}) bool {
-		var b buffer
-		seq := uint64(0)
-		absorbed := map[string]bool{}
-		for _, op := range ops {
-			seq++
-			k := []byte(fmt.Sprintf("k%03d", op.ID%16))
-			var m kv.Message
-			switch op.Kind % 3 {
-			case 0:
-				m = kv.Message{Kind: kv.Put, Seq: seq, Key: k, Value: []byte("v")}
-			case 1:
-				m = kv.Message{Kind: kv.Tombstone, Seq: seq, Key: k}
-			default:
-				m = kv.Message{Kind: kv.Upsert, Seq: seq, Key: k, Value: kv.UpsertDelta(1)}
-			}
-			b.add(m)
-			absorbed[string(k)] = m.Kind != kv.Upsert
+// add is the per-message oracle for buffer.merge: it inserts a copy of m in
+// (key, seq) order, and a Put or Tombstone supersedes every earlier message
+// for the same key.
+func (b *buffer) add(m kv.Message) {
+	lo, hi := b.find(m.Key)
+	if m.Kind != kv.Upsert && hi > lo {
+		for _, old := range b.msgs[lo:hi] {
+			b.bytes -= old.Size()
 		}
-		// Invariants.
-		bytesTotal := 0
-		for i, m := range b.msgs {
-			bytesTotal += m.Size()
-			if i > 0 {
-				c := kv.Compare(b.msgs[i-1].Key, m.Key)
-				if c > 0 || (c == 0 && b.msgs[i-1].Seq >= m.Seq) {
-					return false
-				}
-				// For one key, only the first message may be absorbing.
-				if c == 0 && m.Kind != kv.Upsert {
-					return false
-				}
-			}
-		}
-		return bytesTotal == b.bytes && checkColumn(b.heads, len(b.msgs), b.key) == nil
+		b.msgs = append(b.msgs[:lo], b.msgs[hi:]...)
+		b.heads = append(b.heads[:lo], b.heads[hi:]...)
+		hi = lo
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	b.msgs = slices.Insert(b.msgs, hi, m.Clone())
+	b.heads = slices.Insert(b.heads, hi, head(m.Key))
+	b.bytes += m.Size()
+}
+
+// TestQuickBufferCoalescing verifies buffer.merge against the per-message
+// add loop: an older buffer built message by message takes a newer sorted
+// run, with repeated keys, Upserts stacked after Puts, and keys that overlap
+// the buffer's or lie wholly above or below them (a leaf merge folds the
+// right neighbor's buffer into the left one's). Both must leave the same
+// messages, head column and byte count, and a buffer that passes check:
+// (key, seq) order, byte accounting, the coalescing rule (an absorbing
+// message erases everything older for its key) and the head column.
+func TestQuickBufferCoalescing(t *testing.T) {
+	type op struct{ Kind, ID uint8 }
+	seq := uint64(0)
+	msg := func(o op, base int) kv.Message {
+		seq++
+		k := []byte(fmt.Sprintf("k%03d", base+int(o.ID%16)))
+		switch o.Kind % 3 {
+		case 0:
+			return kv.Message{Kind: kv.Put, Seq: seq, Key: k, Value: []byte{o.ID}}
+		case 1:
+			return kv.Message{Kind: kv.Tombstone, Seq: seq, Key: k}
+		}
+		return kv.Message{Kind: kv.Upsert, Seq: seq, Key: k, Value: kv.UpsertDelta(int64(o.ID))}
+	}
+	f := func(older, newer []op, shift uint8) bool {
+		var want, got buffer
+		for _, o := range older {
+			m := msg(o, 16)
+			want.add(m)
+			got.add(m)
+		}
+		run := make([]kv.Message, len(newer))
+		for i, o := range newer {
+			run[i] = msg(o, []int{16, 32, 0}[shift%3])
+		}
+		slices.SortStableFunc(run, func(a, b kv.Message) int { return kv.Compare(a.Key, b.Key) })
+		for _, m := range run {
+			want.add(m)
+		}
+		got.merge(run)
+		if err := got.check(); err != nil {
+			t.Log(err)
+			return false
+		}
+		return slices.EqualFunc(got.msgs, want.msgs, func(a, b kv.Message) bool {
+			return a.Kind == b.Kind && a.Seq == b.Seq && bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
+		}) && slices.Equal(got.heads, want.heads) && got.bytes == want.bytes
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

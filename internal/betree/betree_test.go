@@ -277,6 +277,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			tree := newTestTree(t, cfg)
 			model := map[string][]byte{}
 			rng := stats.NewRNG(9999)
+			flushes := int64(0)
 			const ops = 20000
 			for i := 0; i < ops; i++ {
 				id := int(rng.Intn(1500))
@@ -308,7 +309,8 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 						t.Fatalf("op %d: Get(%d) = %q,%v; model %q,%v", i, id, v, ok, mv, mok)
 					}
 				}
-				if i%5000 == 4999 {
+				if tree.Flushes != flushes { // every flush is checked
+					flushes = tree.Flushes
 					if err := tree.Check(); err != nil {
 						t.Fatalf("op %d: %v", i, err)
 					}

@@ -15,7 +15,7 @@ import (
 //
 //   - pivots and entries are strictly sorted and within their key ranges;
 //   - buffered messages sit in the buffer of the child that covers them,
-//     in (key, seq) order;
+//     in (key, seq) order and coalesced (buffer.check);
 //   - per-slot capacities hold (Slotted) or node capacity holds (Packed);
 //   - parents' route copies match each child's own routing info (Slotted);
 //   - every head column holds its keys' heads: each node's pivots', each
@@ -98,39 +98,6 @@ func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 	if t.overfullNode(n) {
 		return fmt.Errorf("node %d: overfull between operations", off)
 	}
-	for i := range n.bufs {
-		clo, chi := lo, hi
-		if i > 0 {
-			clo = n.pivots[i-1]
-		}
-		if i < len(n.pivots) {
-			chi = n.pivots[i]
-		}
-		bytes := 0
-		for j, m := range n.bufs[i].msgs {
-			if j > 0 {
-				c := kv.Compare(n.bufs[i].msgs[j-1].Key, m.Key)
-				if c > 0 || (c == 0 && n.bufs[i].msgs[j-1].Seq >= m.Seq) {
-					return fmt.Errorf("node %d buf %d: messages out of (key,seq) order at %d", off, i, j)
-				}
-			}
-			if (clo != nil && kv.Compare(m.Key, clo) < 0) || (chi != nil && kv.Compare(m.Key, chi) >= 0) {
-				return fmt.Errorf("node %d buf %d: message outside child range", off, i)
-			}
-			bytes += m.Size()
-		}
-		if bytes != n.bufs[i].bytes {
-			return fmt.Errorf("node %d buf %d: bytes %d, actual %d", off, i, n.bufs[i].bytes, bytes)
-		}
-		if err := checkColumn(n.bufs[i].heads, len(n.bufs[i].msgs), n.bufs[i].key); err != nil {
-			return fmt.Errorf("node %d buf %d: %v", off, i, err)
-		}
-	}
-	for i := range n.routes {
-		if err := checkColumn(n.routes[i].heads, len(n.routes[i].keys), n.routes[i].key); err != nil {
-			return fmt.Errorf("node %d route %d: %v", off, i, err)
-		}
-	}
 	for i, c := range n.children {
 		clo, chi := lo, hi
 		if i > 0 {
@@ -139,14 +106,25 @@ func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 		if i < len(n.pivots) {
 			chi = n.pivots[i]
 		}
+		b := &n.bufs[i]
+		if err := b.check(); err != nil {
+			return fmt.Errorf("node %d buf %d: %v", off, i, err)
+		}
+		if k := len(b.msgs); k > 0 && (clo != nil && kv.Compare(b.msgs[0].Key, clo) < 0 || chi != nil && kv.Compare(b.msgs[k-1].Key, chi) >= 0) {
+			return fmt.Errorf("node %d buf %d: message outside child range", off, i)
+		}
 		if err := t.checkResident(c); err != nil {
 			return fmt.Errorf("node %d child %d: %v", off, i, err)
 		}
 		child := t.ensureFull(c)
 		if t.cfg.Layout == Slotted {
-			if err := routesEqual(n.routes[i], child.ownRoute()); err != nil {
+			err := checkColumn(n.routes[i].heads, len(n.routes[i].keys), n.routes[i].key)
+			if err == nil {
+				err = routesEqual(n.routes[i], child.ownRoute())
+			}
+			if err != nil {
 				t.unpin(c)
-				return fmt.Errorf("node %d child %d: stale route copy: %v", off, i, err)
+				return fmt.Errorf("node %d route %d: %v", off, i, err)
 			}
 		}
 		err := t.checkNode(c, child, clo, chi, height-1)
@@ -215,4 +193,27 @@ func checkColumn(heads []uint64, n int, key func(int) []byte) error {
 		}
 	}
 	return nil
+}
+
+// check verifies b's own invariants: (key, seq) order, the coalescing rule
+// (for one key, only the first message may be a Put or Tombstone), byte
+// accounting and the head column.
+func (b *buffer) check() error {
+	bytes := 0
+	for j, m := range b.msgs {
+		if j > 0 {
+			c := kv.Compare(b.msgs[j-1].Key, m.Key)
+			if c > 0 || (c == 0 && b.msgs[j-1].Seq >= m.Seq) {
+				return fmt.Errorf("messages out of (key,seq) order at %d", j)
+			}
+			if c == 0 && m.Kind != kv.Upsert {
+				return fmt.Errorf("message %d supersedes an older one of its key", j)
+			}
+		}
+		bytes += m.Size()
+	}
+	if bytes != b.bytes {
+		return fmt.Errorf("bytes %d, actual %d", b.bytes, bytes)
+	}
+	return checkColumn(b.heads, len(b.msgs), b.key)
 }

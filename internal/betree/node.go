@@ -72,7 +72,7 @@ func search(n int, heads []uint64, k []byte, after bool, key func(int) []byte) (
 }
 
 // column appends the heads of key(0..n-1) to *col and returns them, capped
-// so that growing one column (buffer.add) never writes the next.
+// so that growing one column (buffer.merge) never writes the next.
 func column(col *[]uint64, n int, key func(int) []byte) []uint64 {
 	for i := range n {
 		*col = append(*col, head(key(i)))
@@ -148,22 +148,42 @@ func (b *buffer) find(key []byte) (int, int) {
 	return lo, hi
 }
 
-// add inserts a copy of m (a flushed message must not pin the extent it was
-// decoded from) in (key, seq) order, coalescing: an absorbing message (Put
-// or Tombstone) supersedes all earlier messages for the same key.
-func (b *buffer) add(m kv.Message) {
-	lo, hi := b.find(m.Key)
-	if m.Kind != kv.Upsert && hi > lo {
-		for _, old := range b.msgs[lo:hi] {
-			b.bytes -= old.Size()
+// merge folds run, a (key, seq)-sorted message run newer than b for every
+// key both hold, into b, copying each message it keeps (a moved message must
+// not pin the extent it was decoded from) and coalescing per key: a Put or
+// Tombstone supersedes every older message of its key, in b or earlier in
+// run, and Upserts stack after it in order. It merges in place from the
+// back, moving each block of b's messages once and closing up what
+// coalescing dropped at the end.
+func (b *buffer) merge(run []kv.Message) {
+	i, j := len(b.msgs), len(run)
+	b.msgs = slices.Grow(b.msgs, j)[:i+j]
+	b.heads = slices.Grow(b.heads, j)[:i+j]
+	w := i + j // b.msgs[w:] is merged; b.msgs[:i] and run[:j] are to do
+	for j > 0 {
+		key := run[j-1].Key
+		gt, _ := search(i, b.heads, key, true, b.key)
+		w -= i - gt
+		copy(b.msgs[w:], b.msgs[gt:i])
+		copy(b.heads[w:], b.heads[gt:i])
+		i = gt
+		absorbed := false
+		for ; j > 0 && kv.Compare(run[j-1].Key, key) == 0; j-- {
+			if m := run[j-1]; !absorbed {
+				w--
+				b.msgs[w], b.heads[w] = m.Clone(), head(key)
+				b.bytes += m.Size()
+				absorbed = m.Kind != kv.Upsert
+			}
 		}
-		b.msgs = append(b.msgs[:lo], b.msgs[hi:]...)
-		b.heads = append(b.heads[:lo], b.heads[hi:]...)
-		hi = lo
+		for ; absorbed && i > 0 && kv.Compare(b.msgs[i-1].Key, key) == 0; i-- {
+			b.bytes -= b.msgs[i-1].Size()
+		}
 	}
-	b.msgs = slices.Insert(b.msgs, hi, m.Clone())
-	b.heads = slices.Insert(b.heads, hi, head(m.Key))
-	b.bytes += m.Size()
+	if w > i {
+		b.msgs = append(b.msgs[:i], b.msgs[w:]...)
+		b.heads = append(b.heads[:i], b.heads[w:]...)
+	}
 }
 
 // node is a decoded Bε-tree node.

@@ -131,6 +131,8 @@ func sliceRange(msgs []kv.Message, heads []uint64, lo, hi []byte) []kv.Message {
 // mergeMessages merges two (key, seq)-sorted message runs. Ancestor
 // messages (a) are newer than node-local ones (b) for equal keys, and seq
 // order encodes exactly that, so a plain merge by (key, seq) is correct.
+// It is not buffer.merge: a scan's run lives for one scan, so it copies no
+// message, and it must not write the buffers other readers share.
 func mergeMessages(a, b []kv.Message) []kv.Message {
 	if len(a) == 0 {
 		return b
@@ -158,45 +160,10 @@ func mergeMessages(a, b []kv.Message) []kv.Message {
 // emitLeaf merges pending messages into the leaf's entries over [lo, hi)
 // and emits live results in key order.
 func emitLeaf(entries []kv.Entry, pending []kv.Message, lo, hi []byte, fn func(k, v []byte) bool) bool {
-	inRange := func(k []byte) bool {
-		if lo != nil && kv.Compare(k, lo) < 0 {
-			return false
+	return walkLeaf(entries, pending, func(e kv.Entry, ok, _, _ bool) bool {
+		if !ok || lo != nil && kv.Compare(e.Key, lo) < 0 || hi != nil && kv.Compare(e.Key, hi) >= 0 {
+			return true
 		}
-		if hi != nil && kv.Compare(k, hi) >= 0 {
-			return false
-		}
-		return true
-	}
-	i, m := 0, 0
-	for i < len(entries) || m < len(pending) {
-		var key []byte
-		switch {
-		case m >= len(pending):
-			key = entries[i].Key
-		case i >= len(entries):
-			key = pending[m].Key
-		case kv.Compare(entries[i].Key, pending[m].Key) <= 0:
-			key = entries[i].Key
-		default:
-			key = pending[m].Key
-		}
-		var old []byte
-		oldOK := false
-		if i < len(entries) && kv.Compare(entries[i].Key, key) == 0 {
-			old, oldOK = entries[i].Value, true
-			i++
-		}
-		run := m
-		for run < len(pending) && kv.Compare(pending[run].Key, key) == 0 {
-			run++
-		}
-		val, ok := kv.ApplyAll(pending[m:run], old, oldOK)
-		m = run
-		if ok && inRange(key) {
-			if !fn(key, val) {
-				return false
-			}
-		}
-	}
-	return true
+		return fn(e.Key, e.Value)
+	})
 }

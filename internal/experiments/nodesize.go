@@ -274,7 +274,7 @@ func Theorem9Ablation(cfg NodeSizeConfig, nodeBytes int) []AblationRow {
 
 // RenderAblation formats E11.
 func RenderAblation(rows []AblationRow, nodeBytes int) string {
-	title := fmt.Sprintf("E11 (Theorem 9 ablation) at B=%s: each optimization cuts query cost, inserts unchanged", humanBytes(nodeBytes))
+	title := fmt.Sprintf("E11 (Theorem 9 ablation) at B=%s: each optimization cuts query cost; segmented buffers make inserts slower", humanBytes(nodeBytes))
 	return renderRows(title, rows, []column[AblationRow]{
 		{"Organization", func(r AblationRow) string { return r.Mode }},
 		{"query ms/op", func(r AblationRow) string { return f3(r.QueryMs) }},
