@@ -24,8 +24,9 @@
 #              experiment registry, the tree harness, the long-polled
 #              ship pull, the one write mutation, the Bε-tree's one
 #              head-column key search, the one declaration per /metrics
-#              family, the B-tree leaf that is its page and the Bε-tree's
-#              one message merge and one leaf walk removed
+#              family, the B-tree leaf that is its page, the Bε-tree's
+#              one message merge and one leaf walk and the stepper's ring
+#              of step records removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -49,7 +50,8 @@
 #              family name written outside promWriter's family and sample,
 #              a B-tree leaf encoded or decoded entry by entry, and a
 #              Bε-tree buffer fed message by message or a third site that
-#              applies a key's messages)
+#              applies a key's messages, and a map or a swept delete( in
+#              the stepper's bookkeeping)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -314,6 +316,16 @@ n=$(grep -n 'kv\.ApplyAll(' internal/betree/*.go | grep -vc '_test\.go:' || true
 if [ "$n" -gt 2 ]; then
 	echo "kv.ApplyAll( at $n non-test sites in internal/betree (GetAs and walkLeaf are the two; merge entries with messages through walkLeaf):" >&2
 	grep -n 'kv\.ApplyAll(' internal/betree/*.go | grep -v '_test\.go:' >&2
+	exit 1
+fi
+
+# The stepper keeps its steps in one ring of step records, and its prune only
+# raises a floor (DESIGN.md §11, Bounded bookkeeping): a map[ or delete( in
+# non-test internal/mqssd is a per-step map, or its sweep, growing back.
+dups=$(grep -n -e 'map\[' -e 'delete(' internal/mqssd/*.go | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a map or a delete( in internal/mqssd (book steps in the ring of step records; prune raises the floor):" >&2
+	echo "$dups" >&2
 	exit 1
 fi
 

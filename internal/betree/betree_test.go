@@ -280,7 +280,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			flushes := int64(0)
 			const ops = 20000
 			for i := 0; i < ops; i++ {
-				id := int(rng.Intn(1500))
+				id := int(rng.Intn(4000))
 				k := key(id)
 				ks := string(k)
 				switch rng.Intn(10) {
@@ -315,6 +315,12 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 						t.Fatalf("op %d: %v", i, err)
 					}
 				}
+			}
+			// 4,000 keys grow every layout to height 3, so the checked
+			// flushes include flushes into internal children and the root
+			// split that made them.
+			if h := tree.Height(); h < 3 {
+				t.Fatalf("height %d after %d ops, want ≥ 3", h, ops)
 			}
 			// Final full-scan agreement.
 			var wantKeys []string

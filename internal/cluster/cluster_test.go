@@ -266,7 +266,8 @@ func TestWALShippingReplicatesOverTheWire(t *testing.T) {
 // router must promote the replica and every write acknowledged BEFORE or
 // AFTER the kill must be readable from the surviving cluster. Sync-ship
 // makes the guarantee exact: a write is only acked once a replica pull
-// covers it.
+// covers it. The kill always lands mid-load: the writer runs on past its
+// total until the kill has happened and a Put to shard 0 has followed it.
 func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 	p := newNode(t, 0, 2, server.RolePrimary, true, "")
 	rep := newNode(t, 0, 2, server.RoleReplica, false, p.Addr)
@@ -305,7 +306,13 @@ func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 		close(killed)
 	}()
 
-	for i := 0; i < total; i++ {
+	i := 0
+	for after := false; i < total || !after; i++ {
+		select {
+		case <-killed:
+			after = after || r.ShardFor(ckey(i)) == 0
+		default:
+		}
 		if err := r.Put(ckey(i), cval(i)); err != nil {
 			// Un-acked: the failover window may reject a write (e.g. the
 			// primary died after applying but before the replica ack). The
@@ -317,7 +324,7 @@ func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 		acked[i] = true
 		mu.Unlock()
 	}
-	<-killed
+	written := i
 
 	if r.Failovers() == 0 {
 		t.Fatal("primary was killed but the router never failed over")
@@ -334,7 +341,7 @@ func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 
 	// Every acknowledged write must be readable through the router.
 	lost := 0
-	for i := 0; i < total; i++ {
+	for i := 0; i < written; i++ {
 		mu.Lock()
 		wasAcked := acked[i]
 		mu.Unlock()

@@ -24,6 +24,7 @@ package mqssd
 
 import (
 	"fmt"
+	"math"
 
 	"iomodels/internal/core"
 	"iomodels/internal/sim"
@@ -82,8 +83,9 @@ func (c Config) Model() core.MQ {
 }
 
 // pruneWindow is how many steps of bookkeeping the device keeps behind the
-// newest submission (and how often it sweeps): devices run for millions of
-// steps, the maps must not.
+// newest submission (and how often the floor below them rises): devices run
+// for millions of steps, and the ring of step records holds two windows, so
+// traffic without a backlog never outgrows it.
 const pruneWindow = 4096
 
 // Device is the multi-queue device. It is driven at virtual-time
@@ -93,11 +95,15 @@ type Device struct {
 	cfg   Config
 	model core.MQ
 
-	// usage[q] maps step index -> slots consumed by queue q (read queues,
-	// +1 trailing write queue if enabled); active maps step index -> queues
-	// with ≥1 IO in that step. Both are trimmed together by prune.
-	usage      []map[int64]int
-	active     map[int64]int
+	// The ring holds one record per step: step s files at record
+	// i = s & (len(steps)−1), steps[i] is the step record i holds, and
+	// counts[i·stride:(i+1)·stride] its count of active queues, then the
+	// slots each queue used (read queues, +1 trailing write queue if
+	// enabled). A record holding another step, or a step below the floor,
+	// reads as empty.
+	steps      []int64
+	counts     []int32
+	stride     int
 	pruneBelow int64
 	TotalIOs   int64
 }
@@ -113,18 +119,60 @@ func New(cfg Config) *Device {
 	if cfg.WriteQueue {
 		n++
 	}
-	d := &Device{cfg: cfg, model: cfg.Model(), usage: make([]map[int64]int, n)}
+	d := &Device{cfg: cfg, model: cfg.Model(), stride: 1 + n}
+	d.steps, d.counts = make([]int64, 2*pruneWindow), make([]int32, 2*pruneWindow*d.stride)
 	d.reset()
 	return d
 }
 
-// reset forgets all step bookkeeping (construction and Reboot).
+// reset forgets all step bookkeeping in place (construction and Reboot).
 func (d *Device) reset() {
-	for i := range d.usage {
-		d.usage[i] = make(map[int64]int)
+	for i := range d.steps {
+		d.steps[i] = math.MinInt64 // below every floor: empty
 	}
-	d.active = make(map[int64]int)
 	d.pruneBelow = 0
+}
+
+// record returns step s's counts — active queues, then the slots each
+// queue used — or nil when the ring holds none for s.
+func (d *Device) record(s int64) []int32 {
+	i := int(s & int64(len(d.steps)-1))
+	if d.steps[i] != s || s < d.floor() {
+		return nil
+	}
+	return d.counts[i*d.stride : (i+1)*d.stride]
+}
+
+// claim returns step s's record for writing. A record below the floor is
+// taken over and cleared; one that holds another live step — s lies a
+// backlog past it — doubles the ring first, so no live step is dropped.
+func (d *Device) claim(s int64) []int32 {
+	for {
+		if r := d.record(s); r != nil {
+			return r
+		}
+		i := int(s & int64(len(d.steps)-1))
+		if d.steps[i] < d.floor() {
+			d.steps[i] = s
+			r := d.counts[i*d.stride : (i+1)*d.stride]
+			clear(r)
+			return r
+		}
+		d.grow()
+	}
+}
+
+// grow doubles the ring and re-files its live records.
+func (d *Device) grow() {
+	steps, counts, below := d.steps, d.counts, d.pruneBelow
+	d.steps, d.counts = make([]int64, 2*len(steps)), make([]int32, 2*len(counts))
+	d.reset()
+	d.pruneBelow = below
+	for i, s := range steps {
+		if s >= d.floor() {
+			copy(d.claim(s), counts[i*d.stride:(i+1)*d.stride])
+		}
+	}
 }
 
 // Config returns the device's (defaulted) configuration.
@@ -164,13 +212,15 @@ func (d *Device) QueueFor(op storage.Op, off int64) int {
 // per step — the all-active closed form — instead of rewarding whichever
 // queue packs a fresh step first with an uncontended slot count.
 func (d *Device) freeAt(q int, s int64) int {
-	used := d.usage[q][s]
-	a := d.active[s]
+	var used, a int
+	if r := d.record(s); r != nil {
+		a, used = int(r[0]), int(r[1+q])
+	}
 	if used == 0 {
 		a++ // q joining s would add one active queue
 	}
-	if prev := d.active[s-1]; prev > a {
-		a = prev
+	if r := d.record(s - 1); r != nil && int(r[0]) > a {
+		a = int(r[0])
 	}
 	free := d.model.QueueSlots(a) - used
 	if free < 0 {
@@ -184,7 +234,7 @@ func (d *Device) freeAt(q int, s int64) int {
 // where the queue has free capacity, starting with the step containing now.
 // Submitting zero blocks returns now.
 func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
-	if q < 0 || q >= len(d.usage) {
+	if q < 0 || q >= d.stride-1 {
 		panic(fmt.Sprintf("mqssd: queue %d out of range", q))
 	}
 	if n < 0 {
@@ -194,7 +244,6 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 		return now
 	}
 	d.TotalIOs += int64(n)
-	usage := d.usage[q]
 	step := d.StepOf(now)
 	if oldest := d.oldestExact(); step < oldest {
 		step = oldest // a cursor from before the bookkeeping: see oldestExact
@@ -204,14 +253,12 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 	for n > 0 {
 		free := d.freeAt(q, step)
 		if free > 0 {
-			if usage[step] == 0 {
-				d.active[step]++
+			r := d.claim(step)
+			if r[1+q] == 0 {
+				r[0]++
 			}
-			take := free
-			if take > n {
-				take = n
-			}
-			usage[step] += take
+			take := min(free, n)
+			r[1+q] += int32(take)
 			n -= take
 			done = d.EndOfStep(step)
 		}
@@ -225,39 +272,30 @@ func (d *Device) Submit(q int, now sim.Time, n int) sim.Time {
 func (d *Device) SlotsFreeAt(q int, t sim.Time) int { return d.freeAt(q, d.StepOf(t)) }
 
 // oldestExact is the earliest step the device still schedules exactly: the
-// last sweep kept it and the step before it, which freeAt consults. A
+// floor keeps it and the step before it, which freeAt consults. A
 // submission whose cursor is older — a serving connection that only hit
 // cache, or sat idle, while others advanced the device by more than the
 // window — is served from here: the steps behind read "empty" only because
 // they were forgotten.
-func (d *Device) oldestExact() int64 { return d.pruneBelow - pruneWindow + 1 }
+func (d *Device) oldestExact() int64 { return d.floor() + 1 }
 
-// prune drops bookkeeping more than pruneWindow steps behind current, the
-// step of the submission being scheduled. It sweeps every queue and the
-// shared active map at once, whichever queue is submitting, so the maps hold
-// at most the two windows between sweeps plus the queued backlog however the
+// floor is the oldest step the ring still holds: a record below it reads as
+// empty.
+func (d *Device) floor() int64 { return d.pruneBelow - pruneWindow }
+
+// prune forgets bookkeeping more than pruneWindow steps behind current, the
+// step of the submission being scheduled, by raising the floor once a window:
+// the records below it read as empty and are taken over as the ring wraps.
+// The floor is one for every queue, whichever is submitting, so the ring
+// holds the two windows between raises plus the queued backlog however the
 // traffic is spread — an idle queue cannot pin the others' history. Keeping
-// one window back (rather than trimming up to current) leaves freeAt's look
-// at step s−1, and any client whose cursor trails the newest by less than
-// the window, exact; Submit moves an older cursor up to oldestExact.
+// one window back (rather than forgetting up to current) leaves freeAt's
+// look at step s−1, and any client whose cursor trails the newest by less
+// than the window, exact; Submit moves an older cursor up to oldestExact.
 func (d *Device) prune(current int64) {
-	if current-d.pruneBelow < pruneWindow {
-		return
+	if current-d.pruneBelow >= pruneWindow {
+		d.pruneBelow = current
 	}
-	floor := current - pruneWindow
-	for _, usage := range d.usage {
-		for s := range usage {
-			if s < floor {
-				delete(usage, s)
-			}
-		}
-	}
-	for s := range d.active {
-		if s < floor {
-			delete(d.active, s)
-		}
-	}
-	d.pruneBelow = current
 }
 
 // Storage adapts the device to the storage.Device interface: an IO of any

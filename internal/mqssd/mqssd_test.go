@@ -128,14 +128,8 @@ func TestReboot(t *testing.T) {
 	}
 }
 
-// bookkeeping counts every step entry the device holds.
-func (d *Device) bookkeeping() int {
-	n := len(d.active)
-	for _, usage := range d.usage {
-		n += len(usage)
-	}
-	return n
-}
+// bookkeeping counts the step records the device holds.
+func (d *Device) bookkeeping() int { return len(d.steps) }
 
 // TestBookkeepingBoundedWithIdleQueues is the regression test for the
 // active-map leak: on the default profile (dedicated write queue) a
@@ -145,6 +139,8 @@ func (d *Device) bookkeeping() int {
 // prune rescanned all of it. Bookkeeping must stay within the prune window
 // whatever subset of queues is busy, and the host cost per IO must not grow
 // with run length. The mirror case (writes only, read queues idle) likewise.
+// Serial traffic has no backlog, so the ring never grows past its two
+// windows either.
 func TestBookkeepingBoundedWithIdleQueues(t *testing.T) {
 	const ios = 200_000
 	// run drives ios serial IOs of one kind through a fresh default device,
@@ -154,7 +150,7 @@ func TestBookkeepingBoundedWithIdleQueues(t *testing.T) {
 	run := func(op storage.Op) (first, last float64) {
 		s := New(DefaultConfig()).Storage(1 << 30)
 		block := s.Params().BlockBytes
-		bound := 2 * pruneWindow * len(s.dev.usage)
+		bound := 2 * pruneWindow * (s.dev.stride - 1)
 		rng := stats.NewRNG(7)
 		var now sim.Time
 		var slices []float64
@@ -163,6 +159,9 @@ func TestBookkeepingBoundedWithIdleQueues(t *testing.T) {
 			now = s.Access(now, op, rng.Int63n(1<<18)*block, block) // serial: one IO per step
 			if n := s.dev.bookkeeping(); n > bound {
 				t.Fatalf("%v-only: %d bookkeeping entries after %d IOs, want ≤ %d", op, n, i+1, bound)
+			}
+			if n := len(s.dev.steps); n != 2*pruneWindow {
+				t.Fatalf("%v-only: ring of %d records after %d serial IOs, want its initial %d", op, n, i+1, 2*pruneWindow)
 			}
 			if (i+1)%(ios/100) == 0 {
 				slices = append(slices, float64(time.Since(mark))/(ios/100))
@@ -211,7 +210,7 @@ func TestStaleSubmissionServedAtWindowEdge(t *testing.T) {
 		t.Fatalf("read 10,000 steps behind the newest done at %v (step %d), want the window's edge %v (step %d)",
 			got, d.StepOf(got)-1, want, edge)
 	}
-	if used := d.usage[0][edge]; used != 2 {
+	if used := d.record(edge)[1]; used != 2 {
 		t.Fatalf("edge step holds %d IOs after the stale read, want the serial client's and the stale one", used)
 	}
 	// The edge step is full now: the next stale read takes the one after.
@@ -222,5 +221,161 @@ func TestStaleSubmissionServedAtWindowEdge(t *testing.T) {
 	near := sim.Time(newest-100) * d.cfg.StepTime
 	if got, want := d.Submit(0, near, 1), d.EndOfStep(newest-100); got != want {
 		t.Fatalf("read 100 steps behind done at %v, want its own step's end %v", got, want)
+	}
+}
+
+// refStepper is the stepper as it was before its ring: one map per queue
+// from step to used slots, one from step to active queues, and a prune that
+// sweeps both once a window. It is kept as the oracle the ring is compared
+// against, as pdamdev's tests keep that package's old stepper.
+type refStepper struct {
+	model      core.MQ
+	step       sim.Time
+	usage      []map[int64]int
+	active     map[int64]int
+	pruneBelow int64
+}
+
+func newRefStepper(d *Device) *refStepper {
+	r := &refStepper{model: d.model, step: d.cfg.StepTime, usage: make([]map[int64]int, d.stride-1)}
+	r.reset()
+	return r
+}
+
+func (r *refStepper) reset() {
+	for q := range r.usage {
+		r.usage[q] = make(map[int64]int)
+	}
+	r.active = make(map[int64]int)
+	r.pruneBelow = 0
+}
+
+func (r *refStepper) freeAt(q int, s int64) int {
+	used := r.usage[q][s]
+	a := r.active[s]
+	if used == 0 {
+		a++
+	}
+	if prev := r.active[s-1]; prev > a {
+		a = prev
+	}
+	return max(r.model.QueueSlots(a)-used, 0)
+}
+
+func (r *refStepper) slotsFreeAt(q int, t sim.Time) int { return r.freeAt(q, int64(t/r.step)) }
+
+func (r *refStepper) submit(q int, now sim.Time, n int) sim.Time {
+	if n == 0 {
+		return now
+	}
+	step := int64(now / r.step)
+	step = max(step, r.pruneBelow-pruneWindow+1)
+	if step-r.pruneBelow >= pruneWindow {
+		floor := step - pruneWindow
+		for _, usage := range r.usage {
+			for s := range usage {
+				if s < floor {
+					delete(usage, s)
+				}
+			}
+		}
+		for s := range r.active {
+			if s < floor {
+				delete(r.active, s)
+			}
+		}
+		r.pruneBelow = step
+	}
+	var done sim.Time
+	for n > 0 {
+		if free := r.freeAt(q, step); free > 0 {
+			if r.usage[q][step] == 0 {
+				r.active[step]++
+			}
+			take := min(free, n)
+			r.usage[q][step] += take
+			n -= take
+			done = sim.Time(step+1) * r.step
+		}
+		step++
+	}
+	return done
+}
+
+// TestRingMatchesMapStepper: on random schedules the ring books exactly
+// what the map stepper booked — every completion time, and every queue's
+// free slots after every op. The schedules run across many prune windows,
+// send cursors more than a window stale, submit bulk backlogs longer than
+// the ring's initial length (so it must grow without dropping a live step;
+// after each, every step of the window and the backlog is compared), and
+// reboot the device midway.
+func TestRingMatchesMapStepper(t *testing.T) {
+	configs := map[string]Config{
+		"default":    DefaultConfig(),
+		"one queue":  {Queues: 1, PerQueueP: 3, BlockBytes: 4096, StepTime: sim.Millisecond},
+		"two queues": {Queues: 2, PerQueueP: 4, QueueDepth: 3, Interference: 0.5, BlockBytes: 4096, StepTime: sim.Millisecond},
+	}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			d := New(cfg)
+			ref := newRefStepper(d)
+			queues := d.stride - 1
+			step := d.cfg.StepTime
+			rng := stats.NewRNG(11)
+			var now sim.Time
+			var rebootedAt int64
+			grew, stale := false, 0
+			check := func(i int, at sim.Time) {
+				for q := 0; q < queues; q++ {
+					if got, want := d.SlotsFreeAt(q, at), ref.slotsFreeAt(q, at); got != want {
+						t.Fatalf("op %d: queue %d SlotsFreeAt(step %d) = %d, reference %d", i, q, d.StepOf(at), got, want)
+					}
+				}
+			}
+			const ops = 40_000
+			for i := 0; i < ops; i++ {
+				if i == ops/2 {
+					d.Storage(1 << 30).Reboot()
+					ref.reset()
+					rebootedAt = d.StepOf(now)
+				}
+				q := int(rng.Int63n(int64(queues)))
+				at, n := now, int(rng.Int63n(12))
+				switch rng.Int63n(1000) {
+				case 0: // a cursor more than a window stale
+					at -= sim.Time(pruneWindow+rng.Int63n(2*pruneWindow)) * step
+				case 1: // a bulk write-back: a backlog past the ring's initial length
+					n = 2 * pruneWindow * d.model.QueueSlots(1)
+				default:
+					if rng.Int63n(5) == 0 { // a trailing client: up to 3 steps behind
+						at -= sim.Time(rng.Int63n(3 * int64(step)))
+					}
+				}
+				at = max(at, 0)
+				if d.StepOf(at) < d.oldestExact() {
+					stale++
+				}
+				got, want := d.Submit(q, at, n), ref.submit(q, at, n)
+				if got != want {
+					t.Fatalf("op %d: Submit(%d, step %d, %d) = step %d, reference step %d", i, q, d.StepOf(at), n, d.StepOf(got)-1, d.StepOf(want)-1)
+				}
+				check(i, at)
+				check(i, now)
+				if n >= 2*pruneWindow {
+					grew = grew || len(d.steps) > 2*pruneWindow
+					for s := d.oldestExact() - 1; s <= d.StepOf(got); s++ {
+						check(i, sim.Time(s)*step)
+					}
+				}
+				if rng.Int63n(3) == 0 {
+					now = max(now, got) // a dependent client: next IO when this one completes
+				} else {
+					now += sim.Time(rng.Int63n(int64(step)))
+				}
+			}
+			if windows := (d.StepOf(now) - rebootedAt) / pruneWindow; windows < 3 || !grew || stale == 0 {
+				t.Fatalf("schedule ran %d windows after the reboot, grew the ring %v, sent %d cursors from below the floor: want ≥ 3, true, > 0", windows, grew, stale)
+			}
+		})
 	}
 }
