@@ -22,11 +22,11 @@
 #              read-only views, the checkpoint's translation table, the
 #              pager's intrusive LRU ring, the typed atomic counters, the
 #              experiment registry, the tree harness, the long-polled
-#              ship pull, the one write mutation, the Bε-tree's one
-#              head-column key search, the one declaration per /metrics
-#              family, the B-tree leaf that is its page, the Bε-tree's
-#              one message merge and one leaf walk and the stepper's ring
-#              of step records removed
+#              ship pull, the one write mutation, the trees' one
+#              head-column key search (kv.Search), the one declaration
+#              per /metrics family, the B-tree leaf that is its page, the
+#              Bε-tree's one message merge and one leaf walk and the
+#              stepper's ring of step records removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -45,8 +45,9 @@
 #              request-to-mutation converter, a per-server apply switch, trace
 #              ids handed to the log through a durability field, a second
 #              trace-context type, a second copy of the upsert fold, a
-#              second file of internal/betree that binary-searches keys with
-#              sort.Search, sort.Find or slices.BinarySearch, a kvserve_
+#              binary search in internal/btree or internal/betree by
+#              sort.Search, sort.Find, slices.BinarySearch or a for lo < hi
+#              loop, a kvserve_
 #              family name written outside promWriter's family and sample,
 #              a B-tree leaf encoded or decoded entry by entry, and a
 #              Bε-tree buffer fed message by message or a third site that
@@ -290,14 +291,14 @@ if [ "$n" -gt 1 ]; then
 	exit 1
 fi
 
-# A Bε-tree key run is searched in one place, search in internal/betree/
-# node.go, which probes the run's column of 8-byte key heads before it loads
-# a key (DESIGN.md §5): a second file that binary-searches keys loads a key
-# view, two dependent loads, on every probe again.
-n=$(grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -vc '_test\.go$' || true)
-if [ "$n" -gt 1 ]; then
-	echo "sort.Search(, sort.Find( or slices.BinarySearch in $n non-test files of internal/betree (search a key run with search in node.go):" >&2
-	grep -l -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' internal/betree/*.go | grep -v '_test\.go$' >&2
+# Both trees search a key run in one place, kv.Search, which probes the run's
+# column of 8-byte key heads before it loads a key (DESIGN.md §5): a binary
+# search in either tree package loads a key view, or a slot and then a key,
+# two dependent loads, on every probe again.
+dups=$(grep -n -e 'sort\.Search(' -e 'sort\.Find(' -e 'slices\.BinarySearch' -e 'for lo < hi' internal/btree/*.go internal/betree/*.go | grep -v '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a binary search in internal/btree or internal/betree (search a key run with kv.Search):" >&2
+	echo "$dups" >&2
 	exit 1
 fi
 

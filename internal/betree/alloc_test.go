@@ -89,3 +89,25 @@ func TestDecodeSlotBoundsCorruptCount(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeHelpersAllocateNothing: maxMsgBytes and maxEntryBytes, which
+// leafCapBytes asks on every leaf flush, are kv.EncodedMessageSize and
+// kv.EncodedEntrySize of a max-size key and value, and build neither to say
+// so.
+func TestSizeHelpersAllocateNothing(t *testing.T) {
+	cfg := Config{NodeBytes: 64 << 10, MaxFanout: 8, MaxKeyBytes: 64, MaxValueBytes: 200}
+	k, v := make([]byte, cfg.MaxKeyBytes), make([]byte, cfg.MaxValueBytes)
+	for _, c := range []struct {
+		name string
+		size func() int
+		want int
+	}{
+		{"maxMsgBytes", cfg.maxMsgBytes, kv.EncodedMessageSize(k, v)},
+		{"maxEntryBytes", cfg.maxEntryBytes, kv.EncodedEntrySize(k, v)},
+	} {
+		var got int
+		if a := testing.AllocsPerRun(100, func() { got = c.size() }); a != 0 || got != c.want {
+			t.Errorf("%s = %d in %v allocations, want %d in 0", c.name, got, a, c.want)
+		}
+	}
+}

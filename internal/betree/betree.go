@@ -290,7 +290,7 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 				jb = rt.slotIndex(key)
 			}
 			_, p := t.readSlot(c, off, true, height, jb)
-			if i, ok := search(len(p.entries), p.heads, key, false, func(i int) []byte { return p.entries[i].Key }); ok {
+			if i, ok := kv.Search(len(p.entries), p.heads, key, false, func(i int) []byte { return p.entries[i].Key }); ok {
 				base, baseOK = p.entries[i].Value, true
 			}
 			t.unpinc(c, off)
@@ -489,7 +489,7 @@ func (t *Tree) flushNode(off int64, n *node) {
 		for lo := 0; lo < len(moved.msgs); {
 			c, hi := child.findChild(moved.msgs[lo].Key), len(moved.msgs)
 			if c < len(child.pivots) {
-				hi, _ = search(hi, moved.heads, child.pivots[c], false, moved.key)
+				hi, _ = kv.Search(hi, moved.heads, child.pivots[c], false, moved.key)
 			}
 			child.bufs[c].merge(moved.msgs[lo:hi])
 			lo = hi
@@ -658,7 +658,7 @@ func (t *Tree) installChild(parent *node, i int, childOff int64, pivot []byte) {
 	parent.pivots = append(parent.pivots, nil)
 	copy(parent.pivots[i+1:], parent.pivots[i:])
 	parent.pivots[i] = pivot
-	parent.pivotHeads = slices.Insert(parent.pivotHeads, i, head(pivot))
+	parent.pivotHeads = slices.Insert(parent.pivotHeads, i, kv.Head(pivot))
 	parent.bufs = append(parent.bufs, buffer{})
 	copy(parent.bufs[i+2:], parent.bufs[i+1:])
 	parent.bufs[i+1] = buffer{}

@@ -137,7 +137,7 @@ func (b *buffer) add(m kv.Message) {
 		hi = lo
 	}
 	b.msgs = slices.Insert(b.msgs, hi, m.Clone())
-	b.heads = slices.Insert(b.heads, hi, head(m.Key))
+	b.heads = slices.Insert(b.heads, hi, kv.Head(m.Key))
 	b.bytes += m.Size()
 }
 

@@ -188,7 +188,7 @@ func checkColumn(heads []uint64, n int, key func(int) []byte) error {
 		return fmt.Errorf("%d heads for %d keys", len(heads), n)
 	}
 	for i, h := range heads {
-		if want := head(key(i)); h != want {
+		if want := kv.Head(key(i)); h != want {
 			return fmt.Errorf("head %d is %#x, its key's is %#x", i, h, want)
 		}
 	}

@@ -120,14 +120,17 @@ const (
 	ptrBytes   = 8
 )
 
-// maxMsgBytes bounds one serialized message.
+// maxMsgBytes bounds one serialized message: kv.EncodedMessageSize of a
+// max-size key and value, summed without building them (leafCapBytes asks
+// on every leaf flush).
 func (c Config) maxMsgBytes() int {
-	return kv.EncodedMessageSize(make([]byte, c.MaxKeyBytes), nil) + c.MaxValueBytes
+	return kv.EncodedMessageSize(nil, nil) + c.MaxKeyBytes + c.MaxValueBytes
 }
 
-// maxEntryBytes bounds one serialized leaf entry.
+// maxEntryBytes bounds one serialized leaf entry, as maxMsgBytes does a
+// message.
 func (c Config) maxEntryBytes() int {
-	return kv.EncodedEntrySize(make([]byte, c.MaxKeyBytes), nil) + c.MaxValueBytes
+	return kv.EncodedEntrySize(nil, nil) + c.MaxKeyBytes + c.MaxValueBytes
 }
 
 // maxRouteKeyBytes bounds one serialized routing key.

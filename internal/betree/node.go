@@ -19,13 +19,10 @@
 package betree
 
 import (
-	"cmp"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"iomodels/internal/kv"
@@ -38,44 +35,11 @@ const (
 
 func logf(x float64) float64 { return math.Log(x) }
 
-// head is k's first 8 bytes as a big-endian word, zero-padded: where two
-// keys' heads differ they order as the keys do.
-func head(k []byte) uint64 {
-	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
-	}
-	var b [8]byte
-	copy(b[:], k)
-	return binary.BigEndian.Uint64(b[:])
-}
-
-// search is the tree's one binary search over a sorted key run: the first
-// i < n with key(i) >= k (key(i) > k when after is set), or n, and whether
-// key(i) == k (never, with after). heads is the run's head column, or nil
-// for a run without one; a probe loads key(i) only when its head ties k's.
-func search(n int, heads []uint64, k []byte, after bool, key func(int) []byte) (int, bool) {
-	h, eq := head(k), false
-	i := sort.Search(n, func(m int) bool {
-		var c int
-		if heads != nil && heads[m] != h {
-			c = cmp.Compare(heads[m], h)
-		} else {
-			c = kv.Compare(key(m), k)
-		}
-		if c < 0 || after && c == 0 {
-			return false
-		}
-		eq = c == 0
-		return true
-	})
-	return i, eq
-}
-
 // column appends the heads of key(0..n-1) to *col and returns them, capped
 // so that growing one column (buffer.merge) never writes the next.
 func column(col *[]uint64, n int, key func(int) []byte) []uint64 {
 	for i := range n {
-		*col = append(*col, head(key(i)))
+		*col = append(*col, kv.Head(key(i)))
 	}
 	c := *col
 	return c[len(c)-n : len(c) : len(c)]
@@ -95,7 +59,7 @@ func (r route) key(i int) []byte { return r.keys[i] }
 
 // slotIndex returns which child/basement of the routed node covers key.
 func (r route) slotIndex(key []byte) int {
-	i, _ := search(len(r.keys), r.heads, key, true, r.key)
+	i, _ := kv.Search(len(r.keys), r.heads, key, true, r.key)
 	return i
 }
 
@@ -121,7 +85,7 @@ func (r *route) own() {
 	for i, k := range r.keys {
 		run = append(run, k...)
 		r.keys[i] = run[len(run)-len(k) : len(run) : len(run)]
-		r.heads[i] = head(k)
+		r.heads[i] = kv.Head(k)
 	}
 }
 
@@ -137,7 +101,7 @@ func (b *buffer) key(i int) []byte { return b.msgs[i].Key }
 
 // find returns the range [lo, hi) of messages for key.
 func (b *buffer) find(key []byte) (int, int) {
-	lo, eq := search(len(b.msgs), b.heads, key, false, b.key)
+	lo, eq := kv.Search(len(b.msgs), b.heads, key, false, b.key)
 	hi := lo
 	if eq {
 		hi++
@@ -162,7 +126,7 @@ func (b *buffer) merge(run []kv.Message) {
 	w := i + j // b.msgs[w:] is merged; b.msgs[:i] and run[:j] are to do
 	for j > 0 {
 		key := run[j-1].Key
-		gt, _ := search(i, b.heads, key, true, b.key)
+		gt, _ := kv.Search(i, b.heads, key, true, b.key)
 		w -= i - gt
 		copy(b.msgs[w:], b.msgs[gt:i])
 		copy(b.heads[w:], b.heads[gt:i])
@@ -171,7 +135,7 @@ func (b *buffer) merge(run []kv.Message) {
 		for ; j > 0 && kv.Compare(run[j-1].Key, key) == 0; j-- {
 			if m := run[j-1]; !absorbed {
 				w--
-				b.msgs[w], b.heads[w] = m.Clone(), head(key)
+				b.msgs[w], b.heads[w] = m.Clone(), kv.Head(key)
 				b.bytes += m.Size()
 				absorbed = m.Kind != kv.Upsert
 			}
@@ -236,13 +200,13 @@ func (n *node) pivot(i int) []byte { return n.pivots[i] }
 
 // findChild routes key within the node's own pivots (Full internal nodes).
 func (n *node) findChild(key []byte) int {
-	i, _ := search(len(n.pivots), n.pivotHeads, key, true, n.pivot)
+	i, _ := kv.Search(len(n.pivots), n.pivotHeads, key, true, n.pivot)
 	return i
 }
 
 // findEntry locates key among the leaf entries.
 func (n *node) findEntry(key []byte) (int, bool) {
-	return search(len(n.entries), nil, key, false, func(i int) []byte { return n.entries[i].Key })
+	return kv.Search(len(n.entries), nil, key, false, func(i int) []byte { return n.entries[i].Key })
 }
 
 // bufBytesTotal sums buffered message bytes.

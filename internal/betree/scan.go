@@ -109,7 +109,7 @@ func childRange(n *node, lo, hi []byte) (int, int) {
 	}
 	last := len(n.children) - 1
 	if hi != nil {
-		last, _ = search(len(n.pivots), n.pivotHeads, hi, false, n.pivot)
+		last, _ = kv.Search(len(n.pivots), n.pivotHeads, hi, false, n.pivot)
 	}
 	return first, last
 }
@@ -120,10 +120,10 @@ func sliceRange(msgs []kv.Message, heads []uint64, lo, hi []byte) []kv.Message {
 	key := func(i int) []byte { return msgs[i].Key }
 	start, end := 0, len(msgs)
 	if lo != nil {
-		start, _ = search(len(msgs), heads, lo, false, key)
+		start, _ = kv.Search(len(msgs), heads, lo, false, key)
 	}
 	if hi != nil {
-		end, _ = search(len(msgs), heads, hi, false, key)
+		end, _ = kv.Search(len(msgs), heads, hi, false, key)
 	}
 	return msgs[start:end]
 }

@@ -1,6 +1,10 @@
 package btree
 
-import "testing"
+import (
+	"testing"
+
+	"iomodels/internal/kv"
+)
 
 // TestGetAllocatesNothing: a Get on a resident tree allocates nothing,
 // through the owner and through a Detached session. Every level pins and
@@ -30,5 +34,17 @@ func TestGetAllocatesNothing(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("%s: %d resident Gets allocate %v times, want 0", name, len(keys), a)
 		}
+	}
+}
+
+// TestMaxEntryBytesAllocatesNothing: maxEntryBytes, which leafFull asks on
+// every Put, is kv.EncodedEntrySize of a max-size key and value, and builds
+// neither to say so.
+func TestMaxEntryBytesAllocatesNothing(t *testing.T) {
+	cfg := Config{NodeBytes: 4096, MaxKeyBytes: 64, MaxValueBytes: 200}
+	want := kv.EncodedEntrySize(make([]byte, cfg.MaxKeyBytes), make([]byte, cfg.MaxValueBytes))
+	var got int
+	if a := testing.AllocsPerRun(100, func() { got = cfg.maxEntryBytes() }); a != 0 || got != want {
+		t.Errorf("maxEntryBytes = %d in %v allocations, want %d in 0", got, a, want)
 	}
 }

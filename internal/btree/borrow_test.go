@@ -3,7 +3,10 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
+
+	"iomodels/internal/kv"
 )
 
 // Direct unit tests of the borrow rotations: fixSparseChild prefers merging
@@ -24,13 +27,33 @@ func leafWith(ids ...int) *node {
 }
 
 func internalWith(children []int64, pivotIDs ...int) *node {
-	n := newInternal()
-	n.children = append(n.children, children...)
+	var pivots [][]byte
 	for _, id := range pivotIDs {
-		n.pivots = append(n.pivots, key(id))
+		pivots = append(pivots, key(id))
 	}
-	n.size = n.computeSize()
-	return n
+	return newInternal(pivots, children)
+}
+
+// columnsHold fails t unless each node's head column holds the heads of
+// its keys: a leaf's directory, an internal node's pivots.
+func columnsHold(t *testing.T, nodes ...*node) {
+	t.Helper()
+	for _, n := range nodes {
+		want := make([]uint64, 0, n.count)
+		for i := 0; i < n.count; i++ {
+			want = append(want, kv.Head(n.key(i)))
+		}
+		got := n.heads
+		if !n.leaf {
+			want, got = want[:0], n.pivotHeads
+			for _, p := range n.pivots {
+				want = append(want, kv.Head(p))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("head column %x, keys' heads %x", got, want)
+		}
+	}
 }
 
 func TestBorrowFromLeftLeaf(t *testing.T) {
@@ -40,6 +63,7 @@ func TestBorrowFromLeftLeaf(t *testing.T) {
 	parent := internalWith([]int64{0, 1024}, 20)
 
 	tree.borrowFromLeft(parent, 1, child, sib)
+	columnsHold(t, parent, child, sib)
 
 	if child.size < tree.minBytes() {
 		t.Fatalf("child still sparse: %d < %d", child.size, tree.minBytes())
@@ -64,6 +88,7 @@ func TestBorrowFromRightLeaf(t *testing.T) {
 	parent := internalWith([]int64{0, 1024}, 10)
 
 	tree.borrowFromRight(parent, 0, child, sib)
+	columnsHold(t, parent, child, sib)
 
 	if child.size < tree.minBytes() {
 		t.Fatalf("child still sparse: %d", child.size)
@@ -85,6 +110,7 @@ func TestBorrowFromLeftInternal(t *testing.T) {
 	parent := internalWith([]int64{100, 200}, 60)
 
 	tree.borrowFromLeft(parent, 1, child, sib)
+	columnsHold(t, parent, child, sib)
 
 	if len(child.children) <= 2 {
 		t.Fatal("no children rotated")
@@ -120,6 +146,7 @@ func TestBorrowFromRightInternal(t *testing.T) {
 	parent := internalWith([]int64{100, 200}, 20)
 
 	tree.borrowFromRight(parent, 0, child, sib)
+	columnsHold(t, parent, child, sib)
 
 	if len(child.children) <= 2 {
 		t.Fatal("no children rotated")

@@ -14,6 +14,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
@@ -30,8 +31,10 @@ type Config struct {
 	MaxValueBytes int
 }
 
+// maxEntryBytes is kv.EncodedEntrySize of a max-size key and value, summed
+// without building them: leafFull asks on every Put.
 func (c Config) maxEntryBytes() int {
-	return kv.EncodedEntrySize(make([]byte, c.MaxKeyBytes), nil) + c.MaxValueBytes
+	return kv.EncodedEntrySize(nil, nil) + c.MaxKeyBytes + c.MaxValueBytes
 }
 
 func (c Config) maxPivotBytes() int { return 4 + c.MaxKeyBytes + childRefBytes }
@@ -216,9 +219,7 @@ func (t *Tree) Put(key, value []byte) {
 	root := t.get(rootOff)
 	if t.full(root) {
 		// Grow the tree: new root with the old root as its only child.
-		newRoot := newInternal()
-		newRoot.children = []int64{rootOff}
-		newRoot.size += childRefBytes
+		newRoot := newInternal(nil, []int64{rootOff})
 		newOff := t.allocNode()
 		t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, int64(newRoot.size))
 		t.splitChild(newOff, newRoot, 0, rootOff, root)
@@ -263,13 +264,7 @@ func (t *Tree) splitChild(parentOff int64, parent *node, i int, childOff int64, 
 	right, pivot := t.splitNode(child)
 	rightOff := t.allocNode()
 
-	parent.children = append(parent.children, 0)
-	copy(parent.children[i+2:], parent.children[i+1:])
-	parent.children[i+1] = rightOff
-	parent.pivots = append(parent.pivots, nil)
-	copy(parent.pivots[i+1:], parent.pivots[i:])
-	parent.pivots[i] = pivot
-	parent.size += childRefBytes + 4 + len(pivot)
+	parent.insertPivot(i, pivot, i+1, rightOff)
 
 	t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, int64(right.size))
 	t.pager().Unpin(t.owner, engine.PageID(rightOff))
@@ -313,13 +308,8 @@ func (t *Tree) splitNode(n *node) (*node, []byte) {
 		m = 1
 	}
 	pivot := bytes.Clone(n.pivots[m]) // the parent must not pin n's extent
-	right := newInternal()
-	right.children = append(right.children, n.children[m+1:]...)
-	right.pivots = append(right.pivots, n.pivots[m+1:]...)
-	right.size = right.computeSize()
-	n.children = n.children[: m+1 : m+1]
-	n.pivots = n.pivots[:m:m]
-	n.size = n.computeSize()
+	right := newInternal(slices.Clone(n.pivots[m+1:]), slices.Clone(n.children[m+1:]))
+	*n = *newInternal(n.pivots[:m:m], n.children[:m+1:m+1])
 	return right, pivot
 }
 
@@ -412,15 +402,13 @@ func (t *Tree) mergeChildren(parentOff int64, parent *node, i int, leftOff int64
 	if left.leaf {
 		*left = *newLeaf(len(left.page)).fill(left, 0, left.count).fill(right, 0, right.count)
 	} else {
+		pivots := left.pivots
 		for _, p := range append([][]byte{parent.pivots[i]}, right.pivots...) {
-			left.pivots = append(left.pivots, bytes.Clone(p))
+			pivots = append(pivots, bytes.Clone(p))
 		}
-		left.children = append(left.children, right.children...)
-		left.size = left.computeSize()
+		*left = *newInternal(pivots, append(left.children, right.children...))
 	}
-	parent.size -= childRefBytes + t.pivotCost(parent.pivots[i])
-	parent.pivots = append(parent.pivots[:i], parent.pivots[i+1:]...)
-	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
+	parent.removePivot(i, i+1)
 	t.dirty(parentOff, parent)
 	t.dirty(leftOff, left)
 	t.unpin(rightOff)
@@ -443,16 +431,17 @@ func (t *Tree) borrowFromRight(parent *node, i int, child, sib *node) {
 	}
 	for child.size < t.minBytes() && sib.size > t.minBytes() && len(sib.children) > 2 {
 		// Rotate through the parent pivot.
-		moved := sib.children[0]
-		newPivot := sib.pivots[0]
-		sib.children = sib.children[1:]
-		sib.pivots = sib.pivots[1:]
-		sib.size -= childRefBytes + t.pivotCost(newPivot)
-		child.children = append(child.children, moved)
-		child.pivots = append(child.pivots, bytes.Clone(parent.pivots[i]))
-		child.size += childRefBytes + t.pivotCost(parent.pivots[i])
+		newPivot, moved := sib.removePivot(0, 0)
+		child.insertPivot(len(child.pivots), bytes.Clone(parent.pivots[i]), len(child.children), moved)
 		t.setPivot(parent, i, newPivot)
 	}
+}
+
+// setPivot replaces parent's pivot i with a copy of p: a pivot must not pin
+// a child's page.
+func (t *Tree) setPivot(parent *node, i int, p []byte) {
+	_, c := parent.removePivot(i, i+1)
+	parent.insertPivot(i, bytes.Clone(p), i+1, c)
 }
 
 // borrowCount returns how many leaf entries move from sib into child to
@@ -465,13 +454,6 @@ func (t *Tree) borrowCount(child, sib *node, at func(j int) int) int {
 		cs, ss, m = cs+e, ss-e, m+1
 	}
 	return m
-}
-
-// setPivot replaces parent's pivot i with a copy of p: a pivot must not pin
-// a child's page.
-func (t *Tree) setPivot(parent *node, i int, p []byte) {
-	parent.size += len(p) - len(parent.pivots[i])
-	parent.pivots[i] = bytes.Clone(p)
 }
 
 // borrowFromLeft moves items from the left sibling (parent index i-1) into
@@ -489,14 +471,8 @@ func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
 		return
 	}
 	for child.size < t.minBytes() && sib.size > t.minBytes() && len(sib.children) > 2 {
-		moved := sib.children[len(sib.children)-1]
-		newPivot := sib.pivots[len(sib.pivots)-1]
-		sib.children = sib.children[:len(sib.children)-1]
-		sib.pivots = sib.pivots[:len(sib.pivots)-1]
-		sib.size -= childRefBytes + t.pivotCost(newPivot)
-		child.children = append([]int64{moved}, child.children...)
-		child.pivots = append([][]byte{bytes.Clone(parent.pivots[i-1])}, child.pivots...)
-		child.size += childRefBytes + t.pivotCost(parent.pivots[i-1])
+		newPivot, moved := sib.removePivot(len(sib.pivots)-1, len(sib.children)-1)
+		child.insertPivot(0, bytes.Clone(parent.pivots[i-1]), 0, moved)
 		t.setPivot(parent, i-1, newPivot)
 	}
 }
@@ -562,7 +538,7 @@ func (t *Tree) Check() error {
 		defer t.unpin(off)
 		if n.leaf {
 			// The checks a load makes, then what only the tree knows.
-			size, low, err := n.validate()
+			size, low, heads, err := n.validate(nil)
 			switch {
 			case depth != -1 && depth != level:
 				return fmt.Errorf("leaf %d at depth %d, expected %d", off, level, depth)
@@ -572,6 +548,8 @@ func (t *Tree) Check() error {
 				return fmt.Errorf("leaf %d: %v", off, err)
 			case n.size != size:
 				return fmt.Errorf("node %d: size accounting %d != actual %d", off, n.size, size)
+			case !slices.Equal(n.heads, heads):
+				return fmt.Errorf("leaf %d: head column %x != its keys' heads %x", off, n.heads, heads)
 			case n.low > low || n.free() < 0:
 				return fmt.Errorf("leaf %d: heap start %d outside [%d, %d]", off, n.low, headerBytes+slotBytes*n.count, low)
 			case n.count > 0 && lo != nil && kv.Compare(n.key(0), lo) < 0:
@@ -591,7 +569,13 @@ func (t *Tree) Check() error {
 		if len(n.children) != len(n.pivots)+1 {
 			return fmt.Errorf("node %d: %d children vs %d pivots", off, len(n.children), len(n.pivots))
 		}
+		if len(n.pivotHeads) != len(n.pivots) {
+			return fmt.Errorf("node %d: %d pivot heads vs %d pivots", off, len(n.pivotHeads), len(n.pivots))
+		}
 		for i, p := range n.pivots {
+			if n.pivotHeads[i] != kv.Head(p) {
+				return fmt.Errorf("node %d: pivot head %d is %x, its pivot's is %x", off, i, n.pivotHeads[i], kv.Head(p))
+			}
 			if i > 0 && kv.Compare(n.pivots[i-1], p) >= 0 {
 				return fmt.Errorf("node %d: pivots out of order at %d", off, i)
 			}

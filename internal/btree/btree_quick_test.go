@@ -97,17 +97,16 @@ func TestQuickInternalRoundtrip(t *testing.T) {
 		if len(children) == 0 || len(children) > 16 {
 			return true
 		}
-		n := newInternal()
-		for i, c := range children {
-			if c < 0 {
-				c = -c
+		var pivots [][]byte
+		for i := range children {
+			if children[i] < 0 {
+				children[i] = -children[i]
 			}
-			n.children = append(n.children, c)
 			if i > 0 {
-				n.pivots = append(n.pivots, key(int(pivotSeed)+i))
+				pivots = append(pivots, key(int(pivotSeed)+i))
 			}
 		}
-		n.size = n.computeSize()
+		n := newInternal(pivots, children)
 		buf := n.encode(4096)
 		dec, err := decodeNode(buf)
 		if err != nil {

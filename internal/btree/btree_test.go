@@ -218,7 +218,10 @@ func TestIOChargesTime(t *testing.T) {
 
 // TestRandomOpsAgainstModel drives the tree with a random stream of puts,
 // deletes and gets, mirrored into a map, checking full agreement and
-// structural invariants along the way.
+// structural invariants along the way: after every Put that splits (it adds
+// a node), after every Delete (where leaf and internal nodes borrow and
+// merge) and every 5,000 ops. A final pass deletes every key, down to a root
+// leaf.
 func TestRandomOpsAgainstModel(t *testing.T) {
 	tree := newTestTree(t, 1024, 64<<10)
 	model := map[string]string{}
@@ -227,6 +230,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		id := int(rng.Intn(2000))
 		k := key(id)
+		nodes, structural := tree.Nodes(), false
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // put
 			v := fmt.Sprintf("v%d-%d", id, i)
@@ -239,11 +243,17 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				t.Fatalf("op %d: Delete(%d) = %v, model %v", i, id, got, inModel)
 			}
 			delete(model, string(k))
+			structural = true
 		default: // get
 			v, ok := tree.Get(k)
 			mv, mok := model[string(k)]
 			if ok != mok || (ok && string(v) != mv) {
 				t.Fatalf("op %d: Get(%d) = %q,%v; model %q,%v", i, id, v, ok, mv, mok)
+			}
+		}
+		if structural || tree.Nodes() != nodes {
+			if err := tree.Check(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
 		}
 		if i%5000 == 4999 {
@@ -276,6 +286,27 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		if gotKeys[i] != wantKeys[i] {
 			t.Fatalf("scan[%d] = %s, want %s", i, gotKeys[i], wantKeys[i])
 		}
+	}
+	// The lowest third from the top down borrows leaves from the left; the
+	// rest from the bottom up empties the leftmost subtree, which borrows
+	// leaves and children from the right. Both merge leaves and children.
+	var order []int
+	for j := len(wantKeys)/3 - 1; j >= 0; j-- {
+		order = append(order, j)
+	}
+	for j := len(wantKeys) / 3; j < len(wantKeys); j++ {
+		order = append(order, j)
+	}
+	for i, j := range order {
+		if !tree.Delete([]byte(wantKeys[j])) {
+			t.Fatalf("final delete %d: %s missing", i, wantKeys[j])
+		}
+		if err := tree.Check(); err != nil {
+			t.Fatalf("final delete %d: %v", i, err)
+		}
+	}
+	if tree.Items() != 0 || tree.Height() != 1 {
+		t.Fatalf("after deleting every key: %d items, height %d", tree.Items(), tree.Height())
 	}
 }
 

@@ -26,6 +26,16 @@
 //
 // An internal node is decoded into pivots and children and encoded afresh
 // on write-back, its crc directly after its payload.
+//
+// Every resident node also carries a column of its keys' heads (kv.Head, the
+// first 8 bytes as a big-endian word): a leaf's in directory order (heads),
+// an internal node's beside its pivots (pivotHeads). kv.Search probes the
+// column and loads a key only where heads tie, one load per probe instead of
+// a slot and then a key elsewhere in the page. Columns are uncharged decoded
+// state: the page, size and the pager charge do not count them. A load
+// builds a leaf's column as validate reads every key; the writer edits it
+// beside the directory, and pivots, pivotHeads and size together only
+// through newInternal, insertPivot and removePivot.
 
 package btree
 
@@ -34,7 +44,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"iomodels/internal/kv"
 )
@@ -71,10 +81,12 @@ type node struct {
 	count  int
 	low    int
 	shared bool
+	heads  []uint64 // leaf: head column of the directory's keys
 
-	pivots   [][]byte // internal: len(children)-1 separators
-	children []int64  // internal: child extent offsets
-	size     int      // current serialized size in bytes
+	pivots     [][]byte // internal: len(children)-1 separators
+	pivotHeads []uint64 // internal: head column of pivots
+	children   []int64  // internal: child extent offsets
+	size       int      // current serialized size in bytes
 }
 
 // newLeaf returns an empty leaf on a fresh private page.
@@ -82,7 +94,36 @@ func newLeaf(nodeBytes int) *node {
 	return &node{leaf: true, page: make([]byte, nodeBytes), low: nodeBytes - footerBytes, size: baseNodeBytes}
 }
 
-func newInternal() *node { return &node{size: baseNodeBytes} }
+// newInternal returns an internal node over children, separated by pivots,
+// with their head column and size.
+func newInternal(pivots [][]byte, children []int64) *node {
+	n := &node{pivots: pivots, children: children, pivotHeads: make([]uint64, len(pivots))}
+	for i, p := range pivots {
+		n.pivotHeads[i] = kv.Head(p)
+	}
+	n.size = n.computeSize()
+	return n
+}
+
+// insertPivot inserts pivot p at i and child c at j.
+func (n *node) insertPivot(i int, p []byte, j int, c int64) {
+	n.pivots = slices.Insert(n.pivots, i, p)
+	n.pivotHeads = slices.Insert(n.pivotHeads, i, kv.Head(p))
+	n.children = slices.Insert(n.children, j, c)
+	n.size += childRefBytes + 4 + len(p)
+}
+
+// removePivot removes and returns pivot i and child j.
+func (n *node) removePivot(i, j int) ([]byte, int64) {
+	p, c := n.pivots[i], n.children[j]
+	n.pivots = slices.Delete(n.pivots, i, i+1)
+	n.pivotHeads = slices.Delete(n.pivotHeads, i, i+1)
+	n.children = slices.Delete(n.children, j, j+1)
+	n.size -= childRefBytes + 4 + len(p)
+	return p, c
+}
+
+func (n *node) pivot(i int) []byte { return n.pivots[i] }
 
 // slot returns the page offset of leaf entry i.
 func (n *node) slot(i int) int {
@@ -136,24 +177,14 @@ func (n *node) computeSize() int {
 // findChild returns the index of the child covering key: pivots[i] separates
 // children[i] (keys < pivots[i]) from children[i+1] (keys >= pivots[i]).
 func (n *node) findChild(key []byte) int {
-	return sort.Search(len(n.pivots), func(i int) bool {
-		return kv.Compare(key, n.pivots[i]) < 0
-	})
+	i, _ := kv.Search(len(n.pivots), n.pivotHeads, key, true, n.pivot)
+	return i
 }
 
-// findEntry binary-searches a leaf's slot directory for key and returns its
-// position and whether it is present.
+// findEntry binary-searches a leaf's head column and slot directory for key
+// and returns its position and whether it is present.
 func (n *node) findEntry(key []byte) (int, bool) {
-	lo, hi := 0, n.count
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if kv.Compare(n.key(m), key) < 0 {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < n.count && kv.Compare(n.key(lo), key) == 0
+	return kv.Search(n.count, n.heads, key, false, n.key)
 }
 
 // own makes a leaf's page private before a write: a lent or handed page is
@@ -167,25 +198,28 @@ func (n *node) own() {
 // free is the gap between a leaf's slot directory and its heap.
 func (n *node) free() int { return n.low - headerBytes - slotBytes*n.count }
 
-// push appends an entry to the heap and its offset to the end of the
-// directory of a private page; the caller keeps the directory in key order.
-func (n *node) push(entry []byte) {
+// push appends an entry to the heap, its offset to the end of the directory
+// of a private page and its key's head h to the column; the caller keeps the
+// directory in key order.
+func (n *node) push(entry []byte, h uint64) {
 	if len(entry)+slotBytes > n.free() {
 		panic(fmt.Sprintf("btree: leaf overflows its page: %d+%d > %d free", len(entry), slotBytes, n.free()))
 	}
 	n.low -= len(entry)
 	copy(n.page[n.low:], entry)
 	n.setSlot(n.count, n.low)
+	n.heads = append(n.heads, h)
 	n.count++
 	n.size += slotBytes + len(entry)
 }
 
 // fill pushes entries [i, j) of the leaf src onto n's page and returns n.
 func (n *node) fill(src *node, i, j int) *node {
+	n.heads = slices.Grow(n.heads, j-i)
 	for ; i < j; i++ {
 		off := src.slot(i)
 		k, v := entryAt(src.page, off)
-		n.push(src.page[off : off+entryHeadBytes+len(k)+len(v)])
+		n.push(src.page[off:off+entryHeadBytes+len(k)+len(v)], src.heads[i])
 	}
 	return n
 }
@@ -220,6 +254,7 @@ func (n *node) insertEntry(key, value []byte) bool {
 	dir := n.page[headerBytes:]
 	copy(dir[slotBytes*(i+1):slotBytes*(n.count+1)], dir[slotBytes*i:slotBytes*n.count])
 	n.setSlot(i, n.low)
+	n.heads = slices.Insert(n.heads, i, kv.Head(key))
 	n.count++
 	n.size += slotBytes + need
 	return true
@@ -236,6 +271,7 @@ func (n *node) removeEntry(key []byte) bool {
 	n.size -= n.entrySize(i)
 	dir := n.page[headerBytes:]
 	copy(dir[slotBytes*i:], dir[slotBytes*(i+1):slotBytes*n.count])
+	n.heads = slices.Delete(n.heads, i, i+1)
 	n.count--
 	return true
 }
@@ -290,18 +326,17 @@ func decodeNode(buf []byte) (*node, error) {
 		return nil, fmt.Errorf("btree: bad node magic 0x%02x", buf[0])
 	}
 	d := kv.Dec{Buf: buf, Off: 1}
-	n := &node{}
 	count := int(d.U32())
 	if count < 1 || count > len(buf)/childRefBytes {
 		return nil, fmt.Errorf("btree: implausible child count %d", count)
 	}
-	n.children = make([]int64, 0, count)
+	children := make([]int64, 0, count)
 	for i := 0; i < count && d.Err == nil; i++ {
-		n.children = append(n.children, int64(d.U64()))
+		children = append(children, int64(d.U64()))
 	}
-	n.pivots = make([][]byte, 0, count-1)
+	pivots := make([][]byte, 0, count-1)
 	for i := 0; i < count-1 && d.Err == nil; i++ {
-		n.pivots = append(n.pivots, d.Bytes())
+		pivots = append(pivots, d.Bytes())
 	}
 	if d.Err != nil {
 		return nil, d.Err
@@ -313,14 +348,15 @@ func decodeNode(buf []byte) (*node, error) {
 	if got := crc32.ChecksumIEEE(buf[:payload]); got != binary.BigEndian.Uint32(buf[payload:]) {
 		return nil, errTorn
 	}
-	n.size = payload + footerBytes
-	return n, nil
+	return newInternal(pivots, children), nil
 }
 
 var errTorn = fmt.Errorf("btree: checksum mismatch: extent torn or corrupt")
 
 // loadLeaf validates a leaf page — its crc, its count against the page, and
-// every slot — and returns it as a leaf, shared.
+// every slot — and returns it as a leaf, shared, with its head column. The
+// column has room for a quarter more entries, so the first inserts after a
+// load do not reallocate it.
 func loadLeaf(page []byte) (*node, error) {
 	nb := len(page)
 	if crc32.ChecksumIEEE(page[:nb-footerBytes]) != binary.BigEndian.Uint32(page[nb-footerBytes:]) {
@@ -332,7 +368,7 @@ func loadLeaf(page []byte) (*node, error) {
 	}
 	n := &node{leaf: true, page: page, count: int(count), shared: true}
 	var err error
-	n.size, n.low, err = n.validate()
+	n.size, n.low, n.heads, err = n.validate(make([]uint64, 0, n.count+n.count/4+4))
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +377,9 @@ func loadLeaf(page []byte) (*node, error) {
 
 // validate walks a leaf's directory checking that every entry lies inside the
 // heap, between the directory and the footer, and that keys ascend. It
-// returns the page's size and the lowest entry offset.
-func (n *node) validate() (size, low int, err error) {
+// returns the page's size, the lowest entry offset and heads with the
+// keys' heads appended.
+func (n *node) validate(heads []uint64) (size, low int, _ []uint64, err error) {
 	end := len(n.page) - footerBytes
 	dir := headerBytes + slotBytes*n.count
 	size, low = baseNodeBytes, end
@@ -350,21 +387,22 @@ func (n *node) validate() (size, low int, err error) {
 	for i := 0; i < n.count; i++ {
 		off := n.slot(i)
 		if off < dir || off > end-entryHeadBytes {
-			return 0, 0, fmt.Errorf("btree: leaf slot %d: offset %d outside the heap [%d, %d)", i, off, dir, end)
+			return 0, 0, nil, fmt.Errorf("btree: leaf slot %d: offset %d outside the heap [%d, %d)", i, off, dir, end)
 		}
 		k := int(binary.BigEndian.Uint16(n.page[off:]))
 		v := int(binary.BigEndian.Uint16(n.page[off+2:]))
 		if off+entryHeadBytes+k+v > end {
-			return 0, 0, fmt.Errorf("btree: leaf slot %d: entry of %d+%d bytes at %d runs past the heap", i, k, v, off)
+			return 0, 0, nil, fmt.Errorf("btree: leaf slot %d: entry of %d+%d bytes at %d runs past the heap", i, k, v, off)
 		}
 		key, _ := entryAt(n.page, off)
 		if i > 0 && kv.Compare(prev, key) >= 0 {
-			return 0, 0, fmt.Errorf("btree: leaf entries out of order at %d", i)
+			return 0, 0, nil, fmt.Errorf("btree: leaf entries out of order at %d", i)
 		}
 		prev, size, low = key, size+slotBytes+entryHeadBytes+k+v, min(low, off)
+		heads = append(heads, kv.Head(key))
 	}
 	if size > len(n.page) {
-		return 0, 0, fmt.Errorf("btree: leaf entries of %d bytes overlap in a %d-byte page", size, len(n.page))
+		return 0, 0, nil, fmt.Errorf("btree: leaf entries of %d bytes overlap in a %d-byte page", size, len(n.page))
 	}
-	return size, low, nil
+	return size, low, heads, nil
 }

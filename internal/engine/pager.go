@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"iomodels/internal/obs"
 	"iomodels/internal/sim"
@@ -113,10 +114,12 @@ type shard struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	// dirtyBytes tracks the encoded (Store) size of dirty items. The
-	// durability layer checkpoints when it reaches half its dirty-set
-	// budget (DurabilityConfig.JournalBytes).
+	// dirtyBytes tracks the encoded (Store) size of dirty items, and
+	// dirtyTotal, the pager's sum of it over its shards, moves with it
+	// (addDirty). The durability layer checkpoints when the sum reaches half
+	// its dirty-set budget (DurabilityConfig.JournalBytes).
 	dirtyBytes int64
+	dirtyTotal *atomic.Int64
 	items      map[PageID]*item
 	// lru is the sentinel of a ring of the unpinned, unlatched items:
 	// lru.next is the most recently used, lru.prev the eviction candidate.
@@ -137,6 +140,13 @@ func (sh *shard) unlink(it *item) {
 		it.prev.next, it.next.prev = it.next, it.prev
 		it.prev, it.next = nil, nil
 	}
+}
+
+// addDirty changes sh's dirty bytes, and the pager's total, by d. Caller
+// holds sh.mu.
+func (sh *shard) addDirty(d int64) {
+	sh.dirtyBytes += d
+	sh.dirtyTotal.Add(d)
 }
 
 // overBudget records how far over budget sh is in PeakOver and reports
@@ -163,6 +173,9 @@ type Pager struct {
 	// (a no-steal buffer policy). The dirty working set can then exceed the
 	// budget; PeakOver records by how much.
 	noSteal bool
+	// dirtyBytes is the sum of the shards' dirtyBytes, kept as they change:
+	// the durability layer reads it before every logged mutation.
+	dirtyBytes atomic.Int64
 }
 
 func newPager(cfg Config) *Pager {
@@ -185,7 +198,7 @@ func newPager(cfg Config) *Pager {
 	}
 	p := &Pager{shards: make([]*shard, n)}
 	for i := range p.shards {
-		sh := &shard{budget: per, items: make(map[PageID]*item)}
+		sh := &shard{budget: per, items: make(map[PageID]*item), dirtyTotal: &p.dirtyBytes}
 		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		p.shards[i] = sh
 	}
@@ -220,15 +233,7 @@ func (p *Pager) Used() int64 {
 // DirtyBytes returns the encoded size of dirty (not yet written back)
 // objects across all shards: the write-back volume of the next checkpoint
 // under the no-steal policy.
-func (p *Pager) DirtyBytes() int64 {
-	var total int64
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		total += sh.dirtyBytes
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (p *Pager) DirtyBytes() int64 { return p.dirtyBytes.Load() }
 
 // Stats returns a snapshot of traffic counters, aggregated and per shard.
 func (p *Pager) Stats() PagerStats {
@@ -363,7 +368,7 @@ func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size i
 	it.enc = it.encSize()
 	sh.items[id] = it
 	sh.used += size
-	sh.dirtyBytes += it.enc
+	sh.addDirty(it.enc)
 	sh.mu.Unlock()
 	p.evictToBudget(c, sh)
 }
@@ -468,10 +473,10 @@ func (p *Pager) MarkDirty(c *Client, id PageID, newSize int64) {
 	}
 	newEnc := it.encSize()
 	if it.dirty {
-		sh.dirtyBytes += newEnc - it.enc
+		sh.addDirty(newEnc - it.enc)
 	} else {
 		it.dirty = true
-		sh.dirtyBytes += newEnc
+		sh.addDirty(newEnc)
 	}
 	it.enc = newEnc
 	sh.used += newSize - it.size
@@ -591,7 +596,7 @@ func (p *Pager) flushOne(c *Client, sh *shard, id PageID) {
 	c.popLayer(prev)
 
 	sh.mu.Lock()
-	sh.dirtyBytes -= victim.enc
+	sh.addDirty(-victim.enc)
 	victim.dirty = false
 	victim.enc = 0
 	victim.writing, victim.freeAt = false, c.ctx.Now()
@@ -670,7 +675,7 @@ func (p *Pager) evictOne(c *Client, sh *shard) bool {
 func (sh *shard) remove(it *item) {
 	sh.unlink(it)
 	if it.dirty {
-		sh.dirtyBytes -= it.enc
+		sh.addDirty(-it.enc)
 	}
 	delete(sh.items, it.id)
 	sh.used -= it.size

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -412,6 +413,54 @@ func TestQuickPagerNeverLosesWrites(t *testing.T) {
 		p.Flush(c)
 		for id, want := range latest {
 			if l.disk[id] != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickDirtyBytesIsShardSum: random Put, MarkDirty, Flush and Drop
+// sequences on a four-shard pager small enough that Puts evict (and write
+// back) dirty pages keep DirtyBytes, the pager's running total, equal to the
+// sum of its shards' dirty bytes after every operation.
+func TestQuickDirtyBytesIsShardSum(t *testing.T) {
+	type op struct {
+		Kind uint8
+		Page uint8
+		Size uint8
+	}
+	f := func(script []op) bool {
+		e := New(Config{CacheBytes: 400, Shards: 4}, flatDevice{1 << 30}, sim.New())
+		p, c, l := e.Pager(), e.Owner(), newFakeLoader()
+		for _, o := range script {
+			id, size := PageID(o.Page%32), int64(o.Size%40)+1
+			switch o.Kind % 4 {
+			case 0: // create or rewrite
+				p.Drop(c, id)
+				p.Put(c, l, id, strings.Repeat("x", int(size)), size)
+				p.Unpin(c, id)
+			case 1: // dirty a resident or written-back page, resized
+				if _, ok := l.data[id]; !ok && !p.Contains(id) {
+					continue
+				}
+				p.Get(c, l, id)
+				p.MarkDirty(c, id, size)
+				p.Unpin(c, id)
+			case 2:
+				p.Flush(c)
+			case 3:
+				p.Drop(c, id)
+			}
+			var sum int64
+			for _, sh := range p.shards {
+				sum += sh.dirtyBytes
+			}
+			if got := p.DirtyBytes(); got != sum || sum < 0 {
+				t.Logf("DirtyBytes %d, shards sum to %d", got, sum)
 				return false
 			}
 		}

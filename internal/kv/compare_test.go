@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -61,4 +62,35 @@ func FuzzCompare(f *testing.F) {
 			t.Fatalf("Compare(%x, %x) sign %d, bytes.Compare %d", a, b, got, want)
 		}
 	})
+}
+
+// TestSearchMatchesLinearScan: on a sorted run of every seed key, for every
+// seed key as the target, Search with the run's head column and without one
+// returns what a linear scan finds, in both modes.
+func TestSearchMatchesLinearScan(t *testing.T) {
+	var run [][]byte
+	for _, s := range compareSeeds {
+		run = append(run, s[0], s[1])
+	}
+	slices.SortFunc(run, bytes.Compare)
+	run = slices.CompactFunc(run, bytes.Equal)
+	heads := make([]uint64, len(run))
+	for i, k := range run {
+		heads[i] = Head(k)
+	}
+	key := func(i int) []byte { return run[i] }
+	for _, k := range run {
+		for _, after := range []bool{false, true} {
+			want := 0
+			for want < len(run) && (bytes.Compare(run[want], k) < 0 || after && bytes.Equal(run[want], k)) {
+				want++
+			}
+			wantEq := !after && want < len(run) && bytes.Equal(run[want], k)
+			for _, col := range [][]uint64{heads, nil} {
+				if i, eq := Search(len(run), col, k, after, key); i != want || eq != wantEq {
+					t.Errorf("Search(%q, after %v, column %v) = %d, %v; want %d, %v", k, after, col != nil, i, eq, want, wantEq)
+				}
+			}
+		}
+	}
 }

@@ -8,8 +8,10 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"sort"
 )
 
 // Entry is a key-value pair stored in a leaf.
@@ -44,6 +46,39 @@ func Compare(a, b []byte) int {
 		}
 	}
 	return bytes.Compare(a, b)
+}
+
+// Head is k's first 8 bytes as a big-endian word, zero-padded: where two
+// keys' heads differ they order as the keys do.
+func Head(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// Search is the trees' one binary search over a sorted key run: the first
+// i < n with key(i) >= k (key(i) > k when after is set), or n, and whether
+// key(i) == k (never, with after). heads is the run's head column, or nil
+// for a run without one; a probe loads key(i) only when its head ties k's.
+func Search(n int, heads []uint64, k []byte, after bool, key func(int) []byte) (int, bool) {
+	h, eq := Head(k), false
+	i := sort.Search(n, func(m int) bool {
+		var c int
+		if heads != nil && heads[m] != h {
+			c = cmp.Compare(heads[m], h)
+		} else {
+			c = Compare(key(m), k)
+		}
+		if c < 0 || after && c == 0 {
+			return false
+		}
+		eq = c == 0
+		return true
+	})
+	return i, eq
 }
 
 // Kind discriminates update messages.
