@@ -25,8 +25,9 @@
 #              ship pull, the one write mutation, the trees' one
 #              head-column key search (kv.Search), the one declaration
 #              per /metrics family, the B-tree leaf that is its page, the
-#              Bε-tree's one message merge and one leaf walk and the
-#              stepper's ring of step records removed
+#              Bε-tree's one message merge and one leaf walk, the
+#              stepper's ring of step records and the pager's release by
+#              pin removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -51,8 +52,9 @@
 #              family name written outside promWriter's family and sample,
 #              a B-tree leaf encoded or decoded entry by entry, and a
 #              Bε-tree buffer fed message by message or a third site that
-#              applies a key's messages, and a map or a swept delete( in
-#              the stepper's bookkeeping)
+#              applies a key's messages, a map or a swept delete( in
+#              the stepper's bookkeeping, and an Unpin(, MarkDirty(, Grow(
+#              or Swap( of a page named by a PageID( conversion)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -326,6 +328,17 @@ fi
 dups=$(grep -n -e 'map\[' -e 'delete(' internal/mqssd/*.go | grep -v '_test\.go:' || true)
 if [ -n "$dups" ]; then
 	echo "a map or a delete( in internal/mqssd (book steps in the ring of step records; prune raises the floor):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+
+# A pager caller releases a page through the *engine.Pin that pinned it
+# (DESIGN.md §5): an Unpin(, MarkDirty(, Grow( or Swap( call with a PageID(
+# argument in non-test Go looks the page up again, a hash, a lock round and a
+# map lookup per call.
+dups=$(grep -rnE --include='*.go' '(Unpin|MarkDirty|Grow|Swap)\([^)]*PageID\(' . | grep -v -e '^./vendor/' -e '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a pager call keyed by a PageID( (release through the *engine.Pin that Pin, TryPin, Put or PutClean returned):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -36,14 +36,15 @@ import (
 // (they run on the engine's owner client); concurrent sim processes read
 // through per-client Sessions, sharing nodes via the engine's pager.
 type Tree struct {
-	cfg   Config
-	eng   *engine.Engine
-	owner *engine.Client
-	root  int64
-	rootN *node // root stays pinned
-	items int
-	nodes int
-	seq   uint64
+	cfg     Config
+	eng     *engine.Engine
+	owner   *engine.Client
+	root    int64
+	rootN   *node // root stays pinned, by rootPin
+	rootPin *engine.Pin
+	items   int
+	nodes   int
+	seq     uint64
 
 	// LogicalBytesInserted accumulates the payload bytes of Put/Upsert
 	// calls; write amplification divides disk bytes written by this.
@@ -63,7 +64,7 @@ func New(cfg Config, eng *engine.Engine) (*Tree, error) {
 	t := &Tree{cfg: cfg, eng: eng, owner: eng.Owner()}
 	t.rootN = newLeafNode()
 	t.root = t.allocNode()
-	t.pager().Put(t.owner, (*loader)(t), engine.PageID(t.root), t.rootN, t.rootN.chargeSize(cfg))
+	t.rootPin = t.pager().Put(t.owner, (*loader)(t), engine.PageID(t.root), t.rootN, t.rootN.chargeSize(cfg))
 	// Root remains pinned for the tree's lifetime.
 	return t, nil
 }
@@ -117,13 +118,12 @@ func (t *Tree) freeNode(off int64) {
 	t.eng.Free(off, int64(t.cfg.NodeBytes))
 }
 
-func (t *Tree) unpin(off int64) { t.unpinc(t.owner, off) }
+func (t *Tree) unpin(pin *engine.Pin) { pin.Unpin(t.owner) }
 
-func (t *Tree) unpinc(c *engine.Client, off int64) { t.pager().Unpin(c, engine.PageID(off)) }
+func (t *Tree) markDirty(pin *engine.Pin, n *node) { pin.MarkDirty(t.owner, n.chargeSize(t.cfg)) }
 
-func (t *Tree) markDirty(off int64, n *node) {
-	t.pager().MarkDirty(t.owner, engine.PageID(off), n.chargeSize(t.cfg))
-}
+// release marks n, which pin holds, dirty and unpins it.
+func (t *Tree) release(pin *engine.Pin, n *node) { pin.Release(t.owner, n.chargeSize(t.cfg)) }
 
 // Items returns the number of live keys settled in leaves. Updates still
 // buffered in internal nodes are not counted until they reach a leaf; call
@@ -150,34 +150,34 @@ func (t *Tree) Flush() { t.pager().Flush(t.owner) }
 
 // ensureFull returns the node at off with all content resident and every
 // entry decoded, pinned on the owner client (single-writer paths).
-func (t *Tree) ensureFull(off int64) *node {
-	n := t.ensureFullc(t.owner, off)
+func (t *Tree) ensureFull(off int64) (*node, *engine.Pin) {
+	n, pin := t.ensureFullc(t.owner, off)
 	if err := n.materialize(t.cfg); err != nil {
 		panic(fmt.Sprintf("betree: load of node at %d: %v", off, err))
 	}
-	return n
+	return n, pin
 }
 
 // ensureFullc returns the node at off Full (a Slotted leaf possibly lazy),
 // pinned on behalf of client c. Charges one whole-extent read if anything
-// was missing. Cold misses go through the pager's Get so the busy latch
+// was missing. Cold misses go through the pager's Pin so the busy latch
 // makes concurrent clients share a single load. A resident partial node —
-// or one a concurrent slot read put in between TryGet and Get — is not
+// or one a concurrent slot read put in between TryPin and Pin — is not
 // upgraded in place, since other readers hold it: the whole node is decoded
 // aside and swapped into the pager, and a client that swaps second gets the
 // first one's node.
-func (t *Tree) ensureFullc(c *engine.Client, off int64) *node {
+func (t *Tree) ensureFullc(c *engine.Client, off int64) (*node, *engine.Pin) {
 	id := engine.PageID(off)
-	obj, ok := t.pager().TryGet(c, id)
-	if !ok {
-		obj = t.pager().Get(c, (*loader)(t), id)
+	obj, pin := t.pager().TryPin(c, id)
+	if pin == nil {
+		obj, pin = t.pager().Pin(c, (*loader)(t), id)
 	}
 	n := obj.(*node)
 	if !n.full {
 		whole := t.decodeExtent(off, c.Read(off, t.cfg.NodeBytes))
-		n = t.pager().Swap(c, id, n, whole, whole.chargeSize(t.cfg)).(*node)
+		n = pin.Swap(c, n, whole, whole.chargeSize(t.cfg)).(*node)
 	}
-	return n
+	return n, pin
 }
 
 // leafSlot returns basement j of the Full leaf n at off, clamped to its
@@ -197,14 +197,15 @@ func (t *Tree) leafSlot(off int64, n *node, j int, index bool) ([]kv.Entry, []ui
 
 // readSlot returns slot j of the node at off, reading the minimum the
 // configured QueryMode allows, on behalf of client c. The returned node is
-// pinned; the caller unpins via t.unpinc(c, off).
-func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (*node, slotPayload) {
+// pinned; the caller unpins it with the returned pin.
+func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (*node, *engine.Pin, slotPayload) {
 	id := engine.PageID(off)
 	var n *node
+	var pin *engine.Pin
 	if t.cfg.QueryMode == WholeNode {
-		n = t.ensureFullc(c, off)
-	} else if obj, ok := t.pager().TryGet(c, id); ok {
-		n = obj.(*node)
+		n, pin = t.ensureFullc(c, off)
+	} else if obj, resident := t.pager().TryPin(c, id); resident != nil {
+		n, pin = obj.(*node), resident
 	} else {
 		n = newPartialNode(leaf, height, t.cfg.MaxFanout)
 		if t.cfg.QueryMode == MetaPlusSlot {
@@ -213,7 +214,9 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 		}
 		// Another client may have inserted the node while we read the meta
 		// region; the pager returns the canonical resident object.
-		n = t.pager().PutClean(c, (*loader)(t), id, n, n.chargeSize(t.cfg)).(*node)
+		var obj interface{}
+		obj, pin = t.pager().PutClean(c, (*loader)(t), id, n, n.chargeSize(t.cfg))
+		n = obj.(*node)
 	}
 	if n.full {
 		var p slotPayload
@@ -227,10 +230,10 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 				p.route = n.routes[j]
 			}
 		}
-		return n, p
+		return n, pin, p
 	}
 	if p := n.slots[j].Load(); p != nil {
-		return n, *p
+		return n, pin, *p
 	}
 	stride := t.cfg.slotStride()
 	p, err := decodeSlot(leaf, c.Read(off+int64(t.cfg.metaCap())+int64(j)*int64(stride), stride), nil)
@@ -239,9 +242,9 @@ func (t *Tree) readSlot(c *engine.Client, off int64, leaf bool, height, j int) (
 	}
 	p.index()
 	if n.slots[j].CompareAndSwap(nil, &p) {
-		t.pager().Grow(c, id, n, int64(slotHeader+p.bytes))
+		pin.Grow(c, n, int64(slotHeader+p.bytes))
 	}
-	return n, p
+	return n, pin, p
 }
 
 // ---------------------------------------------------------------------------
@@ -289,32 +292,32 @@ func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
 			if t.cfg.Layout == Slotted {
 				jb = rt.slotIndex(key)
 			}
-			_, p := t.readSlot(c, off, true, height, jb)
+			_, pin, p := t.readSlot(c, off, true, height, jb)
 			if i, ok := kv.Search(len(p.entries), p.heads, key, false, func(i int) []byte { return p.entries[i].Key }); ok {
 				base, baseOK = p.entries[i].Value, true
 			}
-			t.unpinc(c, off)
+			pin.Unpin(c)
 			break
 		}
 		var j2 int
 		var next int64
 		if t.cfg.QueryMode == WholeNode {
-			n, _ := t.readSlot(c, off, false, height, 0) // ensures full
+			n, pin, _ := t.readSlot(c, off, false, height, 0) // ensures full
 			j2 = n.findChild(key)
 			msgs = bufMessagesFor(n.bufs[j2], key)
 			next = n.children[j2]
 			if t.cfg.Layout == Slotted {
 				rt = n.routes[j2]
 			}
-			t.unpinc(c, off)
+			pin.Unpin(c)
 		} else {
 			j2 = rt.slotIndex(key)
 			nextPtrs := rt.ptrs
-			_, p := t.readSlot(c, off, false, height, j2)
+			_, pin, p := t.readSlot(c, off, false, height, j2)
 			msgs = bufMessagesFor(p.buf, key)
 			rt = p.route
 			next = nextPtrs[j2]
-			t.unpinc(c, off)
+			pin.Unpin(c)
 		}
 		levels = append(levels, msgs)
 		absorbed = hasAbsorbing(msgs)
@@ -393,16 +396,16 @@ func (t *Tree) inject(m kv.Message) {
 	root := t.rootN
 	if root.leaf {
 		t.applyToLeaf(root, run)
-		t.markDirty(t.root, root)
+		t.markDirty(t.rootPin, root)
 		if root.leafBytes > t.cfg.leafCapBytes() {
 			t.splitRoot()
 		}
 		return
 	}
 	root.bufs[root.findChild(m.Key)].merge(run)
-	t.markDirty(t.root, root)
+	t.markDirty(t.rootPin, root)
 	for t.overfullNode(root) {
-		t.flushNode(t.root, root)
+		t.flushNode(t.rootPin, root)
 		if len(root.children) > t.cfg.MaxFanout {
 			t.splitRoot()
 			root = t.rootN
@@ -463,25 +466,24 @@ func (t *Tree) flushVictim(n *node) int {
 // paper's flush operation), recursing if the child overflows and splitting
 // or merging children as needed. n may be left with fanout above
 // MaxFanout; the caller splits it.
-func (t *Tree) flushNode(off int64, n *node) {
+func (t *Tree) flushNode(pin *engine.Pin, n *node) {
 	t.Flushes++
 	i := t.flushVictim(n)
 	moved := n.bufs[i]
 	n.bufs[i] = buffer{heads: moved.heads[:0]} // the emptied column's storage is reused
-	childOff := n.children[i]
-	child := t.ensureFull(childOff)
+	child, childPin := t.ensureFull(n.children[i])
 
 	if child.leaf {
 		t.applyToLeaf(child, moved.msgs)
-		t.markDirty(childOff, child)
+		t.markDirty(childPin, child)
 		switch {
 		case child.leafBytes > t.cfg.leafCapBytes():
-			t.splitLeafChild(off, n, i, childOff, child)
+			t.splitLeafChild(n, i, childPin, child)
 		case child.leafBytes < t.cfg.leafCapBytes()/8 && len(n.children) > 1:
-			t.maybeMergeLeafChild(off, n, i, childOff, child)
+			t.maybeMergeLeafChild(n, i, childPin, child)
 		default:
 			t.syncRoute(n, i, child)
-			t.unpin(childOff)
+			t.unpin(childPin)
 		}
 	} else {
 		// One walk cuts the moved run at the child's pivots: each sub-run
@@ -494,18 +496,18 @@ func (t *Tree) flushNode(off int64, n *node) {
 			child.bufs[c].merge(moved.msgs[lo:hi])
 			lo = hi
 		}
-		t.markDirty(childOff, child)
+		t.markDirty(childPin, child)
 		for t.overfullNode(child) {
-			t.flushNode(childOff, child)
+			t.flushNode(childPin, child)
 		}
 		if len(child.children) > t.cfg.MaxFanout {
-			t.splitInternalChild(off, n, i, childOff, child)
+			t.splitInternalChild(n, i, childPin, child)
 		} else {
 			t.syncRoute(n, i, child)
-			t.unpin(childOff)
+			t.unpin(childPin)
 		}
 	}
-	t.markDirty(off, n)
+	t.markDirty(pin, n)
 }
 
 // syncRoute refreshes the parent's copy of child i's routing info
@@ -598,15 +600,14 @@ func (t *Tree) basementCount() int {
 // deliver up to a whole node's worth of messages to one leaf, so one
 // halving is not always enough) and installs the new siblings. Unpins the
 // child and the new leaves.
-func (t *Tree) splitLeafChild(parentOff int64, parent *node, i int, childOff int64, child *node) {
+func (t *Tree) splitLeafChild(parent *node, i int, childPin *engine.Pin, child *node) {
 	chunks := chunkEntries(child.entries, t.cfg.leafCapBytes()/2)
 	// First chunk stays in the child.
 	child.entries = chunks[0]
 	child.leafBytes = entryBytes(chunks[0])
 	child.recut(t.basementCount())
 	t.syncRoute(parent, i, child)
-	t.markDirty(childOff, child)
-	t.unpin(childOff)
+	t.release(childPin, child)
 	// Remaining chunks become new right siblings, installed left to right.
 	at := i
 	for _, chunk := range chunks[1:] {
@@ -620,8 +621,7 @@ func (t *Tree) splitLeafChild(parentOff int64, parent *node, i int, childOff int
 		if t.cfg.Layout == Slotted {
 			parent.routes[at+1] = right.ownRoute()
 		}
-		t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, right.chargeSize(t.cfg))
-		t.pager().Unpin(t.owner, engine.PageID(rightOff))
+		t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, right.chargeSize(t.cfg)).Unpin(t.owner)
 		at++
 	}
 }
@@ -685,18 +685,17 @@ func (t *Tree) removeChild(parent *node, i int) {
 // left leaf takes the right one's entries and its buffer the right one's
 // messages, and the right leaf is freed. Unpins everything it pins,
 // including the child.
-func (t *Tree) maybeMergeLeafChild(parentOff int64, parent *node, i int, childOff int64, child *node) {
+func (t *Tree) maybeMergeLeafChild(parent *node, i int, childPin *engine.Pin, child *node) {
 	j := i + 1
 	if j == len(parent.children) {
 		j = i - 1
 	}
 	if j >= 0 {
-		sibOff := parent.children[j]
-		sib := t.ensureFull(sibOff)
+		sib, sibPin := t.ensureFull(parent.children[j])
 		if sib.leaf && child.leafBytes+sib.leafBytes <= t.cfg.leafCapBytes()*3/4 {
-			l, left, right, rightOff := i, child, sib, sibOff
+			l, left, right, rightPin := i, child, sib, sibPin
 			if j < i {
-				l, left, right, rightOff = j, sib, child, childOff
+				l, left, right, rightPin = j, sib, child, childPin
 			}
 			for _, e := range right.entries { // copies: right's extent goes with right
 				left.entries = append(left.entries, e.Clone())
@@ -709,21 +708,21 @@ func (t *Tree) maybeMergeLeafChild(parentOff int64, parent *node, i int, childOf
 			// The sibling is released before the child, whichever side it
 			// is on: what the pager evicts depends on whether the freed leaf
 			// is still charged when the kept one grows.
-			for _, off := range [2]int64{sibOff, childOff} {
-				if off == rightOff {
-					t.unpin(off)
+			for _, pin := range [2]*engine.Pin{sibPin, childPin} {
+				if pin == rightPin {
+					off := int64(pin.ID())
+					t.unpin(pin)
 					t.freeNode(off)
 				} else {
-					t.markDirty(off, left)
-					t.unpin(off)
+					t.release(pin, left)
 				}
 			}
 			return
 		}
-		t.unpin(sibOff)
+		t.unpin(sibPin)
 	}
 	t.syncRoute(parent, i, child)
-	t.unpin(childOff)
+	t.unpin(childPin)
 }
 
 // splitInternalChild splits the pinned internal child (parent index i) into
@@ -731,7 +730,7 @@ func (t *Tree) maybeMergeLeafChild(parentOff int64, parent *node, i int, childOf
 // that multiway-split several leaves below can leave the child more than
 // one over the bound), partitioning its buffers. Unpins the child and the
 // new siblings.
-func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff int64, child *node) {
+func (t *Tree) splitInternalChild(parent *node, i int, childPin *engine.Pin, child *node) {
 	n := len(child.children)
 	groups := (n + t.cfg.MaxFanout - 1) / t.cfg.MaxFanout
 	if groups < 2 {
@@ -770,8 +769,7 @@ func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff
 	// The first group stays in the child.
 	carve(child, cuts[0], cuts[1])
 	t.syncRoute(parent, i, child)
-	t.markDirty(childOff, child)
-	t.unpin(childOff)
+	t.release(childPin, child)
 
 	at := i
 	for g := 1; g < groups; g++ {
@@ -783,8 +781,7 @@ func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff
 		if t.cfg.Layout == Slotted {
 			parent.routes[at+1] = right.ownRoute()
 		}
-		t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, right.chargeSize(t.cfg))
-		t.pager().Unpin(t.owner, engine.PageID(rightOff))
+		t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, right.chargeSize(t.cfg)).Unpin(t.owner)
 		at++
 	}
 }
@@ -792,26 +789,24 @@ func (t *Tree) splitInternalChild(parentOff int64, parent *node, i int, childOff
 // splitRoot splits a leaf root, or an over-fanout internal one, under a new
 // root.
 func (t *Tree) splitRoot() {
-	old := t.rootN
-	oldOff := t.root
+	old, oldPin := t.rootN, t.rootPin
 	newRoot := newInternalNode(old.height + 1)
-	newRoot.children = []int64{oldOff}
+	newRoot.children = []int64{t.root}
 	newRoot.bufs = []buffer{{}}
 	if t.cfg.Layout == Slotted {
 		newRoot.routes = []route{{}}
 	}
 	newOff := t.allocNode()
-	t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, newRoot.chargeSize(t.cfg))
-	t.pager().Pin(engine.PageID(oldOff)) // the split unpins it
+	newPin := t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, newRoot.chargeSize(t.cfg))
+	oldPin.Hold() // the split unpins it
 	if old.leaf {
-		t.splitLeafChild(newOff, newRoot, 0, oldOff, old)
+		t.splitLeafChild(newRoot, 0, oldPin, old)
 	} else {
-		t.splitInternalChild(newOff, newRoot, 0, oldOff, old)
+		t.splitInternalChild(newRoot, 0, oldPin, old)
 	}
-	t.markDirty(newOff, newRoot)
-	t.unpin(oldOff) // drop the long-lived root pin
-	t.root = newOff
-	t.rootN = newRoot
+	t.markDirty(newPin, newRoot)
+	t.unpin(oldPin) // drop the long-lived root pin
+	t.root, t.rootN, t.rootPin = newOff, newRoot, newPin
 }
 
 // Settle drains every buffered message down to the leaves, so that Items
@@ -824,7 +819,7 @@ func (t *Tree) Settle() {
 		if root.leaf {
 			return
 		}
-		t.settleSubtree(t.root, root)
+		t.settleSubtree(t.rootPin, root)
 		if len(root.children) > t.cfg.MaxFanout {
 			t.splitRoot()
 			continue
@@ -836,27 +831,26 @@ func (t *Tree) Settle() {
 
 // settleSubtree drains the pinned Full node n and recursively its children.
 // n may be left with fanout above MaxFanout; the caller splits it.
-func (t *Tree) settleSubtree(off int64, n *node) {
+func (t *Tree) settleSubtree(pin *engine.Pin, n *node) {
 	if n.leaf {
 		return
 	}
 	for n.bufBytesTotal() > 0 {
-		t.flushNode(off, n)
+		t.flushNode(pin, n)
 	}
 	for i := 0; i < len(n.children); i++ {
-		childOff := n.children[i]
-		child := t.ensureFull(childOff)
+		child, childPin := t.ensureFull(n.children[i])
 		if child.leaf {
-			t.unpin(childOff)
+			t.unpin(childPin)
 			continue
 		}
-		t.settleSubtree(childOff, child)
+		t.settleSubtree(childPin, child)
 		if len(child.children) > t.cfg.MaxFanout {
-			t.splitInternalChild(off, n, i, childOff, child) // unpins child
+			t.splitInternalChild(n, i, childPin, child) // unpins child
 		} else {
 			t.syncRoute(n, i, child)
-			t.markDirty(off, n)
-			t.unpin(childOff)
+			t.markDirty(pin, n)
+			t.unpin(childPin)
 		}
 	}
 }
@@ -867,12 +861,11 @@ func (t *Tree) maybeCollapseRoot() {
 	root := t.rootN
 	for !root.leaf && len(root.children) == 1 && root.bufs[0].bytes == 0 {
 		childOff := root.children[0]
-		child := t.ensureFull(childOff) // pinned: becomes the root pin
+		child, childPin := t.ensureFull(childOff) // pinned: becomes the root pin
 		oldOff := t.root
-		t.unpin(oldOff)
+		t.unpin(t.rootPin)
 		t.freeNode(oldOff)
-		t.root = childOff
-		t.rootN = child
+		t.root, t.rootN, t.rootPin = childOff, child, childPin
 		root = child
 	}
 }

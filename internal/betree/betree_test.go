@@ -482,11 +482,11 @@ func TestGetThroughDecodedSlots(t *testing.T) {
 func residentSlots(tree *Tree) (bufSlots, indexed, bare int) {
 	var walk func(off int64, rt route)
 	walk = func(off int64, rt route) {
-		obj, ok := tree.pager().TryGet(tree.owner, engine.PageID(off))
-		if !ok {
+		obj, pin := tree.pager().TryPin(tree.owner, engine.PageID(off))
+		if pin == nil {
 			return
 		}
-		defer tree.unpin(off)
+		defer tree.unpin(pin)
 		n := obj.(*node)
 		for i, c := range n.children { // a whole internal node
 			var crt route

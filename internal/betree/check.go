@@ -31,8 +31,9 @@ func (t *Tree) Check() error {
 
 func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 	if n == nil {
-		n = t.ensureFull(off)
-		defer t.unpin(off)
+		var pin *engine.Pin
+		n, pin = t.ensureFull(off)
+		defer t.unpin(pin)
 	}
 	if !n.full {
 		return fmt.Errorf("node %d: not full after ensureFull", off)
@@ -116,19 +117,19 @@ func (t *Tree) checkNode(off int64, n *node, lo, hi []byte, height int) error {
 		if err := t.checkResident(c); err != nil {
 			return fmt.Errorf("node %d child %d: %v", off, i, err)
 		}
-		child := t.ensureFull(c)
+		child, childPin := t.ensureFull(c)
 		if t.cfg.Layout == Slotted {
 			err := checkColumn(n.routes[i].heads, len(n.routes[i].keys), n.routes[i].key)
 			if err == nil {
 				err = routesEqual(n.routes[i], child.ownRoute())
 			}
 			if err != nil {
-				t.unpin(c)
+				t.unpin(childPin)
 				return fmt.Errorf("node %d route %d: %v", off, i, err)
 			}
 		}
 		err := t.checkNode(c, child, clo, chi, height-1)
-		t.unpin(c)
+		t.unpin(childPin)
 		if err != nil {
 			return err
 		}
@@ -158,11 +159,11 @@ func routesEqual(a, b route) error {
 // basements, which ensureFull replaces or materializes. A basement that only
 // scans have read has no column yet.
 func (t *Tree) checkResident(off int64) error {
-	obj, ok := t.pager().TryGet(t.owner, engine.PageID(off))
-	if !ok {
+	obj, pin := t.pager().TryPin(t.owner, engine.PageID(off))
+	if pin == nil {
 		return nil
 	}
-	defer t.unpin(off)
+	defer t.unpin(pin)
 	n := obj.(*node)
 	for j := range n.slots {
 		p := n.slots[j].Load()

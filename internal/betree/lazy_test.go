@@ -23,13 +23,13 @@ func leafOffsets(tr *Tree) []int64 {
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, c := range n.children {
-			child := tr.ensureFullc(tr.owner, c)
+			child, pin := tr.ensureFullc(tr.owner, c)
 			if child.leaf {
 				offs = append(offs, c)
 			} else {
 				walk(child)
 			}
-			tr.unpin(c)
+			tr.unpin(pin)
 		}
 	}
 	walk(tr.rootN)
@@ -182,11 +182,11 @@ func TestLazyScansMatchShadow(t *testing.T) {
 			scan(nil, keyspace, "whole")
 			lazy := 0
 			for _, off := range leaves {
-				if obj, ok := tree.pager().TryGet(tree.owner, engine.PageID(off)); ok {
+				if obj, pin := tree.pager().TryPin(tree.owner, engine.PageID(off)); pin != nil {
 					if obj.(*node).ext != nil {
 						lazy++
 					}
-					tree.unpin(off)
+					tree.unpin(pin)
 				}
 			}
 			if lazy == 0 {

@@ -51,7 +51,7 @@ func Open(cfg Config, eng *engine.Engine, manifest []byte) (*Tree, error) {
 	if d.Err != nil {
 		return nil, fmt.Errorf("betree: corrupt manifest: %w", d.Err)
 	}
-	t.rootN = t.ensureFull(t.root) // pins the root, as New does
+	t.rootN, t.rootPin = t.ensureFull(t.root) // pins the root, as New does
 	return t, nil
 }
 

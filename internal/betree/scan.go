@@ -43,8 +43,9 @@ func (t *Tree) ScanN(lo []byte, n int) []kv.Entry {
 // stopped the scan.
 func (t *Tree) scanNode(c *engine.Client, off int64, n *node, rt route, lo, hi []byte, pending []kv.Message, fn func(k, v []byte) bool) bool {
 	if n == nil {
-		n = t.ensureFullc(c, off)
-		defer t.unpinc(c, off)
+		var pin *engine.Pin
+		n, pin = t.ensureFullc(c, off)
+		defer pin.Unpin(c)
 	}
 	if n.leaf {
 		if n.ext == nil {

@@ -21,7 +21,7 @@ func borrowFixture(t *testing.T) *Tree {
 func leafWith(ids ...int) *node {
 	n := newLeaf(1024)
 	for _, id := range ids {
-		n.insertEntry(key(id), bytes.Repeat([]byte{byte(id)}, 60))
+		insert(n, key(id), bytes.Repeat([]byte{byte(id)}, 60))
 	}
 	return n
 }

@@ -66,6 +66,8 @@ type Tree struct {
 	height int // levels including root; 1 = root is a leaf
 	items  int
 	nodes  int
+	// scratch is the writer's page that a repack moves entries through.
+	scratch []byte
 	// LogicalBytesInserted accumulates the payload bytes of Put calls; write
 	// amplification is disk bytes written divided by this.
 	LogicalBytesInserted int64
@@ -76,12 +78,11 @@ func New(cfg Config, eng *engine.Engine) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, eng: eng, owner: eng.Owner()}
+	t := &Tree{cfg: cfg, eng: eng, owner: eng.Owner(), scratch: make([]byte, cfg.NodeBytes)}
 	root := newLeaf(cfg.NodeBytes)
 	t.root = t.allocNode()
 	t.height = 1
-	t.pager().Put(t.owner, (*loader)(t), engine.PageID(t.root), root, int64(root.size))
-	t.pager().Unpin(t.owner, engine.PageID(t.root))
+	t.pager().Put(t.owner, (*loader)(t), engine.PageID(t.root), root, int64(root.size)).Unpin(t.owner)
 	return t, nil
 }
 
@@ -126,22 +127,23 @@ func (t *Tree) freeNode(off int64) {
 	t.eng.Free(off, int64(t.cfg.NodeBytes))
 }
 
-// getc pins and returns the node at off on behalf of client c.
-func (t *Tree) getc(c *engine.Client, off int64) *node {
-	return t.pager().Get(c, (*loader)(t), engine.PageID(off)).(*node)
+// getc pins and returns the node at off on behalf of client c, with the
+// pin that releases it.
+func (t *Tree) getc(c *engine.Client, off int64) (*node, *engine.Pin) {
+	obj, pin := t.pager().Pin(c, (*loader)(t), engine.PageID(off))
+	return obj.(*node), pin
 }
 
-func (t *Tree) unpinc(c *engine.Client, off int64) { t.pager().Unpin(c, engine.PageID(off)) }
-
-// get/unpin/dirty are the owner-client shorthands the single-writer
+// get/unpin/dirty/release are the owner-client shorthands the single-writer
 // mutation path uses.
-func (t *Tree) get(off int64) *node { return t.getc(t.owner, off) }
+func (t *Tree) get(off int64) (*node, *engine.Pin) { return t.getc(t.owner, off) }
 
-func (t *Tree) unpin(off int64) { t.unpinc(t.owner, off) }
+func (t *Tree) unpin(pin *engine.Pin) { pin.Unpin(t.owner) }
 
-func (t *Tree) dirty(off int64, n *node) {
-	t.pager().MarkDirty(t.owner, engine.PageID(off), int64(n.size))
-}
+func (t *Tree) dirty(pin *engine.Pin, n *node) { pin.MarkDirty(t.owner, int64(n.size)) }
+
+// release marks n, which pin holds, dirty and unpins it.
+func (t *Tree) release(pin *engine.Pin, n *node) { pin.Release(t.owner, int64(n.size)) }
 
 // Items returns the number of live keys.
 func (t *Tree) Items() int { return t.items }
@@ -175,20 +177,19 @@ func (t *Tree) Get(key []byte) ([]byte, bool) { return t.GetAs(t.owner, key) }
 
 // GetAs is Get charged to c.
 func (t *Tree) GetAs(c *engine.Client, key []byte) ([]byte, bool) {
-	off := t.root
-	n := t.getc(c, off)
+	n, pin := t.getc(c, t.root)
 	for !n.leaf {
 		child := n.children[n.findChild(key)]
-		t.unpinc(c, off)
-		off = child
-		n = t.getc(c, off)
+		pin.Unpin(c)
+		n, pin = t.getc(c, child)
 	}
 	i, found := n.findEntry(key)
 	var val []byte
 	if found {
+		n.view()
 		_, val = n.entry(i)
 	}
-	t.unpinc(c, off)
+	pin.Unpin(c)
 	return val, found
 }
 
@@ -216,60 +217,56 @@ func (t *Tree) Put(key, value []byte) {
 	t.checkKV(key, value)
 	t.LogicalBytesInserted += int64(len(key) + len(value))
 	rootOff := t.root
-	root := t.get(rootOff)
+	root, rootPin := t.get(rootOff)
 	if t.full(root) {
 		// Grow the tree: new root with the old root as its only child.
 		newRoot := newInternal(nil, []int64{rootOff})
 		newOff := t.allocNode()
-		t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, int64(newRoot.size))
-		t.splitChild(newOff, newRoot, 0, rootOff, root)
-		t.unpin(rootOff)
+		newPin := t.pager().Put(t.owner, (*loader)(t), engine.PageID(newOff), newRoot, int64(newRoot.size))
+		t.splitChild(newPin, newRoot, 0, rootPin, root)
+		t.unpin(rootPin)
 		t.root = newOff
 		t.height++
-		rootOff, root = newOff, newRoot
+		rootPin, root = newPin, newRoot
 	}
-	t.insertNonFull(rootOff, root, key, value)
+	t.insertNonFull(rootPin, root, key, value)
 }
 
 // insertNonFull descends from a pinned, non-full node, splitting full
 // children ahead of the descent. It consumes (unpins) the node.
-func (t *Tree) insertNonFull(off int64, n *node, key, value []byte) {
+func (t *Tree) insertNonFull(pin *engine.Pin, n *node, key, value []byte) {
 	for !n.leaf {
 		i := n.findChild(key)
-		childOff := n.children[i]
-		child := t.get(childOff)
+		child, childPin := t.get(n.children[i])
 		if t.full(child) {
-			t.splitChild(off, n, i, childOff, child)
+			t.splitChild(pin, n, i, childPin, child)
 			// The split may have redirected key to the new right sibling.
 			if j := n.findChild(key); j != i {
-				t.unpin(childOff)
-				childOff = n.children[j]
-				child = t.get(childOff)
+				t.unpin(childPin)
+				child, childPin = t.get(n.children[j])
 			}
 		}
-		t.unpin(off)
-		off, n = childOff, child
+		t.unpin(pin)
+		pin, n = childPin, child
 	}
-	if n.insertEntry(key, value) {
+	if n.insertEntry(key, value, t.scratch) {
 		t.items++
 	}
-	t.dirty(off, n)
-	t.unpin(off)
+	t.release(pin, n)
 }
 
 // splitChild splits the pinned child (at parent index i) into two, promoting
 // a pivot into the pinned parent. Both nodes stay pinned; the new right
 // sibling is unpinned before return.
-func (t *Tree) splitChild(parentOff int64, parent *node, i int, childOff int64, child *node) {
+func (t *Tree) splitChild(parentPin *engine.Pin, parent *node, i int, childPin *engine.Pin, child *node) {
 	right, pivot := t.splitNode(child)
 	rightOff := t.allocNode()
 
 	parent.insertPivot(i, pivot, i+1, rightOff)
 
-	t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, int64(right.size))
-	t.pager().Unpin(t.owner, engine.PageID(rightOff))
-	t.dirty(parentOff, parent)
-	t.dirty(childOff, child)
+	t.pager().Put(t.owner, (*loader)(t), engine.PageID(rightOff), right, int64(right.size)).Unpin(t.owner)
+	t.dirty(parentPin, parent)
+	t.dirty(childPin, child)
 }
 
 // splitNode moves the upper half (by bytes) of n into a fresh right sibling
@@ -287,9 +284,8 @@ func (t *Tree) splitNode(n *node) (*node, []byte) {
 		if cut == 0 {
 			cut = 1
 		}
-		nb := len(n.page)
-		right := newLeaf(nb).fill(n, cut, n.count)
-		*n = *newLeaf(nb).fill(n, 0, cut)
+		right := newLeaf(len(n.page)).fill(n, cut, n.count)
+		n.repack(0, cut, t.scratch)
 		return right, bytes.Clone(right.key(0))
 	}
 	if len(n.children) < 4 {
@@ -309,7 +305,7 @@ func (t *Tree) splitNode(n *node) (*node, []byte) {
 	}
 	pivot := bytes.Clone(n.pivots[m]) // the parent must not pin n's extent
 	right := newInternal(slices.Clone(n.pivots[m+1:]), slices.Clone(n.children[m+1:]))
-	*n = *newInternal(n.pivots[:m:m], n.children[:m+1:m+1])
+	n.set(newInternal(n.pivots[:m:m], n.children[:m+1:m+1]))
 	return right, pivot
 }
 
@@ -319,70 +315,64 @@ func (t *Tree) minBytes() int { return t.cfg.NodeBytes / 4 }
 
 // Delete removes key, reporting whether it was present.
 func (t *Tree) Delete(key []byte) bool {
-	off := t.root
-	n := t.get(off)
+	n, pin := t.get(t.root)
 	for !n.leaf {
-		i := n.findChild(key)
-		childOff, child := t.fixSparseChild(off, n, i, key)
+		child, childPin := t.fixSparseChild(pin, n, n.findChild(key))
 		// Root collapse: fixSparseChild may have merged the root's only
 		// remaining children.
-		if off == t.root && !n.leaf && len(n.children) == 1 {
+		if off := int64(pin.ID()); off == t.root && len(n.children) == 1 {
 			only := n.children[0]
-			t.unpin(off)
+			t.unpin(pin)
 			t.freeNode(off)
 			t.root = only
 			t.height--
 		} else {
-			t.unpin(off)
+			t.unpin(pin)
 		}
-		off, n = childOff, child
+		n, pin = child, childPin
 	}
 	removed := n.removeEntry(key)
 	if removed {
 		t.items--
-		t.dirty(off, n)
+		t.release(pin, n)
+	} else {
+		t.unpin(pin)
 	}
-	t.unpin(off)
 	return removed
 }
 
-// fixSparseChild ensures the child of parent covering key is at least
-// minBytes before descent, borrowing from or merging with a sibling.
-// It returns the (possibly different) pinned child to descend into.
-func (t *Tree) fixSparseChild(parentOff int64, parent *node, i int, key []byte) (int64, *node) {
-	childOff := parent.children[i]
-	child := t.get(childOff)
+// fixSparseChild ensures parent's child i is at least minBytes before
+// descent, borrowing from or merging with a sibling. It returns the
+// (possibly different) pinned child to descend into.
+func (t *Tree) fixSparseChild(parentPin *engine.Pin, parent *node, i int) (*node, *engine.Pin) {
+	child, childPin := t.get(parent.children[i])
 	if child.size >= t.minBytes() || len(parent.children) == 1 {
-		return childOff, child
+		return child, childPin
 	}
 	// Prefer the right sibling; fall back to the left.
 	if i+1 < len(parent.children) {
-		sibOff := parent.children[i+1]
-		sib := t.get(sibOff)
+		sib, sibPin := t.get(parent.children[i+1])
 		if child.size+sib.size-baseNodeBytes+t.pivotCost(parent.pivots[i]) <= t.mergeLimit() {
-			t.mergeChildren(parentOff, parent, i, childOff, child, sibOff, sib)
-			return childOff, child
+			t.mergeChildren(parentPin, parent, i, childPin, child, sibPin, sib)
+			return child, childPin
 		}
 		t.borrowFromRight(parent, i, child, sib)
-		t.dirty(parentOff, parent)
-		t.dirty(childOff, child)
-		t.dirty(sibOff, sib)
-		t.unpin(sibOff)
-		return childOff, child
+		t.dirty(parentPin, parent)
+		t.dirty(childPin, child)
+		t.release(sibPin, sib)
+		return child, childPin
 	}
-	sibOff := parent.children[i-1]
-	sib := t.get(sibOff)
+	sib, sibPin := t.get(parent.children[i-1])
 	if child.size+sib.size-baseNodeBytes+t.pivotCost(parent.pivots[i-1]) <= t.mergeLimit() {
 		// Merge child into the left sibling and descend into the sibling.
-		t.mergeChildren(parentOff, parent, i-1, sibOff, sib, childOff, child)
-		return sibOff, sib
+		t.mergeChildren(parentPin, parent, i-1, sibPin, sib, childPin, child)
+		return sib, sibPin
 	}
 	t.borrowFromLeft(parent, i, child, sib)
-	t.dirty(parentOff, parent)
-	t.dirty(childOff, child)
-	t.dirty(sibOff, sib)
-	t.unpin(sibOff)
-	return childOff, child
+	t.dirty(parentPin, parent)
+	t.dirty(childPin, child)
+	t.release(sibPin, sib)
+	return child, childPin
 }
 
 func (t *Tree) pivotCost(p []byte) int { return 4 + len(p) }
@@ -394,24 +384,25 @@ func (t *Tree) mergeLimit() int {
 
 // mergeChildren folds the pinned right node into the pinned left node and
 // removes pivot i from the parent. The right node is freed and unpinned.
-func (t *Tree) mergeChildren(parentOff int64, parent *node, i int, leftOff int64, left *node, rightOff int64, right *node) {
+func (t *Tree) mergeChildren(parentPin *engine.Pin, parent *node, i int, leftPin *engine.Pin, left *node, rightPin *engine.Pin, right *node) {
 	if left.leaf != right.leaf {
 		panic("btree: merging nodes of different kinds")
 	}
 	// What moves into left is copied: it must not pin another node's extent.
 	if left.leaf {
-		*left = *newLeaf(len(left.page)).fill(left, 0, left.count).fill(right, 0, right.count)
+		left.repack(0, left.count, t.scratch).fill(right, 0, right.count)
 	} else {
 		pivots := left.pivots
 		for _, p := range append([][]byte{parent.pivots[i]}, right.pivots...) {
 			pivots = append(pivots, bytes.Clone(p))
 		}
-		*left = *newInternal(pivots, append(left.children, right.children...))
+		left.set(newInternal(pivots, append(left.children, right.children...)))
 	}
 	parent.removePivot(i, i+1)
-	t.dirty(parentOff, parent)
-	t.dirty(leftOff, left)
-	t.unpin(rightOff)
+	t.dirty(parentPin, parent)
+	t.dirty(leftPin, left)
+	rightOff := int64(rightPin.ID())
+	t.unpin(rightPin)
 	t.freeNode(rightOff)
 }
 
@@ -423,9 +414,8 @@ func (t *Tree) borrowFromRight(parent *node, i int, child, sib *node) {
 		if m == 0 {
 			return
 		}
-		nb := len(child.page)
-		*child = *newLeaf(nb).fill(child, 0, child.count).fill(sib, 0, m)
-		*sib = *newLeaf(nb).fill(sib, m, sib.count)
+		child.repack(0, child.count, t.scratch).fill(sib, 0, m)
+		sib.repack(m, sib.count, t.scratch)
 		t.setPivot(parent, i, sib.key(0))
 		return
 	}
@@ -464,9 +454,9 @@ func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
 		if m == 0 {
 			return
 		}
-		nb, cut := len(child.page), sib.count-m
-		*child = *newLeaf(nb).fill(sib, cut, sib.count).fill(child, 0, child.count)
-		*sib = *newLeaf(nb).fill(sib, 0, cut)
+		cut := sib.count - m
+		child.set(newLeaf(len(child.page)).fill(sib, cut, sib.count).fill(child, 0, child.count))
+		sib.repack(0, cut, t.scratch)
 		t.setPivot(parent, i-1, child.key(0))
 		return
 	}
@@ -484,12 +474,15 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
 }
 
 func (t *Tree) scan(c *engine.Client, off int64, lo, hi []byte, fn func(key, value []byte) bool) bool {
-	n := t.getc(c, off)
-	defer t.unpinc(c, off)
+	n, pin := t.getc(c, off)
+	defer pin.Unpin(c)
 	if n.leaf {
 		i := 0
 		if lo != nil {
 			i, _ = n.findEntry(lo)
+		}
+		if i < n.count {
+			n.view()
 		}
 		for ; i < n.count; i++ {
 			k, v := n.entry(i)
@@ -534,8 +527,8 @@ func (t *Tree) Check() error {
 	depth := -1
 	var walk func(off int64, lo, hi []byte, level int) error
 	walk = func(off int64, lo, hi []byte, level int) error {
-		n := t.get(off)
-		defer t.unpin(off)
+		n, pin := t.get(off)
+		defer t.unpin(pin)
 		if n.leaf {
 			// The checks a load makes, then what only the tree knows.
 			size, low, heads, err := n.validate(nil)

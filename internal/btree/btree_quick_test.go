@@ -68,7 +68,7 @@ func TestQuickSerializationRoundtrip(t *testing.T) {
 			if len(ids) > 20 {
 				break
 			}
-			n.insertEntry(key(int(id%100)), bytes.Repeat([]byte{1}, int(vlen)%64))
+			insert(n, key(int(id%100)), bytes.Repeat([]byte{1}, int(vlen)%64))
 		}
 		dec, err := decodeNode(bytes.Clone(n.encode(4096)))
 		if err != nil {

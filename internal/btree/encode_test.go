@@ -16,9 +16,9 @@ const (
 
 func goldenLeaf() *node {
 	n := newLeaf(96)
-	n.insertEntry([]byte("apple"), []byte("red"))
-	n.insertEntry([]byte("kiwi"), []byte{})
-	n.insertEntry([]byte("fig"), []byte("purple-ish"))
+	insert(n, []byte("apple"), []byte("red"))
+	insert(n, []byte("kiwi"), []byte{})
+	insert(n, []byte("fig"), []byte("purple-ish"))
 	return n
 }
 
@@ -84,7 +84,7 @@ func TestDecodeAllocsIndependentOfEntries(t *testing.T) {
 	allocs := func(entries int) float64 {
 		leaf := newLeaf(8 << 10)
 		for i := 0; i < entries; i++ {
-			leaf.insertEntry(key(i), value(i))
+			insert(leaf, key(i), value(i))
 		}
 		ext := leaf.encode(8 << 10)
 		return testing.AllocsPerRun(50, func() {
@@ -110,7 +110,7 @@ func TestMovedKeysOwned(t *testing.T) {
 		var children []int64
 		for i := 0; i < size; i++ {
 			if leaf {
-				n.insertEntry(key(from+i), value(from+i))
+				insert(n, key(from+i), value(from+i))
 				continue
 			}
 			children = append(children, int64(from+i)*4096)
@@ -137,7 +137,7 @@ func TestMovedKeysOwned(t *testing.T) {
 		}
 		return false
 	}
-	tr := &Tree{cfg: Config{NodeBytes: 1024, MaxKeyBytes: 32, MaxValueBytes: 128}}
+	tr := &Tree{cfg: Config{NodeBytes: 1024, MaxKeyBytes: 32, MaxValueBytes: 128}, scratch: make([]byte, 1024)}
 
 	n, ext := decoded(false, 8, 0)
 	if _, pivot := tr.splitNode(n); views(pivot, ext) {

@@ -19,6 +19,7 @@ import (
 
 	"iomodels/internal/engine"
 	"iomodels/internal/hdd"
+	"iomodels/internal/kv"
 	"iomodels/internal/sim"
 	"iomodels/internal/storage"
 )
@@ -47,15 +48,18 @@ func (w *watch) changed(pages []uintptr, nb int) ([]byte, bool) {
 	return nil, false
 }
 
-// leafPages returns the sorted start addresses of the tree's leaf pages.
-func leafPages(t *Tree) []uintptr {
+// leafPages returns the sorted start addresses of the tree's leaf pages, and
+// each leaf's heap as it is now.
+func leafPages(t *Tree) ([]uintptr, map[*node]heap) {
 	var pages []uintptr
+	heaps := map[*node]heap{}
 	var walk func(off int64)
 	walk = func(off int64) {
-		n := t.get(off)
-		defer t.unpin(off)
+		n, pin := t.get(off)
+		defer t.unpin(pin)
 		if n.leaf {
-			pages = append(pages, uintptr(unsafe.Pointer(unsafe.SliceData(n.page))))
+			pages = append(pages, pageStart(n))
+			heaps[n] = heap{pageStart(n), n.low, n.heapSum(n.low)}
 		}
 		for _, c := range n.children {
 			walk(c)
@@ -63,7 +67,35 @@ func leafPages(t *Tree) []uintptr {
 	}
 	walk(t.root)
 	slices.Sort(pages)
-	return pages
+	return pages, heaps
+}
+
+func pageStart(n *node) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(n.page))) }
+
+// heap is where a leaf's page starts, where its heap starts, and the heap's
+// crc.
+type heap struct {
+	page uintptr
+	low  int
+	sum  uint32
+}
+
+// heapSum is the crc of a leaf's page from low to the footer.
+func (n *node) heapSum(low int) uint32 {
+	return crc32.ChecksumIEEE(n.page[low : len(n.page)-footerBytes])
+}
+
+// repackedInPlace counts the leaves of before whose page is the same one
+// and whose heap then differs now: no write but a repack in place changes
+// entry bytes on a page.
+func repackedInPlace(before map[*node]heap) int {
+	moved := 0
+	for n, h := range before {
+		if pageStart(n) == h.page && n.heapSum(h.low) != h.sum {
+			moved++
+		}
+	}
+	return moved
 }
 
 // handoverLog is a byte store that watches every page handed to it.
@@ -110,10 +142,12 @@ func (pageScript) Generate(r *rand.Rand, _ int) reflect.Value {
 // handed over and lent again — against a sorted map. After every op the tree
 // passes Check, every value view a Get or a Scan returned still holds what it
 // held when returned, and every page handed to the store still holds what it
-// held when handed (a slice is watched until no leaf holds its page).
+// held when handed (a slice is watched until no leaf holds its page). The
+// scripts must also have repacked leaves in place, rewriting entry bytes no
+// reader had viewed.
 func TestQuickLeafPageRules(t *testing.T) {
 	const nb = 1024
-	peak, shrank := 1, false
+	peak, shrank, inPlace := 1, false, 0
 	f := func(s pageScript) bool {
 		store := &handoverLog{ByteStore: storage.NewStore(hdd.NewDeterministic(hdd.DefaultProfile()))}
 		eng := engine.FromStore(engine.Config{CacheBytes: 1 << 20, Shards: 1}, store, sim.New())
@@ -125,6 +159,7 @@ func TestQuickLeafPageRules(t *testing.T) {
 		var views watch
 		handovers, maxNodes := 0, 0
 		var read []byte // the key the last Get read
+		_, heaps := leafPages(tree)
 		for step, op := range s {
 			k := key(int(op.ID) % pageKeys)
 			if op.Kind%16 == 6 && read != nil {
@@ -179,7 +214,9 @@ func TestQuickLeafPageRules(t *testing.T) {
 				t.Logf("step %d: %v", step, err)
 				return false
 			}
-			pages := leafPages(tree)
+			inPlace += repackedInPlace(heaps)
+			var pages []uintptr
+			pages, heaps = leafPages(tree)
 			if was, ok := views.changed(pages, nb); ok {
 				t.Logf("step %d: a view returned earlier no longer holds %q", step, was)
 				return false
@@ -199,8 +236,47 @@ func TestQuickLeafPageRules(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if peak < 3 || !shrank {
-		t.Fatalf("scripts too tame: peak height %d, nodes merged %v", peak, shrank)
+	if peak < 3 || !shrank || inPlace == 0 {
+		t.Fatalf("scripts too tame: peak height %d, nodes merged %v, %d leaves repacked in place", peak, shrank, inPlace)
+	}
+}
+
+// TestQuickRepackMatchesFill: a leaf repacked in place — one built by
+// inserts, replaces and deletes, some of them sealed by a write-back and
+// copied by the next edit — is byte for byte, and column for column, the
+// leaf newLeaf(nb).fill builds from it, and keeps its page.
+func TestQuickRepackMatchesFill(t *testing.T) {
+	const nb = 1024
+	scratch := make([]byte, nb)
+	f := func(ops []struct{ Kind, ID, VLen uint8 }, i, j uint8, seal bool) bool {
+		n := newLeaf(nb)
+		for _, op := range ops {
+			k, v := key(int(op.ID%64)), bytes.Repeat([]byte{op.VLen}, int(op.VLen)%40)
+			if op.Kind%4 == 0 {
+				n.removeEntry(k)
+			} else if n.size+kv.EncodedEntrySize(k, v) <= nb {
+				n.insertEntry(k, v, scratch)
+			}
+		}
+		if seal {
+			n.encode(nb)
+			n.own() // a copy of a sealed page: its header and crc are set
+		}
+		lo := int(i) % (n.count + 1)
+		hi := lo + int(j)%(n.count-lo+1)
+		want, page := newLeaf(nb).fill(n, lo, hi), pageStart(n)
+		n.repack(lo, hi, scratch)
+		if pageStart(n) != page || !bytes.Equal(n.page, want.page) || !slices.Equal(n.heads, want.heads) ||
+			n.count != want.count || n.low != want.low || n.size != want.size {
+			t.Logf("repack(%d, %d) of %d entries: in place %v, page equal %v, heads equal %v, count %d/%d, low %d/%d, size %d/%d",
+				lo, hi, n.count, pageStart(n) == page, bytes.Equal(n.page, want.page), slices.Equal(n.heads, want.heads),
+				n.count, want.count, n.low, want.low, n.size, want.size)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -218,7 +294,7 @@ func FuzzLeafPage(f *testing.F) {
 	const nb = 1024
 	real := newLeaf(nb)
 	for i := 0; i < 12; i++ {
-		real.insertEntry(key(i), value(i))
+		insert(real, key(i), value(i))
 	}
 	page := bytes.Clone(real.encode(nb))
 	f.Add(page)

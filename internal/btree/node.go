@@ -19,10 +19,12 @@
 // header plus footer baseNodeBytes, so size — what split, merge, borrow and
 // the pager charge read — is the byte count of the live page. Three rules
 // keep the views a Get returns valid: a page a read lent or the store was
-// handed is never written (the first mutation copies it); entry bytes in a
-// private page are never overwritten (a write appends, a delete edits the
-// directory, a page short of free space is compacted into a fresh one); and
-// a load validates every slot before anything reads the page in place.
+// handed is never written (the first mutation copies it); entry bytes a
+// reader has viewed are never overwritten (a write appends, a delete edits
+// the directory, and a repack — a compaction, a split, a merge, a borrow —
+// moves entries in place only on a private page no reader has viewed, else
+// onto a fresh one); and a load validates every slot before anything reads
+// the page in place.
 //
 // An internal node is decoded into pivots and children and encoded afresh
 // on write-back, its crc directly after its payload.
@@ -45,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync/atomic"
 
 	"iomodels/internal/kv"
 )
@@ -76,11 +79,14 @@ type node struct {
 	leaf bool
 	// page is a leaf's NodeBytes slotted page; entries occupy [low, NB-4).
 	// shared marks a page a read lent or a write-back handed to the store:
-	// it is never written again, and the next mutation copies it.
+	// it is never written again, and the next mutation copies it. viewed
+	// marks a page whose entries a reader took views of (GetAs, Scan): its
+	// entry bytes are never overwritten. A fresh or copied page has neither.
 	page   []byte
 	count  int
 	low    int
 	shared bool
+	viewed atomic.Bool
 	heads  []uint64 // leaf: head column of the directory's keys
 
 	pivots     [][]byte // internal: len(children)-1 separators
@@ -103,6 +109,21 @@ func newInternal(pivots [][]byte, children []int64) *node {
 	}
 	n.size = n.computeSize()
 	return n
+}
+
+// set makes n the node m, which no reader has viewed: nodes are replaced
+// through set, not copied, because viewed is atomic.
+func (n *node) set(m *node) {
+	n.leaf, n.page, n.count, n.low, n.shared, n.heads = m.leaf, m.page, m.count, m.low, m.shared, m.heads
+	n.pivots, n.pivotHeads, n.children, n.size = m.pivots, m.pivotHeads, m.children, m.size
+	n.viewed.Store(false)
+}
+
+// view records that a reader is about to take views of n's entries.
+func (n *node) view() {
+	if !n.viewed.Load() {
+		n.viewed.Store(true)
+	}
 }
 
 // insertPivot inserts pivot p at i and child c at j.
@@ -192,6 +213,7 @@ func (n *node) findEntry(key []byte) (int, bool) {
 func (n *node) own() {
 	if n.shared {
 		n.page, n.shared = bytes.Clone(n.page), false
+		n.viewed.Store(false)
 	}
 }
 
@@ -224,17 +246,48 @@ func (n *node) fill(src *node, i, j int) *node {
 	return n
 }
 
+// repack keeps leaf entries [i, j) and lays them out exactly as
+// newLeaf(nb).fill(n, i, j) would, and returns n. A private page no reader
+// has viewed is repacked in place: its entries go through scratch, the
+// writer's own page of the same size, in directory order, and the gap is
+// zeroed. Any other page is replaced by a fresh one.
+func (n *node) repack(i, j int, scratch []byte) *node {
+	if n.shared || n.viewed.Load() {
+		n.set(newLeaf(len(n.page)).fill(n, i, j))
+		return n
+	}
+	end := len(n.page) - footerBytes
+	low, size := end, baseNodeBytes
+	for s := i; s < j; s++ {
+		off := n.slot(s)
+		k, v := entryAt(n.page, off)
+		e := entryHeadBytes + len(k) + len(v)
+		low -= e
+		copy(scratch[low:], n.page[off:off+e])
+		n.setSlot(s-i, low) // slot s-i <= s: already read
+		size += slotBytes + e
+	}
+	copy(n.page[low:end], scratch[low:end])
+	clear(n.page[:headerBytes])
+	clear(n.page[headerBytes+slotBytes*(j-i) : low])
+	clear(n.page[end:])
+	n.heads = append(n.heads[:0], n.heads[i:j]...)
+	n.count, n.low, n.size = j-i, low, size
+	return n
+}
+
 // insertEntry inserts or replaces (key, value) in a leaf, reporting whether
 // the key is new. The entry is appended to free space, a replaced one left
-// where it is; a page short of free space is compacted first.
-func (n *node) insertEntry(key, value []byte) bool {
+// where it is; a page short of free space is repacked first, through
+// scratch.
+func (n *node) insertEntry(key, value, scratch []byte) bool {
 	i, found := n.findEntry(key)
 	need, grow := entryHeadBytes+len(key)+len(value), slotBytes
 	if found {
 		grow = 0
 	}
 	if need+grow > n.free() {
-		*n = *newLeaf(len(n.page)).fill(n, 0, n.count)
+		n.repack(0, n.count, scratch)
 		if need+grow > n.free() {
 			panic(fmt.Sprintf("btree: leaf overflows its page: %d+%d > %d free", need, grow, n.free()))
 		}

@@ -38,7 +38,7 @@ func Open(cfg Config, eng *engine.Engine, manifest []byte) (*Tree, error) {
 	if magic := d.U32(); magic != manifestMagic {
 		return nil, fmt.Errorf("btree: bad manifest magic %#x", magic)
 	}
-	t := &Tree{cfg: cfg, eng: eng, owner: eng.Owner()}
+	t := &Tree{cfg: cfg, eng: eng, owner: eng.Owner(), scratch: make([]byte, cfg.NodeBytes)}
 	t.root = int64(d.U64())
 	t.height = int(d.U64())
 	t.items = int(d.U64())

@@ -50,12 +50,12 @@ func (t *Tree) touch(c *engine.Client, off, size int64, write bool) {
 	first := off / bb
 	last := (off + size - 1) / bb
 	for b := first; b <= last; b++ {
-		id := engine.PageID(b * bb)
-		p.Get(c, (*blockLoader)(t), id)
+		_, pin := p.Pin(c, (*blockLoader)(t), engine.PageID(b*bb))
 		if write {
-			p.MarkDirty(c, id, bb)
+			pin.Release(c, bb)
+		} else {
+			pin.Unpin(c)
 		}
-		p.Unpin(c, id)
 	}
 }
 

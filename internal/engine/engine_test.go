@@ -92,8 +92,9 @@ func TestConcurrentGetSingleLoad(t *testing.T) {
 		i := i
 		clk.Go(func(pr *sim.Proc) {
 			c := e.Process(pr)
-			objs[i] = e.Pager().Get(c, l, 0)
-			e.Pager().Unpin(c, 0)
+			var pin *Pin
+			objs[i], pin = e.Pager().Pin(c, l, 0)
+			pin.Unpin(c)
 		})
 	}
 	clk.Run()
@@ -161,13 +162,13 @@ func TestDetachedClientsRace(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				id := PageID((rng >> 33) % pages * 4096)
-				obj := e.Pager().Get(c, l, id)
+				obj, pin := e.Pager().Pin(c, l, id)
 				buf := obj.([]byte)
 				if i%3 == 0 {
 					binary.LittleEndian.PutUint64(buf[8*g:], rng)
-					e.Pager().MarkDirty(c, id, l.pageBytes)
+					pin.MarkDirty(c, l.pageBytes)
 				}
-				e.Pager().Unpin(c, id)
+				pin.Unpin(c)
 			}
 		}(g)
 	}

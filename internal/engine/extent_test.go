@@ -307,15 +307,15 @@ func TestResidentNodeViewsOneExtent(t *testing.T) {
 				}
 				slices.Sort(offs) // a probe touches the LRU: keep the stream deterministic
 				for _, off := range offs {
-					obj, ok := eng.Pager().TryGet(owner, engine.PageID(off))
-					if !ok {
+					obj, pin := eng.Pager().TryPin(owner, engine.PageID(off))
+					if pin == nil {
 						continue
 					}
 					seen := reads.extentsViewed(obj)
 					if len(seen) > 1 {
 						t.Fatalf("the node at %d views %d extents", off, len(seen))
 					}
-					eng.Pager().Unpin(owner, engine.PageID(off))
+					pin.Unpin(owner)
 					checked++
 					traced += len(seen)
 				}

@@ -109,7 +109,7 @@ func (m *lruModel) flush() {
 func (sh *shard) ringOrder(t *testing.T) []PageID {
 	t.Helper()
 	var order []PageID
-	seen := map[*item]bool{}
+	seen := map[*Pin]bool{}
 	for it := sh.lru.next; it != &sh.lru; it = it.next {
 		if seen[it] {
 			t.Fatalf("page %d is on the LRU ring twice", it.id)
@@ -150,6 +150,7 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 				l := &lruLoader{sizes: map[PageID]int64{}}
 				m := &lruModel{budget: budget, noSteal: noSteal, pages: map[PageID]*lruPage{}}
 				gen := 1000
+				held := map[PageID]*Pin{} // a pinned page's Pin
 				for step := 0; step < ops; step++ {
 					id := PageID(rng.Intn(pages))
 					size := int64(4 + rng.Intn(13))
@@ -171,15 +172,17 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 						} else {
 							m.pin(id)
 						}
-						p.Get(c, l, id)
+						_, held[id] = p.Pin(c, l, id)
 						m.toBudget()
 					case k == 2:
-						op = "TryGet"
-						if _, ok := p.TryGet(c, id); ok != (pg != nil) {
-							t.Fatalf("step %d: TryGet(%d) = %v, model resident %v", step, id, ok, pg != nil)
+						op = "TryPin"
+						_, pin := p.TryPin(c, id)
+						if (pin != nil) != (pg != nil) {
+							t.Fatalf("step %d: TryPin(%d) = %v, model resident %v", step, id, pin, pg != nil)
 						}
 						if pg != nil {
 							m.pin(id)
+							held[id] = pin
 						}
 					case k == 3:
 						op = "PutClean"
@@ -189,7 +192,7 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 						} else {
 							m.pin(id)
 						}
-						p.PutClean(c, l, id, gen, size)
+						_, held[id] = p.PutClean(c, l, id, gen, size)
 						m.toBudget()
 					case k == 4:
 						op = "Put"
@@ -198,7 +201,7 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 						}
 						gen++
 						m.insert(id, gen, size, true)
-						p.Put(c, l, id, gen, size)
+						held[id] = p.Put(c, l, id, gen, size)
 						m.toBudget()
 					case k == 5 || k == 6 || k == 7:
 						op = "Unpin"
@@ -208,7 +211,7 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 						if pg.pins--; pg.pins == 0 {
 							m.ring = slices.Insert(m.ring, 0, id)
 						}
-						p.Unpin(c, id)
+						held[id].Unpin(c)
 						m.toBudget()
 					case k == 8:
 						op = "MarkDirty"
@@ -218,7 +221,17 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 						pg.dirty = true
 						m.used += size - pg.size
 						pg.size = size
-						p.MarkDirty(c, id, size)
+						m.toBudget()
+						if rng.Intn(2) == 0 {
+							held[id].MarkDirty(c, size)
+							break
+						}
+						// Release is MarkDirty then Unpin: the model does both.
+						op = "Release"
+						if pg.pins--; pg.pins == 0 {
+							m.ring = slices.Insert(m.ring, 0, id)
+						}
+						held[id].Release(c, size)
 						m.toBudget()
 					case k == 9:
 						switch rng.Intn(3) {
@@ -252,7 +265,7 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 							m.used += size - pg.size
 							pg.obj, pg.size = gen, size
 						}
-						if got := p.Swap(c, id, old, gen, size); got != pg.obj {
+						if got := held[id].Swap(c, old, gen, size); got != pg.obj {
 							t.Fatalf("step %d: Swap(%d) returned %v, model holds %d", step, id, got, pg.obj)
 						}
 						m.toBudget()
@@ -263,7 +276,7 @@ func TestLRUOrderMatchesModel(t *testing.T) {
 						}
 						m.used += size
 						pg.size += size
-						p.Grow(c, id, pg.obj, size)
+						held[id].Grow(c, pg.obj, size)
 						m.toBudget()
 					}
 

@@ -80,16 +80,23 @@ func (s PagerStats) String() string {
 		s.Hits, s.Misses, s.HitRatio(), s.Evictions, s.Writebacks, s.Shards)
 }
 
-// item is one cached object. busy latches it during a load or an eviction:
-// while busy, only the latching client touches obj, and every other client
-// waits in shard.lockUnlatched. writing is the weaker write-back latch Flush
-// uses: the object is resident and immutable while its image streams out, so
-// readers may still hit and pin it — snapshot and point reads are never
-// serialized behind the no-steal checkpoint's write-back (they effectively
-// read the pre-image frame the flusher is copying from). Neither latched
-// form is ever in the LRU.
-type item struct {
+// Pin is one cached object, as the client that pinned it holds it: Pin,
+// TryPin, Put and PutClean return it beside the object, and its methods
+// (Unpin, MarkDirty, Release, Grow, Swap) take its shard's lock without
+// looking the page up again. A pinned object stays resident, so the *Pin
+// stays valid until the pin it stands for is released.
+//
+// busy latches it during a load or an eviction: while busy, only the
+// latching client touches obj, and every other client waits in
+// shard.lockUnlatched. writing is the weaker write-back latch Flush uses: the
+// object is resident and immutable while its image streams out, so readers
+// may still hit and pin it — snapshot and point reads are never serialized
+// behind the no-steal checkpoint's write-back (they effectively read the
+// pre-image frame the flusher is copying from). Neither latched form is ever
+// in the LRU.
+type Pin struct {
 	id         PageID
+	sh         *shard
 	obj        interface{}
 	size       int64
 	enc        int64 // while dirty: Store's byte length, counted in shard.dirtyBytes
@@ -99,11 +106,14 @@ type item struct {
 	writing    bool
 	freeAt     sim.Time // the latch holder's virtual instant when busy/writing last cleared
 	loader     Loader
-	prev, next *item // neighbours on the shard's LRU ring; nil while pinned or latched
+	prev, next *Pin // neighbours on the shard's LRU ring; nil while pinned or latched
 }
 
+// ID returns the pinned page's id.
+func (it *Pin) ID() PageID { return it.id }
+
 // encSize returns the bytes Store would write for it's current object.
-func (it *item) encSize() int64 {
+func (it *Pin) encSize() int64 {
 	if ss, ok := it.loader.(StoreSizer); ok {
 		return ss.StoreSize(it.obj)
 	}
@@ -114,28 +124,28 @@ type shard struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	// dirtyBytes tracks the encoded (Store) size of dirty items, and
-	// dirtyTotal, the pager's sum of it over its shards, moves with it
+	// dirtyBytes tracks the encoded (Store) size of dirty items, and the
+	// pager's dirtyBytes, their sum over its shards, moves with it
 	// (addDirty). The durability layer checkpoints when the sum reaches half
 	// its dirty-set budget (DurabilityConfig.JournalBytes).
 	dirtyBytes int64
-	dirtyTotal *atomic.Int64
-	items      map[PageID]*item
+	p          *Pager
+	items      map[PageID]*Pin
 	// lru is the sentinel of a ring of the unpinned, unlatched items:
 	// lru.next is the most recently used, lru.prev the eviction candidate.
-	lru   item
+	lru   Pin
 	stats ShardStats
 }
 
 // pushFront makes it, which is off the ring, sh's most recently used item.
 // Caller holds sh.mu.
-func (sh *shard) pushFront(it *item) {
+func (sh *shard) pushFront(it *Pin) {
 	it.prev, it.next = &sh.lru, sh.lru.next
 	it.prev.next, it.next.prev = it, it
 }
 
 // unlink takes it off sh's LRU ring if it is on it. Caller holds sh.mu.
-func (sh *shard) unlink(it *item) {
+func (sh *shard) unlink(it *Pin) {
 	if it.next != nil {
 		it.prev.next, it.next.prev = it.next, it.prev
 		it.prev, it.next = nil, nil
@@ -146,7 +156,7 @@ func (sh *shard) unlink(it *item) {
 // holds sh.mu.
 func (sh *shard) addDirty(d int64) {
 	sh.dirtyBytes += d
-	sh.dirtyTotal.Add(d)
+	sh.p.dirtyBytes.Add(d)
 }
 
 // overBudget records how far over budget sh is in PeakOver and reports
@@ -198,16 +208,21 @@ func newPager(cfg Config) *Pager {
 	}
 	p := &Pager{shards: make([]*shard, n)}
 	for i := range p.shards {
-		sh := &shard{budget: per, items: make(map[PageID]*item), dirtyTotal: &p.dirtyBytes}
+		sh := &shard{budget: per, items: make(map[PageID]*Pin), p: p}
 		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		p.shards[i] = sh
 	}
 	return p
 }
 
+// shard returns id's shard: the high word of id's hash modulo the shard
+// count, taken by mask when the count is a power of two.
 func (p *Pager) shard(id PageID) *shard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return p.shards[(h>>32)%uint64(len(p.shards))]
+	h, n := (uint64(id)*0x9E3779B97F4A7C15)>>32, uint64(len(p.shards))
+	if n&(n-1) == 0 {
+		return p.shards[h&(n-1)]
+	}
+	return p.shards[h%n]
 }
 
 // Budget returns the total configured byte budget (the model's M).
@@ -273,8 +288,8 @@ func (p *Pager) Contains(id PageID) bool {
 // then resumes at the instant the holder released the latch — where a waiter
 // woken by the holder would be — so its cursor does not depend on how long
 // the host kept the holder off-CPU.
-func (sh *shard) lockUnlatched(c *Client, id PageID, writingToo bool) *item {
-	var waited *item
+func (sh *shard) lockUnlatched(c *Client, id PageID, writingToo bool) *Pin {
+	var waited *Pin
 	for {
 		sh.mu.Lock()
 		it := sh.items[id]
@@ -298,28 +313,29 @@ func (sh *shard) lockUnlatched(c *Client, id PageID, writingToo bool) *item {
 
 // pin takes an item out of the LRU and holds it. Caller holds sh.mu and
 // has checked !it.busy.
-func (sh *shard) pin(it *item) {
+func (sh *shard) pin(it *Pin) {
 	sh.unlink(it)
 	it.pins++
 }
 
-// Get returns the object for id, loading it through loader on a miss, and
-// pins it. The caller must Unpin when done with the reference; mutating
-// callers must also MarkDirty. If another client is mid-load or mid-evict
-// on id, Get waits (in the client's virtual timeline) for the latch.
-func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
+// Pin returns the object for id, loading it through loader on a miss, and
+// pins it. The caller releases the returned *Pin when done with the
+// reference (Unpin, or Release after an edit); mutating callers mark it
+// dirty. If another client is mid-load or mid-evict on id, Pin waits (in the
+// client's virtual timeline) for the latch.
+func (p *Pager) Pin(c *Client, loader Loader, id PageID) (interface{}, *Pin) {
 	sh := p.shard(id)
 	if it := sh.lockUnlatched(c, id, false); it != nil {
 		obj, over := sh.hit(c, it)
 		if over {
 			p.evictToBudget(c, sh)
 		}
-		return obj
+		return obj, it
 	}
 	// Miss: latch a placeholder so concurrent getters wait rather than
 	// issuing a duplicate load, then do the IO outside the lock.
 	sh.stats.Misses++
-	it := &item{id: id, pins: 1, busy: true, loader: loader}
+	it := &Pin{id: id, sh: sh, pins: 1, busy: true, loader: loader}
 	sh.items[id] = it
 	sh.mu.Unlock()
 
@@ -334,16 +350,15 @@ func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
 	it.obj, it.size = obj, size
 	it.busy, it.freeAt = false, c.ctx.Now()
 	sh.used += size
-	sh.mu.Unlock()
-	p.evictToBudget(c, sh)
-	return obj
+	p.unlockEvict(c, sh)
+	return obj, it
 }
 
 // hit counts and pins a resident, unlatched item for c, releases sh.mu,
 // which the caller holds, and returns the item's object as it was under the
 // lock (a Swap may replace it the moment the lock is gone) and whether the
 // shard was over budget then.
-func (sh *shard) hit(c *Client, it *item) (interface{}, bool) {
+func (sh *shard) hit(c *Client, it *Pin) (interface{}, bool) {
 	sh.stats.Hits++
 	sh.pin(it)
 	obj, over := it.obj, sh.overBudget()
@@ -354,23 +369,33 @@ func (sh *shard) hit(c *Client, it *item) (interface{}, bool) {
 	return obj, over
 }
 
+// unlockEvict releases sh.mu, which the caller holds, and evicts from sh
+// until it is within budget if it was over budget under the lock.
+func (p *Pager) unlockEvict(c *Client, sh *shard) {
+	over := sh.overBudget()
+	sh.mu.Unlock()
+	if over {
+		p.evictToBudget(c, sh)
+	}
+}
+
 // Put inserts a freshly created object (not yet on disk) as dirty and pins
 // it. It panics if id is already cached: fresh PageIDs come from the
 // engine's allocator and are unique while live.
-func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size int64) {
+func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size int64) *Pin {
 	sh := p.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.items[id]; ok {
 		sh.mu.Unlock()
 		panic(fmt.Sprintf("engine: Put of resident page %d", id))
 	}
-	it := &item{id: id, obj: obj, size: size, dirty: true, pins: 1, loader: loader}
+	it := &Pin{id: id, sh: sh, obj: obj, size: size, dirty: true, pins: 1, loader: loader}
 	it.enc = it.encSize()
 	sh.items[id] = it
 	sh.used += size
 	sh.addDirty(it.enc)
-	sh.mu.Unlock()
-	p.evictToBudget(c, sh)
+	p.unlockEvict(c, sh)
+	return it
 }
 
 // PutClean inserts an object whose on-disk image is current (e.g. a node
@@ -379,98 +404,132 @@ func (p *Pager) Put(c *Client, loader Loader, id PageID, obj interface{}, size i
 // the same cold node — the canonical resident object wins and is returned
 // pinned; the caller must use the returned object, not its own candidate.
 //
-// Accounting: PutClean is the insert half of a probe-style access (TryGet
+// Accounting: PutClean is the insert half of a probe-style access (TryPin
 // miss → explicit partial load → PutClean), so the fresh-insert path counts
 // the Miss for that access and the already-resident race path counts a Hit.
-// Together with TryGet counting only true hits, every logical access
+// Together with TryPin counting only true hits, every logical access
 // produces exactly one Hits or Misses increment.
-func (p *Pager) PutClean(c *Client, loader Loader, id PageID, obj interface{}, size int64) interface{} {
+func (p *Pager) PutClean(c *Client, loader Loader, id PageID, obj interface{}, size int64) (interface{}, *Pin) {
 	sh := p.shard(id)
 	if it := sh.lockUnlatched(c, id, false); it != nil {
 		obj, over := sh.hit(c, it)
 		if over {
 			p.evictToBudget(c, sh)
 		}
-		return obj
+		return obj, it
 	}
 	sh.stats.Misses++
-	sh.items[id] = &item{id: id, obj: obj, size: size, pins: 1, loader: loader}
+	it := &Pin{id: id, sh: sh, obj: obj, size: size, pins: 1, loader: loader}
+	sh.items[id] = it
 	sh.used += size
+	over := sh.overBudget()
 	sh.mu.Unlock()
 	if c.span != nil {
 		c.span.CacheMiss(c.ctx.Now())
 	}
-	p.evictToBudget(c, sh)
-	return obj
+	if over {
+		p.evictToBudget(c, sh)
+	}
+	return obj, it
 }
 
-// TryGet returns and pins the object for id if it is resident, without
-// consulting any loader on a miss. Callers that load partial objects
-// explicitly (the Bε-tree's segment reads) use this instead of Get. A
-// latched item counts as resident: TryGet waits for the latch and retries.
+// TryPin returns and pins the object for id if it is resident, without
+// consulting any loader on a miss; the *Pin is nil when it is not. Callers
+// that load partial objects explicitly (the Bε-tree's segment reads) use
+// this instead of Pin. A latched item counts as resident: TryPin waits for
+// the latch and retries.
 //
-// A failed TryGet counts nothing: the probe-style caller follows up with a
-// Get or PutClean for the same logical access, and that call counts the
+// A failed TryPin counts nothing: the probe-style caller follows up with a
+// Pin or PutClean for the same logical access, and that call counts the
 // Miss (counting both would double-count the access and inflate the miss
 // ratio the experiments report).
-func (p *Pager) TryGet(c *Client, id PageID) (interface{}, bool) {
+func (p *Pager) TryPin(c *Client, id PageID) (interface{}, *Pin) {
 	sh := p.shard(id)
 	it := sh.lockUnlatched(c, id, false)
 	if it == nil {
 		sh.mu.Unlock()
-		return nil, false
+		return nil, nil
 	}
 	obj, _ := sh.hit(c, it)
-	return obj, true
+	return obj, it
 }
 
-// Pin increments id's pin count; the object must be resident.
-func (p *Pager) Pin(id PageID) {
-	sh := p.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, ok := sh.items[id]
-	if !ok || it.busy {
-		panic(fmt.Sprintf("engine: Pin of non-resident page %d", id))
-	}
-	sh.pin(it)
+// Get, Unpin and MarkDirty are Pin and the Pin's methods of those names
+// keyed by id, for a caller that keeps no *Pin (the benchmark's pager
+// ladder): Unpin and MarkDirty look id up again.
+func (p *Pager) Get(c *Client, loader Loader, id PageID) interface{} {
+	obj, _ := p.Pin(c, loader, id)
+	return obj
 }
 
-// Unpin decrements id's pin count, returning the object to the LRU when it
-// reaches zero (which can trigger write-back eviction, charged to c).
-func (p *Pager) Unpin(c *Client, id PageID) {
+// Unpin is (*Pin).Unpin of id's item.
+func (p *Pager) Unpin(c *Client, id PageID) { p.resident(id).Unpin(c) }
+
+// MarkDirty is (*Pin).MarkDirty of id's item.
+func (p *Pager) MarkDirty(c *Client, id PageID, newSize int64) { p.resident(id).MarkDirty(c, newSize) }
+
+// resident returns id's item, which must be resident.
+func (p *Pager) resident(id PageID) *Pin {
 	sh := p.shard(id)
 	sh.mu.Lock()
-	it, ok := sh.items[id]
-	if !ok {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("engine: Unpin of non-resident page %d", id))
+	it := sh.items[id]
+	sh.mu.Unlock()
+	if it == nil {
+		panic(fmt.Sprintf("engine: page %d is not resident", id))
 	}
+	return it
+}
+
+// Hold adds a pin to a pinned object.
+func (it *Pin) Hold() {
+	it.sh.mu.Lock()
+	defer it.sh.mu.Unlock()
+	it.sh.pin(it)
+}
+
+// Unpin releases one pin, returning the object to the LRU when the last one
+// goes (which can trigger write-back eviction, charged to c).
+func (it *Pin) Unpin(c *Client) {
+	it.sh.mu.Lock()
+	it.unpin()
+	it.sh.p.unlockEvict(c, it.sh)
+}
+
+// MarkDirty flags the object as modified and updates its charged size
+// (serialized sizes change as nodes gain and lose entries). The pin stays.
+func (it *Pin) MarkDirty(c *Client, newSize int64) {
+	it.sh.mu.Lock()
+	it.markDirty(newSize)
+	it.sh.p.unlockEvict(c, it.sh)
+}
+
+// Release is MarkDirty then Unpin under one lock: the object was edited and
+// its holder is done with it.
+func (it *Pin) Release(c *Client, newSize int64) {
+	it.sh.mu.Lock()
+	it.markDirty(newSize)
+	it.unpin()
+	it.sh.p.unlockEvict(c, it.sh)
+}
+
+// unpin drops one pin. Caller holds it.sh.mu.
+func (it *Pin) unpin() {
 	if it.pins <= 0 {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("engine: Unpin of unpinned page %d", id))
+		it.sh.mu.Unlock()
+		panic(fmt.Sprintf("engine: Unpin of unpinned page %d", it.id))
 	}
 	it.pins--
 	if it.pins == 0 && !it.busy && !it.writing {
-		sh.pushFront(it)
-	}
-	over := sh.overBudget()
-	sh.mu.Unlock()
-	if over {
-		p.evictToBudget(c, sh)
+		it.sh.pushFront(it)
 	}
 }
 
-// MarkDirty flags id as modified and updates its charged size (serialized
-// sizes change as nodes gain and lose entries). The caller must hold a pin.
-func (p *Pager) MarkDirty(c *Client, id PageID, newSize int64) {
-	sh := p.shard(id)
-	sh.mu.Lock()
-	it, ok := sh.items[id]
-	if !ok {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("engine: MarkDirty of non-resident page %d", id))
-	}
+// markDirty charges newSize and counts Store's length for the object as it
+// is now in the dirty bytes. Caller holds it.sh.mu.
+func (it *Pin) markDirty(newSize int64) {
+	sh := it.sh
+	sh.used += newSize - it.size
+	it.size = newSize
 	newEnc := it.encSize()
 	if it.dirty {
 		sh.addDirty(newEnc - it.enc)
@@ -479,40 +538,31 @@ func (p *Pager) MarkDirty(c *Client, id PageID, newSize int64) {
 		sh.addDirty(newEnc)
 	}
 	it.enc = newEnc
-	sh.used += newSize - it.size
-	it.size = newSize
-	sh.mu.Unlock()
-	p.evictToBudget(c, sh)
 }
 
-// Grow adds delta to the charged size of id's clean object if id still holds
-// obj: a reader published more of obj's on-disk image into it. The caller
-// holds a pin. Concurrent readers each add their own delta, so the order in
-// which they arrive does not matter, and one whose object was swapped out
-// meanwhile (Swap) adds nothing: the charge is the new object's.
-func (p *Pager) Grow(c *Client, id PageID, obj interface{}, delta int64) {
-	p.replace(c, id, obj, obj, delta, true)
+// Grow adds delta to the charged size of the clean object if the pin still
+// holds obj: a reader published more of obj's on-disk image into it.
+// Concurrent readers each add their own delta, so the order in which they
+// arrive does not matter, and one whose object was swapped out meanwhile
+// (Swap) adds nothing: the charge is the new object's. The pin stays.
+func (it *Pin) Grow(c *Client, obj interface{}, delta int64) {
+	it.replace(c, obj, obj, delta, true)
 }
 
-// Swap replaces id's clean object old with new, charged size, and returns
-// the object id holds afterwards: new, or whatever another reader swapped in
-// first. A reader that has decoded more of an object than others hold builds
-// it aside and swaps it in, instead of writing the object they are reading.
-// The caller holds a pin, which stays.
-func (p *Pager) Swap(c *Client, id PageID, old, new interface{}, size int64) interface{} {
-	return p.replace(c, id, old, new, size, false)
+// Swap replaces the clean object old with new, charged size, and returns the
+// object the pin holds afterwards: new, or whatever another reader swapped
+// in first. A reader that has decoded more of an object than others hold
+// builds it aside and swaps it in, instead of writing the object they are
+// reading. The pin stays.
+func (it *Pin) Swap(c *Client, old, new interface{}, size int64) interface{} {
+	return it.replace(c, old, new, size, false)
 }
 
-// replace is Grow and Swap: if id holds old, it holds new from now on,
+// replace is Grow and Swap: if the pin holds old, it holds new from now on,
 // charged size, or its charge plus size when grow is set.
-func (p *Pager) replace(c *Client, id PageID, old, new interface{}, size int64, grow bool) interface{} {
-	sh := p.shard(id)
+func (it *Pin) replace(c *Client, old, new interface{}, size int64, grow bool) interface{} {
+	sh := it.sh
 	sh.mu.Lock()
-	it, ok := sh.items[id]
-	if !ok {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("engine: replace of non-resident page %d", id))
-	}
 	if it.obj == old {
 		if grow {
 			size += it.size
@@ -520,8 +570,7 @@ func (p *Pager) replace(c *Client, id PageID, old, new interface{}, size int64, 
 		it.obj, sh.used, it.size = new, sh.used+size-it.size, size
 	}
 	cur := it.obj
-	sh.mu.Unlock()
-	p.evictToBudget(c, sh)
+	sh.p.unlockEvict(c, sh)
 	return cur
 }
 
@@ -672,7 +721,7 @@ func (p *Pager) evictOne(c *Client, sh *shard) bool {
 }
 
 // remove deletes an item from the shard. Caller holds sh.mu.
-func (sh *shard) remove(it *item) {
+func (sh *shard) remove(it *Pin) {
 	sh.unlink(it)
 	if it.dirty {
 		sh.addDirty(-it.enc)

@@ -54,12 +54,13 @@ func TestGetLoadsOnceWhileResident(t *testing.T) {
 	l := newFakeLoader()
 	l.data[1] = "aaaa"
 	p, c := newTestPager(100)
-	if got := p.Get(c, l, 1).(string); got != "aaaa" {
+	obj, pin := p.Pin(c, l, 1)
+	if got := obj.(string); got != "aaaa" {
 		t.Fatalf("got %q", got)
 	}
-	p.Unpin(c, 1)
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
+	pin.Unpin(c)
+	_, pin = p.Pin(c, l, 1)
+	pin.Unpin(c)
 	if l.loads != 1 {
 		t.Fatalf("loads = %d, want 1", l.loads)
 	}
@@ -79,14 +80,14 @@ func TestLRUEviction(t *testing.T) {
 	}
 	p, c := newTestPager(25)
 	for i := PageID(1); i <= 2; i++ {
-		p.Get(c, l, i)
-		p.Unpin(c, i)
+		_, pin := p.Pin(c, l, i)
+		pin.Unpin(c)
 	}
 	// Touch 1 so 2 becomes LRU.
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
-	p.Get(c, l, 3) // must evict 2
-	p.Unpin(c, 3)
+	_, pin := p.Pin(c, l, 1)
+	pin.Unpin(c)
+	_, pin = p.Pin(c, l, 3) // must evict 2
+	pin.Unpin(c)
 	if !p.Contains(1) || p.Contains(2) || !p.Contains(3) {
 		t.Fatalf("wrong eviction victim: 1=%v 2=%v 3=%v", p.Contains(1), p.Contains(2), p.Contains(3))
 	}
@@ -97,11 +98,11 @@ func TestDirtyWritebackOnEviction(t *testing.T) {
 	l.data[1] = "aaaaaaaaaa"
 	l.data[2] = "bbbbbbbbbb"
 	p, c := newTestPager(15)
-	p.Get(c, l, 1)
-	p.MarkDirty(c, 1, 10)
-	p.Unpin(c, 1)
-	p.Get(c, l, 2) // evicts 1, which must be written back
-	p.Unpin(c, 2)
+	_, pin := p.Pin(c, l, 1)
+	pin.MarkDirty(c, 10)
+	pin.Unpin(c)
+	_, pin = p.Pin(c, l, 2) // evicts 1, which must be written back
+	pin.Unpin(c)
 	if l.stores != 1 {
 		t.Fatalf("stores = %d, want 1", l.stores)
 	}
@@ -115,10 +116,10 @@ func TestCleanEvictionDoesNotWrite(t *testing.T) {
 	l.data[1] = "aaaaaaaaaa"
 	l.data[2] = "bbbbbbbbbb"
 	p, c := newTestPager(15)
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
-	p.Get(c, l, 2)
-	p.Unpin(c, 2)
+	_, pin := p.Pin(c, l, 1)
+	pin.Unpin(c)
+	_, pin = p.Pin(c, l, 2)
+	pin.Unpin(c)
 	if l.stores != 0 {
 		t.Fatalf("stores = %d, want 0", l.stores)
 	}
@@ -129,23 +130,22 @@ func TestPinnedNotEvicted(t *testing.T) {
 	l.data[1] = "aaaaaaaaaa"
 	l.data[2] = "bbbbbbbbbb"
 	p, c := newTestPager(15)
-	p.Get(c, l, 1) // stays pinned
-	p.Get(c, l, 2) // over budget, but 1 is pinned
+	_, pin1 := p.Pin(c, l, 1) // stays pinned
+	_, pin2 := p.Pin(c, l, 2) // over budget, but 1 is pinned
 	if !p.Contains(1) {
 		t.Fatal("pinned object was evicted")
 	}
 	if p.Stats().PeakOver <= 0 {
 		t.Fatal("overcommit not recorded")
 	}
-	p.Unpin(c, 1)
-	p.Unpin(c, 2)
+	pin1.Unpin(c)
+	pin2.Unpin(c)
 }
 
 func TestPutAndDrop(t *testing.T) {
 	l := newFakeLoader()
 	p, c := newTestPager(100)
-	p.Put(c, l, 5, "new", 3)
-	p.Unpin(c, 5)
+	p.Put(c, l, 5, "new", 3).Unpin(c)
 	p.Drop(c, 5)
 	if p.Contains(5) {
 		t.Fatal("dropped object still resident")
@@ -170,8 +170,7 @@ func TestDropPinnedPanics(t *testing.T) {
 func TestPutDuplicatePanics(t *testing.T) {
 	p, c := newTestPager(100)
 	l := newFakeLoader()
-	p.Put(c, l, 1, "x", 1)
-	p.Unpin(c, 1)
+	p.Put(c, l, 1, "x", 1).Unpin(c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -183,21 +182,20 @@ func TestPutDuplicatePanics(t *testing.T) {
 func TestPutCleanReturnsResident(t *testing.T) {
 	p, c := newTestPager(100)
 	l := newFakeLoader()
-	p.Put(c, l, 1, "canonical", 9)
-	got := p.PutClean(c, l, 1, "duplicate", 9)
-	if got.(string) != "canonical" {
+	put := p.Put(c, l, 1, "canonical", 9)
+	got, pin := p.PutClean(c, l, 1, "duplicate", 9)
+	if got.(string) != "canonical" || pin != put {
 		t.Fatalf("PutClean returned %q, want resident object", got)
 	}
-	p.Unpin(c, 1)
-	p.Unpin(c, 1)
+	pin.Unpin(c)
+	put.Unpin(c)
 }
 
 func TestFlushWritesAllDirty(t *testing.T) {
 	l := newFakeLoader()
 	p, c := newTestPager(100)
-	p.Put(c, l, 1, "a", 1)
-	p.Put(c, l, 2, "b", 1)
-	p.Unpin(c, 1)
+	p.Put(c, l, 1, "a", 1).Unpin(c)
+	pin2 := p.Put(c, l, 2, "b", 1)
 	p.Flush(c)
 	if l.stores != 2 {
 		t.Fatalf("stores = %d, want 2", l.stores)
@@ -207,35 +205,61 @@ func TestFlushWritesAllDirty(t *testing.T) {
 	if l.stores != 2 {
 		t.Fatalf("stores after clean flush = %d", l.stores)
 	}
-	p.Unpin(c, 2)
+	pin2.Unpin(c)
 }
 
+// TestMarkDirtyResizes: MarkDirty charges the new size and, for a loader
+// without StoreSize, counts it in DirtyBytes at once.
 func TestMarkDirtyResizes(t *testing.T) {
 	p, c := newTestPager(100)
-	p.Put(c, newFakeLoader(), 1, "x", 10)
-	p.MarkDirty(c, 1, 30)
-	if p.Used() != 30 {
-		t.Fatalf("used = %d, want 30", p.Used())
+	pin := p.Put(c, newFakeLoader(), 1, "x", 10)
+	pin.MarkDirty(c, 30)
+	if p.Used() != 30 || p.DirtyBytes() != 30 {
+		t.Fatalf("used = %d, dirty bytes = %d, want 30 and 30", p.Used(), p.DirtyBytes())
 	}
-	p.Unpin(c, 1)
+	pin.Release(c, 20)
+	if p.Used() != 20 || p.DirtyBytes() != 20 {
+		t.Fatalf("after Release: used = %d, dirty bytes = %d, want 20 and 20", p.Used(), p.DirtyBytes())
+	}
 }
 
-func TestTryGet(t *testing.T) {
+func TestTryPin(t *testing.T) {
 	l := newFakeLoader()
 	l.data[1] = "aaaa"
 	p, c := newTestPager(100)
-	if _, ok := p.TryGet(c, 1); ok {
-		t.Fatal("TryGet hit on empty pager")
+	if _, pin := p.TryPin(c, 1); pin != nil {
+		t.Fatal("TryPin hit on empty pager")
 	}
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
-	obj, ok := p.TryGet(c, 1)
-	if !ok || obj.(string) != "aaaa" {
-		t.Fatal("TryGet missed resident object")
+	_, pin := p.Pin(c, l, 1)
+	pin.Unpin(c)
+	obj, again := p.TryPin(c, 1)
+	if again != pin || obj.(string) != "aaaa" {
+		t.Fatal("TryPin missed resident object")
 	}
-	p.Unpin(c, 1)
+	again.Unpin(c)
 	if l.loads != 1 {
-		t.Fatalf("TryGet triggered a load: %d", l.loads)
+		t.Fatalf("TryPin triggered a load: %d", l.loads)
+	}
+}
+
+// TestIDFormsMatchPins: Get, Unpin and MarkDirty by id act on the item
+// the pin stands for.
+func TestIDFormsMatchPins(t *testing.T) {
+	l := newFakeLoader()
+	l.data[1] = "aaaa"
+	p, c := newTestPager(100)
+	if got := p.Get(c, l, 1); got != "aaaa" {
+		t.Fatalf("Get returned %v", got)
+	}
+	p.MarkDirty(c, 1, 30)
+	if p.Used() != 30 || p.DirtyBytes() != 30 {
+		t.Fatalf("used = %d, dirty bytes = %d, want 30 and 30", p.Used(), p.DirtyBytes())
+	}
+	p.Unpin(c, 1)
+	p.Flush(c)
+	p.EvictAll(c)
+	if p.Contains(1) || l.stores != 1 {
+		t.Fatalf("resident %v after EvictAll, %d stores; want gone and 1", p.Contains(1), l.stores)
 	}
 }
 
@@ -243,10 +267,10 @@ func TestPutCleanEvictsWithoutWrite(t *testing.T) {
 	l := newFakeLoader()
 	l.data[2] = "bbbbbbbbbb"
 	p, c := newTestPager(15)
-	p.PutClean(c, l, 1, "partial", 10)
-	p.Unpin(c, 1)
-	p.Get(c, l, 2) // evicts 1
-	p.Unpin(c, 2)
+	_, pin := p.PutClean(c, l, 1, "partial", 10)
+	pin.Unpin(c)
+	_, pin = p.Pin(c, l, 2) // evicts 1
+	pin.Unpin(c)
 	if l.stores != 0 {
 		t.Fatal("clean object was written back")
 	}
@@ -258,20 +282,20 @@ func TestPutCleanEvictsWithoutWrite(t *testing.T) {
 func TestGrowAndSwapClean(t *testing.T) {
 	l := newFakeLoader()
 	p, c := newTestPager(100)
-	p.PutClean(c, l, 1, "x", 5)
-	p.Grow(c, 1, "x", 45)
+	_, pin := p.PutClean(c, l, 1, "x", 5)
+	pin.Grow(c, "x", 45)
 	if p.Used() != 50 {
 		t.Fatalf("used = %d after Grow, want 50", p.Used())
 	}
-	if got := p.Swap(c, 1, "x", "y", 70); got != "y" || p.Used() != 70 {
+	if got := pin.Swap(c, "x", "y", 70); got != "y" || p.Used() != 70 {
 		t.Fatalf("Swap returned %v, used %d; want y, 70", got, p.Used())
 	}
 	// A reader still holding "x" lost the race: it grows and swaps nothing.
-	p.Grow(c, 1, "x", 9)
-	if got := p.Swap(c, 1, "x", "z", 90); got != "y" || p.Used() != 70 {
+	pin.Grow(c, "x", 9)
+	if got := pin.Swap(c, "x", "z", 90); got != "y" || p.Used() != 70 {
 		t.Fatalf("stale Swap returned %v, used %d; want y, 70", got, p.Used())
 	}
-	p.Unpin(c, 1)
+	pin.Unpin(c)
 	p.EvictAll(c)
 	if l.stores != 0 {
 		t.Fatal("grown clean object was written back")
@@ -280,23 +304,21 @@ func TestGrowAndSwapClean(t *testing.T) {
 
 func TestUnpinUnderflowPanics(t *testing.T) {
 	p, c := newTestPager(100)
-	p.Put(c, newFakeLoader(), 1, "x", 1)
-	p.Unpin(c, 1)
+	pin := p.Put(c, newFakeLoader(), 1, "x", 1)
+	pin.Unpin(c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.Unpin(c, 1)
+	pin.Unpin(c)
 }
 
 func TestEvictAll(t *testing.T) {
 	l := newFakeLoader()
 	p, c := newTestPager(100)
-	p.Put(c, l, 1, "a", 1)
-	p.Put(c, l, 2, "b", 1)
-	p.Unpin(c, 1)
-	p.Unpin(c, 2)
+	p.Put(c, l, 1, "a", 1).Unpin(c)
+	p.Put(c, l, 2, "b", 1).Unpin(c)
 	p.EvictAll(c)
 	if p.Used() != 0 {
 		t.Fatalf("used = %d after EvictAll", p.Used())
@@ -311,15 +333,15 @@ func TestPinKeepsEntryOffLRU(t *testing.T) {
 	l.data[1] = "aaaaaaaaaa"
 	l.data[2] = "bbbbbbbbbb"
 	p, c := newTestPager(15)
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
-	p.Pin(1) // re-pin via explicit Pin
-	p.Get(c, l, 2)
+	_, pin1 := p.Pin(c, l, 1)
+	pin1.Hold() // a second pin, which outlives the first
+	pin1.Unpin(c)
+	_, pin2 := p.Pin(c, l, 2)
 	if !p.Contains(1) {
 		t.Fatal("explicitly pinned object evicted")
 	}
-	p.Unpin(c, 1)
-	p.Unpin(c, 2)
+	pin1.Unpin(c)
+	pin2.Unpin(c)
 }
 
 func TestNewPanicsOnBadBudget(t *testing.T) {
@@ -388,17 +410,15 @@ func TestQuickPagerNeverLosesWrites(t *testing.T) {
 				if _, onDisk := l.disk[id]; !onDisk {
 					l.disk[id] = -1 // placeholder so Load never panics
 				}
-				p.Put(c, l, id, version, 10)
-				p.MarkDirty(c, id, 10)
-				p.Unpin(c, id)
+				p.Put(c, l, id, version, 10).Release(c, 10)
 				latest[id] = version
 			case 1: // read through
 				if _, ok := latest[id]; !ok {
 					continue
 				}
-				got := p.Get(c, l, id).(int)
-				p.Unpin(c, id)
-				if got != latest[id] {
+				got, pin := p.Pin(c, l, id)
+				pin.Unpin(c)
+				if got.(int) != latest[id] {
 					return false
 				}
 			case 2: // flush everything
@@ -441,15 +461,13 @@ func TestQuickDirtyBytesIsShardSum(t *testing.T) {
 			switch o.Kind % 4 {
 			case 0: // create or rewrite
 				p.Drop(c, id)
-				p.Put(c, l, id, strings.Repeat("x", int(size)), size)
-				p.Unpin(c, id)
+				p.Put(c, l, id, strings.Repeat("x", int(size)), size).Unpin(c)
 			case 1: // dirty a resident or written-back page, resized
 				if _, ok := l.data[id]; !ok && !p.Contains(id) {
 					continue
 				}
-				p.Get(c, l, id)
-				p.MarkDirty(c, id, size)
-				p.Unpin(c, id)
+				_, pin := p.Pin(c, l, id)
+				pin.Release(c, size)
 			case 2:
 				p.Flush(c)
 			case 3:
@@ -481,8 +499,7 @@ func TestQuickBudgetRespectedWhenUnpinned(t *testing.T) {
 				continue
 			}
 			l.disk[id] = i
-			p.Put(c, l, id, i, 10)
-			p.Unpin(c, id)
+			p.Put(c, l, id, i, 10).Unpin(c)
 			// With nothing pinned, the pager must stay within budget.
 			if p.Used() > 50 {
 				return false
@@ -496,9 +513,9 @@ func TestQuickBudgetRespectedWhenUnpinned(t *testing.T) {
 }
 
 // TestStatsCountExactlyOnePerAccess pins down the accounting contract:
-// every logical access — Get, TryGet hit, PutClean — produces exactly one
-// Hits or Misses increment, and inserts (Put) and TryGet absences produce
-// none. Probe-style callers (the Bε-tree's TryGet-then-Get upgrade path)
+// every logical access — Pin, TryPin hit, PutClean — produces exactly one
+// Hits or Misses increment, and inserts (Put) and TryPin absences produce
+// none. Probe-style callers (the Bε-tree's TryPin-then-Pin upgrade path)
 // would otherwise inflate the miss ratio.
 func TestStatsCountExactlyOnePerAccess(t *testing.T) {
 	l := newFakeLoader()
@@ -513,35 +530,34 @@ func TestStatsCountExactlyOnePerAccess(t *testing.T) {
 		}
 	}
 
-	if _, ok := p.TryGet(c, 1); ok {
+	if _, pin := p.TryPin(c, 1); pin != nil {
 		t.Fatal("unexpected resident")
 	}
-	check("TryGet absent counts nothing", 0, 0)
+	check("TryPin absent counts nothing", 0, 0)
 
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
-	check("Get cold is one miss", 0, 1)
+	_, pin := p.Pin(c, l, 1)
+	pin.Unpin(c)
+	check("Pin cold is one miss", 0, 1)
 
-	p.Get(c, l, 1)
-	p.Unpin(c, 1)
-	check("Get warm is one hit", 1, 1)
+	_, pin = p.Pin(c, l, 1)
+	pin.Unpin(c)
+	check("Pin warm is one hit", 1, 1)
 
-	if _, ok := p.TryGet(c, 1); !ok {
+	if _, pin = p.TryPin(c, 1); pin == nil {
 		t.Fatal("expected resident")
 	}
-	p.Unpin(c, 1)
-	check("TryGet hit is one hit", 2, 1)
+	pin.Unpin(c)
+	check("TryPin hit is one hit", 2, 1)
 
-	p.Put(c, l, 2, "bb", 2)
-	p.Unpin(c, 2)
+	p.Put(c, l, 2, "bb", 2).Unpin(c)
 	check("Put insert counts nothing", 2, 1)
 
-	p.PutClean(c, l, 3, "cc", 2)
-	p.Unpin(c, 3)
+	_, pin = p.PutClean(c, l, 3, "cc", 2)
+	pin.Unpin(c)
 	check("PutClean fresh is one miss", 2, 2)
 
-	p.PutClean(c, l, 3, "dd", 2)
-	p.Unpin(c, 3)
+	_, pin = p.PutClean(c, l, 3, "dd", 2)
+	pin.Unpin(c)
 	check("PutClean resident is one hit", 3, 2)
 
 	s := p.Stats()
@@ -559,14 +575,13 @@ func TestNoStealKeepsDirtyResident(t *testing.T) {
 	p, c := newTestPager(20)
 	p.noSteal = true
 
-	p.Put(c, l, 1, "dirty-one", 9) // dirty insert
-	p.Unpin(c, 1)
+	p.Put(c, l, 1, "dirty-one", 9).Unpin(c) // dirty insert
 	l.data[2] = "cleanclean"
-	p.Get(c, l, 2) // clean resident
-	p.Unpin(c, 2)
+	_, pin := p.Pin(c, l, 2) // clean resident
+	pin.Unpin(c)
 	l.data[3] = "cleanclean"
-	p.Get(c, l, 3) // pressure: must evict 2, not 1
-	p.Unpin(c, 3)
+	_, pin = p.Pin(c, l, 3) // pressure: must evict 2, not 1
+	pin.Unpin(c)
 
 	if l.stores != 0 {
 		t.Fatalf("dirty page written back under no-steal (stores = %d)", l.stores)
@@ -579,8 +594,7 @@ func TestNoStealKeepsDirtyResident(t *testing.T) {
 	}
 
 	// Fill with dirty pages only: nothing evictable, pager runs over budget.
-	p.Put(c, l, 4, "dirty-two-ooooo", 15)
-	p.Unpin(c, 4)
+	p.Put(c, l, 4, "dirty-two-ooooo", 15).Unpin(c)
 	if p.Stats().PeakOver <= 0 {
 		t.Fatalf("PeakOver = %d, want > 0 with unevictable dirty set", p.Stats().PeakOver)
 	}
@@ -593,8 +607,8 @@ func TestNoStealKeepsDirtyResident(t *testing.T) {
 	if l.stores == 0 {
 		t.Fatal("flush wrote nothing")
 	}
-	p.Get(c, l, 2)
-	p.Unpin(c, 2)
+	_, pin = p.Pin(c, l, 2)
+	pin.Unpin(c)
 	if p.Contains(1) && p.Contains(4) && p.Contains(2) && p.Used() > 20+15 {
 		t.Fatal("eviction still stuck after flush")
 	}

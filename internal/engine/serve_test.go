@@ -133,14 +133,14 @@ func TestSharedLatchWaitChargesNoVirtualTime(t *testing.T) {
 		l := &gateLoader{loading: make(chan struct{}), release: make(chan struct{})}
 		loaded, got := make(chan sim.Time, 1), make(chan sim.Time, 1)
 		go func() {
-			e.Pager().Get(holder, l, 0)
+			e.Pager().Pin(holder, l, 0)
 			loaded <- holder.Now()
 		}()
 		<-l.loading
 		entered := make(chan struct{})
 		go func() {
 			close(entered)
-			e.Pager().Get(w, l, 0)
+			e.Pager().Pin(w, l, 0)
 			got <- w.Now()
 		}()
 		<-entered

@@ -254,10 +254,47 @@ func Apply(d Dictionary, spec KeySpec, op Op) {
 	}
 }
 
+// loadBatch is how many (key, value) pairs Load's generator hands over at a
+// time.
+const loadBatch = 256
+
 // Load inserts keys [0, n) in random insertion order (ids are bit-mixed, so
-// sequential ids already give uniformly distributed keys).
+// sequential ids already give uniformly distributed keys). One goroutine
+// generates the pairs in batches, ahead of the Puts the caller's goroutine
+// makes in id order; it has exited by the time Load returns or a Put's panic
+// leaves it.
 func Load(d Dictionary, spec KeySpec, n int64) {
-	for id := int64(0); id < n; id++ {
-		d.Put(spec.Key(uint64(id)), spec.Value(uint64(id)))
+	if n > 0 { // a spec that Key or Value refuses panics here, on the caller's goroutine
+		spec.Key(0)
+		spec.Value(0)
+	}
+	// Four batches in flight let the generator run a thousand pairs ahead,
+	// past a Put that stalls on a split or a write-back, and bound what it
+	// holds.
+	batches, done := make(chan []kv.Entry, 4), make(chan struct{})
+	go func() {
+		defer close(batches)
+		for lo := int64(0); lo < n; lo += loadBatch {
+			b := make([]kv.Entry, min(loadBatch, n-lo))
+			for i := range b {
+				id := uint64(lo) + uint64(i)
+				b[i] = kv.Entry{Key: spec.Key(id), Value: spec.Value(id)}
+			}
+			select {
+			case batches <- b:
+			case <-done:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		for range batches {
+		}
+	}()
+	for b := range batches {
+		for _, e := range b {
+			d.Put(e.Key, e.Value)
+		}
 	}
 }

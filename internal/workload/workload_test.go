@@ -2,9 +2,14 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"iomodels/internal/kv"
 )
 
 func TestKeyDeterministicAndUnique(t *testing.T) {
@@ -367,4 +372,69 @@ func TestOpKindString(t *testing.T) {
 			t.Fatal("empty kind name")
 		}
 	}
+}
+
+// recorder is a Dictionary that records the Puts it sees and panics at the
+// panicAt-th one (counting from 1), if panicAt is set.
+type recorder struct {
+	puts    []kv.Entry
+	panicAt int
+}
+
+func (r *recorder) Put(k, v []byte) {
+	if len(r.puts)+1 == r.panicAt {
+		panic("recorder: planned panic")
+	}
+	r.puts = append(r.puts, kv.Entry{Key: k, Value: v})
+}
+func (r *recorder) Get([]byte) ([]byte, bool)                  { return nil, false }
+func (r *recorder) Scan(_, _ []byte, _ func(_, _ []byte) bool) {}
+
+// TestLoadMatchesPlainLoop: Load, fed by its generator goroutine, Puts what
+// the plain loop over ids would, in the same order, around the batch size.
+func TestLoadMatchesPlainLoop(t *testing.T) {
+	spec := DefaultSpec()
+	for _, n := range []int64{0, 1, loadBatch - 1, loadBatch, loadBatch + 1, 10000} {
+		var r recorder
+		Load(&r, spec, n)
+		if int64(len(r.puts)) != n {
+			t.Fatalf("n=%d: %d Puts", n, len(r.puts))
+		}
+		for id, e := range r.puts {
+			if !bytes.Equal(e.Key, spec.Key(uint64(id))) || !bytes.Equal(e.Value, spec.Value(uint64(id))) {
+				t.Fatalf("n=%d: Put %d is not id %d's key and value", n, id, id)
+			}
+		}
+	}
+}
+
+// TestLoadLeavesNoGoroutine: no goroutine outlives Load, whether it returns
+// or a Put panics, at the first Put, inside a batch or at a batch's edge.
+func TestLoadLeavesNoGoroutine(t *testing.T) {
+	spec, base := DefaultSpec(), runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	for _, k := range []int{1, 2, loadBatch, loadBatch + 1, 3*loadBatch + 7} {
+		r := recorder{panicAt: k}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Put %d: no panic", k)
+				}
+			}()
+			Load(&r, spec, 10000)
+		}()
+		if len(r.puts) != k-1 {
+			t.Fatalf("panic at Put %d: %d Puts before it", k, len(r.puts))
+		}
+		settled(fmt.Sprintf("panic at Put %d", k))
+	}
+	Load(&recorder{}, spec, 1000)
+	settled("a load that returned")
 }
