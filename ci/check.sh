@@ -26,8 +26,9 @@
 #              head-column key search (kv.Search), the one declaration
 #              per /metrics family, the B-tree leaf that is its page, the
 #              Bε-tree's one message merge and one leaf walk, the
-#              stepper's ring of step records and the pager's release by
-#              pin removed
+#              stepper's ring of step records, the pager's release by
+#              pin and the one closed-loop driver (internal/closedloop)
+#              removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -54,7 +55,10 @@
 #              Bε-tree buffer fed message by message or a third site that
 #              applies a key's messages, a map or a swept delete( in
 #              the stepper's bookkeeping, and an Unpin(, MarkDirty(, Grow(
-#              or Swap( of a page named by a PageID( conversion)
+#              or Swap( of a page named by a PageID( conversion, a
+#              server.ErrBusy comparison in non-test cmd/ or
+#              internal/experiments Go, and a busy backoff outside
+#              internal/closedloop, bench/ aside)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -170,7 +174,25 @@ if [ -n "$dups" ]; then
 fi
 n=$(grep -l 'server\.Dial(' internal/experiments/*.go | grep -vc '_test\.go$' || true)
 if [ "$n" -ne 1 ]; then
-	echo "server.Dial( in $n non-test files of internal/experiments (drive clients through conns.run in harness.go)" >&2
+	echo "server.Dial( in $n non-test files of internal/experiments (dial through dial in harness.go)" >&2
+	exit 1
+fi
+# One closed-loop driver (internal/closedloop, DESIGN.md §10): loadgen and the
+# serving experiments retry a busy reply only through its Run, with its one
+# backoff. A server.ErrBusy comparison under cmd/ or internal/experiments is
+# a client loop's own retry growing back, and a busy backoff's names, its
+# 200 µs base or its [d/2, d] jitter outside the driver a second backoff.
+# bench/ keeps its own until it adopts the driver (ROADMAP direction 1(e)).
+dups=$(grep -rn --include='*.go' 'ErrBusy' cmd internal/experiments | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$dups" ]; then
+	echo "a server.ErrBusy comparison in cmd/ or internal/experiments (return the error: closedloop's Run retries a busy reply):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rnE --include='*.go' 'busyDelay|busyBase|busyMax|nextBusyDelay|sleepJittered|200 \* time\.Microsecond|/2 \+ time\.Duration\(' . | grep -v -e '^./vendor/' -e '^./bench/' -e '^./internal/closedloop/' -e '_test\.go:' || true)
+if [ -n "$dups" ]; then
+	echo "a busy backoff outside internal/closedloop (retry through closedloop's Run; its Backoff is the one):" >&2
+	echo "$dups" >&2
 	exit 1
 fi
 # The tree experiments build, load and time a tree one way (treeharness.go):

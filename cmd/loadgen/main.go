@@ -9,9 +9,13 @@
 //	        [-mix get=95,put=5,...] [-theta 0.99] [-keys N] [-seed S]
 //	        [-scanners K] [-snapcheck]
 //
-// It reports aggregate throughput, wall-clock latency percentiles (merged
-// from per-client histograms), busy (shed) counts, and — with -stats — the
-// server's own snapshot afterwards.
+// Every client population here — the point clients, the scanners, and both
+// phases of -verify — is dialed and driven by internal/closedloop, the one
+// closed-loop driver: a busy (shed) reply is retried in the same op slot
+// after its one capped, jittered backoff, and counted. loadgen reports
+// aggregate throughput, wall-clock latency percentiles (per op kind, merged
+// across clients), busy (shed) counts, and — with -stats — the server's own
+// snapshot afterwards.
 //
 // -scanners K runs the scan-beside-OLTP mix: K extra connections page
 // through the whole keyspace with long MVCC snapshot scans while the
@@ -45,7 +49,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -53,6 +56,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"iomodels/internal/closedloop"
 	"iomodels/internal/cluster"
 	"iomodels/internal/kv"
 	"iomodels/internal/obs"
@@ -71,16 +75,9 @@ type kvConn interface {
 	Scan(lo, hi []byte, limit int) ([]kv.Entry, error)
 }
 
-// dialFn opens one client's connection (a single-node client or a per-client
-// router) and returns it with its closer.
-type dialFn func() (kvConn, func(), error)
-
-// traceStarter is the optional tracing surface of a connection: a direct
-// *server.Client implements it (the router does not — cluster tracing would
-// need the routed shard's connection, so -trace-every is single-node only).
-type traceStarter interface {
-	TraceNext() kv.TraceContext
-}
+// dialFn opens client i's connection (a single-node client or a per-client
+// router) and returns it with its closer, as closedloop.Dial asks.
+type dialFn func(i int) (kvConn, func(), error)
 
 // spanLog collects loadgen's client-side spans for -spans-out: one SpanJSON
 // per traced op, in the same shape as the server's /spans dump, so the
@@ -111,31 +108,6 @@ func (sl *spanLog) write(path string) error {
 	return f.Close()
 }
 
-// Busy backoff: shed requests retry the same slot, but never in a hot spin —
-// a saturated server answering StatusBusy in microseconds would otherwise
-// burn both sides' CPU on refusals. Capped exponential with jitter.
-const (
-	busyBase = 200 * time.Microsecond
-	busyMax  = 50 * time.Millisecond
-)
-
-// nextBusyDelay advances the per-connection backoff (0 starts it).
-func nextBusyDelay(d time.Duration) time.Duration {
-	if d == 0 {
-		return busyBase
-	}
-	if d *= 2; d > busyMax {
-		d = busyMax
-	}
-	return d
-}
-
-// sleepJittered sleeps a uniform random duration in [d/2, d], decorrelating
-// the retry storms of clients shed by the same full queue.
-func sleepJittered(d time.Duration) {
-	time.Sleep(d/2 + time.Duration(rand.Int63n(int64(d)/2+1)))
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "kvserve address")
 	clients := flag.Int("clients", 8, "concurrent closed-loop connections")
@@ -155,7 +127,7 @@ func main() {
 	spansOut := flag.String("spans-out", "", "write client-side spans of traced ops here (JSON, for iotrace -merge)")
 	flag.Parse()
 
-	dial := dialFn(func() (kvConn, func(), error) {
+	dial := dialFn(func(int) (kvConn, func(), error) {
 		cl, err := server.Dial(*addr)
 		if err != nil {
 			return nil, nil, err
@@ -163,11 +135,9 @@ func main() {
 		return cl, func() { cl.Close() }, nil
 	})
 	// In cluster mode every client builds its own router; keep them all so
-	// the failover counters can be summed after the run.
-	var (
-		routersMu sync.Mutex
-		routers   []*cluster.Router
-	)
+	// the failover counters can be summed after the run. (closedloop.Dial
+	// calls dial from its caller's goroutine, one client at a time.)
+	var routers []*cluster.Router
 	if *clusterFlag != "" {
 		if *scanners > 0 || *snapcheck || *showStats {
 			fatalf("-scanners, -snapcheck, and -stats talk to a single node; not supported with -cluster")
@@ -179,23 +149,16 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		dial = func() (kvConn, func(), error) {
+		dial = func(int) (kvConn, func(), error) {
 			r, err := cluster.NewRouter(cluster.RouterConfig{Shards: specs})
 			if err != nil {
 				return nil, nil, err
 			}
-			routersMu.Lock()
 			routers = append(routers, r)
-			routersMu.Unlock()
 			return r, r.Close, nil
 		}
 	}
-	routerStats := func() *cluster.RouterStats {
-		routersMu.Lock()
-		defer routersMu.Unlock()
-		if len(routers) == 0 {
-			return nil
-		}
+	printRouters := func() {
 		var sum cluster.RouterStats
 		for _, r := range routers {
 			rs := r.Stats()
@@ -203,14 +166,14 @@ func main() {
 			sum.Probes += rs.Probes
 			sum.Promotes += rs.Promotes
 		}
-		return &sum
+		if len(routers) > 0 {
+			fmt.Printf("router: failovers=%d probes=%d promotes=%d\n", sum.Failovers, sum.Probes, sum.Promotes)
+		}
 	}
 
 	if *verify {
 		err := runVerify(dial, *clients, *ops)
-		if rs := routerStats(); rs != nil {
-			fmt.Printf("router: failovers=%d probes=%d promotes=%d\n", rs.Failovers, rs.Probes, rs.Promotes)
-		}
+		printRouters()
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -231,88 +194,98 @@ func main() {
 	}
 
 	spec := workload.DefaultSpec()
-	hist := stats.NewLatencyHist()
-	var shed, misses, traced atomic.Int64
-	classHists := make([]*stats.LatencyHist, int(workload.OpRMW)+1)
-	for i := range classHists {
-		classHists[i] = stats.NewLatencyHist()
+	streams := make([]*workload.Stream, *clients)
+	for c := range streams {
+		streams[c] = workload.NewStream(spec, *seed+uint64(c), *keys, mix, *theta)
 	}
+	var misses, traced atomic.Int64
 	spans := &spanLog{}
+	// op fills client c's slot j with the next op of c's stream (a shed
+	// slot's retry draws afresh, as loadgen always has); its class is the
+	// op's kind. With -trace-every N, every Nth op of a single-node
+	// client carries a fresh trace context and its client-side wall span is
+	// logged (a retried busy op mints a fresh context — the shed attempt
+	// consumed the previous one). A router cannot start traces: that would
+	// need the routed shard's connection, so -trace-every is single-node
+	// only.
+	op := func(cl kvConn, c, j int) (int, error) {
+		op := streams[c].Next()
+		key := spec.Key(op.ID)
+		var tc kv.TraceContext
+		if sc, ok := cl.(*server.Client); ok && *traceEvery > 0 && j%*traceEvery == 0 {
+			tc = sc.TraceNext()
+		}
+		t0 := time.Now()
+		if err := execOp(cl, spec, op, key, &misses); err != nil {
+			return 0, fmt.Errorf("%v %q: %w", op.Kind, key, err)
+		}
+		if tc.Valid() {
+			traced.Add(1)
+			// The context's SpanID names this client-side span on the wire:
+			// the server's span links to it, so the merged trace draws the
+			// arrow from this span to the server's.
+			spans.add(obs.SpanJSON{
+				Op:          "client:" + op.Kind.String(),
+				Wire:        tc.SpanID,
+				TraceID:     tc.TraceID,
+				TID:         int64(c),
+				WallStartNs: t0.UnixNano(),
+				WallEndNs:   time.Now().UnixNano(),
+			})
+		}
+		return int(op.Kind), nil
+	}
 
 	start := time.Now()
-	errs := make(chan error, *clients)
-	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			errs <- runClient(c, dial, spec, workload.NewStream(spec, *seed+uint64(c), *keys, mix, *theta),
-				*ops, hist, classHists, &shed, &misses, *traceEvery, &traced, spans)
-		}(c)
+	cs, err := closedloop.Dial(*clients, dial)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	defer cs.Close()
 
 	// Scan-beside-OLTP: the scanners run until the point clients finish.
-	scanHist := stats.NewLatencyHist()
-	var scans, scanned atomic.Int64
-	var scanErrs []error
-	if *scanners > 0 {
-		oltpDone := make(chan struct{})
-		var swg sync.WaitGroup
-		scanErrs = make([]error, *scanners)
-		for i := 0; i < *scanners; i++ {
-			swg.Add(1)
-			go func(i int) {
-				defer swg.Done()
-				n, entries, err := runScanner(*addr, *scanLen, scanHist, oltpDone)
-				scans.Add(n)
-				scanned.Add(entries)
-				scanErrs[i] = err
-			}(i)
-		}
-		wg.Wait()
-		close(oltpDone)
-		swg.Wait()
-	} else {
-		wg.Wait()
+	oltpDone := make(chan struct{})
+	var res closedloop.Result
+	go func() {
+		defer close(oltpDone)
+		res, err = cs.Run(*ops, nil, op)
+	}()
+	var scanned atomic.Int64
+	scans, scanErr := runScanners(*addr, *scanners, *scanLen, oltpDone, &scanned)
+	<-oltpDone
+	if err != nil {
+		fatalf("%v", err)
 	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-	for _, err := range scanErrs {
-		if err != nil {
-			fatalf("scanner: %v", err)
-		}
+	if scanErr != nil {
+		fatalf("scanner: %v", scanErr)
 	}
 	elapsed := time.Since(start)
 
-	total := int64(*clients) * int64(*ops)
-	lat := hist.Snapshot().Micros()
-	fmt.Printf("loadgen: %d clients x %d ops in %.2fs = %.0f ops/s\n",
-		*clients, *ops, elapsed.Seconds(), float64(total)/elapsed.Seconds())
-	fmt.Printf("latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
-		lat.MeanUs, lat.P50Us, lat.P95Us, lat.P99Us, lat.MaxUs)
+	all := stats.NewLatencyHist()
 	var parts []string
-	for k, h := range classHists {
-		if l := h.Snapshot().Micros(); l.Count > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", workload.OpKind(k), l.Count))
+	for k, h := range res.Hists {
+		all.Merge(h)
+		if n := h.Count(); n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", workload.OpKind(k), n))
 		}
 	}
-	fmt.Printf("ops: %s; busy(shed)=%d not_found=%d\n", strings.Join(parts, " "), shed.Load(), misses.Load())
+	lat := all.Snapshot().Micros()
+	fmt.Printf("loadgen: %d clients x %d ops in %.2fs = %.0f ops/s\n",
+		*clients, *ops, elapsed.Seconds(), float64(*clients)*float64(*ops)/elapsed.Seconds())
+	fmt.Printf("latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
+		lat.MeanUs, lat.P50Us, lat.P95Us, lat.P99Us, lat.MaxUs)
+	fmt.Printf("ops: %s; busy(shed)=%d not_found=%d\n", strings.Join(parts, " "), res.Shed, misses.Load())
 	if *traceEvery > 0 {
 		fmt.Printf("traced: %d ops carried a trace context (every %d)\n", traced.Load(), *traceEvery)
 	}
 	if *scanners > 0 {
-		l := scanHist.Snapshot().Micros()
-		fmt.Printf("snapshot scans: %d scanners, %d scans (%d entries)\n", *scanners, scans.Load(), scanned.Load())
+		l := scans.Hist(scanPage).Snapshot().Micros()
+		fmt.Printf("snapshot scans: %d scanners, %d scans (%d entries), busy(shed)=%d\n",
+			*scanners, l.Count, scanned.Load(), scans.Shed)
 		fmt.Printf("scan latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
 			l.MeanUs, l.P50Us, l.P95Us, l.P99Us, l.MaxUs)
 	}
-	if rs := routerStats(); rs != nil {
-		fmt.Printf("router: failovers=%d probes=%d promotes=%d\n", rs.Failovers, rs.Probes, rs.Promotes)
-	}
+	printRouters()
 	if *spansOut != "" {
 		if err := spans.write(*spansOut); err != nil {
 			fatalf("spans: %v", err)
@@ -334,136 +307,73 @@ func main() {
 	}
 }
 
-// runClient is one closed-loop connection: draw an op, execute it, repeat.
-// Shed requests (StatusBusy) are counted and retried in the same slot after
-// a jittered backoff — the closed loop plus the backoff is the backpressure.
-// With traceEvery > 0 and a connection that can start traces, every Nth op
-// carries a fresh trace context and its client-side wall span is logged (a
-// retried busy slot mints a fresh context — the shed attempt consumed the
-// previous one).
-func runClient(id int, dial dialFn, spec workload.KeySpec, stream *workload.Stream, ops int,
-	hist *stats.LatencyHist, classHists []*stats.LatencyHist,
-	shed, misses *atomic.Int64, traceEvery int, traced *atomic.Int64, spans *spanLog) error {
-	cl, closeConn, err := dial()
-	if err != nil {
-		return err
-	}
-	defer closeConn()
-	local := stats.NewLatencyHist()
-	localClass := make([]*stats.LatencyHist, len(classHists))
-	for i := range localClass {
-		localClass[i] = stats.NewLatencyHist()
-	}
-	ts, _ := cl.(traceStarter)
-	var busyDelay time.Duration
-	for i := 0; i < ops; i++ {
-		op := stream.Next()
-		key := spec.Key(op.ID)
-		var tc kv.TraceContext
-		if ts != nil && traceEvery > 0 && i%traceEvery == 0 {
-			tc = ts.TraceNext()
-		}
-		t0 := time.Now()
-		err := execOp(cl, spec, op, key, misses)
-		if errors.Is(err, server.ErrBusy) {
-			shed.Add(1)
-			busyDelay = nextBusyDelay(busyDelay)
-			sleepJittered(busyDelay)
-			i-- // retry the slot; closed-loop offered load stays constant
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("%v %q: %w", op.Kind, key, err)
-		}
-		busyDelay = 0
-		wall := time.Since(t0)
-		local.Observe(int64(wall))
-		localClass[int(op.Kind)].Observe(int64(wall))
-		if tc.Valid() {
-			traced.Add(1)
-			// The context's SpanID names this client-side span on the wire:
-			// the server's span links to it, so the merged trace draws the
-			// arrow from this span to the server's.
-			spans.add(obs.SpanJSON{
-				Op:          "client:" + op.Kind.String(),
-				Wire:        tc.SpanID,
-				TraceID:     tc.TraceID,
-				TID:         int64(id),
-				WallStartNs: t0.UnixNano(),
-				WallEndNs:   t0.Add(wall).UnixNano(),
-			})
-		}
-	}
-	hist.Merge(local)
-	for i := range localClass {
-		classHists[i].Merge(localClass[i])
-	}
-	return nil
+// A scanner's op classes: a page of a snapshot scan, or a snapshot pinned or
+// released.
+const (
+	scanPage = iota
+	scanPin
+)
+
+// scanner is one snapshot-scan connection: it pins a snapshot, pages through
+// the whole keyspace with SnapScan, releases, re-pins, and repeats until the
+// OLTP side finishes. An expired snapshot (version chains trimmed under write
+// pressure) is re-pinned, not fatal — exactly what an analytical client
+// would do.
+type scanner struct {
+	*server.Client
+	snap   uint64 // the pinned snapshot, 0 if none is
+	cursor []byte // where the pass's next page starts; nil: re-pin first
 }
 
-// runScanner is one snapshot-scan connection: open a snapshot, page through
-// the whole keyspace with SnapScan, release, re-pin, repeat until the OLTP
-// side finishes. An expired snapshot (version chains trimmed under write
-// pressure) is re-opened, not fatal — exactly what an analytical client
-// would do.
-func runScanner(addr string, scanLen int, hist *stats.LatencyHist, done <-chan struct{}) (scans, entries int64, err error) {
-	cl, err := server.Dial(addr)
-	if err != nil {
-		return 0, 0, err
+// next is the scanner's next op: a page, or a re-pin between two passes.
+func (s *scanner) next(limit int, entries *atomic.Int64) (int, error) {
+	if s.cursor == nil {
+		// Release the finished pass's snapshot, so its old versions can be
+		// reclaimed, and pin a fresh consistent world for the next pass. A
+		// refused open leaves snap 0, so its retry does not release again.
+		if s.snap != 0 {
+			if err := s.SnapRelease(s.snap); err != nil {
+				return scanPin, err
+			}
+		}
+		var err error
+		if s.snap, _, err = s.SnapOpen(); err == nil {
+			s.cursor = []byte{}
+		}
+		return scanPin, err
 	}
-	defer cl.Close()
-	local := stats.NewLatencyHist()
-	defer hist.Merge(local)
+	page, err := s.SnapScan(s.snap, s.cursor, nil, limit)
+	if errors.Is(err, server.ErrSnapExpired) {
+		s.snap, s.cursor = 0, nil
+		return scanPin, nil
+	}
+	if err != nil {
+		return scanPage, err
+	}
+	entries.Add(int64(len(page)))
+	s.cursor = nil // a short page ends the keyspace: one full pass done
+	if len(page) == limit {
+		s.cursor = append(append([]byte(nil), page[len(page)-1].Key...), 0)
+	}
+	return scanPage, nil
+}
 
-	id, _, err := cl.SnapOpen()
-	if err != nil {
-		return 0, 0, err
-	}
-	var cursor []byte
-	var busyDelay time.Duration
-	for {
-		select {
-		case <-done:
-			return scans, entries, cl.SnapRelease(id)
-		default:
-		}
-		t0 := time.Now()
-		page, err := cl.SnapScan(id, cursor, nil, scanLen)
-		if errors.Is(err, server.ErrBusy) {
-			busyDelay = nextBusyDelay(busyDelay)
-			sleepJittered(busyDelay)
-			continue
-		}
-		busyDelay = 0
-		if errors.Is(err, server.ErrSnapExpired) {
-			if id, _, err = cl.SnapOpen(); err != nil {
-				return scans, entries, err
-			}
-			cursor = nil
-			continue
-		}
+// runScanners runs k scanners against addr until done closes. Its result's
+// scanPage class is the scan latency. Closing a connection releases the
+// snapshot it holds.
+func runScanners(addr string, k, limit int, done <-chan struct{}, entries *atomic.Int64) (closedloop.Result, error) {
+	sc, err := closedloop.Dial(k, func(int) (*scanner, func(), error) {
+		cl, err := server.Dial(addr)
 		if err != nil {
-			return scans, entries, err
+			return nil, nil, err
 		}
-		local.Observe(int64(time.Since(t0)))
-		scans++
-		entries += int64(len(page))
-		if len(page) < scanLen {
-			// End of keyspace: one full pass done. Re-pin so the next pass
-			// sees a fresh consistent world (and the old versions can be
-			// reclaimed).
-			if err := cl.SnapRelease(id); err != nil {
-				return scans, entries, err
-			}
-			if id, _, err = cl.SnapOpen(); err != nil {
-				return scans, entries, err
-			}
-			cursor = nil
-			continue
-		}
-		last := page[len(page)-1].Key
-		cursor = append(append([]byte(nil), last...), 0)
+		return &scanner{Client: cl}, func() { cl.Close() }, nil
+	})
+	if err != nil {
+		return closedloop.Result{}, err
 	}
+	defer sc.Close()
+	return sc.Run(-1, done, func(s *scanner, _, _ int) (int, error) { return s.next(limit, entries) })
 }
 
 // runSnapcheck is the CI smoke probe: pin, write past the pin, and demand
@@ -533,29 +443,32 @@ func execOp(cl kvConn, spec workload.KeySpec, op workload.Op, key []byte, misses
 	}
 }
 
-// parseMix resolves the -ycsb preset or the -mix weight list (the presets
-// follow the YCSB core workloads; update = put).
+// ycsbPresets are the -ycsb mixes, after the YCSB core workloads (update =
+// put).
+var ycsbPresets = map[string]workload.Mix{
+	"a": {Gets: 50, Puts: 50},
+	"b": {Gets: 95, Puts: 5},
+	"c": {Gets: 100},
+	"f": {Gets: 50, RMWs: 50},
+}
+
+// parseMix resolves the -ycsb preset or the -mix weight list.
 func parseMix(ycsb, mixFlag string, scanLen int) (workload.Mix, error) {
-	if ycsb != "" && mixFlag != "" {
+	switch {
+	case ycsb != "" && mixFlag != "":
 		return workload.Mix{}, errors.New("loadgen: -ycsb and -mix are mutually exclusive")
-	}
-	switch strings.ToLower(ycsb) {
-	case "a":
-		return workload.Mix{Gets: 50, Puts: 50}, nil
-	case "b":
-		return workload.Mix{Gets: 95, Puts: 5}, nil
-	case "c":
-		return workload.Mix{Gets: 100}, nil
-	case "f":
-		return workload.Mix{Gets: 50, RMWs: 50}, nil
-	case "":
-	default:
-		return workload.Mix{}, fmt.Errorf("loadgen: unknown YCSB preset %q (want a, b, c, or f)", ycsb)
-	}
-	if mixFlag == "" {
-		return workload.Mix{Gets: 95, Puts: 5}, nil // default: YCSB B
+	case ycsb != "":
+		mix, ok := ycsbPresets[strings.ToLower(ycsb)]
+		if !ok {
+			return mix, fmt.Errorf("loadgen: unknown YCSB preset %q (want a, b, c, or f)", ycsb)
+		}
+		return mix, nil
+	case mixFlag == "":
+		return ycsbPresets["b"], nil // default: YCSB B
 	}
 	mix := workload.Mix{ScanLen: scanLen}
+	weights := map[string]*int{"get": &mix.Gets, "put": &mix.Puts, "delete": &mix.Deletes,
+		"scan": &mix.Scans, "upsert": &mix.Upserts, "rmw": &mix.RMWs}
 	for _, part := range strings.Split(mixFlag, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(kv) != 2 {
@@ -565,22 +478,11 @@ func parseMix(ycsb, mixFlag string, scanLen int) (workload.Mix, error) {
 		if err != nil || w < 0 {
 			return mix, fmt.Errorf("loadgen: bad weight in %q", part)
 		}
-		switch kv[0] {
-		case "get":
-			mix.Gets = w
-		case "put":
-			mix.Puts = w
-		case "delete":
-			mix.Deletes = w
-		case "scan":
-			mix.Scans = w
-		case "upsert":
-			mix.Upserts = w
-		case "rmw":
-			mix.RMWs = w
-		default:
+		weight, ok := weights[kv[0]]
+		if !ok {
 			return mix, fmt.Errorf("loadgen: unknown op %q in mix", kv[0])
 		}
+		*weight = w
 	}
 	return mix, nil
 }
@@ -592,91 +494,68 @@ func parseMix(ycsb, mixFlag string, scanLen int) (workload.Mix, error) {
 // end, a fresh connection reads every acked key back; one miss is a lost
 // acknowledged write and fails the run.
 func runVerify(dial dialFn, clients, ops int) error {
-	type clientResult struct {
-		acked []int // op indices whose Put was acknowledged
-		err   error // connection-level failure (dial), not per-op
-	}
-	// Keys stay within workload.DefaultSpec's 16-byte key limit.
-	value := func(c, i int) []byte { return []byte(fmt.Sprintf("v-%03d-%08d", c, i)) }
-	key := func(c, i int) []byte { return []byte(fmt.Sprintf("vf-%03d-%08d", c, i)) }
+	// Write w is client w/ops's op w%ops. Keys stay within
+	// workload.DefaultSpec's 16-byte key limit.
+	value := func(w int) []byte { return []byte(fmt.Sprintf("v-%03d-%08d", w/ops, w%ops)) }
+	key := func(w int) []byte { return []byte(fmt.Sprintf("vf-%03d-%08d", w/ops, w%ops)) }
 
 	start := time.Now()
-	results := make([]clientResult, clients)
-	var rejected atomic.Int64
-	var shed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			conn, closeConn, err := dial()
-			if err != nil {
-				results[c].err = err
-				return
-			}
-			defer closeConn()
-			var busyDelay time.Duration
-			for i := 0; i < ops; i++ {
-				err := conn.Put(key(c, i), value(c, i))
-				switch {
-				case err == nil:
-					busyDelay = 0
-					results[c].acked = append(results[c].acked, i)
-				case errors.Is(err, server.ErrBusy):
-					shed.Add(1)
-					busyDelay = nextBusyDelay(busyDelay)
-					sleepJittered(busyDelay)
-					i-- // retry the slot
-				default:
-					// Failover window: the op was NOT acknowledged, so it is
-					// allowed to be lost. Brief pause, move on.
-					rejected.Add(1)
-					sleepJittered(busyMax)
-				}
-			}
-		}(c)
+	cs, err := closedloop.Dial(clients, dial)
+	if err != nil {
+		return fmt.Errorf("verify dial: %v", err)
 	}
-	wg.Wait()
-	for c := range results {
-		if results[c].err != nil {
-			return fmt.Errorf("verify client %d: %v", c, results[c].err)
+	acked := make([]bool, clients*ops)
+	var nacked, rejected atomic.Int64
+	puts, err := cs.Run(ops, nil, func(conn kvConn, c, i int) (int, error) {
+		w := c*ops + i
+		err := conn.Put(key(w), value(w))
+		switch {
+		case err == nil:
+			acked[w] = true
+			nacked.Add(1)
+		case closedloop.Busy(err):
+			return 0, err
+		default:
+			// Failover window: the op was NOT acknowledged, so it is
+			// allowed to be lost. Pause for the busy backoff's cap, move on.
+			rejected.Add(1)
+			time.Sleep(closedloop.MaxBackoff)
 		}
+		return 0, nil
+	})
+	cs.Close()
+	if err != nil {
+		return err
 	}
 
 	// Read-back on a fresh connection: acked writes must all be there, no
 	// matter which node now serves the shard.
-	conn, closeConn, err := dial()
+	rb, err := closedloop.Dial(1, dial)
 	if err != nil {
 		return fmt.Errorf("verify read-back dial: %v", err)
 	}
-	defer closeConn()
-	acked, lost := 0, 0
-	var busyDelay time.Duration
-	for c := range results {
-		for _, i := range results[c].acked {
-			acked++
-			for {
-				v, ok, err := conn.Get(key(c, i))
-				if errors.Is(err, server.ErrBusy) {
-					busyDelay = nextBusyDelay(busyDelay)
-					sleepJittered(busyDelay)
-					continue
-				}
-				busyDelay = 0
-				if err != nil {
-					return fmt.Errorf("verify read-back %s: %v", key(c, i), err)
-				}
-				if !ok || string(v) != string(value(c, i)) {
-					fmt.Printf("verify: LOST acked write %s (ok=%v, value=%q)\n", key(c, i), ok, v)
-					lost++
-				}
-				break
-			}
+	defer rb.Close()
+	lost := 0
+	gets, err := rb.Run(len(acked), nil, func(conn kvConn, _, w int) (int, error) {
+		if !acked[w] {
+			return 0, nil
 		}
+		v, ok, err := conn.Get(key(w))
+		if err != nil {
+			return 0, fmt.Errorf("verify read-back %s: %w", key(w), err)
+		}
+		if !ok || string(v) != string(value(w)) {
+			fmt.Printf("verify: LOST acked write %s (ok=%v, value=%q)\n", key(w), ok, v)
+			lost++
+		}
+		return 0, nil
+	})
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("verify: %d clients x %d ops in %.2fs: %d acked, %d rejected, busy(shed)=%d, %d lost acks\n",
-		clients, ops, elapsed.Seconds(), acked, rejected.Load(), shed.Load(), lost)
+		clients, ops, elapsed.Seconds(), nacked.Load(), rejected.Load(), puts.Shed+gets.Shed, lost)
 	if lost > 0 {
 		return fmt.Errorf("%d acknowledged writes lost", lost)
 	}

@@ -2,17 +2,18 @@
 //
 // Every serving experiment is the same four moves: boot a B-tree node from a
 // node.Spec (ServeBase.start fills in what they share), drive it with k
-// closed-loop TCP connections (conns.run is the one driver and dialConns the
-// one place that dials), read virtual time off the node's shared clock and
-// wall time off the driver's histogram, and render rows through a column
-// list (render.go). What differs per experiment is the Spec and the op.
+// closed-loop TCP connections (internal/closedloop is the one driver, dial
+// here the one place that dials, and a round that admission control shed
+// fails), read virtual time off the node's shared clock and wall time off
+// the driver's histogram, and render rows through a column list (render.go).
+// What differs per experiment is the Spec and the op.
 
 package experiments
 
 import (
 	"fmt"
-	"time"
 
+	"iomodels/internal/closedloop"
 	"iomodels/internal/engine"
 	"iomodels/internal/node"
 	"iomodels/internal/pdamdev"
@@ -78,80 +79,44 @@ type conn struct {
 	rng *stats.RNG
 }
 
-// conns is a set of connections to one server, driven closed-loop.
-type conns []*conn
-
-// dialConns opens k connections to addr, connection i drawing from
-// stats.NewRNG(seed).Split(i). It is the one place a serving experiment
-// dials. Each connection completes a Ping before dialConns returns: the
-// server gives a connection its virtual cursor — the clock mark of that
-// moment — when it accepts it, so a closed loop's whole population must be
-// accepted before its first request moves the mark.
-func dialConns(addr string, k int, seed uint64) (conns, error) {
+// dial opens k connections to addr (closedloop.Dial), connection i drawing
+// from stats.NewRNG(seed).Split(i). It is the one place a serving experiment
+// dials. Each connection completes a Ping before dial returns, so the server
+// has accepted the whole population, and given each its virtual cursor,
+// before the first request moves the clock mark.
+func dial(addr string, k int, seed uint64) (*closedloop.Clients[*conn], error) {
 	root := stats.NewRNG(seed)
-	cs := make(conns, 0, k)
-	for i := 0; i < k; i++ {
+	return closedloop.Dial(k, func(i int) (*conn, func(), error) {
 		cl, err := server.Dial(addr)
 		if err == nil {
-			cs = append(cs, &conn{Client: cl, i: i, rng: root.Split(uint64(i))})
-			err = cl.Ping()
-		}
-		if err != nil {
-			cs.close()
-			return nil, err
-		}
-	}
-	return cs, nil
-}
-
-func (cs conns) close() {
-	for _, c := range cs {
-		c.Close()
-	}
-}
-
-// run drives every connection closed-loop from a goroutine of its own:
-// connection c calls op(c, j) for j = 0, 1, … n-1 (n < 0: until stop is
-// closed), each call timed, and gives up at its first error. It returns the
-// wall-clock latencies of all connections and the first error.
-func (cs conns) run(n int, stop <-chan struct{}, op func(c *conn, j int) error) (stats.LatencyMicros, error) {
-	hist := stats.NewLatencyHist()
-	loop := func(c *conn) error {
-		for j := 0; j != n; j++ {
-			select {
-			case <-stop: // never ready when stop is nil
-				return nil
-			default:
+			if err = cl.Ping(); err != nil {
+				cl.Close()
 			}
-			t0 := time.Now()
-			if err := op(c, j); err != nil {
-				return err
-			}
-			hist.Observe(int64(time.Since(t0)))
 		}
-		return nil
-	}
-	errs := make(chan error, len(cs))
-	for _, c := range cs {
-		go func(c *conn) { errs <- loop(c) }(c)
-	}
-	var first error
-	for range cs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return hist.Snapshot().Micros(), first
+		return &conn{Client: cl, i: i, rng: root.Split(uint64(i))}, func() { cl.Close() }, err
+	})
 }
 
-// closedLoop dials k connections, runs them (see conns.run) and closes them.
-func closedLoop(addr string, k, n int, seed uint64, stop <-chan struct{}, op func(c *conn, j int) error) (stats.LatencyMicros, error) {
-	cs, err := dialConns(addr, k, seed)
+// run drives cs closed-loop (closedloop's Run): connection c calls op(c, j)
+// for j = 0, 1, … n-1 (n < 0: until stop is closed). It returns the wall
+// latency of every op. Admission control never sheds experiment load
+// (startPDAM sizes the read queue for it), so a round that was shed fails.
+func run(cs *closedloop.Clients[*conn], n int, stop <-chan struct{}, op func(c *conn, j int) error) (stats.LatencyMicros, error) {
+	res, err := cs.Run(n, stop, func(c *conn, _, j int) (int, error) { return 0, op(c, j) })
+	if err == nil && res.Shed > 0 {
+		err = fmt.Errorf("admission control shed %d requests", res.Shed)
+	}
+	return res.Hist(0).Snapshot().Micros(), err
+}
+
+// dialRun dials k connections, runs them and closes them.
+func dialRun(addr string, k, n int, seed uint64, stop <-chan struct{}, op func(c *conn, j int) error) (stats.LatencyMicros, error) {
+	cs, err := dial(addr, k, seed)
 	if err != nil {
 		return stats.LatencyMicros{}, err
 	}
-	defer cs.close()
-	return cs.run(n, stop, op)
+	defer cs.Close()
+	return run(cs, n, stop, op)
 }
 
 // schedulerMode is one read-scheduler configuration under comparison, as
@@ -190,7 +155,7 @@ func (b ServeBase) readRound(sb *node.Node, step sim.Time, mode string, k, ops i
 	sb.Eng.Pager().EvictAll(sb.Eng.Owner())
 	sb.Eng.Pager().ResetStats()
 	start := sb.Clock.Now()
-	lat, err := closedLoop(sb.Addr, k, ops, b.Seed+uint64(k), nil, func(c *conn, _ int) error {
+	lat, err := dialRun(sb.Addr, k, ops, b.Seed+uint64(k), nil, func(c *conn, _ int) error {
 		key := b.Spec.Key(uint64(c.rng.Int63n(b.Items)))
 		if _, ok, err := c.Get(key); err != nil {
 			return fmt.Errorf("serving get: %w", err)

@@ -112,14 +112,14 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 
 	// Dial the readers and, in snap modes, pin every snapshot BEFORE the
 	// hot set is rewritten: the pinned view must predate the overwrite.
-	readers, err := dialConns(sb.Addr, cfg.Readers, cfg.Seed)
+	readers, err := dial(sb.Addr, cfg.Readers, cfg.Seed)
 	if err != nil {
 		return row, err
 	}
-	defer readers.close()
+	defer readers.Close()
 	snaps := make([]uint64, cfg.Readers)
 	if snapMode {
-		for i, c := range readers {
+		for i, c := range readers.Conns {
 			if snaps[i], _, err = c.SnapOpen(); err != nil {
 				return row, fmt.Errorf("snap open: %w", err)
 			}
@@ -130,7 +130,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	// a version chain per hot key, so every pinned read below is a chain
 	// hit; without (plain round) it just warms the same pages the readers
 	// will touch, keeping cache state comparable across rounds.
-	_, err = closedLoop(sb.Addr, 1, cfg.HotKeys, 0, nil, func(c *conn, j int) error {
+	_, err = dialRun(sb.Addr, 1, cfg.HotKeys, 0, nil, func(c *conn, j int) error {
 		return c.Put(cfg.Spec.Key(uint64(j)), rewriteVal(cfg, uint64(j)))
 	})
 	if err != nil {
@@ -145,7 +145,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	stop := make(chan struct{})
 	writers := make(chan error, 1)
 	go func() {
-		_, err := closedLoop(sb.Addr, row.Writers, -1, cfg.Seed^0xE22, stop, func(c *conn, _ int) error {
+		_, err := dialRun(sb.Addr, row.Writers, -1, cfg.Seed^0xE22, stop, func(c *conn, _ int) error {
 			id := uint64(cfg.HotKeys) + uint64(c.rng.Int63n(cfg.Items-int64(cfg.HotKeys)))
 			return c.Put(cfg.Spec.Key(id), cfg.Spec.Value(id^1))
 		})
@@ -153,7 +153,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	}()
 
 	before := sb.Eng.MVCCStats()
-	lat, readErr := readers.run(cfg.OpsPerReader, nil, func(c *conn, _ int) error {
+	lat, readErr := run(readers, cfg.OpsPerReader, nil, func(c *conn, _ int) error {
 		id := uint64(c.rng.Int63n(int64(cfg.HotKeys)))
 		key := cfg.Spec.Key(id)
 		// The pinned view predates the rewrite; the live view is the
@@ -189,7 +189,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 		return row, readErr
 	}
 	if snapMode {
-		for i, c := range readers {
+		for i, c := range readers.Conns {
 			if err := c.SnapRelease(snaps[i]); err != nil {
 				return row, fmt.Errorf("snap release: %w", err)
 			}

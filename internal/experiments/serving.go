@@ -107,7 +107,7 @@ func servingWriteRound(cfg ServingConfig, maxK, writers, total int) (ServingComm
 	defer sb.Close()
 	before := sb.Eng.DurabilityStats()
 	per := total / writers
-	_, err = closedLoop(sb.Addr, writers, per, 0, nil, func(c *conn, j int) error {
+	_, err = dialRun(sb.Addr, writers, per, 0, nil, func(c *conn, j int) error {
 		id := uint64(cfg.Items) + uint64(c.i*per+j)
 		if err := c.Put(cfg.Spec.Key(id), cfg.Spec.Value(id)); err != nil {
 			return fmt.Errorf("serving put: %w", err)

@@ -143,7 +143,7 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 
 	// Disjoint key ranges per writer, shuffled within the range so tree
 	// paths differ between consecutive puts.
-	lat, err := closedLoop(primary.Addr, cfg.Writers, cfg.WritesPerWriter, cfg.Seed, nil, func(c *conn, _ int) error {
+	lat, err := dialRun(primary.Addr, cfg.Writers, cfg.WritesPerWriter, cfg.Seed, nil, func(c *conn, _ int) error {
 		id := uint64(c.i*cfg.WritesPerWriter) + uint64(c.rng.Int63n(int64(cfg.WritesPerWriter)))
 		if err := c.Put(cfg.Spec.Key(id), cfg.Spec.Value(id)); err != nil {
 			return fmt.Errorf("writer %d: %w", c.i, err)
