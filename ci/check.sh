@@ -5,9 +5,9 @@
 #   go vet     stock static analysis (atomic, copylocks, lostcancel, ...)
 #   iolint     the repo's own go/analysis suite (cmd/iolint): no panic on
 #              the durability path, no engine bypass, no discarded
-#              durable-write errors, lock acquisition in lockrank order, no
-#              blocking under an exclusive lock, typed protocol-error
-#              handling
+#              durable-write or wire-client error and no dispatch on error
+#              text, lock acquisition in lockrank order and no blocking
+#              under an exclusive lock
 #   go build   everything compiles, including cmd/ and examples/
 #   go test    tier-1 correctness, then the two packages whose tests drive
 #              real goroutines over TCP onto the virtual timeline — the
@@ -27,8 +27,9 @@
 #              per /metrics family, the B-tree leaf that is its page, the
 #              Bε-tree's one message merge and one leaf walk, the
 #              stepper's ring of step records, the pager's release by
-#              pin and the one closed-loop driver (internal/closedloop)
-#              removed
+#              pin, the one closed-loop driver (internal/closedloop), the
+#              one may-held walk (internal/analysis/locks) and the one
+#              escape-hatch rule (lintutil.Report) removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -57,8 +58,10 @@
 #              the stepper's bookkeeping, and an Unpin(, MarkDirty(, Grow(
 #              or Swap( of a page named by a PageID( conversion, a
 #              server.ErrBusy comparison in non-test cmd/ or
-#              internal/experiments Go, and a busy backoff outside
-#              internal/closedloop, bench/ aside)
+#              internal/experiments Go, a busy backoff outside
+#              internal/closedloop, bench/ aside, a WalkHeld or LockSet
+#              outside internal/analysis/locks, and an analyzer that
+#              writes its own "needs a reason" diagnostic)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -101,12 +104,11 @@ go vet ./...
 # iolint: the custom analyzer suite (see DESIGN.md §7), each analyzer an
 # invariant no type or test holds: nopanic (no panic on the durability path
 # without a reasoned //lint:allowpanic), enginebypass (raw device IO only in
-# the engine layer), walerr (no discarded durable-write error), lockorder
-# (//lint:lockrank acquisition order, cross-package via facts),
-# blockunderlock (no channel/IO/wait ops under an exclusive mutex), and
-# statuscheck (typed protocol sentinels handled via errors.Is, never
-# discarded or text-matched). The stock passes run once, in go vet above.
-# Exits non-zero on any diagnostic.
+# the engine layer), errcontract (no discarded durable-write error; wire
+# client errors handled via errors.Is, never discarded or text-matched), and
+# locks (//lint:lockrank acquisition order and no channel/IO/wait ops under
+# an exclusive mutex, cross-package via facts). The stock passes run once, in
+# go vet above. Exits non-zero on any diagnostic.
 go run ./cmd/iolint ./...
 
 go build ./...
@@ -206,6 +208,23 @@ fi
 dups=$(grep -rn --include='*.go' 'type watched' ./internal/analysis | grep -v -e '/lintutil/' -e '/testdata/' || true)
 if [ -n "$dups" ]; then
 	echo "an analyzer declares its own pattern type (use lintutil.FuncPattern):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+# One lock analyzer walks the may-held lock sets (internal/analysis/locks,
+# where the walk is unexported), and one rule waives or rejects an escape
+# hatch (lintutil.Report): a walk or lock set elsewhere is a second lock
+# analyzer growing back, and an analyzer that rejects a bare hatch itself a
+# second copy of the rule.
+dups=$(grep -rniE --include='*.go' 'WalkHeld|LockSet' . | grep -v -e '^./vendor/' -e '^./internal/analysis/locks/' || true)
+if [ -n "$dups" ]; then
+	echo "a may-held lock walk outside internal/analysis/locks (add the check to the locks analyzer):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+dups=$(grep -rn --include='*.go' 'needs a reason' ./internal/analysis ./cmd/iolint | grep -v -e '/lintutil/' -e '/testdata/' || true)
+if [ -n "$dups" ]; then
+	echo "an analyzer writes its own hatch diagnostic (report through lintutil.Report):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -1,4 +1,4 @@
-// iolint is the repo's static-analysis gate: the six custom analyzers that
+// iolint is the repo's static-analysis gate: the four custom analyzers that
 // encode the IO-model, durability and concurrency invariants no type or test
 // holds (see DESIGN.md §7), in one command (the stock passes run in go vet):
 //
@@ -21,24 +21,21 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"iomodels/internal/analysis/blockunderlock"
 	"iomodels/internal/analysis/enginebypass"
-	"iomodels/internal/analysis/lockorder"
+	"iomodels/internal/analysis/errcontract"
+	"iomodels/internal/analysis/locks"
 	"iomodels/internal/analysis/nopanic"
-	"iomodels/internal/analysis/statuscheck"
-	"iomodels/internal/analysis/walerr"
 )
 
 // suite is the analyzer set, in the order `iolint help` lists it.
 var suite = []*analysis.Analyzer{
 	nopanic.Analyzer,
 	enginebypass.Analyzer,
-	walerr.Analyzer,
+	// Durable-write and wire-client errors handled, never dropped.
+	errcontract.Analyzer,
 	// Concurrency invariants: canonical lock order, no blocking under an
-	// exclusive lock, typed status handling.
-	lockorder.Analyzer,
-	blockunderlock.Analyzer,
-	statuscheck.Analyzer,
+	// exclusive lock.
+	locks.Analyzer,
 }
 
 func main() {

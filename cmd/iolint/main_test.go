@@ -16,10 +16,8 @@ func TestSuiteRoster(t *testing.T) {
 	want := []string{
 		"nopanic",
 		"enginebypass",
-		"walerr",
-		"lockorder",
-		"blockunderlock",
-		"statuscheck",
+		"errcontract",
+		"locks",
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

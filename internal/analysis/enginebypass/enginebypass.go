@@ -67,9 +67,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !device.ContainsPkg(fn.Pkg().Path()) {
 			return
 		}
-		if lintutil.IsTestFile(pass.Fset, call.Pos()) {
-			return
-		}
 		recv := ""
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			recv = strings.TrimPrefix(sig.Recv().Type().String(), "*") + "."
@@ -77,7 +74,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				recv = recv[i+1:]
 			}
 		}
-		pass.Reportf(call.Pos(), "direct device IO %s%s bypasses the engine layer; go through engine.Client", recv, fn.Name())
+		lintutil.Report(pass, call.Pos(), "", "direct device IO %s%s bypasses the engine layer; go through engine.Client", recv, fn.Name())
 	})
 	return nil, nil
 }

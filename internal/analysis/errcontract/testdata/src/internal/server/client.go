@@ -1,5 +1,5 @@
-// Package server models the wire client whose methods carry the typed
-// protocol contract.
+// The wire client whose methods carry the typed protocol contract.
+
 package server
 
 import "errors"

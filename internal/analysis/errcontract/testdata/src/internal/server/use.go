@@ -1,5 +1,5 @@
-// Package server calls the durable-write API in every way of discarding its
-// errors.
+// Package server models the wire client (client.go) and calls the
+// durable-write API in every way of discarding its errors.
 package server
 
 import (

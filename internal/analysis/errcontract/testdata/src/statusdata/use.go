@@ -1,5 +1,6 @@
-// The statuscheck cases: every discard shape, text matching, the clean
-// typed-sentinel path, and the escape hatch.
+// The wire-client cases: every discard shape, text matching, the clean
+// typed-sentinel path, and the retired hatch that no longer waives a
+// discard.
 package statusdata
 
 import (
@@ -55,12 +56,8 @@ func typed(c *server.Client) bool {
 	return true
 }
 
+// excused: //lint:allowstatus is no hatch; the discard is reported.
 func excused(c *server.Client) {
-	//lint:allowstatus fire-and-forget warmup ping; audited
-	c.Ping()
-}
-
-func badExcuse(c *server.Client) {
-	//lint:allowstatus
-	c.Ping() // want `//lint:allowstatus needs a reason`
+	//lint:allowstatus audited
+	c.Ping() // want `error from Client.Ping discarded`
 }

@@ -1,10 +1,11 @@
 // Package lintutil holds the small amount of machinery shared by the iolint
-// analyzers: import-path scope matching, `//lint:` directive comments,
-// callee and receiver resolution, the entry-point patterns their watched
-// lists are written in, and the shapes of a discarded error. Each analyzer
-// names its scope and entry points in unexported constants, comma-separated
-// lists that encode this repo's layering, so the invariants stay data, not
-// code; an analyzer's testdata models those import paths.
+// analyzers: import-path scope matching, `//lint:` directive comments and
+// the one escape-hatch rule, callee and receiver resolution, the
+// entry-point patterns their watched lists are written in, and the shapes
+// of a discarded error. Each analyzer names its scope and entry points in
+// unexported constants, comma-separated lists that encode this repo's
+// layering, so the invariants stay data, not code; an analyzer's testdata
+// models those import paths.
 package lintutil
 
 import (
@@ -13,6 +14,7 @@ import (
 	"go/types"
 	"strings"
 
+	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/ast/inspector"
 )
 
@@ -90,42 +92,57 @@ func FileBase(fset *token.FileSet, pos token.Pos) string {
 	return name
 }
 
-// IsTestFile reports whether pos is inside a _test.go file. The analyzers
-// exempt tests: they exercise failure paths and internals on purpose.
-func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+// Report reports a diagnostic at pos under the analyzers' one escape-hatch
+// rule. Tests are exempt: they exercise failure paths and internals on
+// purpose, so nothing is reported in a _test.go file. A `//lint:<hatch>
+// <reason>` directive on pos's line or the line above waives the
+// diagnostic; a hatch that gives no reason is reported in its place, since
+// the hatch exists to document intent, not to silence the analyzer. An
+// empty hatch means the diagnostic has none.
+func Report(pass *analysis.Pass, pos token.Pos, hatch, format string, args ...any) {
+	if strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go") {
+		return
+	}
+	if reason, ok := directive(pass.Fset, pass.Files, pos, hatch); ok {
+		if reason == "" {
+			pass.Reportf(pos, "//lint:%s needs a reason", hatch)
+		}
+		return
+	}
+	pass.Reportf(pos, format, args...)
 }
 
-// Directive scans file comments for a `//lint:<name> <reason>` directive
-// attached to the line of pos or the line immediately above it, returning
-// the reason text. ok reports whether the directive was found at all; a
-// found directive with an empty reason is a misuse the caller should
-// diagnose rather than honor.
-func Directive(fset *token.FileSet, files []*ast.File, pos token.Pos, name string) (reason string, ok bool) {
+// DirectiveArg reports whether comment text is the directive
+// `//lint:<name>`, followed by whitespace or nothing, and returns the
+// argument text after it, trimmed.
+func DirectiveArg(text, name string) (string, bool) {
+	rest, ok := strings.CutPrefix(text, "//lint:"+name)
+	if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return "", false // e.g. //lint:allowpanicky
+	}
+	return strings.TrimSpace(rest), true
+}
+
+// directive finds a `//lint:<name>` directive on the line of pos or the
+// line immediately above it and returns its argument text.
+func directive(fset *token.FileSet, files []*ast.File, pos token.Pos, name string) (string, bool) {
 	tf := fset.File(pos)
-	if tf == nil {
+	if tf == nil || name == "" {
 		return "", false
 	}
 	line := tf.Line(pos)
-	prefix := "//lint:" + name
 	for _, f := range files {
 		if fset.File(f.Pos()) != tf {
 			continue
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, prefix) {
+				if cl := tf.Line(c.Pos()); cl != line && cl != line-1 {
 					continue
 				}
-				cl := tf.Line(c.Pos())
-				if cl != line && cl != line-1 {
-					continue
+				if arg, ok := DirectiveArg(c.Text, name); ok {
+					return arg, true
 				}
-				rest := strings.TrimPrefix(c.Text, prefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // e.g. //lint:allowpanicky
-				}
-				return strings.TrimSpace(rest), true
 			}
 		}
 	}

@@ -1,5 +1,5 @@
-// Mutex-call resolution and the may-held lock dataflow shared by the
-// lockorder and blockunderlock analyzers.
+// Mutex-call resolution and the may-held lock dataflow both of the
+// analyzer's checks run over.
 //
 // A lock's identity is the *types.Var of the mutex variable or struct field
 // the method is called on (s.mu.Lock() -> the field `mu`). That is the same
@@ -9,14 +9,14 @@
 // variable s; the repo convention is explicit named mutex fields, which the
 // testdata enforces.
 //
-// WalkHeld is a forward MAY-held analysis over the ctrlflow CFG: at a join,
+// walkHeld is a forward MAY-held analysis over the ctrlflow CFG: at a join,
 // a lock held on any incoming path is considered held. `defer mu.Unlock()`
 // keeps mu held to the end of the function — that is the point of the
 // idiom. Function literals, go statements, and defer bodies are not
 // entered: they run on another goroutine or at an unknown later time, so
 // neither their lock effects nor their blocking operations belong to the
 // enclosing function's timeline.
-package lintutil
+package locks
 
 import (
 	"go/ast"
@@ -24,56 +24,58 @@ import (
 	"go/types"
 
 	"golang.org/x/tools/go/cfg"
+
+	"iomodels/internal/analysis/lintutil"
 )
 
-// MutexOpKind classifies the four sync mutex methods.
-type MutexOpKind int
+// mutexOpKind classifies the four sync mutex methods.
+type mutexOpKind int
 
 const (
-	MutexLock    MutexOpKind = iota // Lock, TryLock
-	MutexRLock                      // RLock, TryRLock
-	MutexUnlock                     // Unlock
-	MutexRUnlock                    // RUnlock
+	mutexLock    mutexOpKind = iota // Lock, TryLock
+	mutexRLock                      // RLock, TryRLock
+	mutexUnlock                     // Unlock
+	mutexRUnlock                    // RUnlock
 )
 
-// HeldKind says how a lock may be held at a program point.
-type HeldKind uint8
+// heldKind says how a lock may be held at a program point.
+type heldKind uint8
 
 const (
-	HeldExcl   HeldKind = 1 << iota // via Lock
-	HeldShared                      // via RLock
+	heldExcl   heldKind = 1 << iota // via Lock
+	heldShared                      // via RLock
 )
 
-// MutexOp resolves call as a sync.Mutex/sync.RWMutex lock operation and
+// mutexOp resolves call as a sync.Mutex/sync.RWMutex lock operation and
 // returns the identity of the mutex it operates on. ok is false for
 // anything else, including lock operations on receivers the analysis
 // cannot name (map elements, function results).
-func MutexOp(info *types.Info, call *ast.CallExpr) (*types.Var, MutexOpKind, bool) {
+func mutexOp(info *types.Info, call *ast.CallExpr) (*types.Var, mutexOpKind, bool) {
 	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !okSel {
 		return nil, 0, false
 	}
-	fn := Callee(info, call)
+	fn := lintutil.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return nil, 0, false
 	}
-	named := RecvNamed(fn)
+	named := lintutil.RecvNamed(fn)
 	if named == nil {
 		return nil, 0, false
 	}
 	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
 		return nil, 0, false
 	}
-	var kind MutexOpKind
+	var kind mutexOpKind
 	switch fn.Name() {
 	case "Lock", "TryLock":
-		kind = MutexLock
+		kind = mutexLock
 	case "RLock", "TryRLock":
-		kind = MutexRLock
+		kind = mutexRLock
 	case "Unlock":
-		kind = MutexUnlock
+		kind = mutexUnlock
 	case "RUnlock":
-		kind = MutexRUnlock
+		kind = mutexRUnlock
 	default:
 		return nil, 0, false
 	}
@@ -107,12 +109,11 @@ func mutexVar(info *types.Info, e ast.Expr) *types.Var {
 	return nil
 }
 
-// LockSet maps each possibly-held mutex to how it may be held.
-type LockSet map[*types.Var]HeldKind
+// lockSet maps each possibly-held mutex to how it may be held.
+type lockSet map[*types.Var]heldKind
 
-// Clone returns an independent copy.
-func (s LockSet) Clone() LockSet {
-	c := make(LockSet, len(s))
+func (s lockSet) clone() lockSet {
+	c := make(lockSet, len(s))
 	for v, k := range s {
 		c[v] = k
 	}
@@ -120,7 +121,7 @@ func (s LockSet) Clone() LockSet {
 }
 
 // union merges o into s, reporting whether s grew.
-func (s LockSet) union(o LockSet) bool {
+func (s lockSet) union(o lockSet) bool {
 	changed := false
 	for v, k := range o {
 		if s[v]&k != k {
@@ -132,46 +133,44 @@ func (s LockSet) union(o LockSet) bool {
 }
 
 // apply updates the set for one mutex operation.
-func (s LockSet) apply(v *types.Var, kind MutexOpKind) {
+func (s lockSet) apply(v *types.Var, kind mutexOpKind) {
 	switch kind {
-	case MutexLock:
-		s[v] |= HeldExcl
-	case MutexRLock:
-		s[v] |= HeldShared
-	case MutexUnlock:
-		s[v] &^= HeldExcl
-	case MutexRUnlock:
-		s[v] &^= HeldShared
+	case mutexLock:
+		s[v] |= heldExcl
+	case mutexRLock:
+		s[v] |= heldShared
+	case mutexUnlock:
+		s[v] &^= heldExcl
+	case mutexRUnlock:
+		s[v] &^= heldShared
 	}
 	if s[v] == 0 {
 		delete(s, v)
 	}
 }
 
-// WalkHeld runs the may-held analysis over g and calls visit for every AST
+// walkHeld runs the may-held analysis over g and calls visit for every AST
 // node in every reachable block, in preorder, with the lock set held at
 // that point. For a lock/unlock call the callback observes the set as it is
 // BEFORE the operation takes effect (an acquisition is checked against what
-// is already held). Nested function literals, go statements, and defer
-// statements are not visited (see the package comment); deferred unlocks
-// are honored by never applying them, which leaves the lock held to the end
-// of the function.
-func WalkHeld(info *types.Info, g *cfg.CFG, visit func(n ast.Node, held LockSet)) {
-	if g == nil || len(g.Blocks) == 0 {
+// is already held). Deferred unlocks are honored by never applying them,
+// which leaves the lock held to the end of the function.
+func walkHeld(info *types.Info, g *cfg.CFG, visit func(n ast.Node, held lockSet)) {
+	if len(g.Blocks) == 0 {
 		return
 	}
-	in := map[*cfg.Block]LockSet{g.Blocks[0]: LockSet{}}
+	in := map[*cfg.Block]lockSet{g.Blocks[0]: {}}
 	work := []*cfg.Block{g.Blocks[0]}
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := in[b].Clone()
+		out := in[b].clone()
 		for _, n := range b.Nodes {
 			walkEffects(info, n, out, nil)
 		}
 		for _, succ := range b.Succs {
 			if old, ok := in[succ]; !ok {
-				in[succ] = out.Clone()
+				in[succ] = out.clone()
 				work = append(work, succ)
 			} else if old.union(out) {
 				work = append(work, succ)
@@ -183,7 +182,7 @@ func WalkHeld(info *types.Info, g *cfg.CFG, visit func(n ast.Node, held LockSet)
 		if !ok {
 			continue // unreachable
 		}
-		set = set.Clone()
+		set = set.clone()
 		for _, n := range b.Nodes {
 			walkEffects(info, n, set, visit)
 		}
@@ -192,47 +191,50 @@ func WalkHeld(info *types.Info, g *cfg.CFG, visit func(n ast.Node, held LockSet)
 
 // walkEffects walks one CFG node, invoking visit (when non-nil) before
 // applying each mutex operation's effect on set.
-func walkEffects(info *types.Info, n ast.Node, set LockSet, visit func(ast.Node, LockSet)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			return true
-		}
-		switch m.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		}
+func walkEffects(info *types.Info, n ast.Node, set lockSet, visit func(ast.Node, lockSet)) {
+	inspectOwn(n, func(m ast.Node) {
 		if visit != nil {
 			visit(m, set)
 		}
 		if call, ok := m.(*ast.CallExpr); ok {
-			if v, kind, ok := MutexOp(info, call); ok {
+			if v, kind, ok := mutexOp(info, call); ok {
 				set.apply(v, kind)
 			}
 		}
+	})
+}
+
+// inspectOwn calls f on n and, in preorder, on every node below it that
+// runs on the enclosing function's timeline: function literals, go and
+// defer statements are not entered.
+func inspectOwn(n ast.Node, f func(ast.Node)) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m.(type) {
+		case nil:
+			return true
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		}
+		f(m)
 		return true
 	})
 }
 
-// HasMutexOp cheaply reports whether the function body contains any
-// selector call spelled like a mutex operation — a syntactic pre-filter so
-// analyzers skip the CFG dataflow for the vast majority of functions.
-func HasMutexOp(body ast.Node) bool {
+// hasMutexOp cheaply reports whether the function body contains any
+// selector call spelled like a mutex acquisition — a syntactic pre-filter
+// that skips the CFG dataflow for the vast majority of functions.
+func hasMutexOp(body ast.Node) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			switch sel.Sel.Name {
-			case "Lock", "RLock", "TryLock", "TryRLock":
-				found = true
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "Lock", "RLock", "TryLock", "TryRLock":
+					found = true
+				}
 			}
 		}
-		return true
+		return !found
 	})
 	return found
 }

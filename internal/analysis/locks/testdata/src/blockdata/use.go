@@ -1,4 +1,4 @@
-// The blockunderlock cases: channel ops, waits, sleeps, watched IO entry
+// The blocking-under-lock cases: channel ops, waits, sleeps, watched IO entry
 // points, transitive and cross-package blocking, function-value calls, the
 // shared-lock exemption, and the escape hatch.
 package blockdata

@@ -1,4 +1,4 @@
-// Package engine models the durable-IO entry points blockunderlock watches.
+// Package engine models the durable-IO entry points the analyzer watches.
 package engine
 
 // Engine is the storage engine.

@@ -1,5 +1,6 @@
-// The lockorder cases: rank annotations, inversions, self-deadlock,
-// transitive and cross-package acquisition, and the escape hatch.
+// The acquisition-order cases: rank annotations, inversions, self-deadlock,
+// transitive and cross-package acquisition, a call both checks report, and
+// the retired hatch that no longer waives an inversion.
 package lockorderdata
 
 import (
@@ -14,6 +15,7 @@ type Server struct {
 	mu      sync.Mutex   //lint:lockrank 40 conn table; innermost
 	plain   sync.Mutex   // unranked: self-deadlock check only
 	st      *lockorderdep.Store
+	q       *lockorderdep.Queue
 	n       int
 }
 
@@ -42,10 +44,10 @@ func (s *Server) relock() {
 	s.plain.Unlock()
 }
 
-// rr: recursive RLock is shared-mode and legal.
+// rr: a recursive RLock deadlocks if a Lock waits between the two.
 func (s *Server) rr() {
 	s.stateMu.RLock()
-	s.stateMu.RLock()
+	s.stateMu.RLock() // want `mutex stateMu acquired while already held`
 	s.stateMu.RUnlock()
 	s.stateMu.RUnlock()
 }
@@ -100,22 +102,21 @@ func (s *Server) downRank() {
 	s.stateMu.Unlock()
 }
 
-// excused carries an audited hatch: silent.
+// excused: //lint:allowlockorder is no hatch; the inversion is reported.
 func (s *Server) excused() {
 	s.shipMu.Lock()
-	//lint:allowlockorder promotion fence re-enters by design; audited
-	s.stateMu.Lock()
+	//lint:allowlockorder audited
+	s.stateMu.Lock() // want `lock order violation: acquiring stateMu \(rank 20\) while holding shipMu \(rank 30\)`
 	s.stateMu.Unlock()
 	s.shipMu.Unlock()
 }
 
-// badExcuse: a hatch with no reason is itself diagnosed.
-func (s *Server) badExcuse() {
-	s.shipMu.Lock()
-	//lint:allowlockorder
-	s.stateMu.Lock() // want `//lint:allowlockorder needs a reason`
-	s.stateMu.Unlock()
-	s.shipMu.Unlock()
+// both: one cross-package summary carries an acquisition and a block, and
+// under the exclusive rank-40 mu each check reports its own.
+func (s *Server) both() {
+	s.mu.Lock()
+	s.q.Publish(1) // want `call to Publish may acquire qmu \(rank 20\) while holding mu \(rank 40\)` `blocking call to Queue.Publish, which may block \(channel send\) while holding mu`
+	s.mu.Unlock()
 }
 
 // spawned goroutines get their own timeline: the go body's acquisition is

@@ -53,21 +53,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !lintutil.IsBuiltin(pass.TypesInfo, call, "panic") {
 			return
 		}
-		if lintutil.IsTestFile(pass.Fset, call.Pos()) {
-			return
-		}
 		if !scope.Contains(pass.Pkg.Path(), lintutil.FileBase(pass.Fset, call.Pos())) {
 			return
 		}
-		reason, ok := lintutil.Directive(pass.Fset, pass.Files, call.Pos(), "allowpanic")
-		if ok && reason != "" {
-			return
-		}
-		if ok {
-			pass.Reportf(call.Pos(), "//lint:allowpanic needs a reason")
-			return
-		}
-		pass.Reportf(call.Pos(), "panic on the durability path; return an error (or annotate //lint:allowpanic <reason>)")
+		lintutil.Report(pass, call.Pos(), "allowpanic", "panic on the durability path; return an error (or annotate //lint:allowpanic <reason>)")
 	})
 	return nil, nil
 }

@@ -391,18 +391,24 @@ func (r *recorder) Get([]byte) ([]byte, bool)                  { return nil, fal
 func (r *recorder) Scan(_, _ []byte, _ func(_, _ []byte) bool) {}
 
 // TestLoadMatchesPlainLoop: Load, fed by its generator goroutine, Puts what
-// the plain loop over ids would, in the same order, around the batch size.
+// the plain loop over ids would, in the same order, around the batch size,
+// and no key or value, cut from a buffer it shares with its batch, has room
+// to grow into the next.
 func TestLoadMatchesPlainLoop(t *testing.T) {
-	spec := DefaultSpec()
-	for _, n := range []int64{0, 1, loadBatch - 1, loadBatch, loadBatch + 1, 10000} {
-		var r recorder
-		Load(&r, spec, n)
-		if int64(len(r.puts)) != n {
-			t.Fatalf("n=%d: %d Puts", n, len(r.puts))
-		}
-		for id, e := range r.puts {
-			if !bytes.Equal(e.Key, spec.Key(uint64(id))) || !bytes.Equal(e.Value, spec.Value(uint64(id))) {
-				t.Fatalf("n=%d: Put %d is not id %d's key and value", n, id, id)
+	for _, spec := range []KeySpec{DefaultSpec(), {KeyBytes: 9, ValueBytes: 13}} {
+		for _, n := range []int64{0, 1, loadBatch - 1, loadBatch, loadBatch + 1, 10000} {
+			var r recorder
+			Load(&r, spec, n)
+			if int64(len(r.puts)) != n {
+				t.Fatalf("%v n=%d: %d Puts", spec, n, len(r.puts))
+			}
+			for id, e := range r.puts {
+				if !bytes.Equal(e.Key, spec.Key(uint64(id))) || !bytes.Equal(e.Value, spec.Value(uint64(id))) {
+					t.Fatalf("%v n=%d: Put %d is not id %d's key and value", spec, n, id, id)
+				}
+				if cap(e.Key) != len(e.Key) || cap(e.Value) != len(e.Value) {
+					t.Fatalf("%v n=%d: Put %d's key or value has capacity beyond its length", spec, n, id)
+				}
 			}
 		}
 	}
