@@ -28,8 +28,9 @@
 #              Bε-tree's one message merge and one leaf walk, the
 #              stepper's ring of step records, the pager's release by
 #              pin, the one closed-loop driver (internal/closedloop), the
-#              one may-held walk (internal/analysis/locks) and the one
-#              escape-hatch rule (lintutil.Report) removed
+#              one may-held walk (internal/analysis/locks), the one
+#              escape-hatch rule (lintutil.Report) and the B-tree
+#              writer's one page free list removed
 #              (hand-written boots, anonymous device-hint assertions,
 #              hand-built replies, per-tool -cluster splitters, per-tree
 #              Session types, per-method busy-retry loops and a fourth ioCtx
@@ -38,7 +39,8 @@
 #              launched by a wall-clock grace timer, a decoder that copies
 #              every key and value and callers that copy its copy, a tree,
 #              LSM, WAL or recovery decode site that reads into a buffer it
-#              just allocated, journal regions, a journal reader, a pass
+#              just allocated (the B-tree writer's load into a page from
+#              its free list is the one ReadAt site), journal regions, a journal reader, a pass
 #              that installs captured pages a second time, a
 #              container/list LRU that allocates per Unpin and a raw
 #              atomic.AddInt64-style call on a plain integer, a cmd/ main
@@ -60,8 +62,9 @@
 #              server.ErrBusy comparison in non-test cmd/ or
 #              internal/experiments Go, a busy backoff outside
 #              internal/closedloop, bench/ aside, a WalkHeld or LockSet
-#              outside internal/analysis/locks, and an analyzer that
-#              writes its own "needs a reason" diagnostic)
+#              outside internal/analysis/locks, an analyzer that
+#              writes its own "needs a reason" diagnostic, and a
+#              sync.Pool or second [][]byte field in internal/btree)
 #              stay removed; the serving stack reads the wall clock or arms a
 #              timer at 13 sites in server/cluster/engine/node, none of them
 #              in the scheduler (the sync-ship gate and a parked ship pull
@@ -249,10 +252,24 @@ if [ -n "$dups" ]; then
 fi
 # A page is read in place (DESIGN.md §5): a decode site takes the read-only
 # bytes engine.Client.Read lends it, a view of the store's image, and never
-# reads into a buffer it has just allocated.
-dups=$(grep -n 'ReadAt(' internal/betree/*.go internal/btree/*.go internal/lsm/*.go internal/wal/*.go internal/engine/recover.go | grep -v '_test\.go:' || true)
+# reads into a buffer it has just allocated. One site reads a private copy
+# instead: the B-tree writer's mutation-path load, into a page from its free
+# list, which it edits in place and recycles.
+readat='^internal/btree/btree\.go:[0-9]*:	c\.ReadAt(page, int64(id))$'
+sites=$(grep -n 'ReadAt(' internal/betree/*.go internal/btree/*.go internal/lsm/*.go internal/wal/*.go internal/engine/recover.go | grep -v '_test\.go:' || true)
+dups=$(echo "$sites" | grep -v -e '^$' -e "$readat" || true)
+n=$(echo "$sites" | grep -c "$readat" || true)
+if [ -n "$dups" ] || [ "$n" -ne 1 ]; then
+	echo "a decode site reads into its own buffer again (decode what Client.Read returns; only the B-tree writer's load reads into a page, $n such sites):" >&2
+	echo "$dups" >&2
+	exit 1
+fi
+# The B-tree writer's pages come from one free list (Tree.pages, filled by
+# givePage up to freePages): a sync.Pool or a second [][]byte field in
+# internal/btree is a second page cache growing back beside it.
+dups=$(grep -nE -e 'sync\.Pool' -e '^[[:space:]]+[A-Za-z_]+[[:space:]]+\[\]\[\]byte' internal/btree/*.go | grep -v -e '_test\.go:' -e ':	pages \[\]\[\]byte$' -e ':	pivots  *\[\]\[\]byte //' || true)
 if [ -n "$dups" ]; then
-	echo "a decode site reads into its own buffer again (decode what Client.Read returns):" >&2
+	echo "a second page free list in internal/btree (take and give pages through Tree.pages):" >&2
 	echo "$dups" >&2
 	exit 1
 fi

@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
@@ -113,7 +114,7 @@ func runGraph(l *loader, a *analysis.Analyzer, pi *pkgInfo, facts factStore, sin
 			ResultOf:         resultOf,
 			Report:           func(analysis.Diagnostic) {},
 			ReadFile:         os.ReadFile,
-			Module:           &analysis.Module{Path: "testdata"},
+			Module:           &analysis.Module{Path: modulePath(pi.pkg.Path())},
 			ImportObjectFact: facts.lookup,
 			ExportObjectFact: facts.export,
 		}
@@ -172,4 +173,11 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 			}
 		}
 	}
+}
+
+// modulePath is the module of a testdata package: its path's first element,
+// so that mod/x and mod/y are one module and blockdep another.
+func modulePath(pkgPath string) string {
+	first, _, _ := strings.Cut(pkgPath, "/")
+	return first
 }

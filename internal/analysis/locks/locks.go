@@ -89,6 +89,7 @@ const ioFuncs = "internal/engine.Engine.ApplyBatch," +
 	"internal/wal.Log.Replay," +
 	"internal/wal.Log.TailFrom," +
 	"internal/storage.Store.Read," +
+	"internal/storage.Store.ReadAt," +
 	"internal/storage.Store.WriteAt," +
 	"internal/storage.Store.Handover"
 
@@ -267,12 +268,13 @@ func isMutex(t types.Type) bool {
 }
 
 // summarize computes the summary of every function declared in this
-// package — what it does itself, the ranks the facts of the other
-// packages' functions it calls may acquire, then same-package calls to a
-// fixpoint — and exports each non-empty one as the function's fact.
-// Another package's cause is checked at a call under a lock but not folded
-// in: folded, it reaches through the standard library, and fmt.Errorf and
-// os.Create come out as blocking.
+// package — what it does itself, what the facts of the other packages'
+// functions it calls say, then same-package calls to a fixpoint — and
+// exports each non-empty one as the function's fact. Another package's rank
+// is always folded in, its blocking cause only when the package is in this
+// module (inModule): folded from the standard library, a cause comes out of
+// fmt.Errorf and os.Create, whose blocking is not this module's to audit.
+// Any callee's cause is still checked at a call under a lock.
 func (c *checker) summarize(ins *inspector.Inspector) {
 	info := c.pass.TypesInfo
 	type node struct {
@@ -306,7 +308,10 @@ func (c *checker) summarize(ins *inspector.Inspector) {
 				nd.locals = append(nd.locals, callee)
 			} else if callee != nil {
 				o := c.summaryOf(callee)
-				sum.absorb(summary{Rank: o.Rank, Lock: o.Lock})
+				if !inModule(c.pass, callee.Pkg()) {
+					o.Block = ""
+				}
+				sum.absorb(o)
 			}
 		})
 		nodes = append(nodes, nd)
@@ -328,6 +333,17 @@ func (c *checker) summarize(ins *inspector.Inspector) {
 			c.pass.ExportObjectFact(nd.fn, s)
 		}
 	}
+}
+
+// inModule reports whether pkg belongs to the module of the package under
+// analysis: its path is the module path or lies under it. Without a module
+// (a driver that gives none) nothing does.
+func inModule(pass *analysis.Pass, pkg *types.Package) bool {
+	if pass.Module == nil || pass.Module.Path == "" || pkg == nil {
+		return false
+	}
+	m, p := pass.Module.Path, pkg.Path()
+	return p == m || strings.HasPrefix(p, m+"/")
 }
 
 // check walks one function with the may-held set. Each acquisition is

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blockdep"
+	"blockmod/x"
 	"internal/engine"
 )
 
@@ -141,5 +142,21 @@ func (s *Server) badExcuse() {
 	s.mu.Lock()
 	//lint:allowblock
 	s.ch <- 1 // want `//lint:allowblock needs a reason`
+	s.mu.Unlock()
+}
+
+// crossTwo: x.F blocks because y.G, which it calls, dials — a cause two
+// package boundaries away, within one module.
+func (s *Server) crossTwo() {
+	s.mu.Lock()
+	x.F() // want `blocking call to x.F, which may block \(call to net.Dial\) while holding mu`
+	s.mu.Unlock()
+}
+
+// outsideModule: x.H blocks only through another module's package, whose
+// cause x's summary does not fold.
+func (s *Server) outsideModule() {
+	s.mu.Lock()
+	s.n += x.H(s.dep)
 	s.mu.Unlock()
 }

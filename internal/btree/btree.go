@@ -68,6 +68,9 @@ type Tree struct {
 	nodes  int
 	// scratch is the writer's page that a repack moves entries through.
 	scratch []byte
+	// pages is the writer's free list: NodeBytes pages its mutation-path
+	// loads read into, given back when it evicts a leaf no reader viewed.
+	pages [][]byte
 	// LogicalBytesInserted accumulates the payload bytes of Put calls; write
 	// amplification is disk bytes written divided by this.
 	LogicalBytesInserted int64
@@ -88,26 +91,92 @@ func New(cfg Config, eng *engine.Engine) (*Tree, error) {
 
 func (t *Tree) pager() *engine.Pager { return t.eng.Pager() }
 
-// loader adapts Tree to engine.Loader.
+// loader adapts Tree to engine.Loader for readers: a Get or a Scan, on any
+// client, views the extent its load lends.
 type loader Tree
+
+// writer is the loader of the mutation path (Put, Delete and the split,
+// merge and borrow helpers they call), which edits what it loads: it loads
+// its own way and stores as loader does.
+type writer struct{ *loader }
+
+// freePages caps the writer's free list. The writer takes a page per
+// mutation-path miss and gives one back per leaf it evicts unviewed, and
+// under a full cache evictions follow misses about one for one, so the list
+// stays a few pages long; the cap bounds what a burst of evictions (one Put
+// that splits, an EvictAll) leaves behind at 8 pages, beyond the pager's
+// budget.
+const freePages = 8
 
 // Load implements engine.Loader: one IO of exactly NodeBytes, charged to
 // the requesting client. A leaf keeps the extent the read lent as its page.
 func (l *loader) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
-	t := (*Tree)(l)
-	n, err := decodeNode(c.Read(int64(id), t.cfg.NodeBytes))
-	if err != nil {
-		panic(fmt.Sprintf("btree: load of node at %d: %v", id, err))
-	}
+	n := decodeAt(id, c.Read(int64(id), l.cfg.NodeBytes))
 	return n, int64(n.size)
 }
 
-// Store implements engine.Loader: one IO of exactly NodeBytes, handing
-// over a leaf's own sealed page or an internal node's fresh encoding.
+// Load implements engine.Loader: one IO of exactly NodeBytes, read as a
+// private copy into a page from the free list. A leaf keeps it as its page,
+// unshared, so the first edit has nothing to copy; an internal node's pivots
+// view it, and it goes with them.
+func (w writer) Load(c *engine.Client, id engine.PageID) (interface{}, int64) {
+	page := (*Tree)(w.loader).takePage()
+	c.ReadAt(page, int64(id))
+	n := decodeAt(id, page)
+	n.shared = false // the page is the writer's, not the store's
+	return n, int64(n.size)
+}
+
+// decodeAt decodes the node at id from buf, which its read returned.
+func decodeAt(id engine.PageID, buf []byte) *node {
+	n, err := decodeNode(buf)
+	if err != nil {
+		panic(fmt.Sprintf("btree: load of node at %d: %v", id, err))
+	}
+	return n
+}
+
+// Store implements engine.Loader: one IO of exactly NodeBytes. The owner
+// evicting a private leaf that no reader viewed writes its sealed page with
+// WriteAt, which the store copies, and takes the page back into the free
+// list; every other write-back hands over a leaf's own sealed page or an
+// internal node's fresh encoding.
 func (l *loader) Store(c *engine.Client, id engine.PageID, obj interface{}) {
 	t := (*Tree)(l)
 	n := obj.(*node)
+	if c == t.owner && c.Evicting() && n.leaf && !n.shared && !n.viewed.Load() {
+		n.seal()
+		c.WriteAt(n.page, int64(id))
+		t.givePage(n.page)
+		n.page = nil // the pager drops n: a stray read of it fails loudly
+		return
+	}
 	c.Handover(n.encode(t.cfg.NodeBytes), int64(id))
+}
+
+// takePage returns a page from the writer's free list, or a fresh one. Its
+// bytes are whatever it last held.
+func (t *Tree) takePage() []byte {
+	if k := len(t.pages); k > 0 {
+		p := t.pages[k-1]
+		t.pages = t.pages[:k-1]
+		return p
+	}
+	return make([]byte, t.cfg.NodeBytes)
+}
+
+// blankPage is takePage zeroed: the page of a new leaf.
+func (t *Tree) blankPage() []byte {
+	p := t.takePage()
+	clear(p)
+	return p
+}
+
+// givePage returns p to the writer's free list, unless the list is full.
+func (t *Tree) givePage(p []byte) {
+	if len(t.pages) < freePages {
+		t.pages = append(t.pages, p)
+	}
 }
 
 // StoreSize implements engine.StoreSizer: nodes always encode to the full
@@ -135,8 +204,11 @@ func (t *Tree) getc(c *engine.Client, off int64) (*node, *engine.Pin) {
 }
 
 // get/unpin/dirty/release are the owner-client shorthands the single-writer
-// mutation path uses.
-func (t *Tree) get(off int64) (*node, *engine.Pin) { return t.getc(t.owner, off) }
+// mutation path uses; get loads a node it misses through the writer.
+func (t *Tree) get(off int64) (*node, *engine.Pin) {
+	obj, pin := t.pager().Pin(t.owner, writer{(*loader)(t)}, engine.PageID(off))
+	return obj.(*node), pin
+}
 
 func (t *Tree) unpin(pin *engine.Pin) { pin.Unpin(t.owner) }
 
@@ -284,7 +356,7 @@ func (t *Tree) splitNode(n *node) (*node, []byte) {
 		if cut == 0 {
 			cut = 1
 		}
-		right := newLeaf(len(n.page)).fill(n, cut, n.count)
+		right := leafOn(t.blankPage()).fill(n, cut, n.count)
 		n.repack(0, cut, t.scratch)
 		return right, bytes.Clone(right.key(0))
 	}
@@ -455,7 +527,7 @@ func (t *Tree) borrowFromLeft(parent *node, i int, child, sib *node) {
 			return
 		}
 		cut := sib.count - m
-		child.set(newLeaf(len(child.page)).fill(sib, cut, sib.count).fill(child, 0, child.count))
+		child.set(leafOn(t.blankPage()).fill(sib, cut, sib.count).fill(child, 0, child.count))
 		sib.repack(0, cut, t.scratch)
 		t.setPivot(parent, i-1, child.key(0))
 		return

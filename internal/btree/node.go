@@ -7,6 +7,10 @@
 //
 // A leaf is its extent (DESIGN.md §5): a slotted page that a load validates
 // and keeps, a Get searches in place, and a write-back seals and hands over.
+// A Get or a Scan loads the extent the store lends; the writer's mutation
+// path loads a private copy into a page from its free list, and when the
+// writer evicts such a leaf that no reader viewed, it writes the page back
+// by copy and recycles it.
 //
 //	[0]          magic 0xB3
 //	[1:5]        count u32
@@ -23,8 +27,8 @@
 // reader has viewed are never overwritten (a write appends, a delete edits
 // the directory, and a repack — a compaction, a split, a merge, a borrow —
 // moves entries in place only on a private page no reader has viewed, else
-// onto a fresh one); and a load validates every slot before anything reads
-// the page in place.
+// onto a fresh one), and a page a reader viewed is never recycled; and a
+// load validates every slot before anything reads the page in place.
 //
 // An internal node is decoded into pivots and children and encoded afresh
 // on write-back, its crc directly after its payload.
@@ -96,8 +100,11 @@ type node struct {
 }
 
 // newLeaf returns an empty leaf on a fresh private page.
-func newLeaf(nodeBytes int) *node {
-	return &node{leaf: true, page: make([]byte, nodeBytes), low: nodeBytes - footerBytes, size: baseNodeBytes}
+func newLeaf(nodeBytes int) *node { return leafOn(make([]byte, nodeBytes)) }
+
+// leafOn returns an empty leaf on page, which is private and zero.
+func leafOn(page []byte) *node {
+	return &node{leaf: true, page: page, low: len(page) - footerBytes, size: baseNodeBytes}
 }
 
 // newInternal returns an internal node over children, separated by pivots,
@@ -336,10 +343,8 @@ func (n *node) removeEntry(key []byte) bool {
 func (n *node) encode(nodeBytes int) []byte {
 	if n.leaf {
 		// A shared page is unchanged since it was loaded or last sealed.
-		if p := n.page; !n.shared {
-			p[0] = magicLeaf
-			binary.BigEndian.PutUint32(p[1:], uint32(n.count))
-			binary.BigEndian.PutUint32(p[len(p)-footerBytes:], crc32.ChecksumIEEE(p[:len(p)-footerBytes]))
+		if !n.shared {
+			n.seal()
 			n.shared = true
 		}
 		return n.page
@@ -363,6 +368,14 @@ func (n *node) encode(nodeBytes int) []byte {
 	// extent is that buffer at full length.
 	e.U32(crc32.ChecksumIEEE(e.Buf))
 	return e.Buf[:nodeBytes]
+}
+
+// seal writes a leaf's magic, count and crc into its page in place.
+func (n *node) seal() {
+	p := n.page
+	p[0] = magicLeaf
+	binary.BigEndian.PutUint32(p[1:], uint32(n.count))
+	binary.BigEndian.PutUint32(p[len(p)-footerBytes:], crc32.ChecksumIEEE(p[:len(p)-footerBytes]))
 }
 
 // decodeNode loads an extent produced by encode, verifying its checksum. A

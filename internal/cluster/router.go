@@ -227,6 +227,7 @@ func (sc *shardConn) do(fn func(*server.Client) error) error {
 	defer sc.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
+		//lint:allowblock the shard dials under sc.mu by design: a request must not run on a connection another request is still dialing
 		c, err := sc.connLocked()
 		if err == nil {
 			//lint:allowblock sc.mu intentionally serializes the shard: one request at a time per connection is the failover protocol's correctness mechanism (no second request can observe a half-failed-over endpoint)
@@ -239,6 +240,7 @@ func (sc *shardConn) do(fn func(*server.Client) error) error {
 			}
 		}
 		lastErr = err
+		//lint:allowblock failover probes and re-points the shard under sc.mu by design: no request may observe a half-failed-over endpoint
 		if ferr := sc.failoverLocked(); ferr != nil {
 			return fmt.Errorf("cluster: shard %d failover after %v: %w", sc.index, lastErr, ferr)
 		}

@@ -242,6 +242,9 @@ type Client struct {
 	// client-local: a client is single-goroutine, so no synchronization.
 	span  *obs.Span
 	layer obs.Layer
+	// evicting is set while the pager writes back, through this client, an
+	// object it is dropping (Evicting).
+	evicting bool
 }
 
 // Engine returns the engine this client drives.
@@ -263,17 +266,23 @@ func (c *Client) read(off int64, n int) []byte {
 	}
 	now := c.ctx.Now()
 	p, done := c.eng.store.Read(now, off, n)
-	c.counters.Add(storage.Counters{Reads: 1, BytesRead: int64(n), ReadTime: done - now})
-	if c.span != nil {
-		c.span.IO(c.layer, storage.Read, off, int64(n), now, done-now)
-	}
-	c.ctx.WaitUntil(done)
+	c.finish(storage.Read, off, int64(n), now, done)
 	return p
 }
 
-// ReadAt is Read into a buffer of the caller's: for a caller that needs a
-// private copy it may write (the bench ladder's read rung and page loader).
-func (c *Client) ReadAt(p []byte, off int64) { copy(p, c.Read(off, len(p))) }
+// ReadAt reads len(p) bytes at off into p, charging device time to this
+// client (storage.Store.ReadAt): a private copy the caller may write, which
+// lends nothing and leaves the store free to take a later write of the
+// extent in place. The B-tree's mutation path loads leaves with it into
+// pages it recycles. On a durable engine off is logical, as for Read.
+func (c *Client) ReadAt(p []byte, off int64) {
+	if len(p) == 0 {
+		return
+	}
+	off = c.eng.at(off, false)
+	now := c.ctx.Now()
+	c.finish(storage.Read, off, int64(len(p)), now, c.eng.store.ReadAt(now, p, off))
+}
 
 // WriteAt writes len(p) bytes at off, charging device time to this client.
 // On a durable engine off is logical, and the write follows the one write
@@ -295,12 +304,7 @@ func (c *Client) write(p []byte, off int64, give bool) {
 	if give {
 		write = c.eng.store.Handover
 	}
-	done := write(now, p, off)
-	c.counters.Add(storage.Counters{Writes: 1, BytesWritten: int64(len(p)), WriteTime: done - now})
-	if c.span != nil {
-		c.span.IO(c.layer, storage.Write, off, int64(len(p)), now, done-now)
-	}
-	c.ctx.WaitUntil(done)
+	c.finish(storage.Write, off, int64(len(p)), now, write(now, p, off))
 }
 
 // Meter charges an IO's time and counters without moving bytes (the
@@ -310,7 +314,12 @@ func (c *Client) Meter(op storage.Op, off, size int64) {
 		return
 	}
 	now := c.ctx.Now()
-	done := c.eng.store.Meter(now, op, off, size)
+	c.finish(op, off, size, now, c.eng.store.Meter(now, op, off, size))
+}
+
+// finish is the part every IO of c shares once the store has taken it: count
+// it, trace it, and wait until done.
+func (c *Client) finish(op storage.Op, off, size int64, now, done sim.Time) {
 	if op == storage.Read {
 		c.counters.Add(storage.Counters{Reads: 1, BytesRead: size, ReadTime: done - now})
 	} else {
@@ -321,6 +330,12 @@ func (c *Client) Meter(op storage.Op, off, size int64) {
 	}
 	c.ctx.WaitUntil(done)
 }
+
+// Evicting reports whether the Loader.Store running on c writes back an
+// object the pager is dropping (an eviction) rather than one that stays
+// resident (a flush): only an evicted object's memory is the Loader's to
+// reuse once Store returns.
+func (c *Client) Evicting() bool { return c.evicting }
 
 // StartSpan opens a tracing span for one logical operation (a query, an
 // insert, a batch commit) on this client. Returns nil — and costs only two

@@ -20,10 +20,12 @@ type PageID int64
 type Loader interface {
 	// Load reads and decodes the object; size is its charged byte footprint.
 	Load(c *Client, id PageID) (obj interface{}, size int64)
-	// Store serializes and writes back a dirty object. The bytes it hands to
-	// c.WriteAt or c.Handover are a fresh encoding of the whole page, from its
-	// start, that it does not modify afterwards: an extent given by Handover
-	// becomes the store's image.
+	// Store serializes and writes back a dirty object: the whole page, from
+	// its start. c.Evicting() tells it whether obj stays resident (a flush)
+	// or is dropped once Store returns (an eviction). An extent given to
+	// c.Handover becomes the store's image and is never written again; one
+	// given to c.WriteAt is copied, so the memory of an evicted object that
+	// no reader holds a view of may be reused.
 	Store(c *Client, id PageID, obj interface{})
 }
 
@@ -709,7 +711,9 @@ func (p *Pager) evictOne(c *Client, sh *shard) bool {
 	}
 	if dirty {
 		prev := c.pushLayer(obs.LayerPager)
+		c.evicting = true
 		it.loader.Store(c, it.id, it.obj)
+		c.evicting = false
 		c.popLayer(prev)
 	}
 

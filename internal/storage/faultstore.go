@@ -152,6 +152,31 @@ func (f *FaultStore) checkDown() {
 // Read forwards the read, applying read faults. A corrupted read flips a bit
 // in a copy of the bytes: the medium, and every view of it, stays intact.
 func (f *FaultStore) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
+	corrupt := f.readFault()
+	p, done := f.inner.Read(now, off, n)
+	if corrupt && len(p) > 0 {
+		p = bytes.Clone(p)
+		p[len(p)/2] ^= 0x01
+	}
+	return p, done
+}
+
+// ReadAt forwards the read into p with the faults Read applies: it counts
+// as a read, fails or is corrupted on the same ordinals, and a corrupted one
+// flips the bit in p, the caller's copy.
+func (f *FaultStore) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
+	corrupt := f.readFault()
+	done := f.inner.ReadAt(now, p, off)
+	if corrupt && len(p) > 0 {
+		p[len(p)/2] ^= 0x01
+	}
+	return done
+}
+
+// readFault counts a read and applies the armed read faults: it panics if
+// the machine is down or this read is to fail, and reports whether it is to
+// be corrupted.
+func (f *FaultStore) readFault() bool {
 	f.mu.Lock()
 	f.checkDown()
 	f.reads++
@@ -161,12 +186,7 @@ func (f *FaultStore) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
 		panic(&ReadFaultError{Read: f.reads})
 	}
 	f.mu.Unlock()
-	p, done := f.inner.Read(now, off, n)
-	if corrupt && len(p) > 0 {
-		p = bytes.Clone(p)
-		p[len(p)/2] ^= 0x01
-	}
-	return p, done
+	return corrupt
 }
 
 // WriteAt forwards the write unless the armed crash fires: then only the

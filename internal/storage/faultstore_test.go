@@ -112,6 +112,41 @@ func TestFaultStoreFailRead(t *testing.T) {
 	}
 }
 
+// TestFaultStoreReadAtFaults: ReadAt counts toward the same read ordinals as
+// Read and takes the same faults: a corrupted one flips the middle bit of the
+// caller's buffer and nothing else, a failed one panics with *ReadFaultError
+// before anything is read, and after a crash it panics with *CrashError.
+func TestFaultStoreReadAtFaults(t *testing.T) {
+	f := NewFaultStore(flatDev{1 << 20})
+	want := bytes.Repeat([]byte{0xAA}, 32)
+	f.WriteAt(0, want, 0)
+	f.CorruptRead(2)
+	f.Read(0, 0, 32)
+	got := make([]byte, 32)
+	f.ReadAt(0, got, 0)
+	if !bytes.Equal(got[:16], want[:16]) || got[16] != 0xAA^0x01 || !bytes.Equal(got[17:], want[17:]) {
+		t.Fatalf("read 2 through ReadAt: corruption pattern wrong: %x", got)
+	}
+	if again, _ := f.Read(0, 0, 32); !bytes.Equal(again, want) {
+		t.Fatalf("the corruption reached the image: %x", again)
+	}
+
+	f.FailRead(1)
+	buf := bytes.Repeat([]byte{7}, 32)
+	if _, ok := panicOf(func() { f.ReadAt(0, buf, 0) }).(*ReadFaultError); !ok {
+		t.Fatal("expected *ReadFaultError")
+	}
+	if f.Crashed() || !bytes.Equal(buf, bytes.Repeat([]byte{7}, 32)) {
+		t.Fatal("a failed ReadAt crashed the store or filled the buffer")
+	}
+
+	f.CrashAtWrite(1, 0)
+	panicOf(func() { f.WriteAt(0, want, 0) })
+	if _, ok := panicOf(func() { f.ReadAt(0, buf, 0) }).(*CrashError); !ok {
+		t.Fatal("a ReadAt on a crashed store did not panic with *CrashError")
+	}
+}
+
 func TestAllocatorSnapshotRoundTrip(t *testing.T) {
 	a := NewAllocator(1 << 20)
 	o1 := a.Alloc(4096)

@@ -51,6 +51,15 @@ func (m *flatImage) Read(now sim.Time, off int64, n int) ([]byte, sim.Time) {
 	return bytes.Clone(m.data[off : off+int64(n)]), done
 }
 
+func (m *flatImage) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
+	if len(p) == 0 {
+		return now
+	}
+	done := m.io(now, Read, off, int64(len(p)))
+	copy(p, m.data[off:])
+	return done
+}
+
 func (m *flatImage) WriteAt(now sim.Time, p []byte, off int64) sim.Time {
 	if len(p) == 0 {
 		return now
@@ -110,7 +119,8 @@ func checkTable(t *testing.T, s *Store, what string) {
 
 // TestStoreMatchesFlatImage drives a FaultStore over a Store and the flat
 // reference with the same seeded sequence of writes, handovers, torn writes,
-// reads and metered IOs — lengths and offsets chosen on, just before and just
+// reads, reads into a buffer of the caller's (ReadAt, into one that holds
+// other bytes) and metered IOs — lengths and offsets chosen on, just before and just
 // after block boundaries, reads of ranges nothing ever wrote, accesses ending
 // exactly at capacity and one byte past it — and requires equal bytes,
 // completion times, panics, counters and traces. It keeps what every read
@@ -166,7 +176,7 @@ func TestStoreMatchesFlatImage(t *testing.T) {
 			what := fmt.Sprintf("seed %d step %d: off %d size %d", seed, step, off, size)
 			var got, want sim.Time
 			var gotP, wantP interface{}
-			switch kind := rng.Intn(7); kind {
+			switch kind := rng.Intn(8); kind {
 			case 0, 1: // write
 				p := payload(size)
 				gotP = panicOf(func() { got = f.WriteAt(now, p, off) })
@@ -199,6 +209,13 @@ func TestStoreMatchesFlatImage(t *testing.T) {
 					if isView(s, gb, off) {
 						views++
 					}
+				}
+			case 6: // read into a buffer that holds other bytes
+				gb, wb := bytes.Repeat([]byte{0xFF}, int(size)), make([]byte, size)
+				gotP = panicOf(func() { got = f.ReadAt(now, gb, off) })
+				wantP = panicOf(func() { want = m.ReadAt(now, wb, off) })
+				if gotP == nil && !bytes.Equal(gb, wb) {
+					t.Fatalf("%s: ReadAt bytes differ from the flat image", what)
 				}
 			default: // meter
 				op := Op(rng.Intn(2))
@@ -267,6 +284,30 @@ func TestStoreViewsAndHandover(t *testing.T) {
 		t.Fatalf("a write into an unviewed block did not go in place: %v, resident %d", x, s.Resident())
 	}
 	checkTable(t, s, "after the pinned writes")
+}
+
+// TestReadAtLendsNothing: ReadAt copies into the caller's buffer and marks
+// nothing viewed, so a later write of the extent goes in place, into the run
+// already there, and leaves the copy as it was; blocks nothing wrote read as
+// zeros whatever the buffer held.
+func TestReadAtLendsNothing(t *testing.T) {
+	s := NewStore(skewDevice{1 << 20})
+	p := bytes.Repeat([]byte{1}, 2*blockBytes)
+	s.WriteAt(0, p, blockBytes)
+	r := s.blocks[1].run
+	got := bytes.Repeat([]byte{0xFF}, 4*blockBytes)
+	s.ReadAt(0, got, 0)
+	if want := append(append(make([]byte, blockBytes), p...), make([]byte, blockBytes)...); !bytes.Equal(got, want) {
+		t.Fatal("ReadAt did not fill the buffer with the image, zeros where nothing was written")
+	}
+	s.WriteAt(0, bytes.Repeat([]byte{2}, len(p)), blockBytes)
+	if s.blocks[1].run != r || s.blocks[2].run != r || s.Resident() != int64(len(p)) {
+		t.Fatal("a write after a ReadAt did not go in place")
+	}
+	if !bytes.Equal(got[blockBytes:3*blockBytes], p) {
+		t.Fatal("a write changed what ReadAt copied")
+	}
+	checkTable(t, s, "after a ReadAt and a write in place")
 }
 
 // TestHandoverIsAView: the giver of an extent may go on reading it (a B-tree

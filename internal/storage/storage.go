@@ -14,7 +14,9 @@
 // A Store owns the bytes of its image and lends them out: a read returns a
 // view of the image rather than a copy, and the image is copy-on-write at
 // 4 KiB blocks, so a view holds still for as long as anyone keeps it while
-// host memory follows what was written (see Store).
+// host memory follows what was written (see Store). A writer that edits what
+// it reads asks for a copy in a buffer of its own instead (Store.ReadAt),
+// which lends nothing, so its write-back can go in place.
 package storage
 
 import (
@@ -207,7 +209,12 @@ func (t *Trace) Len() int {
 
 // ByteStore is the concurrent byte-moving interface a *Store implements.
 // The engine layer accepts any ByteStore so fault-injection wrappers (see
-// FaultStore) can sit between the engine and the real store.
+// FaultStore) can sit between the engine and the real store. Bytes move in
+// or out of the image in one of two ways each: lent or copied out, copied or
+// given in. A reader that keeps views takes a loan (Read); a writer that
+// edits what it reads takes a copy (ReadAt) and writes it back by copy
+// (WriteAt), which the store can take in place; a write-back whose buffer
+// its owner only goes on reading gives it (Handover).
 type ByteStore interface {
 	Device() Device
 	SetTrace(t *Trace)
@@ -216,6 +223,10 @@ type ByteStore interface {
 	// Read returns n bytes at off: a read-only view of the image, which no
 	// write ever changes (Store.Read).
 	Read(now sim.Time, off int64, n int) ([]byte, sim.Time)
+	// ReadAt copies len(p) bytes at off into p, which stays the caller's: it
+	// lends nothing and marks nothing viewed, so a later write of the range
+	// may go in place (Store.ReadAt).
+	ReadAt(now sim.Time, p []byte, off int64) sim.Time
 	// WriteAt copies p into the image; Handover makes p itself the image,
 	// and the caller never writes p again.
 	WriteAt(now sim.Time, p []byte, off int64) sim.Time
@@ -255,12 +266,13 @@ type block struct {
 // zeros and costs nothing, so memory follows what was written, not the
 // address space or the device. The image's bytes are shared, copy-on-write
 // at block granularity: a Read of a range that lies in one stretch of one run
-// returns a view of it instead of a copy and marks its blocks viewed, and a
-// write goes in place only into written blocks nobody has viewed. Any other
-// write moves its blocks to a fresh run — all of them, if it covers them
-// whole, so that an extent written in one piece stays one run, and that run
-// is the written buffer itself if it was handed over — and the old run lives
-// on for as long as a view of it does.
+// returns a view of it instead of a copy and marks its blocks viewed (a
+// ReadAt copies out and marks nothing), and a write goes in place only into
+// written blocks nobody has viewed. Any other write moves its blocks to a
+// fresh run — all of them, if it covers them whole, so that an extent
+// written in one piece stays one run, and that run is the written buffer
+// itself if it was handed over — and the old run lives on for as long as a
+// view of it does.
 type Store struct {
 	dev Device
 
@@ -363,8 +375,23 @@ func (s *Store) view(off int64, n int) []byte {
 	return b.run.buf[start : start+n : start+n]
 }
 
-// copyOut copies [off, off+len(dst)) of the image into dst, which is zeroed:
-// blocks nothing wrote stay zero. Caller holds mu.
+// ReadAt issues a read of len(p) bytes at off at time now, copies them into
+// p and returns the IO's completion time. It lends nothing and marks no
+// block viewed: p is the caller's, and a later write of the range may go in
+// place. A writer that edits what it read uses it, into a buffer it reuses.
+func (s *Store) ReadAt(now sim.Time, p []byte, off int64) sim.Time {
+	if len(p) == 0 {
+		return now
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := s.access(now, Read, off, int64(len(p)))
+	s.copyOut(p, off)
+	return done
+}
+
+// copyOut copies [off, off+len(dst)) of the image into dst; blocks nothing
+// wrote read as zeros. Caller holds mu.
 func (s *Store) copyOut(dst []byte, off int64) {
 	for len(dst) > 0 {
 		i, in := off/blockBytes, int(off%blockBytes)
@@ -372,6 +399,8 @@ func (s *Store) copyOut(dst []byte, off int64) {
 		if i < int64(len(s.blocks)) && s.blocks[i].run != nil {
 			b := s.blocks[i]
 			copy(dst[:k], b.run.buf[b.at+in:])
+		} else {
+			clear(dst[:k])
 		}
 		dst, off = dst[k:], off+int64(k)
 	}
